@@ -21,6 +21,7 @@ from .corpus import (
     Sentence,
     TagSet,
     Token,
+    _normalize,
     corpus_stats,
     parse_conll,
     split_corpus,
@@ -83,7 +84,8 @@ def _columns(args):
 
 
 def _parse_unlabeled(text):
-    """Token-only input: first column is the surface, no gold tags."""
+    """Token-only input: first column is the surface, no gold tags. Surfaces
+    and ids are NFC-normalized as in ``parse_conll``."""
     if not text.strip():
         raise ParseError("empty input")
     sentences = []
@@ -106,10 +108,10 @@ def _parse_unlabeled(text):
             flush()
             continue
         if line.startswith("#"):
-            pending_id = line[1:].strip() or None
+            pending_id = _normalize(line[1:].strip()) or None
             continue
         try:
-            tokens.append(Token(line.split()[0]))
+            tokens.append(Token(_normalize(line.split()[0])))
         except CorpusError as exc:
             raise ParseError(str(exc), lineno) from exc
     flush()

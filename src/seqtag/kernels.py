@@ -1,21 +1,18 @@
 """Hot numeric kernels: LSTM recurrences and CRF dynamic programs.
 
-Each kernel exists twice: a numba ``@njit`` version (default) and a
-pure-numpy fallback. Set ``SEQTAG_NO_NUMBA=1`` to select the numpy path;
-the fallback also engages automatically when numba is not importable.
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+One numpy implementation per kernel, run one sentence at a time:
+``lstm_forward``/``lstm_backward`` for each BiLSTM direction, and
+``crf_alphas``, ``crf_betas`` and ``viterbi_decode`` for the CRF head.
 
-All kernels take and return float64 arrays. fastmath stays off so results
-are IEEE-reproducible and finite-difference checks hold tightly.
+All kernels take and return float64 arrays and use plain IEEE arithmetic,
+so results are reproducible and finite-difference checks hold tightly.
 """
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "lstm_forward",
     "lstm_backward",
     "crf_alphas",
@@ -24,19 +21,6 @@ __all__ = [
     "logsumexp",
 ]
 
-_flag = os.environ.get("SEQTAG_NO_NUMBA", "").strip().lower()
-_numpy_requested = _flag in ("1", "true", "yes")
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    numba = None
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not _numpy_requested
-
 
 def logsumexp(x):
     """Stable log(sum(exp(x))) over a 1-D array."""
@@ -44,16 +28,12 @@ def logsumexp(x):
     return m + math.log(np.sum(np.exp(x - m)))
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
 def _sigmoid_np(x):
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def lstm_forward_numpy(xw, w_h, h0, c0):
+def lstm_forward(xw, w_h, h0, c0):
     """One-direction LSTM over precomputed input projections.
 
     xw: (n, 4h) rows of x_t @ W_x + b, gate order i, f, g, o.
@@ -88,7 +68,7 @@ def lstm_forward_numpy(xw, w_h, h0, c0):
     return hs, cs, tanh_cs, gates
 
 
-def lstm_backward_numpy(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
+def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
     """Backprop through lstm_forward. Returns gradients w.r.t. the input
     projections xw (n, 4h), the recurrent weights (h, 4h), and the initial
     hidden/cell states."""
@@ -120,7 +100,7 @@ def lstm_backward_numpy(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
     return d_xw, d_wh, dh_next, dc_next
 
 
-def crf_alphas_numpy(emis, trans, start):
+def crf_alphas(emis, trans, start):
     """Forward log-potentials: alphas[t, j] = log sum over prefixes ending
     in tag j at position t (end scores not folded in)."""
     n, T = emis.shape
@@ -133,7 +113,7 @@ def crf_alphas_numpy(emis, trans, start):
     return alphas
 
 
-def crf_betas_numpy(emis, trans, end):
+def crf_betas(emis, trans, end):
     """Backward log-potentials: betas[t, i] = log sum over suffixes starting
     with tag i at position t (emission at t not folded in)."""
     n, T = emis.shape
@@ -146,7 +126,7 @@ def crf_betas_numpy(emis, trans, end):
     return betas
 
 
-def viterbi_decode_numpy(emis, trans, start, end):
+def viterbi_decode(emis, trans, start, end):
     """Max-scoring tag path and its score; backpointer ties break toward the
     lower tag index."""
     n, T = emis.shape
@@ -165,202 +145,3 @@ def viterbi_decode_numpy(emis, trans, start, end):
     for t in range(n - 1, 0, -1):
         path[t - 1] = backptr[t, path[t]]
     return path, score
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same math, scalar loops)
-# ---------------------------------------------------------------------------
-
-def _sigmoid_scalar(x):
-    if x >= 0.0:
-        z = math.exp(-x)
-        return 1.0 / (1.0 + z)
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
-def _lstm_forward_loop(xw, w_h, h0, c0):
-    n = xw.shape[0]
-    h = w_h.shape[0]
-    hs = np.empty((n, h))
-    cs = np.empty((n, h))
-    tanh_cs = np.empty((n, h))
-    gates = np.empty((n, 4 * h))
-    h_prev = h0.copy()
-    c_prev = c0.copy()
-    for t in range(n):
-        z = xw[t] + np.dot(h_prev, w_h)
-        for j in range(h):
-            i = _sigmoid_scalar(z[j])
-            f = _sigmoid_scalar(z[h + j])
-            g = math.tanh(z[2 * h + j])
-            o = _sigmoid_scalar(z[3 * h + j])
-            c = f * c_prev[j] + i * g
-            tc = math.tanh(c)
-            gates[t, j] = i
-            gates[t, h + j] = f
-            gates[t, 2 * h + j] = g
-            gates[t, 3 * h + j] = o
-            cs[t, j] = c
-            tanh_cs[t, j] = tc
-            hs[t, j] = o * tc
-        h_prev = hs[t]
-        c_prev = cs[t]
-    return hs, cs, tanh_cs, gates
-
-
-def _lstm_backward_loop(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
-    n = hs.shape[0]
-    h = hs.shape[1]
-    d_xw = np.empty((n, 4 * h))
-    d_wh = np.zeros_like(w_h)
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
-    dz = np.empty(4 * h)
-    for t in range(n - 1, -1, -1):
-        if t == 0:
-            h_prev = h0
-            c_prev = c0
-        else:
-            h_prev = hs[t - 1]
-            c_prev = cs[t - 1]
-        for j in range(h):
-            i = gates[t, j]
-            f = gates[t, h + j]
-            g = gates[t, 2 * h + j]
-            o = gates[t, 3 * h + j]
-            tc = tanh_cs[t, j]
-            dh = d_hs[t, j] + dh_next[j]
-            do = dh * tc
-            dc = dc_next[j] + dh * o * (1.0 - tc * tc)
-            dz[j] = dc * g * i * (1.0 - i)
-            dz[h + j] = dc * c_prev[j] * f * (1.0 - f)
-            dz[2 * h + j] = dc * i * (1.0 - g * g)
-            dz[3 * h + j] = do * o * (1.0 - o)
-            dc_next[j] = dc * f
-        for j in range(4 * h):
-            d_xw[t, j] = dz[j]
-        # row-major accumulation order keeps d_wh accesses contiguous
-        for a in range(h):
-            hp = h_prev[a]
-            for j in range(4 * h):
-                d_wh[a, j] += hp * dz[j]
-        dh_next = np.dot(w_h, dz)
-    return d_xw, d_wh, dh_next, dc_next
-
-
-def _crf_alphas_loop(emis, trans, start):
-    n, T = emis.shape
-    alphas = np.empty((n, T))
-    for j in range(T):
-        alphas[0, j] = start[j] + emis[0, j]
-    for t in range(1, n):
-        for j in range(T):
-            mx = alphas[t - 1, 0] + trans[0, j]
-            for i in range(1, T):
-                v = alphas[t - 1, i] + trans[i, j]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for i in range(T):
-                s += math.exp(alphas[t - 1, i] + trans[i, j] - mx)
-            alphas[t, j] = mx + math.log(s) + emis[t, j]
-    return alphas
-
-
-def _crf_betas_loop(emis, trans, end):
-    n, T = emis.shape
-    betas = np.empty((n, T))
-    for i in range(T):
-        betas[n - 1, i] = end[i]
-    for t in range(n - 2, -1, -1):
-        for i in range(T):
-            mx = trans[i, 0] + emis[t + 1, 0] + betas[t + 1, 0]
-            for j in range(1, T):
-                v = trans[i, j] + emis[t + 1, j] + betas[t + 1, j]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for j in range(T):
-                s += math.exp(trans[i, j] + emis[t + 1, j] + betas[t + 1, j] - mx)
-            betas[t, i] = mx + math.log(s)
-    return betas
-
-
-def _viterbi_loop(emis, trans, start, end):
-    n, T = emis.shape
-    delta = np.empty(T)
-    for j in range(T):
-        delta[j] = start[j] + emis[0, j]
-    backptr = np.empty((n, T), dtype=np.int64)
-    new_delta = np.empty(T)
-    for t in range(1, n):
-        for j in range(T):
-            best = delta[0] + trans[0, j]
-            arg = 0
-            for i in range(1, T):
-                v = delta[i] + trans[i, j]
-                if v > best:
-                    best = v
-                    arg = i
-            backptr[t, j] = arg
-            new_delta[j] = best + emis[t, j]
-        delta[:] = new_delta
-    best = delta[0] + end[0]
-    last = 0
-    for j in range(1, T):
-        v = delta[j] + end[j]
-        if v > best:
-            best = v
-            last = j
-    path = np.empty(n, dtype=np.int64)
-    path[n - 1] = last
-    for t in range(n - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
-    return path, best
-
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True, fastmath=False)
-    _sigmoid_scalar = _jit(_sigmoid_scalar)
-    lstm_forward_numba = _jit(_lstm_forward_loop)
-    lstm_backward_numba = _jit(_lstm_backward_loop)
-    crf_alphas_numba = _jit(_crf_alphas_loop)
-    crf_betas_numba = _jit(_crf_betas_loop)
-    viterbi_decode_numba = _jit(_viterbi_loop)
-else:  # pragma: no cover
-    lstm_forward_numba = None
-    lstm_backward_numba = None
-    crf_alphas_numba = None
-    crf_betas_numba = None
-    viterbi_decode_numba = None
-
-if NUMBA_ENABLED:
-    lstm_forward = lstm_forward_numba
-    lstm_backward = lstm_backward_numba
-    crf_alphas = crf_alphas_numba
-    crf_betas = crf_betas_numba
-    viterbi_decode = viterbi_decode_numba
-else:
-    lstm_forward = lstm_forward_numpy
-    lstm_backward = lstm_backward_numpy
-    crf_alphas = crf_alphas_numpy
-    crf_betas = crf_betas_numpy
-    viterbi_decode = viterbi_decode_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs so timed code
-    paths never pay the compile cost. No-op on the numpy path."""
-    if not NUMBA_ENABLED:
-        return
-    xw = np.zeros((2, 8))
-    w_h = np.zeros((2, 8))
-    z2 = np.zeros(2)
-    hs, cs, tcs, gates = lstm_forward(xw, w_h, z2, z2)
-    lstm_backward(np.zeros((2, 2)), hs, cs, tcs, gates, w_h, z2, z2)
-    emis = np.zeros((2, 2))
-    trans = np.zeros((2, 2))
-    crf_alphas(emis, trans, z2)
-    crf_betas(emis, trans, z2)
-    viterbi_decode(emis, trans, z2, z2)

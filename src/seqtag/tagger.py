@@ -116,6 +116,9 @@ class TaggerConfig:
         return self
 
 
+_CONFIG_KINDS = {f.name: type(f.default) for f in fields(TaggerConfig)}
+
+
 def _convert(name, kind, raw):
     if kind is bool:
         low = raw.lower()
@@ -133,7 +136,6 @@ def _convert(name, kind, raw):
 def parse_config(text, validate=True):
     """Parse flat ``key = value`` lines into a TaggerConfig. Field names
     match the dataclass exactly; ``#`` lines are comments."""
-    kinds = {f.name: type(f.default) for f in fields(TaggerConfig)}
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -144,11 +146,11 @@ def parse_config(text, validate=True):
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in kinds:
+        if key not in _CONFIG_KINDS:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}", keys=[key])
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}", keys=[key])
-        values[key] = _convert(key, kinds[key], raw)
+        values[key] = _convert(key, _CONFIG_KINDS[key], raw)
     config = TaggerConfig(**values)
     if validate:
         config.validate()
@@ -622,6 +624,73 @@ def save_model(model, path):
         fh.write(b"".join(blocks))
 
 
+_HEADER_KEYS = frozenset(
+    ("format_version", "config", "classes", "word_tokens", "char_tokens",
+     "pos_tokens", "contextual_dim", "params")
+)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_kind(value, kind):
+    """True when a JSON value fits a TaggerConfig field of type ``kind``."""
+    if kind is int:
+        return _is_int(value)
+    if kind is float:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _distinct_names(value):
+    return (isinstance(value, list)
+            and all(isinstance(v, str) and v for v in value)
+            and len(set(value)) == len(value))
+
+
+def _key_mismatch(what, found, expected):
+    missing, unknown = sorted(expected - set(found)), sorted(set(found) - expected)
+    if missing or unknown:
+        return f"{what} keys: missing {missing}, unknown {unknown}"
+    return None
+
+
+def _header_problem(header):
+    """Describe the first way ``header`` departs from the model-file schema,
+    or return None when it conforms."""
+    if not isinstance(header, dict):
+        return "model header is not a JSON object"
+    if header.get("format_version") != MODEL_FORMAT_VERSION:
+        return f"unsupported model format version {header.get('format_version')}"
+    problem = _key_mismatch("model header", header, _HEADER_KEYS)
+    if problem:
+        return problem
+    config = header["config"]
+    if not isinstance(config, dict):
+        return "model header config is not a JSON object"
+    problem = _key_mismatch("model config", config, set(_CONFIG_KINDS))
+    if problem:
+        return problem
+    for key, kind in _CONFIG_KINDS.items():
+        if not _has_kind(config[key], kind):
+            return f"model config key {key}: expected {kind.__name__}, got {config[key]!r}"
+    for key in ("classes", "word_tokens", "char_tokens"):
+        if not _distinct_names(header[key]):
+            return f"model header {key}: expected a list of distinct non-empty strings"
+    if header["pos_tokens"] is not None and not _distinct_names(header["pos_tokens"]):
+        return "model header pos_tokens: expected null or a list of distinct non-empty strings"
+    if not _is_int(header["contextual_dim"]) or header["contextual_dim"] < 0:
+        return "model header contextual_dim: expected a non-negative integer"
+    params = header["params"]
+    if not (isinstance(params, list) and all(
+            isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+            and isinstance(p[1], list) and all(_is_int(d) for d in p[1])
+            for p in params)):
+        return "model header params: expected a list of [name, shape] pairs"
+    return None
+
+
 def load_model(path):
     with open(path, "rb") as fh:
         data = fh.read()
@@ -633,20 +702,22 @@ def load_model(path):
         raise ModelError(f"{path}: truncated model file")
     try:
         header = json.loads(data[body_start:body_start + header_len])
-    except json.JSONDecodeError:
+    except ValueError:  # invalid JSON or invalid UTF-8
         raise ModelError(f"{path}: corrupt model header") from None
-    if header.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelError(
-            f"{path}: unsupported model format version {header.get('format_version')}"
-        )
+    problem = _header_problem(header)
+    if problem:
+        raise ModelError(f"{path}: {problem}")
     config = TaggerConfig(**header["config"])
     word_vocab = {tok: i + 1 for i, tok in enumerate(header["word_tokens"])}
     char_vocab = {ch: i + 1 for i, ch in enumerate(header["char_tokens"])}
     pos_vocab = None
     if header["pos_tokens"] is not None:
         pos_vocab = {p: i + 1 for i, p in enumerate(header["pos_tokens"])}
-    model = TaggerModel(config, TagSet(header["classes"]), word_vocab, char_vocab,
-                        pos_vocab, header["contextual_dim"])
+    try:
+        model = TaggerModel(config, TagSet(header["classes"]), word_vocab, char_vocab,
+                            pos_vocab, header["contextual_dim"])
+    except ConfigError as exc:
+        raise ModelError(f"{path}: {exc}") from None
 
     names = model.store.names()
     header_params = [(name, tuple(shape)) for name, shape in header["params"]]
@@ -661,6 +732,8 @@ def load_model(path):
         if end > len(data):
             raise ModelError(f"{path}: truncated model file")
         values[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(values[name]).all():
+            raise ModelError(f"{path}: non-finite values in parameter block {name}")
         offset = end
     if offset != len(data):
         raise ModelError(f"{path}: trailing bytes after parameter blocks")

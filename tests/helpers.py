@@ -45,6 +45,35 @@ def enumerate_crf(emissions, matrix, start, end):
     return float(log_z), best_path, best_score, marginals, pair_counts
 
 
+def reference_lstm(xw, w_h, h0, c0):
+    """Textbook one-direction LSTM, one gate at a time.
+
+    ``xw`` holds x_t @ W_x + b, gate order i, f, g, o. Per step:
+    i = sigmoid(z_i), f = sigmoid(z_f), g = tanh(z_g), o = sigmoid(z_o),
+    c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t), with
+    sigmoid(z) = 1 / (1 + exp(-z)). Returns the same (hs, cs, tanh_cs,
+    gates) tuple as ``kernels.lstm_forward``.
+    """
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    n, h = xw.shape[0], w_h.shape[0]
+    hs, cs, tanh_cs, gates = [], [], [], []
+    h_prev, c_prev = h0, c0
+    for t in range(n):
+        i = sigmoid(xw[t, 0:h] + h_prev @ w_h[:, 0:h])
+        f = sigmoid(xw[t, h:2 * h] + h_prev @ w_h[:, h:2 * h])
+        g = np.tanh(xw[t, 2 * h:3 * h] + h_prev @ w_h[:, 2 * h:3 * h])
+        o = sigmoid(xw[t, 3 * h:4 * h] + h_prev @ w_h[:, 3 * h:4 * h])
+        c = f * c_prev + i * g
+        h_prev, c_prev = o * np.tanh(c), c
+        hs.append(h_prev)
+        cs.append(c)
+        tanh_cs.append(np.tanh(c))
+        gates.append(np.concatenate([i, f, g, o]))
+    return np.array(hs), np.array(cs), np.array(tanh_cs), np.array(gates)
+
+
 def brute_chunks(tags):
     """Run scanner for valid BIO sequences, independent of extract_chunks."""
     out = []

@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-import seqtag.kernels as kernels
 from seqtag import cli
 from seqtag.corpus import (
     LabeledCorpus,
@@ -43,12 +42,6 @@ from seqtag.tagger import (
 )
 
 from helpers import brute_chunks, brute_prf, brute_vote, enumerate_crf, random_bio_tags, random_corpus
-
-
-@pytest.fixture(scope="module", autouse=True)
-def precompiled_kernels():
-    """Compile the jit kernels before any timed section runs."""
-    kernels.warmup()
 
 
 CRITERION_LINES = []

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, stdout/stderr separation, golden
 outputs, and a full train/predict/ensemble/evaluate pipeline over files."""
 
+import json
+import struct
+import unicodedata
+
 import numpy as np
 import pytest
 
@@ -243,6 +247,31 @@ class TestPipeline:
         # token, predicted, score: three columns, no gold
         assert all(len(line.split()) == 3 for line in lines[1:] if line)
 
+    def test_no_gold_input_is_nfc_normalized(self, capsys, trained):
+        nfd = unicodedata.normalize("NFD", "Café")
+        raw_text = f"# {nfd}-1\n{nfd}\nsaw\n\n{nfd}\n"
+        labeled_text = "\n".join(
+            f"{line}\tO" if line and not line.startswith("#") else line
+            for line in raw_text.split("\n")
+        )
+        unlabeled = cli._parse_unlabeled(raw_text)
+        labeled = parse_conll(labeled_text)
+        assert [s.id for s in unlabeled.sentences] == ["Café-1", "s0"]
+        assert [s.id for s in unlabeled.sentences] == [s.id for s in labeled.sentences]
+        assert [s.surfaces for s in unlabeled.sentences] == [
+            s.surfaces for s in labeled.sentences
+        ]
+        raw = trained / "nfd.txt"
+        raw.write_text(raw_text, encoding="utf-8")
+        code, _, _ = run(
+            capsys, "predict", trained / "model.bin", raw,
+            trained / "nfd_preds.txt", "--no-gold",
+        )
+        assert code == 0
+        written = (trained / "nfd_preds.txt").read_text(encoding="utf-8")
+        assert "# Café-1" in written
+        assert nfd not in written
+
     def test_ensemble_command(self, capsys, trained):
         for name in ("p1.txt", "p2.txt", "p3.txt"):
             code, _, _ = run(
@@ -293,6 +322,48 @@ class TestPipeline:
         )
         assert code == 1
         assert err != ""
+
+
+def corrupt_model(data, corruption):
+    """Copy of model-file bytes with one header or parameter-block defect."""
+    header_len = struct.unpack_from("<Q", data, 8)[0]
+    header = json.loads(data[16:16 + header_len])
+    blocks = data[16 + header_len:]
+    if corruption == "unknown config key":
+        header["config"]["bogus"] = 1
+    elif corruption == "missing word_tokens":
+        del header["word_tokens"]
+    elif corruption == "non-integer hidden":
+        header["config"]["hidden"] = "x"
+    elif corruption == "header is a list":
+        header = [header]
+    elif corruption == "NaN parameter block":
+        blocks = blocks[:-8] + struct.pack("<d", float("nan"))
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return data[:8] + struct.pack("<Q", len(raw)) + raw + blocks
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("corruption", [
+        "unknown config key",
+        "missing word_tokens",
+        "non-integer hidden",
+        "header is a list",
+        "NaN parameter block",
+    ])
+    def test_predict_exits_one_with_one_error_line(self, capsys, trained,
+                                                   tmp_path, corruption):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(corrupt_model((trained / "model.bin").read_bytes(),
+                                      corruption))
+        code, out, err = run(
+            capsys, "predict", bad, trained / "dev.conll", tmp_path / "preds.txt",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert not (tmp_path / "preds.txt").exists()
 
 
 class TestTrainValidation:

@@ -8,6 +8,7 @@ real parameters so input gradients get checked by the same machinery.
 import numpy as np
 import pytest
 
+from seqtag.kernels import lstm_forward
 from seqtag.nn import (
     AdamOptimizer,
     BiLstm,
@@ -23,6 +24,8 @@ from seqtag.nn import (
     softmax_rows,
     uniform_init,
 )
+
+from helpers import reference_lstm
 
 # tight tolerance for exactly-linear maps, looser for deep nonlinear chains
 # where finite differences hit their truncation/roundoff floor
@@ -280,6 +283,20 @@ class TestBiLstm:
             return float(np.sum(y * r))
 
         assert gradient_check(loss_fn, store).passed(TOL)
+
+
+class TestLstmKernel:
+    def test_forward_matches_textbook_reference(self):
+        rng = np.random.default_rng(0)
+        for n, h in [(1, 1), (1, 4), (3, 2), (7, 5), (12, 8)]:
+            xw = rng.normal(size=(n, 4 * h))
+            w_h = rng.normal(size=(h, 4 * h)) * 0.5
+            h0, c0 = rng.normal(size=h), rng.normal(size=h)
+            got = lstm_forward(xw, w_h, h0, c0)
+            want = reference_lstm(xw, w_h, h0, c0)
+            for name, a, b in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
+                assert a.shape == b.shape, name
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestMultiHeadAttention:
