@@ -9,10 +9,10 @@ sentence ids per source and taking the union of tagsets.
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, replace
 
 from .corpus import LabeledCorpus, ParseError, Sentence
+from .fileio import write_atomic
 
 __all__ = [
     "AugmentError",
@@ -128,15 +128,8 @@ class CachedServiceBackend(TranslatorBackend):
 
     def _persist(self):
         # atomic replace so a crash never leaves a torn cache file
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self._cache, fh, sort_keys=True, ensure_ascii=False)
-            os.replace(tmp, self._cache_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(self._cache_path,
+                     json.dumps(self._cache, sort_keys=True, ensure_ascii=False).encode("utf-8"))
 
     def translate_token(self, token, source_lang, target_lang):
         if (source_lang, target_lang) != (self.source_lang, self.target_lang):

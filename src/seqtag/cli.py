@@ -37,6 +37,7 @@ from .ensemble import (
     write_prediction_file,
 )
 from .evaluation import evaluate
+from .fileio import write_atomic
 from .nn import (
     BiLstm,
     CharCNN,
@@ -76,7 +77,7 @@ def _read(path):
 
 
 def _write(path, text):
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _columns(args):

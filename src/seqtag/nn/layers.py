@@ -5,11 +5,18 @@ and mutates nothing, ``backward(d_out, cache)`` accumulates parameter
 gradients into the ParamStore and returns the gradient w.r.t. the layer
 input. Caches travel with the caller, so forward passes on a shared model
 are thread-safe.
+
+Sequence layers run a right-padded batch: inputs are (B, n, d) with a
+``lengths`` vector (B,), and sentence b fills positions 0 .. lengths[b]-1.
+An (n, d) input is a batch of one and gives an (n, ·) output. Values at
+padded positions are meaningless and the caller gives them zero gradient;
+no real position depends on them. ``Linear`` and ``EmbeddingTable`` act
+row by row on inputs of any rank; ``CharCNN`` runs one word at a time.
 """
 
 import numpy as np
 
-from ..kernels import lstm_forward, lstm_backward
+from ..kernels import lstm_backward, lstm_forward, lstm_gates
 from .params import uniform_init
 
 __all__ = [
@@ -25,10 +32,11 @@ __all__ = [
 
 
 def softmax_rows(x):
-    """Row-wise softmax, stable under large scores."""
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, stable under large scores."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class EmbeddingTable:
@@ -105,6 +113,20 @@ class CharCNN:
         self.chars.backward(d_emb[:m], indices)
 
 
+def _dense(x, w):
+    """``x @ w`` over the last axis of ``x`` as one 2-D matmul."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _batched(x, lengths):
+    """View an (n, d) input as a batch of one; default to full lengths."""
+    if x.ndim == 2:
+        x = x[None]
+    if lengths is None:
+        lengths = np.full(x.shape[0], x.shape[1])
+    return x, np.asarray(lengths, dtype=np.int64)
+
+
 class _LstmDirection:
     def __init__(self, store, prefix, input_dim, hidden, rng):
         self.hidden = hidden
@@ -115,26 +137,36 @@ class _LstmDirection:
         self._prefix = prefix
 
     def forward(self, x):
-        zeros = np.zeros(self.hidden)
-        xw = x @ self.w_x + self.b
-        hs, cs, tanh_cs, gates = lstm_forward(xw, self.w_h, zeros, zeros)
-        return hs, (x, hs, cs, tanh_cs, gates)
+        """x (B, n, d) -> hidden states and cell states, each (B, n, h)."""
+        zeros = np.zeros((x.shape[0], self.hidden))
+        xw = _dense(x, self.w_x)
+        xw += self.b
+        return lstm_forward(xw, self.w_h, zeros, zeros)
 
-    def backward(self, d_hs, cache):
-        x, hs, cs, tanh_cs, gates = cache
-        zeros = np.zeros(self.hidden)
+    def backward(self, d_hs, x, hs, cs):
+        """Gradient w.r.t. x; the gates are recomputed from x and hs."""
+        zeros = np.zeros((x.shape[0], self.hidden))
+        gates = _dense(x, self.w_x)
+        gates += self.b
+        lstm_gates(gates, hs, self.w_h, zeros)
         d_xw, d_wh, _, _ = lstm_backward(
-            np.ascontiguousarray(d_hs), hs, cs, tanh_cs, gates, self.w_h, zeros, zeros
+            d_hs, hs, cs, np.tanh(cs), gates, self.w_h, zeros, zeros
         )
-        self._store.accumulate(f"{self._prefix}.w_x", x.T @ d_xw)
+        d_xw = d_xw.reshape(-1, 4 * self.hidden)
+        self._store.accumulate(f"{self._prefix}.w_x", x.reshape(-1, x.shape[-1]).T @ d_xw)
         self._store.accumulate(f"{self._prefix}.w_h", d_wh)
         self._store.accumulate(f"{self._prefix}.b", d_xw.sum(axis=0))
-        return d_xw @ self.w_x.T
+        return (d_xw @ self.w_x.T).reshape(x.shape)
 
 
 class BiLstm:
     """Stack of bidirectional LSTM layers; each position's output is the
-    concatenation of the forward and backward hidden states (n, 2h)."""
+    concatenation of the forward and backward hidden states (..., 2h).
+
+    The backward direction reverses each sentence within its own length,
+    so padding stays at the end in both directions and never feeds a real
+    position. Outputs at padded positions are meaningless; their gradient
+    must be zero."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -149,29 +181,41 @@ class BiLstm:
             d = 2 * hidden
         self.output_dim = 2 * hidden
 
-    def forward(self, x):
+    def forward(self, x, lengths=None):
+        """x: (B, n, d) right-padded to ``lengths`` (B,), or one sentence
+        (n, d). Returns the output in the shape of x and a cache."""
+        single = x.ndim == 2
+        x, lengths = _batched(x, lengths)
+        t = np.arange(x.shape[1])[None, :]
+        last = lengths[:, None] - 1
+        reverse = (np.arange(x.shape[0])[:, None], np.where(t <= last, last - t, t))
         caches = []
         for fw, bw in self.layers:
-            h_f, cache_f = fw.forward(np.ascontiguousarray(x))
-            x_rev = np.ascontiguousarray(x[::-1])
-            h_b_rev, cache_b = bw.forward(x_rev)
-            x = np.concatenate([h_f, h_b_rev[::-1]], axis=1)
-            caches.append((cache_f, cache_b))
-        return x, caches
+            h_f, c_f = fw.forward(x)
+            h_b, c_b = bw.forward(x[reverse])
+            out = np.concatenate([h_f, h_b[reverse]], axis=2)
+            caches.append((x, out, c_f, c_b))
+            x = out
+        return (x[0] if single else x), (reverse, caches)
 
-    def backward(self, d_out, caches):
+    def backward(self, d_out, cache):
+        reverse, caches = cache
+        single = d_out.ndim == 2
+        if single:
+            d_out = d_out[None]
         h = self.hidden
-        for (fw, bw), (cache_f, cache_b) in zip(reversed(self.layers), reversed(caches)):
-            d_f = fw.backward(d_out[:, :h], cache_f)
-            d_b_rev = bw.backward(np.ascontiguousarray(d_out[:, h:][::-1]), cache_b)
-            d_out = d_f + d_b_rev[::-1]
-        return d_out
+        for (fw, bw), (x, out, c_f, c_b) in zip(reversed(self.layers), reversed(caches)):
+            d_b = bw.backward(d_out[..., h:][reverse], x[reverse], out[..., h:][reverse], c_b)
+            d_out = fw.backward(d_out[..., :h], x, out[..., :h], c_f)
+            d_out += d_b[reverse]
+        return d_out[0] if single else d_out
 
 
 class MultiHeadAttention:
-    """Scaled dot-product self-attention over all positions (no mask), with
-    per-head softmax, head concatenation, and an output projection. Output
-    shape equals input shape.
+    """Scaled dot-product self-attention with per-head softmax, head
+    concatenation, and an output projection. Output shape equals input
+    shape. With ``lengths``, a key-padding mask keeps every position from
+    attending to padding.
 
     The query/key/value projections carry no bias: a key bias shifts every
     score in a softmax row equally, so it can never affect the output and
@@ -193,47 +237,65 @@ class MultiHeadAttention:
         self.b_o = store.add(f"{prefix}.b_o", np.zeros(dim))
 
     def _split(self, x):
-        n = x.shape[0]
-        return x.reshape(n, self.heads, self.head_dim).transpose(1, 0, 2)
+        n_batch, n = x.shape[:2]
+        return x.reshape(n_batch, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(self, x):
-        n = x.shape[0]
-        q = self._split(x @ self.w_q)
-        k = self._split(x @ self.w_k)
-        v = self._split(x @ self.w_v)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = np.einsum("hid,hjd->hij", q, k) * scale
+    def _merge(self, x):
+        n_batch, _, n, _ = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(n_batch, n, self.dim)
+
+    def forward(self, x, lengths=None):
+        """x: (B, n, dim) right-padded to ``lengths`` (B,), or one sentence
+        (n, dim). Returns the output in the shape of x and a cache; the
+        backward pass recomputes the projections from x."""
+        single = x.ndim == 2
+        x, lengths = _batched(x, lengths)
+        q, k, v = self._project(x)
+        scores = q @ k.swapaxes(2, 3)
+        scores *= 1.0 / np.sqrt(self.head_dim)
+        padded_key = np.arange(x.shape[1]) >= lengths[:, None]
+        scores[np.broadcast_to(padded_key[:, None, None, :], scores.shape)] = -np.inf
         attn = softmax_rows(scores)
-        heads_out = np.einsum("hij,hjd->hid", attn, v)
-        concat = heads_out.transpose(1, 0, 2).reshape(n, self.dim)
-        y = concat @ self.w_o + self.b_o
-        return y, (x, q, k, v, attn, concat)
+        y = _dense(self._merge(attn @ v), self.w_o) + self.b_o
+        return (y[0] if single else y), (x, attn)
+
+    def _project(self, x):
+        return (self._split(_dense(x, w)) for w in (self.w_q, self.w_k, self.w_v))
+
+    def _project_backward(self, name, w, d_proj, flat_x):
+        """Accumulate one projection's weight gradient; return its share of
+        the input gradient (B * n, dim)."""
+        flat = self._merge(d_proj).reshape(-1, self.dim)
+        self._store.accumulate(f"{self._prefix}.w_{name}", flat_x.T @ flat)
+        return flat @ w.T
 
     def backward(self, d_y, cache):
-        x, q, k, v, attn, concat = cache
-        n = x.shape[0]
+        x, attn = cache
+        single = d_y.ndim == 2
+        d_y = d_y.reshape(x.shape)
+        q, k, v = self._project(x)
         pre = self._prefix
         acc = self._store.accumulate
-        acc(f"{pre}.w_o", concat.T @ d_y)
-        acc(f"{pre}.b_o", d_y.sum(axis=0))
-        d_concat = d_y @ self.w_o.T
-        d_heads = self._split(d_concat)
-        d_attn = np.einsum("hid,hjd->hij", d_heads, v)
-        d_v = np.einsum("hij,hid->hjd", attn, d_heads)
+        flat_y = d_y.reshape(-1, self.dim)
+        acc(f"{pre}.w_o", self._merge(attn @ v).reshape(-1, self.dim).T @ flat_y)
+        acc(f"{pre}.b_o", flat_y.sum(axis=0))
+        d_heads = self._split(_dense(d_y, self.w_o.T))
         # softmax backward per row: a * (g - sum(g * a))
-        inner = np.sum(d_attn * attn, axis=2, keepdims=True)
-        d_scores = attn * (d_attn - inner) / np.sqrt(self.head_dim)
-        d_q = np.einsum("hij,hjd->hid", d_scores, k)
-        d_k = np.einsum("hij,hid->hjd", d_scores, q)
-        d_x = np.zeros_like(x)
-        for name, d_proj, w in (("q", d_q, self.w_q), ("k", d_k, self.w_k), ("v", d_v, self.w_v)):
-            flat = d_proj.transpose(1, 0, 2).reshape(n, self.dim)
-            acc(f"{pre}.w_{name}", x.T @ flat)
-            d_x += flat @ w.T
-        return d_x
+        d_scores = d_heads @ v.swapaxes(2, 3)
+        d_scores -= np.sum(d_scores * attn, axis=3, keepdims=True)
+        d_scores *= attn
+        d_scores /= np.sqrt(self.head_dim)
+        flat_x = x.reshape(-1, self.dim)
+        d_x = self._project_backward("q", self.w_q, d_scores @ k, flat_x)
+        d_x += self._project_backward("k", self.w_k, d_scores.swapaxes(2, 3) @ q, flat_x)
+        d_x += self._project_backward("v", self.w_v, attn.swapaxes(2, 3) @ d_heads, flat_x)
+        d_x = d_x.reshape(x.shape)
+        return d_x[0] if single else d_x
 
 
 class Linear:
+    """Affine map over the last axis; inputs of any rank."""
+
     def __init__(self, store, prefix, d_in, d_out, rng):
         self.w = store.add(f"{prefix}.w", uniform_init(rng, (d_in, d_out), d_in))
         self.b = store.add(f"{prefix}.b", np.zeros(d_out))
@@ -241,24 +303,32 @@ class Linear:
         self._prefix = prefix
 
     def forward(self, x):
-        return x @ self.w + self.b, x
+        return _dense(x, self.w) + self.b, x
 
     def backward(self, d_y, cache):
         x = cache
-        self._store.accumulate(f"{self._prefix}.w", x.T @ d_y)
-        self._store.accumulate(f"{self._prefix}.b", d_y.sum(axis=0))
-        return d_y @ self.w.T
+        flat_y = d_y.reshape(-1, d_y.shape[-1])
+        self._store.accumulate(f"{self._prefix}.w", x.reshape(-1, x.shape[-1]).T @ flat_y)
+        self._store.accumulate(f"{self._prefix}.b", flat_y.sum(axis=0))
+        return _dense(d_y, self.w.T)
 
 
-def dropout_apply(x, rate, mode, rng):
+def dropout_apply(x, rate, mode, rng, lengths=None):
     """Inverted dropout: zero each element with probability ``rate`` and
     scale survivors by 1/(1-rate) in train mode; identity in eval mode.
+    With ``lengths`` (x is (B, n, d)), each sentence draws its own
+    (lengths[b], d) mask in batch order and padding is zeroed.
     Returns (output, mask); mask is None when nothing was dropped."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if mode != "train" or rate == 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    if lengths is None:
+        keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    else:
+        keep = np.zeros(x.shape)
+        for b, n in enumerate(lengths):
+            keep[b, :n] = (rng.random((n,) + x.shape[2:]) >= rate) / (1.0 - rate)
     return x * keep, keep
 
 

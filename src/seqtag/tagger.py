@@ -2,10 +2,12 @@
 char-CNN, POS embeddings), softmax or CRF head, mini-batch training with
 early stopping, and byte-deterministic model files.
 
-Pipeline per sentence: concatenate enabled embeddings, apply dropout, run
-the BiLSTM stack, optionally multi-head attention, then a linear head.
-With the CRF head the linear outputs are emission scores; otherwise they
-pass through a row softmax.
+Pipeline per batch of right-padded sentences: concatenate enabled
+embeddings, apply dropout, run the BiLSTM stack, optionally multi-head
+attention, then a linear head. With the CRF head the linear outputs are
+emission scores; otherwise they pass through a row softmax. Training runs
+each optimizer batch as one pass; evaluation and prediction run
+length-sorted batches of at most 256 padded positions.
 """
 
 import json
@@ -18,6 +20,7 @@ import numpy as np
 from .corpus import BIO_TAG_RE, TagSet, repair_bio
 from .crf import Transitions, bio_constraint_penalty, crf_marginals, crf_nll_grad, viterbi
 from .evaluation import evaluate
+from .fileio import write_atomic
 from .nn import (
     AdamOptimizer,
     BiLstm,
@@ -236,6 +239,53 @@ class EarlyStopper:
         return self.bad_count >= self.patience
 
 
+def _param_shapes(config, n_labels, n_words, n_chars, n_pos, contextual_dim):
+    """Name -> shape of every parameter of a TaggerModel with this config
+    and these vocabulary sizes (each without its unknown slot; ``n_pos``
+    None without a POS vocabulary), worked out without allocating. The
+    model takes its feature width from here, and ``load_model`` checks a
+    file's inventory and size against it before building anything."""
+    config.validate()
+    if config.use_contextual_slot and contextual_dim < 1:
+        raise ConfigError(
+            "use_contextual_slot requires a contextual vector file",
+            keys=["use_contextual_slot"],
+        )
+    if config.use_pos and n_pos is None:
+        raise ConfigError("use_pos requires a corpus with a POS column", keys=["use_pos"])
+    h = config.hidden
+    shapes = {"word.emb": (n_words + 1, config.word_dim)}
+    input_dim = config.word_dim
+    if config.use_char_cnn:
+        shapes["char.chars"] = (n_chars + 1, config.char_dim)
+        shapes["char.w"] = (config.char_kernel * config.char_dim, config.char_filters)
+        shapes["char.b"] = (config.char_filters,)
+        input_dim += config.char_filters
+    if config.use_pos:
+        shapes["pos.emb"] = (n_pos + 1, config.pos_dim)
+        input_dim += config.pos_dim
+    if config.use_contextual_slot:
+        input_dim += contextual_dim
+    for layer in range(config.lstm_layers):
+        for direction in ("fw", "bw"):
+            prefix = f"lstm.l{layer}.{direction}"
+            shapes[f"{prefix}.w_x"] = (input_dim, 4 * h)
+            shapes[f"{prefix}.w_h"] = (h, 4 * h)
+            shapes[f"{prefix}.b"] = (4 * h,)
+        input_dim = 2 * h
+    if config.use_mha:
+        for name in ("w_q", "w_k", "w_v", "w_o"):
+            shapes[f"mha.{name}"] = (2 * h, 2 * h)
+        shapes["mha.b_o"] = (2 * h,)
+    shapes["head.w"] = (2 * h, n_labels)
+    shapes["head.b"] = (n_labels,)
+    if config.use_crf:
+        shapes["crf.matrix"] = (n_labels, n_labels)
+        shapes["crf.start"] = (n_labels,)
+        shapes["crf.end"] = (n_labels,)
+    return shapes
+
+
 class TaggerModel:
     """Immutable-by-convention container: config, vocabularies, tagset, and
     the parameter store with all layer objects. Forward passes share the
@@ -243,46 +293,36 @@ class TaggerModel:
 
     def __init__(self, config, tagset, word_vocab, char_vocab, pos_vocab,
                  contextual_dim=0):
-        config.validate()
+        shapes = _param_shapes(
+            config, len(tagset), len(word_vocab), len(char_vocab),
+            None if pos_vocab is None else len(pos_vocab), contextual_dim,
+        )
         self.config = config
         self.tagset = tagset
         self.word_vocab = word_vocab
         self.char_vocab = char_vocab
         self.pos_vocab = pos_vocab
         self.contextual_dim = contextual_dim
-        if config.use_contextual_slot and contextual_dim < 1:
-            raise ConfigError(
-                "use_contextual_slot requires a contextual vector file",
-                keys=["use_contextual_slot"],
-            )
-        if config.use_pos and pos_vocab is None:
-            raise ConfigError(
-                "use_pos requires a corpus with a POS column", keys=["use_pos"]
-            )
         self.store = ParamStore()
         rng = np.random.default_rng(config.seed)
 
         self.word_emb = EmbeddingTable(
             self.store, "word.emb", len(word_vocab) + 1, config.word_dim, rng
         )
-        input_dim = config.word_dim
         self.char_cnn = None
         if config.use_char_cnn:
             self.char_cnn = CharCNN(
                 self.store, "char", len(char_vocab) + 1, config.char_dim,
                 config.char_kernel, config.char_filters, rng,
             )
-            input_dim += config.char_filters
         self.pos_emb = None
         if config.use_pos:
             self.pos_emb = EmbeddingTable(
                 self.store, "pos.emb", len(pos_vocab) + 1, config.pos_dim, rng
             )
-            input_dim += config.pos_dim
-        if config.use_contextual_slot:
-            input_dim += contextual_dim
         self.bilstm = BiLstm(
-            self.store, "lstm", input_dim, config.hidden, config.lstm_layers, rng
+            self.store, "lstm", shapes["lstm.l0.fw.w_x"][0], config.hidden,
+            config.lstm_layers, rng,
         )
         self.mha = None
         if config.use_mha:
@@ -356,16 +396,34 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
     return model
 
 
-def _forward(model, sentence, mode, rng, contextual):
+def _forward(model, sentences, mode, rng, contextual):
+    """Run a list of sentences as one right-padded batch. Returns emissions
+    (B, n, T), the lengths (B,) and the cache for ``_backward``."""
     cfg = model.config
-    n = len(sentence.tokens)
-    if n == 0:
-        raise ModelError("cannot run the model on an empty sentence")
+    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+    for sent, length in zip(sentences, lengths):
+        if length == 0:
+            raise ModelError(f"sentence {sent.id!r}: cannot run the model on an empty sentence")
     if mode == "train" and cfg.dropout > 0.0 and rng is None:
         raise ModelError("training-mode forward pass needs an rng for dropout")
+    x, routes = _features(model, sentences, lengths, contextual)
+    x, drop_mask = dropout_apply(x, cfg.dropout, mode, rng, lengths)
+    h, lstm_caches = model.bilstm.forward(x, lengths)
+    mha_cache = None
+    if cfg.use_mha:
+        h, mha_cache = model.mha.forward(h, lengths)
+    emissions, head_cache = model.head.forward(h)
+    return emissions, lengths, (routes, drop_mask, lstm_caches, mha_cache, head_cache)
 
-    widx = np.array([model.word_vocab.get(s, 0) for s in sentence.surfaces],
-                    dtype=np.int64)
+
+def _features(model, sentences, lengths, contextual):
+    """The padded input (B, n, width) of the enabled features, and how to
+    route its gradient back to each of them."""
+    cfg = model.config
+    n_batch, n = len(sentences), int(lengths.max())
+    widx = np.zeros((n_batch, n), dtype=np.int64)
+    for b, sent in enumerate(sentences):
+        widx[b, :lengths[b]] = [model.word_vocab.get(s, 0) for s in sent.surfaces]
     word_rows, word_cache = model.word_emb.lookup(widx)
     parts = [word_rows]
     routes = [("word", cfg.word_dim, word_cache)]
@@ -373,7 +431,7 @@ def _forward(model, sentence, mode, rng, contextual):
     if cfg.use_contextual_slot:
         if contextual is None:
             raise ModelError(
-                f"sentence {sentence.id!r}: model uses contextual vectors "
+                f"sentence {sentences[0].id!r}: model uses contextual vectors "
                 "but none were provided"
             )
         if contextual.dim != model.contextual_dim:
@@ -381,45 +439,43 @@ def _forward(model, sentence, mode, rng, contextual):
                 f"contextual vectors have dimension {contextual.dim}, "
                 f"model expects {model.contextual_dim}"
             )
-        try:
-            ctx_rows = contextual.lookup_sentence(sentence.id, n)
-        except KeyError as exc:
-            raise ModelError(str(exc.args[0])) from None
+        ctx_rows = np.zeros((n_batch, n, model.contextual_dim))
+        for b, sent in enumerate(sentences):
+            try:
+                ctx_rows[b, :lengths[b]] = contextual.lookup_sentence(sent.id, lengths[b])
+            except KeyError as exc:
+                raise ModelError(str(exc.args[0])) from None
         parts.append(ctx_rows)
         routes.append(("frozen", model.contextual_dim, None))
 
     if cfg.use_char_cnn:
-        char_rows = np.empty((n, cfg.char_filters))
+        char_rows = np.zeros((n_batch, n, cfg.char_filters))
         char_caches = []
-        for i, surface in enumerate(sentence.surfaces):
-            cidx = [model.char_vocab.get(ch, 0) for ch in surface]
-            vec, cache = model.char_cnn.forward(cidx)
-            char_rows[i] = vec
-            char_caches.append(cache)
+        for b, sent in enumerate(sentences):
+            for i, surface in enumerate(sent.surfaces):
+                cidx = [model.char_vocab.get(ch, 0) for ch in surface]
+                char_rows[b, i], cache = model.char_cnn.forward(cidx)
+                char_caches.append((b, i, cache))
         parts.append(char_rows)
         routes.append(("char", cfg.char_filters, char_caches))
 
     if cfg.use_pos:
-        pidx = np.array(
-            [model.pos_vocab.get(t.pos, 0) if t.pos is not None else 0
-             for t in sentence.tokens],
-            dtype=np.int64,
-        )
+        pidx = np.zeros((n_batch, n), dtype=np.int64)
+        for b, sent in enumerate(sentences):
+            pidx[b, :lengths[b]] = [
+                model.pos_vocab.get(t.pos, 0) if t.pos is not None else 0
+                for t in sent.tokens
+            ]
         pos_rows, pos_cache = model.pos_emb.lookup(pidx)
         parts.append(pos_rows)
         routes.append(("pos", cfg.pos_dim, pos_cache))
 
-    x = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-    x, drop_mask = dropout_apply(x, cfg.dropout, mode, rng)
-    h, lstm_caches = model.bilstm.forward(x)
-    mha_cache = None
-    if cfg.use_mha:
-        h, mha_cache = model.mha.forward(h)
-    emissions, head_cache = model.head.forward(h)
-    return emissions, (routes, drop_mask, lstm_caches, mha_cache, head_cache)
+    x = np.concatenate(parts, axis=2) if len(parts) > 1 else parts[0]
+    return x, routes
 
 
 def _backward(model, d_emissions, cache):
+    """Backprop a batch; ``d_emissions`` (B, n, T) is zero at padding."""
     routes, drop_mask, lstm_caches, mha_cache, head_cache = cache
     d = model.head.backward(d_emissions, head_cache)
     if mha_cache is not None:
@@ -429,115 +485,177 @@ def _backward(model, d_emissions, cache):
         d = d * drop_mask
     offset = 0
     for kind, width, route_cache in routes:
-        part = d[:, offset:offset + width]
+        part = d[:, :, offset:offset + width]
         offset += width
         if kind == "word":
             model.word_emb.backward(part, route_cache)
         elif kind == "char":
-            for i, char_cache in enumerate(route_cache):
-                model.char_cnn.backward(np.ascontiguousarray(part[i]), char_cache)
+            for b, i, char_cache in route_cache:
+                model.char_cnn.backward(np.ascontiguousarray(part[b, i]), char_cache)
         elif kind == "pos":
             model.pos_emb.backward(part, route_cache)
         # frozen slots (contextual vectors) receive no gradient
 
 
 def _log_softmax(emissions):
-    m = emissions.max(axis=1, keepdims=True)
+    m = emissions.max(axis=-1, keepdims=True)
     shifted = emissions - m
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _uses_crf_loss(cfg):
     return cfg.use_crf and not cfg.crf_decode_only
 
 
-def _sentence_loss(model, emissions, gold_idx, weight=1.0, want_grad=False):
-    """Per-sentence loss: CRF NLL, or mean per-token cross-entropy. With
-    ``want_grad`` also returns d_loss/d_emissions scaled by ``weight`` and
-    accumulates CRF transition gradients."""
+def _sentence_loss(model, emissions, lengths, gold_idx, weight=1.0, want_grad=False):
+    """Per-sentence losses (B,) of a padded batch: CRF NLL, or mean
+    per-token cross-entropy. With ``want_grad`` also returns
+    d_loss/d_emissions, each sentence's share scaled by ``weight`` and zero
+    at padding, and accumulates CRF transition gradients."""
     if _uses_crf_loss(model.config):
-        loss, d_emis, d_matrix, d_start, d_end = crf_nll_grad(
-            emissions, model.transitions(), gold_idx
+        losses, d_emis, d_matrix, d_start, d_end = crf_nll_grad(
+            emissions, model.transitions(), gold_idx, lengths
         )
         if not want_grad:
-            return loss, None
+            return losses, None
         acc = model.store.accumulate
         acc("crf.matrix", weight * d_matrix)
         acc("crf.start", weight * d_start)
         acc("crf.end", weight * d_end)
-        return loss, weight * d_emis
-    n = emissions.shape[0]
+        return losses, weight * d_emis
+    real = np.arange(emissions.shape[1])[None, :] < lengths[:, None]
     logp = _log_softmax(emissions)
-    rows = np.arange(n)
-    loss = -logp[rows, gold_idx].mean()
+    gold = gold_idx[:, :, None]
+    gold_logp = np.take_along_axis(logp, gold, axis=2)[:, :, 0]
+    losses = -np.where(real, gold_logp, 0.0).sum(axis=1) / lengths
     if not want_grad:
-        return float(loss), None
+        return losses, None
     d = np.exp(logp)
-    d[rows, gold_idx] -= 1.0
-    return float(loss), d * (weight / n)
+    np.put_along_axis(d, gold, np.take_along_axis(d, gold, axis=2) - 1.0, axis=2)
+    d *= np.where(real, weight / lengths[:, None], 0.0)[:, :, None]
+    return losses, d
 
 
 def model_forward(model, sentence, mode="eval", rng=None, contextual=None):
     """Per-token scores: raw emissions [n, T] with the CRF head, otherwise
     row-softmax probabilities."""
-    emissions, _ = _forward(model, sentence, mode, rng, contextual)
+    emissions, _, _ = _forward(model, [sentence], mode, rng, contextual)
     if model.config.use_crf:
-        return emissions
-    return np.exp(_log_softmax(emissions))
+        return emissions[0]
+    return np.exp(_log_softmax(emissions[0]))
 
 
-def _predictions_from_emissions(model, emissions):
+def _predictions(model, emissions, lengths):
+    """TokenPrediction lists of a padded batch."""
     if model.config.use_crf:
         trans = model.transitions()
-        path, _ = viterbi(emissions, trans)
-        marginals = crf_marginals(emissions, trans)
-        labels = [model.tagset.label(t) for t in path]
-        scores = [min(max(float(marginals[i, t]), 0.0), 1.0)
-                  for i, t in enumerate(path)]
+        best, _ = viterbi(emissions, trans, lengths)
+        probs = crf_marginals(emissions, trans, lengths)
     else:
         probs = np.exp(_log_softmax(emissions))
-        best = probs.argmax(axis=1)
-        labels = [model.tagset.label(t) for t in best]
-        scores = [min(max(float(probs[i, t]), 0.0), 1.0)
-                  for i, t in enumerate(best)]
-    repaired = repair_bio(labels)
-    return [TokenPrediction(lab, score) for lab, score in zip(repaired, scores)]
+        best = [probs[b, :n].argmax(axis=1) for b, n in enumerate(lengths)]
+    out = []
+    for b, path in enumerate(best):
+        labels = [model.tagset.label(t) for t in path]
+        scores = [min(max(float(probs[b, i, t]), 0.0), 1.0) for i, t in enumerate(path)]
+        out.append([TokenPrediction(lab, score)
+                    for lab, score in zip(repair_bio(labels), scores)])
+    return out
 
 
 def predict(model, sentence, contextual=None):
     """Label a sentence: Viterbi path with marginal scores under the CRF
     head, per-row argmax probability otherwise. Labels are BIO-repaired
     with scores carried over unchanged."""
-    emissions, _ = _forward(model, sentence, "eval", None, contextual)
-    return _predictions_from_emissions(model, emissions)
+    emissions, lengths, _ = _forward(model, [sentence], "eval", None, contextual)
+    return _predictions(model, emissions, lengths)[0]
+
+
+# Eval-mode passes take length-sorted sentences up to this many padded
+# positions (a longer sentence runs alone): enough sentences to amortize the
+# per-step work, few enough that a pass's arrays stay a few hundred KB and
+# peak memory does not grow with the corpus.
+_CHUNK_POSITIONS = 256
+
+
+def _chunks(sentences):
+    """Index lists covering ``sentences``, each a run of length-sorted
+    sentences whose padded batch has at most _CHUNK_POSITIONS positions."""
+    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i].tokens))
+    chunks = []
+    for i in order:
+        n = len(sentences[i].tokens)
+        if chunks and (len(chunks[-1]) + 1) * n <= _CHUNK_POSITIONS:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
+
+
+def _eval_passes(model, sentences, contextual):
+    """Eval-mode forward passes over length-sorted chunks; yields
+    (indices into ``sentences``, the chunk, emissions, lengths)."""
+    for idx in _chunks(sentences):
+        batch = [sentences[i] for i in idx]
+        # the cache is dropped at once, not held while the next chunk runs
+        emissions, lengths = _forward(model, batch, "eval", None, contextual)[:2]
+        yield idx, batch, emissions, lengths
 
 
 def predict_corpus(model, corpus, contextual=None):
-    return [predict(model, sent, contextual) for sent in corpus.sentences]
+    """``predict`` for every sentence, run in length-sorted batches."""
+    predictions = [None] * len(corpus.sentences)
+    for idx, _, emissions, lengths in _eval_passes(model, corpus.sentences, contextual):
+        for i, preds in zip(idx, _predictions(model, emissions, lengths)):
+            predictions[i] = preds
+    return predictions
 
 
-def _gold_indices(model, sentence):
-    return np.array([model.tagset.index(t) for t in sentence.gold_tags],
-                    dtype=np.int64)
+def _gold_indices(model, sentences, n):
+    """Gold tag indices (B, n), zero at padding."""
+    gold = np.zeros((len(sentences), n), dtype=np.int64)
+    for b, sent in enumerate(sentences):
+        gold[b, :len(sent.tokens)] = [model.tagset.index(t) for t in sent.gold_tags]
+    return gold
 
 
 def _evaluate_dev(model, dev, contextual):
-    losses = []
-    predictions = []
-    for sent in dev.sentences:
-        emissions, _ = _forward(model, sent, "eval", None, contextual)
-        loss, _ = _sentence_loss(model, emissions, _gold_indices(model, sent))
-        losses.append(loss)
-        predictions.append([p.label for p in _predictions_from_emissions(model, emissions)])
+    losses = np.empty(len(dev.sentences))
+    predictions = [None] * len(dev.sentences)
+    for idx, batch, emissions, lengths in _eval_passes(model, dev.sentences, contextual):
+        losses[idx], _ = _sentence_loss(
+            model, emissions, lengths, _gold_indices(model, batch, emissions.shape[1])
+        )
+        for i, preds in zip(idx, _predictions(model, emissions, lengths)):
+            predictions[i] = [p.label for p in preds]
     report = evaluate(dev, predictions)
     return float(np.mean(losses)), report.macro_f1
+
+
+def _train_batch(model, batch, rng, contextual, epoch):
+    """Forward and backward of one optimizer batch as one padded pass, each
+    sentence's loss weighted 1/len(batch); returns the per-sentence losses.
+    The batch's caches die with this call, before the next batch runs."""
+    emissions, lengths, cache = _forward(model, batch, "train", rng, contextual)
+    losses, d_emis = _sentence_loss(
+        model, emissions, lengths, _gold_indices(model, batch, emissions.shape[1]),
+        weight=1.0 / len(batch), want_grad=True,
+    )
+    for sent, loss in zip(batch, losses):
+        if not math.isfinite(loss):
+            raise ModelError(
+                f"non-finite training loss at epoch {epoch}, sentence {sent.id!r}"
+            )
+    _backward(model, d_emis, cache)
+    return [float(loss) for loss in losses]
 
 
 def train(model, train_corpus, dev_corpus, config=None,
           train_contextual=None, dev_contextual=None):
     """Mini-batch training with per-epoch dev evaluation and early
     stopping; returns the model restored to its best-epoch parameters plus
-    the full history."""
+    the full history. Each optimizer batch runs as one padded pass; its
+    loss is the mean of the per-sentence losses."""
     cfg = (config or model.config).validate()
     optimizer = AdamOptimizer(model.store, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -552,22 +670,9 @@ def train(model, train_corpus, dev_corpus, config=None,
         order = rng.permutation(len(train_corpus.sentences))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            weight = 1.0 / len(batch)
-            for si in batch:
-                sent = train_corpus.sentences[si]
-                emissions, cache = _forward(model, sent, "train", rng, train_contextual)
-                loss, d_emis = _sentence_loss(
-                    model, emissions, _gold_indices(model, sent),
-                    weight=weight, want_grad=True,
-                )
-                if not math.isfinite(loss):
-                    raise ModelError(
-                        f"non-finite training loss at epoch {epoch}, "
-                        f"sentence {sent.id!r}"
-                    )
-                _backward(model, d_emis, cache)
-                epoch_losses.append(loss)
+            batch = [train_corpus.sentences[si]
+                     for si in order[start:start + cfg.batch_size]]
+            epoch_losses.extend(_train_batch(model, batch, rng, train_contextual, epoch))
             optimizer.step()
 
         eval_loss, eval_f1 = _evaluate_dev(model, dev_corpus, dev_contextual)
@@ -614,14 +719,14 @@ def _header_dict(model):
 def save_model(model, path):
     """Serialize to a self-describing binary: magic, length-prefixed JSON
     header, then raw little-endian float64 parameter blocks in sorted name
-    order. Byte-deterministic for a given model."""
+    order. Byte-deterministic for a given model; the file is replaced
+    atomically."""
     header = json.dumps(_header_dict(model), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     blocks = [MODEL_MAGIC, struct.pack("<Q", len(header)), header]
     for name in model.store.names():
         blocks.append(np.ascontiguousarray(model.store[name], dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(blocks))
+    write_atomic(path, b"".join(blocks))
 
 
 _HEADER_KEYS = frozenset(
@@ -708,34 +813,40 @@ def load_model(path):
     if problem:
         raise ModelError(f"{path}: {problem}")
     config = TaggerConfig(**header["config"])
-    word_vocab = {tok: i + 1 for i, tok in enumerate(header["word_tokens"])}
-    char_vocab = {ch: i + 1 for i, ch in enumerate(header["char_tokens"])}
-    pos_vocab = None
-    if header["pos_tokens"] is not None:
-        pos_vocab = {p: i + 1 for i, p in enumerate(header["pos_tokens"])}
+    tagset = TagSet(header["classes"])
+    pos_tokens = header["pos_tokens"]
     try:
-        model = TaggerModel(config, TagSet(header["classes"]), word_vocab, char_vocab,
-                            pos_vocab, header["contextual_dim"])
+        shapes = _param_shapes(
+            config, len(tagset), len(header["word_tokens"]), len(header["char_tokens"]),
+            None if pos_tokens is None else len(pos_tokens), header["contextual_dim"],
+        )
     except ConfigError as exc:
         raise ModelError(f"{path}: {exc}") from None
-
-    names = model.store.names()
+    names = sorted(shapes)
     header_params = [(name, tuple(shape)) for name, shape in header["params"]]
-    if header_params != [(n, model.store[n].shape) for n in names]:
+    if header_params != [(name, shapes[name]) for name in names]:
         raise ModelError(f"{path}: parameter inventory does not match its config")
     offset = body_start + header_len
+    size = offset + 8 * sum(math.prod(shapes[name]) for name in names)
+    if size > len(data):
+        raise ModelError(f"{path}: truncated model file")
+    if size < len(data):
+        raise ModelError(f"{path}: trailing bytes after parameter blocks")
+
     values = {}
     for name in names:
-        shape = model.store[name].shape
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
-        if end > len(data):
-            raise ModelError(f"{path}: truncated model file")
+        shape = shapes[name]
+        end = offset + 8 * math.prod(shape)
         values[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
         if not np.isfinite(values[name]).all():
             raise ModelError(f"{path}: non-finite values in parameter block {name}")
         offset = end
-    if offset != len(data):
-        raise ModelError(f"{path}: trailing bytes after parameter blocks")
+    word_vocab = {tok: i + 1 for i, tok in enumerate(header["word_tokens"])}
+    char_vocab = {ch: i + 1 for i, ch in enumerate(header["char_tokens"])}
+    pos_vocab = None
+    if pos_tokens is not None:
+        pos_vocab = {p: i + 1 for i, p in enumerate(pos_tokens)}
+    model = TaggerModel(config, tagset, word_vocab, char_vocab, pos_vocab,
+                        header["contextual_dim"])
     model.store.load_values(values)
     return model

@@ -60,9 +60,12 @@ class ContextualVectors:
 
 def _parse_floats(fields, line_no):
     try:
-        return np.array([float(f) for f in fields])
+        vec = np.array([float(f) for f in fields])
     except ValueError:
         raise ParseError(f"line {line_no}: malformed vector component") from None
+    if not np.isfinite(vec).all():
+        raise ParseError(f"line {line_no}: non-finite vector component")
+    return vec
 
 
 def parse_word_vectors(text):

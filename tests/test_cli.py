@@ -339,6 +339,8 @@ def corrupt_model(data, corruption):
         header = [header]
     elif corruption == "NaN parameter block":
         blocks = blocks[:-8] + struct.pack("<d", float("nan"))
+    elif corruption == "oversized config":
+        header["config"].update(hidden=1000, lstm_layers=2)
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     return data[:8] + struct.pack("<Q", len(raw)) + raw + blocks
 
@@ -350,6 +352,7 @@ class TestCorruptModel:
         "non-integer hidden",
         "header is a list",
         "NaN parameter block",
+        "oversized config",
     ])
     def test_predict_exits_one_with_one_error_line(self, capsys, trained,
                                                    tmp_path, corruption):
@@ -378,6 +381,27 @@ class TestTrainValidation:
         )
         assert code == 1
         assert "use_pos" in err
+        assert not (tmp_path / "m.bin").exists()
+
+
+    @pytest.mark.parametrize("option", ["--pretrained-vectors", "--contextual-vectors"])
+    def test_non_finite_vectors_fail_at_parse(self, capsys, tmp_path, option):
+        (tmp_path / "c.conll").write_text(learnable_corpus_text(4), encoding="utf-8")
+        (tmp_path / "g.cfg").write_text(SMALL_CONFIG, encoding="utf-8")
+        if option == "--pretrained-vectors":
+            text = "alice " + " ".join(["0.1"] * 7) + " nan\n"
+        else:
+            text = "s0\t0\t0.5\ns0\t1\tinf\n"
+        (tmp_path / "v.txt").write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "train", tmp_path / "g.cfg", tmp_path / "c.conll",
+            tmp_path / "c.conll", tmp_path / "m.bin", option, tmp_path / "v.txt",
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: line {1 if option == '--pretrained-vectors' else 2}: "
+            "non-finite vector component"
+        ]
         assert not (tmp_path / "m.bin").exists()
 
 

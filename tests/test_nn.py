@@ -8,7 +8,7 @@ real parameters so input gradients get checked by the same machinery.
 import numpy as np
 import pytest
 
-from seqtag.kernels import lstm_forward
+from seqtag.kernels import lstm_forward, lstm_gates
 from seqtag.nn import (
     AdamOptimizer,
     BiLstm,
@@ -249,9 +249,9 @@ class TestBiLstm:
         x = np.array([[0.3, -0.7]])
         out, _ = rnn.forward(x)
         fw, bw = rnn.layers[0]
-        h_f, _ = fw.forward(x)
-        h_b, _ = bw.forward(x)
-        np.testing.assert_allclose(out, np.concatenate([h_f, h_b], axis=1), atol=1e-12)
+        h_f, _ = fw.forward(x[None])
+        h_b, _ = bw.forward(x[None])
+        np.testing.assert_allclose(out, np.concatenate([h_f[0], h_b[0]], axis=1), atol=1e-12)
 
     def test_gradient_check_one_layer(self):
         for seed in range(3):
@@ -287,16 +287,23 @@ class TestBiLstm:
 
 class TestLstmKernel:
     def test_forward_matches_textbook_reference(self):
+        # each row of a right-padded batch matches the per-sentence oracle
+        # over its own length; the padding after it never feeds a real step
         rng = np.random.default_rng(0)
-        for n, h in [(1, 1), (1, 4), (3, 2), (7, 5), (12, 8)]:
-            xw = rng.normal(size=(n, 4 * h))
+        for lengths, h in [([1], 1), ([1], 4), ([3, 1], 2), ([7, 2, 5], 5), ([12, 12], 8)]:
+            n_batch, n = len(lengths), max(lengths)
+            xw = rng.normal(size=(n_batch, n, 4 * h))
             w_h = rng.normal(size=(h, 4 * h)) * 0.5
-            h0, c0 = rng.normal(size=h), rng.normal(size=h)
-            got = lstm_forward(xw, w_h, h0, c0)
-            want = reference_lstm(xw, w_h, h0, c0)
-            for name, a, b in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
-                assert a.shape == b.shape, name
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+            h0, c0 = rng.normal(size=(n_batch, h)), rng.normal(size=(n_batch, h))
+            hs, cs = lstm_forward(xw, w_h, h0, c0)
+            gates = lstm_gates(xw.copy(), hs, w_h, h0)
+            for b, length in enumerate(lengths):
+                got = (hs[b, :length], cs[b, :length], np.tanh(cs[b, :length]),
+                       gates[b, :length])
+                want = reference_lstm(xw[b, :length], w_h, h0[b], c0[b])
+                for name, a, ref in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
+                    assert a.shape == ref.shape, name
+                    np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestMultiHeadAttention:
@@ -316,9 +323,9 @@ class TestMultiHeadAttention:
         store = ParamStore()
         rng = np.random.default_rng(3)
         mha = MultiHeadAttention(store, "a", dim=4, heads=2, rng=rng)
-        _, (_, _, _, _, attn, _) = mha.forward(rng.normal(size=(5, 4)))
-        assert attn.shape == (2, 5, 5)
-        np.testing.assert_allclose(attn.sum(axis=2), np.ones((2, 5)), atol=1e-12)
+        _, (_, attn) = mha.forward(rng.normal(size=(5, 4)))
+        assert attn.shape == (1, 2, 5, 5)
+        np.testing.assert_allclose(attn.sum(axis=3), np.ones((1, 2, 5)), atol=1e-12)
 
     def test_gradient_check(self):
         for seed in range(3):

@@ -27,7 +27,9 @@ from seqtag.tagger import (
     train,
     write_config,
 )
+from seqtag import tagger as tagger_module
 from seqtag.tagger import MODEL_MAGIC, _backward, _forward, _sentence_loss, _gold_indices
+from seqtag.tagger import _param_shapes
 from seqtag.vectors import ContextualVectors, WordVectors
 
 from helpers import enumerate_crf, random_corpus, tiny_fixture_corpus
@@ -299,15 +301,15 @@ class TestWholeModelGradients:
         corpus = tiny_fixture_corpus()
         model = build_model(config, corpus)
         sent = corpus.sentences[use_crf_loss_sentence]
-        gold = _gold_indices(model, sent)
+        gold = _gold_indices(model, [sent], len(sent))
 
         def loss_fn(grad=False):
-            emissions, cache = _forward(model, sent, "train", None, None)
-            loss, d_emis = _sentence_loss(model, emissions, gold,
+            emissions, lengths, cache = _forward(model, [sent], "train", None, None)
+            loss, d_emis = _sentence_loss(model, emissions, lengths, gold,
                                           want_grad=grad)
             if grad:
                 _backward(model, d_emis, cache)
-            return loss
+            return float(loss[0])
 
         report = gradient_check(loss_fn, model.store)
         assert report.passed(self.COMPOSITE_TOL), report.render()
@@ -360,11 +362,12 @@ class TestPredict:
             small_config(use_crf=True, crf_decode_only=True), corpus
         )
         sent = corpus.sentences[0]
-        emissions, _ = _forward(model, sent, "eval", None, None)
-        loss, _ = _sentence_loss(model, emissions, _gold_indices(model, sent))
+        emissions, lengths, _ = _forward(model, [sent], "eval", None, None)
+        gold = _gold_indices(model, [sent], len(sent))
+        loss, _ = _sentence_loss(model, emissions, lengths, gold)
         # cross-entropy loss, so transition values play no role in the loss
         model.store["crf.matrix"][:] = 5.0
-        loss2, _ = _sentence_loss(model, emissions, _gold_indices(model, sent))
+        loss2, _ = _sentence_loss(model, emissions, lengths, gold)
         assert loss == pytest.approx(loss2)
 
     def test_repair_applies_to_output_labels(self):
@@ -531,3 +534,51 @@ class TestModelFiles:
         )
         with pytest.raises(ModelError, match="version"):
             load_model(rewritten)
+
+    @pytest.mark.parametrize("declared", ["file inventory", "config inventory"])
+    def test_oversized_header_rejected_before_building(self, tmp_path, monkeypatch,
+                                                       declared):
+        # a ~2 KB file whose config asks for hidden 1000 and two BiLSTM
+        # layers (~100 MB of parameters): rejected from the header and the
+        # file size alone, whether its params list keeps the file's real
+        # inventory or declares the one its config implies
+        corpus = tiny_fixture_corpus()
+        model = build_model(small_config(), corpus)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16:16 + header_len])
+        header["config"].update(hidden=1000, lstm_layers=2)
+        if declared == "config inventory":
+            shapes = _param_shapes(TaggerConfig(**header["config"]), len(corpus.tagset),
+                                   len(model.word_vocab), len(model.char_vocab), None, 0)
+            header["params"] = [[name, list(shapes[name])] for name in sorted(shapes)]
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        hostile = tmp_path / "hostile.bin"
+        hostile.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(raw)) + raw)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("TaggerModel built from a hostile header")
+
+        monkeypatch.setattr(tagger_module, "TaggerModel", refuse)
+        match = "inventory" if declared == "file inventory" else "truncated"
+        with pytest.raises(ModelError, match=match):
+            load_model(hostile)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(lstm_layers=3, hidden=5),
+        dict(use_char_cnn=True, char_dim=3, char_kernel=2, char_filters=4,
+             use_pos=True, pos_dim=2, use_mha=True, mha_heads=2, use_crf=False),
+        dict(use_contextual_slot=True, crf_constrain_bio=True),
+    ])
+    def test_param_shapes_match_the_built_model(self, overrides):
+        corpus = tiny_fixture_corpus()
+        ctx = ContextualVectors({(s.id, i): np.zeros(3) for s in corpus.sentences
+                                 for i in range(len(s))}, dim=3)
+        model = build_model(small_config(**overrides), corpus, contextual_vectors=ctx)
+        shapes = _param_shapes(model.config, len(corpus.tagset), len(model.word_vocab),
+                               len(model.char_vocab), len(model.pos_vocab or {}) or None,
+                               model.contextual_dim)
+        assert shapes == {name: model.store[name].shape for name in model.store.names()}

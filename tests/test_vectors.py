@@ -51,6 +51,11 @@ class TestWordVectors:
         with pytest.raises(ParseError, match="no vectors"):
             parse_word_vectors("\n\n")
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_component_names_the_line(self, component):
+        with pytest.raises(ParseError, match="line 2: non-finite vector component"):
+            parse_word_vectors(f"alice 1 2\nbob {component} 1\n")
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         text = write_word_vectors(
@@ -93,6 +98,11 @@ class TestContextualVectors:
     def test_dim_mismatch(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_contextual_vectors("s0\t0\t1.0\t2.0\ns0\t1\t1.0\n")
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_component_names_the_line(self, component):
+        with pytest.raises(ParseError, match="line 2: non-finite vector component"):
+            parse_contextual_vectors(f"s0\t0\t1.0\ns0\t1\t{component}\n")
 
     def test_too_few_fields(self):
         with pytest.raises(ParseError, match="expected sentence id"):
