@@ -87,6 +87,10 @@ class TranslatorBackend:
     def translate_token(self, token, source_lang, target_lang):
         raise NotImplementedError
 
+    def translate_tokens(self, tokens, source_lang, target_lang):
+        """``translate_token`` for each of ``tokens``, in order."""
+        return [self.translate_token(t, source_lang, target_lang) for t in tokens]
+
 
 class OfflineLexiconBackend(TranslatorBackend):
     kind = "offline-lexicon"
@@ -110,7 +114,9 @@ class CachedServiceBackend(TranslatorBackend):
     """External translation service behind a disk cache keyed by (token,
     language pair). The service is any callable (token, src, tgt) -> str or
     None; raising from it marks the service unreachable. A cache miss with
-    an unreachable service is an error, never a silent skip."""
+    an unreachable service is an error, never a silent skip. The cache file
+    is rewritten once per ``translate_tokens`` call that fetched anything,
+    so ``token_translate`` writes it at most once per corpus."""
 
     kind = "external-service"
 
@@ -132,22 +138,32 @@ class CachedServiceBackend(TranslatorBackend):
                      json.dumps(self._cache, sort_keys=True, ensure_ascii=False).encode("utf-8"))
 
     def translate_token(self, token, source_lang, target_lang):
+        return self.translate_tokens([token], source_lang, target_lang)[0]
+
+    def translate_tokens(self, tokens, source_lang, target_lang):
+        """Translations of ``tokens`` in order, fetching each miss once.
+        Entries fetched before the service fails are written too."""
         if (source_lang, target_lang) != (self.source_lang, self.target_lang):
             raise AugmentError(
                 f"backend configured for {self.source_lang}->{self.target_lang}, "
                 f"not {source_lang}->{target_lang}"
             )
-        if token in self._cache:
-            return self._cache[token]
+        fetched = False
         try:
-            result = self.fetch(token, source_lang, target_lang)
-        except Exception as exc:
-            raise AugmentError(
-                f"translation service unreachable and {token!r} not cached: {exc}"
-            ) from exc
-        self._cache[token] = result
-        self._persist()
-        return result
+            for token in tokens:
+                if token in self._cache:
+                    continue
+                try:
+                    self._cache[token] = self.fetch(token, source_lang, target_lang)
+                except Exception as exc:
+                    raise AugmentError(
+                        f"translation service unreachable and {token!r} not cached: {exc}"
+                    ) from exc
+                fetched = True
+        finally:
+            if fetched:
+                self._persist()
+        return [self._cache[token] for token in tokens]
 
 
 def token_translate(corpus, backend, fallback="keep"):
@@ -157,11 +173,14 @@ def token_translate(corpus, backend, fallback="keep"):
     if fallback not in FALLBACK_MODES:
         raise AugmentError(f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}")
     src, tgt = backend.source_lang, backend.target_lang
+    translations = iter(backend.translate_tokens(
+        [tok.surface for sent in corpus.sentences for tok in sent.tokens], src, tgt
+    ))
     sentences = []
     for sent in corpus.sentences:
         tokens = []
         for tok in sent.tokens:
-            translated = backend.translate_token(tok.surface, src, tgt)
+            translated = next(translations)
             if translated is None:
                 translated = tok.surface if fallback == "keep" else UNKNOWN_TOKEN
             tokens.append(replace(tok, surface=translated))

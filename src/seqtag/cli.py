@@ -72,8 +72,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path):
-    return Path(path).read_text(encoding="utf-8")
+def _parse(path, parser, *args, **kwargs):
+    """``parser`` applied to the UTF-8 text of the file at ``path``; a
+    validation error (exit 1) names the file, e.g. ``vec.txt: line 3: ...``."""
+    try:
+        return parser(Path(path).read_text(encoding="utf-8"), *args, **kwargs)
+    except ValueError as exc:  # parse errors and invalid UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write(path, text):
@@ -122,13 +127,13 @@ def _parse_unlabeled(text):
 
 
 def cmd_stats(args):
-    corpus = parse_conll(_read(args.corpus), _columns(args))
+    corpus = _parse(args.corpus, parse_conll, _columns(args))
     print(corpus_stats(corpus).render_table())
     return 0
 
 
 def cmd_split(args):
-    corpus = parse_conll(_read(args.corpus), _columns(args))
+    corpus = _parse(args.corpus, parse_conll, _columns(args))
     train_part, dev_part = split_corpus(corpus, args.train_fraction, args.seed)
     _write(args.train_out, write_conll(train_part))
     _write(args.dev_out, write_conll(dev_part))
@@ -138,14 +143,14 @@ def cmd_split(args):
 
 
 def cmd_augment(args):
-    plan = parse_plan(_read(args.plan))
+    plan = _parse(args.plan, parse_plan)
     corpora = {}
     backends = {}
     for source in plan.sources:
-        corpora[source.name] = parse_conll(_read(source.path))
+        corpora[source.name] = _parse(source.path, parse_conll)
         if source.lexicon_path is not None:
             backends[source.name] = OfflineLexiconBackend(
-                parse_lexicon(_read(source.lexicon_path), name=source.lexicon_path)
+                _parse(source.lexicon_path, parse_lexicon, name=source.lexicon_path)
             )
     result, manifest = run_plan(plan, corpora, backends)
     _write(args.out, write_conll(result))
@@ -157,16 +162,16 @@ def cmd_augment(args):
 
 
 def cmd_train(args):
-    config = parse_config(_read(args.config))
+    config = _parse(args.config, parse_config)
     columns = _columns(args)
-    train_corpus = parse_conll(_read(args.train), columns)
-    dev_corpus = parse_conll(_read(args.dev), columns)
+    train_corpus = _parse(args.train, parse_conll, columns)
+    dev_corpus = _parse(args.dev, parse_conll, columns)
     pretrained = None
     if args.pretrained_vectors:
-        pretrained = parse_word_vectors(_read(args.pretrained_vectors))
+        pretrained = _parse(args.pretrained_vectors, parse_word_vectors)
     contextual = None
     if args.contextual_vectors:
-        contextual = parse_contextual_vectors(_read(args.contextual_vectors))
+        contextual = _parse(args.contextual_vectors, parse_contextual_vectors)
     model = build_model(config, train_corpus, pretrained, contextual)
     model, history = train(model, train_corpus, dev_corpus, config,
                            train_contextual=contextual, dev_contextual=contextual)
@@ -186,9 +191,9 @@ def cmd_train(args):
 def cmd_predict(args):
     model = load_model(args.model)
     if args.no_gold:
-        corpus = _parse_unlabeled(_read(args.corpus))
+        corpus = _parse(args.corpus, _parse_unlabeled)
     else:
-        corpus = parse_conll(_read(args.corpus), _columns(args))
+        corpus = _parse(args.corpus, parse_conll, _columns(args))
     if model.config.use_pos:
         if any(t.pos is None for s in corpus.sentences for t in s.tokens):
             raise ModelError(
@@ -197,7 +202,7 @@ def cmd_predict(args):
             )
     contextual = None
     if args.contextual_vectors:
-        contextual = parse_contextual_vectors(_read(args.contextual_vectors))
+        contextual = _parse(args.contextual_vectors, parse_contextual_vectors)
     predictions = predict_corpus(model, corpus, contextual)
     _write(args.out, write_prediction_file(corpus, predictions,
                                            include_gold=not args.no_gold))
@@ -210,10 +215,10 @@ def cmd_ensemble(args):
         raise EnsembleError(
             f"need at least 2 prediction files, got {len(args.predictions)}"
         )
-    reference = parse_conll(_read(args.reference), _columns(args))
+    reference = _parse(args.reference, parse_conll, _columns(args))
     sets = []
     for path in args.predictions:
-        data = read_prediction_file(_read(path))
+        data = _parse(path, read_prediction_file)
         model_id = os.path.basename(path)
         for sid, surfaces, sent in zip(data.sentence_ids, data.surfaces,
                                        reference.sentences):
@@ -242,8 +247,8 @@ def cmd_ensemble(args):
 
 
 def cmd_evaluate(args):
-    gold = parse_conll(_read(args.gold), _columns(args))
-    data = read_prediction_file(_read(args.predictions))
+    gold = _parse(args.gold, parse_conll, _columns(args))
+    data = _parse(args.predictions, read_prediction_file)
     if len(data.surfaces) != len(gold.sentences):
         raise CorpusError(
             f"prediction file has {len(data.surfaces)} sentences, "
@@ -385,7 +390,7 @@ def _gradcheck_cases(config, seed):
 
 
 def cmd_gradcheck(args):
-    config = parse_config(_read(args.config))
+    config = _parse(args.config, parse_config)
     failures = 0
     for name, factory, tol in _gradcheck_cases(config, args.seed):
         loss_fn, store = factory()

@@ -18,6 +18,7 @@ __all__ = [
     "viterbi",
     "crf_marginals",
     "crf_nll_grad",
+    "crf_nll_marginals",
     "path_score",
     "bio_constraint_penalty",
 ]
@@ -150,6 +151,33 @@ def crf_marginals(emissions, trans, lengths=None):
     return marginals[0] if single else marginals
 
 
+def _nll(emissions, trans, gold, lengths):
+    """Gold-path NLL (B,) and marginals (B, n, T) of a checked batch from one
+    forward-backward pass; also returns the pass and the gold paths (zero
+    at padding) for the gradients."""
+    n_batch, n, n_tags = emissions.shape
+    gold = np.asarray(gold, dtype=np.int64).reshape(n_batch, -1)
+    if gold.shape != (n_batch, n):
+        raise ValueError(f"gold path length {gold.shape} does not match {n} positions")
+    alphas, betas, log_z, real = _forward_backward(emissions, trans, lengths)
+    gold = np.where(real, gold, 0)
+    if gold.min() < 0 or gold.max() >= n_tags:
+        raise ValueError("gold tag index out of range")
+    loss = log_z - _path_scores(emissions, trans, gold, lengths)
+    return loss, _marginals(alphas, betas, log_z, real), (alphas, betas, log_z, real, gold)
+
+
+def crf_nll_marginals(emissions, trans, gold, lengths=None):
+    """Negative log-likelihood of the gold path and the per-position
+    marginals, from one forward-backward pass: what scoring a labelled
+    batch needs. Shapes as in ``crf_nll_grad`` and ``crf_marginals``."""
+    emissions, lengths, single = _check(emissions, trans, lengths)
+    loss, marginals, _ = _nll(emissions, trans, gold, lengths)
+    if single:
+        return float(loss[0]), marginals[0]
+    return loss, marginals
+
+
 def crf_nll_grad(emissions, trans, gold, lengths=None):
     """Negative log-likelihood of the gold path and its gradients.
 
@@ -160,18 +188,8 @@ def crf_nll_grad(emissions, trans, gold, lengths=None):
     over the batch.
     """
     emissions, lengths, single = _check(emissions, trans, lengths)
-    n_batch, n, n_tags = emissions.shape
-    gold = np.asarray(gold, dtype=np.int64).reshape(n_batch, -1)
-    if gold.shape != (n_batch, n):
-        raise ValueError(f"gold path length {gold.shape} does not match {n} positions")
-    alphas, betas, log_z, real = _forward_backward(emissions, trans, lengths)
-    gold = np.where(real, gold, 0)
-    if gold.min() < 0 or gold.max() >= n_tags:
-        raise ValueError("gold tag index out of range")
-
-    loss = log_z - _path_scores(emissions, trans, gold, lengths)
-
-    marginals = _marginals(alphas, betas, log_z, real)
+    n_batch = emissions.shape[0]
+    loss, marginals, (alphas, betas, log_z, real, gold) = _nll(emissions, trans, gold, lengths)
     gold_onehot = np.zeros_like(marginals)
     np.put_along_axis(gold_onehot, gold[:, :, None], real[:, :, None].astype(np.float64),
                       axis=2)

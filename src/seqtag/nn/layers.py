@@ -11,10 +11,13 @@ Sequence layers run a right-padded batch: inputs are (B, n, d) with a
 An (n, d) input is a batch of one and gives an (n, ·) output. Values at
 padded positions are meaningless and the caller gives them zero gradient;
 no real position depends on them. ``Linear`` and ``EmbeddingTable`` act
-row by row on inputs of any rank; ``CharCNN`` runs one word at a time.
+row by row on inputs of any rank. ``CharCNN`` takes words instead of
+sentences: (W, L) char indices right-padded to per-word lengths, or one
+word (L,).
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..kernels import lstm_backward, lstm_forward, lstm_gates
 from .params import uniform_init
@@ -67,8 +70,10 @@ class EmbeddingTable:
 
 class CharCNN:
     """Character embeddings -> 1-D convolution -> ReLU -> max-pool, giving a
-    fixed-size feature vector per word. Pooling gradient goes to the first
-    maximal position."""
+    fixed-size feature vector per word. Words shorter than the kernel are
+    zero-padded to one window. Pooling takes, and its gradient goes to, the
+    first maximal window. A padded batch of words runs as one convolution
+    matmul and one pooling; each word's features equal a call on it alone."""
 
     def __init__(self, store, prefix, n_chars, char_dim, kernel, filters, rng):
         if kernel < 1 or filters < 1:
@@ -84,33 +89,53 @@ class CharCNN:
         self._store = store
         self._prefix = prefix
 
-    def forward(self, char_indices):
-        emb, indices = self.chars.lookup(char_indices)
-        m = emb.shape[0]
-        if m < self.kernel:  # zero-pad short words up to one window
-            emb = np.vstack([emb, np.zeros((self.kernel - m, self.char_dim))])
-        n_pos = emb.shape[0] - self.kernel + 1
-        windows = np.empty((n_pos, self.kernel * self.char_dim))
-        for p in range(n_pos):
-            windows[p] = emb[p:p + self.kernel].ravel()
-        z = windows @ self.w + self.b
+    def forward(self, char_indices, lengths=None):
+        """char_indices: one word's indices (L,), or words (W, L) right-padded
+        to ``lengths`` (W,); padding indices must be valid rows. Returns
+        (filters,) for one word or (W, filters), and a cache."""
+        idx = np.asarray(char_indices, dtype=np.int64)
+        single = idx.ndim == 1
+        if single:
+            idx = idx[None]
+        n_words, width = idx.shape
+        lengths = np.full(n_words, width) if lengths is None else np.asarray(lengths)
+        k = self.kernel
+        real = np.arange(width) < lengths[:, None]
+        rows, _ = self.chars.lookup(idx)
+        # zeros past each word's end, and up to one window for short words
+        emb = np.zeros((n_words, max(width, k), self.char_dim))
+        emb[:, :width][real] = rows[real]
+        windows = sliding_window_view(emb, (k, self.char_dim), axis=(1, 2))
+        windows = windows.reshape(n_words, -1, k * self.char_dim)
+        z = _dense(windows, self.w)
+        z += self.b
+        # ReLU output is >= 0, so windows past a word's last one never win
+        # the first-maximum pooling at -1
         r = np.maximum(z, 0.0)
-        argmax = np.argmax(r, axis=0)
-        out = r[argmax, np.arange(self.filters)]
-        return out, (indices, m, windows, z, argmax)
+        n_valid = np.maximum(lengths - k + 1, 1)
+        r[np.arange(r.shape[1]) >= n_valid[:, None]] = -1.0
+        argmax = np.argmax(r, axis=1)[:, None]
+        out = np.take_along_axis(r, argmax, axis=1)[:, 0]
+        return (out[0] if single else out), (idx, real, windows, z, argmax)
 
     def backward(self, d_out, cache):
-        indices, m, windows, z, argmax = cache
+        idx, real, windows, z, argmax = cache
+        k, cd = self.kernel, self.char_dim
+        d_out = d_out.reshape(len(idx), 1, self.filters)
         dz = np.zeros_like(z)
-        cols = np.arange(self.filters)
-        dz[argmax, cols] = d_out * (z[argmax, cols] > 0.0)
-        self._store.accumulate(f"{self._prefix}.w", windows.T @ dz)
-        self._store.accumulate(f"{self._prefix}.b", dz.sum(axis=0))
-        d_windows = dz @ self.w.T
-        d_emb = np.zeros((max(m, self.kernel), self.char_dim))
-        for p in range(d_windows.shape[0]):
-            d_emb[p:p + self.kernel] += d_windows[p].reshape(self.kernel, self.char_dim)
-        self.chars.backward(d_emb[:m], indices)
+        np.put_along_axis(dz, argmax, d_out * (np.take_along_axis(z, argmax, axis=1) > 0.0),
+                          axis=1)
+        flat_dz = dz.reshape(-1, self.filters)
+        self._store.accumulate(f"{self._prefix}.w",
+                               windows.reshape(-1, k * cd).T @ flat_dz)
+        self._store.accumulate(f"{self._prefix}.b", flat_dz.sum(axis=0))
+        d_windows = _dense(dz, self.w.T).reshape(dz.shape[:2] + (k, cd))
+        n_pos = d_windows.shape[1]
+        d_emb = np.zeros((len(idx), n_pos + k - 1, cd))
+        # each char sums its windows in ascending window order
+        for j in reversed(range(k)):
+            d_emb[:, j:j + n_pos] += d_windows[:, :, j]
+        self.chars.backward(d_emb[:, :idx.shape[1]][real], idx[real])
 
 
 def _dense(x, w):

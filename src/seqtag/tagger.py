@@ -18,7 +18,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .corpus import BIO_TAG_RE, TagSet, repair_bio
-from .crf import Transitions, bio_constraint_penalty, crf_marginals, crf_nll_grad, viterbi
+from .crf import (
+    Transitions,
+    bio_constraint_penalty,
+    crf_marginals,
+    crf_nll_grad,
+    crf_nll_marginals,
+    viterbi,
+)
 from .evaluation import evaluate
 from .fileio import write_atomic
 from .nn import (
@@ -449,15 +456,17 @@ def _features(model, sentences, lengths, contextual):
         routes.append(("frozen", model.contextual_dim, None))
 
     if cfg.use_char_cnn:
+        # every real token of the batch is one row of a padded (W, L) pass
+        surfaces = [surface for sent in sentences for surface in sent.surfaces]
+        cidx = np.zeros((len(surfaces), max(map(len, surfaces))), dtype=np.int64)
+        for w, surface in enumerate(surfaces):
+            cidx[w, :len(surface)] = [model.char_vocab.get(ch, 0) for ch in surface]
+        per_word, char_cache = model.char_cnn.forward(cidx, [len(s) for s in surfaces])
+        real = np.arange(n) < lengths[:, None]
         char_rows = np.zeros((n_batch, n, cfg.char_filters))
-        char_caches = []
-        for b, sent in enumerate(sentences):
-            for i, surface in enumerate(sent.surfaces):
-                cidx = [model.char_vocab.get(ch, 0) for ch in surface]
-                char_rows[b, i], cache = model.char_cnn.forward(cidx)
-                char_caches.append((b, i, cache))
+        char_rows[real] = per_word
         parts.append(char_rows)
-        routes.append(("char", cfg.char_filters, char_caches))
+        routes.append(("char", cfg.char_filters, (real, char_cache)))
 
     if cfg.use_pos:
         pidx = np.zeros((n_batch, n), dtype=np.int64)
@@ -490,8 +499,8 @@ def _backward(model, d_emissions, cache):
         if kind == "word":
             model.word_emb.backward(part, route_cache)
         elif kind == "char":
-            for b, i, char_cache in route_cache:
-                model.char_cnn.backward(np.ascontiguousarray(part[b, i]), char_cache)
+            real, char_cache = route_cache
+            model.char_cnn.backward(part[real], char_cache)
         elif kind == "pos":
             model.pos_emb.backward(part, route_cache)
         # frozen slots (contextual vectors) receive no gradient
@@ -545,12 +554,13 @@ def model_forward(model, sentence, mode="eval", rng=None, contextual=None):
     return np.exp(_log_softmax(emissions[0]))
 
 
-def _predictions(model, emissions, lengths):
-    """TokenPrediction lists of a padded batch."""
+def _predictions(model, emissions, lengths, marginals=None):
+    """TokenPrediction lists of a padded batch; under the CRF head the
+    scores are ``marginals`` when the caller has them already."""
     if model.config.use_crf:
         trans = model.transitions()
         best, _ = viterbi(emissions, trans, lengths)
-        probs = crf_marginals(emissions, trans, lengths)
+        probs = crf_marginals(emissions, trans, lengths) if marginals is None else marginals
     else:
         probs = np.exp(_log_softmax(emissions))
         best = [probs[b, :n].argmax(axis=1) for b, n in enumerate(lengths)]
@@ -623,10 +633,16 @@ def _evaluate_dev(model, dev, contextual):
     losses = np.empty(len(dev.sentences))
     predictions = [None] * len(dev.sentences)
     for idx, batch, emissions, lengths in _eval_passes(model, dev.sentences, contextual):
-        losses[idx], _ = _sentence_loss(
-            model, emissions, lengths, _gold_indices(model, batch, emissions.shape[1])
-        )
-        for i, preds in zip(idx, _predictions(model, emissions, lengths)):
+        gold = _gold_indices(model, batch, emissions.shape[1])
+        marginals = None
+        if _uses_crf_loss(model.config):
+            # one forward-backward pass gives the loss and the scores
+            losses[idx], marginals = crf_nll_marginals(
+                emissions, model.transitions(), gold, lengths
+            )
+        else:
+            losses[idx], _ = _sentence_loss(model, emissions, lengths, gold)
+        for i, preds in zip(idx, _predictions(model, emissions, lengths, marginals)):
             predictions[i] = [p.label for p in preds]
     report = evaluate(dev, predictions)
     return float(np.mean(losses)), report.macro_f1

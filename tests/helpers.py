@@ -185,3 +185,29 @@ def tiny_fixture_corpus():
         sent("s2", [("rahim", "NNP", "B-PER"), ("met", "VBD", "O"), ("karim", "NNP", "B-PER")]),
     ]
     return LabeledCorpus(sentences, TagSet(["PER", "LOC", "CW"]), provenance=["fixture"])
+
+
+def reference_char_cnn(emb, w, b, kernel):
+    """Textbook char-CNN over one word's character embeddings ``emb``
+    (m, d), one filter and one window at a time.
+
+    Rows of zeros pad the word to at least ``kernel`` characters. Window p
+    is rows p .. p+kernel-1 flattened in row order; filter f scores it
+    b[f] + window . w[:, f], then ReLU. Each filter keeps its largest
+    activation, the first window on a tie. Returns (features (F,), the
+    winning window of each filter (F,)).
+    """
+    m, d = emb.shape
+    rows = [list(emb[i]) for i in range(m)] + [[0.0] * d] * max(kernel - m, 0)
+    features, winners = [], []
+    for f in range(w.shape[1]):
+        best, best_p = None, None
+        for p in range(len(rows) - kernel + 1):
+            window = [v for row in rows[p:p + kernel] for v in row]
+            z = b[f] + sum(window[q] * w[q, f] for q in range(len(window)))
+            activation = max(z, 0.0)
+            if best is None or activation > best:
+                best, best_p = activation, p
+        features.append(best)
+        winners.append(best_p)
+    return np.array(features), np.array(winners)

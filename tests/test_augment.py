@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from seqtag import augment
 from seqtag.augment import (
     AugmentError,
     AugmentPlan,
@@ -125,6 +126,59 @@ class TestCachedServiceBackend:
         backend = CachedServiceBackend(lambda t, s, g: t, str(tmp_path), "a", "b")
         with pytest.raises(AugmentError, match="configured"):
             backend.translate_token("x", "b", "a")
+
+
+@pytest.fixture()
+def cache_writes(monkeypatch):
+    """Paths of every cache file write the augment module makes."""
+    writes = []
+
+    def counting(path, data):
+        writes.append(path)
+        real_write_atomic(path, data)
+
+    real_write_atomic = augment.write_atomic
+    monkeypatch.setattr(augment, "write_atomic", counting)
+    return writes
+
+
+class TestCachePersistence:
+    def test_one_write_per_translation_call(self, tmp_path, cache_writes):
+        corpus = tiny_fixture_corpus()  # 13 tokens, 12 distinct surfaces
+        backend = CachedServiceBackend(lambda t, s, g: t.upper(), str(tmp_path),
+                                       "src", "tgt")
+        out = token_translate(corpus, backend)
+        assert out.sentences[0].surfaces[0] == "MEHTA"
+        assert len(cache_writes) == 1
+        surfaces = {t.surface for s in corpus.sentences for t in s.tokens}
+        cached = json.loads((tmp_path / "src-tgt.json").read_text(encoding="utf-8"))
+        assert cached == {w: w.upper() for w in surfaces}
+
+    def test_no_write_when_every_token_hits(self, tmp_path, cache_writes):
+        corpus = tiny_fixture_corpus()
+        backend = CachedServiceBackend(lambda t, s, g: t, str(tmp_path), "src", "tgt")
+        token_translate(corpus, backend)
+        token_translate(corpus, backend)
+        restarted = CachedServiceBackend(lambda t, s, g: t, str(tmp_path), "src", "tgt")
+        token_translate(corpus, restarted)
+        assert len(cache_writes) == 1
+
+    def test_entries_fetched_before_a_failure_are_kept(self, tmp_path, cache_writes):
+        corpus = tiny_fixture_corpus()
+        fetched = []
+
+        def flaky(token, src, tgt):
+            if len(fetched) == 3:
+                raise ConnectionError("offline")
+            fetched.append(token)
+            return token[::-1]
+
+        backend = CachedServiceBackend(flaky, str(tmp_path), "src", "tgt")
+        with pytest.raises(AugmentError, match="unreachable"):
+            token_translate(corpus, backend)
+        assert len(cache_writes) == 1
+        cached = json.loads((tmp_path / "src-tgt.json").read_text(encoding="utf-8"))
+        assert cached == {w: w[::-1] for w in fetched}
 
 
 class TestTokenTranslate:

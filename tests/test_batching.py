@@ -1,6 +1,8 @@
 """Padding equivalence: one right-padded batched call must match the
 per-sentence (B = 1) calls it replaces, for every layer, the CRF and the
-whole tagger loss, outputs and every parameter gradient alike.
+whole tagger loss, outputs and every parameter gradient alike. The
+char-CNN's padded batch of words is checked against per-word calls and a
+textbook per-word oracle.
 
 Summation order differs between a batch and its sentences, so values are
 compared to 1e-10; Viterbi paths and predicted labels must be identical.
@@ -11,7 +13,15 @@ import pytest
 
 from seqtag.corpus import LabeledCorpus, Sentence, TagSet, Token
 from seqtag.crf import Transitions, crf_marginals, crf_nll_grad, log_partition, viterbi
-from seqtag.nn import BiLstm, EmbeddingTable, Linear, MultiHeadAttention, ParamStore
+from seqtag.nn import (
+    BiLstm,
+    CharCNN,
+    EmbeddingTable,
+    Linear,
+    MultiHeadAttention,
+    ParamStore,
+    gradient_check,
+)
 from seqtag.tagger import (
     TaggerConfig,
     _backward,
@@ -25,7 +35,7 @@ from seqtag.tagger import (
 )
 from seqtag.vectors import ContextualVectors
 
-from helpers import random_bio_tags, random_corpus
+from helpers import random_bio_tags, random_corpus, reference_char_cnn
 
 TOL = 1e-10
 
@@ -237,3 +247,77 @@ def test_predict_corpus_matches_predict(use_crf):
         assert [p.label for p in preds] == [p.label for p in single]
         np.testing.assert_allclose([p.score for p in preds], [p.score for p in single],
                                    rtol=0, atol=1e-9)
+
+
+def _char_batch(rng, n_chars, word_lengths):
+    """Char indices (W, L) right-padded to ``word_lengths`` with random
+    valid indices, which must not leak into any word's features."""
+    idx = rng.integers(0, n_chars, size=(len(word_lengths), max(word_lengths)))
+    return idx, np.asarray(word_lengths)
+
+
+def _char_cnn(seed, kernel=3, filters=5, char_dim=2, n_chars=9):
+    store = ParamStore()
+    cnn = CharCNN(store, "c", n_chars, char_dim, kernel, filters, np.random.default_rng(seed))
+    cnn.b[...] = np.random.default_rng(seed + 1).normal(scale=0.3, size=filters)
+    return store, cnn
+
+
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_char_cnn_batch_matches_reference(kernel):
+    # every word length from 1 to kernel + 4 in one call, shuffled
+    store, cnn = _char_cnn(kernel, kernel=kernel)
+    rng = np.random.default_rng(10 + kernel)
+    word_lengths = [int(m) for m in rng.permutation(np.arange(1, kernel + 5))]
+    idx, word_lengths = _char_batch(rng, 9, word_lengths)
+    out, _ = cnn.forward(idx, word_lengths)
+    assert out.shape == (len(idx), cnn.filters)
+    for row, word, m in zip(out, idx, word_lengths):
+        want, _ = reference_char_cnn(cnn.chars.table[word[:m]], cnn.w, cnn.b, kernel)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cnn.forward(word[:m])[0], want, rtol=0, atol=1e-12)
+
+
+def test_char_cnn_batch_backward_matches_words():
+    store, cnn = _char_cnn(4)
+    rng = np.random.default_rng(4)
+    idx, word_lengths = _char_batch(rng, 9, [1, 7, 3, 2, 5, 4, 6, 3])
+    d_out = rng.normal(size=(len(idx), cnn.filters))
+    _, cache = cnn.forward(idx, word_lengths)
+    cnn.backward(d_out, cache)
+    batched = grads(store)
+    store.zero_grads()
+    for word, m, d_word in zip(idx, word_lengths, d_out):
+        _, cache = cnn.forward(word[:m])
+        cnn.backward(d_word, cache)
+    assert_grads_close(batched, grads(store))
+
+
+def test_char_cnn_tie_sends_gradient_to_first_window():
+    # word 1 scores windows [1, 3, 3]: a tie at positions 1 and 2, from
+    # chars 1 and 3; its padding (char 4) scores 10 but must never win
+    store = ParamStore()
+    cnn = CharCNN(store, "c", 5, 1, 1, 1, np.random.default_rng(0))
+    cnn.chars.table[:, 0] = [0.0, 3.0, 1.0, 3.0, 10.0]
+    cnn.w[...] = 1.0
+    cnn.b[...] = 0.0
+    idx = np.array([[4, 4, 4, 4], [2, 1, 3, 4]])
+    out, cache = cnn.forward(idx, [4, 3])
+    np.testing.assert_array_equal(out[:, 0], [10.0, 3.0])
+    cnn.backward(np.array([[0.0], [1.0]]), cache)
+    np.testing.assert_array_equal(store.grad("c.chars")[:, 0], [0.0, 1.0, 0.0, 0.0, 0.0])
+
+
+def test_char_cnn_batch_gradient_check():
+    store, cnn = _char_cnn(6, kernel=3, filters=3)
+    rng = np.random.default_rng(6)
+    idx, word_lengths = _char_batch(rng, 9, [1, 5, 3, 2])
+    r = rng.normal(size=(len(idx), cnn.filters))
+
+    def loss_fn(grad=False):
+        out, cache = cnn.forward(idx, word_lengths)
+        if grad:
+            cnn.backward(r, cache)
+        return float(np.sum(out * r))
+
+    assert gradient_check(loss_fn, store).passed(1e-4)

@@ -399,9 +399,35 @@ class TestTrainValidation:
         )
         assert code == 1
         assert err.splitlines() == [
-            f"error: line {1 if option == '--pretrained-vectors' else 2}: "
+            f"error: {tmp_path / 'v.txt'}: "
+            f"line {1 if option == '--pretrained-vectors' else 2}: "
             "non-finite vector component"
         ]
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("bad", ["config", "train", "dev", "vectors"])
+    def test_parse_error_names_its_file(self, capsys, tmp_path, bad):
+        files = {
+            "config": SMALL_CONFIG,
+            "train": learnable_corpus_text(4),
+            "dev": learnable_corpus_text(4, seed=1),
+            "vectors": "alice " + " ".join(["0.1"] * 8) + "\n",
+        }
+        files[bad] = {
+            "config": "word_dim = 8\nhidden\n",
+            "train": "alice B-PER\nsaw\n",
+            "dev": "alice B-PER\nsaw\n",
+            "vectors": files["vectors"] + "bob " + " ".join(["0.1"] * 7) + " nan\n",
+        }[bad]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "train", tmp_path / "config", tmp_path / "train", tmp_path / "dev",
+            tmp_path / "m.bin", "--pretrained-vectors", tmp_path / "vectors",
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path / bad}: line 2: ")
         assert not (tmp_path / "m.bin").exists()
 
 

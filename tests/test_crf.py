@@ -9,6 +9,7 @@ from seqtag.crf import (
     bio_constraint_penalty,
     crf_marginals,
     crf_nll_grad,
+    crf_nll_marginals,
     log_partition,
     path_score,
     viterbi,
@@ -144,6 +145,21 @@ class TestMarginals:
 
 
 class TestNllGrad:
+    def test_nll_marginals_equal_the_separate_passes(self):
+        # one forward-backward pass gives the same bits as crf_nll_grad's
+        # loss and crf_marginals, for one sentence and for a padded batch
+        rng = np.random.default_rng(12)
+        trans = Transitions(*(rng.normal(size=s) for s in [(4, 4), 4, 4]))
+        emis = rng.normal(size=(3, 6, 4))
+        lengths = np.array([6, 1, 4])
+        gold = rng.integers(0, 4, size=(3, 6))
+        loss, marginals = crf_nll_marginals(emis, trans, gold, lengths)
+        np.testing.assert_array_equal(loss, crf_nll_grad(emis, trans, gold, lengths)[0])
+        np.testing.assert_array_equal(marginals, crf_marginals(emis, trans, lengths))
+        loss, marginals = crf_nll_marginals(emis[0], trans, gold[0])
+        assert loss == crf_nll_grad(emis[0], trans, gold[0])[0]
+        np.testing.assert_array_equal(marginals, crf_marginals(emis[0], trans))
+
     def test_peaked_emissions_near_zero_loss(self):
         n, n_tags = 4, 3
         gold = [0, 2, 1, 1]

@@ -3,6 +3,7 @@ forward/backward consistency, prediction contracts, model files, and a
 small training run."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -425,6 +426,30 @@ class TestTraining:
         best = history.epochs[history.best_epoch - 1]
         assert eval_loss == pytest.approx(best.eval_loss, abs=1e-9)
         assert eval_f1 == pytest.approx(best.eval_macro_f1, abs=1e-9)
+
+    @pytest.mark.parametrize("decode_only", [False, True])
+    def test_crf_forward_backward_runs_once_per_pass(self, monkeypatch, decode_only):
+        # one alphas pass per training batch and one per dev chunk: the dev
+        # loss and the marginal scores share it
+        from seqtag import crf
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return real_alphas(*args)
+
+        real_alphas = crf.crf_alphas
+        monkeypatch.setattr(crf, "crf_alphas", counting)
+        rng = np.random.default_rng(6)
+        corpus = random_corpus(rng, 10, classes=("PER", "LOC"))
+        dev = random_corpus(rng, 40, classes=("PER", "LOC"), max_len=20, prefix="d")
+        cfg = small_config(max_epochs=1, use_crf=True, crf_decode_only=decode_only)
+        train(build_model(cfg, corpus), corpus, dev)
+        n_chunks = len(tagger_module._chunks(dev.sentences))
+        assert n_chunks > 1
+        n_train = 0 if decode_only else math.ceil(10 / cfg.batch_size)
+        assert len(calls) == n_train + n_chunks
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(5)
