@@ -3,7 +3,10 @@ forward-backward marginals, and NLL gradients.
 
 A path through emissions ``e`` (n, T) under transitions ``trans`` scores
 ``start[y0] + sum_t e[t, y_t] + sum_t trans[y_(t-1), y_t] + end[y_(n-1)]``.
-All recursions run in log space via the kernels module.
+All recursions run in log space via the kernels module: the forward and
+backward passes take each step as one (B, T) @ (T, T) matmul of shifted
+probabilities, exact to roundoff (columns that underflow are recomputed as
+a plain log-sum-exp), and Viterbi is max-plus.
 """
 
 from dataclasses import dataclass

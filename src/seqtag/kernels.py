@@ -13,6 +13,12 @@ padded steps stays zero through the backward recursion. ``crf_betas`` and
 ``viterbi_decode`` run right to left or read the last real step, so they
 take the ``lengths`` vector.
 
+``crf_alphas`` and ``crf_betas`` stay in log space but run each step as
+one (B, T) @ (T, T) matmul of shifted probabilities, exp(prev - row max)
+@ exp(trans - column max), whose log plus the two shifts is the step's
+log-sum-exp; a column whose terms underflowed is recomputed exactly
+(``_step``). ``viterbi_decode`` is max-plus over a (B, T, T) tensor.
+
 All kernels take and return float64 arrays and use plain IEEE arithmetic,
 so results are reproducible and finite-difference checks hold tightly.
 """
@@ -132,6 +138,42 @@ def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
     return gates, d_wh, dh_next, dc_next
 
 
+# A column sum of shifted probabilities below this is recomputed exactly
+# (see ``_step``); above it, the terms lost to underflow (each under
+# ~5e-324) change the sum by far less than one ulp.
+_TINY = 1e-280
+
+
+def _lse_rows(s):
+    """log sum exp over the last axis of a 2-d array."""
+    mx = s.max(axis=1)
+    return mx + np.log(np.sum(np.exp(s - mx[:, None]), axis=1))
+
+
+def _step(prev, shifted, trans, shift):
+    """One log-space CRF step for a batch: out[b, j] = log sum_i
+    exp(prev[b, i] + trans[i, j]), given ``shifted`` = exp(trans - shift)
+    with ``shift`` the column maximum of ``trans``.
+
+    The sum runs as one (B, T) @ (T, T) product of probabilities scaled by
+    each row's maximum. A column whose scaled sum falls below _TINY (its
+    dominant terms underflowed, e.g. every allowed predecessor sits ~745
+    below a penalized one) is recomputed as an exact log-sum-exp."""
+    m = prev.max(axis=1, keepdims=True)
+    u = np.exp(prev - m) @ shifted
+    exact = u.min() < _TINY
+    if exact:
+        low = u < _TINY
+        u[low] = 1.0  # a placeholder that logs without warning, overwritten below
+    out = np.log(u)
+    out += m
+    out += shift
+    if exact:
+        b, j = np.nonzero(low)
+        out[b, j] = _lse_rows(prev[b] + trans.T[j])
+    return out
+
+
 def crf_alphas(emis, trans, start):
     """Forward log-potentials (B, n, T): alphas[b, t, j] = log sum over
     prefixes ending in tag j at position t (end scores not folded in).
@@ -139,10 +181,11 @@ def crf_alphas(emis, trans, start):
     n_batch, n, n_tags = emis.shape
     alphas = np.empty((n_batch, n, n_tags))
     alphas[:, 0] = start + emis[:, 0]
+    colmax = trans.max(axis=0)
+    shifted = np.exp(trans - colmax)
     for t in range(1, n):
-        m = alphas[:, t - 1, :, None] + trans
-        mx = m.max(axis=1)
-        alphas[:, t] = mx + np.log(np.sum(np.exp(m - mx[:, None, :]), axis=1)) + emis[:, t]
+        np.add(_step(alphas[:, t - 1], shifted, trans, colmax), emis[:, t],
+               out=alphas[:, t])
     return alphas
 
 
@@ -154,10 +197,11 @@ def crf_betas(emis, trans, end, lengths):
     betas = np.empty((n_batch, n, n_tags))
     betas[:, n - 1] = end
     last = (lengths - 1)[:, None]
+    trans_t = np.ascontiguousarray(trans.T)
+    rowmax = trans.max(axis=1)
+    shifted = np.exp(trans_t - rowmax)
     for t in range(n - 2, -1, -1):
-        m = trans + (emis[:, t + 1] + betas[:, t + 1])[:, None, :]
-        mx = m.max(axis=2)
-        inner = mx + np.log(np.sum(np.exp(m - mx[:, :, None]), axis=2))
+        inner = _step(emis[:, t + 1] + betas[:, t + 1], shifted, trans_t, rowmax)
         betas[:, t] = np.where(t >= last, end, inner)
     return betas
 

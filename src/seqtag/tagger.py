@@ -554,16 +554,32 @@ def model_forward(model, sentence, mode="eval", rng=None, contextual=None):
     return np.exp(_log_softmax(emissions[0]))
 
 
+def _check_probabilities(probs, lengths):
+    """Raise ModelError unless every real row of ``probs`` (B, n, T) sums to
+    1 within 1e-6; a NaN or inf entry fails too, as its row sum does."""
+    real = np.arange(probs.shape[1]) < lengths[:, None]
+    if not np.all(np.abs(probs.sum(axis=2)[real] - 1.0) <= 1e-6):
+        raise ModelError(
+            "tag scores are not finite probabilities: the model's parameters "
+            "are out of range"
+        )
+
+
 def _predictions(model, emissions, lengths, marginals=None):
     """TokenPrediction lists of a padded batch; under the CRF head the
-    scores are ``marginals`` when the caller has them already."""
-    if model.config.use_crf:
-        trans = model.transitions()
-        best, _ = viterbi(emissions, trans, lengths)
-        probs = crf_marginals(emissions, trans, lengths) if marginals is None else marginals
-    else:
-        probs = np.exp(_log_softmax(emissions))
-        best = [probs[b, :n].argmax(axis=1) for b, n in enumerate(lengths)]
+    scores are ``marginals`` when the caller has them already. Scores that
+    overflowed are caught by ``_check_probabilities``, not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.config.use_crf:
+            trans = model.transitions()
+            best, _ = viterbi(emissions, trans, lengths)
+            if marginals is None:
+                marginals = crf_marginals(emissions, trans, lengths)
+            probs = marginals
+        else:
+            probs = np.exp(_log_softmax(emissions))
+            best = [probs[b, :n].argmax(axis=1) for b, n in enumerate(lengths)]
+    _check_probabilities(probs, lengths)
     out = []
     for b, path in enumerate(best):
         labels = [model.tagset.label(t) for t in path]
@@ -577,7 +593,7 @@ def predict(model, sentence, contextual=None):
     """Label a sentence: Viterbi path with marginal scores under the CRF
     head, per-row argmax probability otherwise. Labels are BIO-repaired
     with scores carried over unchanged."""
-    emissions, lengths, _ = _forward(model, [sentence], "eval", None, contextual)
+    _, _, emissions, lengths = next(_eval_passes(model, [sentence], contextual))
     return _predictions(model, emissions, lengths)[0]
 
 
@@ -604,11 +620,14 @@ def _chunks(sentences):
 
 def _eval_passes(model, sentences, contextual):
     """Eval-mode forward passes over length-sorted chunks; yields
-    (indices into ``sentences``, the chunk, emissions, lengths)."""
+    (indices into ``sentences``, the chunk, emissions, lengths). Overflow
+    is not warned about: saturated gates are the right limit, and an inf
+    or NaN that reaches the scores fails ``_check_probabilities``."""
     for idx in _chunks(sentences):
         batch = [sentences[i] for i in idx]
         # the cache is dropped at once, not held while the next chunk runs
-        emissions, lengths = _forward(model, batch, "eval", None, contextual)[:2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            emissions, lengths = _forward(model, batch, "eval", None, contextual)[:2]
         yield idx, batch, emissions, lengths
 
 
@@ -829,6 +848,9 @@ def load_model(path):
     if problem:
         raise ModelError(f"{path}: {problem}")
     config = TaggerConfig(**header["config"])
+    # each LSTM layer has six blocks: the inventory bounds the layer loop below
+    if 6 * config.lstm_layers > len(header["params"]):
+        raise ModelError(f"{path}: parameter inventory does not match its config")
     tagset = TagSet(header["classes"])
     pos_tokens = header["pos_tokens"]
     try:

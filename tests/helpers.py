@@ -211,3 +211,31 @@ def reference_char_cnn(emb, w, b, kernel):
         features.append(best)
         winners.append(best_p)
     return np.array(features), np.array(winners)
+
+
+def reference_crf_alphas(emis, trans, start):
+    """Log-space CRF forward recursion, one (B, T, T) log-sum-exp per step:
+    the same (B, n, T) alphas as ``kernels.crf_alphas``."""
+    n_batch, n, n_tags = emis.shape
+    alphas = np.empty((n_batch, n, n_tags))
+    alphas[:, 0] = start + emis[:, 0]
+    for t in range(1, n):
+        m = alphas[:, t - 1, :, None] + trans
+        mx = m.max(axis=1)
+        alphas[:, t] = mx + np.log(np.sum(np.exp(m - mx[:, None, :]), axis=1)) + emis[:, t]
+    return alphas
+
+
+def reference_crf_betas(emis, trans, end, lengths):
+    """Log-space CRF backward recursion, one (B, T, T) log-sum-exp per step:
+    the same (B, n, T) betas as ``kernels.crf_betas``."""
+    n_batch, n, n_tags = emis.shape
+    betas = np.empty((n_batch, n, n_tags))
+    betas[:, n - 1] = end
+    last = (lengths - 1)[:, None]
+    for t in range(n - 2, -1, -1):
+        m = trans + (emis[:, t + 1] + betas[:, t + 1])[:, None, :]
+        mx = m.max(axis=2)
+        inner = mx + np.log(np.sum(np.exp(m - mx[:, :, None]), axis=2))
+        betas[:, t] = np.where(t >= last, end, inner)
+    return betas

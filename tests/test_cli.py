@@ -2,7 +2,11 @@
 outputs, and a full train/predict/ensemble/evaluate pipeline over files."""
 
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 import unicodedata
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 
 from seqtag import cli
 from seqtag.corpus import parse_conll, write_conll
+from seqtag.ensemble import read_prediction_file
 
 from helpers import random_corpus, tiny_fixture_corpus
 
@@ -341,6 +346,16 @@ def corrupt_model(data, corruption):
         blocks = blocks[:-8] + struct.pack("<d", float("nan"))
     elif corruption == "oversized config":
         header["config"].update(hidden=1000, lstm_layers=2)
+    elif corruption == "CRF scores scaled by 1e150":
+        # finite, so the file loads; the tag scores overflow
+        values = np.frombuffer(blocks, dtype="<f8").copy()
+        offset = 0
+        for name, shape in header["params"]:
+            size = math.prod(shape)
+            if name.startswith(("head.", "crf.")):
+                values[offset:offset + size] *= 1e150
+            offset += size
+        blocks = values.tobytes()
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     return data[:8] + struct.pack("<Q", len(raw)) + raw + blocks
 
@@ -353,7 +368,9 @@ class TestCorruptModel:
         "header is a list",
         "NaN parameter block",
         "oversized config",
+        "CRF scores scaled by 1e150",
     ])
+    @pytest.mark.filterwarnings("error")
     def test_predict_exits_one_with_one_error_line(self, capsys, trained,
                                                    tmp_path, corruption):
         bad = tmp_path / "bad.bin"
@@ -367,6 +384,96 @@ class TestCorruptModel:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert not (tmp_path / "preds.txt").exists()
+
+
+def header_mutants(header):
+    """(description, header) pairs: every header and config field replaced
+    by values of the wrong kind or range, or deleted, and the list fields
+    shortened, extended with a duplicate or given an empty name."""
+    odd_values = [None, True, -1, 0, 1, 2 ** 40, 1.5, float("nan"), "x", [], {}]
+    fields = [((key,), value) for key, value in header.items()]
+    fields += [(("config", key), value) for key, value in header["config"].items()]
+    for path, value in fields:
+        variants = [(repr(v), v) for v in odd_values]
+        if isinstance(value, list) and value:
+            variants += [("shortened", value[:-1]), ("duplicate", value + value[:1]),
+                         ("empty name", [""] + value[1:])]
+        variants.append(("deleted", KeyError))
+        for what, new in variants:
+            mutant = json.loads(json.dumps(header))
+            parent = mutant if len(path) == 1 else mutant[path[0]]
+            if new is KeyError:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+            yield f"{'.'.join(path)} {what}", mutant
+
+
+class TestSeededModelCorruption:
+    """A saved BIO-constrained CRF model, truncated, byte-flipped, with one
+    parameter block scaled by 1e300 and with mutated header fields, through
+    ``seqtag predict``: each run writes a well-formed prediction file and
+    exits 0, or exits 1 or 2 with one ``error:`` line and no output file.
+    Warnings are errors, so a numpy warning fails the run like any escaped
+    exception."""
+
+    @pytest.fixture(scope="class")
+    def model_bytes(self, trained, tmp_path_factory):
+        root = tmp_path_factory.mktemp("constrained")
+        (root / "tagger.cfg").write_text(
+            SMALL_CONFIG.replace("max_epochs = 12", "max_epochs = 3")
+            + "crf_constrain_bio = true\n", encoding="utf-8")
+        code = cli.main([
+            "train", str(root / "tagger.cfg"), str(trained / "train.conll"),
+            str(trained / "dev.conll"), str(root / "model.bin"),
+        ])
+        assert code == 0
+        return (root / "model.bin").read_bytes()
+
+    def corrupted(self, data):
+        """(description, bytes) for every corruption of ``data``."""
+        rng = np.random.default_rng(2024)
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        body = 16 + header_len
+        for cut in range(0, body, 10):
+            yield f"truncated at header byte {cut}", data[:cut]
+        for cut in np.sort(rng.choice(np.arange(body + 1, len(data)), 50, replace=False)):
+            yield f"truncated at block byte {cut}", data[:cut]
+        for pos in rng.integers(0, len(data), 200):
+            flipped = bytearray(data)
+            flipped[pos] ^= int(rng.integers(1, 256))
+            yield f"byte {pos} flipped", bytes(flipped)
+        header = json.loads(data[16:body])
+        offset = body
+        for name, shape in header["params"]:
+            end = offset + 8 * math.prod(shape)
+            scaled = np.frombuffer(data[offset:end], dtype="<f8") * 1e300
+            yield f"block {name} scaled by 1e300", data[:offset] + scaled.tobytes() + data[end:]
+            offset = end
+        for what, mutant in header_mutants(header):
+            raw = json.dumps(mutant).encode("utf-8")
+            yield f"header {what}", data[:8] + struct.pack("<Q", len(raw)) + raw + data[body:]
+
+    @pytest.mark.filterwarnings("error")
+    def test_predict_succeeds_or_fails_cleanly(self, capsys, trained, tmp_path, model_bytes):
+        dev = parse_conll((trained / "dev.conll").read_text(encoding="utf-8"))
+        bad, out_path = tmp_path / "bad.bin", tmp_path / "preds.txt"
+        problems = []
+        runs = 0
+        for what, data in self.corrupted(model_bytes):
+            runs += 1
+            bad.write_bytes(data)
+            code, out, err = run(capsys, "predict", bad, trained / "dev.conll", out_path)
+            if code == 0:
+                preds = read_prediction_file(out_path.read_text(encoding="utf-8"))
+                out_path.unlink()
+                if err or preds.surfaces != [list(s.surfaces) for s in dev.sentences]:
+                    problems.append((what, code, err))
+            elif (code not in (1, 2) or out or out_path.exists()
+                  or len(err.splitlines()) != 1 or not err.startswith("error: ")):
+                problems.append((what, code, err))
+        assert runs > 400
+        assert problems == [], problems[:5]
 
 
 class TestTrainValidation:
@@ -508,3 +615,60 @@ class TestGradcheckCommand:
         assert code == 1
         assert "FAIL" in out
         assert "failed" in err
+
+
+class TestLauncher:
+    """The console script pins OpenBLAS to one thread unless the user chose
+    a count, before numpy is imported; run in a fresh interpreter each."""
+
+    CHILD = """
+import os, sys
+numpy_saw = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not numpy_saw:
+            numpy_saw.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Watch())
+if sys.argv[1] == "library":
+    import seqtag.cli
+else:
+    from seqtag import launch
+    assert "numpy" not in sys.modules
+    sys.argv = ["seqtag", "--help"]
+    try:
+        launch.main()
+    except SystemExit as exc:
+        assert exc.code == 0
+print(numpy_saw[0], os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+    def run_child(self, mode, threads):
+        import seqtag
+
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(seqtag.__file__))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run([sys.executable, "-c", self.CHILD, mode], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1]
+
+    def test_sets_one_thread_before_numpy_when_unset(self):
+        assert self.run_child("script", None) == "1 1"
+
+    def test_explicit_value_wins(self):
+        assert self.run_child("script", "3") == "3 3"
+
+    def test_library_import_is_untouched(self):
+        assert self.run_child("library", None) == "None None"
+
+    def test_console_script_points_at_launcher(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"seqtag": "seqtag.launch:main"}

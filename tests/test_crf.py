@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from seqtag import kernels
 from seqtag.corpus import TagSet
 from seqtag.crf import (
     Transitions,
@@ -15,7 +16,7 @@ from seqtag.crf import (
     viterbi,
 )
 
-from helpers import enumerate_crf
+from helpers import enumerate_crf, reference_crf_alphas, reference_crf_betas
 
 
 def random_instance(rng, n=None, n_tags=None, scale=1.0):
@@ -270,3 +271,99 @@ class TestBioConstraints:
             from seqtag.corpus import validate_bio
 
             assert validate_bio(labels) == []
+
+
+def oracle_log_z_marginals(emis, trans, lengths):
+    """log Z (B,) and marginals (B, n, T) from the log-space oracle
+    recursions in ``helpers``."""
+    alphas = reference_crf_alphas(emis, trans.matrix, trans.start)
+    betas = reference_crf_betas(emis, trans.matrix, trans.end, lengths)
+    rows = np.arange(len(lengths))
+    final = alphas[rows, lengths - 1] + trans.end
+    mx = final.max(axis=1)
+    log_z = mx + np.log(np.exp(final - mx[:, None]).sum(axis=1))
+    real = np.arange(emis.shape[1])[None, :] < lengths[:, None]
+    log_p = np.where(real[:, :, None], alphas + betas - log_z[:, None, None], -np.inf)
+    return log_z, np.exp(log_p)
+
+
+@pytest.mark.filterwarnings("error")
+class TestKernelsAgainstLogSpaceOracle:
+    """``crf_alphas``/``crf_betas`` (shifted-probability matmuls) against the
+    plain log-sum-exp recursions, on ragged batches."""
+
+    TAGSET = TagSet(["PER", "LOC", "ORG"])
+
+    def ragged_batch(self, rng, scale, penalized):
+        n_tags = len(self.TAGSET)
+        lengths = rng.integers(1, 13, size=9)
+        lengths[0] = 12
+        emis = rng.normal(scale=scale, size=(9, 12, n_tags))
+        trans = Transitions(rng.normal(size=(n_tags, n_tags)),
+                            rng.normal(size=n_tags), rng.normal(size=n_tags))
+        if penalized:
+            trans = trans.penalized(*bio_constraint_penalty(self.TAGSET))
+        return emis, trans, lengths
+
+    def check(self, emis, trans, lengths):
+        log_z, marginals = oracle_log_z_marginals(emis, trans, lengths)
+        np.testing.assert_allclose(log_partition(emis, trans, lengths), log_z,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(crf_marginals(emis, trans, lengths), marginals,
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("penalized", [False, True])
+    def test_unit_scale(self, penalized):
+        rng = np.random.default_rng(21 + penalized)
+        for _ in range(20):
+            self.check(*self.ragged_batch(rng, 1.0, penalized))
+
+    def count_exact_rows(self, monkeypatch):
+        """List that grows by the number of exactly recomputed entries on
+        every call of the kernels' exact-column path."""
+        exact_rows = []
+        lse_rows = kernels._lse_rows
+
+        def counting(s):
+            exact_rows.append(len(s))
+            return lse_rows(s)
+
+        monkeypatch.setattr(kernels, "_lse_rows", counting)
+        return exact_rows
+
+    @pytest.mark.parametrize("scale", [300.0, 3000.0])
+    def test_wide_emissions_with_penalties(self, monkeypatch, scale):
+        exact_rows = self.count_exact_rows(monkeypatch)
+        rng = np.random.default_rng(int(scale))
+        forward = backward = 0
+        for _ in range(10):
+            emis, trans, lengths = self.ragged_batch(rng, scale, True)
+            self.check(emis, trans, lengths)
+            before = len(exact_rows)
+            kernels.crf_alphas(emis, trans.matrix, trans.start)
+            forward += len(exact_rows) - before
+            before = len(exact_rows)
+            kernels.crf_betas(emis, trans.matrix, trans.end, lengths)
+            backward += len(exact_rows) - before
+        # the exact-column path ran in both directions
+        assert forward > 0 and backward > 0
+
+    def test_underflowed_column_is_recomputed(self, monkeypatch):
+        # I-PER's only allowed predecessor B-PER sits 800 below O, whose
+        # move into I-PER is penalized: the shifted product's I-PER column
+        # underflows to exactly 0, yet the best path B-PER I-PER scores 1200
+        tagset = TagSet(["PER"])
+        b, i = tagset.index("B-PER"), tagset.index("I-PER")
+        emis = np.zeros((2, 3))
+        emis[0, [b, i]] = -800.0
+        emis[1, i] = 2000.0
+        trans = Transitions.zeros(3).penalized(*bio_constraint_penalty(tagset))
+        start = trans.start + emis[0]
+        colmax = trans.matrix.max(axis=0)
+        product = np.exp(start - start.max()) @ np.exp(trans.matrix - colmax)
+        assert product[i] == 0.0
+        exact_rows = self.count_exact_rows(monkeypatch)
+        log_z, *_ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
+        assert log_partition(emis, trans) == pytest.approx(log_z, rel=1e-12)
+        assert log_z == pytest.approx(1200.0)
+        assert sum(exact_rows) >= 1
