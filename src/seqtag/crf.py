@@ -3,17 +3,18 @@ forward-backward marginals, and NLL gradients.
 
 A path through emissions ``e`` (n, T) under transitions ``trans`` scores
 ``start[y0] + sum_t e[t, y_t] + sum_t trans[y_(t-1), y_t] + end[y_(n-1)]``.
-All recursions run in log space via the kernels module: the forward and
-backward passes take each step as one (B, T) @ (T, T) matmul of shifted
-probabilities, exact to roundoff (columns that underflow are recomputed as
-a plain log-sum-exp), and Viterbi is max-plus.
+All recursions run in log space via the kernels module. The forward and
+backward passes run together, both chains of a step as one
+(2, B, T) @ (2, T, T) matmul of shifted probabilities, exact to roundoff
+(entries that underflow are recomputed as a plain log-sum-exp). Viterbi
+is max-plus.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import crf_alphas, crf_betas, viterbi_decode
+from .kernels import crf_forward_backward, viterbi_decode
 
 __all__ = [
     "Transitions",
@@ -112,8 +113,8 @@ def _log_z(alphas, trans, lengths):
 
 def _forward_backward(emissions, trans, lengths):
     """alphas, betas, log Z (B,) and the real-position mask (B, n)."""
-    alphas = crf_alphas(emissions, trans.matrix, trans.start)
-    betas = crf_betas(emissions, trans.matrix, trans.end, lengths)
+    alphas, betas = crf_forward_backward(emissions, trans.matrix, trans.start, trans.end,
+                                         lengths)
     real = np.arange(emissions.shape[1])[None, :] < lengths[:, None]
     return alphas, betas, _log_z(alphas, trans, lengths), real
 
@@ -128,7 +129,8 @@ def log_partition(emissions, trans, lengths=None):
     """log sum over all T^n paths of exp(path score): a float for one
     sentence, a (B,) array for a batch."""
     emissions, lengths, single = _check(emissions, trans, lengths)
-    log_z = _log_z(crf_alphas(emissions, trans.matrix, trans.start), trans, lengths)
+    alphas, _ = crf_forward_backward(emissions, trans.matrix, trans.start, trans.end, lengths)
+    log_z = _log_z(alphas, trans, lengths)
     return float(log_z[0]) if single else log_z
 
 

@@ -1,26 +1,33 @@
 """Hot numeric kernels: LSTM recurrences and CRF dynamic programs.
 
 One numpy implementation per kernel, each run over a whole right-padded
-batch: arrays carry a leading batch axis ``(B, n, ...)`` and a sentence
-of length ``L_b`` occupies positions ``0 .. L_b - 1`` of its row.
-``lstm_forward``/``lstm_backward`` (with ``lstm_gates``) serve each
-BiLSTM direction; ``crf_alphas``, ``crf_betas`` and ``viterbi_decode``
-serve the CRF head.
+batch: arrays carry a batch axis ``(B, n, ...)`` and a sentence of length
+``L_b`` occupies positions ``0 .. L_b - 1`` of its row.
 
-Padding needs no mask in the LSTM or in ``crf_alphas``: padded steps come
-after every real step, so they never feed one, and a zero gradient at
-padded steps stays zero through the backward recursion. ``crf_betas`` and
-``viterbi_decode`` run right to left or read the last real step, so they
-take the ``lengths`` vector.
+Independent recurrences over the same input run as one step loop with a
+leading axis of size 2, so each step is one stacked matmul for both (the
+batching cuDNN applies to recurrent work). ``lstm_forward``/
+``lstm_backward`` (with ``lstm_gates``) take both directions of a BiLSTM
+layer, ``(2, B, n, ...)``; the backward direction's input comes already
+reversed within each sentence. ``crf_forward_backward`` advances the CRF
+forward and backward passes together and ``viterbi_decode`` decodes.
 
-``crf_alphas`` and ``crf_betas`` stay in log space but run each step as
-one (B, T) @ (T, T) matmul of shifted probabilities, exp(prev - row max)
-@ exp(trans - column max), whose log plus the two shifts is the step's
-log-sum-exp; a column whose terms underflowed is recomputed exactly
-(``_step``). ``viterbi_decode`` is max-plus over a (B, T, T) tensor.
+Padding needs no mask in the LSTM or in the forward CRF chain: padded
+steps come after every real step, so they never feed one, and a zero
+gradient at padded steps stays zero through the backward recursion. The
+backward CRF chain and ``viterbi_decode`` run right to left or read the
+last real step, so they take the ``lengths`` vector.
+
+The CRF chains stay in log space but run each step as one matmul of
+shifted probabilities, exp(prev - row max) @ exp(trans - column max),
+whose log plus the two shifts is the step's log-sum-exp; an entry whose
+terms underflowed is recomputed exactly (``_step``). ``viterbi_decode`` is
+max-plus over a (B, T, T) tensor.
 
 All kernels take and return float64 arrays and use plain IEEE arithmetic,
 so results are reproducible and finite-difference checks hold tightly.
+Stacking changes no arithmetic: each direction or chain gives the same
+bits as it would alone.
 """
 
 import numpy as np
@@ -29,8 +36,7 @@ __all__ = [
     "lstm_forward",
     "lstm_gates",
     "lstm_backward",
-    "crf_alphas",
-    "crf_betas",
+    "crf_forward_backward",
     "viterbi_decode",
 ]
 
@@ -38,70 +44,76 @@ __all__ = [
 def _activate(z, h):
     """Gate activations in place over the last axis of ``z`` (order i, f,
     g, o): tanh on g, and on i, f and o the stable sigmoid
-    1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) otherwise."""
+    exp(min(z, 0)) / (1 + exp(-|z|)), which is 1 / (1 + exp(-z)) for
+    z >= 0 and exp(z) / (1 + exp(z)) otherwise."""
     g = np.tanh(z[..., 2 * h:3 * h])
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    positive = z >= 0.0
-    np.add(e, 1.0, out=z)
-    np.copyto(e, 1.0, where=positive)
-    np.divide(e, z, out=z)
+    e += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= e
     z[..., 2 * h:3 * h] = g
     return z
 
 
 def lstm_forward(xw, w_h, h0, c0):
-    """One-direction LSTM over precomputed input projections.
+    """Both directions of a BiLSTM layer over precomputed input projections.
 
-    xw: (B, n, 4h) rows of x_t @ W_x + b, gate order i, f, g, o; h0, c0:
-    (B, h). Returns the hidden states and the cell states, each (B, n, h).
+    xw: (2, B, n, 4h) rows of x_t @ W_x + b per direction, gate order i, f,
+    g, o; w_h: (2, h, 4h); h0, c0: (2, B, h). Each step is one stacked
+    (2, B, h) @ (2, h, 4h) matmul and one set of gate ops. Returns the
+    hidden states and the cell states, each (2, B, n, h).
     """
-    n_batch, n = xw.shape[:2]
-    h = w_h.shape[0]
-    hs = np.empty((n_batch, n, h))
-    cs = np.empty((n_batch, n, h))
+    n_dir, n_batch, n = xw.shape[:3]
+    h = w_h.shape[1]
+    hs = np.empty((n_dir, n_batch, n, h))
+    cs = np.empty((n_dir, n_batch, n, h))
     h_prev = h0
     c_prev = c0
     for t in range(n):
-        z = h_prev @ w_h
-        z += xw[:, t]
+        z = np.matmul(h_prev, w_h)
+        z += xw[:, :, t]
         _activate(z, h)
-        c = cs[:, t]
-        np.multiply(z[:, h:2 * h], c_prev, out=c)
-        c += z[:, :h] * z[:, 2 * h:3 * h]
-        np.multiply(z[:, 3 * h:], np.tanh(c), out=hs[:, t])
-        h_prev = hs[:, t]
+        c = cs[:, :, t]
+        np.multiply(z[..., h:2 * h], c_prev, out=c)
+        c += z[..., :h] * z[..., 2 * h:3 * h]
+        np.multiply(z[..., 3 * h:], np.tanh(c), out=hs[:, :, t])
+        h_prev = hs[:, :, t]
         c_prev = c
     return hs, cs
 
 
 def lstm_gates(xw, hs, w_h, h0):
-    """Post-activation gates (B, n, 4h) of a finished ``lstm_forward`` run,
-    recomputed from its hidden states with one matmul over all steps.
-    ``xw`` is overwritten with the gates and returned."""
-    xw[:, 0] += h0 @ w_h
-    xw[:, 1:] += hs[:, :-1] @ w_h
-    return _activate(xw, w_h.shape[0])
+    """Post-activation gates (2, B, n, 4h) of a finished ``lstm_forward``
+    run, recomputed from its hidden states with one matmul over all steps
+    of each direction. ``xw`` is overwritten with the gates and returned."""
+    xw[:, :, 0] += np.matmul(h0, w_h)
+    # a direction at a time, so no temporary spans both directions
+    for d in range(len(xw)):
+        xw[d, :, 1:] += hs[d, :, :-1] @ w_h[d]
+        _activate(xw[d], w_h.shape[1])
+    return xw
 
 
 def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
-    """Backprop through lstm_forward, all arrays (B, n, .). Returns
-    gradients w.r.t. the input projections xw (B, n, 4h), the recurrent
-    weights (h, 4h), and the initial hidden/cell states (B, h).
+    """Backprop through lstm_forward, all arrays (2, B, n, .). Returns
+    gradients w.r.t. the input projections xw (2, B, n, 4h), the recurrent
+    weights (2, h, 4h), and the initial hidden/cell states (2, B, h).
 
     ``gates`` (contiguous) and ``tanh_cs`` are scratch space: both are
     overwritten, and ``gates`` is returned as the xw gradient, so a batch's
     backward pass allocates little beyond its inputs."""
-    n_batch, n, h = hs.shape
-    dz = gates.reshape(n_batch, n, 4, h)
-    i, f, g, o = dz[:, :, 0], dz[:, :, 1], dz[:, :, 2], dz[:, :, 3]
-    f_gate = f.copy()
+    n_dir, n_batch, n, h = hs.shape
+    dz = gates.reshape(n_dir, n_batch, n, 4, h)
+    i, f, g, o = dz[..., 0, :], dz[..., 1, :], dz[..., 2, :], dz[..., 3, :]
     # overwrite each gate with the factor of its pre-activation gradient
     # that does not depend on the recursion: dz_i = dc * g * i * (1 - i),
     # dz_f = dc * c_prev * f * (1 - f), dz_g = dc * i * (1 - g^2) and
     # dz_o = dh * tanh(c) * o * (1 - o); tanh_cs becomes d(dc)/d(dh)
-    # = o * (1 - tanh(c)^2)
+    # = o * (1 - tanh(c)^2). One scratch buffer serves the i, g and o
+    # factors, then keeps the forget gate f that the recursion needs.
     scratch = 1.0 - o
     scratch *= o
     scratch *= tanh_cs
@@ -110,31 +122,38 @@ def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
     tanh_cs *= o
     dc_dh = tanh_cs
     o[...] = scratch
-    np.multiply(g, g, out=scratch)
-    np.subtract(1.0, scratch, out=scratch)
+    np.subtract(1.0, i, out=scratch)
     scratch *= i
-    i *= 1.0 - i
-    i *= g
-    g[...] = scratch
-    del scratch
-    f *= 1.0 - f
-    f[:, 1:] *= cs[:, :-1]
-    f[:, 0] *= c0
+    scratch *= g
+    g *= g
+    np.subtract(1.0, g, out=g)
+    g *= i
+    i[...] = scratch
+    f_gate = scratch
+    f_gate[...] = f
+    np.subtract(1.0, f_gate, out=f)
+    f *= f_gate
+    f[:, :, 1:] *= cs[:, :, :-1]
+    f[:, :, 0] *= c0
 
-    dh_next = np.zeros((n_batch, h))
-    dc_next = np.zeros((n_batch, h))
-    w_h_t = np.ascontiguousarray(w_h.T)
+    dh_next = np.zeros((n_dir, n_batch, h))
+    dc_next = np.zeros((n_dir, n_batch, h))
+    w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))
     for t in range(n - 1, -1, -1):
-        dh = d_hs[:, t] + dh_next
-        dc = dh * dc_dh[:, t]
+        dh = d_hs[:, :, t] + dh_next
+        dc = dh * dc_dh[:, :, t]
         dc += dc_next
-        np.multiply(dz[:, t, :3], dc[:, None, :], out=dz[:, t, :3])
-        np.multiply(dz[:, t, 3], dh, out=dz[:, t, 3])
-        dc_next = dc * f_gate[:, t]
-        dh_next = gates[:, t] @ w_h_t
+        np.multiply(dz[:, :, t, :3], dc[:, :, None, :], out=dz[:, :, t, :3])
+        np.multiply(dz[:, :, t, 3], dh, out=dz[:, :, t, 3])
+        dc_next = dc * f_gate[:, :, t]
+        dh_next = np.matmul(gates[:, :, t], w_h_t)
 
-    h_prev = np.concatenate([h0[:, None], hs[:, :-1]], axis=1)
-    d_wh = h_prev.reshape(-1, h).T @ gates.reshape(-1, 4 * h)
+    # the d(dc)/d(dh) buffer is dead: it takes the previous hidden states
+    h_prev = dc_dh
+    h_prev[:, :, 0] = h0
+    h_prev[:, :, 1:] = hs[:, :, :-1]
+    d_wh = np.matmul(h_prev.reshape(n_dir, -1, h).transpose(0, 2, 1),
+                     gates.reshape(n_dir, -1, 4 * h))
     return gates, d_wh, dh_next, dc_next
 
 
@@ -151,16 +170,18 @@ def _lse_rows(s):
 
 
 def _step(prev, shifted, trans, shift):
-    """One log-space CRF step for a batch: out[b, j] = log sum_i
-    exp(prev[b, i] + trans[i, j]), given ``shifted`` = exp(trans - shift)
-    with ``shift`` the column maximum of ``trans``.
+    """One log-space CRF step for C independent chains over a batch:
+    out[c, b, j] = log sum_i exp(prev[c, b, i] + trans[c, i, j]), given
+    ``shifted`` = exp(trans - shift) with ``shift`` (C, 1, T) the column
+    maximum of each ``trans``.
 
-    The sum runs as one (B, T) @ (T, T) product of probabilities scaled by
-    each row's maximum. A column whose scaled sum falls below _TINY (its
-    dominant terms underflowed, e.g. every allowed predecessor sits ~745
-    below a penalized one) is recomputed as an exact log-sum-exp."""
-    m = prev.max(axis=1, keepdims=True)
-    u = np.exp(prev - m) @ shifted
+    The sums run as one (C, B, T) @ (C, T, T) product of probabilities
+    scaled by each row's maximum. An entry whose scaled sum falls below
+    _TINY (its dominant terms underflowed, e.g. every allowed predecessor
+    sits ~745 below a penalized one) is recomputed as an exact
+    log-sum-exp."""
+    m = prev.max(axis=2, keepdims=True)
+    u = np.matmul(np.exp(prev - m), shifted)
     exact = u.min() < _TINY
     if exact:
         low = u < _TINY
@@ -169,41 +190,40 @@ def _step(prev, shifted, trans, shift):
     out += m
     out += shift
     if exact:
-        b, j = np.nonzero(low)
-        out[b, j] = _lse_rows(prev[b] + trans.T[j])
+        c, b, j = np.nonzero(low)
+        out[c, b, j] = _lse_rows(prev[c, b] + trans[c, :, j])
     return out
 
 
-def crf_alphas(emis, trans, start):
-    """Forward log-potentials (B, n, T): alphas[b, t, j] = log sum over
-    prefixes ending in tag j at position t (end scores not folded in).
-    Rows past a sentence's end depend on its padding and are never read."""
+def crf_forward_backward(emis, trans, start, end, lengths):
+    """Forward and backward log-potentials, each (B, n, T), as two chains
+    of one recursion: step s advances the alphas at position s and the
+    betas at n - 1 - s with one (2, B, T) @ (2, T, T) product.
+
+    alphas[b, t, j] = log sum over prefixes ending in tag j at position t
+    (end scores not folded in); rows past a sentence's end depend on its
+    padding and are never read. betas[b, t, i] = log sum over suffixes
+    starting with tag i at position t (emission at t not folded in); rows
+    at and past a sentence's last position hold ``end``."""
     n_batch, n, n_tags = emis.shape
     alphas = np.empty((n_batch, n, n_tags))
-    alphas[:, 0] = start + emis[:, 0]
-    colmax = trans.max(axis=0)
-    shifted = np.exp(trans - colmax)
-    for t in range(1, n):
-        np.add(_step(alphas[:, t - 1], shifted, trans, colmax), emis[:, t],
-               out=alphas[:, t])
-    return alphas
-
-
-def crf_betas(emis, trans, end, lengths):
-    """Backward log-potentials (B, n, T): betas[b, t, i] = log sum over
-    suffixes starting with tag i at position t (emission at t not folded
-    in). Rows at and past a sentence's last position hold ``end``."""
-    n_batch, n, n_tags = emis.shape
     betas = np.empty((n_batch, n, n_tags))
+    alphas[:, 0] = start + emis[:, 0]
     betas[:, n - 1] = end
     last = (lengths - 1)[:, None]
-    trans_t = np.ascontiguousarray(trans.T)
-    rowmax = trans.max(axis=1)
-    shifted = np.exp(trans_t - rowmax)
-    for t in range(n - 2, -1, -1):
-        inner = _step(emis[:, t + 1] + betas[:, t + 1], shifted, trans_t, rowmax)
-        betas[:, t] = np.where(t >= last, end, inner)
-    return betas
+    # the backward chain sums over successors: it steps on trans.T
+    chains = np.stack([trans, trans.T])
+    shift = chains.max(axis=1, keepdims=True)
+    shifted = np.exp(chains - shift)
+    prev = np.empty((2, n_batch, n_tags))
+    for s in range(1, n):
+        t = n - 1 - s
+        prev[0] = alphas[:, s - 1]
+        np.add(emis[:, t + 1], betas[:, t + 1], out=prev[1])
+        out = _step(prev, shifted, chains, shift)
+        np.add(out[0], emis[:, s], out=alphas[:, s])
+        betas[:, t] = np.where(t >= last, end, out[1])
+    return alphas, betas
 
 
 def viterbi_decode(emis, trans, start, end, lengths):

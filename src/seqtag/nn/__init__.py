@@ -5,7 +5,6 @@ from .gradcheck import GradCheckReport, gradient_check
 from .layers import (
     BiLstm,
     CharCNN,
-    Dropout,
     EmbeddingTable,
     Linear,
     MultiHeadAttention,
@@ -19,7 +18,6 @@ __all__ = [
     "AdamOptimizer",
     "BiLstm",
     "CharCNN",
-    "Dropout",
     "EmbeddingTable",
     "GradCheckReport",
     "Linear",

@@ -10,7 +10,8 @@ Sequence layers run a right-padded batch: inputs are (B, n, d) with a
 ``lengths`` vector (B,), and sentence b fills positions 0 .. lengths[b]-1.
 An (n, d) input is a batch of one and gives an (n, ·) output. Values at
 padded positions are meaningless and the caller gives them zero gradient;
-no real position depends on them. ``Linear`` and ``EmbeddingTable`` act
+no real position depends on them. ``BiLstm`` steps both directions of a
+layer in one stacked kernel call. ``Linear`` and ``EmbeddingTable`` act
 row by row on inputs of any rank. ``CharCNN`` takes words instead of
 sentences: (W, L) char indices right-padded to per-word lengths, or one
 word (L,).
@@ -29,7 +30,6 @@ __all__ = [
     "MultiHeadAttention",
     "Linear",
     "dropout_apply",
-    "Dropout",
     "softmax_rows",
 ]
 
@@ -152,46 +152,19 @@ def _batched(x, lengths):
     return x, np.asarray(lengths, dtype=np.int64)
 
 
-class _LstmDirection:
-    def __init__(self, store, prefix, input_dim, hidden, rng):
-        self.hidden = hidden
-        self.w_x = store.add(f"{prefix}.w_x", uniform_init(rng, (input_dim, 4 * hidden), input_dim))
-        self.w_h = store.add(f"{prefix}.w_h", uniform_init(rng, (hidden, 4 * hidden), hidden))
-        self.b = store.add(f"{prefix}.b", np.zeros(4 * hidden))
-        self._store = store
-        self._prefix = prefix
-
-    def forward(self, x):
-        """x (B, n, d) -> hidden states and cell states, each (B, n, h)."""
-        zeros = np.zeros((x.shape[0], self.hidden))
-        xw = _dense(x, self.w_x)
-        xw += self.b
-        return lstm_forward(xw, self.w_h, zeros, zeros)
-
-    def backward(self, d_hs, x, hs, cs):
-        """Gradient w.r.t. x; the gates are recomputed from x and hs."""
-        zeros = np.zeros((x.shape[0], self.hidden))
-        gates = _dense(x, self.w_x)
-        gates += self.b
-        lstm_gates(gates, hs, self.w_h, zeros)
-        d_xw, d_wh, _, _ = lstm_backward(
-            d_hs, hs, cs, np.tanh(cs), gates, self.w_h, zeros, zeros
-        )
-        d_xw = d_xw.reshape(-1, 4 * self.hidden)
-        self._store.accumulate(f"{self._prefix}.w_x", x.reshape(-1, x.shape[-1]).T @ d_xw)
-        self._store.accumulate(f"{self._prefix}.w_h", d_wh)
-        self._store.accumulate(f"{self._prefix}.b", d_xw.sum(axis=0))
-        return (d_xw @ self.w_x.T).reshape(x.shape)
-
-
 class BiLstm:
     """Stack of bidirectional LSTM layers; each position's output is the
     concatenation of the forward and backward hidden states (..., 2h).
 
     The backward direction reverses each sentence within its own length,
     so padding stays at the end in both directions and never feeds a real
-    position. Outputs at padded positions are meaningless; their gradient
-    must be zero."""
+    position. Both directions of a layer run as one stacked recurrence:
+    the layer input and its reversal form a (2, B, n, d) batch that one
+    matmul projects against the directions' stacked input weights, and
+    one ``lstm_forward`` call steps both. Parameters stay per direction
+    (``{prefix}.l{k}.fw.*`` and ``.bw.*``) and are stacked on each pass.
+    Outputs at padded positions are meaningless; their gradient must be
+    zero."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -200,27 +173,43 @@ class BiLstm:
         self.layers = []
         d = input_dim
         for l in range(layers):
-            fw = _LstmDirection(store, f"{prefix}.l{l}.fw", d, hidden, rng)
-            bw = _LstmDirection(store, f"{prefix}.l{l}.bw", d, hidden, rng)
-            self.layers.append((fw, bw))
+            directions = (f"{prefix}.l{l}.fw", f"{prefix}.l{l}.bw")
+            for name in directions:
+                store.add(f"{name}.w_x", uniform_init(rng, (d, 4 * hidden), d))
+                store.add(f"{name}.w_h", uniform_init(rng, (hidden, 4 * hidden), hidden))
+                store.add(f"{name}.b", np.zeros(4 * hidden))
+            self.layers.append(directions)
             d = 2 * hidden
         self.output_dim = 2 * hidden
+        self._store = store
+
+    def _weights(self, layer):
+        """One layer's w_x (2, d, 4h), w_h (2, h, 4h) and b (2, 1, 4h)."""
+        w_x, w_h, b = (np.stack([self._store[f"{name}.{p}"] for name in layer])
+                       for p in ("w_x", "w_h", "b"))
+        return w_x, w_h, b[:, None]
 
     def forward(self, x, lengths=None):
         """x: (B, n, d) right-padded to ``lengths`` (B,), or one sentence
         (n, d). Returns the output in the shape of x and a cache."""
         single = x.ndim == 2
         x, lengths = _batched(x, lengths)
-        t = np.arange(x.shape[1])[None, :]
+        n_batch, n = x.shape[:2]
+        t = np.arange(n)[None, :]
         last = lengths[:, None] - 1
-        reverse = (np.arange(x.shape[0])[:, None], np.where(t <= last, last - t, t))
+        reverse = (np.arange(n_batch)[:, None], np.where(t <= last, last - t, t))
+        zeros = np.zeros((2, n_batch, self.hidden))
         caches = []
-        for fw, bw in self.layers:
-            h_f, c_f = fw.forward(x)
-            h_b, c_b = bw.forward(x[reverse])
-            out = np.concatenate([h_f, h_b[reverse]], axis=2)
-            caches.append((x, out, c_f, c_b))
-            x = out
+        for layer in self.layers:
+            w_x, w_h, b = self._weights(layer)
+            xs = np.empty((2,) + x.shape)
+            xs[0] = x
+            xs[1] = x[reverse]
+            xw = np.matmul(xs.reshape(2, n_batch * n, -1), w_x)
+            xw += b
+            hs, cs = lstm_forward(xw.reshape(2, n_batch, n, -1), w_h, zeros, zeros)
+            caches.append((xs, hs, cs))
+            x = np.concatenate([hs[0], hs[1][reverse]], axis=2)
         return (x[0] if single else x), (reverse, caches)
 
     def backward(self, d_out, cache):
@@ -229,11 +218,37 @@ class BiLstm:
         if single:
             d_out = d_out[None]
         h = self.hidden
-        for (fw, bw), (x, out, c_f, c_b) in zip(reversed(self.layers), reversed(caches)):
-            d_b = bw.backward(d_out[..., h:][reverse], x[reverse], out[..., h:][reverse], c_b)
-            d_out = fw.backward(d_out[..., :h], x, out[..., :h], c_f)
-            d_out += d_b[reverse]
+        for layer, (xs, hs, cs) in zip(reversed(self.layers), reversed(caches)):
+            d_hs = np.empty_like(hs)
+            d_hs[0] = d_out[..., :h]
+            d_hs[1] = d_out[..., h:][reverse]
+            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs)
+            d_out = d_xs[0]
+            d_out += d_xs[1][reverse]
         return d_out[0] if single else d_out
+
+    def _backward_layer(self, layer, d_hs, xs, hs, cs):
+        """Accumulate one layer's parameter gradients; return the gradient
+        w.r.t. its stacked input xs. The gates are recomputed from xs and
+        hs; every (2, B, n, 4h) buffer is freed on return."""
+        h = self.hidden
+        w_x, w_h, b = self._weights(layer)
+        zeros = np.zeros((2, hs.shape[1], h))
+        rows = xs.reshape(2, -1, xs.shape[-1])
+        gates = np.matmul(rows, w_x)
+        gates += b
+        gates = lstm_gates(gates.reshape(hs.shape[:3] + (4 * h,)), hs, w_h, zeros)
+        d_xw, d_wh, _, _ = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates, w_h,
+                                         zeros, zeros)
+        d_xw = d_xw.reshape(2, -1, 4 * h)
+        # the bw weight gradients sum their rows in reversed-sentence
+        # order, as the bw direction saw them; natural order would change
+        # the last bits of trained weights
+        for k, name in enumerate(layer):
+            self._store.accumulate(f"{name}.w_x", rows[k].T @ d_xw[k])
+            self._store.accumulate(f"{name}.w_h", d_wh[k])
+            self._store.accumulate(f"{name}.b", d_xw[k].sum(axis=0))
+        return np.matmul(d_xw, w_x.transpose(0, 2, 1)).reshape(xs.shape)
 
 
 class MultiHeadAttention:
@@ -355,16 +370,3 @@ def dropout_apply(x, rate, mode, rng, lengths=None):
         for b, n in enumerate(lengths):
             keep[b, :n] = (rng.random((n,) + x.shape[2:]) >= rate) / (1.0 - rate)
     return x * keep, keep
-
-
-class Dropout:
-    def __init__(self, rate):
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-        self.rate = rate
-
-    def forward(self, x, mode, rng):
-        return dropout_apply(x, self.rate, mode, rng)
-
-    def backward(self, d_y, mask):
-        return d_y if mask is None else d_y * mask

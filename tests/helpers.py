@@ -51,8 +51,9 @@ def reference_lstm(xw, w_h, h0, c0):
     ``xw`` holds x_t @ W_x + b, gate order i, f, g, o. Per step:
     i = sigmoid(z_i), f = sigmoid(z_f), g = tanh(z_g), o = sigmoid(z_o),
     c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t), with
-    sigmoid(z) = 1 / (1 + exp(-z)). Returns the same (hs, cs, tanh_cs,
-    gates) tuple as ``kernels.lstm_forward``.
+    sigmoid(z) = 1 / (1 + exp(-z)). Returns (hs, cs, tanh_cs, gates) of
+    one direction and one sentence, as ``kernels.lstm_forward`` and
+    ``kernels.lstm_gates`` give them at ``[d, b, :n]``.
     """
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
@@ -215,7 +216,7 @@ def reference_char_cnn(emb, w, b, kernel):
 
 def reference_crf_alphas(emis, trans, start):
     """Log-space CRF forward recursion, one (B, T, T) log-sum-exp per step:
-    the same (B, n, T) alphas as ``kernels.crf_alphas``."""
+    the same (B, n, T) alphas as ``kernels.crf_forward_backward``."""
     n_batch, n, n_tags = emis.shape
     alphas = np.empty((n_batch, n, n_tags))
     alphas[:, 0] = start + emis[:, 0]
@@ -228,7 +229,7 @@ def reference_crf_alphas(emis, trans, start):
 
 def reference_crf_betas(emis, trans, end, lengths):
     """Log-space CRF backward recursion, one (B, T, T) log-sum-exp per step:
-    the same (B, n, T) betas as ``kernels.crf_betas``."""
+    the same (B, n, T) betas as ``kernels.crf_forward_backward``."""
     n_batch, n, n_tags = emis.shape
     betas = np.empty((n_batch, n, n_tags))
     betas[:, n - 1] = end

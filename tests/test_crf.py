@@ -289,7 +289,7 @@ def oracle_log_z_marginals(emis, trans, lengths):
 
 @pytest.mark.filterwarnings("error")
 class TestKernelsAgainstLogSpaceOracle:
-    """``crf_alphas``/``crf_betas`` (shifted-probability matmuls) against the
+    """``crf_forward_backward`` (shifted-probability matmuls) against the
     plain log-sum-exp recursions, on ragged batches."""
 
     TAGSET = TagSet(["PER", "LOC", "ORG"])
@@ -331,21 +331,47 @@ class TestKernelsAgainstLogSpaceOracle:
         monkeypatch.setattr(kernels, "_lse_rows", counting)
         return exact_rows
 
+    def count_exact_rows_per_chain(self, monkeypatch):
+        """[forward, backward] numbers of exactly recomputed entries: every
+        ``_step`` call also runs each of its chains alone and counts that
+        run's exact-column entries (a chain alone gives the same bits)."""
+        exact_rows = self.count_exact_rows(monkeypatch)
+        per_chain = [0, 0]
+        step = kernels._step
+
+        def counting(prev, shifted, trans, shift):
+            for c in range(len(prev)):
+                before = len(exact_rows)
+                step(prev[c:c + 1], shifted[c:c + 1], trans[c:c + 1], shift[c:c + 1])
+                per_chain[c] += sum(exact_rows[before:])
+            return step(prev, shifted, trans, shift)
+
+        monkeypatch.setattr(kernels, "_step", counting)
+        return per_chain
+
+    @pytest.mark.parametrize("penalized", [False, True])
+    def test_forward_backward_matches_oracle_recursions(self, penalized):
+        # both chains against the oracle recursions, padding rows included
+        rng = np.random.default_rng(31 + penalized)
+        for scale in (1.0, 30.0):
+            emis, trans, lengths = self.ragged_batch(rng, scale, penalized)
+            alphas, betas = kernels.crf_forward_backward(
+                emis, trans.matrix, trans.start, trans.end, lengths)
+            np.testing.assert_allclose(
+                alphas, reference_crf_alphas(emis, trans.matrix, trans.start),
+                rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                betas, reference_crf_betas(emis, trans.matrix, trans.end, lengths),
+                rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("scale", [300.0, 3000.0])
     def test_wide_emissions_with_penalties(self, monkeypatch, scale):
-        exact_rows = self.count_exact_rows(monkeypatch)
+        per_chain = self.count_exact_rows_per_chain(monkeypatch)
         rng = np.random.default_rng(int(scale))
-        forward = backward = 0
         for _ in range(10):
-            emis, trans, lengths = self.ragged_batch(rng, scale, True)
-            self.check(emis, trans, lengths)
-            before = len(exact_rows)
-            kernels.crf_alphas(emis, trans.matrix, trans.start)
-            forward += len(exact_rows) - before
-            before = len(exact_rows)
-            kernels.crf_betas(emis, trans.matrix, trans.end, lengths)
-            backward += len(exact_rows) - before
-        # the exact-column path ran in both directions
+            self.check(*self.ragged_batch(rng, scale, True))
+        # the exact-column path ran in both chains
+        forward, backward = per_chain
         assert forward > 0 and backward > 0
 
     def test_underflowed_column_is_recomputed(self, monkeypatch):

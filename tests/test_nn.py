@@ -8,12 +8,11 @@ real parameters so input gradients get checked by the same machinery.
 import numpy as np
 import pytest
 
-from seqtag.kernels import lstm_forward, lstm_gates
+from seqtag.kernels import lstm_backward, lstm_forward, lstm_gates
 from seqtag.nn import (
     AdamOptimizer,
     BiLstm,
     CharCNN,
-    Dropout,
     EmbeddingTable,
     GradCheckReport,
     Linear,
@@ -242,16 +241,29 @@ class TestBiLstm:
             BiLstm(ParamStore(), "r", 3, 4, layers=0, rng=np.random.default_rng(0))
 
     def test_backward_direction_sees_reversed_input(self):
-        # with a length-1 input, forward and backward pass over the same token
+        # each half of the output is the textbook recurrence over the
+        # sentence read in its direction: forward as is, backward reversed
+        # within the sentence's own length
         store = ParamStore()
         rnn = BiLstm(store, "r", input_dim=2, hidden=3, layers=1,
                      rng=np.random.default_rng(0))
-        x = np.array([[0.3, -0.7]])
-        out, _ = rnn.forward(x)
-        fw, bw = rnn.layers[0]
-        h_f, _ = fw.forward(x[None])
-        h_b, _ = bw.forward(x[None])
-        np.testing.assert_allclose(out, np.concatenate([h_f[0], h_b[0]], axis=1), atol=1e-12)
+        rng = np.random.default_rng(1)
+        for name in store.names():
+            store[name][...] = rng.normal(size=store[name].shape) * 0.5
+        lengths = [4, 1, 3]
+        x = rng.normal(size=(3, 4, 2))
+        out, _ = rnn.forward(x, lengths)
+        zeros = np.zeros(3)
+        for b, n in enumerate(lengths):
+            for half, direction, rows in ((slice(0, 3), "fw", x[b, :n]),
+                                          (slice(3, 6), "bw", x[b, :n][::-1])):
+                p = f"r.l0.{direction}"
+                hs = reference_lstm(rows @ store[f"{p}.w_x"] + store[f"{p}.b"],
+                                    store[f"{p}.w_h"], zeros, zeros)[0]
+                if direction == "bw":
+                    hs = hs[::-1]
+                np.testing.assert_allclose(out[b, :n, half], hs, rtol=0, atol=1e-12,
+                                           err_msg=direction)
 
     def test_gradient_check_one_layer(self):
         for seed in range(3):
@@ -286,24 +298,57 @@ class TestBiLstm:
 
 
 class TestLstmKernel:
+    CASES = [([1], 1), ([1], 4), ([3, 1], 2), ([7, 2, 5], 5), ([12, 12], 8)]
+
+    @staticmethod
+    def stacked_inputs(rng, lengths, h):
+        """Both directions' inputs, each with its own projections, w_h and
+        initial state: xw (2, B, n, 4h), w_h (2, h, 4h), h0/c0 (2, B, h)."""
+        n_batch, n = len(lengths), max(lengths)
+        xw = rng.normal(size=(2, n_batch, n, 4 * h))
+        w_h = rng.normal(size=(2, h, 4 * h)) * 0.5
+        h0, c0 = rng.normal(size=(2, n_batch, h)), rng.normal(size=(2, n_batch, h))
+        return xw, w_h, h0, c0
+
     def test_forward_matches_textbook_reference(self):
-        # each row of a right-padded batch matches the per-sentence oracle
-        # over its own length; the padding after it never feeds a real step
+        # each row of each direction of a right-padded batch matches the
+        # per-sentence oracle over its own length; the padding after it
+        # never feeds a real step
         rng = np.random.default_rng(0)
-        for lengths, h in [([1], 1), ([1], 4), ([3, 1], 2), ([7, 2, 5], 5), ([12, 12], 8)]:
-            n_batch, n = len(lengths), max(lengths)
-            xw = rng.normal(size=(n_batch, n, 4 * h))
-            w_h = rng.normal(size=(h, 4 * h)) * 0.5
-            h0, c0 = rng.normal(size=(n_batch, h)), rng.normal(size=(n_batch, h))
+        for lengths, h in self.CASES:
+            xw, w_h, h0, c0 = self.stacked_inputs(rng, lengths, h)
             hs, cs = lstm_forward(xw, w_h, h0, c0)
             gates = lstm_gates(xw.copy(), hs, w_h, h0)
-            for b, length in enumerate(lengths):
-                got = (hs[b, :length], cs[b, :length], np.tanh(cs[b, :length]),
-                       gates[b, :length])
-                want = reference_lstm(xw[b, :length], w_h, h0[b], c0[b])
-                for name, a, ref in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
-                    assert a.shape == ref.shape, name
-                    np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12, err_msg=name)
+            for d in range(2):
+                for b, length in enumerate(lengths):
+                    got = (hs[d, b, :length], cs[d, b, :length],
+                           np.tanh(cs[d, b, :length]), gates[d, b, :length])
+                    want = reference_lstm(xw[d, b, :length], w_h[d], h0[d, b], c0[d, b])
+                    for name, a, ref in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
+                        assert a.shape == ref.shape, name
+                        np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12,
+                                                   err_msg=f"{name} direction {d}")
+
+    def test_stacking_changes_no_bits(self):
+        # a direction run in the stack gives exactly the values it gives
+        # run alone, forward and backward
+        rng = np.random.default_rng(1)
+        for lengths, h in self.CASES:
+            xw, w_h, h0, c0 = self.stacked_inputs(rng, lengths, h)
+            d_hs = rng.normal(size=xw.shape[:3] + (h,))
+            hs, cs = lstm_forward(xw, w_h, h0, c0)
+            gates = lstm_gates(xw.copy(), hs, w_h, h0)
+            both = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates.copy(), w_h, h0, c0)
+            for d in range(2):
+                one = slice(d, d + 1)
+                hs_d, cs_d = lstm_forward(xw[one], w_h[one], h0[one], c0[one])
+                assert np.array_equal(hs_d[0], hs[d]) and np.array_equal(cs_d[0], cs[d])
+                gates_d = lstm_gates(xw[one].copy(), hs_d, w_h[one], h0[one])
+                assert np.array_equal(gates_d[0], gates[d])
+                alone = lstm_backward(d_hs[one], hs_d, cs_d, np.tanh(cs_d), gates_d,
+                                      w_h[one], h0[one], c0[one])
+                for name, a, ref in zip(("d_xw", "d_wh", "d_h0", "d_c0"), alone, both):
+                    assert np.array_equal(a[0], ref[d]), f"{name} direction {d}"
 
 
 class TestMultiHeadAttention:
@@ -361,7 +406,7 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout_apply(np.ones(2), 1.0, "train", np.random.default_rng(0))
         with pytest.raises(ValueError):
-            Dropout(-0.1)
+            dropout_apply(np.ones(2), -0.1, "eval", np.random.default_rng(0))
 
     def test_zero_rate_statistics(self):
         x = np.ones((100, 100))
@@ -372,12 +417,13 @@ class TestDropout:
         assert np.all(y[y != 0.0] == 2.0)
 
     def test_backward_routes_through_mask(self):
-        drop = Dropout(0.3)
-        x = np.random.default_rng(5).normal(size=(8, 4))
-        y, mask = drop.forward(x, "train", np.random.default_rng(6))
-        d_y = np.ones_like(x)
-        assert np.array_equal(drop.backward(d_y, mask), mask)
-        assert np.array_equal(drop.backward(d_y, None), d_y)
+        # the output is linear in the input with the mask as its slope, so
+        # the gradient of the output is d_y * mask; padding gets zero
+        x = np.random.default_rng(5).normal(size=(3, 4, 2))
+        y, mask = dropout_apply(x, 0.3, "train", np.random.default_rng(6), lengths=[4, 1, 2])
+        assert np.array_equal(y, x * mask)
+        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
+        assert not mask[1, 1:].any() and not mask[2, 2:].any()
 
 
 class TestAdamOptimizer:

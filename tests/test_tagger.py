@@ -429,18 +429,18 @@ class TestTraining:
 
     @pytest.mark.parametrize("decode_only", [False, True])
     def test_crf_forward_backward_runs_once_per_pass(self, monkeypatch, decode_only):
-        # one alphas pass per training batch and one per dev chunk: the dev
-        # loss and the marginal scores share it
+        # one forward-backward pass per training batch and one per dev
+        # chunk: the dev loss and the marginal scores share it
         from seqtag import crf
 
         calls = []
 
         def counting(*args):
             calls.append(args[0].shape[0])
-            return real_alphas(*args)
+            return real_pass(*args)
 
-        real_alphas = crf.crf_alphas
-        monkeypatch.setattr(crf, "crf_alphas", counting)
+        real_pass = crf.crf_forward_backward
+        monkeypatch.setattr(crf, "crf_forward_backward", counting)
         rng = np.random.default_rng(6)
         corpus = random_corpus(rng, 10, classes=("PER", "LOC"))
         dev = random_corpus(rng, 40, classes=("PER", "LOC"), max_len=20, prefix="d")
