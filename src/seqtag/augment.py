@@ -185,14 +185,13 @@ def token_translate(corpus, backend, fallback="keep"):
                 translated = tok.surface if fallback == "keep" else UNKNOWN_TOKEN
             tokens.append(replace(tok, surface=translated))
         sentences.append(Sentence(sent.id, tuple(tokens)))
-    note = f"token_translate[{backend.kind} {src}->{tgt} fallback={fallback}]"
-    return LabeledCorpus(sentences, corpus.tagset, corpus.provenance + [note])
+    return LabeledCorpus(sentences, corpus.tagset)
 
 
 def combine(corpora, output_name, names=None):
     """Concatenate corpora in order. Sentence ids become `source/id` with
-    per-source namespaces; the tagset is the union; provenance lists every
-    source."""
+    per-source namespaces; the tagset is the union. ``output_name`` is
+    unused; it stays for existing callers."""
     if not corpora:
         raise AugmentError("combine needs at least one corpus")
     if names is None:
@@ -212,10 +211,7 @@ def combine(corpora, output_name, names=None):
                 raise AugmentError(f"duplicate sentence id {new_id!r} after namespacing")
             seen.add(new_id)
             sentences.append(Sentence(new_id, sent.tokens))
-    provenance = [f"combine[{output_name}]"] + [
-        f"source {name}: {len(corpus)} sentences" for name, corpus in zip(names, corpora)
-    ]
-    return LabeledCorpus(sentences, tagset, provenance)
+    return LabeledCorpus(sentences, tagset)
 
 
 @dataclass
@@ -330,10 +326,7 @@ def run_plan(plan, corpora, backends=None):
         corpus = corpora[source.name]
         steps = [f"{len(corpus)} sentences"]
         if source.cap is not None and source.cap < len(corpus):
-            corpus = LabeledCorpus(
-                corpus.sentences[:source.cap], corpus.tagset,
-                corpus.provenance + [f"cap[{source.cap}]"],
-            )
+            corpus = LabeledCorpus(corpus.sentences[:source.cap], corpus.tagset)
             steps.append(f"capped to {source.cap}")
         if source.lexicon_path is not None:
             backend = backends.get(source.name)

@@ -3,15 +3,14 @@ splitting and statistics.
 
 File conventions: UTF-8, LF line endings, blank line between sentences,
 ``# <id>`` comment lines carry sentence ids, fields joined by single spaces
-on write. Token text is Unicode-NFC-normalized at parse time; any further
-normalization is a caller-supplied hook.
+on write. Token text and ids are Unicode-NFC-normalized at parse time.
 """
 
 import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +141,6 @@ class TagSet:
 class LabeledCorpus:
     sentences: list[Sentence]
     tagset: TagSet
-    provenance: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.sentences:
@@ -167,9 +165,6 @@ class LabeledCorpus:
     def n_tokens(self):
         return sum(len(s) for s in self.sentences)
 
-    def with_provenance(self, note):
-        return LabeledCorpus(self.sentences, self.tagset, self.provenance + [note])
-
 
 @dataclass(frozen=True)
 class Chunk:
@@ -189,26 +184,25 @@ class ColumnConfig:
     """Which whitespace-separated columns hold what.
 
     ``tag_col`` indexes from the end when negative (default: last column);
-    ``pos_col`` is optional. Columns that are neither token nor tag nor pos
-    are kept verbatim in ``Token.extras``.
+    None means the input has no gold column and every token is tagged
+    ``O``. ``pos_col`` is optional. Columns that are neither token nor tag
+    nor pos are kept verbatim in ``Token.extras``.
     """
 
     token_col: int = 0
-    tag_col: int = -1
+    tag_col: int | None = -1
     pos_col: int | None = None
 
 
-def _normalize(text, hook=None):
-    text = unicodedata.normalize("NFC", text)
-    return hook(text) if hook is not None else text
+def _normalize(text):
+    return unicodedata.normalize("NFC", text)
 
 
-def parse_conll(text, columns=ColumnConfig(), normalizer=None):
+def parse_conll(text, columns=ColumnConfig()):
     """Parse CoNLL-style text into a LabeledCorpus.
 
     Blank lines separate sentences; ``#``-prefixed lines carry the id of the
     sentence that follows; ids are generated as s0, s1, ... where absent.
-    ``normalizer`` is an optional text hook applied after NFC.
 
     Raises ParseError with a line number on malformed lines.
     """
@@ -220,6 +214,9 @@ def parse_conll(text, columns=ColumnConfig(), normalizer=None):
     pending_id = None
     tokens = []
     generated = 0
+    labeled = columns.tag_col is not None
+    n_fields = 1 + labeled + (columns.pos_col is not None)
+    tag_idx, tag = None, "O"  # unless a gold column gives the tag
 
     def flush():
         nonlocal pending_id, tokens, generated
@@ -238,20 +235,26 @@ def parse_conll(text, columns=ColumnConfig(), normalizer=None):
             flush()
             continue
         if line.startswith("#"):
-            pending_id = _normalize(line[1:].strip(), normalizer) or None
+            pending_id = _normalize(line[1:].strip()) or None
             continue
         cols = line.split()
         n = len(cols)
-        tag_idx = columns.tag_col if columns.tag_col >= 0 else n + columns.tag_col
-        needed = {columns.token_col, tag_idx}
+        if labeled:
+            tag_idx = columns.tag_col if columns.tag_col >= 0 else n + columns.tag_col
+            needed = {columns.token_col, tag_idx}
+        else:
+            needed = {columns.token_col}
         if columns.pos_col is not None:
             needed.add(columns.pos_col)
-        if n < 2 or max(needed) >= n or min(needed) < 0 or len(needed) < (2 + (columns.pos_col is not None)):
-            raise ParseError(f"expected at least 2 distinct columns, got {n}: {line!r}", lineno)
-        surface = _normalize(cols[columns.token_col], normalizer)
-        tag = cols[tag_idx]
-        if not BIO_TAG_RE.match(tag):
-            raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
+        if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
+            raise ParseError(
+                f"expected at least {n_fields} distinct columns, got {n}: {line!r}", lineno
+            )
+        surface = _normalize(cols[columns.token_col])
+        if labeled:
+            tag = cols[tag_idx]
+            if not BIO_TAG_RE.match(tag):
+                raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
         pos = cols[columns.pos_col] if columns.pos_col is not None else None
         extras = tuple(
             cols[i] for i in range(n) if i not in (columns.token_col, tag_idx, columns.pos_col)
@@ -267,7 +270,7 @@ def parse_conll(text, columns=ColumnConfig(), normalizer=None):
 
     if not sentences:
         raise ParseError("input contains no sentences")
-    return LabeledCorpus(sentences, TagSet(classes), provenance=["parse_conll"])
+    return LabeledCorpus(sentences, TagSet(classes))
 
 
 def write_conll(corpus, predictions=None, scores=None):
@@ -385,10 +388,7 @@ def split_corpus(corpus, train_fraction, seed):
     n_train = min(max(n_train, 1), n - 1)
     train_sents = [corpus.sentences[i] for i in order[:n_train]]
     dev_sents = [corpus.sentences[i] for i in order[n_train:]]
-    note = f"split(train_fraction={train_fraction}, seed={seed})"
-    train = LabeledCorpus(train_sents, corpus.tagset, corpus.provenance + [note + "[train]"])
-    dev = LabeledCorpus(dev_sents, corpus.tagset, corpus.provenance + [note + "[dev]"])
-    return train, dev
+    return LabeledCorpus(train_sents, corpus.tagset), LabeledCorpus(dev_sents, corpus.tagset)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .corpus import BIO_TAG_RE, CorpusError, LabeledCorpus, extract_chunks
 
-__all__ = ["ClassMetrics", "EvalReport", "evaluate", "compare_reports"]
+__all__ = ["ClassMetrics", "EvalReport", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -123,24 +123,3 @@ def evaluate(gold, predicted):
         token_accuracy=_safe_div(correct_tokens, total_tokens),
         n_tokens=total_tokens,
     )
-
-
-def compare_reports(a, b):
-    """Signed metric differences (b minus a) between two reports over the
-    same class set."""
-    if set(a.per_class) != set(b.per_class):
-        raise CorpusError(
-            f"class sets differ: {sorted(a.per_class)} vs {sorted(b.per_class)}"
-        )
-    deltas = {
-        "macro_precision": b.macro_precision - a.macro_precision,
-        "macro_recall": b.macro_recall - a.macro_recall,
-        "macro_f1": b.macro_f1 - a.macro_f1,
-        "token_accuracy": b.token_accuracy - a.token_accuracy,
-    }
-    for cls in sorted(a.per_class):
-        ma, mb = a.per_class[cls], b.per_class[cls]
-        deltas[f"precision.{cls}"] = mb.precision - ma.precision
-        deltas[f"recall.{cls}"] = mb.recall - ma.recall
-        deltas[f"f1.{cls}"] = mb.f1 - ma.f1
-    return deltas

@@ -4,14 +4,26 @@ import numpy as np
 
 __all__ = ["GradCheckReport", "gradient_check"]
 
+# A float64 loss L carries an absolute roundoff of about eps * |L|, so the
+# central difference (L(θ+h) - L(θ-h)) / 2h is off by up to about
+# eps * |L| / h from roundoff alone; three times that is the allowance.
+_ROUNDOFF = 3.0 * np.finfo(np.float64).eps
+# relative tolerance of the roundoff-aware bound
+_RTOL = 1e-3
+
 
 class GradCheckReport:
-    """Per-parameter worst relative error between analytic and numeric
-    gradients."""
+    """Per-parameter worst errors between analytic gradients ``a`` and
+    numeric gradients ``n``. ``per_param`` holds the relative error
+    |a - n| / max(|a|, |n|, 1e-8). ``per_param_bound`` holds |a - n| as a
+    fraction of the bound 1e-3 max(|a|, |n|) + r, where
+    r = 3 eps max(|L(θ+h)|, |L(θ-h)|) / h allows for the central
+    difference's roundoff; a parameter is within the bound at <= 1."""
 
-    def __init__(self, per_param, step):
+    def __init__(self, per_param, step, per_param_bound=None):
         self.per_param = per_param
         self.step = step
+        self.per_param_bound = per_param_bound or {}
 
     @property
     def max_rel_err(self):
@@ -43,10 +55,11 @@ def gradient_check(loss_fn, store, step=1e-5):
     store.zero_grads()
 
     per_param = {}
+    per_param_bound = {}
     for name in store.names():
         flat = store[name].ravel()
         ana = analytic[name].ravel()
-        worst = 0.0
+        worst = worst_bound = 0.0
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
@@ -55,7 +68,12 @@ def gradient_check(loss_fn, store, step=1e-5):
             lm = loss_fn(grad=False)
             flat[idx] = orig
             numeric = (lp - lm) / (2.0 * step)
-            rel = abs(ana[idx] - numeric) / max(abs(ana[idx]), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+            err = abs(ana[idx] - numeric)
+            scale = max(abs(ana[idx]), abs(numeric))
+            worst = max(worst, err / max(scale, 1e-8))
+            if err > 0.0:  # then scale > 0, so the bound is too
+                bound = _RTOL * scale + _ROUNDOFF * max(abs(lp), abs(lm)) / step
+                worst_bound = max(worst_bound, err / bound)
         per_param[name] = worst
-    return GradCheckReport(per_param, step)
+        per_param_bound[name] = worst_bound
+    return GradCheckReport(per_param, step, per_param_bound)

@@ -37,6 +37,7 @@ from .nn import (
     MultiHeadAttention,
     ParamStore,
     dropout_apply,
+    gradient_check,
 )
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
     "parse_config",
     "write_config",
     "build_model",
-    "model_forward",
+    "check_gradients",
     "train",
     "predict",
     "predict_corpus",
@@ -342,6 +343,9 @@ class TaggerModel:
             self.store.add("crf.matrix", np.zeros((t, t)))
             self.store.add("crf.start", np.zeros(t))
             self.store.add("crf.end", np.zeros(t))
+        self._bio_penalty = None
+        if config.use_crf and config.crf_constrain_bio:
+            self._bio_penalty = bio_constraint_penalty(tagset)
 
     @property
     def n_labels(self):
@@ -353,9 +357,8 @@ class TaggerModel:
         trans = Transitions(
             self.store["crf.matrix"], self.store["crf.start"], self.store["crf.end"]
         )
-        if self.config.crf_constrain_bio:
-            matrix_penalty, start_penalty = bio_constraint_penalty(self.tagset)
-            trans = trans.penalized(matrix_penalty, start_penalty)
+        if self._bio_penalty is not None:
+            trans = trans.penalized(*self._bio_penalty)
         return trans
 
 
@@ -545,13 +548,23 @@ def _sentence_loss(model, emissions, lengths, gold_idx, weight=1.0, want_grad=Fa
     return losses, d
 
 
-def model_forward(model, sentence, mode="eval", rng=None, contextual=None):
-    """Per-token scores: raw emissions [n, T] with the CRF head, otherwise
-    row-softmax probabilities."""
-    emissions, _, _ = _forward(model, [sentence], mode, rng, contextual)
-    if model.config.use_crf:
-        return emissions[0]
-    return np.exp(_log_softmax(emissions[0]))
+def check_gradients(model, sentences, contextual=None, dropout_seed=0):
+    """``nn.gradient_check`` of the training loss of ``sentences`` run as
+    one padded batch: the sum of their losses, through ``_forward``,
+    ``_sentence_loss`` and ``_backward`` as in training. Every loss call
+    draws the dropout mask afresh from ``dropout_seed``, so all calls see
+    the same mask. Returns the GradCheckReport."""
+    gold = _gold_indices(model, sentences, max(len(s.tokens) for s in sentences))
+
+    def loss_fn(grad=False):
+        rng = np.random.default_rng(dropout_seed)
+        emissions, lengths, cache = _forward(model, sentences, "train", rng, contextual)
+        losses, d_emis = _sentence_loss(model, emissions, lengths, gold, want_grad=grad)
+        if grad:
+            _backward(model, d_emis, cache)
+        return float(losses.sum())
+
+    return gradient_check(loss_fn, model.store)
 
 
 def _check_probabilities(probs, lengths):

@@ -170,7 +170,7 @@ def random_corpus(rng, n_sentences, classes=("PER", "LOC", "CW"), min_len=1, max
             Token(vocab[rng.integers(len(vocab))], tag) for tag in tags
         )
         sentences.append(Sentence(f"{prefix}{si}", tokens))
-    return LabeledCorpus(sentences, TagSet(classes), provenance=["synthetic"])
+    return LabeledCorpus(sentences, TagSet(classes))
 
 
 def tiny_fixture_corpus():
@@ -185,7 +185,7 @@ def tiny_fixture_corpus():
                     ("and", "CC", "I-CW"), ("the", "DT", "I-CW"), ("sea", "NN", "I-CW")]),
         sent("s2", [("rahim", "NNP", "B-PER"), ("met", "VBD", "O"), ("karim", "NNP", "B-PER")]),
     ]
-    return LabeledCorpus(sentences, TagSet(["PER", "LOC", "CW"]), provenance=["fixture"])
+    return LabeledCorpus(sentences, TagSet(["PER", "LOC", "CW"]))
 
 
 def reference_char_cnn(emb, w, b, kernel):

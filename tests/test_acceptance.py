@@ -219,7 +219,7 @@ def _overfit_corpus(rng, n_sentences=32):
                         Token(i_words[cls][rng.integers(2)], f"I-{cls}")
                     )
         sentences.append(Sentence(f"s{si}", tuple(tokens)))
-    return LabeledCorpus(sentences, TagSet(classes), provenance=["synthetic"])
+    return LabeledCorpus(sentences, TagSet(classes))
 
 
 def test_overfit_small_tagger():

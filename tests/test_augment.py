@@ -227,11 +227,6 @@ class TestTokenTranslate:
                     before.gold_tags
                 )
 
-    def test_provenance_records_the_step(self):
-        out = token_translate(tiny_fixture_corpus(),
-                              OfflineLexiconBackend(fixture_lexicon()))
-        assert any("token_translate" in note for note in out.provenance)
-
 
 class TestCombine:
     def test_equal_size_combination_doubles_counts(self):

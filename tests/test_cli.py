@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from seqtag import cli
-from seqtag.corpus import parse_conll, write_conll
+from seqtag.corpus import ColumnConfig, parse_conll, write_conll
 from seqtag.ensemble import read_prediction_file
 
 from helpers import random_corpus, tiny_fixture_corpus
@@ -252,6 +252,40 @@ class TestPipeline:
         # token, predicted, score: three columns, no gold
         assert all(len(line.split()) == 3 for line in lines[1:] if line)
 
+    def test_predict_no_gold_reads_the_pos_column(self, capsys, tmp_path):
+        pos_of = {"alice": "NNP", "bob": "NNP", "paris": "NNP", "tokyo": "NNP",
+                  "the": "DT", "saw": "VBD", "ran": "VBD", "dog": "NN"}
+        labeled, raw = [], []
+        for line in learnable_corpus_text(12).split("\n"):
+            if line and not line.startswith("#"):
+                word, tag = line.split("\t")
+                labeled.append(f"{word} {pos_of[word]} {tag}")
+                raw.append(f"{word} {pos_of[word]}")
+            else:
+                labeled.append(line)
+                raw.append(line)
+        (tmp_path / "c.conll").write_text("\n".join(labeled), encoding="utf-8")
+        (tmp_path / "raw.txt").write_text("\n".join(raw), encoding="utf-8")
+        (tmp_path / "g.cfg").write_text(
+            SMALL_CONFIG + "use_pos = true\n", encoding="utf-8"
+        )
+        code, _, _ = run(capsys, "train", tmp_path / "g.cfg", tmp_path / "c.conll",
+                         tmp_path / "c.conll", tmp_path / "m.bin", "--pos-col", 1)
+        assert code == 0
+        code, _, _ = run(capsys, "predict", tmp_path / "m.bin", tmp_path / "c.conll",
+                         tmp_path / "gold.txt", "--pos-col", 1)
+        assert code == 0
+        code, _, err = run(capsys, "predict", tmp_path / "m.bin", tmp_path / "raw.txt",
+                           tmp_path / "raw.txt.pred", "--no-gold", "--pos-col", 1)
+        assert code == 0, err
+        with_gold = read_prediction_file((tmp_path / "gold.txt").read_text(encoding="utf-8"))
+        no_gold = read_prediction_file(
+            (tmp_path / "raw.txt.pred").read_text(encoding="utf-8")
+        )
+        assert no_gold.gold_tags is None
+        assert no_gold.sentence_ids == with_gold.sentence_ids
+        assert no_gold.predictions == with_gold.predictions
+
     def test_no_gold_input_is_nfc_normalized(self, capsys, trained):
         nfd = unicodedata.normalize("NFD", "Café")
         raw_text = f"# {nfd}-1\n{nfd}\nsaw\n\n{nfd}\n"
@@ -259,7 +293,7 @@ class TestPipeline:
             f"{line}\tO" if line and not line.startswith("#") else line
             for line in raw_text.split("\n")
         )
-        unlabeled = cli._parse_unlabeled(raw_text)
+        unlabeled = parse_conll(raw_text, ColumnConfig(tag_col=None))
         labeled = parse_conll(labeled_text)
         assert [s.id for s in unlabeled.sentences] == ["Café-1", "s0"]
         assert [s.id for s in unlabeled.sentences] == [s.id for s in labeled.sentences]
@@ -564,43 +598,50 @@ class TestEvaluateGolden:
 
 
 class TestGradcheckCommand:
-    def write_config(self, tmp_path, extra=""):
+    GROUPS = ["word", "char", "pos", "lstm", "mha", "head", "crf"]
+    EVERY_SWITCH = ("use_char_cnn = true\nuse_pos = true\nuse_contextual_slot = true\n"
+                    "use_mha = true\nmha_heads = 2\ncrf_constrain_bio = true\n"
+                    "dropout = 0.3\n")
+
+    def write_config(self, tmp_path, extra="", layers=1):
         path = tmp_path / "g.cfg"
-        path.write_text(SMALL_CONFIG + extra, encoding="utf-8")
+        path.write_text(f"lstm_layers = {layers}\n" + extra, encoding="utf-8")
         return path
 
+    def groups(self, out):
+        """{group: verdict} of the report lines."""
+        return {l.split()[0]: l.split()[-1] for l in out.splitlines() if l}
+
     def test_all_layers_pass(self, capsys, tmp_path):
-        cfg = self.write_config(
-            tmp_path, "use_char_cnn = true\nuse_mha = true\nmha_heads = 2\n"
-        )
+        cfg = self.write_config(tmp_path, self.EVERY_SWITCH, layers=2)
         code, out, err = run(capsys, "gradcheck", cfg)
         assert code == 0
         assert err == ""
-        lines = [l for l in out.splitlines() if l]
-        names = [l.split()[0] for l in lines]
-        assert names == ["embedding", "char_cnn", "bilstm", "mha", "linear",
-                         "crf_nll"]
-        assert all(l.endswith("PASS") for l in lines)
+        assert [l.split()[0] for l in out.splitlines() if l] == self.GROUPS
+        assert set(self.groups(out).values()) == {"PASS"}
 
     def test_seed_varies_instances_never_verdicts(self, capsys, tmp_path):
-        cfg = self.write_config(tmp_path)
+        cfg = self.write_config(tmp_path, self.EVERY_SWITCH)
         outputs = []
         for seed in ("1", "2", "3"):
             code, out, _ = run(capsys, "gradcheck", cfg, "--seed", seed)
             assert code == 0
-            assert all(
-                l.endswith("PASS") for l in out.splitlines() if l
-            )
+            assert self.groups(out) == dict.fromkeys(self.GROUPS, "PASS")
             outputs.append(out)
         # different seeds check different random instances
         assert len(set(outputs)) > 1
+
+    def test_decode_only_passes(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, "crf_decode_only = true\n")
+        code, out, _ = run(capsys, "gradcheck", cfg)
+        assert code == 0
+        assert self.groups(out) == dict.fromkeys(["word", "lstm", "head", "crf"], "PASS")
 
     def test_disabled_layers_are_skipped(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, "use_crf = false\n")
         code, out, _ = run(capsys, "gradcheck", cfg)
         assert code == 0
-        assert "crf_nll" not in out
-        assert "char_cnn" not in out
+        assert self.groups(out) == dict.fromkeys(["word", "lstm", "head"], "PASS")
 
     def test_injected_gradient_bug_fails(self, capsys, tmp_path, monkeypatch):
         from seqtag.nn.layers import Linear
@@ -611,9 +652,25 @@ class TestGradcheckCommand:
             return original(self, d_out * 1.25, cache)
 
         monkeypatch.setattr(Linear, "backward", corrupted)
-        code, out, err = run(capsys, "gradcheck", self.write_config(tmp_path))
+        code, out, err = run(capsys, "gradcheck", self.write_config(tmp_path, "dropout = 0.0\n"))
         assert code == 1
-        assert "FAIL" in out
+        assert self.groups(out)["head"] == "FAIL"
+        assert "failed" in err
+
+    def test_injected_attention_bug_fails(self, capsys, tmp_path, monkeypatch):
+        # the roundoff allowance must stay far below a real wiring bug
+        from seqtag.nn.layers import MultiHeadAttention
+
+        original = MultiHeadAttention._project_backward
+
+        def corrupted(self, name, w, d_proj, flat_x):
+            return original(self, name, w, d_proj * 1.25 if name == "q" else d_proj, flat_x)
+
+        monkeypatch.setattr(MultiHeadAttention, "_project_backward", corrupted)
+        cfg = self.write_config(tmp_path, "use_mha = true\nmha_heads = 2\n")
+        code, out, err = run(capsys, "gradcheck", cfg)
+        assert code == 1
+        assert self.groups(out)["mha"] == "FAIL"
         assert "failed" in err
 
 

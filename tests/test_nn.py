@@ -504,6 +504,22 @@ class TestGradientChecker:
         report = gradient_check(loss_fn, store)
         assert not report.passed(1e-4)
         assert report.max_rel_err > 0.05
+        assert max(report.per_param_bound.values()) > 1.0
+
+    def test_bound_allows_for_the_loss_roundoff(self):
+        # the gradient is far below the roundoff of a loss near 1e4: the
+        # central difference reads 0, a relative error of 1 that is noise
+        store = ParamStore()
+        w = store.add("w", np.ones(1))
+
+        def loss_fn(grad=False):
+            if grad:
+                store.accumulate("w", np.array([1e-9]))
+            return 1e4 + 1e-9 * float(w[0])
+
+        report = gradient_check(loss_fn, store)
+        assert not report.passed(1e-3)
+        assert report.per_param_bound["w"] < 0.01
 
     def test_rejects_non_finite_loss(self):
         store = ParamStore()

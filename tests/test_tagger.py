@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from seqtag.corpus import LabeledCorpus, Sentence, TagSet, Token, validate_bio
-from seqtag.nn import gradient_check
+from seqtag.crf import Transitions, bio_constraint_penalty
 from seqtag.tagger import (
     ConfigError,
     EarlyStopper,
@@ -19,8 +19,8 @@ from seqtag.tagger import (
     TaggerModel,
     TokenPrediction,
     build_model,
+    check_gradients,
     load_model,
-    model_forward,
     parse_config,
     predict,
     predict_corpus,
@@ -29,7 +29,7 @@ from seqtag.tagger import (
     write_config,
 )
 from seqtag import tagger as tagger_module
-from seqtag.tagger import MODEL_MAGIC, _backward, _forward, _sentence_loss, _gold_indices
+from seqtag.tagger import MODEL_MAGIC, _forward, _log_softmax, _sentence_loss, _gold_indices
 from seqtag.tagger import _param_shapes
 from seqtag.vectors import ContextualVectors, WordVectors
 
@@ -41,6 +41,11 @@ def small_config(**overrides):
                 batch_size=4, max_epochs=3, patience=2, seed=11)
     base.update(overrides)
     return TaggerConfig(**base)
+
+
+def emissions_of(model, sentence, contextual=None):
+    """Eval-mode emissions (n, T) of one sentence run as a batch of one."""
+    return _forward(model, [sentence], "eval", None, contextual)[0][0]
 
 
 class TestConfigParsing:
@@ -226,7 +231,7 @@ class TestForward:
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(use_crf=False), corpus)
         for sent in corpus.sentences:
-            probs = model_forward(model, sent)
+            probs = np.exp(_log_softmax(emissions_of(model, sent)))
             assert probs.shape == (len(sent), len(corpus.tagset))
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert (probs >= 0).all()
@@ -234,7 +239,7 @@ class TestForward:
     def test_crf_head_returns_raw_emissions(self):
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(use_crf=True), corpus)
-        emissions = model_forward(model, corpus.sentences[0])
+        emissions = emissions_of(model, corpus.sentences[0])
         assert emissions.shape == (4, len(corpus.tagset))
         # raw scores, not normalized
         assert not np.allclose(np.exp(emissions).sum(axis=1), 1.0)
@@ -244,15 +249,15 @@ class TestForward:
         # single-token sentences built from them score identically
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(use_crf=False), corpus)
-        a = model_forward(model, Sentence("u0", (Token("zzzz"),)))
-        b = model_forward(model, Sentence("u1", (Token("qqqq"),)))
+        a = emissions_of(model, Sentence("u0", (Token("zzzz"),)))
+        b = emissions_of(model, Sentence("u1", (Token("qqqq"),)))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_train_mode_dropout_needs_rng(self):
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(dropout=0.5), corpus)
         with pytest.raises(ModelError, match="rng"):
-            model_forward(model, corpus.sentences[0], mode="train")
+            _forward(model, [corpus.sentences[0]], "train", None, None)
 
     def test_contextual_vectors_enter_the_input(self):
         corpus = tiny_fixture_corpus()
@@ -265,11 +270,11 @@ class TestForward:
         model = build_model(small_config(use_contextual_slot=True), corpus,
                             contextual_vectors=ctx)
         sent = corpus.sentences[0]
-        out_a = model_forward(model, sent, contextual=ctx)
+        out_a = emissions_of(model, sent, contextual=ctx)
         shifted = ContextualVectors(
             {k: v + 1.0 for k, v in vectors.items()}, dim=3
         )
-        out_b = model_forward(model, sent, contextual=shifted)
+        out_b = emissions_of(model, sent, contextual=shifted)
         assert not np.allclose(out_a, out_b)
 
     def test_contextual_errors_name_the_sentence(self):
@@ -280,13 +285,13 @@ class TestForward:
         model = build_model(small_config(use_contextual_slot=True), corpus,
                             contextual_vectors=ctx)
         with pytest.raises(ModelError, match="contextual"):
-            model_forward(model, corpus.sentences[0])
+            emissions_of(model, corpus.sentences[0])
         missing = ContextualVectors({("s0", 0): np.zeros(3)}, dim=3)
         with pytest.raises(ModelError, match="'s0' token 1"):
-            model_forward(model, corpus.sentences[0], contextual=missing)
+            emissions_of(model, corpus.sentences[0], contextual=missing)
         wrong_dim = ContextualVectors({("s0", 0): np.zeros(5)}, dim=5)
         with pytest.raises(ModelError, match="dimension"):
-            model_forward(model, corpus.sentences[0], contextual=wrong_dim)
+            emissions_of(model, corpus.sentences[0], contextual=wrong_dim)
 
 
 class TestWholeModelGradients:
@@ -301,18 +306,7 @@ class TestWholeModelGradients:
     def check_model(self, config, use_crf_loss_sentence=0):
         corpus = tiny_fixture_corpus()
         model = build_model(config, corpus)
-        sent = corpus.sentences[use_crf_loss_sentence]
-        gold = _gold_indices(model, [sent], len(sent))
-
-        def loss_fn(grad=False):
-            emissions, lengths, cache = _forward(model, [sent], "train", None, None)
-            loss, d_emis = _sentence_loss(model, emissions, lengths, gold,
-                                          want_grad=grad)
-            if grad:
-                _backward(model, d_emis, cache)
-            return float(loss[0])
-
-        report = gradient_check(loss_fn, model.store)
+        report = check_gradients(model, [corpus.sentences[use_crf_loss_sentence]])
         assert report.passed(self.COMPOSITE_TOL), report.render()
 
     def test_full_feature_stack_with_crf(self):
@@ -348,7 +342,7 @@ class TestPredict:
         model.store["crf.start"][:] = rng.normal(size=model.store["crf.start"].shape)
         model.store["crf.end"][:] = rng.normal(size=model.store["crf.end"].shape)
         for sent in corpus.sentences:
-            emissions = model_forward(model, sent)
+            emissions = emissions_of(model, sent)
             trans = model.transitions()
             _, best_path, _, marginals, _ = enumerate_crf(
                 emissions, trans.matrix, trans.start, trans.end
@@ -385,6 +379,32 @@ class TestPredict:
         assert labels[0] == "B-PER"
         assert labels[1:] == ["I-PER"] * 3
         assert validate_bio(labels) == []
+
+    def test_bio_penalty_is_built_once_per_model(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        corpus = random_corpus(rng, 60)
+        assert len(tagger_module._chunks(corpus.sentences)) > 1
+        model = build_model(small_config(crf_constrain_bio=True), corpus)
+        for name in ("crf.matrix", "crf.start", "crf.end"):
+            model.store[name][...] = rng.normal(size=model.store[name].shape)
+
+        def rebuilt(self):
+            trans = Transitions(self.store["crf.matrix"], self.store["crf.start"],
+                                self.store["crf.end"])
+            return trans.penalized(*bio_constraint_penalty(self.tagset))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TaggerModel, "transitions", rebuilt)
+            expected = predict_corpus(model, corpus)
+        calls = []
+
+        def counting(tagset):
+            calls.append(tagset)
+            return bio_constraint_penalty(tagset)
+
+        monkeypatch.setattr(tagger_module, "bio_constraint_penalty", counting)
+        assert predict_corpus(model, corpus) == expected
+        assert calls == []
 
 
 class TestTraining:
