@@ -159,33 +159,36 @@ def cmd_predict(args):
     return 0
 
 
+def _read_predictions(path, reference):
+    """The prediction file at ``path``, checked to hold the sentences and
+    token surfaces of ``reference`` in order; a mismatch names the file."""
+    data = _parse(path, read_prediction_file)
+    if len(data.surfaces) != len(reference.sentences):
+        raise CorpusError(
+            f"{path}: {len(data.surfaces)} sentences, "
+            f"reference has {len(reference.sentences)}"
+        )
+    for sid, surfaces, sent in zip(data.sentence_ids, data.surfaces, reference.sentences):
+        if surfaces != sent.surfaces:
+            raise CorpusError(
+                f"{path}: sentence {sid!r} tokens do not match the reference corpus"
+            )
+    return data
+
+
 def cmd_ensemble(args):
     if len(args.predictions) < 2:
         raise EnsembleError(
             f"need at least 2 prediction files, got {len(args.predictions)}"
         )
     reference = _parse(args.reference, parse_conll, _columns(args))
-    sets = []
-    for path in args.predictions:
-        data = _parse(path, read_prediction_file)
-        model_id = os.path.basename(path)
-        for sid, surfaces, sent in zip(data.sentence_ids, data.surfaces,
-                                       reference.sentences):
-            if surfaces != sent.surfaces:
-                raise EnsembleError(
-                    f"model {model_id!r}: sentence {sid!r} tokens do not match "
-                    "the reference corpus"
-                )
-        sets.append(data.to_set(model_id))
+    sets = [_read_predictions(path, reference).to_set(os.path.basename(path))
+            for path in args.predictions]
     config = VoteConfig(args.threshold, args.fallback, args.majority_of)
-    labels, diagnostics = ensemble_corpus(sets, reference, config)
-    from .tagger import TokenPrediction
-
-    predictions = [
-        [TokenPrediction(d.label, d.score) for d in diags]
-        for _, diags in diagnostics.per_sentence
-    ]
-    _write(args.out, write_prediction_file(reference, predictions))
+    _, diagnostics = ensemble_corpus(sets, reference, config)
+    # a TokenDiag carries the voted label and its support score
+    _write(args.out, write_prediction_file(
+        reference, [diags for _, diags in diagnostics.per_sentence]))
     diag_path = args.diagnostics or args.out + ".diag"
     _write(diag_path, diagnostics.render())
     print(
@@ -197,19 +200,8 @@ def cmd_ensemble(args):
 
 def cmd_evaluate(args):
     gold = _parse(args.gold, parse_conll, _columns(args))
-    data = _parse(args.predictions, read_prediction_file)
-    if len(data.surfaces) != len(gold.sentences):
-        raise CorpusError(
-            f"prediction file has {len(data.surfaces)} sentences, "
-            f"gold has {len(gold.sentences)}"
-        )
-    for surfaces, sent in zip(data.surfaces, gold.sentences):
-        if surfaces != sent.surfaces:
-            raise CorpusError(
-                f"sentence {sent.id!r}: prediction tokens do not match gold"
-            )
-    labels = [[p.label for p in preds] for preds in data.predictions]
-    report = evaluate(gold, labels)
+    data = _read_predictions(args.predictions, gold)
+    report = evaluate(gold, [[p.label for p in preds] for preds in data.predictions])
     print(report.render_table())
     print()
     print(report.render_kv())

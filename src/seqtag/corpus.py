@@ -6,6 +6,7 @@ File conventions: UTF-8, LF line endings, blank line between sentences,
 on write. Token text and ids are Unicode-NFC-normalized at parse time.
 """
 
+import functools
 import math
 import re
 import unicodedata
@@ -194,8 +195,31 @@ class ColumnConfig:
     pos_col: int | None = None
 
 
-def _normalize(text):
-    return unicodedata.normalize("NFC", text)
+# a C-level callable: it runs once per token of every corpus and prediction file
+_normalize = functools.partial(unicodedata.normalize, "NFC")
+
+
+def _conll_blocks(text):
+    """Yield (sentence id, rows) for each blank-line-separated block of
+    CoNLL-style text, one (line number, line, columns) row per token line.
+
+    A ``#`` line names the block it precedes or lies in (a blank line drops
+    a pending name); ids are NFC-normalized, and unnamed blocks are numbered
+    s0, s1, ... in order.
+    """
+    sid, rows, generated = None, [], 0
+    for lineno, raw in enumerate(text.split("\n") + [""], start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            sid = _normalize(line[1:].strip()) or None
+        elif line:
+            rows.append((lineno, line, line.split()))
+        else:
+            if rows:
+                if sid is None:
+                    sid, generated = f"s{generated}", generated + 1
+                yield sid, rows
+            sid, rows = None, []
 
 
 def parse_conll(text, columns=ColumnConfig()):
@@ -211,106 +235,61 @@ def parse_conll(text, columns=ColumnConfig()):
 
     sentences = []
     classes = set()
-    pending_id = None
-    tokens = []
-    generated = 0
     labeled = columns.tag_col is not None
     n_fields = 1 + labeled + (columns.pos_col is not None)
     tag_idx, tag = None, "O"  # unless a gold column gives the tag
-
-    def flush():
-        nonlocal pending_id, tokens, generated
-        if tokens:
-            sid = pending_id
-            if sid is None:
-                sid = f"s{generated}"
-                generated += 1
-            sentences.append(Sentence(sid, tuple(tokens)))
-        pending_id = None
+    for sid, rows in _conll_blocks(text):
         tokens = []
-
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            flush()
-            continue
-        if line.startswith("#"):
-            pending_id = _normalize(line[1:].strip()) or None
-            continue
-        cols = line.split()
-        n = len(cols)
-        if labeled:
-            tag_idx = columns.tag_col if columns.tag_col >= 0 else n + columns.tag_col
-            needed = {columns.token_col, tag_idx}
-        else:
-            needed = {columns.token_col}
-        if columns.pos_col is not None:
-            needed.add(columns.pos_col)
-        if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
-            raise ParseError(
-                f"expected at least {n_fields} distinct columns, got {n}: {line!r}", lineno
+        for lineno, line, cols in rows:
+            n = len(cols)
+            if labeled:
+                tag_idx = columns.tag_col if columns.tag_col >= 0 else n + columns.tag_col
+                needed = {columns.token_col, tag_idx}
+            else:
+                needed = {columns.token_col}
+            if columns.pos_col is not None:
+                needed.add(columns.pos_col)
+            if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
+                raise ParseError(
+                    f"expected at least {n_fields} distinct columns, got {n}: {line!r}", lineno
+                )
+            surface = _normalize(cols[columns.token_col])
+            if labeled:
+                tag = cols[tag_idx]
+                if not BIO_TAG_RE.match(tag):
+                    raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
+            pos = cols[columns.pos_col] if columns.pos_col is not None else None
+            extras = tuple(
+                cols[i] for i in range(n) if i not in (columns.token_col, tag_idx, columns.pos_col)
             )
-        surface = _normalize(cols[columns.token_col])
-        if labeled:
-            tag = cols[tag_idx]
-            if not BIO_TAG_RE.match(tag):
-                raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
-        pos = cols[columns.pos_col] if columns.pos_col is not None else None
-        extras = tuple(
-            cols[i] for i in range(n) if i not in (columns.token_col, tag_idx, columns.pos_col)
-        )
-        try:
-            tokens.append(Token(surface, tag, pos, extras))
-        except CorpusError as exc:
-            raise ParseError(str(exc), lineno) from exc
-        cls = tag_class(tag)
-        if cls is not None:
-            classes.add(cls)
-    flush()
+            try:
+                tokens.append(Token(surface, tag, pos, extras))
+            except CorpusError as exc:
+                raise ParseError(str(exc), lineno) from exc
+            cls = tag_class(tag)
+            if cls is not None:
+                classes.add(cls)
+        sentences.append(Sentence(sid, tuple(tokens)))
 
     if not sentences:
         raise ParseError("input contains no sentences")
     return LabeledCorpus(sentences, TagSet(classes))
 
 
-def write_conll(corpus, predictions=None, scores=None):
+def write_conll(corpus):
     """Render a corpus back to CoNLL text (canonical form).
 
-    Column order per line: token, pos (if set), extras, gold tag, then the
-    predicted tag and its score when given. ``predictions`` (and ``scores``)
-    must align one sentence list per corpus sentence, one entry per token.
+    Column order per line: token, pos (if set), extras, gold tag.
     """
-    if scores is not None and predictions is None:
-        raise CorpusError("scores given without predictions")
-    if predictions is not None and len(predictions) != len(corpus.sentences):
-        raise CorpusError(
-            f"predictions cover {len(predictions)} sentences, corpus has {len(corpus.sentences)}"
-        )
     lines = []
-    for si, sent in enumerate(corpus.sentences):
-        pred = None
-        if predictions is not None:
-            pred = predictions[si]
-            if len(pred) != len(sent):
-                raise CorpusError(
-                    f"sentence {sent.id!r}: {len(pred)} predictions for {len(sent)} tokens"
-                )
-        sc = None
-        if scores is not None:
-            sc = scores[si]
-            if len(sc) != len(sent):
-                raise CorpusError(f"sentence {sent.id!r}: score column misaligned")
+    for sent in corpus.sentences:
         lines.append(f"# {sent.id}")
-        for ti, tok in enumerate(sent.tokens):
+        for tok in sent.tokens:
             cols = [tok.surface]
             if tok.pos is not None:
                 cols.append(tok.pos)
             cols.extend(tok.extras)
             cols.append(tok.gold_tag)
-            if pred is not None:
-                cols.append(pred[ti])
-            if sc is not None:
-                cols.append(f"{sc[ti]:.6f}")
             lines.append(" ".join(cols))
         lines.append("")
     return "\n".join(lines)

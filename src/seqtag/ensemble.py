@@ -11,7 +11,7 @@ voted sequence, never on the inputs.
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import BIO_TAG_RE, ParseError, repair_bio
+from .corpus import BIO_TAG_RE, ParseError, _conll_blocks, _normalize, repair_bio
 from .tagger import TokenPrediction
 
 __all__ = [
@@ -215,73 +215,48 @@ def read_prediction_file(text):
     """Parse prediction text back into sentences of TokenPredictions.
 
     Rows carry 4 columns (token gold predicted score) or 3 (token predicted
-    score); the two may not be mixed within one file.
+    score); the two may not be mixed within one file. Blocks, ids and
+    surfaces follow the corpus rules of ``parse_conll``, NFC included.
     """
     if not text.strip():
         raise ParseError("empty prediction file")
-    sentence_ids = []
-    surfaces = []
-    gold_tags = []
-    predictions = []
+    data = PredictionFileData([], [], [], [])
     has_gold = None
-    pending_id = None
-    generated = 0
-    cur_surfaces, cur_gold, cur_preds = [], [], []
+    for sid, rows in _conll_blocks(text):
+        surfaces, gold_tags, predictions = [], [], []
+        for lineno, _, cols in rows:
+            if len(cols) not in (3, 4):
+                raise ParseError(
+                    f"expected 3 or 4 columns (token [gold] predicted score), got {len(cols)}",
+                    lineno,
+                )
+            row_has_gold = len(cols) == 4
+            if has_gold is None:
+                has_gold = row_has_gold
+            elif has_gold != row_has_gold:
+                raise ParseError("mixed 3- and 4-column rows in one file", lineno)
+            pred, score_text = cols[-2], cols[-1]
+            if row_has_gold:
+                if not BIO_TAG_RE.match(cols[1]):
+                    raise ParseError(f"gold tag {cols[1]!r} does not match the BIO grammar",
+                                     lineno)
+                gold_tags.append(cols[1])
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ParseError(f"malformed score {score_text!r}", lineno) from None
+            try:
+                predictions.append(TokenPrediction(pred, score))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            surfaces.append(_normalize(cols[0]))
+        data.sentence_ids.append(sid)
+        data.surfaces.append(surfaces)
+        data.gold_tags.append(gold_tags)
+        data.predictions.append(predictions)
 
-    def flush():
-        nonlocal pending_id, cur_surfaces, cur_gold, cur_preds, generated
-        if cur_surfaces:
-            sid = pending_id
-            if sid is None:
-                sid = f"s{generated}"
-                generated += 1
-            sentence_ids.append(sid)
-            surfaces.append(cur_surfaces)
-            gold_tags.append(cur_gold)
-            predictions.append(cur_preds)
-        pending_id = None
-        cur_surfaces, cur_gold, cur_preds = [], [], []
-
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            flush()
-            continue
-        if line.startswith("#"):
-            pending_id = line[1:].strip() or None
-            continue
-        cols = line.split()
-        if len(cols) not in (3, 4):
-            raise ParseError(
-                f"expected 3 or 4 columns (token [gold] predicted score), got {len(cols)}",
-                lineno,
-            )
-        row_has_gold = len(cols) == 4
-        if has_gold is None:
-            has_gold = row_has_gold
-        elif has_gold != row_has_gold:
-            raise ParseError("mixed 3- and 4-column rows in one file", lineno)
-        token = cols[0]
-        gold = cols[1] if row_has_gold else None
-        pred, score_text = cols[-2], cols[-1]
-        if gold is not None and not BIO_TAG_RE.match(gold):
-            raise ParseError(f"gold tag {gold!r} does not match the BIO grammar", lineno)
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"malformed score {score_text!r}", lineno) from None
-        try:
-            tp = TokenPrediction(pred, score)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        cur_surfaces.append(token)
-        if gold is not None:
-            cur_gold.append(gold)
-        cur_preds.append(tp)
-    flush()
-
-    if not surfaces:
+    if not data.surfaces:
         raise ParseError("prediction file contains no sentences")
-    return PredictionFileData(
-        sentence_ids, surfaces, gold_tags if has_gold else None, predictions
-    )
+    if not has_gold:
+        data.gold_tags = None
+    return data

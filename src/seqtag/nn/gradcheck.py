@@ -18,7 +18,8 @@ class GradCheckReport:
     |a - n| / max(|a|, |n|, 1e-8). ``per_param_bound`` holds |a - n| as a
     fraction of the bound 1e-3 max(|a|, |n|) + r, where
     r = 3 eps max(|L(θ+h)|, |L(θ-h)|) / h allows for the central
-    difference's roundoff; a parameter is within the bound at <= 1."""
+    difference's roundoff; a parameter is within the bound at <= 1. A
+    non-finite analytic or numeric gradient reads inf in both."""
 
     def __init__(self, per_param, step, per_param_bound=None):
         self.per_param = per_param
@@ -69,6 +70,9 @@ def gradient_check(loss_fn, store, step=1e-5):
             flat[idx] = orig
             numeric = (lp - lm) / (2.0 * step)
             err = abs(ana[idx] - numeric)
+            if not np.isfinite(err):  # a NaN or infinite gradient fails outright
+                worst = worst_bound = np.inf
+                break
             scale = max(abs(ana[idx]), abs(numeric))
             worst = max(worst, err / max(scale, 1e-8))
             if err > 0.0:  # then scale > 0, so the bound is too

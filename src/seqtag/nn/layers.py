@@ -46,10 +46,9 @@ class EmbeddingTable:
     """Index -> row lookup over a trainable table. Index 0 is the unknown
     slot by convention; callers map out-of-vocabulary items to it."""
 
-    def __init__(self, store, name, vocab_size, dim, rng, frozen=False):
+    def __init__(self, store, name, vocab_size, dim, rng):
         self.name = name
         self.dim = dim
-        self.frozen = frozen
         self.table = store.add(name, uniform_init(rng, (vocab_size, dim), dim))
         self._store = store
 
@@ -63,8 +62,6 @@ class EmbeddingTable:
         return self.table[indices], indices
 
     def backward(self, d_out, indices):
-        if self.frozen:
-            return
         np.add.at(self._store.grad(self.name), indices, d_out)
 
 

@@ -144,7 +144,7 @@ def _convert(name, kind, raw):
         ) from None
 
 
-def parse_config(text, validate=True):
+def parse_config(text):
     """Parse flat ``key = value`` lines into a TaggerConfig. Field names
     match the dataclass exactly; ``#`` lines are comments."""
     values = {}
@@ -162,10 +162,7 @@ def parse_config(text, validate=True):
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}", keys=[key])
         values[key] = _convert(key, _CONFIG_KINDS[key], raw)
-    config = TaggerConfig(**values)
-    if validate:
-        config.validate()
-    return config
+    return TaggerConfig(**values).validate()
 
 
 def write_config(config):

@@ -62,9 +62,9 @@ def _parse_floats(fields, line_no):
     try:
         vec = np.array([float(f) for f in fields])
     except ValueError:
-        raise ParseError(f"line {line_no}: malformed vector component") from None
+        raise ParseError("malformed vector component", line_no) from None
     if not np.isfinite(vec).all():
-        raise ParseError(f"line {line_no}: non-finite vector component")
+        raise ParseError("non-finite vector component", line_no)
     return vec
 
 
@@ -88,17 +88,15 @@ def parse_word_vectors(text):
             continue
         fields = line.split()
         if len(fields) < 2:
-            raise ParseError(f"line {line_no}: expected token and components")
+            raise ParseError("expected token and components", line_no)
         token = fields[0]
         vec = _parse_floats(fields[1:], line_no)
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
-            raise ParseError(
-                f"line {line_no}: vector has {vec.size} components, expected {dim}"
-            )
+            raise ParseError(f"vector has {vec.size} components, expected {dim}", line_no)
         if token in vectors:
-            raise ParseError(f"line {line_no}: duplicate token {token!r}")
+            raise ParseError(f"duplicate token {token!r}", line_no)
         vectors[token] = vec
     if dim is None:
         raise ParseError("no vectors in file")
@@ -125,26 +123,22 @@ def parse_contextual_vectors(text):
             continue
         fields = line.split("\t")
         if len(fields) < 3:
-            raise ParseError(
-                f"line {line_no}: expected sentence id, token index, and components"
-            )
+            raise ParseError("expected sentence id, token index, and components", line_no)
         sid = fields[0]
         try:
             idx = int(fields[1])
         except ValueError:
-            raise ParseError(f"line {line_no}: token index {fields[1]!r} not an integer") from None
+            raise ParseError(f"token index {fields[1]!r} not an integer", line_no) from None
         if idx < 0:
-            raise ParseError(f"line {line_no}: negative token index")
+            raise ParseError("negative token index", line_no)
         vec = _parse_floats(fields[2:], line_no)
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
-            raise ParseError(
-                f"line {line_no}: vector has {vec.size} components, expected {dim}"
-            )
+            raise ParseError(f"vector has {vec.size} components, expected {dim}", line_no)
         key = (sid, idx)
         if key in vectors:
-            raise ParseError(f"line {line_no}: duplicate entry for {sid!r} token {idx}")
+            raise ParseError(f"duplicate entry for {sid!r} token {idx}", line_no)
         vectors[key] = vec
     if dim is None:
         raise ParseError("no vectors in file")

@@ -14,7 +14,8 @@ import pytest
 
 from seqtag import cli
 from seqtag.corpus import ColumnConfig, parse_conll, write_conll
-from seqtag.ensemble import read_prediction_file
+from seqtag.ensemble import read_prediction_file, write_prediction_file
+from seqtag.tagger import TokenPrediction
 
 from helpers import random_corpus, tiny_fixture_corpus
 
@@ -510,6 +511,77 @@ class TestSeededModelCorruption:
         assert problems == [], problems[:5]
 
 
+def corrupted_bytes(data, rng):
+    """(description, bytes) for truncations, byte flips and insertions of
+    line breaks, ``#``, ``nan``, ``B-`` and invalid UTF-8 into ``data``."""
+    for cut in np.sort(rng.choice(len(data), 25, replace=False)):
+        yield f"truncated at byte {cut}", data[:cut]
+    for pos in rng.integers(0, len(data), 40):
+        flipped = bytearray(data)
+        flipped[pos] ^= int(rng.integers(1, 256))
+        yield f"byte {pos} flipped", bytes(flipped)
+    for insert in (b"\n", b"#", b"nan", b"B-", b"\xff", b"\xe0\xa6"):
+        for pos in rng.integers(0, len(data) + 1, 8):
+            yield f"{insert!r} inserted at byte {pos}", data[:pos] + insert + data[pos:]
+
+
+class TestSeededCorpusCorruption:
+    """A corpus and a prediction file, truncated, byte-flipped and with
+    bytes inserted, through ``seqtag stats``, ``evaluate`` and
+    ``ensemble``: each run exits 0, or exits 1 or 2 with one ``error:``
+    line and no output file. Warnings are errors, so a numpy warning
+    fails the run like any escaped exception."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vocab = ["dhaka", "café", "ঢাকা", "বিশ্ববিদ্যালয়", "rahim", "the", "met"]
+        corpus = random_corpus(rng, 6, min_len=2, max_len=6, vocab=vocab)
+        (tmp_path / "gold.conll").write_text(write_conll(corpus), encoding="utf-8")
+        for name in ("p1.txt", "p2.txt"):
+            preds = [[TokenPrediction(t, float(rng.random())) for t in s.gold_tags]
+                     for s in corpus.sentences]
+            (tmp_path / name).write_text(write_prediction_file(corpus, preds),
+                                         encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", ["gold.conll", "p1.txt"])
+    def test_commands_succeed_or_fail_cleanly(self, capsys, files, target):
+        out_path, diag_path = files / "ens.txt", files / "ens.txt.diag"
+        commands = [
+            ["evaluate", files / "gold.conll", files / "p1.txt"],
+            ["ensemble", files / "p1.txt", files / "p2.txt",
+             "--reference", files / "gold.conll", "--out", out_path],
+        ]
+        if target == "gold.conll":
+            commands.append(["stats", files / "gold.conll"])
+        intact = (files / target).read_bytes()
+        problems = []
+        runs = 0
+        cases = [("intact", intact), *corrupted_bytes(intact, np.random.default_rng(7))]
+        for what, data in cases:
+            (files / target).write_bytes(data)
+            for argv in commands:
+                runs += 1
+                try:
+                    code, out, err = run(capsys, *argv)
+                except Exception as exc:  # anything escaping main is a failure
+                    problems.append((what, argv[0], repr(exc)))
+                    continue
+                written = [p for p in (out_path, diag_path) if p.exists()]
+                if code == 0:
+                    if err or not out:
+                        problems.append((what, argv[0], code, err))
+                    for p in written:
+                        p.unlink()
+                elif (what == "intact" or code not in (1, 2) or out or written
+                      or len(err.splitlines()) != 1 or not err.startswith("error: ")):
+                    problems.append((what, argv[0], code, err))
+        assert runs > 200
+        assert problems == [], problems[:5]
+
+
 class TestTrainValidation:
     def test_use_pos_on_pos_less_corpus_names_the_key(self, capsys, tmp_path):
         (tmp_path / "c.conll").write_text(learnable_corpus_text(4),
@@ -595,6 +667,31 @@ class TestEvaluateGolden:
         assert float(kv["token_accuracy"]) == 0.5
         # report text is stable across runs
         assert run(capsys, "evaluate", gold, preds) == (code, out, err)
+
+
+class TestNonNfcPredictionFiles:
+    def test_same_bytes_align_after_normalization(self, capsys, tmp_path):
+        # U+09DF is not NFC: normalization decomposes it into U+09AF U+09BC
+        word = "য়"
+        assert unicodedata.normalize("NFC", word) != word
+        gold = tmp_path / "gold.conll"
+        gold.write_text(f"# {word}-1\n{word} B-LOC\nও O\n", encoding="utf-8")
+        for name in ("p1.txt", "p2.txt"):
+            (tmp_path / name).write_text(
+                f"# {word}-1\n{word} B-LOC B-LOC 0.900000\nও O O 0.800000\n",
+                encoding="utf-8",
+            )
+        code, out, err = run(capsys, "evaluate", gold, tmp_path / "p1.txt")
+        assert (code, err) == (0, "")
+        assert "macro_f1 = 1.0" in out
+        code, _, err = run(
+            capsys, "ensemble", tmp_path / "p1.txt", tmp_path / "p2.txt",
+            "--reference", gold, "--out", tmp_path / "ens.txt",
+        )
+        assert (code, err) == (0, "")
+        voted = read_prediction_file((tmp_path / "ens.txt").read_text(encoding="utf-8"))
+        assert voted.surfaces == [[unicodedata.normalize("NFC", word), "ও"]]
+        assert [p.label for p in voted.predictions[0]] == ["B-LOC", "O"]
 
 
 class TestGradcheckCommand:

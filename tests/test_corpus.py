@@ -79,23 +79,6 @@ class TestWriteConll:
         assert reparsed.sentences == corpus.sentences
         assert write_conll(reparsed) == text
 
-    def test_prediction_column_appended(self):
-        corpus = parse_conll("a B-PER\nb O\n\n")
-        out = write_conll(corpus, predictions=[["O", "B-PER"]])
-        lines = out.splitlines()
-        assert lines[1] == "a B-PER O"
-        assert lines[2] == "b O B-PER"
-
-    def test_prediction_scores(self):
-        corpus = parse_conll("a B-PER\n\n")
-        out = write_conll(corpus, predictions=[["B-PER"]], scores=[[0.25]])
-        assert out.splitlines()[1] == "a B-PER B-PER 0.250000"
-
-    def test_misaligned_predictions_rejected(self):
-        corpus = parse_conll("a B-PER\nb O\n\n")
-        with pytest.raises(CorpusError, match="predictions"):
-            write_conll(corpus, predictions=[["O"]])
-
 
 class TestBioValidation:
     def test_clean_sequence(self):

@@ -2,10 +2,12 @@
 brute-force oracle sweep, vote invariants, alignment errors, and the
 prediction file format."""
 
+import unicodedata
+
 import numpy as np
 import pytest
 
-from seqtag.corpus import validate_bio
+from seqtag.corpus import parse_conll, validate_bio
 from seqtag.ensemble import (
     EnsembleError,
     PredictionSet,
@@ -273,6 +275,20 @@ class TestPredictionFiles:
         assert pset.sentence_ids == [s.id for s in corpus.sentences]
         labels, _ = ensemble_corpus([pset, data.to_set("model-b")], corpus)
         assert len(labels) == len(corpus.sentences)
+
+    def test_blocks_ids_and_surfaces_follow_the_corpus_rules(self):
+        nfd = unicodedata.normalize("NFD", "é")
+        rows = ["# dropped", "", f"x{nfd}", "", f"# {nfd}", "y", "", "# early", "z",
+                "# late", "z", "", "", "w", "w"]
+        text = "\n".join(r if not r or r.startswith("#") else f"{r} O B-PER 0.5"
+                         for r in rows)
+        corpus = parse_conll("\n".join(r if not r or r.startswith("#") else f"{r} O"
+                                       for r in rows))
+        data = read_prediction_file(text)
+        assert data.sentence_ids == [s.id for s in corpus.sentences]
+        assert data.sentence_ids == ["s0", "é", "late", "s1"]
+        assert data.surfaces == [list(s.surfaces) for s in corpus.sentences]
+        assert data.surfaces[0] == ["xé"]
 
     def test_mixed_column_counts_rejected(self):
         text = "# s0\nalice O B-PER 0.9\nbob O 0.8\n"

@@ -122,13 +122,6 @@ class TestEmbeddingTable:
         assert np.array_equal(store.grad("e")[2], [3.0, 3.0])
         assert np.array_equal(store.grad("e")[0], [0.0, 0.0])
 
-    def test_frozen_table_gets_no_gradient(self):
-        store = ParamStore()
-        emb = EmbeddingTable(store, "e", 4, 2, np.random.default_rng(0), frozen=True)
-        _, cache = emb.lookup([1])
-        emb.backward(np.ones((1, 2)), cache)
-        assert np.array_equal(store.grad("e"), np.zeros((4, 2)))
-
     def test_gradient_check(self):
         for seed in range(3):
             store = ParamStore()
@@ -520,6 +513,22 @@ class TestGradientChecker:
         report = gradient_check(loss_fn, store)
         assert not report.passed(1e-3)
         assert report.per_param_bound["w"] < 0.01
+
+    @pytest.mark.parametrize("bad_grad", [False, True])
+    def test_non_finite_gradient_fails(self, bad_grad):
+        # a NaN gradient, numeric (the loss is NaN off the stored value)
+        # or analytic, must fail both measures rather than read 0
+        store = ParamStore()
+        w = store.add("w", np.ones(1))
+
+        def loss_fn(grad=False):
+            if grad:
+                store.accumulate("w", np.array([np.nan if bad_grad else 0.0]))
+            return 1.0 if bad_grad or w[0] == 1.0 else float("nan")
+
+        report = gradient_check(loss_fn, store)
+        assert not report.passed(1e-3)
+        assert report.per_param_bound["w"] > 1.0
 
     def test_rejects_non_finite_loss(self):
         store = ParamStore()

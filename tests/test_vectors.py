@@ -119,3 +119,19 @@ class TestContextualVectors:
         again = parse_contextual_vectors(text)
         assert len(again) == 6
         assert write_contextual_vectors(again) == text
+
+
+@pytest.mark.parametrize("parser, text, message", [
+    (parse_word_vectors, "alice 1 2\nbob\n", "line 2: expected token and components"),
+    (parse_word_vectors, "alice 1 2\n\nbob 1 x\n", "line 3: malformed vector component"),
+    (parse_word_vectors, "alice 1 2\nbob 1\n", "line 2: vector has 1 components, expected 2"),
+    (parse_word_vectors, "2 2\nalice 1 2\nalice 3 4\n", "line 3: duplicate token 'alice'"),
+    (parse_contextual_vectors, "s0\t0\t1\ns0\tx\t1\n", "line 2: token index 'x' not an integer"),
+    (parse_contextual_vectors, "s0\t-1\t1\n", "line 1: negative token index"),
+    (parse_contextual_vectors, "s0\t0\t1\ns0\t0\t2\n", "line 2: duplicate entry for 's0' token 0"),
+])
+def test_parse_errors_carry_the_line_number(parser, text, message):
+    with pytest.raises(ParseError) as info:
+        parser(text)
+    assert str(info.value) == message
+    assert info.value.line_number == int(message.split(":")[0].split()[1])
