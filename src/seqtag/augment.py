@@ -1,5 +1,5 @@
-"""Corpus augmentation: token-wise translation through pluggable backends
-and order-preserving corpus combination.
+"""Corpus augmentation: token-wise translation through a lexicon and
+order-preserving corpus combination.
 
 Translation is strictly token-by-token, which keeps tag alignment intact
 by construction: sentence count, token count, gold tags, POS, and chunk
@@ -7,27 +7,20 @@ structure never change. Combination concatenates corpora, re-namespacing
 sentence ids per source and taking the union of tagsets.
 """
 
-import json
-import os
 from dataclasses import dataclass, replace
 
-from .corpus import LabeledCorpus, ParseError, Sentence
-from .fileio import write_atomic
+from .corpus import LabeledCorpus, ParseError, Sentence, _normalize
 
 __all__ = [
     "AugmentError",
     "Lexicon",
     "parse_lexicon",
-    "write_lexicon",
-    "TranslatorBackend",
     "OfflineLexiconBackend",
-    "CachedServiceBackend",
     "token_translate",
     "combine",
     "PlanSource",
     "AugmentPlan",
     "parse_plan",
-    "write_plan",
     "run_plan",
 ]
 
@@ -39,6 +32,18 @@ class AugmentError(ValueError):
     pass
 
 
+def _entry_problem(src, tgt):
+    """Why ``src -> tgt`` cannot be a lexicon entry, or None. A target may
+    not start with ``#``: a corpus file would read its token line as a
+    comment."""
+    for what, token in (("key", src), ("value", tgt)):
+        if not token or any(ch.isspace() for ch in token):
+            return f"lexicon {what} {token!r} is empty or has whitespace"
+    if tgt.startswith("#"):
+        return f"lexicon value {tgt!r} starts with '#'"
+    return None
+
+
 @dataclass
 class Lexicon:
     name: str
@@ -48,139 +53,51 @@ class Lexicon:
 
     def __post_init__(self):
         for src, tgt in self.mapping.items():
-            if not src or any(ch.isspace() for ch in src):
-                raise AugmentError(f"lexicon key {src!r} is empty or has whitespace")
-            if not tgt or any(ch.isspace() for ch in tgt):
-                raise AugmentError(f"lexicon value {tgt!r} is empty or has whitespace")
+            problem = _entry_problem(src, tgt)
+            if problem:
+                raise AugmentError(problem)
 
 
-def parse_lexicon(text, name="lexicon", source_lang="src", target_lang="tgt"):
-    """Parse `source_token TAB target_token` lines."""
+def parse_lexicon(text, name="lexicon"):
+    """Parse `source_token TAB target_token` lines; both sides are
+    NFC-normalized, as corpus surfaces are."""
     mapping = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line.strip() or line.startswith("#"):
+        if not raw.strip() or raw.startswith("#"):
             continue
-        fields = line.split("\t")
+        fields = raw.split("\t")
         if len(fields) != 2:
             raise ParseError("expected exactly source TAB target", lineno)
-        src, tgt = fields[0].strip(), fields[1].strip()
+        src, tgt = (_normalize(f.strip()) for f in fields)
+        problem = _entry_problem(src, tgt)
+        if problem:
+            raise ParseError(problem, lineno)
         if src in mapping:
             raise ParseError(f"duplicate lexicon entry for {src!r}", lineno)
         mapping[src] = tgt
-    return Lexicon(name, source_lang, target_lang, mapping)
+    return Lexicon(name, "src", "tgt", mapping)
 
 
-def write_lexicon(lexicon):
-    lines = [f"{src}\t{lexicon.mapping[src]}" for src in sorted(lexicon.mapping)]
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True)
+class OfflineLexiconBackend:
+    """The translator ``token_translate`` runs: a lookup in ``lexicon``."""
 
-
-class TranslatorBackend:
-    """Interface: translate_token returns the translation or None when the
-    backend has nothing for this token."""
-
-    kind = "abstract"
-    source_lang = "src"
-    target_lang = "tgt"
-
-    def translate_token(self, token, source_lang, target_lang):
-        raise NotImplementedError
-
-    def translate_tokens(self, tokens, source_lang, target_lang):
-        """``translate_token`` for each of ``tokens``, in order."""
-        return [self.translate_token(t, source_lang, target_lang) for t in tokens]
-
-
-class OfflineLexiconBackend(TranslatorBackend):
-    kind = "offline-lexicon"
-
-    def __init__(self, lexicon):
-        self.lexicon = lexicon
-        self.source_lang = lexicon.source_lang
-        self.target_lang = lexicon.target_lang
-
-    def translate_token(self, token, source_lang, target_lang):
-        if (source_lang, target_lang) != (self.lexicon.source_lang, self.lexicon.target_lang):
-            raise AugmentError(
-                f"lexicon {self.lexicon.name!r} covers "
-                f"{self.lexicon.source_lang}->{self.lexicon.target_lang}, "
-                f"not {source_lang}->{target_lang}"
-            )
-        return self.lexicon.mapping.get(token)
-
-
-class CachedServiceBackend(TranslatorBackend):
-    """External translation service behind a disk cache keyed by (token,
-    language pair). The service is any callable (token, src, tgt) -> str or
-    None; raising from it marks the service unreachable. A cache miss with
-    an unreachable service is an error, never a silent skip. The cache file
-    is rewritten once per ``translate_tokens`` call that fetched anything,
-    so ``token_translate`` writes it at most once per corpus."""
-
-    kind = "external-service"
-
-    def __init__(self, fetch, cache_dir, source_lang, target_lang):
-        self.fetch = fetch
-        self.cache_dir = cache_dir
-        self.source_lang = source_lang
-        self.target_lang = target_lang
-        os.makedirs(cache_dir, exist_ok=True)
-        self._cache_path = os.path.join(cache_dir, f"{source_lang}-{target_lang}.json")
-        self._cache = {}
-        if os.path.exists(self._cache_path):
-            with open(self._cache_path, encoding="utf-8") as fh:
-                self._cache = json.load(fh)
-
-    def _persist(self):
-        # atomic replace so a crash never leaves a torn cache file
-        write_atomic(self._cache_path,
-                     json.dumps(self._cache, sort_keys=True, ensure_ascii=False).encode("utf-8"))
-
-    def translate_token(self, token, source_lang, target_lang):
-        return self.translate_tokens([token], source_lang, target_lang)[0]
-
-    def translate_tokens(self, tokens, source_lang, target_lang):
-        """Translations of ``tokens`` in order, fetching each miss once.
-        Entries fetched before the service fails are written too."""
-        if (source_lang, target_lang) != (self.source_lang, self.target_lang):
-            raise AugmentError(
-                f"backend configured for {self.source_lang}->{self.target_lang}, "
-                f"not {source_lang}->{target_lang}"
-            )
-        fetched = False
-        try:
-            for token in tokens:
-                if token in self._cache:
-                    continue
-                try:
-                    self._cache[token] = self.fetch(token, source_lang, target_lang)
-                except Exception as exc:
-                    raise AugmentError(
-                        f"translation service unreachable and {token!r} not cached: {exc}"
-                    ) from exc
-                fetched = True
-        finally:
-            if fetched:
-                self._persist()
-        return [self._cache[token] for token in tokens]
+    lexicon: Lexicon
 
 
 def token_translate(corpus, backend, fallback="keep"):
-    """Translate every token surface through ``backend``; tags, POS, ids,
-    and sentence structure are untouched. Untranslatable tokens follow
-    ``fallback``: kept verbatim, or replaced by the unknown marker."""
+    """Translate every token surface through ``backend``'s lexicon; tags,
+    POS, ids, and sentence structure are untouched. Tokens the lexicon
+    lacks follow ``fallback``: kept verbatim, or replaced by the unknown
+    marker."""
     if fallback not in FALLBACK_MODES:
         raise AugmentError(f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}")
-    src, tgt = backend.source_lang, backend.target_lang
-    translations = iter(backend.translate_tokens(
-        [tok.surface for sent in corpus.sentences for tok in sent.tokens], src, tgt
-    ))
+    mapping = backend.lexicon.mapping
     sentences = []
     for sent in corpus.sentences:
         tokens = []
         for tok in sent.tokens:
-            translated = next(translations)
+            translated = mapping.get(tok.surface)
             if translated is None:
                 translated = tok.surface if fallback == "keep" else UNKNOWN_TOKEN
             tokens.append(replace(tok, surface=translated))
@@ -296,26 +213,12 @@ def parse_plan(text):
     return AugmentPlan(sources, output_name)
 
 
-def write_plan(plan):
-    lines = [f"output\t{plan.output_name}"]
-    for s in plan.sources:
-        fields = ["source", s.name, s.path]
-        if s.lexicon_path is not None:
-            fields.append(f"lexicon={s.lexicon_path}")
-        if s.fallback != "keep":
-            fields.append(f"fallback={s.fallback}")
-        if s.cap is not None:
-            fields.append(f"cap={s.cap}")
-        lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
-
-
 def run_plan(plan, corpora, backends=None):
     """Execute a plan over resolved corpora: per-source cap, per-source
     translation, then combination. Returns (corpus, manifest text).
 
     ``corpora`` maps source name -> LabeledCorpus; ``backends`` maps source
-    name -> TranslatorBackend for sources with a translation step.
+    name -> OfflineLexiconBackend for sources with a translation step.
     """
     backends = backends or {}
     prepared = []
@@ -333,9 +236,10 @@ def run_plan(plan, corpora, backends=None):
             if backend is None:
                 raise AugmentError(f"source {source.name!r} needs a translation backend")
             corpus = token_translate(corpus, backend, source.fallback)
+            lexicon = backend.lexicon
             steps.append(
-                f"translated {backend.source_lang}->{backend.target_lang} "
-                f"via {backend.kind} (fallback={source.fallback})"
+                f"translated {lexicon.source_lang}->{lexicon.target_lang} "
+                f"via offline-lexicon (fallback={source.fallback})"
             )
         prepared.append(corpus)
         manifest.append(f"source {source.name}: " + "; ".join(steps))

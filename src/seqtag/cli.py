@@ -33,7 +33,6 @@ from .ensemble import (
 from .evaluation import evaluate
 from .fileio import write_atomic
 from .tagger import (
-    ModelError,
     build_model,
     check_gradients,
     load_model,
@@ -143,12 +142,6 @@ def cmd_predict(args):
     if args.no_gold:
         columns = replace(columns, tag_col=None)
     corpus = _parse(args.corpus, parse_conll, columns)
-    if model.config.use_pos:
-        if any(t.pos is None for s in corpus.sentences for t in s.tokens):
-            raise ModelError(
-                "model uses POS features but the corpus has no POS column "
-                "(pass --pos-col)"
-            )
     contextual = None
     if args.contextual_vectors:
         contextual = _parse(args.contextual_vectors, parse_contextual_vectors)
@@ -184,7 +177,7 @@ def cmd_ensemble(args):
     reference = _parse(args.reference, parse_conll, _columns(args))
     sets = [_read_predictions(path, reference).to_set(os.path.basename(path))
             for path in args.predictions]
-    config = VoteConfig(args.threshold, args.fallback, args.majority_of)
+    config = VoteConfig(args.threshold, args.majority_of)
     _, diagnostics = ensemble_corpus(sets, reference, config)
     # a TokenDiag carries the voted label and its support score
     _write(args.out, write_prediction_file(
@@ -322,7 +315,6 @@ def _build_parser():
     p.add_argument("--diagnostics", default=None,
                    help="diagnostics path (default: <out>.diag)")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--fallback", default="highest-total-score")
     p.add_argument("--majority-of", choices=["models", "survivors"],
                    default="models")
     add_pos_col(p)

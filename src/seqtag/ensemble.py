@@ -26,7 +26,8 @@ __all__ = [
     "write_prediction_file",
 ]
 
-FALLBACK_POLICIES = ("highest-total-score",)
+# the rule a token without a majority falls back on, named in diagnostics
+FALLBACK_POLICY = "highest-total-score"
 MAJORITY_DENOMINATORS = ("models", "survivors")
 
 
@@ -37,7 +38,6 @@ class EnsembleError(ValueError):
 @dataclass(frozen=True)
 class VoteConfig:
     score_threshold: float = 0.5
-    fallback: str = "highest-total-score"
     majority_of: str = "models"
 
     def __post_init__(self):
@@ -45,8 +45,6 @@ class VoteConfig:
             raise EnsembleError(
                 f"score threshold {self.score_threshold} outside [0, 1]"
             )
-        if self.fallback not in FALLBACK_POLICIES:
-            raise EnsembleError(f"unknown fallback policy {self.fallback!r}")
         if self.majority_of not in MAJORITY_DENOMINATORS:
             raise EnsembleError(f"majority_of must be one of {MAJORITY_DENOMINATORS}")
 
@@ -117,7 +115,7 @@ class EnsembleDiagnostics:
     def render(self):
         lines = [
             f"# threshold {self.config.score_threshold}",
-            f"# fallback {self.config.fallback}",
+            f"# fallback {FALLBACK_POLICY}",
             f"# majority_of {self.config.majority_of}",
             f"# models {','.join(self.model_ids)}",
             f"# non_majority_tokens {self.n_fallbacks}",

@@ -50,7 +50,6 @@ __all__ = [
     "TrainHistory",
     "EarlyStopper",
     "parse_config",
-    "write_config",
     "build_model",
     "check_gradients",
     "train",
@@ -111,10 +110,10 @@ class TaggerConfig:
                 problems.append((key, "must be >= 1"))
         if not (0.0 <= self.dropout < 1.0):
             problems.append(("dropout", "must lie in [0, 1)"))
-        if self.learning_rate <= 0.0:
-            problems.append(("learning_rate", "must be positive"))
-        if self.weight_decay < 0.0:
-            problems.append(("weight_decay", "must be non-negative"))
+        if not (0.0 < self.learning_rate < math.inf):
+            problems.append(("learning_rate", "must be positive and finite"))
+        if not (0.0 <= self.weight_decay < math.inf):
+            problems.append(("weight_decay", "must be non-negative and finite"))
         if self.early_stop_metric not in ("eval_loss", "eval_f1"):
             problems.append(("early_stop_metric", "must be eval_loss or eval_f1"))
         if self.use_mha and self.mha_heads >= 1 and (2 * self.hidden) % self.mha_heads != 0:
@@ -163,16 +162,6 @@ def parse_config(text):
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}", keys=[key])
         values[key] = _convert(key, _CONFIG_KINDS[key], raw)
     return TaggerConfig(**values).validate()
-
-
-def write_config(config):
-    lines = []
-    for f in fields(TaggerConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -291,39 +280,48 @@ def _param_shapes(config, n_labels, n_words, n_chars, n_pos, contextual_dim):
     return shapes
 
 
+def _vocab(tokens):
+    """Token -> index map: the i-th token gets index i + 1, as index 0 is
+    the unknown slot. Iterating the map yields ``tokens`` in order."""
+    return {tok: i + 1 for i, tok in enumerate(tokens)}
+
+
 class TaggerModel:
     """Immutable-by-convention container: config, vocabularies, tagset, and
     the parameter store with all layer objects. Forward passes share the
-    model across threads safely; only training mutates parameters."""
+    model across threads safely; only training mutates parameters.
 
-    def __init__(self, config, tagset, word_vocab, char_vocab, pos_vocab,
+    The vocabularies are built from the token lists ``word_tokens``,
+    ``char_tokens`` and ``pos_tokens`` (None without POS features)."""
+
+    def __init__(self, config, tagset, word_tokens, char_tokens, pos_tokens,
                  contextual_dim=0):
         shapes = _param_shapes(
-            config, len(tagset), len(word_vocab), len(char_vocab),
-            None if pos_vocab is None else len(pos_vocab), contextual_dim,
+            config, len(tagset), len(word_tokens), len(char_tokens),
+            None if pos_tokens is None else len(pos_tokens), contextual_dim,
         )
         self.config = config
         self.tagset = tagset
-        self.word_vocab = word_vocab
-        self.char_vocab = char_vocab
-        self.pos_vocab = pos_vocab
+        self.word_vocab = _vocab(word_tokens)
+        self.char_vocab = _vocab(char_tokens)
+        self.pos_vocab = None if pos_tokens is None else _vocab(pos_tokens)
         self.contextual_dim = contextual_dim
         self.store = ParamStore()
         rng = np.random.default_rng(config.seed)
 
         self.word_emb = EmbeddingTable(
-            self.store, "word.emb", len(word_vocab) + 1, config.word_dim, rng
+            self.store, "word.emb", len(word_tokens) + 1, config.word_dim, rng
         )
         self.char_cnn = None
         if config.use_char_cnn:
             self.char_cnn = CharCNN(
-                self.store, "char", len(char_vocab) + 1, config.char_dim,
+                self.store, "char", len(char_tokens) + 1, config.char_dim,
                 config.char_kernel, config.char_filters, rng,
             )
         self.pos_emb = None
         if config.use_pos:
             self.pos_emb = EmbeddingTable(
-                self.store, "pos.emb", len(pos_vocab) + 1, config.pos_dim, rng
+                self.store, "pos.emb", len(pos_tokens) + 1, config.pos_dim, rng
             )
         self.bilstm = BiLstm(
             self.store, "lstm", shapes["lstm.l0.fw.w_x"][0], config.hidden,
@@ -372,10 +370,8 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
             keys=["word_dim"],
         )
     surfaces = sorted({t.surface for s in corpus.sentences for t in s.tokens})
-    word_vocab = {tok: i + 1 for i, tok in enumerate(surfaces)}
     chars = sorted({ch for tok in surfaces for ch in tok})
-    char_vocab = {ch: i + 1 for i, ch in enumerate(chars)}
-    pos_vocab = None
+    pos_tags = None
     if config.use_pos:
         tags = {t.pos for s in corpus.sentences for t in s.tokens}
         if None in tags:
@@ -383,20 +379,14 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
                 "use_pos is enabled but the corpus has tokens without POS tags",
                 keys=["use_pos"],
             )
-        pos_vocab = {p: i + 1 for i, p in enumerate(sorted(tags))}
+        pos_tags = sorted(tags)
     contextual_dim = 0
-    if config.use_contextual_slot:
-        if contextual_vectors is None:
-            raise ConfigError(
-                "use_contextual_slot requires a contextual vector file",
-                keys=["use_contextual_slot"],
-            )
+    if config.use_contextual_slot and contextual_vectors is not None:
         contextual_dim = contextual_vectors.dim
-    model = TaggerModel(config, corpus.tagset, word_vocab, char_vocab, pos_vocab,
-                        contextual_dim)
+    model = TaggerModel(config, corpus.tagset, surfaces, chars, pos_tags, contextual_dim)
     if pretrained_vectors is not None:
         table = model.store["word.emb"]
-        for token, idx in word_vocab.items():
+        for token, idx in model.word_vocab.items():
             vec = pretrained_vectors.get(token)
             if vec is not None:
                 table[idx] = vec
@@ -471,10 +461,13 @@ def _features(model, sentences, lengths, contextual):
     if cfg.use_pos:
         pidx = np.zeros((n_batch, n), dtype=np.int64)
         for b, sent in enumerate(sentences):
-            pidx[b, :lengths[b]] = [
-                model.pos_vocab.get(t.pos, 0) if t.pos is not None else 0
-                for t in sent.tokens
-            ]
+            tags = [t.pos for t in sent.tokens]
+            if None in tags:
+                raise ModelError(
+                    f"sentence {sent.id!r}: model uses POS features but token "
+                    f"{tags.index(None) + 1} has no POS tag (pass --pos-col)"
+                )
+            pidx[b, :lengths[b]] = [model.pos_vocab.get(p, 0) for p in tags]
         pos_rows, pos_cache = model.pos_emb.lookup(pidx)
         parts.append(pos_rows)
         routes.append(("pos", cfg.pos_dim, pos_cache))
@@ -737,24 +730,13 @@ def train(model, train_corpus, dev_corpus, config=None,
 
 
 def _header_dict(model):
-    word_tokens = [None] * len(model.word_vocab)
-    for tok, idx in model.word_vocab.items():
-        word_tokens[idx - 1] = tok
-    char_tokens = [None] * len(model.char_vocab)
-    for ch, idx in model.char_vocab.items():
-        char_tokens[idx - 1] = ch
-    pos_tokens = None
-    if model.pos_vocab is not None:
-        pos_tokens = [None] * len(model.pos_vocab)
-        for p, idx in model.pos_vocab.items():
-            pos_tokens[idx - 1] = p
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(model.config),
         "classes": list(model.tagset.classes),
-        "word_tokens": word_tokens,
-        "char_tokens": char_tokens,
-        "pos_tokens": pos_tokens,
+        "word_tokens": list(model.word_vocab),
+        "char_tokens": list(model.char_vocab),
+        "pos_tokens": None if model.pos_vocab is None else list(model.pos_vocab),
         "contextual_dim": model.contextual_dim,
         "params": [[name, list(model.store[name].shape)]
                    for name in model.store.names()],
@@ -785,11 +767,12 @@ def _is_int(value):
 
 
 def _has_kind(value, kind):
-    """True when a JSON value fits a TaggerConfig field of type ``kind``."""
+    """True when a JSON value fits a TaggerConfig field of type ``kind``;
+    ``TaggerConfig.validate`` checks the ranges, finiteness included."""
     if kind is int:
         return _is_int(value)
     if kind is float:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        return _is_int(value) or isinstance(value, float)
     return isinstance(value, kind)
 
 
@@ -889,12 +872,7 @@ def load_model(path):
         if not np.isfinite(values[name]).all():
             raise ModelError(f"{path}: non-finite values in parameter block {name}")
         offset = end
-    word_vocab = {tok: i + 1 for i, tok in enumerate(header["word_tokens"])}
-    char_vocab = {ch: i + 1 for i, ch in enumerate(header["char_tokens"])}
-    pos_vocab = None
-    if pos_tokens is not None:
-        pos_vocab = {p: i + 1 for i, p in enumerate(pos_tokens)}
-    model = TaggerModel(config, tagset, word_vocab, char_vocab, pos_vocab,
-                        header["contextual_dim"])
+    model = TaggerModel(config, tagset, header["word_tokens"], header["char_tokens"],
+                        pos_tokens, header["contextual_dim"])
     model.store.load_values(values)
     return model

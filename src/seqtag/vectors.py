@@ -1,17 +1,17 @@
 """Text-format embedding files: whole-word vectors and per-token
-contextual vectors keyed by (sentence id, token index)."""
+contextual vectors keyed by (sentence id, token index). Tokens and
+sentence ids are NFC-normalized, as the corpus parser normalizes
+surfaces and ids."""
 
 import numpy as np
 
-from .corpus import ParseError
+from .corpus import ParseError, _normalize
 
 __all__ = [
     "WordVectors",
     "ContextualVectors",
     "parse_word_vectors",
-    "write_word_vectors",
     "parse_contextual_vectors",
-    "write_contextual_vectors",
 ]
 
 
@@ -89,7 +89,7 @@ def parse_word_vectors(text):
         fields = line.split()
         if len(fields) < 2:
             raise ParseError("expected token and components", line_no)
-        token = fields[0]
+        token = _normalize(fields[0])
         vec = _parse_floats(fields[1:], line_no)
         if dim is None:
             dim = vec.size
@@ -103,16 +103,6 @@ def parse_word_vectors(text):
     return WordVectors(vectors, dim)
 
 
-def write_word_vectors(wv, header=True):
-    lines = []
-    if header:
-        lines.append(f"{len(wv.vectors)} {wv.dim}")
-    for token in sorted(wv.vectors):
-        comps = " ".join(f"{x:.6f}" for x in wv.vectors[token])
-        lines.append(f"{token} {comps}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_contextual_vectors(text):
     """Parse tab-separated `sentence_id TAB token_index TAB c1 TAB ... cd`
     lines into a ContextualVectors map."""
@@ -124,7 +114,7 @@ def parse_contextual_vectors(text):
         fields = line.split("\t")
         if len(fields) < 3:
             raise ParseError("expected sentence id, token index, and components", line_no)
-        sid = fields[0]
+        sid = _normalize(fields[0])
         try:
             idx = int(fields[1])
         except ValueError:
@@ -144,10 +134,3 @@ def parse_contextual_vectors(text):
         raise ParseError("no vectors in file")
     return ContextualVectors(vectors, dim)
 
-
-def write_contextual_vectors(cv):
-    lines = []
-    for sid, idx in sorted(cv.vectors):
-        comps = "\t".join(f"{x:.6f}" for x in cv.vectors[(sid, idx)])
-        lines.append(f"{sid}\t{idx}\t{comps}")
-    return "\n".join(lines) + "\n"

@@ -1,17 +1,12 @@
-"""Data augmentation: lexicon files, token-wise translation backends,
+"""Data augmentation: lexicon files, token-wise lexicon translation,
 corpus combination arithmetic, and plan execution."""
-
-import json
-import os
 
 import numpy as np
 import pytest
 
-from seqtag import augment
 from seqtag.augment import (
     AugmentError,
     AugmentPlan,
-    CachedServiceBackend,
     Lexicon,
     OfflineLexiconBackend,
     PlanSource,
@@ -21,10 +16,8 @@ from seqtag.augment import (
     parse_plan,
     run_plan,
     token_translate,
-    write_lexicon,
-    write_plan,
 )
-from seqtag.corpus import ParseError, extract_chunks
+from seqtag.corpus import ParseError, extract_chunks, parse_conll, write_conll
 
 from helpers import random_corpus, tiny_fixture_corpus
 
@@ -36,11 +29,28 @@ def fixture_lexicon():
 
 class TestLexicon:
     def test_parse_and_write_round_trip(self):
-        text = "alice\thanna\n# comment\nparis\tlutetia\n"
-        lex = parse_lexicon(text)
-        assert lex.mapping == {"alice": "hanna", "paris": "lutetia"}
-        again = parse_lexicon(write_lexicon(lex))
-        assert again.mapping == lex.mapping
+        text = "alice\thanna\n# comment\n\nparis\t lutetia \n"
+        assert parse_lexicon(text, name="demo") == Lexicon(
+            "demo", "src", "tgt", {"alice": "hanna", "paris": "lutetia"})
+
+    def test_entries_are_nfc_normalized_like_corpus_surfaces(self):
+        # U+09DF is not NFC: normalization decomposes it into U+09AF U+09BC
+        word, nfc = "\u09df", "\u09af\u09bc"
+        lex = parse_lexicon(f"{word}\t{word}a\n")
+        assert lex.mapping == {nfc: nfc + "a"}
+        corpus = parse_conll(f"{word} B-LOC\n")
+        out = token_translate(corpus, OfflineLexiconBackend(lex), fallback="mark-unknown")
+        assert out.sentences[0].surfaces == [nfc + "a"]
+        assert parse_conll(write_conll(out)).sentences == out.sentences
+
+    def test_rejected_entry_reports_line_number(self):
+        with pytest.raises(ParseError, match="^line 2: lexicon key 'a b' is empty"):
+            parse_lexicon("x\ty\na b\tc\n")
+        # a corpus file would read a token line starting with # as a comment
+        with pytest.raises(ParseError, match="^line 1: lexicon value '#c' starts with '#'"):
+            parse_lexicon("a\t#c\n")
+        with pytest.raises(AugmentError, match="starts with '#'"):
+            Lexicon("bad", "s", "t", {"a": "#c"})
 
     def test_duplicate_source_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -55,130 +65,6 @@ class TestLexicon:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_lexicon("a\tb\nnotabs\n")
-
-
-class TestOfflineBackend:
-    def test_lookup_and_miss(self):
-        backend = OfflineLexiconBackend(fixture_lexicon())
-        assert backend.translate_token("mehta", "src", "tgt") == "meheta"
-        assert backend.translate_token("unknown", "src", "tgt") is None
-
-    def test_language_pair_checked(self):
-        backend = OfflineLexiconBackend(fixture_lexicon())
-        with pytest.raises(AugmentError, match="covers"):
-            backend.translate_token("mehta", "src", "other")
-
-
-class TestCachedServiceBackend:
-    def test_fetches_once_then_serves_from_cache(self, tmp_path):
-        calls = []
-
-        def fetch(token, src, tgt):
-            calls.append(token)
-            return token.upper()
-
-        backend = CachedServiceBackend(fetch, str(tmp_path), "a", "b")
-        assert backend.translate_token("x", "a", "b") == "X"
-        assert backend.translate_token("x", "a", "b") == "X"
-        assert calls == ["x"]
-
-    def test_cache_survives_restart(self, tmp_path):
-        def fetch(token, src, tgt):
-            return token[::-1]
-
-        first = CachedServiceBackend(fetch, str(tmp_path), "a", "b")
-        assert first.translate_token("abc", "a", "b") == "cba"
-
-        def dead(token, src, tgt):
-            raise ConnectionError("offline")
-
-        second = CachedServiceBackend(dead, str(tmp_path), "a", "b")
-        assert second.translate_token("abc", "a", "b") == "cba"
-
-    def test_unreachable_and_uncached_is_an_error(self, tmp_path):
-        def dead(token, src, tgt):
-            raise ConnectionError("offline")
-
-        backend = CachedServiceBackend(dead, str(tmp_path), "a", "b")
-        with pytest.raises(AugmentError, match="unreachable"):
-            backend.translate_token("never-seen", "a", "b")
-
-    def test_negative_results_are_cached(self, tmp_path):
-        calls = []
-
-        def fetch(token, src, tgt):
-            calls.append(token)
-            return None
-
-        backend = CachedServiceBackend(fetch, str(tmp_path), "a", "b")
-        assert backend.translate_token("gap", "a", "b") is None
-        assert backend.translate_token("gap", "a", "b") is None
-        assert calls == ["gap"]
-
-    def test_cache_file_is_valid_json_with_no_temp_leftovers(self, tmp_path):
-        backend = CachedServiceBackend(lambda t, s, g: t, str(tmp_path), "a", "b")
-        backend.translate_token("x", "a", "b")
-        cache_file = tmp_path / "a-b.json"
-        assert json.loads(cache_file.read_text()) == {"x": "x"}
-        assert [p.name for p in tmp_path.iterdir()] == ["a-b.json"]
-
-    def test_language_pair_checked(self, tmp_path):
-        backend = CachedServiceBackend(lambda t, s, g: t, str(tmp_path), "a", "b")
-        with pytest.raises(AugmentError, match="configured"):
-            backend.translate_token("x", "b", "a")
-
-
-@pytest.fixture()
-def cache_writes(monkeypatch):
-    """Paths of every cache file write the augment module makes."""
-    writes = []
-
-    def counting(path, data):
-        writes.append(path)
-        real_write_atomic(path, data)
-
-    real_write_atomic = augment.write_atomic
-    monkeypatch.setattr(augment, "write_atomic", counting)
-    return writes
-
-
-class TestCachePersistence:
-    def test_one_write_per_translation_call(self, tmp_path, cache_writes):
-        corpus = tiny_fixture_corpus()  # 13 tokens, 12 distinct surfaces
-        backend = CachedServiceBackend(lambda t, s, g: t.upper(), str(tmp_path),
-                                       "src", "tgt")
-        out = token_translate(corpus, backend)
-        assert out.sentences[0].surfaces[0] == "MEHTA"
-        assert len(cache_writes) == 1
-        surfaces = {t.surface for s in corpus.sentences for t in s.tokens}
-        cached = json.loads((tmp_path / "src-tgt.json").read_text(encoding="utf-8"))
-        assert cached == {w: w.upper() for w in surfaces}
-
-    def test_no_write_when_every_token_hits(self, tmp_path, cache_writes):
-        corpus = tiny_fixture_corpus()
-        backend = CachedServiceBackend(lambda t, s, g: t, str(tmp_path), "src", "tgt")
-        token_translate(corpus, backend)
-        token_translate(corpus, backend)
-        restarted = CachedServiceBackend(lambda t, s, g: t, str(tmp_path), "src", "tgt")
-        token_translate(corpus, restarted)
-        assert len(cache_writes) == 1
-
-    def test_entries_fetched_before_a_failure_are_kept(self, tmp_path, cache_writes):
-        corpus = tiny_fixture_corpus()
-        fetched = []
-
-        def flaky(token, src, tgt):
-            if len(fetched) == 3:
-                raise ConnectionError("offline")
-            fetched.append(token)
-            return token[::-1]
-
-        backend = CachedServiceBackend(flaky, str(tmp_path), "src", "tgt")
-        with pytest.raises(AugmentError, match="unreachable"):
-            token_translate(corpus, backend)
-        assert len(cache_writes) == 1
-        cached = json.loads((tmp_path / "src-tgt.json").read_text(encoding="utf-8"))
-        assert cached == {w: w[::-1] for w in fetched}
 
 
 class TestTokenTranslate:
@@ -286,8 +172,11 @@ class TestPlans:
         assert plan.sources[1].lexicon_path == "lex.tsv"
         assert plan.sources[1].fallback == "mark-unknown"
         assert plan.sources[1].cap == 3
-        again = parse_plan(write_plan(plan))
-        assert again == plan
+        assert plan == AugmentPlan(
+            [PlanSource("base", "data/base.conll"),
+             PlanSource("trans", "data/base.conll", "lex.tsv", "mark-unknown", 3)],
+            "combined",
+        )
 
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="output"):
@@ -326,7 +215,8 @@ class TestPlans:
         ]
         assert "plan output combined" in manifest
         assert "capped to 4" in manifest
-        assert "translated src->tgt" in manifest
+        assert ("source trans: 6 sentences; capped to 4; translated src->tgt "
+                "via offline-lexicon (fallback=mark-unknown)") in manifest.splitlines()
         assert "combined 10 sentences" in manifest
 
     def test_run_plan_missing_resolution_errors(self):

@@ -513,14 +513,15 @@ class TestSeededModelCorruption:
 
 def corrupted_bytes(data, rng):
     """(description, bytes) for truncations, byte flips and insertions of
-    line breaks, ``#``, ``nan``, ``B-`` and invalid UTF-8 into ``data``."""
+    line breaks, ``#``, ``nan``, ``B-``, invalid UTF-8 and tabs into
+    ``data``."""
     for cut in np.sort(rng.choice(len(data), 25, replace=False)):
         yield f"truncated at byte {cut}", data[:cut]
     for pos in rng.integers(0, len(data), 40):
         flipped = bytearray(data)
         flipped[pos] ^= int(rng.integers(1, 256))
         yield f"byte {pos} flipped", bytes(flipped)
-    for insert in (b"\n", b"#", b"nan", b"B-", b"\xff", b"\xe0\xa6"):
+    for insert in (b"\n", b"#", b"nan", b"B-", b"\xff", b"\xe0\xa6", b"\t"):
         for pos in rng.integers(0, len(data) + 1, 8):
             yield f"{insert!r} inserted at byte {pos}", data[:pos] + insert + data[pos:]
 
@@ -579,6 +580,90 @@ class TestSeededCorpusCorruption:
                       or len(err.splitlines()) != 1 or not err.startswith("error: ")):
                     problems.append((what, argv[0], code, err))
         assert runs > 200
+        assert problems == [], problems[:5]
+
+
+class TestSeededInputFileCorruption:
+    """A vectors file, a config, a plan and a lexicon, truncated,
+    byte-flipped and with bytes inserted, each through the command that
+    reads it: ``train --pretrained-vectors`` with a tiny config,
+    ``gradcheck`` (which fixes small widths) for the config, and
+    ``augment`` for the plan and the lexicon. Each run exits 0, or exits 1
+    or 2 with one ``error:`` line and no output file; an ``augment`` that
+    succeeds writes a corpus that parses back to the sentence and token
+    counts of its manifest. Warnings are errors, so a numpy warning fails
+    the run like any escaped exception."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch):
+        # the plan names its corpus and lexicon relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(23)
+        (tmp_path / "c.conll").write_text(learnable_corpus_text(4), encoding="utf-8")
+        (tmp_path / "tiny.cfg").write_text(
+            "word_dim = 4\nhidden = 4\nlstm_layers = 1\nmax_epochs = 1\n", encoding="utf-8")
+        words = ["alice", "bob", "paris", "tokyo", "the", "saw"]
+        (tmp_path / "vec.txt").write_text(f"{len(words)} 4\n" + "".join(
+            f"{w} " + " ".join(f"{x:.3f}" for x in rng.normal(size=4)) + "\n"
+            for w in words), encoding="utf-8")
+        (tmp_path / "gc.cfg").write_text(
+            SMALL_CONFIG + "use_pos = true\ncrf_constrain_bio = true\n", encoding="utf-8")
+        (tmp_path / "lex.tsv").write_text(
+            "alice\thanna\n# a comment\nparis\tপ্যারিস\nthe\tদ্য\n", encoding="utf-8")
+        (tmp_path / "plan.tsv").write_text(
+            "output\tcombo\nsource\tbase\tc.conll\tcap=3\n"
+            "source\ttrans\tc.conll\tlexicon=lex.tsv\tfallback=mark-unknown\n",
+            encoding="utf-8")
+        return tmp_path
+
+    COMMANDS = {
+        "vec.txt": (["train", "tiny.cfg", "c.conll", "c.conll", "m.bin",
+                     "--pretrained-vectors", "vec.txt"], ["m.bin", "m.bin.history"]),
+        "gc.cfg": (["gradcheck", "gc.cfg"], []),
+        "plan.tsv": (["augment", "plan.tsv", "--out", "out.conll"],
+                     ["out.conll", "out.conll.manifest"]),
+        "lex.tsv": (["augment", "plan.tsv", "--out", "out.conll"],
+                    ["out.conll", "out.conll.manifest"]),
+    }
+
+    @staticmethod
+    def augment_problem(files):
+        """Why the corpus ``augment`` wrote disagrees with its manifest, or None."""
+        manifest = (files / "out.conll.manifest").read_text(encoding="utf-8")
+        try:
+            combined = parse_conll((files / "out.conll").read_text(encoding="utf-8"))
+        except ValueError as exc:
+            return f"written corpus does not parse: {exc}"
+        stated = manifest.splitlines()[-1]
+        found = f"combined {len(combined)} sentences, {combined.n_tokens} tokens"
+        return None if stated == found else f"manifest says {stated!r}, file has {found!r}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", ["vec.txt", "gc.cfg", "plan.tsv", "lex.tsv"])
+    def test_commands_succeed_or_fail_cleanly(self, capsys, files, target):
+        argv, outputs = self.COMMANDS[target]
+        outputs = [files / name for name in outputs]
+        intact = (files / target).read_bytes()
+        problems = []
+        cases = [("intact", intact), *corrupted_bytes(intact, np.random.default_rng(31))]
+        for what, data in cases:
+            (files / target).write_bytes(data)
+            try:
+                code, out, err = run(capsys, *argv)
+            except Exception as exc:  # anything escaping main is a failure
+                problems.append((what, repr(exc)))
+                continue
+            written = [p for p in outputs if p.exists()]
+            if code == 0:
+                problem = self.augment_problem(files) if argv[0] == "augment" else None
+                if err or not out or len(written) != len(outputs) or problem:
+                    problems.append((what, code, err, problem))
+                for p in written:
+                    p.unlink()
+            elif (what == "intact" or code not in (1, 2) or out or written
+                  or len(err.splitlines()) != 1 or not err.startswith("error: ")):
+                problems.append((what, code, out, err))
+        assert len(cases) > 100
         assert problems == [], problems[:5]
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from seqtag.corpus import parse_conll, validate_bio
 from seqtag.ensemble import (
+    EnsembleDiagnostics,
     EnsembleError,
     PredictionSet,
     VoteConfig,
@@ -30,16 +31,17 @@ class TestVoteConfig:
     def test_defaults(self):
         cfg = VoteConfig()
         assert cfg.score_threshold == 0.5
-        assert cfg.fallback == "highest-total-score"
         assert cfg.majority_of == "models"
+        assert EnsembleDiagnostics(cfg, ["a", "b"]).render().splitlines()[:4] == [
+            "# threshold 0.5", "# fallback highest-total-score",
+            "# majority_of models", "# models a,b",
+        ]
 
     def test_validation(self):
         with pytest.raises(EnsembleError):
             VoteConfig(score_threshold=-0.1)
         with pytest.raises(EnsembleError):
             VoteConfig(score_threshold=1.5)
-        with pytest.raises(EnsembleError):
-            VoteConfig(fallback="coin-flip")
         with pytest.raises(EnsembleError):
             VoteConfig(majority_of="friends")
 

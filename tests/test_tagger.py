@@ -26,7 +26,6 @@ from seqtag.tagger import (
     predict_corpus,
     save_model,
     train,
-    write_config,
 )
 from seqtag import tagger as tagger_module
 from seqtag.tagger import MODEL_MAGIC, _forward, _log_softmax, _sentence_loss, _gold_indices
@@ -50,13 +49,36 @@ def emissions_of(model, sentence, contextual=None):
 
 class TestConfigParsing:
     def test_defaults_round_trip(self):
-        cfg = TaggerConfig()
-        assert parse_config(write_config(cfg)) == cfg
+        text = (
+            "word_dim = 32\nuse_char_cnn = false\nchar_dim = 8\nchar_kernel = 3\n"
+            "char_filters = 16\nuse_pos = false\npos_dim = 8\n"
+            "use_contextual_slot = false\nuse_mha = false\nmha_heads = 2\n"
+            "use_crf = true\ncrf_constrain_bio = false\ncrf_decode_only = false\n"
+            "lstm_layers = 2\nhidden = 32\ndropout = 0.1\nbatch_size = 8\n"
+            "max_epochs = 50\npatience = 5\nlearning_rate = 0.001\n"
+            "weight_decay = 0.01\nearly_stop_metric = eval_f1\nseed = 42\n"
+        )
+        assert parse_config(text) == TaggerConfig() == parse_config("")
 
     def test_non_default_round_trip(self):
-        cfg = small_config(use_char_cnn=True, use_mha=True, mha_heads=4,
-                           hidden=8, learning_rate=0.01)
-        assert parse_config(write_config(cfg)) == cfg
+        # every key, each away from its default
+        text = (
+            "word_dim = 12\nuse_char_cnn = TRUE\nchar_dim = 5\nchar_kernel = 2\n"
+            "char_filters = 7\nuse_pos = true\npos_dim = 3\n"
+            "use_contextual_slot = true\nuse_mha = true\nmha_heads = 4\n"
+            "use_crf = False\ncrf_constrain_bio = true\ncrf_decode_only = false\n"
+            "lstm_layers = 3\nhidden = 8\ndropout = 0.25\nbatch_size = 16\n"
+            "max_epochs = 7\npatience = 2\nlearning_rate = 5e-2\n"
+            "weight_decay = 0\nearly_stop_metric = eval_loss\nseed = 7\n"
+        )
+        assert parse_config(text) == TaggerConfig(
+            word_dim=12, use_char_cnn=True, char_dim=5, char_kernel=2, char_filters=7,
+            use_pos=True, pos_dim=3, use_contextual_slot=True, use_mha=True,
+            mha_heads=4, use_crf=False, crf_constrain_bio=True, crf_decode_only=False,
+            lstm_layers=3, hidden=8, dropout=0.25, batch_size=16, max_epochs=7,
+            patience=2, learning_rate=0.05, weight_decay=0.0,
+            early_stop_metric="eval_loss", seed=7,
+        )
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\nword_dim = 12\n  \nhidden = 9\n")
@@ -112,6 +134,13 @@ class TestConfigValidation:
     def test_metric_enum(self):
         with pytest.raises(ConfigError, match="early_stop_metric"):
             TaggerConfig(early_stop_metric="train_loss").validate()
+
+    @pytest.mark.parametrize("key", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_rates_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: must be .* finite") as exc:
+            parse_config(f"{key} = {value}\n")
+        assert exc.value.keys == (key,)
 
 
 class TestTokenPrediction:
@@ -332,6 +361,20 @@ class TestPredict:
             for preds in predict_corpus(model, corpus):
                 assert validate_bio([p.label for p in preds]) == []
                 assert all(0.0 <= p.score <= 1.0 for p in preds)
+
+    def test_pos_model_refuses_tokens_without_pos(self):
+        corpus = tiny_fixture_corpus()
+        model = build_model(small_config(use_pos=True), corpus)
+        last = corpus.sentences[-1]
+        bare = Sentence(last.id, last.tokens[:1] + (Token(last.tokens[1].surface, "O"),)
+                        + last.tokens[2:])
+        damaged = LabeledCorpus(corpus.sentences[:-1] + [bare], corpus.tagset)
+        message = f"sentence {last.id!r}: model uses POS features but token 2 has no POS tag"
+        with pytest.raises(ModelError, match=message):
+            predict_corpus(model, damaged)
+        with pytest.raises(ModelError, match=message):
+            predict(model, bare)
+        assert len(predict_corpus(model, corpus)) == len(corpus)
 
     def test_crf_scores_are_path_marginals(self):
         corpus = tiny_fixture_corpus()

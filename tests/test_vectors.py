@@ -1,16 +1,11 @@
 """Embedding file formats: whole-word vectors and per-token contextual
-vectors, parse/write round trips, and malformed-input errors."""
+vectors, parsing, NFC keys, and malformed-input errors."""
 
 import numpy as np
 import pytest
 
 from seqtag.corpus import ParseError
-from seqtag.vectors import (
-    parse_contextual_vectors,
-    parse_word_vectors,
-    write_contextual_vectors,
-    write_word_vectors,
-)
+from seqtag.vectors import parse_contextual_vectors, parse_word_vectors
 
 
 class TestWordVectors:
@@ -57,18 +52,17 @@ class TestWordVectors:
             parse_word_vectors(f"alice 1 2\nbob {component} 1\n")
 
     def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        text = write_word_vectors(
-            parse_word_vectors(
-                "\n".join(
-                    f"w{i} " + " ".join(f"{x:.6f}" for x in rng.normal(size=4))
-                    for i in range(10)
-                )
-            )
-        )
-        again = parse_word_vectors(text)
-        assert len(again) == 10
-        assert text == write_word_vectors(again)
+        wv = parse_word_vectors("2 3\nw0 0.125000 -1.500000 2.000000\nw1 1e-3 -0 7\n")
+        assert sorted(wv.vectors) == ["w0", "w1"]
+        np.testing.assert_array_equal(wv.get("w0"), [0.125, -1.5, 2.0])
+        np.testing.assert_array_equal(wv.get("w1"), [0.001, 0.0, 7.0])
+
+    def test_tokens_are_nfc_normalized_like_corpus_surfaces(self):
+        # U+09DF is not NFC: normalization decomposes it into U+09AF U+09BC
+        wv = parse_word_vectors("\u09df 1 2\n")
+        assert "\u09af\u09bc" in wv
+        with pytest.raises(ParseError, match="line 2: duplicate token"):
+            parse_word_vectors("\u09df 1 2\n\u09af\u09bc 3 4\n")
 
 
 class TestContextualVectors:
@@ -109,16 +103,14 @@ class TestContextualVectors:
             parse_contextual_vectors("s0\t0\n")
 
     def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        entries = []
-        for sid in ("a", "b"):
-            for idx in range(3):
-                comps = "\t".join(f"{x:.6f}" for x in rng.normal(size=3))
-                entries.append(f"{sid}\t{idx}\t{comps}")
-        text = write_contextual_vectors(parse_contextual_vectors("\n".join(entries)))
-        again = parse_contextual_vectors(text)
-        assert len(again) == 6
-        assert write_contextual_vectors(again) == text
+        cv = parse_contextual_vectors("a\t0\t0.5\t-1\na\t1\t2\t3e-1\nb\t0\t-0.25\t4\n")
+        assert sorted(cv.vectors) == [("a", 0), ("a", 1), ("b", 0)]
+        np.testing.assert_array_equal(cv.lookup_sentence("a", 2), [[0.5, -1.0], [2.0, 0.3]])
+        np.testing.assert_array_equal(cv.lookup_sentence("b", 1), [[-0.25, 4.0]])
+
+    def test_sentence_ids_are_nfc_normalized_like_corpus_ids(self):
+        cv = parse_contextual_vectors("\u09df-1\t0\t1.0\n")
+        np.testing.assert_array_equal(cv.lookup_sentence("\u09af\u09bc-1", 1), [[1.0]])
 
 
 @pytest.mark.parametrize("parser, text, message", [
