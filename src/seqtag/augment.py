@@ -7,9 +7,9 @@ structure never change. Combination concatenates corpora, re-namespacing
 sentence ids per source and taking the union of tagsets.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .corpus import LabeledCorpus, ParseError, Sentence, _normalize
+from .corpus import LabeledCorpus, ParseError, Sentence, Token, _normalize
 
 __all__ = [
     "AugmentError",
@@ -37,7 +37,7 @@ def _entry_problem(src, tgt):
     not start with ``#``: a corpus file would read its token line as a
     comment."""
     for what, token in (("key", src), ("value", tgt)):
-        if not token or any(ch.isspace() for ch in token):
+        if token.split() != [token]:  # empty, or has whitespace
             return f"lexicon {what} {token!r} is empty or has whitespace"
     if tgt.startswith("#"):
         return f"lexicon value {tgt!r} starts with '#'"
@@ -93,14 +93,17 @@ def token_translate(corpus, backend, fallback="keep"):
     if fallback not in FALLBACK_MODES:
         raise AugmentError(f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}")
     mapping = backend.lexicon.mapping
+    unknown = None if fallback == "keep" else UNKNOWN_TOKEN
     sentences = []
     for sent in corpus.sentences:
         tokens = []
         for tok in sent.tokens:
-            translated = mapping.get(tok.surface)
-            if translated is None:
-                translated = tok.surface if fallback == "keep" else UNKNOWN_TOKEN
-            tokens.append(replace(tok, surface=translated))
+            translated = mapping.get(tok.surface, unknown)
+            if translated is None or translated == tok.surface:
+                tokens.append(tok)  # Token is frozen: an unchanged one is shared
+            else:
+                # the lexicon checked its targets, and the unknown marker is valid
+                tokens.append(Token._trusted(translated, tok.gold_tag, tok.pos, tok.extras))
         sentences.append(Sentence(sent.id, tuple(tokens)))
     return LabeledCorpus(sentences, corpus.tagset)
 

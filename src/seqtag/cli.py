@@ -92,13 +92,16 @@ def cmd_split(args):
 
 def cmd_augment(args):
     plan = _parse(args.plan, parse_plan)
+    # a relative corpus or lexicon path names a file beside the plan;
+    # joining leaves an absolute one unchanged
+    plan_dir = Path(args.plan).parent
     corpora = {}
     backends = {}
     for source in plan.sources:
-        corpora[source.name] = _parse(source.path, parse_conll)
+        corpora[source.name] = _parse(plan_dir / source.path, parse_conll)
         if source.lexicon_path is not None:
             backends[source.name] = OfflineLexiconBackend(
-                _parse(source.lexicon_path, parse_lexicon, name=source.lexicon_path)
+                _parse(plan_dir / source.lexicon_path, parse_lexicon, name=source.lexicon_path)
             )
     result, manifest = run_plan(plan, corpora, backends)
     _write(args.out, write_conll(result))

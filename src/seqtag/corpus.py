@@ -72,9 +72,23 @@ class Token:
     extras: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.surface or any(ch.isspace() for ch in self.surface):
+        # str.split() splits at exactly the characters str.isspace() accepts,
+        # so this rejects an empty surface and any whitespace in C
+        if self.surface.split() != [self.surface]:
             raise CorpusError(f"token surface {self.surface!r} is empty or contains whitespace")
         _check_bio_grammar(self.gold_tag)
+
+    @classmethod
+    def _trusted(cls, surface, gold_tag, pos, extras):
+        """A Token of fields its caller has already checked, built without
+        ``__post_init__``. Fields are set one by one, never through the
+        instance ``__dict__``, which would materialize one dict per token."""
+        tok = object.__new__(cls)
+        object.__setattr__(tok, "surface", surface)
+        object.__setattr__(tok, "gold_tag", gold_tag)
+        object.__setattr__(tok, "pos", pos)
+        object.__setattr__(tok, "extras", extras)
+        return tok
 
 
 @dataclass(frozen=True)
@@ -222,6 +236,19 @@ def _conll_blocks(text):
             sid, rows = None, []
 
 
+def _row_layout(columns, n_fields, n):
+    """(tag column index, extra column indices) of an ``n``-column row, or
+    None when the row lacks a distinct column for each of the ``n_fields``
+    fields of ``columns``."""
+    tag_idx = columns.tag_col
+    if tag_idx is not None and tag_idx < 0:
+        tag_idx += n
+    needed = {columns.token_col, tag_idx, columns.pos_col} - {None}
+    if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
+        return None
+    return tag_idx, tuple(i for i in range(n) if i not in needed)
+
+
 def parse_conll(text, columns=ColumnConfig()):
     """Parse CoNLL-style text into a LabeledCorpus.
 
@@ -235,40 +262,44 @@ def parse_conll(text, columns=ColumnConfig()):
 
     sentences = []
     classes = set()
+    token_col, pos_col = columns.token_col, columns.pos_col
     labeled = columns.tag_col is not None
-    n_fields = 1 + labeled + (columns.pos_col is not None)
-    tag_idx, tag = None, "O"  # unless a gold column gives the tag
+    n_fields = 1 + labeled + (pos_col is not None)
+    layouts = {}  # column count -> _row_layout
+    valid_tags = set()  # tags that matched BIO_TAG_RE; validity depends on the string alone
+    tag = "O"  # unless a gold column gives the tag
     for sid, rows in _conll_blocks(text):
         tokens = []
         for lineno, line, cols in rows:
             n = len(cols)
-            if labeled:
-                tag_idx = columns.tag_col if columns.tag_col >= 0 else n + columns.tag_col
-                needed = {columns.token_col, tag_idx}
-            else:
-                needed = {columns.token_col}
-            if columns.pos_col is not None:
-                needed.add(columns.pos_col)
-            if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
+            if n not in layouts:
+                layouts[n] = _row_layout(columns, n_fields, n)
+            layout = layouts[n]
+            if layout is None:
                 raise ParseError(
                     f"expected at least {n_fields} distinct columns, got {n}: {line!r}", lineno
                 )
-            surface = _normalize(cols[columns.token_col])
+            tag_idx, extra_cols = layout
+            raw = cols[token_col]
+            surface = _normalize(raw)
             if labeled:
                 tag = cols[tag_idx]
-                if not BIO_TAG_RE.match(tag):
-                    raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
-            pos = cols[columns.pos_col] if columns.pos_col is not None else None
-            extras = tuple(
-                cols[i] for i in range(n) if i not in (columns.token_col, tag_idx, columns.pos_col)
-            )
-            try:
-                tokens.append(Token(surface, tag, pos, extras))
-            except CorpusError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            cls = tag_class(tag)
-            if cls is not None:
-                classes.add(cls)
+                if tag not in valid_tags:
+                    if not BIO_TAG_RE.match(tag):
+                        raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
+                    valid_tags.add(tag)
+                    cls = tag_class(tag)
+                    if cls is not None:
+                        classes.add(cls)
+            # a str.split() column is non-empty and holds no whitespace, so
+            # only a surface that NFC rewrote is checked again
+            if surface is not raw and surface.split() != [surface]:
+                raise ParseError(
+                    f"token surface {surface!r} is empty or contains whitespace", lineno
+                )
+            pos = cols[pos_col] if pos_col is not None else None
+            extras = tuple([cols[i] for i in extra_cols]) if extra_cols else ()
+            tokens.append(Token._trusted(surface, tag, pos, extras))
         sentences.append(Sentence(sid, tuple(tokens)))
 
     if not sentences:

@@ -8,7 +8,6 @@ survives, O. Voting happens on raw labels; BIO repair runs once on the
 voted sequence, never on the inputs.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import BIO_TAG_RE, ParseError, _conll_blocks, _normalize, repair_bio
@@ -71,7 +70,9 @@ def _vote(votes, config):
     the winning label."""
     survivors = [v for v in votes if v.score > config.score_threshold]
     denominator = len(votes) if config.majority_of == "models" else len(survivors)
-    counts = Counter(v.label for v in survivors)
+    counts = {}
+    for v in survivors:
+        counts[v.label] = counts.get(v.label, 0) + 1
     for label in sorted(counts):
         if 2 * counts[label] > denominator:
             return label, len(survivors), "majority", _support(survivors, label)
@@ -155,12 +156,20 @@ def ensemble_corpus(sets, reference, config=VoteConfig()):
         _check_alignment(pset, reference)
 
     diagnostics = EnsembleDiagnostics(config, [p.model_id for p in sets])
+    threshold = config.score_threshold
     all_labels = []
     for si, sent in enumerate(reference.sentences):
         voted = []
         details = []
-        for ti in range(len(sent)):
-            votes = [pset.predictions[si][ti] for pset in sets]
+        for votes in zip(*[pset.predictions[si] for pset in sets]):
+            # a unanimous vote above the threshold is a majority under either
+            # denominator; its support is _support's mean, summed in vote order
+            label = votes[0].label
+            scores = [v.score for v in votes if v.label == label and v.score > threshold]
+            if len(scores) == len(votes):
+                voted.append(label)
+                details.append((len(votes), "majority", sum(scores) / len(votes)))
+                continue
             label, surviving, outcome, support = _vote(votes, config)
             voted.append(label)
             details.append((surviving, outcome, support))
@@ -219,34 +228,41 @@ def read_prediction_file(text):
     if not text.strip():
         raise ParseError("empty prediction file")
     data = PredictionFileData([], [], [], [])
-    has_gold = None
+    width = None  # 4 with a gold column, 3 without; set by the first row
+    valid_tags = set()  # labels that matched BIO_TAG_RE; validity depends on the string alone
     for sid, rows in _conll_blocks(text):
         surfaces, gold_tags, predictions = [], [], []
         for lineno, _, cols in rows:
-            if len(cols) not in (3, 4):
-                raise ParseError(
-                    f"expected 3 or 4 columns (token [gold] predicted score), got {len(cols)}",
-                    lineno,
-                )
-            row_has_gold = len(cols) == 4
-            if has_gold is None:
-                has_gold = row_has_gold
-            elif has_gold != row_has_gold:
-                raise ParseError("mixed 3- and 4-column rows in one file", lineno)
+            if len(cols) != width:
+                if len(cols) not in (3, 4):
+                    raise ParseError(
+                        f"expected 3 or 4 columns (token [gold] predicted score), got {len(cols)}",
+                        lineno,
+                    )
+                if width is not None:
+                    raise ParseError("mixed 3- and 4-column rows in one file", lineno)
+                width = len(cols)
             pred, score_text = cols[-2], cols[-1]
-            if row_has_gold:
-                if not BIO_TAG_RE.match(cols[1]):
-                    raise ParseError(f"gold tag {cols[1]!r} does not match the BIO grammar",
-                                     lineno)
-                gold_tags.append(cols[1])
+            if width == 4:
+                gold = cols[1]
+                if gold not in valid_tags:
+                    if not BIO_TAG_RE.match(gold):
+                        raise ParseError(f"gold tag {gold!r} does not match the BIO grammar",
+                                         lineno)
+                    valid_tags.add(gold)
+                gold_tags.append(gold)
             try:
                 score = float(score_text)
             except ValueError:
                 raise ParseError(f"malformed score {score_text!r}", lineno) from None
-            try:
-                predictions.append(TokenPrediction(pred, score))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+            # TokenPrediction's checks, in its order and with its messages
+            if pred not in valid_tags:
+                if not BIO_TAG_RE.match(pred):
+                    raise ParseError(f"invalid BIO label {pred!r}", lineno)
+                valid_tags.add(pred)
+            if not (0.0 <= score <= 1.0):
+                raise ParseError(f"prediction score {score} outside [0, 1]", lineno)
+            predictions.append(TokenPrediction._trusted(pred, score))
             surfaces.append(_normalize(cols[0]))
         data.sentence_ids.append(sid)
         data.surfaces.append(surfaces)
@@ -255,6 +271,6 @@ def read_prediction_file(text):
 
     if not data.surfaces:
         raise ParseError("prediction file contains no sentences")
-    if not has_gold:
+    if width == 3:
         data.gold_tags = None
     return data

@@ -84,6 +84,7 @@ def evaluate(gold, predicted):
     n_pred = {}
     correct_tokens = 0
     total_tokens = 0
+    valid_tags = set()  # predicted tags that matched BIO_TAG_RE
     for sent, pred_tags in zip(gold.sentences, predicted):
         if len(pred_tags) != len(sent):
             raise CorpusError(
@@ -91,8 +92,10 @@ def evaluate(gold, predicted):
                 f"{len(sent)} tokens"
             )
         for tag in pred_tags:
-            if not BIO_TAG_RE.match(tag):
-                raise CorpusError(f"sentence {sent.id!r}: invalid BIO tag {tag!r}")
+            if tag not in valid_tags:
+                if not BIO_TAG_RE.match(tag):
+                    raise CorpusError(f"sentence {sent.id!r}: invalid BIO tag {tag!r}")
+                valid_tags.add(tag)
         gold_tags = sent.gold_tags
         total_tokens += len(sent)
         correct_tokens += sum(g == p for g, p in zip(gold_tags, pred_tags))

@@ -52,9 +52,6 @@ class ParamStore:
         for g in self._grads.values():
             g[...] = 0.0
 
-    def n_scalars(self):
-        return sum(p.size for p in self._params.values())
-
     def copy_values(self):
         """Snapshot of all parameter arrays (e.g. best-epoch checkpoint)."""
         return {name: p.copy() for name, p in self._params.items()}

@@ -175,6 +175,16 @@ class TokenPrediction:
         if not (0.0 <= self.score <= 1.0):
             raise ModelError(f"prediction score {self.score} outside [0, 1]")
 
+    @classmethod
+    def _trusted(cls, label, score):
+        """A TokenPrediction of a checked label and score, built without
+        ``__post_init__`` and, like Token._trusted, without touching the
+        instance ``__dict__``."""
+        pred = object.__new__(cls)
+        object.__setattr__(pred, "label", label)
+        object.__setattr__(pred, "score", score)
+        return pred
+
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -583,12 +593,15 @@ def _predictions(model, emissions, lengths, marginals=None):
             probs = np.exp(_log_softmax(emissions))
             best = [probs[b, :n].argmax(axis=1) for b, n in enumerate(lengths)]
     _check_probabilities(probs, lengths)
+    names = model.tagset.labels
+    trusted = TokenPrediction._trusted
     out = []
     for b, path in enumerate(best):
-        labels = [model.tagset.label(t) for t in path]
-        scores = [min(max(float(probs[b, i, t]), 0.0), 1.0) for i, t in enumerate(path)]
-        out.append([TokenPrediction(lab, score)
-                    for lab, score in zip(repair_bio(labels), scores)])
+        # repair_bio checks every label against the BIO grammar, and the
+        # scores are finite probabilities clamped into [0, 1]
+        labels = repair_bio([names[t] for t in path])
+        row = probs[b, np.arange(len(path)), path].tolist()
+        out.append([trusted(lab, min(max(p, 0.0), 1.0)) for lab, p in zip(labels, row)])
     return out
 
 

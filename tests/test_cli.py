@@ -178,6 +178,27 @@ class TestAugmentCommand:
         assert "combined 12 sentences" in manifest
         assert "wrote 12 sentences" in out
 
+    def test_relative_paths_are_read_beside_the_plan(self, capsys, tmp_path, monkeypatch):
+        plans = tmp_path / "plans"
+        plans.mkdir()
+        (plans / "base.conll").write_text(learnable_corpus_text(6), encoding="utf-8")
+        (plans / "lex.tsv").write_text("alice\thanna\n", encoding="utf-8")
+        (plans / "plan.tsv").write_text(
+            "output\tcombo\n"
+            "source\ta\tbase.conll\n"
+            "source\tb\tbase.conll\tlexicon=lex.tsv\n",
+            encoding="utf-8",
+        )
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        code, out, err = run(capsys, "augment", plans / "plan.tsv", "--out", "combo.conll")
+        assert (code, err) == (0, "")
+        combined = parse_conll((elsewhere / "combo.conll").read_text(encoding="utf-8"))
+        base, translated = combined.sentences[:6], combined.sentences[6:]
+        assert [["hanna" if w == "alice" else w for w in sent.surfaces] for sent in base] \
+            == [sent.surfaces for sent in translated]
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -526,6 +547,12 @@ def corrupted_bytes(data, rng):
             yield f"{insert!r} inserted at byte {pos}", data[:pos] + insert + data[pos:]
 
 
+def in_directory(directory, argv):
+    """``argv`` with each file name (not the command, not an option) under
+    ``directory``."""
+    return argv[:1] + [a if a.startswith("--") else directory / a for a in argv[1:]]
+
+
 class TestSeededCorpusCorruption:
     """A corpus and a prediction file, truncated, byte-flipped and with
     bytes inserted, through ``seqtag stats``, ``evaluate`` and
@@ -595,9 +622,7 @@ class TestSeededInputFileCorruption:
     the run like any escaped exception."""
 
     @pytest.fixture()
-    def files(self, tmp_path, monkeypatch):
-        # the plan names its corpus and lexicon relative to the working directory
-        monkeypatch.chdir(tmp_path)
+    def files(self, tmp_path):
         rng = np.random.default_rng(23)
         (tmp_path / "c.conll").write_text(learnable_corpus_text(4), encoding="utf-8")
         (tmp_path / "tiny.cfg").write_text(
@@ -616,6 +641,8 @@ class TestSeededInputFileCorruption:
             encoding="utf-8")
         return tmp_path
 
+    # file names after the command name and outside options are in the
+    # fixture's directory; the plan names its corpus and lexicon beside itself
     COMMANDS = {
         "vec.txt": (["train", "tiny.cfg", "c.conll", "c.conll", "m.bin",
                      "--pretrained-vectors", "vec.txt"], ["m.bin", "m.bin.history"]),
@@ -642,6 +669,7 @@ class TestSeededInputFileCorruption:
     @pytest.mark.parametrize("target", ["vec.txt", "gc.cfg", "plan.tsv", "lex.tsv"])
     def test_commands_succeed_or_fail_cleanly(self, capsys, files, target):
         argv, outputs = self.COMMANDS[target]
+        argv = in_directory(files, argv)
         outputs = [files / name for name in outputs]
         intact = (files / target).read_bytes()
         problems = []
@@ -658,6 +686,68 @@ class TestSeededInputFileCorruption:
                 problem = self.augment_problem(files) if argv[0] == "augment" else None
                 if err or not out or len(written) != len(outputs) or problem:
                     problems.append((what, code, err, problem))
+                for p in written:
+                    p.unlink()
+            elif (what == "intact" or code not in (1, 2) or out or written
+                  or len(err.splitlines()) != 1 or not err.startswith("error: ")):
+                problems.append((what, code, out, err))
+        assert len(cases) > 100
+        assert problems == [], problems[:5]
+
+
+class TestSeededContextualVectorsCorruption:
+    """A contextual-vectors file, truncated, byte-flipped and with bytes
+    inserted as in ``corrupted_bytes``, through ``train
+    --contextual-vectors`` and through ``predict --contextual-vectors`` with
+    a model trained on the intact file. Each run exits 0, or exits 1 or 2
+    with one ``error:`` line and no output file. Warnings are errors, so a
+    numpy warning fails the run like any escaped exception."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(37)
+        text = learnable_corpus_text(4)
+        (tmp_path / "c.conll").write_text(text, encoding="utf-8")
+        (tmp_path / "ctx.cfg").write_text(
+            "word_dim = 4\nhidden = 4\nlstm_layers = 1\nmax_epochs = 1\n"
+            "use_contextual_slot = true\n", encoding="utf-8")
+        (tmp_path / "ctx.tsv").write_text("".join(
+            f"{sent.id}\t{i}\t" + "\t".join(f"{x:.3f}" for x in rng.normal(size=3)) + "\n"
+            for sent in parse_conll(text).sentences for i in range(len(sent))),
+            encoding="utf-8")
+        code = cli.main([str(a) for a in in_directory(tmp_path, [
+            "train", "ctx.cfg", "c.conll", "c.conll", "model.bin",
+            "--contextual-vectors", "ctx.tsv"])])
+        assert code == 0
+        return tmp_path
+
+    COMMANDS = {
+        "train": (["train", "ctx.cfg", "c.conll", "c.conll", "m.bin",
+                   "--contextual-vectors", "ctx.tsv"], ["m.bin", "m.bin.history"]),
+        "predict": (["predict", "model.bin", "c.conll", "p.txt",
+                     "--contextual-vectors", "ctx.tsv"], ["p.txt"]),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_commands_succeed_or_fail_cleanly(self, capsys, files, command):
+        argv, outputs = self.COMMANDS[command]
+        argv = in_directory(files, argv)
+        outputs = [files / name for name in outputs]
+        intact = (files / "ctx.tsv").read_bytes()
+        problems = []
+        cases = [("intact", intact), *corrupted_bytes(intact, np.random.default_rng(41))]
+        for what, data in cases:
+            (files / "ctx.tsv").write_bytes(data)
+            try:
+                code, out, err = run(capsys, *argv)
+            except Exception as exc:  # anything escaping main is a failure
+                problems.append((what, repr(exc)))
+                continue
+            written = [p for p in outputs if p.exists()]
+            if code == 0:
+                if err or not out or len(written) != len(outputs):
+                    problems.append((what, code, err))
                 for p in written:
                     p.unlink()
             elif (what == "intact" or code not in (1, 2) or out or written

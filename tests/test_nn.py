@@ -38,7 +38,6 @@ class TestParamStore:
         arr = store.add("a", np.ones((2, 3)))
         assert arr.dtype == np.float64
         assert "a" in store
-        assert store.n_scalars() == 6
 
     def test_duplicate_name_rejected(self):
         store = ParamStore()
