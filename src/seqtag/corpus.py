@@ -196,7 +196,8 @@ class Chunk:
 
 @dataclass(frozen=True)
 class ColumnConfig:
-    """Which whitespace-separated columns hold what.
+    """Which whitespace-separated columns hold what; the token is always
+    column 0.
 
     ``tag_col`` indexes from the end when negative (default: last column);
     None means the input has no gold column and every token is tagged
@@ -204,7 +205,6 @@ class ColumnConfig:
     nor pos are kept verbatim in ``Token.extras``.
     """
 
-    token_col: int = 0
     tag_col: int | None = -1
     pos_col: int | None = None
 
@@ -243,7 +243,7 @@ def _row_layout(columns, n_fields, n):
     tag_idx = columns.tag_col
     if tag_idx is not None and tag_idx < 0:
         tag_idx += n
-    needed = {columns.token_col, tag_idx, columns.pos_col} - {None}
+    needed = {0, tag_idx, columns.pos_col} - {None}
     if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
         return None
     return tag_idx, tuple(i for i in range(n) if i not in needed)
@@ -262,7 +262,7 @@ def parse_conll(text, columns=ColumnConfig()):
 
     sentences = []
     classes = set()
-    token_col, pos_col = columns.token_col, columns.pos_col
+    pos_col = columns.pos_col
     labeled = columns.tag_col is not None
     n_fields = 1 + labeled + (pos_col is not None)
     layouts = {}  # column count -> _row_layout
@@ -280,7 +280,7 @@ def parse_conll(text, columns=ColumnConfig()):
                     f"expected at least {n_fields} distinct columns, got {n}: {line!r}", lineno
                 )
             tag_idx, extra_cols = layout
-            raw = cols[token_col]
+            raw = cols[0]
             surface = _normalize(raw)
             if labeled:
                 tag = cols[tag_idx]
@@ -361,23 +361,25 @@ def repair_bio(tags):
 def extract_chunks(tags):
     """Maximal B-X (I-X)* runs as Chunk objects, ordered by start.
 
-    The sequence must already be valid BIO; run repair_bio first otherwise.
+    An orphan I-X (after O, at the start, or after a chunk of another
+    class) opens a chunk, as in conlleval, so the result equals
+    ``extract_chunks(repair_bio(tags))``. Tags outside the BIO grammar
+    raise CorpusError.
     """
-    if validate_bio(tags):
-        raise CorpusError("invalid BIO sequence; apply repair_bio before extracting chunks")
     chunks = []
     start = None
     cls = None
     for i, tag in enumerate(tags):
-        if tag.startswith("B-"):
-            if start is not None:
-                chunks.append(Chunk(cls, start, i))
-            start, cls = i, tag_class(tag)
-        elif tag == "O":
+        _check_bio_grammar(tag)
+        if tag == "O":
             if start is not None:
                 chunks.append(Chunk(cls, start, i))
             start, cls = None, None
-        # I-X continues the open chunk; validity guarantees class match
+        elif tag[0] == "B" or tag[2:] != cls:
+            if start is not None:
+                chunks.append(Chunk(cls, start, i))
+            start, cls = i, tag[2:]
+        # I-X after B-X or I-X continues the open chunk
     if start is not None:
         chunks.append(Chunk(cls, start, len(tags)))
     return chunks
@@ -446,7 +448,7 @@ def corpus_stats(corpus):
     n_tokens = 0
     for sent in corpus.sentences:
         n_tokens += len(sent)
-        for chunk in extract_chunks(repair_bio(sent.gold_tags)):
+        for chunk in extract_chunks(sent.gold_tags):
             class_chunks[chunk.cls] += 1
             if chunk.end - chunk.start == 1:
                 single += 1

@@ -1,7 +1,10 @@
 """First-order linear-chain CRF: log-partition, Viterbi decoding,
 forward-backward marginals, and NLL gradients.
 
-A path through emissions ``e`` (n, T) under transitions ``trans`` scores
+Every entry point takes one shape: emissions as a right-padded batch
+(B, n, T) with explicit ``lengths`` (B,), where sentence b fills positions
+0 .. lengths[b]-1; one sentence is a batch of one. A path through a
+sentence's emissions ``e`` (n, T) under transitions ``trans`` scores
 ``start[y0] + sum_t e[t, y_t] + sum_t trans[y_(t-1), y_t] + end[y_(n-1)]``.
 All recursions run in log space via the kernels module. The forward and
 backward passes run together, both chains of a step as one
@@ -61,41 +64,28 @@ class Transitions:
         return Transitions(self.matrix + matrix_penalty, self.start + start_penalty, self.end)
 
 
-def _check(emissions, trans, lengths=None):
-    """Emissions as a right-padded batch (B, n, T) with its lengths (B,);
-    an (n, T) array is a batch of one. Returns (emissions, lengths,
-    single)."""
+def _check(emissions, trans, lengths):
+    """Emissions as a right-padded batch (B, n, T) with its lengths (B,).
+    Returns (emissions, lengths) as float and int arrays."""
     emissions = np.asarray(emissions, dtype=np.float64)
-    single = emissions.ndim == 2
-    if single:
-        emissions = emissions[None]
     if emissions.ndim != 3 or emissions.shape[1] < 1:
-        raise ValueError(
-            f"emissions must be (n>=1, T) or (B, n>=1, T), got shape {emissions.shape}"
-        )
+        raise ValueError(f"emissions must be (B, n>=1, T), got shape {emissions.shape}")
     if emissions.shape[2] != trans.n_tags:
         raise ValueError(
             f"emissions have {emissions.shape[2]} tags, transitions {trans.n_tags}"
         )
     n_batch, n = emissions.shape[:2]
-    if lengths is None:
-        lengths = np.full(n_batch, n, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (n_batch,) or lengths.min() < 1 or lengths.max() > n:
         raise ValueError(f"lengths must be {n_batch} values in [1, {n}]")
-    return emissions, lengths, single
+    return emissions, lengths
 
 
-def path_score(emissions, trans, tags):
-    """Score of one explicit tag path."""
-    emissions, lengths, _ = _check(emissions, trans)
-    paths = np.asarray(tags, dtype=np.int64)[None]
-    return float(_path_scores(emissions, trans, paths, lengths)[0])
-
-
-def _path_scores(emissions, trans, paths, lengths):
-    """Score (B,) of one tag path per sentence; entries of ``paths``
-    (B, n) past a sentence's length are ignored but must be valid tags."""
+def path_score(emissions, trans, paths, lengths):
+    """Score (B,) of one tag path per sentence of emissions (B, n, T);
+    entries of ``paths`` (B, n) past a sentence's length are ignored but
+    must be valid tags."""
+    paths, lengths = np.asarray(paths), np.asarray(lengths)
     real = np.arange(emissions.shape[1])[None, :] < lengths[:, None]
     emitted = np.take_along_axis(emissions, paths[:, :, None], axis=2)[:, :, 0]
     moved = trans.matrix[paths[:, :-1], paths[:, 1:]]
@@ -125,35 +115,29 @@ def _marginals(alphas, betas, log_z, real):
     return np.exp(log_p)
 
 
-def log_partition(emissions, trans, lengths=None):
-    """log sum over all T^n paths of exp(path score): a float for one
-    sentence, a (B,) array for a batch."""
-    emissions, lengths, single = _check(emissions, trans, lengths)
+def log_partition(emissions, trans, lengths):
+    """log sum over all paths of exp(path score), per sentence (B,)."""
+    emissions, lengths = _check(emissions, trans, lengths)
     alphas, _ = crf_forward_backward(emissions, trans.matrix, trans.start, trans.end, lengths)
-    log_z = _log_z(alphas, trans, lengths)
-    return float(log_z[0]) if single else log_z
+    return _log_z(alphas, trans, lengths)
 
 
-def viterbi(emissions, trans, lengths=None):
-    """Best-scoring tag path and its score; ties break toward lower tag
-    indices at every backpointer. For a batch: a list of paths, each as
-    long as its sentence, and a (B,) array of scores."""
-    emissions, lengths, single = _check(emissions, trans, lengths)
+def viterbi(emissions, trans, lengths):
+    """Best-scoring tag path per sentence and its score; ties break toward
+    lower tag indices at every backpointer. Returns a list of paths, each
+    as long as its sentence, and a (B,) array of scores."""
+    emissions, lengths = _check(emissions, trans, lengths)
     paths, scores = viterbi_decode(
         emissions, trans.matrix, trans.start, trans.end, lengths
     )
-    paths = [[int(t) for t in path[:n]] for path, n in zip(paths, lengths)]
-    if single:
-        return paths[0], float(scores[0])
-    return paths, scores
+    return [[int(t) for t in path[:n]] for path, n in zip(paths, lengths)], scores
 
 
-def crf_marginals(emissions, trans, lengths=None):
-    """Per-position tag probabilities under the CRF distribution, (n, T)
-    or (B, n, T); rows sum to 1 at real positions and are 0 at padding."""
-    emissions, lengths, single = _check(emissions, trans, lengths)
-    marginals = _marginals(*_forward_backward(emissions, trans, lengths))
-    return marginals[0] if single else marginals
+def crf_marginals(emissions, trans, lengths):
+    """Per-position tag probabilities under the CRF distribution (B, n, T);
+    rows sum to 1 at real positions and are 0 at padding."""
+    emissions, lengths = _check(emissions, trans, lengths)
+    return _marginals(*_forward_backward(emissions, trans, lengths))
 
 
 def _nll(emissions, trans, gold, lengths):
@@ -161,38 +145,35 @@ def _nll(emissions, trans, gold, lengths):
     forward-backward pass; also returns the pass and the gold paths (zero
     at padding) for the gradients."""
     n_batch, n, n_tags = emissions.shape
-    gold = np.asarray(gold, dtype=np.int64).reshape(n_batch, -1)
+    gold = np.asarray(gold, dtype=np.int64)
     if gold.shape != (n_batch, n):
         raise ValueError(f"gold path length {gold.shape} does not match {n} positions")
     alphas, betas, log_z, real = _forward_backward(emissions, trans, lengths)
     gold = np.where(real, gold, 0)
     if gold.min() < 0 or gold.max() >= n_tags:
         raise ValueError("gold tag index out of range")
-    loss = log_z - _path_scores(emissions, trans, gold, lengths)
+    loss = log_z - path_score(emissions, trans, gold, lengths)
     return loss, _marginals(alphas, betas, log_z, real), (alphas, betas, log_z, real, gold)
 
 
-def crf_nll_marginals(emissions, trans, gold, lengths=None):
+def crf_nll_marginals(emissions, trans, gold, lengths):
     """Negative log-likelihood of the gold path and the per-position
     marginals, from one forward-backward pass: what scoring a labelled
     batch needs. Shapes as in ``crf_nll_grad`` and ``crf_marginals``."""
-    emissions, lengths, single = _check(emissions, trans, lengths)
+    emissions, lengths = _check(emissions, trans, lengths)
     loss, marginals, _ = _nll(emissions, trans, gold, lengths)
-    if single:
-        return float(loss[0]), marginals[0]
     return loss, marginals
 
 
-def crf_nll_grad(emissions, trans, gold, lengths=None):
-    """Negative log-likelihood of the gold path and its gradients.
+def crf_nll_grad(emissions, trans, gold, lengths):
+    """Negative log-likelihood of the gold paths (B, n) and its gradients.
 
     Returns (loss, d_emissions, d_matrix, d_start, d_end) where each
-    gradient is expected counts under the model minus gold counts. For a
-    batch (gold (B, n), padded), loss is a (B,) array, d_emissions is
-    (B, n, T) and zero at padding, and the transition gradients are summed
-    over the batch.
+    gradient is expected counts under the model minus gold counts: loss is
+    (B,), d_emissions is (B, n, T) and zero at padding, and the transition
+    gradients are summed over the batch.
     """
-    emissions, lengths, single = _check(emissions, trans, lengths)
+    emissions, lengths = _check(emissions, trans, lengths)
     n_batch = emissions.shape[0]
     loss, marginals, (alphas, betas, log_z, real, gold) = _nll(emissions, trans, gold, lengths)
     gold_onehot = np.zeros_like(marginals)
@@ -214,8 +195,6 @@ def crf_nll_grad(emissions, trans, gold, lengths=None):
     rows = np.arange(n_batch)
     d_end = marginals[rows, lengths - 1].sum(axis=0)
     np.add.at(d_end, gold[rows, lengths - 1], -1.0)
-    if single:
-        return float(loss[0]), d_emissions[0], d_matrix, d_start, d_end
     return loss, d_emissions, d_matrix, d_start, d_end
 
 

@@ -6,15 +6,14 @@ gradients into the ParamStore and returns the gradient w.r.t. the layer
 input. Caches travel with the caller, so forward passes on a shared model
 are thread-safe.
 
-Sequence layers run a right-padded batch: inputs are (B, n, d) with a
-``lengths`` vector (B,), and sentence b fills positions 0 .. lengths[b]-1.
-An (n, d) input is a batch of one and gives an (n, ·) output. Values at
-padded positions are meaningless and the caller gives them zero gradient;
-no real position depends on them. ``BiLstm`` steps both directions of a
-layer in one stacked kernel call. ``Linear`` and ``EmbeddingTable`` act
-row by row on inputs of any rank. ``CharCNN`` takes words instead of
-sentences: (W, L) char indices right-padded to per-word lengths, or one
-word (L,).
+Sequence layers take one shape: a right-padded batch (B, n, d) and its
+``lengths`` (B,), where sentence b fills positions 0 .. lengths[b]-1; one
+sentence is a batch of one. Values at padded positions are meaningless
+and the caller gives them zero gradient; no real position depends on
+them. ``BiLstm`` steps both directions of a layer in one stacked kernel
+call. ``Linear`` and ``EmbeddingTable`` act row by row on inputs of any
+rank. ``CharCNN`` takes words instead of sentences: (W, L) char indices
+right-padded to per-word lengths (W,).
 """
 
 import numpy as np
@@ -86,16 +85,13 @@ class CharCNN:
         self._store = store
         self._prefix = prefix
 
-    def forward(self, char_indices, lengths=None):
-        """char_indices: one word's indices (L,), or words (W, L) right-padded
-        to ``lengths`` (W,); padding indices must be valid rows. Returns
-        (filters,) for one word or (W, filters), and a cache."""
+    def forward(self, char_indices, lengths):
+        """char_indices: words (W, L) right-padded to ``lengths`` (W,);
+        padding indices must be valid rows. Returns (W, filters) and a
+        cache."""
         idx = np.asarray(char_indices, dtype=np.int64)
-        single = idx.ndim == 1
-        if single:
-            idx = idx[None]
         n_words, width = idx.shape
-        lengths = np.full(n_words, width) if lengths is None else np.asarray(lengths)
+        lengths = np.asarray(lengths)
         k = self.kernel
         real = np.arange(width) < lengths[:, None]
         rows, _ = self.chars.lookup(idx)
@@ -113,12 +109,12 @@ class CharCNN:
         r[np.arange(r.shape[1]) >= n_valid[:, None]] = -1.0
         argmax = np.argmax(r, axis=1)[:, None]
         out = np.take_along_axis(r, argmax, axis=1)[:, 0]
-        return (out[0] if single else out), (idx, real, windows, z, argmax)
+        return out, (idx, real, windows, z, argmax)
 
     def backward(self, d_out, cache):
         idx, real, windows, z, argmax = cache
         k, cd = self.kernel, self.char_dim
-        d_out = d_out.reshape(len(idx), 1, self.filters)
+        d_out = d_out[:, None]
         dz = np.zeros_like(z)
         np.put_along_axis(dz, argmax, d_out * (np.take_along_axis(z, argmax, axis=1) > 0.0),
                           axis=1)
@@ -138,15 +134,6 @@ class CharCNN:
 def _dense(x, w):
     """``x @ w`` over the last axis of ``x`` as one 2-D matmul."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
-
-
-def _batched(x, lengths):
-    """View an (n, d) input as a batch of one; default to full lengths."""
-    if x.ndim == 2:
-        x = x[None]
-    if lengths is None:
-        lengths = np.full(x.shape[0], x.shape[1])
-    return x, np.asarray(lengths, dtype=np.int64)
 
 
 class BiLstm:
@@ -186,14 +173,12 @@ class BiLstm:
                        for p in ("w_x", "w_h", "b"))
         return w_x, w_h, b[:, None]
 
-    def forward(self, x, lengths=None):
-        """x: (B, n, d) right-padded to ``lengths`` (B,), or one sentence
-        (n, d). Returns the output in the shape of x and a cache."""
-        single = x.ndim == 2
-        x, lengths = _batched(x, lengths)
+    def forward(self, x, lengths):
+        """x: (B, n, d) right-padded to ``lengths`` (B,). Returns the output
+        (B, n, 2h) and a cache."""
         n_batch, n = x.shape[:2]
         t = np.arange(n)[None, :]
-        last = lengths[:, None] - 1
+        last = np.asarray(lengths)[:, None] - 1
         reverse = (np.arange(n_batch)[:, None], np.where(t <= last, last - t, t))
         zeros = np.zeros((2, n_batch, self.hidden))
         caches = []
@@ -207,13 +192,10 @@ class BiLstm:
             hs, cs = lstm_forward(xw.reshape(2, n_batch, n, -1), w_h, zeros, zeros)
             caches.append((xs, hs, cs))
             x = np.concatenate([hs[0], hs[1][reverse]], axis=2)
-        return (x[0] if single else x), (reverse, caches)
+        return x, (reverse, caches)
 
     def backward(self, d_out, cache):
         reverse, caches = cache
-        single = d_out.ndim == 2
-        if single:
-            d_out = d_out[None]
         h = self.hidden
         for layer, (xs, hs, cs) in zip(reversed(self.layers), reversed(caches)):
             d_hs = np.empty_like(hs)
@@ -222,7 +204,7 @@ class BiLstm:
             d_xs = self._backward_layer(layer, d_hs, xs, hs, cs)
             d_out = d_xs[0]
             d_out += d_xs[1][reverse]
-        return d_out[0] if single else d_out
+        return d_out
 
     def _backward_layer(self, layer, d_hs, xs, hs, cs):
         """Accumulate one layer's parameter gradients; return the gradient
@@ -251,8 +233,8 @@ class BiLstm:
 class MultiHeadAttention:
     """Scaled dot-product self-attention with per-head softmax, head
     concatenation, and an output projection. Output shape equals input
-    shape. With ``lengths``, a key-padding mask keeps every position from
-    attending to padding.
+    shape. A key-padding mask keeps every position from attending to
+    padding.
 
     The query/key/value projections carry no bias: a key bias shifts every
     score in a softmax row equally, so it can never affect the output and
@@ -281,20 +263,18 @@ class MultiHeadAttention:
         n_batch, _, n, _ = x.shape
         return x.transpose(0, 2, 1, 3).reshape(n_batch, n, self.dim)
 
-    def forward(self, x, lengths=None):
-        """x: (B, n, dim) right-padded to ``lengths`` (B,), or one sentence
-        (n, dim). Returns the output in the shape of x and a cache; the
-        backward pass recomputes the projections from x."""
-        single = x.ndim == 2
-        x, lengths = _batched(x, lengths)
+    def forward(self, x, lengths):
+        """x: (B, n, dim) right-padded to ``lengths`` (B,). Returns the
+        output (B, n, dim) and a cache; the backward pass recomputes the
+        projections from x."""
         q, k, v = self._project(x)
         scores = q @ k.swapaxes(2, 3)
         scores *= 1.0 / np.sqrt(self.head_dim)
-        padded_key = np.arange(x.shape[1]) >= lengths[:, None]
+        padded_key = np.arange(x.shape[1]) >= np.asarray(lengths)[:, None]
         scores[np.broadcast_to(padded_key[:, None, None, :], scores.shape)] = -np.inf
         attn = softmax_rows(scores)
         y = _dense(self._merge(attn @ v), self.w_o) + self.b_o
-        return (y[0] if single else y), (x, attn)
+        return y, (x, attn)
 
     def _project(self, x):
         return (self._split(_dense(x, w)) for w in (self.w_q, self.w_k, self.w_v))
@@ -308,8 +288,6 @@ class MultiHeadAttention:
 
     def backward(self, d_y, cache):
         x, attn = cache
-        single = d_y.ndim == 2
-        d_y = d_y.reshape(x.shape)
         q, k, v = self._project(x)
         pre = self._prefix
         acc = self._store.accumulate
@@ -326,8 +304,7 @@ class MultiHeadAttention:
         d_x = self._project_backward("q", self.w_q, d_scores @ k, flat_x)
         d_x += self._project_backward("k", self.w_k, d_scores.swapaxes(2, 3) @ q, flat_x)
         d_x += self._project_backward("v", self.w_v, attn.swapaxes(2, 3) @ d_heads, flat_x)
-        d_x = d_x.reshape(x.shape)
-        return d_x[0] if single else d_x
+        return d_x.reshape(x.shape)
 
 
 class Linear:
@@ -350,20 +327,17 @@ class Linear:
         return _dense(d_y, self.w.T)
 
 
-def dropout_apply(x, rate, mode, rng, lengths=None):
-    """Inverted dropout: zero each element with probability ``rate`` and
-    scale survivors by 1/(1-rate) in train mode; identity in eval mode.
-    With ``lengths`` (x is (B, n, d)), each sentence draws its own
-    (lengths[b], d) mask in batch order and padding is zeroed.
-    Returns (output, mask); mask is None when nothing was dropped."""
+def dropout_apply(x, rate, mode, rng, lengths):
+    """Inverted dropout on a padded batch x (B, n, d): in train mode each
+    sentence draws its own (lengths[b], d) mask in batch order, zeroing each
+    element with probability ``rate`` and scaling survivors by 1/(1-rate);
+    padding is zeroed. Identity in eval mode. Returns (output, mask); mask
+    is None when nothing was dropped."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if mode != "train" or rate == 0.0:
         return x, None
-    if lengths is None:
-        keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    else:
-        keep = np.zeros(x.shape)
-        for b, n in enumerate(lengths):
-            keep[b, :n] = (rng.random((n,) + x.shape[2:]) >= rate) / (1.0 - rate)
+    keep = np.zeros(x.shape)
+    for b, n in enumerate(lengths):
+        keep[b, :n] = (rng.random((n,) + x.shape[2:]) >= rate) / (1.0 - rate)
     return x * keep, keep

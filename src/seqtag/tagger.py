@@ -824,6 +824,9 @@ def _header_problem(header):
     for key in ("classes", "word_tokens", "char_tokens"):
         if not _distinct_names(header[key]):
             return f"model header {key}: expected a list of distinct non-empty strings"
+    bad = [c for c in header["classes"] if not BIO_TAG_RE.match(f"B-{c}")]
+    if bad:
+        return f"model header classes: {bad[0]!r} cannot form a BIO label"
     if header["pos_tokens"] is not None and not _distinct_names(header["pos_tokens"]):
         return "model header pos_tokens: expected null or a list of distinct non-empty strings"
     if not _is_int(header["contextual_dim"]) or header["contextual_dim"] < 0:

@@ -74,14 +74,15 @@ def test_crf_oracle_equivalence():
             log_z, best_path, best_score, marginals, _ = enumerate_crf(
                 emissions, trans.matrix, trans.start, trans.end
             )
-            assert log_partition(emissions, trans) == pytest.approx(log_z, abs=1e-9)
-            path, score = viterbi(emissions, trans)
+            batch = emissions[None]
+            assert log_partition(batch, trans, [n])[0] == pytest.approx(log_z, abs=1e-9)
+            (path,), (score,) = viterbi(batch, trans, [n])
             assert score == pytest.approx(best_score, abs=1e-9)
             assert list(path) == best_path
-            assert path_score(emissions, trans, path) == pytest.approx(
+            assert path_score(batch, trans, [path], [n])[0] == pytest.approx(
                 score, abs=1e-9
             )
-            got = crf_marginals(emissions, trans)
+            got = crf_marginals(batch, trans, [n])[0]
             np.testing.assert_allclose(got, marginals, atol=1e-9)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"CRF oracle sweep took {elapsed:.1f}s"
@@ -112,10 +113,10 @@ def _layer_gradient_cases(seed):
     rc = rng.normal(size=3)
 
     def cnn_loss(grad=False, cnn=cnn, cidx=cidx, rc=rc):
-        out, cache = cnn.forward(cidx)
+        out, cache = cnn.forward([cidx], [len(cidx)])
         if grad:
-            cnn.backward(rc, cache)
-        return float(np.sum(out * rc))
+            cnn.backward(rc[None], cache)
+        return float(np.sum(out[0] * rc))
 
     cases.append(("char-cnn", cnn_loss, store, 1e-4))
 
@@ -125,10 +126,10 @@ def _layer_gradient_cases(seed):
     rl = rng.normal(size=(4, 4))
 
     def rnn_loss(grad=False, rnn=rnn, x=x, rl=rl):
-        y, cache = rnn.forward(x)
+        y, cache = rnn.forward(x[None], [len(x)])
         if grad:
-            rnn.backward(rl, cache)
-        return float(np.sum(y * rl))
+            rnn.backward(rl[None], cache)
+        return float(np.sum(y[0] * rl))
 
     cases.append(("bilstm", rnn_loss, store, 1e-4))
 
@@ -138,10 +139,10 @@ def _layer_gradient_cases(seed):
     rm = rng.normal(size=(3, 4))
 
     def mha_loss(grad=False, mha=mha, xm=xm, rm=rm):
-        y, cache = mha.forward(xm)
+        y, cache = mha.forward(xm[None], [len(xm)])
         if grad:
-            mha.backward(rm, cache)
-        return float(np.sum(y * rm))
+            mha.backward(rm[None], cache)
+        return float(np.sum(y[0] * rm))
 
     cases.append(("mha", mha_loss, store, 1e-4))
 
@@ -168,7 +169,8 @@ def _layer_gradient_cases(seed):
 
     def crf_loss(grad=False, store=store, gold=gold):
         trans = Transitions(store["matrix"], store["start"], store["end"])
-        loss, d_e, d_m, d_s, d_end = crf_nll_grad(store["emissions"], trans, gold)
+        (loss,), (d_e,), d_m, d_s, d_end = crf_nll_grad(store["emissions"][None], trans,
+                                                        [gold], [len(gold)])
         if grad:
             store.accumulate("emissions", d_e)
             store.accumulate("matrix", d_m)

@@ -75,17 +75,18 @@ def assert_grads_close(got, want):
 
 def check_sequence_layer(layer, store, x, lengths, out_dim, rng):
     """Batched forward/backward of ``layer`` against per-sentence calls on
-    the unpadded (n, d) rows; the output gradient is zero at padding."""
+    each sentence's unpadded rows as a batch of one; the output gradient is
+    zero at padding."""
     d_out = rng.normal(size=x.shape[:2] + (out_dim,)) * real_mask(lengths)[:, :, None]
     y, cache = layer.forward(x, lengths)
     d_x = layer.backward(d_out, cache)
     batched = grads(store)
     store.zero_grads()
     for b, n in enumerate(lengths):
-        y_b, cache_b = layer.forward(x[b, :n])
-        np.testing.assert_allclose(y[b, :n], y_b, rtol=0, atol=TOL)
-        d_x_b = layer.backward(d_out[b, :n], cache_b)
-        np.testing.assert_allclose(d_x[b, :n], d_x_b, rtol=0, atol=TOL)
+        y_b, cache_b = layer.forward(x[b:b + 1, :n], [n])
+        np.testing.assert_allclose(y[b, :n], y_b[0], rtol=0, atol=TOL)
+        d_x_b = layer.backward(d_out[b:b + 1, :n], cache_b)
+        np.testing.assert_allclose(d_x[b, :n], d_x_b[0], rtol=0, atol=TOL)
     assert not d_x[~real_mask(lengths)].any()
     assert_grads_close(batched, grads(store))
 
@@ -144,14 +145,14 @@ def test_crf_batch_matches_sentences(lengths):
     assert not d_e[~real_mask(lengths)].any()
     sums = [np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags)]
     for b, n in enumerate(lengths):
-        e_b = emissions[b, :n]
-        assert log_z[b] == pytest.approx(log_partition(e_b, trans), abs=TOL)
-        np.testing.assert_allclose(marginals[b, :n], crf_marginals(e_b, trans),
+        e_b = emissions[b:b + 1, :n]
+        assert log_z[b] == pytest.approx(log_partition(e_b, trans, [n])[0], abs=TOL)
+        np.testing.assert_allclose(marginals[b, :n], crf_marginals(e_b, trans, [n])[0],
                                    rtol=0, atol=TOL)
-        path_b, score_b = viterbi(e_b, trans)
+        (path_b,), (score_b,) = viterbi(e_b, trans, [n])
         assert paths[b] == path_b
         assert scores[b] == pytest.approx(score_b, abs=TOL)
-        loss_b, d_e_b, *d_trans = crf_nll_grad(e_b, trans, gold[b, :n])
+        (loss_b,), (d_e_b,), *d_trans = crf_nll_grad(e_b, trans, gold[b:b + 1, :n], [n])
         assert loss[b] == pytest.approx(loss_b, abs=TOL)
         np.testing.assert_allclose(d_e[b, :n], d_e_b, rtol=0, atol=TOL)
         for total, part in zip(sums, d_trans):
@@ -275,7 +276,8 @@ def test_char_cnn_batch_matches_reference(kernel):
     for row, word, m in zip(out, idx, word_lengths):
         want, _ = reference_char_cnn(cnn.chars.table[word[:m]], cnn.w, cnn.b, kernel)
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cnn.forward(word[:m])[0], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cnn.forward(word[None, :m], [m])[0][0], want,
+                                   rtol=0, atol=1e-12)
 
 
 def test_char_cnn_batch_backward_matches_words():
@@ -288,8 +290,8 @@ def test_char_cnn_batch_backward_matches_words():
     batched = grads(store)
     store.zero_grads()
     for word, m, d_word in zip(idx, word_lengths, d_out):
-        _, cache = cnn.forward(word[:m])
-        cnn.backward(d_word, cache)
+        _, cache = cnn.forward(word[None, :m], [m])
+        cnn.backward(d_word[None], cache)
     assert_grads_close(batched, grads(store))
 
 

@@ -843,6 +843,24 @@ class TestEvaluateGolden:
         # report text is stable across runs
         assert run(capsys, "evaluate", gold, preds) == (code, out, err)
 
+    def test_orphan_inside_tags_open_chunks(self, capsys, tmp_path):
+        # an I- tag with no B- before it starts a chunk, in gold and in
+        # predictions alike
+        gold = tmp_path / "gold.conll"
+        gold.write_text(
+            "# s0\nmehta I-PER\nvisited O\ndhaka B-LOC\nuniversity I-LOC\n",
+            encoding="utf-8",
+        )
+        preds = tmp_path / "preds.txt"
+        preds.write_text(
+            "# s0\nmehta I-PER B-PER 0.900000\nvisited O O 0.800000\n"
+            "dhaka B-LOC I-LOC 0.700000\nuniversity I-LOC I-LOC 0.600000\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "evaluate", gold, preds)
+        assert (code, err) == (0, "")
+        assert "macro_f1 = 1.0" in out
+
 
 class TestNonNfcPredictionFiles:
     def test_same_bytes_align_after_normalization(self, capsys, tmp_path):

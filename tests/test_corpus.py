@@ -112,9 +112,19 @@ class TestExtractChunks:
     def test_empty(self):
         assert extract_chunks(["O", "O"]) == []
 
-    def test_invalid_input_rejected(self):
-        with pytest.raises(CorpusError, match="repair_bio"):
-            extract_chunks(["O", "I-PER"])
+    def test_orphan_inside_opens_a_chunk_as_if_repaired(self):
+        # conlleval reads an I-X with no B-X/I-X before it as a chunk start
+        assert extract_chunks(["O", "I-PER", "I-PER", "I-LOC"]) == [
+            Chunk("PER", 1, 3), Chunk("LOC", 3, 4)]
+        rng = np.random.default_rng(13)
+        labels = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
+        for _ in range(300):
+            tags = [labels[i] for i in rng.integers(0, len(labels), size=rng.integers(1, 12))]
+            assert extract_chunks(tags) == extract_chunks(repair_bio(tags))
+
+    def test_grammar_violation_rejected(self):
+        with pytest.raises(CorpusError, match="BIO grammar"):
+            extract_chunks(["O", "X-PER"])
 
     def test_exhaustive_against_run_scanner(self):
         # all valid sequences of length <= 5 over {O, B-PER, I-PER}

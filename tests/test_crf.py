@@ -35,37 +35,39 @@ class TestLogPartition:
     def test_uniform_two_by_two(self):
         emis = np.zeros((2, 2))
         trans = Transitions.zeros(2)
-        assert log_partition(emis, trans) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert log_partition(emis[None], trans, [2])[0] == pytest.approx(math.log(4.0),
+                                                                         abs=1e-12)
 
     def test_single_position_closed_form(self):
         emis = np.array([[0.3, -1.2, 2.0]])
         trans = Transitions.zeros(3)
         expected = math.log(sum(math.exp(v) for v in emis[0]))
-        assert log_partition(emis, trans) == pytest.approx(expected, abs=1e-12)
+        assert log_partition(emis[None], trans, [1])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             emis, trans = random_instance(rng)
             expected, _, _, _, _ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            assert log_partition(emis, trans) == pytest.approx(expected, abs=1e-10)
+            got = log_partition(emis[None], trans, [len(emis)])[0]
+            assert got == pytest.approx(expected, abs=1e-10)
 
     def test_emission_shift_invariance(self):
         rng = np.random.default_rng(5)
         emis, trans = random_instance(rng, n=4, n_tags=3)
-        base = log_partition(emis, trans)
+        base = log_partition(emis[None], trans, [4])[0]
         shifted = emis.copy()
         shifted[2] += 7.5
-        assert log_partition(shifted, trans) == pytest.approx(base + 7.5, abs=1e-9)
+        assert log_partition(shifted[None], trans, [4])[0] == pytest.approx(base + 7.5, abs=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            log_partition(np.zeros((2, 3)), Transitions.zeros(2))
+            log_partition(np.zeros((1, 2, 3)), Transitions.zeros(2), [2])
 
     def test_stable_for_large_scores(self):
-        emis = np.full((5, 3), 1e3)
+        emis = np.full((1, 5, 3), 1e3)
         trans = Transitions.zeros(3)
-        value = log_partition(emis, trans)
+        (value,) = log_partition(emis, trans, [5])
         assert np.isfinite(value)
         assert value == pytest.approx(5e3 + 5 * math.log(3), rel=1e-12)
 
@@ -75,13 +77,13 @@ class TestViterbi:
         rng = np.random.default_rng(0)
         emis = rng.normal(size=(6, 4))
         trans = Transitions.zeros(4)
-        path, _ = viterbi(emis, trans)
+        (path,), _ = viterbi(emis[None], trans, [6])
         assert path == list(np.argmax(emis, axis=1))
 
     def test_single_position(self):
         emis = np.array([[0.1, 0.9, -2.0]])
         trans = Transitions(np.zeros((3, 3)), np.array([0.0, 0.0, 3.5]), np.zeros(3))
-        path, score = viterbi(emis, trans)
+        (path,), (score,) = viterbi(emis[None], trans, [1])
         assert path == [2]
         assert score == pytest.approx(3.5 - 2.0)
 
@@ -89,21 +91,22 @@ class TestViterbi:
         rng = np.random.default_rng(1)
         for _ in range(50):
             emis, trans = random_instance(rng)
-            path, score = viterbi(emis, trans)
-            assert score == pytest.approx(path_score(emis, trans, path), abs=1e-10)
+            (path,), (score,) = viterbi(emis[None], trans, [len(emis)])
+            (expected,) = path_score(emis[None], trans, [path], [len(emis)])
+            assert score == pytest.approx(expected, abs=1e-10)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             emis, trans = random_instance(rng)
             _, _, best_score, _, _ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            _, score = viterbi(emis, trans)
+            _, (score,) = viterbi(emis[None], trans, [len(emis)])
             assert score == pytest.approx(best_score, abs=1e-10)
 
     def test_ties_break_toward_lower_index(self):
         emis = np.zeros((3, 3))
         trans = Transitions.zeros(3)
-        path, _ = viterbi(emis, trans)
+        (path,), _ = viterbi(emis[None], trans, [3])
         assert path == [0, 0, 0]
 
 
@@ -111,7 +114,7 @@ class TestMarginals:
     def test_uniform_symmetry(self):
         emis = np.zeros((3, 2))
         trans = Transitions.zeros(2)
-        np.testing.assert_allclose(crf_marginals(emis, trans), 0.5, atol=1e-12)
+        np.testing.assert_allclose(crf_marginals(emis[None], trans, [3]), 0.5, atol=1e-12)
 
     def test_single_position_softmax(self):
         rng = np.random.default_rng(3)
@@ -120,35 +123,37 @@ class TestMarginals:
         scores = emis[0] + trans.start + trans.end
         expected = np.exp(scores - scores.max())
         expected /= expected.sum()
-        np.testing.assert_allclose(crf_marginals(emis, trans)[0], expected, atol=1e-12)
+        np.testing.assert_allclose(crf_marginals(emis[None], trans, [1])[0, 0], expected,
+                                   atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             emis, trans = random_instance(rng)
-            m = crf_marginals(emis, trans)
-            np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
+            m = crf_marginals(emis[None], trans, [len(emis)])
+            np.testing.assert_allclose(m.sum(axis=2), 1.0, atol=1e-12)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             emis, trans = random_instance(rng)
             _, _, _, expected, _ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            np.testing.assert_allclose(crf_marginals(emis, trans), expected, atol=1e-9)
+            got = crf_marginals(emis[None], trans, [len(emis)])[0]
+            np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_invariant_under_emission_shift(self):
         rng = np.random.default_rng(6)
         emis, trans = random_instance(rng, n=4, n_tags=3)
-        base = crf_marginals(emis, trans)
+        base = crf_marginals(emis[None], trans, [4])
         shifted = emis.copy()
         shifted[1] += -3.3
-        np.testing.assert_allclose(crf_marginals(shifted, trans), base, atol=1e-9)
+        np.testing.assert_allclose(crf_marginals(shifted[None], trans, [4]), base, atol=1e-9)
 
 
 class TestNllGrad:
     def test_nll_marginals_equal_the_separate_passes(self):
         # one forward-backward pass gives the same bits as crf_nll_grad's
-        # loss and crf_marginals, for one sentence and for a padded batch
+        # loss and crf_marginals, for a batch of one and for a padded batch
         rng = np.random.default_rng(12)
         trans = Transitions(*(rng.normal(size=s) for s in [(4, 4), 4, 4]))
         emis = rng.normal(size=(3, 6, 4))
@@ -157,20 +162,20 @@ class TestNllGrad:
         loss, marginals = crf_nll_marginals(emis, trans, gold, lengths)
         np.testing.assert_array_equal(loss, crf_nll_grad(emis, trans, gold, lengths)[0])
         np.testing.assert_array_equal(marginals, crf_marginals(emis, trans, lengths))
-        loss, marginals = crf_nll_marginals(emis[0], trans, gold[0])
-        assert loss == crf_nll_grad(emis[0], trans, gold[0])[0]
-        np.testing.assert_array_equal(marginals, crf_marginals(emis[0], trans))
+        loss, marginals = crf_nll_marginals(emis[:1], trans, gold[:1], [6])
+        np.testing.assert_array_equal(loss, crf_nll_grad(emis[:1], trans, gold[:1], [6])[0])
+        np.testing.assert_array_equal(marginals, crf_marginals(emis[:1], trans, [6]))
 
     def test_peaked_emissions_near_zero_loss(self):
         n, n_tags = 4, 3
         gold = [0, 2, 1, 1]
         emis = np.full((n, n_tags), -100.0)
         emis[np.arange(n), gold] = 100.0
-        loss, *_ = crf_nll_grad(emis, Transitions.zeros(n_tags), gold)
+        (loss,), *_ = crf_nll_grad(emis[None], Transitions.zeros(n_tags), [gold], [n])
         assert 0.0 <= loss < 1e-6
 
     def test_uniform_loss_log4(self):
-        loss, *_ = crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0, 1])
+        (loss,), *_ = crf_nll_grad(np.zeros((1, 2, 2)), Transitions.zeros(2), [[0, 1]], [2])
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_gold_probability_in_unit_interval(self):
@@ -179,11 +184,11 @@ class TestNllGrad:
             emis, trans = random_instance(rng)
             n, n_tags = emis.shape
             gold = rng.integers(0, n_tags, size=n)
-            loss, *_ = crf_nll_grad(emis, trans, gold)
+            (loss,), *_ = crf_nll_grad(emis[None], trans, gold[None], [n])
             p = math.exp(-loss)
             assert 0.0 < p <= 1.0 + 1e-12
             log_z, *_ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            expected = math.exp(path_score(emis, trans, gold) - log_z)
+            expected = math.exp(path_score(emis[None], trans, gold[None], [n])[0] - log_z)
             assert p == pytest.approx(expected, abs=1e-10)
 
     def test_emission_gradient_rows_sum_to_zero(self):
@@ -192,8 +197,8 @@ class TestNllGrad:
             emis, trans = random_instance(rng)
             n, n_tags = emis.shape
             gold = rng.integers(0, n_tags, size=n)
-            _, d_emis, _, _, _ = crf_nll_grad(emis, trans, gold)
-            np.testing.assert_allclose(d_emis.sum(axis=1), 0.0, atol=1e-9)
+            _, d_emis, _, _, _ = crf_nll_grad(emis[None], trans, gold[None], [n])
+            np.testing.assert_allclose(d_emis.sum(axis=2), 0.0, atol=1e-9)
 
     def test_transition_gradient_matches_enumeration(self):
         rng = np.random.default_rng(9)
@@ -201,7 +206,8 @@ class TestNllGrad:
             emis, trans = random_instance(rng)
             n, n_tags = emis.shape
             gold = rng.integers(0, n_tags, size=n)
-            _, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis, trans, gold)
+            _, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis[None], trans, gold[None],
+                                                               [n])
             _, _, _, marg, pairs = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
             gold_pairs = np.zeros_like(trans.matrix)
             for a, b in zip(gold[:-1], gold[1:]):
@@ -209,17 +215,17 @@ class TestNllGrad:
             np.testing.assert_allclose(d_matrix, pairs - gold_pairs, atol=1e-9)
             onehot = np.zeros_like(emis)
             onehot[np.arange(n), gold] = 1.0
-            np.testing.assert_allclose(d_emis, marg - onehot, atol=1e-9)
+            np.testing.assert_allclose(d_emis[0], marg - onehot, atol=1e-9)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         emis, trans = random_instance(rng, n=3, n_tags=3)
-        gold = np.array([1, 0, 2])
-        loss, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis, trans, gold)
+        gold = np.array([[1, 0, 2]])
+        loss, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis[None], trans, gold, [3])
         step = 1e-6
 
         def loss_at(e, m, s, z):
-            return crf_nll_grad(e, Transitions(m, s, z), gold)[0]
+            return crf_nll_grad(e[None], Transitions(m, s, z), gold, [3])[0][0]
 
         for target, grad in (("emis", d_emis), ("matrix", d_matrix),
                              ("start", d_start), ("end", d_end)):
@@ -240,11 +246,11 @@ class TestNllGrad:
 
     def test_out_of_range_gold(self):
         with pytest.raises(ValueError, match="range"):
-            crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0, 5])
+            crf_nll_grad(np.zeros((1, 2, 2)), Transitions.zeros(2), [[0, 5]], [2])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0])
+            crf_nll_grad(np.zeros((1, 2, 2)), Transitions.zeros(2), [[0]], [2])
 
 
 class TestBioConstraints:
@@ -266,7 +272,7 @@ class TestBioConstraints:
         for _ in range(50):
             emis = rng.normal(scale=3.0, size=(5, len(tagset)))
             trans = Transitions.zeros(len(tagset)).penalized(matrix_pen, start_pen)
-            path, _ = viterbi(emis, trans)
+            (path,), _ = viterbi(emis[None], trans, [5])
             labels = [tagset.label(i) for i in path]
             from seqtag.corpus import validate_bio
 
@@ -390,6 +396,6 @@ class TestKernelsAgainstLogSpaceOracle:
         assert product[i] == 0.0
         exact_rows = self.count_exact_rows(monkeypatch)
         log_z, *_ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-        assert log_partition(emis, trans) == pytest.approx(log_z, rel=1e-12)
+        assert log_partition(emis[None], trans, [2])[0] == pytest.approx(log_z, rel=1e-12)
         assert log_z == pytest.approx(1200.0)
         assert sum(exact_rows) >= 1

@@ -170,8 +170,8 @@ class TestCharCNN:
         cnn = CharCNN(store, "c", n_chars=10, char_dim=3, kernel=4, filters=5,
                       rng=np.random.default_rng(0))
         for word_len in (1, 3, 4, 9):  # shorter than kernel gets zero-padded
-            out, _ = cnn.forward(list(range(word_len)))
-            assert out.shape == (5,)
+            out, _ = cnn.forward([list(range(word_len))], [word_len])
+            assert out.shape == (1, 5)
 
     def test_rejects_bad_sizes(self):
         store = ParamStore()
@@ -185,19 +185,19 @@ class TestCharCNN:
         cnn.chars.table[...] = np.array([[0.0], [1.0], [5.0], [2.0]])
         cnn.w[...] = np.array([[1.0]])
         cnn.b[...] = np.array([0.0])
-        out, _ = cnn.forward([0, 1, 2, 3])
-        assert out[0] == 5.0
+        out, _ = cnn.forward([[0, 1, 2, 3]], [4])
+        assert out[0, 0] == 5.0
 
     def test_gradient_check(self):
         for seed in range(3):
             store = ParamStore()
             rng = np.random.default_rng(seed)
             cnn = CharCNN(store, "c", n_chars=8, char_dim=3, kernel=2, filters=4, rng=rng)
-            r = rng.normal(size=4)
-            idx = [1, 7, 3, 3, 0]
+            r = rng.normal(size=(1, 4))
+            idx = [[1, 7, 3, 3, 0]]
 
             def loss_fn(grad=False):
-                out, cache = cnn.forward(idx)
+                out, cache = cnn.forward(idx, [5])
                 if grad:
                     cnn.backward(r, cache)
                 return float(np.sum(out * r))
@@ -208,10 +208,10 @@ class TestCharCNN:
         store = ParamStore()
         rng = np.random.default_rng(11)
         cnn = CharCNN(store, "c", n_chars=8, char_dim=2, kernel=3, filters=3, rng=rng)
-        r = rng.normal(size=3)
+        r = rng.normal(size=(1, 3))
 
         def loss_fn(grad=False):
-            out, cache = cnn.forward([4])  # single char, needs padding
+            out, cache = cnn.forward([[4]], [1])  # single char, needs padding
             if grad:
                 cnn.backward(r, cache)
             return float(np.sum(out * r))
@@ -224,8 +224,8 @@ class TestBiLstm:
         store = ParamStore()
         rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2,
                      rng=np.random.default_rng(0))
-        out, _ = rnn.forward(np.random.default_rng(1).normal(size=(6, 3)))
-        assert out.shape == (6, 8)
+        out, _ = rnn.forward(np.random.default_rng(1).normal(size=(1, 6, 3)), [6])
+        assert out.shape == (1, 6, 8)
         assert rnn.output_dim == 8
 
     def test_rejects_zero_layers(self):
@@ -262,11 +262,11 @@ class TestBiLstm:
             store = ParamStore()
             rng = np.random.default_rng(seed)
             rnn = BiLstm(store, "r", input_dim=3, hidden=2, layers=1, rng=rng)
-            store.add("input", rng.normal(size=(4, 3)))
-            r = rng.normal(size=(4, 4))
+            store.add("input", rng.normal(size=(1, 4, 3)))
+            r = rng.normal(size=(1, 4, 4))
 
             def loss_fn(grad=False):
-                y, cache = rnn.forward(store["input"])
+                y, cache = rnn.forward(store["input"], [4])
                 if grad:
                     store.accumulate("input", rnn.backward(r, cache))
                 return float(np.sum(y * r))
@@ -277,11 +277,11 @@ class TestBiLstm:
         store = ParamStore()
         rng = np.random.default_rng(7)
         rnn = BiLstm(store, "r", input_dim=2, hidden=2, layers=2, rng=rng)
-        store.add("input", rng.normal(size=(3, 2)))
-        r = rng.normal(size=(3, 4))
+        store.add("input", rng.normal(size=(1, 3, 2)))
+        r = rng.normal(size=(1, 3, 4))
 
         def loss_fn(grad=False):
-            y, cache = rnn.forward(store["input"])
+            y, cache = rnn.forward(store["input"], [3])
             if grad:
                 store.accumulate("input", rnn.backward(r, cache))
             return float(np.sum(y * r))
@@ -348,8 +348,8 @@ class TestMultiHeadAttention:
         store = ParamStore()
         mha = MultiHeadAttention(store, "a", dim=6, heads=3,
                                  rng=np.random.default_rng(0))
-        y, _ = mha.forward(np.random.default_rng(1).normal(size=(4, 6)))
-        assert y.shape == (4, 6)
+        y, _ = mha.forward(np.random.default_rng(1).normal(size=(1, 4, 6)), [4])
+        assert y.shape == (1, 4, 6)
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError):
@@ -360,7 +360,7 @@ class TestMultiHeadAttention:
         store = ParamStore()
         rng = np.random.default_rng(3)
         mha = MultiHeadAttention(store, "a", dim=4, heads=2, rng=rng)
-        _, (_, attn) = mha.forward(rng.normal(size=(5, 4)))
+        _, (_, attn) = mha.forward(rng.normal(size=(1, 5, 4)), [5])
         assert attn.shape == (1, 2, 5, 5)
         np.testing.assert_allclose(attn.sum(axis=3), np.ones((1, 2, 5)), atol=1e-12)
 
@@ -369,11 +369,11 @@ class TestMultiHeadAttention:
             store = ParamStore()
             rng = np.random.default_rng(seed)
             mha = MultiHeadAttention(store, "a", dim=4, heads=2, rng=rng)
-            store.add("input", rng.normal(size=(3, 4)))
-            r = rng.normal(size=(3, 4))
+            store.add("input", rng.normal(size=(1, 3, 4)))
+            r = rng.normal(size=(1, 3, 4))
 
             def loss_fn(grad=False):
-                y, cache = mha.forward(store["input"])
+                y, cache = mha.forward(store["input"], [3])
                 if grad:
                     store.accumulate("input", mha.backward(r, cache))
                 return float(np.sum(y * r))
@@ -383,26 +383,26 @@ class TestMultiHeadAttention:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(10, 10))
-        y, mask = dropout_apply(x, 0.5, "eval", np.random.default_rng(1))
+        x = np.random.default_rng(0).normal(size=(1, 10, 10))
+        y, mask = dropout_apply(x, 0.5, "eval", np.random.default_rng(1), [10])
         assert y is x
         assert mask is None
 
     def test_zero_rate_is_identity(self):
-        x = np.ones((3, 3))
-        y, mask = dropout_apply(x, 0.0, "train", np.random.default_rng(1))
+        x = np.ones((1, 3, 3))
+        y, mask = dropout_apply(x, 0.0, "train", np.random.default_rng(1), [3])
         assert y is x
         assert mask is None
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            dropout_apply(np.ones(2), 1.0, "train", np.random.default_rng(0))
+            dropout_apply(np.ones((1, 2, 1)), 1.0, "train", np.random.default_rng(0), [2])
         with pytest.raises(ValueError):
-            dropout_apply(np.ones(2), -0.1, "eval", np.random.default_rng(0))
+            dropout_apply(np.ones((1, 2, 1)), -0.1, "eval", np.random.default_rng(0), [2])
 
     def test_zero_rate_statistics(self):
-        x = np.ones((100, 100))
-        y, _ = dropout_apply(x, 0.5, "train", np.random.default_rng(42))
+        x = np.ones((1, 100, 100))
+        y, _ = dropout_apply(x, 0.5, "train", np.random.default_rng(42), [100])
         zero_rate = np.mean(y == 0.0)
         assert abs(zero_rate - 0.5) < 0.02
         # survivors are scaled by exactly 1/(1-rate)
@@ -412,7 +412,7 @@ class TestDropout:
         # the output is linear in the input with the mask as its slope, so
         # the gradient of the output is d_y * mask; padding gets zero
         x = np.random.default_rng(5).normal(size=(3, 4, 2))
-        y, mask = dropout_apply(x, 0.3, "train", np.random.default_rng(6), lengths=[4, 1, 2])
+        y, mask = dropout_apply(x, 0.3, "train", np.random.default_rng(6), [4, 1, 2])
         assert np.array_equal(y, x * mask)
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
         assert not mask[1, 1:].any() and not mask[2, 2:].any()

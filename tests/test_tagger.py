@@ -514,6 +514,24 @@ class TestTraining:
         n_train = 0 if decode_only else math.ceil(10 / cfg.batch_size)
         assert len(calls) == n_train + n_chunks
 
+    def test_dev_gold_with_an_orphan_inside_tag(self):
+        # an I- tag with no B- before it opens a gold chunk, so the dev
+        # score equals the score against the repaired corpus
+        from seqtag.tagger import _evaluate_dev
+
+        rng = np.random.default_rng(9)
+        corpus = random_corpus(rng, 6, classes=("PER", "LOC"))
+
+        def with_first_tag(tag):
+            tokens = (Token("w1", tag), Token("w2", "I-PER"), Token("w3", "O"))
+            return LabeledCorpus(corpus.sentences + [Sentence("orphan", tokens)],
+                                 corpus.tagset)
+
+        dev = with_first_tag("I-PER")
+        model, history = train(build_model(small_config(max_epochs=1), corpus), corpus, dev)
+        _, repaired_f1 = _evaluate_dev(model, with_first_tag("B-PER"), None)
+        assert history.epochs[0].eval_macro_f1 == pytest.approx(repaired_f1, abs=1e-12)
+
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(5)
         corpus = random_corpus(rng, 6, classes=("PER", "LOC"))

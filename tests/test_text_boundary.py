@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from seqtag import cli
 from seqtag import corpus as corpus_module
 from seqtag import tagger
 from seqtag.augment import Lexicon, OfflineLexiconBackend, _entry_problem, token_translate
@@ -246,20 +247,23 @@ class TestUnanimousVotes:
 
 
 class TestModelLabels:
-    def test_an_invalid_label_fails_as_before(self, tmp_path):
+    def test_a_class_that_cannot_form_a_label_fails_at_load(self, tmp_path, capsys):
         corpus = parse_conll("alice B-PER\nbob O\n\nbob O\nalice B-PER\n")
         config = tagger.TaggerConfig(word_dim=4, hidden=4, lstm_layers=1, max_epochs=1)
-        tagger.save_model(tagger.build_model(config, corpus), tmp_path / "m.bin")
-        data = (tmp_path / "m.bin").read_bytes()
-        # a hand-edited class name of the same length: the header still loads
-        (tmp_path / "m.bin").write_bytes(data.replace(b'"PER"', b'"P R"', 1))
-        model = tagger.load_model(tmp_path / "m.bin")
-        assert model.tagset.labels == ["O", "B-P R", "I-P R"]
-        model.store["head.b"][...] = [0.0, 50.0, 0.0]
-        with pytest.raises(CorpusError) as info:
-            tagger.predict_corpus(model, corpus)
+        path = tmp_path / "m.bin"
+        tagger.save_model(tagger.build_model(config, corpus), path)
+        # a hand-edited class name of the same length: "B-P R" breaks the grammar
+        path.write_bytes(path.read_bytes().replace(b'"PER"', b'"P R"', 1))
+        with pytest.raises(tagger.ModelError) as info:
+            tagger.load_model(path)
         assert str(info.value) == (
-            "tag 'B-P R' does not match the BIO grammar O | B-<class> | I-<class>")
+            f"{path}: model header classes: 'P R' cannot form a BIO label")
+        (tmp_path / "in.conll").write_text("alice B-PER\n", encoding="utf-8")
+        code = cli.main(["predict", str(path), str(tmp_path / "in.conll"),
+                         str(tmp_path / "out.txt")])
+        assert code == 1
+        assert f"{path}: model header classes" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
     def test_predictions_equal_public_ones(self):
         rng = np.random.default_rng(3)
