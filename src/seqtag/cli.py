@@ -141,9 +141,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    columns = _columns(args)
-    if args.no_gold:
-        columns = replace(columns, tag_col=None)
+    columns = ColumnConfig(labeled=not args.no_gold, pos_col=args.pos_col)
     corpus = _parse(args.corpus, parse_conll, columns)
     contextual = None
     if args.contextual_vectors:
@@ -156,7 +154,7 @@ def cmd_predict(args):
 
 
 def _read_predictions(path, reference):
-    """The prediction file at ``path``, checked to hold the sentences and
+    """The prediction file at ``path``, checked to hold the sentence ids and
     token surfaces of ``reference`` in order; a mismatch names the file."""
     data = _parse(path, read_prediction_file)
     if len(data.surfaces) != len(reference.sentences):
@@ -165,6 +163,8 @@ def _read_predictions(path, reference):
             f"reference has {len(reference.sentences)}"
         )
     for sid, surfaces, sent in zip(data.sentence_ids, data.surfaces, reference.sentences):
+        if sid != sent.id:
+            raise CorpusError(f"{path}: sentence {sid!r} where reference has {sent.id!r}")
         if surfaces != sent.surfaces:
             raise CorpusError(
                 f"{path}: sentence {sid!r} tokens do not match the reference corpus"
@@ -353,6 +353,9 @@ def main(argv=None):
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a config that asks for a huge array
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -197,15 +197,14 @@ class Chunk:
 @dataclass(frozen=True)
 class ColumnConfig:
     """Which whitespace-separated columns hold what; the token is always
-    column 0.
+    column 0 and the gold tag, when ``labeled``, the last column.
 
-    ``tag_col`` indexes from the end when negative (default: last column);
-    None means the input has no gold column and every token is tagged
-    ``O``. ``pos_col`` is optional. Columns that are neither token nor tag
-    nor pos are kept verbatim in ``Token.extras``.
+    An input that is not ``labeled`` has no gold column and every token is
+    tagged ``O``. ``pos_col`` is optional. Columns that are neither token
+    nor tag nor pos are kept verbatim in ``Token.extras``.
     """
 
-    tag_col: int | None = -1
+    labeled: bool = True
     pos_col: int | None = None
 
 
@@ -240,9 +239,7 @@ def _row_layout(columns, n_fields, n):
     """(tag column index, extra column indices) of an ``n``-column row, or
     None when the row lacks a distinct column for each of the ``n_fields``
     fields of ``columns``."""
-    tag_idx = columns.tag_col
-    if tag_idx is not None and tag_idx < 0:
-        tag_idx += n
+    tag_idx = n - 1 if columns.labeled else None
     needed = {0, tag_idx, columns.pos_col} - {None}
     if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
         return None
@@ -263,7 +260,7 @@ def parse_conll(text, columns=ColumnConfig()):
     sentences = []
     classes = set()
     pos_col = columns.pos_col
-    labeled = columns.tag_col is not None
+    labeled = columns.labeled
     n_fields = 1 + labeled + (pos_col is not None)
     layouts = {}  # column count -> _row_layout
     valid_tags = set()  # tags that matched BIO_TAG_RE; validity depends on the string alone
@@ -328,18 +325,10 @@ def write_conll(corpus):
 
 def validate_bio(tags):
     """Positions where an I-tag has no matching B-/I- of the same class
-    directly before it. Grammar violations raise; scheme violations are data.
+    directly before it: the tags ``repair_bio`` rewrites. Grammar
+    violations raise; scheme violations are data.
     """
-    violations = []
-    prev = "O"
-    for i, tag in enumerate(tags):
-        _check_bio_grammar(tag)
-        if tag.startswith("I-"):
-            cls = tag_class(tag)
-            if not (prev == f"B-{cls}" or prev == f"I-{cls}"):
-                violations.append(i)
-        prev = tag
-    return violations
+    return [i for i, (tag, fixed) in enumerate(zip(tags, repair_bio(tags))) if tag != fixed]
 
 
 def repair_bio(tags):
@@ -426,17 +415,6 @@ class StatsReport:
         rows.extend((f"chunks[{c}]", n) for c, n in sorted(self.class_chunks.items()))
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
-
-    def render_kv(self):
-        pairs = [
-            ("sentences", self.n_sentences),
-            ("tokens", self.n_tokens),
-            ("chunks_total", self.total_chunks),
-            ("chunks_single", self.single_token_chunks),
-            ("chunks_multi", self.multi_token_chunks),
-        ]
-        pairs.extend((f"chunks.{c}", n) for c, n in sorted(self.class_chunks.items()))
-        return "\n".join(f"{k} = {v}" for k, v in pairs)
 
 
 def corpus_stats(corpus):

@@ -211,7 +211,6 @@ def write_prediction_file(corpus, predictions, include_gold=True):
 class PredictionFileData:
     sentence_ids: list
     surfaces: list
-    gold_tags: list | None  # None when the file has no gold column
     predictions: list
 
     def to_set(self, model_id):
@@ -222,16 +221,17 @@ def read_prediction_file(text):
     """Parse prediction text back into sentences of TokenPredictions.
 
     Rows carry 4 columns (token gold predicted score) or 3 (token predicted
-    score); the two may not be mixed within one file. Blocks, ids and
-    surfaces follow the corpus rules of ``parse_conll``, NFC included.
+    score); the two may not be mixed within one file. A gold column is
+    checked against the BIO grammar but not kept. Blocks, ids and surfaces
+    follow the corpus rules of ``parse_conll``, NFC included.
     """
     if not text.strip():
         raise ParseError("empty prediction file")
-    data = PredictionFileData([], [], [], [])
+    data = PredictionFileData([], [], [])
     width = None  # 4 with a gold column, 3 without; set by the first row
     valid_tags = set()  # labels that matched BIO_TAG_RE; validity depends on the string alone
     for sid, rows in _conll_blocks(text):
-        surfaces, gold_tags, predictions = [], [], []
+        surfaces, predictions = [], []
         for lineno, _, cols in rows:
             if len(cols) != width:
                 if len(cols) not in (3, 4):
@@ -243,14 +243,11 @@ def read_prediction_file(text):
                     raise ParseError("mixed 3- and 4-column rows in one file", lineno)
                 width = len(cols)
             pred, score_text = cols[-2], cols[-1]
-            if width == 4:
-                gold = cols[1]
-                if gold not in valid_tags:
-                    if not BIO_TAG_RE.match(gold):
-                        raise ParseError(f"gold tag {gold!r} does not match the BIO grammar",
-                                         lineno)
-                    valid_tags.add(gold)
-                gold_tags.append(gold)
+            if width == 4 and cols[1] not in valid_tags:
+                if not BIO_TAG_RE.match(cols[1]):
+                    raise ParseError(f"gold tag {cols[1]!r} does not match the BIO grammar",
+                                     lineno)
+                valid_tags.add(cols[1])
             try:
                 score = float(score_text)
             except ValueError:
@@ -266,11 +263,8 @@ def read_prediction_file(text):
             surfaces.append(_normalize(cols[0]))
         data.sentence_ids.append(sid)
         data.surfaces.append(surfaces)
-        data.gold_tags.append(gold_tags)
         data.predictions.append(predictions)
 
     if not data.surfaces:
         raise ParseError("prediction file contains no sentences")
-    if width == 3:
-        data.gold_tags = None
     return data

@@ -8,8 +8,9 @@ Independent recurrences over the same input run as one step loop with a
 leading axis of size 2, so each step is one stacked matmul for both (the
 batching cuDNN applies to recurrent work). ``lstm_forward``/
 ``lstm_backward`` (with ``lstm_gates``) take both directions of a BiLSTM
-layer, ``(2, B, n, ...)``; the backward direction's input comes already
-reversed within each sentence. ``crf_forward_backward`` advances the CRF
+layer, ``(2, B, n, ...)``, each starting from a zero hidden and cell
+state; the backward direction's input comes already reversed within each
+sentence. ``crf_forward_backward`` advances the CRF
 forward and backward passes together and ``viterbi_decode`` decodes.
 
 Padding needs no mask in the LSTM or in the forward CRF chain: padded
@@ -58,11 +59,12 @@ def _activate(z, h):
     return z
 
 
-def lstm_forward(xw, w_h, h0, c0):
-    """Both directions of a BiLSTM layer over precomputed input projections.
+def lstm_forward(xw, w_h):
+    """Both directions of a BiLSTM layer over precomputed input projections,
+    from a zero initial hidden and cell state.
 
     xw: (2, B, n, 4h) rows of x_t @ W_x + b per direction, gate order i, f,
-    g, o; w_h: (2, h, 4h); h0, c0: (2, B, h). Each step is one stacked
+    g, o; w_h: (2, h, 4h). Each step after the first is one stacked
     (2, B, h) @ (2, h, 4h) matmul and one set of gate ops. Returns the
     hidden states and the cell states, each (2, B, n, h).
     """
@@ -70,26 +72,25 @@ def lstm_forward(xw, w_h, h0, c0):
     h = w_h.shape[1]
     hs = np.empty((n_dir, n_batch, n, h))
     cs = np.empty((n_dir, n_batch, n, h))
-    h_prev = h0
-    c_prev = c0
     for t in range(n):
-        z = np.matmul(h_prev, w_h)
-        z += xw[:, :, t]
+        if t:
+            z = np.matmul(hs[:, :, t - 1], w_h)
+            z += xw[:, :, t]
+        else:
+            z = xw[:, :, 0].copy()
         _activate(z, h)
         c = cs[:, :, t]
-        np.multiply(z[..., h:2 * h], c_prev, out=c)
-        c += z[..., :h] * z[..., 2 * h:3 * h]
+        np.multiply(z[..., :h], z[..., 2 * h:3 * h], out=c)
+        if t:
+            c += z[..., h:2 * h] * cs[:, :, t - 1]
         np.multiply(z[..., 3 * h:], np.tanh(c), out=hs[:, :, t])
-        h_prev = hs[:, :, t]
-        c_prev = c
     return hs, cs
 
 
-def lstm_gates(xw, hs, w_h, h0):
+def lstm_gates(xw, hs, w_h):
     """Post-activation gates (2, B, n, 4h) of a finished ``lstm_forward``
     run, recomputed from its hidden states with one matmul over all steps
     of each direction. ``xw`` is overwritten with the gates and returned."""
-    xw[:, :, 0] += np.matmul(h0, w_h)
     # a direction at a time, so no temporary spans both directions
     for d in range(len(xw)):
         xw[d, :, 1:] += hs[d, :, :-1] @ w_h[d]
@@ -97,10 +98,10 @@ def lstm_gates(xw, hs, w_h, h0):
     return xw
 
 
-def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
+def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h):
     """Backprop through lstm_forward, all arrays (2, B, n, .). Returns
-    gradients w.r.t. the input projections xw (2, B, n, 4h), the recurrent
-    weights (2, h, 4h), and the initial hidden/cell states (2, B, h).
+    gradients w.r.t. the input projections xw (2, B, n, 4h) and the
+    recurrent weights (2, h, 4h).
 
     ``gates`` (contiguous) and ``tanh_cs`` are scratch space: both are
     overwritten, and ``gates`` is returned as the xw gradient, so a batch's
@@ -134,7 +135,7 @@ def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
     np.subtract(1.0, f_gate, out=f)
     f *= f_gate
     f[:, :, 1:] *= cs[:, :, :-1]
-    f[:, :, 0] *= c0
+    f[:, :, 0] = 0.0  # the initial cell state is zero
 
     dh_next = np.zeros((n_dir, n_batch, h))
     dc_next = np.zeros((n_dir, n_batch, h))
@@ -145,16 +146,17 @@ def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, h0, c0):
         dc += dc_next
         np.multiply(dz[:, :, t, :3], dc[:, :, None, :], out=dz[:, :, t, :3])
         np.multiply(dz[:, :, t, 3], dh, out=dz[:, :, t, 3])
-        dc_next = dc * f_gate[:, :, t]
-        dh_next = np.matmul(gates[:, :, t], w_h_t)
+        if t:
+            dc_next = dc * f_gate[:, :, t]
+            dh_next = np.matmul(gates[:, :, t], w_h_t)
 
     # the d(dc)/d(dh) buffer is dead: it takes the previous hidden states
     h_prev = dc_dh
-    h_prev[:, :, 0] = h0
+    h_prev[:, :, 0] = 0.0
     h_prev[:, :, 1:] = hs[:, :, :-1]
     d_wh = np.matmul(h_prev.reshape(n_dir, -1, h).transpose(0, 2, 1),
                      gates.reshape(n_dir, -1, 4 * h))
-    return gates, d_wh, dh_next, dc_next
+    return gates, d_wh
 
 
 # A column sum of shifted probabilities below this is recomputed exactly

@@ -10,6 +10,8 @@ __all__ = ["GradCheckReport", "gradient_check"]
 _ROUNDOFF = 3.0 * np.finfo(np.float64).eps
 # relative tolerance of the roundoff-aware bound
 _RTOL = 1e-3
+# the central difference's step h
+_STEP = 1e-5
 
 
 class GradCheckReport:
@@ -21,10 +23,9 @@ class GradCheckReport:
     difference's roundoff; a parameter is within the bound at <= 1. A
     non-finite analytic or numeric gradient reads inf in both."""
 
-    def __init__(self, per_param, step, per_param_bound=None):
+    def __init__(self, per_param, per_param_bound):
         self.per_param = per_param
-        self.step = step
-        self.per_param_bound = per_param_bound or {}
+        self.per_param_bound = per_param_bound
 
     @property
     def max_rel_err(self):
@@ -40,7 +41,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def gradient_check(loss_fn, store, step=1e-5):
+def gradient_check(loss_fn, store):
     """Check every scalar in ``store`` by central differences.
 
     ``loss_fn(grad)`` must return the scalar loss, re-running the full
@@ -63,12 +64,12 @@ def gradient_check(loss_fn, store, step=1e-5):
         worst = worst_bound = 0.0
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + _STEP
             lp = loss_fn(grad=False)
-            flat[idx] = orig - step
+            flat[idx] = orig - _STEP
             lm = loss_fn(grad=False)
             flat[idx] = orig
-            numeric = (lp - lm) / (2.0 * step)
+            numeric = (lp - lm) / (2.0 * _STEP)
             err = abs(ana[idx] - numeric)
             if not np.isfinite(err):  # a NaN or infinite gradient fails outright
                 worst = worst_bound = np.inf
@@ -76,8 +77,8 @@ def gradient_check(loss_fn, store, step=1e-5):
             scale = max(abs(ana[idx]), abs(numeric))
             worst = max(worst, err / max(scale, 1e-8))
             if err > 0.0:  # then scale > 0, so the bound is too
-                bound = _RTOL * scale + _ROUNDOFF * max(abs(lp), abs(lm)) / step
+                bound = _RTOL * scale + _ROUNDOFF * max(abs(lp), abs(lm)) / _STEP
                 worst_bound = max(worst_bound, err / bound)
         per_param[name] = worst
         per_param_bound[name] = worst_bound
-    return GradCheckReport(per_param, step, per_param_bound)
+    return GradCheckReport(per_param, per_param_bound)

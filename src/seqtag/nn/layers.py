@@ -180,7 +180,6 @@ class BiLstm:
         t = np.arange(n)[None, :]
         last = np.asarray(lengths)[:, None] - 1
         reverse = (np.arange(n_batch)[:, None], np.where(t <= last, last - t, t))
-        zeros = np.zeros((2, n_batch, self.hidden))
         caches = []
         for layer in self.layers:
             w_x, w_h, b = self._weights(layer)
@@ -189,7 +188,7 @@ class BiLstm:
             xs[1] = x[reverse]
             xw = np.matmul(xs.reshape(2, n_batch * n, -1), w_x)
             xw += b
-            hs, cs = lstm_forward(xw.reshape(2, n_batch, n, -1), w_h, zeros, zeros)
+            hs, cs = lstm_forward(xw.reshape(2, n_batch, n, -1), w_h)
             caches.append((xs, hs, cs))
             x = np.concatenate([hs[0], hs[1][reverse]], axis=2)
         return x, (reverse, caches)
@@ -212,13 +211,11 @@ class BiLstm:
         hs; every (2, B, n, 4h) buffer is freed on return."""
         h = self.hidden
         w_x, w_h, b = self._weights(layer)
-        zeros = np.zeros((2, hs.shape[1], h))
         rows = xs.reshape(2, -1, xs.shape[-1])
         gates = np.matmul(rows, w_x)
         gates += b
-        gates = lstm_gates(gates.reshape(hs.shape[:3] + (4 * h,)), hs, w_h, zeros)
-        d_xw, d_wh, _, _ = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates, w_h,
-                                         zeros, zeros)
+        gates = lstm_gates(gates.reshape(hs.shape[:3] + (4 * h,)), hs, w_h)
+        d_xw, d_wh = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates, w_h)
         d_xw = d_xw.reshape(2, -1, 4 * h)
         # the bw weight gradients sum their rows in reversed-sentence
         # order, as the bw direction saw them; natural order would change

@@ -36,9 +36,6 @@ class ParamStore:
     def __contains__(self, name):
         return name in self._params
 
-    def __len__(self):
-        return len(self._params)
-
     def grad(self, name):
         return self._grads[name]
 

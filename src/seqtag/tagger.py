@@ -352,10 +352,6 @@ class TaggerModel:
         if config.use_crf and config.crf_constrain_bio:
             self._bio_penalty = bio_constraint_penalty(tagset)
 
-    @property
-    def n_labels(self):
-        return len(self.tagset)
-
     def transitions(self):
         """Effective CRF transitions: stored parameters plus the optional
         BIO-validity penalty."""
@@ -408,9 +404,6 @@ def _forward(model, sentences, mode, rng, contextual):
     (B, n, T), the lengths (B,) and the cache for ``_backward``."""
     cfg = model.config
     lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
-    for sent, length in zip(sentences, lengths):
-        if length == 0:
-            raise ModelError(f"sentence {sent.id!r}: cannot run the model on an empty sentence")
     if mode == "train" and cfg.dropout > 0.0 and rng is None:
         raise ModelError("training-mode forward pass needs an rng for dropout")
     x, routes = _features(model, sentences, lengths, contextual)

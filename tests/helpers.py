@@ -4,6 +4,7 @@ set intersection. None of it calls the code paths it checks."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -90,6 +91,21 @@ def brute_chunks(tags):
         else:
             i += 1
     return out
+
+
+def brute_bio_violations(tags):
+    """Left-to-right scanner for BIO scheme violations: positions of I-X
+    tags not directly after a B-X or I-X. A tag outside O | B-<class> |
+    I-<class> raises ValueError."""
+    violations = []
+    prev = "O"
+    for i, tag in enumerate(tags):
+        if not re.fullmatch(r"O|[BI]-\S+", tag):
+            raise ValueError(f"tag {tag!r} does not match the BIO grammar")
+        if tag.startswith("I-") and prev not in (f"B-{tag[2:]}", f"I-{tag[2:]}"):
+            violations.append(i)
+        prev = tag
+    return violations
 
 
 def brute_prf(gold_chunk_lists, pred_chunk_lists):

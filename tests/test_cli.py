@@ -304,7 +304,6 @@ class TestPipeline:
         no_gold = read_prediction_file(
             (tmp_path / "raw.txt.pred").read_text(encoding="utf-8")
         )
-        assert no_gold.gold_tags is None
         assert no_gold.sentence_ids == with_gold.sentence_ids
         assert no_gold.predictions == with_gold.predictions
 
@@ -315,7 +314,7 @@ class TestPipeline:
             f"{line}\tO" if line and not line.startswith("#") else line
             for line in raw_text.split("\n")
         )
-        unlabeled = parse_conll(raw_text, ColumnConfig(tag_col=None))
+        unlabeled = parse_conll(raw_text, ColumnConfig(labeled=False))
         labeled = parse_conll(labeled_text)
         assert [s.id for s in unlabeled.sentences] == ["Café-1", "s0"]
         assert [s.id for s in unlabeled.sentences] == [s.id for s in labeled.sentences]
@@ -862,6 +861,23 @@ class TestEvaluateGolden:
         assert "macro_f1 = 1.0" in out
 
 
+class TestPredictionAlignment:
+    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+    def test_sentence_ids_must_match_the_reference(self, capsys, tmp_path, command):
+        # the same tokens under other ids: both commands refuse the file
+        gold = tmp_path / "gold.conll"
+        gold.write_text("# a\nx B-PER\ny O\n\n# b\nz O\n", encoding="utf-8")
+        pred = tmp_path / "p.txt"
+        pred.write_text("# q\nx B-PER B-PER 0.9\ny O O 0.8\n\n# r\nz O O 0.7\n",
+                        encoding="utf-8")
+        argv = [command, gold, pred] if command == "evaluate" else \
+            [command, pred, pred, "--reference", gold, "--out", tmp_path / "ens.txt"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {pred}: sentence 'q' where reference has 'a'\n"
+        assert not (tmp_path / "ens.txt").exists()
+
+
 class TestNonNfcPredictionFiles:
     def test_same_bytes_align_after_normalization(self, capsys, tmp_path):
         # U+09DF is not NFC: normalization decomposes it into U+09AF U+09BC
@@ -962,6 +978,30 @@ class TestGradcheckCommand:
         assert code == 1
         assert self.groups(out)["mha"] == "FAIL"
         assert "failed" in err
+
+
+class TestImpossibleArrays:
+    """A config whose sizes ask for an array far beyond the address space
+    (tens of PiB) fails at once with one ``error:`` line, exit 1."""
+
+    def test_gradcheck_char_kernel(self, capsys, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("use_char_cnn = true\nchar_kernel = 1000000000000000\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys, "gradcheck", cfg)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: ")
+
+    def test_train_word_dim(self, capsys, tmp_path):
+        (tmp_path / "c.conll").write_text(learnable_corpus_text(4), encoding="utf-8")
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("word_dim = 8", "word_dim = 1000000000000000"),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "train", cfg, tmp_path / "c.conll", tmp_path / "c.conll",
+                             tmp_path / "m.bin")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: ")
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestLauncher:

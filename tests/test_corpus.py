@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from seqtag.corpus import (
     write_conll,
 )
 
-from helpers import brute_chunks, random_bio_tags, tiny_fixture_corpus
+from helpers import brute_bio_violations, brute_chunks, random_bio_tags, tiny_fixture_corpus
 
 
 class TestParseConll:
@@ -90,6 +92,21 @@ class TestBioValidation:
     def test_class_mismatch(self):
         assert validate_bio(["B-PER", "I-LOC"]) == [1]
 
+    def test_exhaustive_against_scanner(self):
+        labels = ["O", "B-X", "I-X", "B-Y", "I-Y"]
+        seqs = [list(s) for n in range(7) for s in itertools.product(labels, repeat=n)]
+        assert len(seqs) == 19531  # every sequence of length <= 6
+        for seq in seqs:
+            assert validate_bio(seq) == brute_bio_violations(seq)
+
+    @pytest.mark.parametrize("tags", [["X-PER"], ["O", "B-"], ["B-X", "I-X", "o", "I-Y"],
+                                      ["I-X", "O", "I X"]])
+    def test_grammar_violation_raises_as_the_scanner_does(self, tags):
+        with pytest.raises(ValueError, match="BIO grammar"):
+            brute_bio_violations(tags)
+        with pytest.raises(CorpusError, match="BIO grammar"):
+            validate_bio(tags)
+
     def test_repair_orphans(self):
         assert repair_bio(["O", "I-PER", "I-PER"]) == ["O", "B-PER", "I-PER"]
 
@@ -128,8 +145,6 @@ class TestExtractChunks:
 
     def test_exhaustive_against_run_scanner(self):
         # all valid sequences of length <= 5 over {O, B-PER, I-PER}
-        import itertools
-
         labels = ["O", "B-PER", "I-PER"]
         for length in range(1, 6):
             for seq in itertools.product(labels, repeat=length):

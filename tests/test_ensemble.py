@@ -254,7 +254,6 @@ class TestPredictionFiles:
         data = read_prediction_file(text)
         assert data.sentence_ids == [s.id for s in corpus.sentences]
         assert data.surfaces == [list(s.surfaces) for s in corpus.sentences]
-        assert data.gold_tags == [list(s.gold_tags) for s in corpus.sentences]
         for got, want in zip(data.predictions, preds):
             assert [p.label for p in got] == [p.label for p in want]
             for g, w in zip(got, want):
@@ -265,7 +264,6 @@ class TestPredictionFiles:
         corpus, preds = self.make(rng)
         text = write_prediction_file(corpus, preds, include_gold=False)
         data = read_prediction_file(text)
-        assert data.gold_tags is None
         assert [len(p) for p in data.predictions] == [len(s) for s in corpus.sentences]
 
     def test_to_set_carries_model_id_and_ids(self):

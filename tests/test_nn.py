@@ -294,13 +294,12 @@ class TestLstmKernel:
 
     @staticmethod
     def stacked_inputs(rng, lengths, h):
-        """Both directions' inputs, each with its own projections, w_h and
-        initial state: xw (2, B, n, 4h), w_h (2, h, 4h), h0/c0 (2, B, h)."""
+        """Both directions' inputs, each with its own projections and w_h:
+        xw (2, B, n, 4h), w_h (2, h, 4h)."""
         n_batch, n = len(lengths), max(lengths)
         xw = rng.normal(size=(2, n_batch, n, 4 * h))
         w_h = rng.normal(size=(2, h, 4 * h)) * 0.5
-        h0, c0 = rng.normal(size=(2, n_batch, h)), rng.normal(size=(2, n_batch, h))
-        return xw, w_h, h0, c0
+        return xw, w_h
 
     def test_forward_matches_textbook_reference(self):
         # each row of each direction of a right-padded batch matches the
@@ -308,14 +307,15 @@ class TestLstmKernel:
         # never feeds a real step
         rng = np.random.default_rng(0)
         for lengths, h in self.CASES:
-            xw, w_h, h0, c0 = self.stacked_inputs(rng, lengths, h)
-            hs, cs = lstm_forward(xw, w_h, h0, c0)
-            gates = lstm_gates(xw.copy(), hs, w_h, h0)
+            xw, w_h = self.stacked_inputs(rng, lengths, h)
+            hs, cs = lstm_forward(xw, w_h)
+            gates = lstm_gates(xw.copy(), hs, w_h)
+            zero = np.zeros(h)
             for d in range(2):
                 for b, length in enumerate(lengths):
                     got = (hs[d, b, :length], cs[d, b, :length],
                            np.tanh(cs[d, b, :length]), gates[d, b, :length])
-                    want = reference_lstm(xw[d, b, :length], w_h[d], h0[d, b], c0[d, b])
+                    want = reference_lstm(xw[d, b, :length], w_h[d], zero, zero)
                     for name, a, ref in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
                         assert a.shape == ref.shape, name
                         np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12,
@@ -326,20 +326,19 @@ class TestLstmKernel:
         # run alone, forward and backward
         rng = np.random.default_rng(1)
         for lengths, h in self.CASES:
-            xw, w_h, h0, c0 = self.stacked_inputs(rng, lengths, h)
+            xw, w_h = self.stacked_inputs(rng, lengths, h)
             d_hs = rng.normal(size=xw.shape[:3] + (h,))
-            hs, cs = lstm_forward(xw, w_h, h0, c0)
-            gates = lstm_gates(xw.copy(), hs, w_h, h0)
-            both = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates.copy(), w_h, h0, c0)
+            hs, cs = lstm_forward(xw, w_h)
+            gates = lstm_gates(xw.copy(), hs, w_h)
+            both = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates.copy(), w_h)
             for d in range(2):
                 one = slice(d, d + 1)
-                hs_d, cs_d = lstm_forward(xw[one], w_h[one], h0[one], c0[one])
+                hs_d, cs_d = lstm_forward(xw[one], w_h[one])
                 assert np.array_equal(hs_d[0], hs[d]) and np.array_equal(cs_d[0], cs[d])
-                gates_d = lstm_gates(xw[one].copy(), hs_d, w_h[one], h0[one])
+                gates_d = lstm_gates(xw[one].copy(), hs_d, w_h[one])
                 assert np.array_equal(gates_d[0], gates[d])
-                alone = lstm_backward(d_hs[one], hs_d, cs_d, np.tanh(cs_d), gates_d,
-                                      w_h[one], h0[one], c0[one])
-                for name, a, ref in zip(("d_xw", "d_wh", "d_h0", "d_c0"), alone, both):
+                alone = lstm_backward(d_hs[one], hs_d, cs_d, np.tanh(cs_d), gates_d, w_h[one])
+                for name, a, ref in zip(("d_xw", "d_wh"), alone, both):
                     assert np.array_equal(a[0], ref[d]), f"{name} direction {d}"
 
 
@@ -536,7 +535,7 @@ class TestGradientChecker:
             gradient_check(lambda grad=False: float("nan"), store)
 
     def test_report_rendering(self):
-        report = GradCheckReport({"a.w": 1e-7, "a.b": 2e-9}, step=1e-5)
+        report = GradCheckReport({"a.w": 1e-7, "a.b": 2e-9}, {})
         text = report.render()
         assert "a.w" in text and "max" in text
         assert report.max_rel_err == 1e-7

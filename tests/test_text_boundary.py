@@ -77,11 +77,11 @@ CONLL_FAULTS = [
      "line 4: tag 'Q' does not match the BIO grammar"),
     ("a NN O\nb X\n", ColumnConfig(pos_col=1),
      "line 2: expected at least 3 distinct columns, got 2: 'b X'"),
-    ("a NN\n", ColumnConfig(pos_col=1, tag_col=1),
+    ("a NN\n", ColumnConfig(pos_col=1),
      "line 1: expected at least 3 distinct columns, got 2: 'a NN'"),
     ("a O\nb Y\nc\n", None, "line 2: tag 'Y' does not match the BIO grammar"),
     ("a O\nb\nc Y\n", None, "line 2: expected at least 2 distinct columns, got 1: 'b'"),
-    ("a b c\nd e\n", ColumnConfig(tag_col=None, pos_col=2),
+    ("a b c\nd e\n", ColumnConfig(labeled=False, pos_col=2),
      "line 2: expected at least 2 distinct columns, got 2: 'd e'"),
 ]
 
@@ -203,7 +203,7 @@ class TestTrustedRecords:
         read_prediction_file(text)
         parsed = retained_bytes(lambda: read_prediction_file(text))
         public = retained_bytes(lambda: PredictionFileData(
-            ["s"], [["a" for _ in range(self.N)]], [["O" for _ in range(self.N)]],
+            ["s"], [["a" for _ in range(self.N)]],
             [[PredictionFields("O", float("0.500000")) for _ in range(self.N)]]))
         assert parsed - public < 8 * self.N
 
