@@ -237,12 +237,20 @@ def _conll_blocks(text):
 
 def _row_layout(columns, n_fields, n):
     """(tag column index, extra column indices) of an ``n``-column row, or
-    None when the row lacks a distinct column for each of the ``n_fields``
-    fields of ``columns``."""
+    a message saying why the row lacks a distinct column for each of the
+    ``n_fields`` fields of ``columns``."""
+    if n < n_fields:
+        return f"expected at least {n_fields} distinct columns, got {n}"
     tag_idx = n - 1 if columns.labeled else None
-    needed = {0, tag_idx, columns.pos_col} - {None}
-    if max(needed) >= n or min(needed) < 0 or len(needed) < n_fields:
-        return None
+    pos = columns.pos_col
+    if pos is not None:
+        if pos == 0:
+            return "--pos-col 0 is the token column"
+        if pos == tag_idx:
+            return f"--pos-col {pos} is the tag column"
+        if not 0 < pos < n:
+            return f"--pos-col {pos} is not a column of a {n}-column row"
+    needed = {0, tag_idx, pos} - {None}
     return tag_idx, tuple(i for i in range(n) if i not in needed)
 
 
@@ -272,10 +280,8 @@ def parse_conll(text, columns=ColumnConfig()):
             if n not in layouts:
                 layouts[n] = _row_layout(columns, n_fields, n)
             layout = layouts[n]
-            if layout is None:
-                raise ParseError(
-                    f"expected at least {n_fields} distinct columns, got {n}: {line!r}", lineno
-                )
+            if isinstance(layout, str):
+                raise ParseError(f"{layout}: {line!r}", lineno)
             tag_idx, extra_cols = layout
             raw = cols[0]
             surface = _normalize(raw)

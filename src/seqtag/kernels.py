@@ -1,23 +1,27 @@
 """Hot numeric kernels: LSTM recurrences and CRF dynamic programs.
 
-One numpy implementation per kernel, each run over a whole right-padded
-batch: arrays carry a batch axis ``(B, n, ...)`` and a sentence of length
-``L_b`` occupies positions ``0 .. L_b - 1`` of its row.
+One numpy implementation per kernel, each run over a whole batch of
+sentences. The LSTM kernels take a packed, time-major batch
+(``pack_layout``, as PyTorch's ``PackedSequence``): the sentences are
+sorted by length, descending, and step t's ``alive[t]`` rows are one
+contiguous run of an (N, ...) array, N the number of real tokens, whose
+predecessors are the leading ``alive[t]`` rows of step t - 1. No step
+touches a padded position. The CRF kernels take a right-padded batch
+``(B, n, ...)``, a sentence of length ``L_b`` at positions
+``0 .. L_b - 1`` of its row, plus the ``lengths`` vector: padded steps
+come after every real step, so they never feed the forward chain, and
+the backward chain and ``viterbi_decode``, which run right to left or
+read the last real step, use ``lengths``.
 
 Independent recurrences over the same input run as one step loop with a
 leading axis of size 2, so each step is one stacked matmul for both (the
 batching cuDNN applies to recurrent work). ``lstm_forward``/
 ``lstm_backward`` (with ``lstm_gates``) take both directions of a BiLSTM
-layer, ``(2, B, n, ...)``, each starting from a zero hidden and cell
-state; the backward direction's input comes already reversed within each
-sentence. ``crf_forward_backward`` advances the CRF
-forward and backward passes together and ``viterbi_decode`` decodes.
-
-Padding needs no mask in the LSTM or in the forward CRF chain: padded
-steps come after every real step, so they never feed one, and a zero
-gradient at padded steps stays zero through the backward recursion. The
-backward CRF chain and ``viterbi_decode`` run right to left or read the
-last real step, so they take the ``lengths`` vector.
+layer, ``(2, N, ...)``, each starting from a zero hidden and cell state;
+the backward direction's input comes already reversed within each
+sentence (``pack_layout``'s ``rev``), so both share one layout.
+``crf_forward_backward`` advances the CRF forward and backward passes
+together and ``viterbi_decode`` decodes.
 
 The CRF chains stay in log space but run each step as one matmul of
 shifted probabilities, exp(prev - row max) @ exp(trans - column max),
@@ -34,6 +38,7 @@ bits as it would alone.
 import numpy as np
 
 __all__ = [
+    "pack_layout",
     "lstm_forward",
     "lstm_gates",
     "lstm_backward",
@@ -59,55 +64,94 @@ def _activate(z, h):
     return z
 
 
-def lstm_forward(xw, w_h):
-    """Both directions of a BiLSTM layer over precomputed input projections,
-    from a zero initial hidden and cell state.
+def pack_layout(lengths):
+    """Packed, time-major layout of a batch of sentence lengths (B,), each
+    at least 1, as in a PyTorch ``PackedSequence``.
 
-    xw: (2, B, n, 4h) rows of x_t @ W_x + b per direction, gate order i, f,
-    g, o; w_h: (2, h, 4h). Each step after the first is one stacked
-    (2, B, h) @ (2, h, 4h) matmul and one set of gate ops. Returns the
-    hidden states and the cell states, each (2, B, n, h).
+    The sentences are stably sorted by length, descending; ``alive[t]`` is
+    the number still running at step t. Step t's rows are one contiguous
+    run of ``alive[t]`` rows (``N = sum(lengths)`` in all), and row j of
+    step t continues row j of step t - 1. Returns:
+    - ``batch``, ``step`` (N,): packed row r holds position ``step[r]`` of
+      sentence ``batch[r]``;
+    - ``alive`` (steps,);
+    - ``rev`` (N,): the involution that maps each row to the same
+      sentence's position ``length - 1 - step``, i.e. the sentence read
+      backwards in the same layout;
+    - ``prev_rows`` (N - B,): the predecessor of each row after the first
+      step's B rows.
     """
-    n_dir, n_batch, n = xw.shape[:3]
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    alive = np.count_nonzero(sorted_len[None, :] > np.arange(sorted_len[0])[:, None], axis=1)
+    starts = np.cumsum(alive) - alive
+    step = np.repeat(np.arange(len(alive)), alive)
+    j = np.arange(len(step)) - starts[step]
+    rev = starts[sorted_len[j] - 1 - step] + j
+    first = len(lengths)
+    prev_rows = starts[step[first:] - 1] + j[first:]
+    return order[j], step, alive, rev, prev_rows
+
+
+def lstm_forward(xw, w_h, alive):
+    """Both directions of a BiLSTM layer over precomputed input projections
+    of a packed batch (``pack_layout``), from a zero hidden and cell state.
+
+    xw: (2, N, 4h) rows of x_t @ W_x + b per direction, gate order i, f,
+    g, o; w_h: (2, h, 4h); alive: rows per step. Each step after the
+    first is one stacked (2, alive[t], h) @ (2, h, 4h) matmul on the
+    leading rows of the step before, and one set of gate ops. Returns the
+    hidden states and the cell states, each (2, N, h).
+    """
     h = w_h.shape[1]
-    hs = np.empty((n_dir, n_batch, n, h))
-    cs = np.empty((n_dir, n_batch, n, h))
-    for t in range(n):
-        if t:
-            z = np.matmul(hs[:, :, t - 1], w_h)
-            z += xw[:, :, t]
+    hs = np.empty(xw.shape[:2] + (h,))
+    cs = np.empty_like(hs)
+    prev = start = 0
+    for k in alive.tolist():
+        rows = slice(start, start + k)
+        if start:
+            before = slice(prev, prev + k)
+            z = np.matmul(hs[:, before], w_h)
+            z += xw[:, rows]
         else:
-            z = xw[:, :, 0].copy()
+            z = xw[:, rows].copy()
         _activate(z, h)
-        c = cs[:, :, t]
+        c = cs[:, rows]
         np.multiply(z[..., :h], z[..., 2 * h:3 * h], out=c)
-        if t:
-            c += z[..., h:2 * h] * cs[:, :, t - 1]
-        np.multiply(z[..., 3 * h:], np.tanh(c), out=hs[:, :, t])
+        if start:
+            c += z[..., h:2 * h] * cs[:, before]
+        np.multiply(z[..., 3 * h:], np.tanh(c), out=hs[:, rows])
+        prev, start = start, start + k
     return hs, cs
 
 
-def lstm_gates(xw, hs, w_h):
-    """Post-activation gates (2, B, n, 4h) of a finished ``lstm_forward``
-    run, recomputed from its hidden states with one matmul over all steps
-    of each direction. ``xw`` is overwritten with the gates and returned."""
+def lstm_gates(xw, hs, w_h, prev_rows):
+    """Post-activation gates (2, N, 4h) of a finished ``lstm_forward``
+    run, recomputed from its hidden states with one matmul over all rows
+    after the first step of each direction; ``prev_rows`` is
+    ``pack_layout``'s. ``xw`` is overwritten with the gates and
+    returned."""
+    first = xw.shape[1] - len(prev_rows)
     # a direction at a time, so no temporary spans both directions
     for d in range(len(xw)):
-        xw[d, :, 1:] += hs[d, :, :-1] @ w_h[d]
+        xw[d, first:] += hs[d, prev_rows] @ w_h[d]
         _activate(xw[d], w_h.shape[1])
     return xw
 
 
-def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h):
-    """Backprop through lstm_forward, all arrays (2, B, n, .). Returns
-    gradients w.r.t. the input projections xw (2, B, n, 4h) and the
+def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows):
+    """Backprop through lstm_forward, all arrays (2, N, .) in the packed
+    layout of ``alive`` and ``prev_rows`` (``pack_layout``). Returns
+    gradients w.r.t. the input projections xw (2, N, 4h) and the
     recurrent weights (2, h, 4h).
 
     ``gates`` (contiguous) and ``tanh_cs`` are scratch space: both are
     overwritten, and ``gates`` is returned as the xw gradient, so a batch's
     backward pass allocates little beyond its inputs."""
-    n_dir, n_batch, n, h = hs.shape
-    dz = gates.reshape(n_dir, n_batch, n, 4, h)
+    n_dir, n_rows, h = hs.shape
+    first = n_rows - len(prev_rows)
+    dz = gates.reshape(n_dir, n_rows, 4, h)
     i, f, g, o = dz[..., 0, :], dz[..., 1, :], dz[..., 2, :], dz[..., 3, :]
     # overwrite each gate with the factor of its pre-activation gradient
     # that does not depend on the recursion: dz_i = dc * g * i * (1 - i),
@@ -134,28 +178,31 @@ def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h):
     f_gate[...] = f
     np.subtract(1.0, f_gate, out=f)
     f *= f_gate
-    f[:, :, 1:] *= cs[:, :, :-1]
-    f[:, :, 0] = 0.0  # the initial cell state is zero
+    f[:, first:] *= cs[:, prev_rows]
+    f[:, :first] = 0.0  # the initial cell state is zero
 
-    dh_next = np.zeros((n_dir, n_batch, h))
-    dc_next = np.zeros((n_dir, n_batch, h))
     w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))
-    for t in range(n - 1, -1, -1):
-        dh = d_hs[:, :, t] + dh_next
-        dc = dh * dc_dh[:, :, t]
-        dc += dc_next
-        np.multiply(dz[:, :, t, :3], dc[:, :, None, :], out=dz[:, :, t, :3])
-        np.multiply(dz[:, :, t, 3], dh, out=dz[:, :, t, 3])
+    # a row alive at step t + 1 carries dh and dc back to the same row of
+    # step t; the rows that end at step t start from d_hs alone
+    dh_next = dc_next = np.zeros((n_dir, 0, h))
+    end = n_rows
+    alive = alive.tolist()
+    for t in range(len(alive) - 1, -1, -1):
+        start = end - alive[t]
+        rows = slice(start, end)
+        dh = d_hs[:, rows].copy()
+        dh[:, :dh_next.shape[1]] += dh_next
+        dc = dh * dc_dh[:, rows]
+        dc[:, :dc_next.shape[1]] += dc_next
+        np.multiply(dz[:, rows, :3], dc[:, :, None, :], out=dz[:, rows, :3])
+        np.multiply(dz[:, rows, 3], dh, out=dz[:, rows, 3])
         if t:
-            dc_next = dc * f_gate[:, :, t]
-            dh_next = np.matmul(gates[:, :, t], w_h_t)
+            dc_next = dc * f_gate[:, rows]
+            dh_next = np.matmul(gates[:, rows], w_h_t)
+        end = start
 
-    # the d(dc)/d(dh) buffer is dead: it takes the previous hidden states
-    h_prev = dc_dh
-    h_prev[:, :, 0] = 0.0
-    h_prev[:, :, 1:] = hs[:, :, :-1]
-    d_wh = np.matmul(h_prev.reshape(n_dir, -1, h).transpose(0, 2, 1),
-                     gates.reshape(n_dir, -1, 4 * h))
+    # the first step's predecessor is the zero state: it adds nothing
+    d_wh = np.matmul(hs[:, prev_rows].transpose(0, 2, 1), gates[:, first:])
     return gates, d_wh
 
 

@@ -8,18 +8,20 @@ are thread-safe.
 
 Sequence layers take one shape: a right-padded batch (B, n, d) and its
 ``lengths`` (B,), where sentence b fills positions 0 .. lengths[b]-1; one
-sentence is a batch of one. Values at padded positions are meaningless
-and the caller gives them zero gradient; no real position depends on
-them. ``BiLstm`` steps both directions of a layer in one stacked kernel
-call. ``Linear`` and ``EmbeddingTable`` act row by row on inputs of any
-rank. ``CharCNN`` takes words instead of sentences: (W, L) char indices
+sentence is a batch of one. No real position depends on a padded one.
+``BiLstm`` packs the batch's real tokens, steps both directions of a
+layer in one stacked kernel call, and returns exact zeros at padded
+positions, in its output and in its input gradient. Elsewhere, values
+at padded positions are meaningless and the caller gives them zero
+gradient. ``Linear`` and ``EmbeddingTable`` act row by row on inputs of
+any rank. ``CharCNN`` takes words instead of sentences: (W, L) char indices
 right-padded to per-word lengths (W,).
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..kernels import lstm_backward, lstm_forward, lstm_gates
+from ..kernels import lstm_backward, lstm_forward, lstm_gates, pack_layout
 from .params import uniform_init
 
 __all__ = [
@@ -140,15 +142,22 @@ class BiLstm:
     """Stack of bidirectional LSTM layers; each position's output is the
     concatenation of the forward and backward hidden states (..., 2h).
 
-    The backward direction reverses each sentence within its own length,
-    so padding stays at the end in both directions and never feeds a real
-    position. Both directions of a layer run as one stacked recurrence:
-    the layer input and its reversal form a (2, B, n, d) batch that one
-    matmul projects against the directions' stacked input weights, and
-    one ``lstm_forward`` call steps both. Parameters stay per direction
-    (``{prefix}.l{k}.fw.*`` and ``.bw.*``) and are stacked on each pass.
-    Outputs at padded positions are meaningless; their gradient must be
-    zero."""
+    The layers run on real tokens only. ``forward`` packs the padded
+    batch once into the time-major layout of ``kernels.pack_layout``
+    (N = sum(lengths) rows, sorted by length) and scatters the last
+    layer's (N, 2h) output back into a zeroed (B, n, 2h); ``backward``
+    gathers and scatters the same rows. Output and input-gradient rows at
+    padded positions are exactly 0, and the padded entries of ``x`` and
+    ``d_out`` are never read.
+
+    The backward direction reads each sentence reversed within its own
+    length: its rows are the packed rows permuted by the involution
+    ``rev``. Both directions of a layer run as one stacked recurrence: the
+    layer input and its reversal form a (2, N, d) batch that one matmul
+    projects against the directions' stacked input weights, and one
+    ``lstm_forward`` call steps both. Parameters stay per direction
+    (``{prefix}.l{k}.fw.*`` and ``.bw.*``) and are stacked on each
+    pass."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -174,57 +183,61 @@ class BiLstm:
         return w_x, w_h, b[:, None]
 
     def forward(self, x, lengths):
-        """x: (B, n, d) right-padded to ``lengths`` (B,). Returns the output
-        (B, n, 2h) and a cache."""
-        n_batch, n = x.shape[:2]
-        t = np.arange(n)[None, :]
-        last = np.asarray(lengths)[:, None] - 1
-        reverse = (np.arange(n_batch)[:, None], np.where(t <= last, last - t, t))
+        """x: (B, n, d) right-padded to ``lengths`` (B,), each in [1, n].
+        Returns the output (B, n, 2h) and a cache."""
+        n_batch, n, d = x.shape
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (n_batch,) or lengths.min() < 1 or lengths.max() > n:
+            raise ValueError(f"lengths must be {n_batch} values in [1, {n}]")
+        batch, step, alive, rev, prev_rows = pack_layout(lengths)
+        flat = batch * n + step
+        packed = x.reshape(-1, d)[flat]
         caches = []
         for layer in self.layers:
             w_x, w_h, b = self._weights(layer)
-            xs = np.empty((2,) + x.shape)
-            xs[0] = x
-            xs[1] = x[reverse]
-            xw = np.matmul(xs.reshape(2, n_batch * n, -1), w_x)
+            xs = np.empty((2,) + packed.shape)
+            xs[0] = packed
+            xs[1] = packed[rev]
+            xw = np.matmul(xs, w_x)
             xw += b
-            hs, cs = lstm_forward(xw.reshape(2, n_batch, n, -1), w_h)
+            hs, cs = lstm_forward(xw, w_h, alive)
             caches.append((xs, hs, cs))
-            x = np.concatenate([hs[0], hs[1][reverse]], axis=2)
-        return x, (reverse, caches)
+            packed = np.concatenate([hs[0], hs[1][rev]], axis=1)
+        out = np.zeros((n_batch * n, self.output_dim))
+        out[flat] = packed
+        return out.reshape(n_batch, n, -1), ((x.shape, flat, alive, rev, prev_rows), caches)
 
     def backward(self, d_out, cache):
-        reverse, caches = cache
+        (shape, flat, alive, rev, prev_rows), caches = cache
         h = self.hidden
+        d_packed = d_out.reshape(-1, 2 * h)[flat]
         for layer, (xs, hs, cs) in zip(reversed(self.layers), reversed(caches)):
             d_hs = np.empty_like(hs)
-            d_hs[0] = d_out[..., :h]
-            d_hs[1] = d_out[..., h:][reverse]
-            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs)
-            d_out = d_xs[0]
-            d_out += d_xs[1][reverse]
-        return d_out
+            d_hs[0] = d_packed[:, :h]
+            d_hs[1] = d_packed[rev, h:]
+            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs, alive, prev_rows)
+            d_packed = d_xs[0]
+            d_packed += d_xs[1][rev]
+        d_x = np.zeros((shape[0] * shape[1], shape[2]))
+        d_x[flat] = d_packed
+        return d_x.reshape(shape)
 
-    def _backward_layer(self, layer, d_hs, xs, hs, cs):
+    def _backward_layer(self, layer, d_hs, xs, hs, cs, alive, prev_rows):
         """Accumulate one layer's parameter gradients; return the gradient
-        w.r.t. its stacked input xs. The gates are recomputed from xs and
-        hs; every (2, B, n, 4h) buffer is freed on return."""
-        h = self.hidden
+        w.r.t. its stacked input xs (2, N, d). The gates are recomputed
+        from xs and hs; every (2, N, 4h) buffer is freed on return."""
         w_x, w_h, b = self._weights(layer)
-        rows = xs.reshape(2, -1, xs.shape[-1])
-        gates = np.matmul(rows, w_x)
+        gates = np.matmul(xs, w_x)
         gates += b
-        gates = lstm_gates(gates.reshape(hs.shape[:3] + (4 * h,)), hs, w_h)
-        d_xw, d_wh = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates, w_h)
-        d_xw = d_xw.reshape(2, -1, 4 * h)
-        # the bw weight gradients sum their rows in reversed-sentence
-        # order, as the bw direction saw them; natural order would change
-        # the last bits of trained weights
+        gates = lstm_gates(gates, hs, w_h, prev_rows)
+        d_xw, d_wh = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates, w_h, alive, prev_rows)
+        # each direction's weight gradients sum its rows in the order it
+        # stepped them
         for k, name in enumerate(layer):
-            self._store.accumulate(f"{name}.w_x", rows[k].T @ d_xw[k])
+            self._store.accumulate(f"{name}.w_x", xs[k].T @ d_xw[k])
             self._store.accumulate(f"{name}.w_h", d_wh[k])
             self._store.accumulate(f"{name}.b", d_xw[k].sum(axis=0))
-        return np.matmul(d_xw, w_x.transpose(0, 2, 1)).reshape(xs.shape)
+        return np.matmul(d_xw, w_x.transpose(0, 2, 1))
 
 
 class MultiHeadAttention:

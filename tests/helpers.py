@@ -54,7 +54,7 @@ def reference_lstm(xw, w_h, h0, c0):
     c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t), with
     sigmoid(z) = 1 / (1 + exp(-z)). Returns (hs, cs, tanh_cs, gates) of
     one direction and one sentence, as ``kernels.lstm_forward`` and
-    ``kernels.lstm_gates`` give them at ``[d, b, :n]``.
+    ``kernels.lstm_gates`` give them at that sentence's packed rows.
     """
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))

@@ -110,6 +110,16 @@ class TestStats:
         assert err == ""
         assert out == GOLDEN_STATS
 
+    @pytest.mark.parametrize("pos_col, clash", [("2", "--pos-col 2 is the tag column"),
+                                                 ("0", "--pos-col 0 is the token column")])
+    def test_pos_col_naming_another_field_is_named(self, capsys, tmp_path, pos_col, clash):
+        path = tmp_path / "p.conll"
+        path.write_text("alice NN B-PER\n", encoding="utf-8")
+        code, out, err = run(capsys, "stats", path, "--pos-col", pos_col)
+        assert code == 1
+        assert out == ""
+        assert f"line 1: {clash}: 'alice NN B-PER'" in err
+
     def test_stable_across_runs(self, capsys, fixture_file):
         first = run(capsys, "stats", fixture_file)
         second = run(capsys, "stats", fixture_file)

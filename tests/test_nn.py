@@ -8,7 +8,7 @@ real parameters so input gradients get checked by the same machinery.
 import numpy as np
 import pytest
 
-from seqtag.kernels import lstm_backward, lstm_forward, lstm_gates
+from seqtag.kernels import lstm_backward, lstm_forward, lstm_gates, pack_layout
 from seqtag.nn import (
     AdamOptimizer,
     BiLstm,
@@ -257,6 +257,38 @@ class TestBiLstm:
                 np.testing.assert_allclose(out[b, :n, half], hs, rtol=0, atol=1e-12,
                                            err_msg=direction)
 
+    def test_packed_batch_equals_each_sentence_alone(self):
+        # unsorted ragged batches with tied lengths and a length-1 sentence
+        # through 2 layers give each sentence's lone outputs, input
+        # gradients and (summed) weight gradients; padded output and
+        # input-gradient rows are exactly 0, whatever the padding holds
+        for seed, lengths in enumerate(([3, 5, 1, 5, 2], [1, 4, 4, 2, 1, 3])):
+            store = ParamStore()
+            rng = np.random.default_rng(seed)
+            rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2, rng=rng)
+            n_batch, n = len(lengths), max(lengths)
+            x = rng.normal(size=(n_batch, n, 3))
+            d_out = rng.normal(size=(n_batch, n, 8))
+            y, cache = rnn.forward(x, lengths)
+            d_x = rnn.backward(d_out, cache)
+            batch_grads = {name: store.grad(name).copy() for name in store.names()}
+            store.zero_grads()
+            for b, length in enumerate(lengths):
+                y_b, cache_b = rnn.forward(x[b:b + 1, :length], [length])
+                d_x_b = rnn.backward(d_out[b:b + 1, :length], cache_b)
+                np.testing.assert_allclose(y[b, :length], y_b[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(d_x[b, :length], d_x_b[0], rtol=0, atol=1e-12)
+                assert np.all(y[b, length:] == 0.0) and np.all(d_x[b, length:] == 0.0)
+            for name in store.names():
+                np.testing.assert_allclose(batch_grads[name], store.grad(name), rtol=0,
+                                           atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [4, 3], [3], [3, 2, 1], [[3, 2]], []])
+    def test_rejects_lengths_that_do_not_fit(self, lengths):
+        rnn = BiLstm(ParamStore(), "r", 2, 3, layers=1, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="lengths must be"):
+            rnn.forward(np.zeros((2, 3, 2)), lengths)
+
     def test_gradient_check_one_layer(self):
         for seed in range(3):
             store = ParamStore()
@@ -290,32 +322,49 @@ class TestBiLstm:
 
 
 class TestLstmKernel:
-    CASES = [([1], 1), ([1], 4), ([3, 1], 2), ([7, 2, 5], 5), ([12, 12], 8)]
+    CASES = [([1], 1), ([1], 4), ([3, 1], 2), ([7, 2, 5], 5), ([12, 12], 8),
+             ([3, 5, 3, 1], 3), ([1, 4, 2, 4, 1], 2)]
 
     @staticmethod
     def stacked_inputs(rng, lengths, h):
-        """Both directions' inputs, each with its own projections and w_h:
-        xw (2, B, n, 4h), w_h (2, h, 4h)."""
-        n_batch, n = len(lengths), max(lengths)
-        xw = rng.normal(size=(2, n_batch, n, 4 * h))
+        """Both directions' packed inputs, each with its own projections and
+        w_h: xw (2, N, 4h), w_h (2, h, 4h)."""
+        xw = rng.normal(size=(2, sum(lengths), 4 * h))
         w_h = rng.normal(size=(2, h, 4 * h)) * 0.5
         return xw, w_h
 
+    def test_pack_layout(self):
+        for lengths, _ in self.CASES:
+            batch, step, alive, rev, prev_rows = pack_layout(lengths)
+            n_batch = len(lengths)
+            # every real position appears once, time-major, and each step's
+            # rows continue the leading rows of the step before
+            assert sorted(zip(batch.tolist(), step.tolist())) == [
+                (b, t) for b, n in enumerate(lengths) for t in range(n)]
+            assert np.array_equal(np.repeat(np.arange(len(alive)), alive), step)
+            assert alive[0] == n_batch and np.all(np.diff(alive) <= 0)
+            assert np.array_equal(batch[prev_rows], batch[n_batch:])
+            assert np.array_equal(step[prev_rows], step[n_batch:] - 1)
+            # rev reads each sentence backwards and is its own inverse
+            assert np.array_equal(batch[rev], batch)
+            assert np.array_equal(step[rev], np.asarray(lengths)[batch] - 1 - step)
+            assert np.array_equal(rev[rev], np.arange(len(rev)))
+
     def test_forward_matches_textbook_reference(self):
-        # each row of each direction of a right-padded batch matches the
-        # per-sentence oracle over its own length; the padding after it
-        # never feeds a real step
+        # each sentence of each direction of a packed batch matches the
+        # per-sentence oracle over its own rows
         rng = np.random.default_rng(0)
         for lengths, h in self.CASES:
+            batch, _, alive, _, prev_rows = pack_layout(lengths)
             xw, w_h = self.stacked_inputs(rng, lengths, h)
-            hs, cs = lstm_forward(xw, w_h)
-            gates = lstm_gates(xw.copy(), hs, w_h)
+            hs, cs = lstm_forward(xw, w_h, alive)
+            gates = lstm_gates(xw.copy(), hs, w_h, prev_rows)
             zero = np.zeros(h)
             for d in range(2):
-                for b, length in enumerate(lengths):
-                    got = (hs[d, b, :length], cs[d, b, :length],
-                           np.tanh(cs[d, b, :length]), gates[d, b, :length])
-                    want = reference_lstm(xw[d, b, :length], w_h[d], zero, zero)
+                for b in range(len(lengths)):
+                    rows = np.flatnonzero(batch == b)
+                    got = (hs[d, rows], cs[d, rows], np.tanh(cs[d, rows]), gates[d, rows])
+                    want = reference_lstm(xw[d, rows], w_h[d], zero, zero)
                     for name, a, ref in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
                         assert a.shape == ref.shape, name
                         np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12,
@@ -326,18 +375,21 @@ class TestLstmKernel:
         # run alone, forward and backward
         rng = np.random.default_rng(1)
         for lengths, h in self.CASES:
+            _, _, alive, _, prev_rows = pack_layout(lengths)
             xw, w_h = self.stacked_inputs(rng, lengths, h)
-            d_hs = rng.normal(size=xw.shape[:3] + (h,))
-            hs, cs = lstm_forward(xw, w_h)
-            gates = lstm_gates(xw.copy(), hs, w_h)
-            both = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates.copy(), w_h)
+            d_hs = rng.normal(size=xw.shape[:2] + (h,))
+            hs, cs = lstm_forward(xw, w_h, alive)
+            gates = lstm_gates(xw.copy(), hs, w_h, prev_rows)
+            both = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates.copy(), w_h,
+                                 alive, prev_rows)
             for d in range(2):
                 one = slice(d, d + 1)
-                hs_d, cs_d = lstm_forward(xw[one], w_h[one])
+                hs_d, cs_d = lstm_forward(xw[one], w_h[one], alive)
                 assert np.array_equal(hs_d[0], hs[d]) and np.array_equal(cs_d[0], cs[d])
-                gates_d = lstm_gates(xw[one].copy(), hs_d, w_h[one])
+                gates_d = lstm_gates(xw[one].copy(), hs_d, w_h[one], prev_rows)
                 assert np.array_equal(gates_d[0], gates[d])
-                alone = lstm_backward(d_hs[one], hs_d, cs_d, np.tanh(cs_d), gates_d, w_h[one])
+                alone = lstm_backward(d_hs[one], hs_d, cs_d, np.tanh(cs_d), gates_d, w_h[one],
+                                      alive, prev_rows)
                 for name, a, ref in zip(("d_xw", "d_wh"), alone, both):
                     assert np.array_equal(a[0], ref[d]), f"{name} direction {d}"
 

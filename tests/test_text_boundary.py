@@ -82,7 +82,12 @@ CONLL_FAULTS = [
     ("a O\nb Y\nc\n", None, "line 2: tag 'Y' does not match the BIO grammar"),
     ("a O\nb\nc Y\n", None, "line 2: expected at least 2 distinct columns, got 1: 'b'"),
     ("a b c\nd e\n", ColumnConfig(labeled=False, pos_col=2),
-     "line 2: expected at least 2 distinct columns, got 2: 'd e'"),
+     "line 2: --pos-col 2 is not a column of a 2-column row: 'd e'"),
+    ("a NN O\nb X\n", ColumnConfig(pos_col=0),
+     "line 1: --pos-col 0 is the token column: 'a NN O'"),
+    ("a NN O\n", ColumnConfig(pos_col=2), "line 1: --pos-col 2 is the tag column: 'a NN O'"),
+    ("a NN O\n", ColumnConfig(pos_col=-1),
+     "line 1: --pos-col -1 is not a column of a 3-column row: 'a NN O'"),
 ]
 
 PREDICTION_FAULTS = [
