@@ -17,7 +17,6 @@ import numpy as np
 from .augment import OfflineLexiconBackend, parse_lexicon, parse_plan, run_plan
 from .corpus import (
     ColumnConfig,
-    CorpusError,
     corpus_stats,
     parse_conll,
     split_corpus,
@@ -26,6 +25,7 @@ from .corpus import (
 from .ensemble import (
     EnsembleError,
     VoteConfig,
+    check_alignment,
     ensemble_corpus,
     read_prediction_file,
     write_prediction_file,
@@ -124,8 +124,7 @@ def cmd_train(args):
     if args.contextual_vectors:
         contextual = _parse(args.contextual_vectors, parse_contextual_vectors)
     model = build_model(config, train_corpus, pretrained, contextual)
-    model, history = train(model, train_corpus, dev_corpus, config,
-                           train_contextual=contextual, dev_contextual=contextual)
+    model, history = train(model, train_corpus, dev_corpus, config, contextual)
     save_model(model, args.model_out)
     history_path = args.history_out or args.model_out + ".history"
     _write(history_path, history.render())
@@ -153,32 +152,13 @@ def cmd_predict(args):
     return 0
 
 
-def _read_predictions(path, reference):
-    """The prediction file at ``path``, checked to hold the sentence ids and
-    token surfaces of ``reference`` in order; a mismatch names the file."""
-    data = _parse(path, read_prediction_file)
-    if len(data.surfaces) != len(reference.sentences):
-        raise CorpusError(
-            f"{path}: {len(data.surfaces)} sentences, "
-            f"reference has {len(reference.sentences)}"
-        )
-    for sid, surfaces, sent in zip(data.sentence_ids, data.surfaces, reference.sentences):
-        if sid != sent.id:
-            raise CorpusError(f"{path}: sentence {sid!r} where reference has {sent.id!r}")
-        if surfaces != sent.surfaces:
-            raise CorpusError(
-                f"{path}: sentence {sid!r} tokens do not match the reference corpus"
-            )
-    return data
-
-
 def cmd_ensemble(args):
     if len(args.predictions) < 2:
         raise EnsembleError(
             f"need at least 2 prediction files, got {len(args.predictions)}"
         )
     reference = _parse(args.reference, parse_conll, _columns(args))
-    sets = [_read_predictions(path, reference).to_set(os.path.basename(path))
+    sets = [_parse(path, read_prediction_file).to_set(os.path.basename(path))
             for path in args.predictions]
     config = VoteConfig(args.threshold, args.majority_of)
     _, diagnostics = ensemble_corpus(sets, reference, config)
@@ -196,8 +176,10 @@ def cmd_ensemble(args):
 
 def cmd_evaluate(args):
     gold = _parse(args.gold, parse_conll, _columns(args))
-    data = _read_predictions(args.predictions, gold)
-    report = evaluate(gold, [[p.label for p in preds] for preds in data.predictions])
+    pset = _parse(args.predictions, read_prediction_file).to_set(
+        os.path.basename(args.predictions))
+    check_alignment(pset, gold)
+    report = evaluate(gold, [[p.label for p in preds] for preds in pset.predictions])
     print(report.render_table())
     print()
     print(report.render_kv())

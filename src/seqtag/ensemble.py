@@ -20,6 +20,7 @@ __all__ = [
     "TokenDiag",
     "EnsembleDiagnostics",
     "majority_vote",
+    "check_alignment",
     "ensemble_corpus",
     "read_prediction_file",
     "write_prediction_file",
@@ -51,12 +52,14 @@ class VoteConfig:
 @dataclass
 class PredictionSet:
     """One model's predictions aligned to a reference corpus: one
-    TokenPrediction list per sentence. ``sentence_ids`` is kept when read
-    from a file so misalignments can be reported precisely."""
+    TokenPrediction list per sentence. ``sentence_ids`` and ``surfaces``
+    (one token-surface list per sentence) are kept when read from a file,
+    so ``check_alignment`` can hold them to the reference."""
 
     model_id: str
     predictions: list
     sentence_ids: list | None = None
+    surfaces: list | None = None
 
 
 def _support(survivors, label):
@@ -128,7 +131,11 @@ class EnsembleDiagnostics:
         return "\n".join(lines) + "\n"
 
 
-def _check_alignment(pset, reference):
+def check_alignment(pset, reference):
+    """Raise EnsembleError, naming the model, unless ``pset`` has one
+    prediction list per sentence of ``reference``, in order: the same
+    sentence ids and token surfaces where ``pset`` knows them, and one
+    prediction per token."""
     if len(pset.predictions) != len(reference.sentences):
         raise EnsembleError(
             f"model {pset.model_id!r}: {len(pset.predictions)} sentences, "
@@ -139,6 +146,11 @@ def _check_alignment(pset, reference):
             raise EnsembleError(
                 f"model {pset.model_id!r}: sentence {pset.sentence_ids[si]!r} "
                 f"where reference has {sent.id!r}"
+            )
+        if pset.surfaces is not None and pset.surfaces[si] != sent.surfaces:
+            raise EnsembleError(
+                f"model {pset.model_id!r}: sentence {sent.id!r} tokens do not match "
+                "the reference corpus"
             )
         if len(pset.predictions[si]) != len(sent):
             raise EnsembleError(
@@ -153,7 +165,7 @@ def ensemble_corpus(sets, reference, config=VoteConfig()):
     if len(sets) < 2:
         raise EnsembleError(f"need at least 2 prediction sets, got {len(sets)}")
     for pset in sets:
-        _check_alignment(pset, reference)
+        check_alignment(pset, reference)
 
     diagnostics = EnsembleDiagnostics(config, [p.model_id for p in sets])
     threshold = config.score_threshold
@@ -214,7 +226,8 @@ class PredictionFileData:
     predictions: list
 
     def to_set(self, model_id):
-        return PredictionSet(model_id, self.predictions, list(self.sentence_ids))
+        return PredictionSet(model_id, self.predictions, list(self.sentence_ids),
+                             list(self.surfaces))
 
 
 def read_prediction_file(text):

@@ -15,11 +15,13 @@ read the last real step, use ``lengths``.
 
 Independent recurrences over the same input run as one step loop with a
 leading axis of size 2, so each step is one stacked matmul for both (the
-batching cuDNN applies to recurrent work). ``lstm_forward``/
-``lstm_backward`` (with ``lstm_gates``) take both directions of a BiLSTM
-layer, ``(2, N, ...)``, each starting from a zero hidden and cell state;
-the backward direction's input comes already reversed within each
-sentence (``pack_layout``'s ``rev``), so both share one layout.
+batching cuDNN applies to recurrent work). ``lstm_forward`` and
+``lstm_backward`` take both directions of a BiLSTM layer, ``(2, N, ...)``,
+each starting from a zero hidden and cell state; the backward direction's
+input comes already reversed within each sentence (``pack_layout``'s
+``rev``), so both share one layout. ``lstm_forward`` leaves each step's
+post-activation gates in its input buffer, and ``lstm_backward`` reads
+them from there, so the gates are computed once.
 ``crf_forward_backward`` advances the CRF forward and backward passes
 together and ``viterbi_decode`` decodes.
 
@@ -40,7 +42,6 @@ import numpy as np
 __all__ = [
     "pack_layout",
     "lstm_forward",
-    "lstm_gates",
     "lstm_backward",
     "crf_forward_backward",
     "viterbi_decode",
@@ -101,8 +102,11 @@ def lstm_forward(xw, w_h, alive):
     xw: (2, N, 4h) rows of x_t @ W_x + b per direction, gate order i, f,
     g, o; w_h: (2, h, 4h); alive: rows per step. Each step after the
     first is one stacked (2, alive[t], h) @ (2, h, 4h) matmul on the
-    leading rows of the step before, and one set of gate ops. Returns the
-    hidden states and the cell states, each (2, N, h).
+    leading rows of the step before, and one set of gate ops on a fresh
+    contiguous buffer, which is then copied back: ``xw`` leaves the call
+    holding the post-activation gates i, f, g, o, the ``gates`` argument
+    of ``lstm_backward``. Returns the hidden states and the cell states,
+    each (2, N, h).
     """
     h = w_h.shape[1]
     hs = np.empty(xw.shape[:2] + (h,))
@@ -117,6 +121,7 @@ def lstm_forward(xw, w_h, alive):
         else:
             z = xw[:, rows].copy()
         _activate(z, h)
+        xw[:, rows] = z
         c = cs[:, rows]
         np.multiply(z[..., :h], z[..., 2 * h:3 * h], out=c)
         if start:
@@ -126,23 +131,10 @@ def lstm_forward(xw, w_h, alive):
     return hs, cs
 
 
-def lstm_gates(xw, hs, w_h, prev_rows):
-    """Post-activation gates (2, N, 4h) of a finished ``lstm_forward``
-    run, recomputed from its hidden states with one matmul over all rows
-    after the first step of each direction; ``prev_rows`` is
-    ``pack_layout``'s. ``xw`` is overwritten with the gates and
-    returned."""
-    first = xw.shape[1] - len(prev_rows)
-    # a direction at a time, so no temporary spans both directions
-    for d in range(len(xw)):
-        xw[d, first:] += hs[d, prev_rows] @ w_h[d]
-        _activate(xw[d], w_h.shape[1])
-    return xw
-
-
 def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows):
     """Backprop through lstm_forward, all arrays (2, N, .) in the packed
-    layout of ``alive`` and ``prev_rows`` (``pack_layout``). Returns
+    layout of ``alive`` and ``prev_rows`` (``pack_layout``); ``gates`` is
+    the post-activation ``xw`` that ``lstm_forward`` left. Returns
     gradients w.r.t. the input projections xw (2, N, 4h) and the
     recurrent weights (2, h, 4h).
 

@@ -21,7 +21,7 @@ right-padded to per-word lengths (W,).
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..kernels import lstm_backward, lstm_forward, lstm_gates, pack_layout
+from ..kernels import lstm_backward, lstm_forward, pack_layout
 from .params import uniform_init
 
 __all__ = [
@@ -154,10 +154,13 @@ class BiLstm:
     length: its rows are the packed rows permuted by the involution
     ``rev``. Both directions of a layer run as one stacked recurrence: the
     layer input and its reversal form a (2, N, d) batch that one matmul
-    projects against the directions' stacked input weights, and one
-    ``lstm_forward`` call steps both. Parameters stay per direction
-    (``{prefix}.l{k}.fw.*`` and ``.bw.*``) and are stacked on each
-    pass."""
+    projects against the layer's input weights, and one ``lstm_forward``
+    call steps both. Each layer stores its parameters in that stacked
+    layout, forward direction first: ``{prefix}.l{k}.w_x`` (2, d, 4h),
+    ``.w_h`` (2, h, 4h) and ``.b`` (2, 4h).
+
+    The forward cache holds each layer's gates, which ``backward`` uses
+    as scratch space: one cache serves exactly one backward pass."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -166,21 +169,20 @@ class BiLstm:
         self.layers = []
         d = input_dim
         for l in range(layers):
-            directions = (f"{prefix}.l{l}.fw", f"{prefix}.l{l}.bw")
-            for name in directions:
-                store.add(f"{name}.w_x", uniform_init(rng, (d, 4 * hidden), d))
-                store.add(f"{name}.w_h", uniform_init(rng, (hidden, 4 * hidden), hidden))
-                store.add(f"{name}.b", np.zeros(4 * hidden))
-            self.layers.append(directions)
+            # each direction draws its w_x, then its w_h
+            draws = [(uniform_init(rng, (d, 4 * hidden), d),
+                      uniform_init(rng, (hidden, 4 * hidden), hidden)) for _ in range(2)]
+            w_x, w_h = zip(*draws)
+            name = f"{prefix}.l{l}"
+            self.layers.append((
+                name,
+                store.add(f"{name}.w_x", np.stack(w_x)),
+                store.add(f"{name}.w_h", np.stack(w_h)),
+                store.add(f"{name}.b", np.zeros((2, 4 * hidden))),
+            ))
             d = 2 * hidden
         self.output_dim = 2 * hidden
         self._store = store
-
-    def _weights(self, layer):
-        """One layer's w_x (2, d, 4h), w_h (2, h, 4h) and b (2, 1, 4h)."""
-        w_x, w_h, b = (np.stack([self._store[f"{name}.{p}"] for name in layer])
-                       for p in ("w_x", "w_h", "b"))
-        return w_x, w_h, b[:, None]
 
     def forward(self, x, lengths):
         """x: (B, n, d) right-padded to ``lengths`` (B,), each in [1, n].
@@ -193,15 +195,14 @@ class BiLstm:
         flat = batch * n + step
         packed = x.reshape(-1, d)[flat]
         caches = []
-        for layer in self.layers:
-            w_x, w_h, b = self._weights(layer)
+        for _, w_x, w_h, b in self.layers:
             xs = np.empty((2,) + packed.shape)
             xs[0] = packed
             xs[1] = packed[rev]
-            xw = np.matmul(xs, w_x)
-            xw += b
-            hs, cs = lstm_forward(xw, w_h, alive)
-            caches.append((xs, hs, cs))
+            gates = np.matmul(xs, w_x)
+            gates += b[:, None]
+            hs, cs = lstm_forward(gates, w_h, alive)
+            caches.append((xs, hs, cs, gates))
             packed = np.concatenate([hs[0], hs[1][rev]], axis=1)
         out = np.zeros((n_batch * n, self.output_dim))
         out[flat] = packed
@@ -211,32 +212,30 @@ class BiLstm:
         (shape, flat, alive, rev, prev_rows), caches = cache
         h = self.hidden
         d_packed = d_out.reshape(-1, 2 * h)[flat]
-        for layer, (xs, hs, cs) in zip(reversed(self.layers), reversed(caches)):
+        for layer, (xs, hs, cs, gates) in zip(reversed(self.layers), reversed(caches)):
             d_hs = np.empty_like(hs)
             d_hs[0] = d_packed[:, :h]
             d_hs[1] = d_packed[rev, h:]
-            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs, alive, prev_rows)
+            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs, gates, alive, prev_rows)
             d_packed = d_xs[0]
             d_packed += d_xs[1][rev]
         d_x = np.zeros((shape[0] * shape[1], shape[2]))
         d_x[flat] = d_packed
         return d_x.reshape(shape)
 
-    def _backward_layer(self, layer, d_hs, xs, hs, cs, alive, prev_rows):
+    def _backward_layer(self, layer, d_hs, xs, hs, cs, gates, alive, prev_rows):
         """Accumulate one layer's parameter gradients; return the gradient
-        w.r.t. its stacked input xs (2, N, d). The gates are recomputed
-        from xs and hs; every (2, N, 4h) buffer is freed on return."""
-        w_x, w_h, b = self._weights(layer)
-        gates = np.matmul(xs, w_x)
-        gates += b
-        gates = lstm_gates(gates, hs, w_h, prev_rows)
+        w.r.t. its stacked input xs (2, N, d). ``gates`` are the
+        post-activation gates its forward pass left, overwritten here with
+        the input-projection gradient."""
+        name, w_x, w_h, _ = layer
         d_xw, d_wh = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates, w_h, alive, prev_rows)
         # each direction's weight gradients sum its rows in the order it
         # stepped them
-        for k, name in enumerate(layer):
-            self._store.accumulate(f"{name}.w_x", xs[k].T @ d_xw[k])
-            self._store.accumulate(f"{name}.w_h", d_wh[k])
-            self._store.accumulate(f"{name}.b", d_xw[k].sum(axis=0))
+        acc = self._store.accumulate
+        acc(f"{name}.w_x", np.matmul(xs.transpose(0, 2, 1), d_xw))
+        acc(f"{name}.w_h", d_wh)
+        acc(f"{name}.b", d_xw.sum(axis=1))
         return np.matmul(d_xw, w_x.transpose(0, 2, 1))
 
 

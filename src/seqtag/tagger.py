@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"SEQTAGM1"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -271,11 +271,10 @@ def _param_shapes(config, n_labels, n_words, n_chars, n_pos, contextual_dim):
     if config.use_contextual_slot:
         input_dim += contextual_dim
     for layer in range(config.lstm_layers):
-        for direction in ("fw", "bw"):
-            prefix = f"lstm.l{layer}.{direction}"
-            shapes[f"{prefix}.w_x"] = (input_dim, 4 * h)
-            shapes[f"{prefix}.w_h"] = (h, 4 * h)
-            shapes[f"{prefix}.b"] = (4 * h,)
+        # both directions of a layer stacked, as BiLstm stores them
+        shapes[f"lstm.l{layer}.w_x"] = (2, input_dim, 4 * h)
+        shapes[f"lstm.l{layer}.w_h"] = (2, h, 4 * h)
+        shapes[f"lstm.l{layer}.b"] = (2, 4 * h)
         input_dim = 2 * h
     if config.use_mha:
         for name in ("w_q", "w_k", "w_v", "w_o"):
@@ -334,7 +333,7 @@ class TaggerModel:
                 self.store, "pos.emb", len(pos_tokens) + 1, config.pos_dim, rng
             )
         self.bilstm = BiLstm(
-            self.store, "lstm", shapes["lstm.l0.fw.w_x"][0], config.hidden,
+            self.store, "lstm", shapes["lstm.l0.w_x"][1], config.hidden,
             config.lstm_layers, rng,
         )
         self.mha = None
@@ -694,12 +693,12 @@ def _train_batch(model, batch, rng, contextual, epoch):
     return [float(loss) for loss in losses]
 
 
-def train(model, train_corpus, dev_corpus, config=None,
-          train_contextual=None, dev_contextual=None):
+def train(model, train_corpus, dev_corpus, config=None, contextual=None):
     """Mini-batch training with per-epoch dev evaluation and early
     stopping; returns the model restored to its best-epoch parameters plus
     the full history. Each optimizer batch runs as one padded pass; its
-    loss is the mean of the per-sentence losses."""
+    loss is the mean of the per-sentence losses. ``contextual`` vectors,
+    keyed by sentence id and token index, serve both corpora."""
     cfg = (config or model.config).validate()
     optimizer = AdamOptimizer(model.store, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -716,10 +715,10 @@ def train(model, train_corpus, dev_corpus, config=None,
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_corpus.sentences[si]
                      for si in order[start:start + cfg.batch_size]]
-            epoch_losses.extend(_train_batch(model, batch, rng, train_contextual, epoch))
+            epoch_losses.extend(_train_batch(model, batch, rng, contextual, epoch))
             optimizer.step()
 
-        eval_loss, eval_f1 = _evaluate_dev(model, dev_corpus, dev_contextual)
+        eval_loss, eval_f1 = _evaluate_dev(model, dev_corpus, contextual)
         if not math.isfinite(eval_loss):
             raise ModelError(f"non-finite evaluation loss at epoch {epoch}")
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), eval_loss, eval_f1))
@@ -820,6 +819,9 @@ def _header_problem(header):
     bad = [c for c in header["classes"] if not BIO_TAG_RE.match(f"B-{c}")]
     if bad:
         return f"model header classes: {bad[0]!r} cannot form a BIO label"
+    # TagSet sorts its classes, so an unsorted list would be read reordered
+    if header["classes"] != sorted(header["classes"]):
+        return "model header classes: expected sorted order"
     if header["pos_tokens"] is not None and not _distinct_names(header["pos_tokens"]):
         return "model header pos_tokens: expected null or a list of distinct non-empty strings"
     if not _is_int(header["contextual_dim"]) or header["contextual_dim"] < 0:
@@ -850,8 +852,8 @@ def load_model(path):
     if problem:
         raise ModelError(f"{path}: {problem}")
     config = TaggerConfig(**header["config"])
-    # each LSTM layer has six blocks: the inventory bounds the layer loop below
-    if 6 * config.lstm_layers > len(header["params"]):
+    # each LSTM layer has three blocks: the inventory bounds the layer loop below
+    if 3 * config.lstm_layers > len(header["params"]):
         raise ModelError(f"{path}: parameter inventory does not match its config")
     tagset = TagSet(header["classes"])
     pos_tokens = header["pos_tokens"]

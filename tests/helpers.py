@@ -53,8 +53,9 @@ def reference_lstm(xw, w_h, h0, c0):
     i = sigmoid(z_i), f = sigmoid(z_f), g = tanh(z_g), o = sigmoid(z_o),
     c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t), with
     sigmoid(z) = 1 / (1 + exp(-z)). Returns (hs, cs, tanh_cs, gates) of
-    one direction and one sentence, as ``kernels.lstm_forward`` and
-    ``kernels.lstm_gates`` give them at that sentence's packed rows.
+    one direction and one sentence, as ``kernels.lstm_forward`` gives them
+    at that sentence's packed rows: hs and cs as returned, the
+    post-activation gates i, f, g, o as left in its ``xw`` argument.
     """
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))

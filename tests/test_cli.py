@@ -409,6 +409,10 @@ def corrupt_model(data, corruption):
         header = [header]
     elif corruption == "NaN parameter block":
         blocks = blocks[:-8] + struct.pack("<d", float("nan"))
+    elif corruption == "format version 1":
+        header["format_version"] = 1
+    elif corruption == "unsorted classes":
+        header["classes"] = header["classes"][::-1]
     elif corruption == "oversized config":
         header["config"].update(hidden=1000, lstm_layers=2)
     elif corruption == "CRF scores scaled by 1e150":
@@ -434,6 +438,8 @@ class TestCorruptModel:
         "NaN parameter block",
         "oversized config",
         "CRF scores scaled by 1e150",
+        "format version 1",
+        "unsorted classes",
     ])
     @pytest.mark.filterwarnings("error")
     def test_predict_exits_one_with_one_error_line(self, capsys, trained,
@@ -448,6 +454,19 @@ class TestCorruptModel:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+        assert not (tmp_path / "preds.txt").exists()
+
+    def test_format_1_models_must_be_retrained(self, capsys, trained, tmp_path):
+        # format 1 stored each BiLSTM direction's weights apart; no reader
+        # for it is kept
+        bad = tmp_path / "v1.bin"
+        bad.write_bytes(corrupt_model((trained / "model.bin").read_bytes(),
+                                      "format version 1"))
+        code, out, err = run(
+            capsys, "predict", bad, trained / "dev.conll", tmp_path / "preds.txt",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: unsupported model format version 1\n"
         assert not (tmp_path / "preds.txt").exists()
 
 
@@ -884,7 +903,29 @@ class TestPredictionAlignment:
             [command, pred, pred, "--reference", gold, "--out", tmp_path / "ens.txt"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: {pred}: sentence 'q' where reference has 'a'\n"
+        assert err == "error: model 'p.txt': sentence 'q' where reference has 'a'\n"
+        assert not (tmp_path / "ens.txt").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+    @pytest.mark.parametrize("fault", ["surfaces", "sentence count"])
+    def test_tokens_and_sentence_count_must_match_the_reference(
+            self, capsys, tmp_path, command, fault):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("# a\nx B-PER\ny O\n\n# b\nz O\n", encoding="utf-8")
+        text = "# a\nx B-PER B-PER 0.9\ny O O 0.8\n\n# b\nz O O 0.7\n"
+        if fault == "surfaces":
+            text = text.replace("y O O", "w O O")
+            message = "sentence 'a' tokens do not match the reference corpus"
+        else:
+            text = text.split("\n\n")[0] + "\n"
+            message = "1 sentences, reference has 2"
+        pred = tmp_path / "p.txt"
+        pred.write_text(text, encoding="utf-8")
+        argv = [command, gold, pred] if command == "evaluate" else \
+            [command, pred, pred, "--reference", gold, "--out", tmp_path / "ens.txt"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: model 'p.txt': {message}\n"
         assert not (tmp_path / "ens.txt").exists()
 
 

@@ -13,6 +13,7 @@ from seqtag.ensemble import (
     EnsembleError,
     PredictionSet,
     VoteConfig,
+    check_alignment,
     ensemble_corpus,
     majority_vote,
     read_prediction_file,
@@ -273,8 +274,33 @@ class TestPredictionFiles:
         pset = data.to_set("model-a")
         assert pset.model_id == "model-a"
         assert pset.sentence_ids == [s.id for s in corpus.sentences]
+        assert pset.surfaces == [s.surfaces for s in corpus.sentences]
         labels, _ = ensemble_corpus([pset, data.to_set("model-b")], corpus)
         assert len(labels) == len(corpus.sentences)
+
+    @pytest.mark.parametrize("fault", ["surfaces", "sentence count"])
+    def test_file_sets_are_held_to_the_reference(self, fault):
+        # the same ids and token counts over other words, or one sentence
+        # short: ensemble_corpus and check_alignment both refuse the set
+        corpus = parse_conll("# a\nx B-PER\ny O\n\n# b\nz O\n")
+        text = "# a\nx B-PER B-PER 0.9\ny O O 0.8\n\n# b\nz O O 0.7\n"
+        if fault == "surfaces":
+            text = text.replace("y O O", "w O O")
+            message = "model 'p.txt': sentence 'a' tokens do not match the reference corpus"
+        else:
+            text = text.split("\n\n")[0] + "\n"
+            message = "model 'p.txt': 1 sentences, reference has 2"
+        pset = read_prediction_file(text).to_set("p.txt")
+        good = read_prediction_file(write_prediction_file(
+            corpus, [[TokenPrediction("O", 0.9)] * len(s) for s in corpus.sentences]
+        )).to_set("q.txt")
+        check_alignment(good, corpus)
+        with pytest.raises(EnsembleError) as info:
+            check_alignment(pset, corpus)
+        assert str(info.value) == message
+        with pytest.raises(EnsembleError) as info:
+            ensemble_corpus([good, pset], corpus)
+        assert str(info.value) == message
 
     def test_blocks_ids_and_surfaces_follow_the_corpus_rules(self):
         nfd = unicodedata.normalize("NFD", "é")

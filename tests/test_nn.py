@@ -8,7 +8,7 @@ real parameters so input gradients get checked by the same machinery.
 import numpy as np
 import pytest
 
-from seqtag.kernels import lstm_backward, lstm_forward, lstm_gates, pack_layout
+from seqtag.kernels import lstm_backward, lstm_forward, pack_layout
 from seqtag.nn import (
     AdamOptimizer,
     BiLstm,
@@ -247,15 +247,30 @@ class TestBiLstm:
         out, _ = rnn.forward(x, lengths)
         zeros = np.zeros(3)
         for b, n in enumerate(lengths):
-            for half, direction, rows in ((slice(0, 3), "fw", x[b, :n]),
-                                          (slice(3, 6), "bw", x[b, :n][::-1])):
-                p = f"r.l0.{direction}"
-                hs = reference_lstm(rows @ store[f"{p}.w_x"] + store[f"{p}.b"],
-                                    store[f"{p}.w_h"], zeros, zeros)[0]
-                if direction == "bw":
+            for k, half, rows in ((0, slice(0, 3), x[b, :n]),
+                                  (1, slice(3, 6), x[b, :n][::-1])):
+                hs = reference_lstm(rows @ store["r.l0.w_x"][k] + store["r.l0.b"][k],
+                                    store["r.l0.w_h"][k], zeros, zeros)[0]
+                if k:
                     hs = hs[::-1]
                 np.testing.assert_allclose(out[b, :n, half], hs, rtol=0, atol=1e-12,
-                                           err_msg=direction)
+                                           err_msg=f"direction {k}")
+
+    def test_stacked_weights_keep_the_per_direction_draw_order(self):
+        # layer by layer, the forward direction draws w_x then w_h, then
+        # the backward direction does the same; biases start at zero
+        store = ParamStore()
+        BiLstm(store, "r", input_dim=3, hidden=2, layers=2, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for layer, d in enumerate((3, 4)):
+            for k in range(2):
+                w_x = uniform_init(rng, (d, 8), d)
+                w_h = uniform_init(rng, (2, 8), 2)
+                assert np.array_equal(store[f"r.l{layer}.w_x"][k], w_x)
+                assert np.array_equal(store[f"r.l{layer}.w_h"][k], w_h)
+            assert np.array_equal(store[f"r.l{layer}.b"], np.zeros((2, 8)))
+        assert store.names() == [f"r.l{layer}.{p}" for layer in (0, 1)
+                                 for p in ("b", "w_h", "w_x")]
 
     def test_packed_batch_equals_each_sentence_alone(self):
         # unsorted ragged batches with tied lengths and a length-1 sentence
@@ -352,13 +367,14 @@ class TestLstmKernel:
 
     def test_forward_matches_textbook_reference(self):
         # each sentence of each direction of a packed batch matches the
-        # per-sentence oracle over its own rows
+        # per-sentence oracle over its own rows, the gates lstm_forward
+        # leaves in xw included
         rng = np.random.default_rng(0)
         for lengths, h in self.CASES:
-            batch, _, alive, _, prev_rows = pack_layout(lengths)
+            batch, _, alive, _, _ = pack_layout(lengths)
             xw, w_h = self.stacked_inputs(rng, lengths, h)
-            hs, cs = lstm_forward(xw, w_h, alive)
-            gates = lstm_gates(xw.copy(), hs, w_h, prev_rows)
+            gates = xw.copy()
+            hs, cs = lstm_forward(gates, w_h, alive)
             zero = np.zeros(h)
             for d in range(2):
                 for b in range(len(lengths)):
@@ -372,21 +388,21 @@ class TestLstmKernel:
 
     def test_stacking_changes_no_bits(self):
         # a direction run in the stack gives exactly the values it gives
-        # run alone, forward and backward
+        # run alone, forward (gates included) and backward
         rng = np.random.default_rng(1)
         for lengths, h in self.CASES:
             _, _, alive, _, prev_rows = pack_layout(lengths)
             xw, w_h = self.stacked_inputs(rng, lengths, h)
             d_hs = rng.normal(size=xw.shape[:2] + (h,))
-            hs, cs = lstm_forward(xw, w_h, alive)
-            gates = lstm_gates(xw.copy(), hs, w_h, prev_rows)
+            gates = xw.copy()
+            hs, cs = lstm_forward(gates, w_h, alive)
             both = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates.copy(), w_h,
                                  alive, prev_rows)
             for d in range(2):
                 one = slice(d, d + 1)
-                hs_d, cs_d = lstm_forward(xw[one], w_h[one], alive)
+                gates_d = xw[one].copy()
+                hs_d, cs_d = lstm_forward(gates_d, w_h[one], alive)
                 assert np.array_equal(hs_d[0], hs[d]) and np.array_equal(cs_d[0], cs[d])
-                gates_d = lstm_gates(xw[one].copy(), hs_d, w_h[one], prev_rows)
                 assert np.array_equal(gates_d[0], gates[d])
                 alone = lstm_backward(d_hs[one], hs_d, cs_d, np.tanh(cs_d), gates_d, w_h[one],
                                       alive, prev_rows)

@@ -270,6 +270,28 @@ class TestModelLabels:
         assert f"{path}: model header classes" in capsys.readouterr().err
         assert not (tmp_path / "out.txt").exists()
 
+    def test_unsorted_classes_fail_at_load(self, tmp_path, capsys):
+        # save_model writes the classes sorted; TagSet would silently read
+        # an edited ["PER", "LOC"] as ["LOC", "PER"]
+        corpus = parse_conll("alice B-PER\nparis B-LOC\n\nbob O\n")
+        config = tagger.TaggerConfig(word_dim=4, hidden=4, lstm_layers=1, max_epochs=1)
+        path = tmp_path / "m.bin"
+        tagger.save_model(tagger.build_model(config, corpus), path)
+        data = path.read_bytes()
+        assert b'"classes":["LOC","PER"]' in data
+        path.write_bytes(data.replace(b'"classes":["LOC","PER"]',
+                                      b'"classes":["PER","LOC"]', 1))
+        with pytest.raises(tagger.ModelError) as info:
+            tagger.load_model(path)
+        assert str(info.value) == f"{path}: model header classes: expected sorted order"
+        (tmp_path / "in.conll").write_text("alice B-PER\n", encoding="utf-8")
+        code = cli.main(["predict", str(path), str(tmp_path / "in.conll"),
+                         str(tmp_path / "out.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: model header classes: expected sorted order\n")
+        assert not (tmp_path / "out.txt").exists()
+
     def test_predictions_equal_public_ones(self):
         rng = np.random.default_rng(3)
         corpus = random_corpus(rng, 12, min_len=1, max_len=9)
