@@ -9,7 +9,7 @@ sentence ids per source and taking the union of tagsets.
 
 from dataclasses import dataclass
 
-from .corpus import LabeledCorpus, ParseError, Sentence, Token, _normalize
+from .corpus import LabeledCorpus, ParseError, Sentence, _normalize
 
 __all__ = [
     "AugmentError",
@@ -47,8 +47,6 @@ def _entry_problem(src, tgt):
 @dataclass
 class Lexicon:
     name: str
-    source_lang: str
-    target_lang: str
     mapping: dict
 
     def __post_init__(self):
@@ -75,7 +73,7 @@ def parse_lexicon(text, name="lexicon"):
         if src in mapping:
             raise ParseError(f"duplicate lexicon entry for {src!r}", lineno)
         mapping[src] = tgt
-    return Lexicon(name, "src", "tgt", mapping)
+    return Lexicon(name, mapping)
 
 
 @dataclass(frozen=True)
@@ -93,18 +91,11 @@ def token_translate(corpus, backend, fallback="keep"):
     if fallback not in FALLBACK_MODES:
         raise AugmentError(f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}")
     mapping = backend.lexicon.mapping
-    unknown = None if fallback == "keep" else UNKNOWN_TOKEN
+    keep = fallback == "keep"
     sentences = []
     for sent in corpus.sentences:
-        tokens = []
-        for tok in sent.tokens:
-            translated = mapping.get(tok.surface, unknown)
-            if translated is None or translated == tok.surface:
-                tokens.append(tok)  # Token is frozen: an unchanged one is shared
-            else:
-                # the lexicon checked its targets, and the unknown marker is valid
-                tokens.append(Token._trusted(translated, tok.gold_tag, tok.pos, tok.extras))
-        sentences.append(Sentence(sent.id, tuple(tokens)))
+        surfaces = [mapping.get(s, s if keep else UNKNOWN_TOKEN) for s in sent.surfaces]
+        sentences.append(Sentence(sent.id, surfaces, sent.gold_tags, sent.pos, sent.extras))
     return LabeledCorpus(sentences, corpus.tagset)
 
 
@@ -130,7 +121,8 @@ def combine(corpora, output_name, names=None):
             if new_id in seen:
                 raise AugmentError(f"duplicate sentence id {new_id!r} after namespacing")
             seen.add(new_id)
-            sentences.append(Sentence(new_id, sent.tokens))
+            sentences.append(
+                Sentence(new_id, sent.surfaces, sent.gold_tags, sent.pos, sent.extras))
     return LabeledCorpus(sentences, tagset)
 
 
@@ -239,11 +231,7 @@ def run_plan(plan, corpora, backends=None):
             if backend is None:
                 raise AugmentError(f"source {source.name!r} needs a translation backend")
             corpus = token_translate(corpus, backend, source.fallback)
-            lexicon = backend.lexicon
-            steps.append(
-                f"translated {lexicon.source_lang}->{lexicon.target_lang} "
-                f"via offline-lexicon (fallback={source.fallback})"
-            )
+            steps.append(f"translated src->tgt via offline-lexicon (fallback={source.fallback})")
         prepared.append(corpus)
         manifest.append(f"source {source.name}: " + "; ".join(steps))
     result = combine(prepared, plan.output_name, names=[s.name for s in plan.sources])

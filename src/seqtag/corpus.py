@@ -1,6 +1,9 @@
 """CoNLL-style corpus handling: parsing, BIO validation/repair, chunking,
 splitting and statistics.
 
+A sentence is stored as columns, one tuple per field (surfaces, gold tags,
+POS tags, extra file columns), not as one record per token.
+
 File conventions: UTF-8, LF line endings, blank line between sentences,
 ``# <id>`` comment lines carry sentence ids, fields joined by single spaces
 on write. Token text and ids are Unicode-NFC-normalized at parse time.
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Token",
     "Sentence",
     "TagSet",
     "LabeledCorpus",
@@ -62,54 +64,43 @@ def tag_class(tag):
 
 
 @dataclass(frozen=True)
-class Token:
-    """One token: surface form, optional POS, gold BIO tag, plus any
-    extra file columns preserved for round-tripping."""
-
-    surface: str
-    gold_tag: str = "O"
-    pos: str | None = None
-    extras: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        # str.split() splits at exactly the characters str.isspace() accepts,
-        # so this rejects an empty surface and any whitespace in C
-        if self.surface.split() != [self.surface]:
-            raise CorpusError(f"token surface {self.surface!r} is empty or contains whitespace")
-        _check_bio_grammar(self.gold_tag)
-
-    @classmethod
-    def _trusted(cls, surface, gold_tag, pos, extras):
-        """A Token of fields its caller has already checked, built without
-        ``__post_init__``. Fields are set one by one, never through the
-        instance ``__dict__``, which would materialize one dict per token."""
-        tok = object.__new__(cls)
-        object.__setattr__(tok, "surface", surface)
-        object.__setattr__(tok, "gold_tag", gold_tag)
-        object.__setattr__(tok, "pos", pos)
-        object.__setattr__(tok, "extras", extras)
-        return tok
-
-
-@dataclass(frozen=True)
 class Sentence:
+    """One sentence as tuple columns of equal length: token surfaces, gold
+    BIO tags, optionally one POS tag per token, and optionally each token's
+    extra file columns, kept verbatim for round-tripping (rows may differ
+    in width; None when no token has any)."""
+
     id: str
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    gold_tags: tuple[str, ...]
+    pos: tuple[str, ...] | None = None
+    extras: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
-        if not self.tokens:
+        n = len(self.surfaces)
+        if not n:
             raise CorpusError(f"sentence {self.id!r} has no tokens")
+        for name in ("surfaces", "gold_tags", "pos", "extras"):
+            column = getattr(self, name)
+            if column is not None:
+                if len(column) != n:
+                    raise CorpusError(
+                        f"sentence {self.id!r}: {len(column)} entries in {name} for {n} tokens"
+                    )
+                object.__setattr__(self, name, tuple(column))
+        if self.extras is not None and not any(self.extras):
+            object.__setattr__(self, "extras", None)
+        # str.split() splits at exactly the characters str.isspace() accepts,
+        # so the join splits back into the surfaces unless one is empty or
+        # holds whitespace
+        if tuple(" ".join(self.surfaces).split()) != self.surfaces:
+            bad = next(s for s in self.surfaces if s.split() != [s])
+            raise CorpusError(f"token surface {bad!r} is empty or contains whitespace")
+        for tag in dict.fromkeys(self.gold_tags):
+            _check_bio_grammar(tag)
 
     def __len__(self):
-        return len(self.tokens)
-
-    @property
-    def surfaces(self):
-        return [t.surface for t in self.tokens]
-
-    @property
-    def gold_tags(self):
-        return [t.gold_tag for t in self.tokens]
+        return len(self.surfaces)
 
 
 class TagSet:
@@ -161,17 +152,19 @@ class LabeledCorpus:
         if not self.sentences:
             raise CorpusError("corpus has no sentences")
         seen = set()
+        # every sentence's tags are BIO-valid, so a tag is a label of the
+        # tagset exactly when its class is one of the tagset's
+        labels = set(self.tagset.labels)
         for sent in self.sentences:
             if sent.id in seen:
                 raise CorpusError(f"duplicate sentence id {sent.id!r}")
             seen.add(sent.id)
-            for tok in sent.tokens:
-                cls = tag_class(tok.gold_tag)
-                if cls is not None and cls not in self.tagset.classes:
-                    raise CorpusError(
-                        f"sentence {sent.id!r}: tag {tok.gold_tag!r} outside tagset "
-                        f"{list(self.tagset.classes)}"
-                    )
+            if not labels.issuperset(sent.gold_tags):
+                tag = next(t for t in sent.gold_tags if t not in labels)
+                raise CorpusError(
+                    f"sentence {sent.id!r}: tag {tag!r} outside tagset "
+                    f"{list(self.tagset.classes)}"
+                )
 
     def __len__(self):
         return len(self.sentences)
@@ -201,7 +194,7 @@ class ColumnConfig:
 
     An input that is not ``labeled`` has no gold column and every token is
     tagged ``O``. ``pos_col`` is optional. Columns that are neither token
-    nor tag nor pos are kept verbatim in ``Token.extras``.
+    nor tag nor pos are kept verbatim in ``Sentence.extras``.
     """
 
     labeled: bool = True
@@ -272,9 +265,8 @@ def parse_conll(text, columns=ColumnConfig()):
     n_fields = 1 + labeled + (pos_col is not None)
     layouts = {}  # column count -> _row_layout
     valid_tags = set()  # tags that matched BIO_TAG_RE; validity depends on the string alone
-    tag = "O"  # unless a gold column gives the tag
     for sid, rows in _conll_blocks(text):
-        tokens = []
+        surfaces, tags, pos, extras = [], [], [], []
         for lineno, line, cols in rows:
             n = len(cols)
             if n not in layouts:
@@ -294,16 +286,19 @@ def parse_conll(text, columns=ColumnConfig()):
                     cls = tag_class(tag)
                     if cls is not None:
                         classes.add(cls)
+                tags.append(tag)
             # a str.split() column is non-empty and holds no whitespace, so
             # only a surface that NFC rewrote is checked again
             if surface is not raw and surface.split() != [surface]:
                 raise ParseError(
                     f"token surface {surface!r} is empty or contains whitespace", lineno
                 )
-            pos = cols[pos_col] if pos_col is not None else None
-            extras = tuple([cols[i] for i in extra_cols]) if extra_cols else ()
-            tokens.append(Token._trusted(surface, tag, pos, extras))
-        sentences.append(Sentence(sid, tuple(tokens)))
+            surfaces.append(surface)
+            if pos_col is not None:
+                pos.append(cols[pos_col])
+            extras.append(tuple([cols[i] for i in extra_cols]) if extra_cols else ())
+        sentences.append(Sentence(sid, surfaces, tags if labeled else ("O",) * len(surfaces),
+                                  pos if pos_col is not None else None, extras))
 
     if not sentences:
         raise ParseError("input contains no sentences")
@@ -318,13 +313,10 @@ def write_conll(corpus):
     lines = []
     for sent in corpus.sentences:
         lines.append(f"# {sent.id}")
-        for tok in sent.tokens:
-            cols = [tok.surface]
-            if tok.pos is not None:
-                cols.append(tok.pos)
-            cols.extend(tok.extras)
-            cols.append(tok.gold_tag)
-            lines.append(" ".join(cols))
+        heads = sent.surfaces if sent.pos is None else map(" ".join, zip(sent.surfaces, sent.pos))
+        extras = sent.extras or ((),) * len(sent)
+        for head, extra, tag in zip(heads, extras, sent.gold_tags):
+            lines.append(" ".join((head, *extra, tag)))
         lines.append("")
     return "\n".join(lines)
 

@@ -53,7 +53,7 @@ class VoteConfig:
 class PredictionSet:
     """One model's predictions aligned to a reference corpus: one
     TokenPrediction list per sentence. ``sentence_ids`` and ``surfaces``
-    (one token-surface list per sentence) are kept when read from a file,
+    (one token-surface tuple per sentence) are kept when read from a file,
     so ``check_alignment`` can hold them to the reference."""
 
     model_id: str
@@ -208,10 +208,10 @@ def write_prediction_file(corpus, predictions, include_gold=True):
                 f"sentence {sent.id!r}: {len(preds)} predictions for {len(sent)} tokens"
             )
         lines.append(f"# {sent.id}")
-        for tok, p in zip(sent.tokens, preds):
-            cols = [tok.surface]
+        for surface, gold, p in zip(sent.surfaces, sent.gold_tags, preds):
+            cols = [surface]
             if include_gold:
-                cols.append(tok.gold_tag)
+                cols.append(gold)
             cols.append(p.label)
             cols.append(f"{p.score:.6f}")
             lines.append(" ".join(cols))
@@ -275,7 +275,8 @@ def read_prediction_file(text):
             predictions.append(TokenPrediction._trusted(pred, score))
             surfaces.append(_normalize(cols[0]))
         data.sentence_ids.append(sid)
-        data.surfaces.append(surfaces)
+        # a tuple, as Sentence.surfaces is: check_alignment compares the two
+        data.surfaces.append(tuple(surfaces))
         data.predictions.append(predictions)
 
     if not data.surfaces:

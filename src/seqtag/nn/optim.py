@@ -33,12 +33,23 @@ class AdamOptimizer:
             g = self.store.grad(name)
             m = self._m[name]
             v = self._v[name]
+            # the textbook update's operations in its order, in place through
+            # two temporaries instead of a new array for each operation
+            tmp = np.multiply(g, 1.0 - _BETA1)
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += tmp
+            np.multiply(g, 1.0 - _BETA2, out=tmp)
+            tmp *= g
             v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += _EPS
+            update = np.divide(m, bc1)
+            update /= tmp
             if self.weight_decay:
-                update = update + self.weight_decay * p
-            p -= self.learning_rate * update
+                np.multiply(p, self.weight_decay, out=tmp)
+                update += tmp
+            update *= self.learning_rate
+            p -= update
         self.store.zero_grads()

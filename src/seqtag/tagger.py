@@ -178,8 +178,9 @@ class TokenPrediction:
     @classmethod
     def _trusted(cls, label, score):
         """A TokenPrediction of a checked label and score, built without
-        ``__post_init__`` and, like Token._trusted, without touching the
-        instance ``__dict__``."""
+        ``__post_init__``. Fields are set one by one, never through the
+        instance ``__dict__``, which would materialize one dict per
+        prediction."""
         pred = object.__new__(cls)
         object.__setattr__(pred, "label", label)
         object.__setattr__(pred, "score", score)
@@ -374,17 +375,16 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
             f"config word_dim is {config.word_dim}",
             keys=["word_dim"],
         )
-    surfaces = sorted({t.surface for s in corpus.sentences for t in s.tokens})
+    surfaces = sorted({w for s in corpus.sentences for w in s.surfaces})
     chars = sorted({ch for tok in surfaces for ch in tok})
     pos_tags = None
     if config.use_pos:
-        tags = {t.pos for s in corpus.sentences for t in s.tokens}
-        if None in tags:
+        if any(s.pos is None for s in corpus.sentences):
             raise ConfigError(
                 "use_pos is enabled but the corpus has tokens without POS tags",
                 keys=["use_pos"],
             )
-        pos_tags = sorted(tags)
+        pos_tags = sorted({p for s in corpus.sentences for p in s.pos})
     contextual_dim = 0
     if config.use_contextual_slot and contextual_vectors is not None:
         contextual_dim = contextual_vectors.dim
@@ -402,7 +402,7 @@ def _forward(model, sentences, mode, rng, contextual):
     """Run a list of sentences as one right-padded batch. Returns emissions
     (B, n, T), the lengths (B,) and the cache for ``_backward``."""
     cfg = model.config
-    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
     if mode == "train" and cfg.dropout > 0.0 and rng is None:
         raise ModelError("training-mode forward pass needs an rng for dropout")
     x, routes = _features(model, sentences, lengths, contextual)
@@ -463,13 +463,12 @@ def _features(model, sentences, lengths, contextual):
     if cfg.use_pos:
         pidx = np.zeros((n_batch, n), dtype=np.int64)
         for b, sent in enumerate(sentences):
-            tags = [t.pos for t in sent.tokens]
-            if None in tags:
+            if sent.pos is None:
                 raise ModelError(
-                    f"sentence {sent.id!r}: model uses POS features but token "
-                    f"{tags.index(None) + 1} has no POS tag (pass --pos-col)"
+                    f"sentence {sent.id!r}: model uses POS features but has no "
+                    "POS column (pass --pos-col)"
                 )
-            pidx[b, :lengths[b]] = [model.pos_vocab.get(p, 0) for p in tags]
+            pidx[b, :lengths[b]] = [model.pos_vocab.get(p, 0) for p in sent.pos]
         pos_rows, pos_cache = model.pos_emb.lookup(pidx)
         parts.append(pos_rows)
         routes.append(("pos", cfg.pos_dim, pos_cache))
@@ -546,7 +545,7 @@ def check_gradients(model, sentences, contextual=None, dropout_seed=0):
     ``_sentence_loss`` and ``_backward`` as in training. Every loss call
     draws the dropout mask afresh from ``dropout_seed``, so all calls see
     the same mask. Returns the GradCheckReport."""
-    gold = _gold_indices(model, sentences, max(len(s.tokens) for s in sentences))
+    gold = _gold_indices(model, sentences, max(len(s) for s in sentences))
 
     def loss_fn(grad=False):
         rng = np.random.default_rng(dropout_seed)
@@ -615,10 +614,10 @@ _CHUNK_POSITIONS = 256
 def _chunks(sentences):
     """Index lists covering ``sentences``, each a run of length-sorted
     sentences whose padded batch has at most _CHUNK_POSITIONS positions."""
-    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i].tokens))
+    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
     chunks = []
     for i in order:
-        n = len(sentences[i].tokens)
+        n = len(sentences[i])
         if chunks and (len(chunks[-1]) + 1) * n <= _CHUNK_POSITIONS:
             chunks[-1].append(i)
         else:
@@ -652,7 +651,7 @@ def _gold_indices(model, sentences, n):
     """Gold tag indices (B, n), zero at padding."""
     gold = np.zeros((len(sentences), n), dtype=np.int64)
     for b, sent in enumerate(sentences):
-        gold[b, :len(sent.tokens)] = [model.tagset.index(t) for t in sent.gold_tags]
+        gold[b, :len(sent)] = [model.tagset.index(t) for t in sent.gold_tags]
     return gold
 
 

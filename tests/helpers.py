@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from seqtag.corpus import LabeledCorpus, Sentence, TagSet, Token
+from seqtag.corpus import LabeledCorpus, Sentence, TagSet
 
 
 def enumerate_crf(emissions, matrix, start, end):
@@ -183,17 +183,16 @@ def random_corpus(rng, n_sentences, classes=("PER", "LOC", "CW"), min_len=1, max
     for si in range(n_sentences):
         length = int(rng.integers(min_len, max_len + 1))
         tags = random_bio_tags(rng, length, list(classes))
-        tokens = tuple(
-            Token(vocab[rng.integers(len(vocab))], tag) for tag in tags
-        )
-        sentences.append(Sentence(f"{prefix}{si}", tokens))
+        surfaces = tuple(vocab[rng.integers(len(vocab))] for _ in tags)
+        sentences.append(Sentence(f"{prefix}{si}", surfaces, tuple(tags)))
     return LabeledCorpus(sentences, TagSet(classes))
 
 
 def tiny_fixture_corpus():
     """Three handwritten sentences over {PER, LOC, CW} with POS tags."""
     def sent(sid, rows):
-        return Sentence(sid, tuple(Token(s, t, pos=p) for s, p, t in rows))
+        surfaces, pos, tags = zip(*rows)
+        return Sentence(sid, surfaces, tags, pos)
 
     sentences = [
         sent("s0", [("mehta", "NNP", "B-PER"), ("visited", "VBD", "O"),

@@ -13,7 +13,6 @@ from seqtag.corpus import (
     LabeledCorpus,
     Sentence,
     TagSet,
-    Token,
     extract_chunks,
     parse_conll,
     repair_bio,
@@ -210,17 +209,17 @@ def _overfit_corpus(rng, n_sentences=32):
         while len(tokens) < length:
             roll = rng.random()
             if roll < 0.55:
-                tokens.append(Token(fillers[rng.integers(len(fillers))], "O"))
+                tokens.append((fillers[rng.integers(len(fillers))], "O"))
             else:
                 cls = classes[rng.integers(3)]
                 tokens.append(
-                    Token(b_words[cls][rng.integers(3)], f"B-{cls}")
+                    (b_words[cls][rng.integers(3)], f"B-{cls}")
                 )
                 if roll > 0.8 and len(tokens) < length:
                     tokens.append(
-                        Token(i_words[cls][rng.integers(2)], f"I-{cls}")
+                        (i_words[cls][rng.integers(2)], f"I-{cls}")
                     )
-        sentences.append(Sentence(f"s{si}", tuple(tokens)))
+        sentences.append(Sentence(f"s{si}", *zip(*tokens)))
     return LabeledCorpus(sentences, TagSet(classes))
 
 
@@ -364,10 +363,9 @@ def test_eval_oracle():
             assert report.macro_f1 == macro
 
         gold = LabeledCorpus(
-            [Sentence("h0", (
-                Token("mehta", "B-PER"), Token("rahman", "I-PER"),
-                Token("visited", "O"), Token("dhaka", "B-LOC"),
-            ))],
+            [Sentence("h0",
+                      ("mehta", "rahman", "visited", "dhaka"),
+                      ("B-PER", "I-PER", "O", "B-LOC"))],
             TagSet(["PER", "LOC"]),
         )
         report = evaluate(gold, [["B-PER", "I-PER", "O", "O"]])
@@ -387,7 +385,7 @@ def test_augmentation_arithmetic():
         assert len(tripled) == 459
 
         mapping = {f"w{i}": f"t{i}" for i in range(0, 30, 3)}
-        backend = OfflineLexiconBackend(Lexicon("px", "src", "tgt", mapping))
+        backend = OfflineLexiconBackend(Lexicon("px", mapping))
         for trial in range(100):
             corpus = random_corpus(rng, int(rng.integers(1, 7)))
             fallback = "keep" if trial % 2 == 0 else "mark-unknown"

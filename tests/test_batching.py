@@ -11,7 +11,7 @@ compared to 1e-10; Viterbi paths and predicted labels must be identical.
 import numpy as np
 import pytest
 
-from seqtag.corpus import LabeledCorpus, Sentence, TagSet, Token
+from seqtag.corpus import LabeledCorpus, Sentence, TagSet
 from seqtag.crf import Transitions, crf_marginals, crf_nll_grad, log_partition, viterbi
 from seqtag.nn import (
     BiLstm,
@@ -168,11 +168,12 @@ def _feature_corpus(lengths, seed):
     sentences = []
     for i, n in enumerate(lengths):
         tags = random_bio_tags(rng, n, ["PER", "LOC"])
-        sentences.append(Sentence(f"s{i}", tuple(
-            Token(words[rng.integers(len(words))] * int(rng.integers(1, 3)), tag,
-                  pos=pos[rng.integers(len(pos))])
-            for tag in tags
-        )))
+        surfaces, pos_tags = zip(*[
+            (words[rng.integers(len(words))] * int(rng.integers(1, 3)),
+             pos[rng.integers(len(pos))])
+            for _ in tags
+        ])
+        sentences.append(Sentence(f"s{i}", surfaces, tuple(tags), pos_tags))
     corpus = LabeledCorpus(sentences, TagSet(["PER", "LOC"]))
     ctx = ContextualVectors({(s.id, t): rng.normal(size=3)
                              for s in sentences for t in range(len(s))}, dim=3)

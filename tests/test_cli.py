@@ -206,7 +206,7 @@ class TestAugmentCommand:
         assert (code, err) == (0, "")
         combined = parse_conll((elsewhere / "combo.conll").read_text(encoding="utf-8"))
         base, translated = combined.sentences[:6], combined.sentences[6:]
-        assert [["hanna" if w == "alice" else w for w in sent.surfaces] for sent in base] \
+        assert [tuple("hanna" if w == "alice" else w for w in sent.surfaces) for sent in base] \
             == [sent.surfaces for sent in translated]
 
 
@@ -316,6 +316,15 @@ class TestPipeline:
         )
         assert no_gold.sentence_ids == with_gold.sentence_ids
         assert no_gold.predictions == with_gold.predictions
+        # without --pos-col the POS tags are extra columns, not a POS column
+        code, _, err = run(capsys, "predict", tmp_path / "m.bin", tmp_path / "c.conll",
+                           tmp_path / "bare.txt")
+        assert code == 1
+        assert err.startswith("error: sentence ")
+        assert err.endswith(": model uses POS features but has no POS column "
+                            "(pass --pos-col)\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "bare.txt").exists()
 
     def test_no_gold_input_is_nfc_normalized(self, capsys, trained):
         nfd = unicodedata.normalize("NFD", "Café")
@@ -551,7 +560,7 @@ class TestSeededModelCorruption:
             if code == 0:
                 preds = read_prediction_file(out_path.read_text(encoding="utf-8"))
                 out_path.unlink()
-                if err or preds.surfaces != [list(s.surfaces) for s in dev.sentences]:
+                if err or preds.surfaces != [s.surfaces for s in dev.sentences]:
                     problems.append((what, code, err))
             elif (code not in (1, 2) or out or out_path.exists()
                   or len(err.splitlines()) != 1 or not err.startswith("error: ")):
@@ -950,7 +959,7 @@ class TestNonNfcPredictionFiles:
         )
         assert (code, err) == (0, "")
         voted = read_prediction_file((tmp_path / "ens.txt").read_text(encoding="utf-8"))
-        assert voted.surfaces == [[unicodedata.normalize("NFC", word), "ও"]]
+        assert voted.surfaces == [(unicodedata.normalize("NFC", word), "ও")]
         assert [p.label for p in voted.predictions[0]] == ["B-LOC", "O"]
 
 

@@ -7,8 +7,10 @@ from seqtag.corpus import (
     Chunk,
     ColumnConfig,
     CorpusError,
+    LabeledCorpus,
     ParseError,
-    Token,
+    Sentence,
+    TagSet,
     corpus_stats,
     extract_chunks,
     parse_conll,
@@ -25,8 +27,8 @@ class TestParseConll:
     def test_two_token_sentence(self):
         corpus = parse_conll("dhaka B-LOC\nuniversity O\n\n")
         assert len(corpus) == 1
-        assert corpus.sentences[0].surfaces == ["dhaka", "university"]
-        assert corpus.sentences[0].gold_tags == ["B-LOC", "O"]
+        assert corpus.sentences[0].surfaces == ("dhaka", "university")
+        assert corpus.sentences[0].gold_tags == ("B-LOC", "O")
         assert corpus.tagset.classes == ("LOC",)
 
     def test_missing_tag_column_names_line(self):
@@ -51,18 +53,24 @@ class TestParseConll:
 
     def test_filler_columns_preserved(self):
         corpus = parse_conll("dhaka _ _ B-LOC\n\n")
-        tok = corpus.sentences[0].tokens[0]
-        assert tok.extras == ("_", "_")
+        assert corpus.sentences[0].extras == (("_", "_"),)
         assert write_conll(corpus).splitlines()[1] == "dhaka _ _ B-LOC"
+
+    def test_ragged_extras_and_no_extras(self):
+        corpus = parse_conll("a x O\nb O\nc y z O\n\nd O\n")
+        assert corpus.sentences[0].extras == (("x",), (), ("y", "z"))
+        assert corpus.sentences[1].extras is None
+        assert write_conll(corpus) == "# s0\na x O\nb O\nc y z O\n\n# s1\nd O\n"
 
     def test_pos_column(self):
         corpus = parse_conll("dhaka NNP B-LOC\n\n", ColumnConfig(pos_col=1))
-        assert corpus.sentences[0].tokens[0].pos == "NNP"
+        assert corpus.sentences[0].pos == ("NNP",)
+        assert parse_conll("dhaka NNP B-LOC\n\n").sentences[0].pos is None
 
     def test_nfc_normalization(self):
         # e + combining acute composes to a single code point
         corpus = parse_conll("café O\n\n")
-        assert corpus.sentences[0].tokens[0].surface == "café"
+        assert corpus.sentences[0].surfaces == ("café",)
 
 
 class TestWriteConll:
@@ -240,13 +248,69 @@ class TestCorpusStats:
 
 class TestTokenInvariants:
     def test_whitespace_surface_rejected(self):
-        with pytest.raises(CorpusError):
-            Token("two words", "O")
+        with pytest.raises(CorpusError, match="^token surface 'two words' is empty"):
+            Sentence("s", ("a", "two words"), ("O", "O"))
 
     def test_empty_surface_rejected(self):
-        with pytest.raises(CorpusError):
-            Token("", "O")
+        with pytest.raises(CorpusError, match="^token surface '' is empty"):
+            Sentence("s", ("a", ""), ("O", "O"))
 
     def test_bad_tag_rejected(self):
-        with pytest.raises(CorpusError):
-            Token("a", "B-")
+        with pytest.raises(CorpusError, match="^tag 'B-' does not match the BIO grammar"):
+            Sentence("s", ("a", "b"), ("O", "B-"))
+
+
+class TestSentenceInvariants:
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(CorpusError, match="^sentence 's' has no tokens$"):
+            Sentence("s", (), ())
+
+    @pytest.mark.parametrize("columns, name", [
+        ((("a", "b"), ("O",)), "gold_tags"),
+        ((("a",), ("O", "O")), "gold_tags"),
+        ((("a", "b"), ("O", "O"), ("NN",)), "pos"),
+        ((("a", "b"), ("O", "O"), None, (("x",), ("y",), ("z",))), "extras"),
+    ])
+    def test_columns_of_unequal_length_rejected(self, columns, name):
+        with pytest.raises(CorpusError, match=f"^sentence 's': .* entries in {name} for"):
+            Sentence("s", *columns)
+
+    def test_columns_are_stored_as_tuples(self):
+        sent = Sentence("s", ["a", "b"], ["B-X", "I-X"], ["NN", "NN"], [(), ()])
+        assert sent == Sentence("s", ("a", "b"), ("B-X", "I-X"), ("NN", "NN"))
+        assert sent.extras is None
+        assert len(sent) == 2
+
+    def test_tag_outside_the_tagset_rejected(self):
+        sent = Sentence("s", ("a", "b", "c"), ("B-X", "B-Y", "B-Z"))
+        with pytest.raises(CorpusError, match="^sentence 's': tag 'B-Y' outside tagset"):
+            LabeledCorpus([sent], TagSet(["X", "Z"]))
+
+
+def random_columnar_corpus(rng, n_sentences):
+    """Corpus with a POS column and ragged extras on some sentences."""
+    sentences = []
+    for si in range(n_sentences):
+        length = int(rng.integers(1, 7))
+        tags = tuple(random_bio_tags(rng, length, ["PER", "LOC"]))
+        surfaces = tuple(f"w{rng.integers(20)}" for _ in tags)
+        pos = tuple(f"P{rng.integers(3)}" for _ in tags)
+        extras = None
+        if rng.random() < 0.5:
+            extras = tuple(tuple(f"e{rng.integers(9)}" for _ in range(rng.integers(0, 3)))
+                           for _ in tags)
+        sentences.append(Sentence(f"s{si}", surfaces, tags, pos, extras))
+    return LabeledCorpus(sentences, TagSet(["PER", "LOC"]))
+
+
+class TestRoundTripProperty:
+    def test_parse_of_write_gives_the_corpus_back(self):
+        # the parser rebuilds the tagset from the classes that occur
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            corpus = random_columnar_corpus(rng, int(rng.integers(1, 6)))
+            text = write_conll(corpus)
+            reparsed = parse_conll(text, ColumnConfig(pos_col=1))
+            assert reparsed.sentences == corpus.sentences
+            assert set(reparsed.tagset.classes) <= {"PER", "LOC"}
+            assert write_conll(reparsed) == text

@@ -254,7 +254,7 @@ class TestPredictionFiles:
         text = write_prediction_file(corpus, preds)
         data = read_prediction_file(text)
         assert data.sentence_ids == [s.id for s in corpus.sentences]
-        assert data.surfaces == [list(s.surfaces) for s in corpus.sentences]
+        assert data.surfaces == [s.surfaces for s in corpus.sentences]
         for got, want in zip(data.predictions, preds):
             assert [p.label for p in got] == [p.label for p in want]
             for g, w in zip(got, want):
@@ -266,6 +266,17 @@ class TestPredictionFiles:
         text = write_prediction_file(corpus, preds, include_gold=False)
         data = read_prediction_file(text)
         assert [len(p) for p in data.predictions] == [len(s) for s in corpus.sentences]
+
+    def test_read_surfaces_compare_equal_to_sentence_surfaces(self):
+        # a list never equals a tuple, so surfaces read back as lists would
+        # fail every sentence of check_alignment
+        rng = np.random.default_rng(8)
+        corpus, preds = self.make(rng, n=12)
+        data = read_prediction_file(write_prediction_file(corpus, preds))
+        for i, sent in enumerate(corpus.sentences):
+            assert type(data.surfaces[i]) is type(sent.surfaces)
+            assert data.surfaces[i] == sent.surfaces
+        check_alignment(data.to_set("m"), corpus)
 
     def test_to_set_carries_model_id_and_ids(self):
         rng = np.random.default_rng(7)
@@ -313,8 +324,8 @@ class TestPredictionFiles:
         data = read_prediction_file(text)
         assert data.sentence_ids == [s.id for s in corpus.sentences]
         assert data.sentence_ids == ["s0", "é", "late", "s1"]
-        assert data.surfaces == [list(s.surfaces) for s in corpus.sentences]
-        assert data.surfaces[0] == ["xé"]
+        assert data.surfaces == [s.surfaces for s in corpus.sentences]
+        assert data.surfaces[0] == ("xé",)
 
     def test_mixed_column_counts_rejected(self):
         text = "# s0\nalice O B-PER 0.9\nbob O 0.8\n"

@@ -4,7 +4,7 @@ oracle, plus hand-computed cases and report arithmetic."""
 import numpy as np
 import pytest
 
-from seqtag.corpus import CorpusError, LabeledCorpus, Sentence, TagSet, Token
+from seqtag.corpus import CorpusError, LabeledCorpus, Sentence, TagSet
 from seqtag.evaluation import evaluate
 
 from helpers import brute_chunks, brute_prf, random_bio_tags, random_corpus
@@ -12,7 +12,7 @@ from helpers import brute_chunks, brute_prf, random_bio_tags, random_corpus
 
 def corpus_from_tags(tag_lists, classes):
     sentences = [
-        Sentence(f"s{i}", tuple(Token(f"w{j}", t) for j, t in enumerate(tags)))
+        Sentence(f"s{i}", tuple(f"w{j}" for j in range(len(tags))), tuple(tags))
         for i, tags in enumerate(tag_lists)
     ]
     return LabeledCorpus(sentences, TagSet(classes))

@@ -535,6 +535,32 @@ class TestAdamOptimizer:
             opt.step()
         np.testing.assert_allclose(store["w"], target, atol=1e-3)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_steps_are_bit_identical_to_the_textbook_expressions(self, weight_decay):
+        rng = np.random.default_rng(4)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 3, 2)}
+        store = ParamStore()
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+        opt = AdamOptimizer(store, learning_rate=0.01, weight_decay=weight_decay)
+        p = {name: store[name].copy() for name in shapes}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 51):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            for name, g in grads.items():
+                store.accumulate(name, g)
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                update = (m[name] / (1.0 - 0.9 ** t)) / (
+                    np.sqrt(v[name] / (1.0 - 0.999 ** t)) + 1e-8)
+                if weight_decay:
+                    update = update + weight_decay * p[name]
+                p[name] = p[name] - 0.01 * update
+            opt.step()
+            for name in shapes:
+                assert np.array_equal(store[name], p[name])
+
     def test_decay_is_decoupled_from_adaptive_scaling(self):
         # decay term must be lr * wd * p, not normalized by sqrt(v)
         store = ParamStore()

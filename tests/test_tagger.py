@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from seqtag.corpus import LabeledCorpus, Sentence, TagSet, Token, validate_bio
+from seqtag.corpus import LabeledCorpus, Sentence, TagSet, validate_bio
 from seqtag.crf import Transitions, bio_constraint_penalty
 from seqtag.tagger import (
     ConfigError,
@@ -196,7 +196,7 @@ class TestBuildModel:
         model = build_model(small_config(), corpus)
         assert 0 not in model.word_vocab.values()
         assert min(model.word_vocab.values()) == 1
-        surfaces = {t.surface for s in corpus.sentences for t in s.tokens}
+        surfaces = {w for s in corpus.sentences for w in s.surfaces}
         assert set(model.word_vocab) == surfaces
         assert set(model.char_vocab) == {ch for s in surfaces for ch in s}
 
@@ -278,8 +278,8 @@ class TestForward:
         # single-token sentences built from them score identically
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(use_crf=False), corpus)
-        a = emissions_of(model, Sentence("u0", (Token("zzzz"),)))
-        b = emissions_of(model, Sentence("u1", (Token("qqqq"),)))
+        a = emissions_of(model, Sentence("u0", ("zzzz",), ("O",)))
+        b = emissions_of(model, Sentence("u1", ("qqqq",), ("O",)))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_train_mode_dropout_needs_rng(self):
@@ -366,10 +366,10 @@ class TestPredict:
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(use_pos=True), corpus)
         last = corpus.sentences[-1]
-        bare = Sentence(last.id, last.tokens[:1] + (Token(last.tokens[1].surface, "O"),)
-                        + last.tokens[2:])
+        bare = Sentence(last.id, last.surfaces, last.gold_tags)
         damaged = LabeledCorpus(corpus.sentences[:-1] + [bare], corpus.tagset)
-        message = f"sentence {last.id!r}: model uses POS features but token 2 has no POS tag"
+        message = (f"sentence {last.id!r}: model uses POS features but has no POS column "
+                   r"\(pass --pos-col\)")
         with pytest.raises(ModelError, match=message):
             predict_corpus(model, damaged)
         with pytest.raises(ModelError, match=message):
@@ -456,16 +456,10 @@ class TestTraining:
         vocab = ["alice", "bob", "paris", "tokyo", "the", "saw", "ran"]
         sentences = []
         for i in range(16):
-            tokens = []
-            for _ in range(int(rng.integers(3, 6))):
-                w = vocab[rng.integers(len(vocab))]
-                if w in ("alice", "bob"):
-                    tokens.append(Token(w, "B-PER"))
-                elif w in ("paris", "tokyo"):
-                    tokens.append(Token(w, "B-LOC"))
-                else:
-                    tokens.append(Token(w, "O"))
-            sentences.append(Sentence(f"s{i}", tuple(tokens)))
+            words = [vocab[rng.integers(len(vocab))] for _ in range(int(rng.integers(3, 6)))]
+            tags = ["B-PER" if w in ("alice", "bob") else
+                    "B-LOC" if w in ("paris", "tokyo") else "O" for w in words]
+            sentences.append(Sentence(f"s{i}", tuple(words), tuple(tags)))
         corpus = LabeledCorpus(sentences, TagSet(["PER", "LOC"]))
         cfg = small_config(word_dim=8, hidden=8, learning_rate=0.02,
                            max_epochs=25, patience=8)
@@ -523,9 +517,8 @@ class TestTraining:
         corpus = random_corpus(rng, 6, classes=("PER", "LOC"))
 
         def with_first_tag(tag):
-            tokens = (Token("w1", tag), Token("w2", "I-PER"), Token("w3", "O"))
-            return LabeledCorpus(corpus.sentences + [Sentence("orphan", tokens)],
-                                 corpus.tagset)
+            orphan = Sentence("orphan", ("w1", "w2", "w3"), (tag, "I-PER", "O"))
+            return LabeledCorpus(corpus.sentences + [orphan], corpus.tagset)
 
         dev = with_first_tag("I-PER")
         model, history = train(build_model(small_config(max_epochs=1), corpus), corpus, dev)

@@ -1,8 +1,9 @@
 """Checks made once where text enters the program: the parsers' row faults
-keep their messages and line numbers, records built through the trusted
-path equal (and weigh the same as) publicly constructed ones, and the
-shortcuts that skip work (unanimous votes, unchanged translations, the
-whitespace rule) agree with the slow forms they replace."""
+keep their messages and line numbers, parsed sentences and predictions
+equal publicly constructed ones (and predictions built through the trusted
+path weigh the same), and the shortcuts that skip work (unanimous votes,
+translations that share columns, the whitespace rule) agree with the slow
+forms they replace."""
 
 import gc
 import tracemalloc
@@ -14,15 +15,18 @@ import pytest
 from seqtag import cli
 from seqtag import corpus as corpus_module
 from seqtag import tagger
-from seqtag.augment import Lexicon, OfflineLexiconBackend, _entry_problem, token_translate
+from seqtag.augment import (
+    Lexicon,
+    OfflineLexiconBackend,
+    _entry_problem,
+    combine,
+    token_translate,
+)
 from seqtag.corpus import (
     ColumnConfig,
     CorpusError,
-    LabeledCorpus,
     ParseError,
     Sentence,
-    TagSet,
-    Token,
     parse_conll,
     repair_bio,
 )
@@ -53,16 +57,16 @@ class TestWhitespaceRule:
     def test_token_and_lexicon_reject_each_whitespace_character(self, ws):
         for surface in (ws, f"a{ws}", f"{ws}a", f"a{ws}b"):
             with pytest.raises(CorpusError, match="empty or contains whitespace"):
-                Token(surface)
+                Sentence("s", (surface,), ("O",))
             assert _entry_problem(surface, "x") is not None
             assert _entry_problem("x", surface) is not None
 
     def test_empty_surface_is_rejected_and_others_accepted(self):
         with pytest.raises(CorpusError, match="empty or contains whitespace"):
-            Token("")
+            Sentence("s", ("",), ("O",))
         assert _entry_problem("", "x") is not None
         for surface in ("a", "ঢাকা", "\u200b", "\x00", "café"):
-            assert Token(surface).surface == surface
+            assert Sentence("s", (surface,), ("O",)).surfaces == (surface,)
             assert _entry_problem(surface, surface) is None
 
 
@@ -144,18 +148,10 @@ class TestRowFaults:
         assert str(info.value) == "sentence 's2': invalid BIO tag 'B-'"
 
 
-# Token's and TokenPrediction's fields in classes of their own, built only
-# through their constructors. A trusted path that filled the instance
-# __dict__ would change how every Token is stored, public ones included, so
-# the yardstick cannot be Token itself.
-@dataclass(frozen=True)
-class TokenFields:
-    surface: str
-    gold_tag: str
-    pos: str | None
-    extras: tuple
-
-
+# TokenPrediction's fields in a class of its own, built only through its
+# constructor. A trusted path that filled the instance __dict__ would change
+# how every TokenPrediction is stored, public ones included, so the
+# yardstick cannot be TokenPrediction itself.
 @dataclass(frozen=True)
 class PredictionFields:
     label: str
@@ -177,52 +173,56 @@ def retained_bytes(build):
 class TestTrustedRecords:
     N = 10_000
 
-    def test_parsed_tokens_equal_public_ones(self):
+    def test_parsed_sentences_equal_public_ones(self):
         text = "# x\nAda NNP e1 B-PER\nLovelace NNP e2 I-PER\nwrote VBD e3 O\n\nCafé NN O\n"
         parsed = parse_conll(text, ColumnConfig(pos_col=1))
         expected = [
-            [Token("Ada", "B-PER", "NNP", ("e1",)), Token("Lovelace", "I-PER", "NNP", ("e2",)),
-             Token("wrote", "O", "VBD", ("e3",))],
-            [Token("Café", "O", "NN", ())],
+            Sentence("x", ("Ada", "Lovelace", "wrote"), ("B-PER", "I-PER", "O"),
+                     ("NNP", "NNP", "VBD"), (("e1",), ("e2",), ("e3",))),
+            Sentence("s0", ("Café",), ("O",), ("NN",)),
         ]
-        assert [list(s.tokens) for s in parsed.sentences] == expected
-        assert all(type(t) is Token for s in parsed.sentences for t in s.tokens)
+        assert parsed.sentences == expected
+        assert all(type(column) is tuple for s in parsed.sentences
+                   for column in (s.surfaces, s.gold_tags, s.pos))
 
     def test_read_predictions_equal_public_ones(self):
         data = read_prediction_file("a O B-PER 0.250000\nb O I-PER 1.000000\n")
         assert data.predictions == [[TokenPrediction("B-PER", 0.25),
                                      TokenPrediction("I-PER", 1.0)]]
 
-    def test_parsed_tokens_weigh_what_public_ones_do(self):
-        text = "# s\n" + "a O\n" * self.N
-        parse_conll(text)  # warm any per-module caches
-        parsed = retained_bytes(lambda: parse_conll(text))
-        public = retained_bytes(lambda: LabeledCorpus(
-            [Sentence("s", tuple([TokenFields("a", "O", None, ()) for _ in range(self.N)]))],
-            TagSet([])))
-        # a materialized per-instance __dict__ costs more than 64 bytes a token
-        assert parsed - public < 8 * self.N
-
     def test_read_predictions_weigh_what_public_ones_do(self):
         text = "# s\n" + "a O O 0.500000\n" * self.N
         read_prediction_file(text)
         parsed = retained_bytes(lambda: read_prediction_file(text))
         public = retained_bytes(lambda: PredictionFileData(
-            ["s"], [["a" for _ in range(self.N)]],
+            ["s"], [tuple(["a" for _ in range(self.N)])],
             [[PredictionFields("O", float("0.500000")) for _ in range(self.N)]]))
         assert parsed - public < 8 * self.N
 
     def test_translation_shares_unchanged_tokens(self):
-        base = parse_conll("a NN B-PER\nb NN O\nc NN O\n", ColumnConfig(pos_col=1))
-        lexicon = Lexicon("lex", "src", "tgt", {"a": "x", "b": "b"})
+        base = parse_conll("a NN e1 B-PER\nb NN O\nc NN O\n", ColumnConfig(pos_col=1))
+        lexicon = Lexicon("lex", {"a": "x", "b": "b"})
         kept = token_translate(base, OfflineLexiconBackend(lexicon), "keep")
         marked = token_translate(base, OfflineLexiconBackend(lexicon), "mark-unknown")
-        old = base.sentences[0].tokens
-        assert list(kept.sentences[0].tokens) == [
-            Token("x", "B-PER", "NN"), Token("b", "O", "NN"), Token("c", "O", "NN")]
-        assert kept.sentences[0].tokens[1] is old[1]
-        assert kept.sentences[0].tokens[2] is old[2]
-        assert marked.sentences[0].tokens[2] == Token("<unk>", "O", "NN")
+        old = base.sentences[0]
+        assert kept.sentences[0] == Sentence(
+            old.id, ("x", "b", "c"), ("B-PER", "O", "O"), ("NN", "NN", "NN"),
+            (("e1",), (), ()))
+        assert marked.sentences[0].surfaces == ("x", "b", "<unk>")
+        # translation changes surfaces only: the other columns are shared
+        for out in (kept, marked):
+            new = out.sentences[0]
+            assert new.gold_tags is old.gold_tags
+            assert new.pos is old.pos
+            assert new.extras is old.extras
+
+    def test_combine_shares_every_column(self):
+        base = parse_conll("a NN e1 B-PER\nb NN O\n", ColumnConfig(pos_col=1))
+        old = base.sentences[0]
+        new = combine([base], "out", names=["b"]).sentences[0]
+        assert new.id == "b/s0"
+        for name in ("surfaces", "gold_tags", "pos", "extras"):
+            assert getattr(new, name) is getattr(old, name)
 
 
 class TestUnanimousVotes:
