@@ -58,6 +58,18 @@ def _check_bio_grammar(tag):
         raise CorpusError(f"tag {tag!r} does not match the BIO grammar O | B-<class> | I-<class>")
 
 
+def _joined(what, fields):
+    """``fields`` joined by single spaces. Raises CorpusError unless each
+    field is non-empty and free of whitespace, so that the join splits
+    back into the fields."""
+    # str.split() splits at exactly the characters str.isspace() accepts
+    joined = " ".join(fields)
+    if joined.split() != list(fields):
+        bad = next(f for f in fields if f.split() != [f])
+        raise CorpusError(f"{what} {bad!r} is empty or contains whitespace")
+    return joined
+
+
 def tag_class(tag):
     """Entity class of a BIO tag, or None for O."""
     return None if tag == "O" else tag[2:]
@@ -68,7 +80,9 @@ class Sentence:
     """One sentence as tuple columns of equal length: token surfaces, gold
     BIO tags, optionally one POS tag per token, and optionally each token's
     extra file columns, kept verbatim for round-tripping (rows may differ
-    in width; None when no token has any)."""
+    in width; None when no token has any). Every field is a single
+    non-empty column of CoNLL text, and no surface starts with ``#``, so a
+    sentence reads back from ``write_conll`` as it was."""
 
     id: str
     surfaces: tuple[str, ...]
@@ -90,12 +104,14 @@ class Sentence:
                 object.__setattr__(self, name, tuple(column))
         if self.extras is not None and not any(self.extras):
             object.__setattr__(self, "extras", None)
-        # str.split() splits at exactly the characters str.isspace() accepts,
-        # so the join splits back into the surfaces unless one is empty or
-        # holds whitespace
-        if tuple(" ".join(self.surfaces).split()) != self.surfaces:
-            bad = next(s for s in self.surfaces if s.split() != [s])
-            raise CorpusError(f"token surface {bad!r} is empty or contains whitespace")
+        joined = _joined("token surface", self.surfaces)
+        if joined.startswith("#") or " #" in joined:
+            bad = next(s for s in self.surfaces if s.startswith("#"))
+            raise CorpusError(f"token surface {bad!r} starts with '#', as an id line does")
+        if self.pos is not None:
+            _joined("POS tag", self.pos)
+        if self.extras is not None:
+            _joined("extra field", [f for row in self.extras for f in row])
         for tag in dict.fromkeys(self.gold_tags):
             _check_bio_grammar(tag)
 

@@ -9,6 +9,7 @@ voted sequence, never on the inputs.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import BIO_TAG_RE, ParseError, _conll_blocks, _normalize, repair_bio
 from .tagger import TokenPrediction
@@ -51,8 +52,8 @@ class VoteConfig:
 
 @dataclass
 class PredictionSet:
-    """One model's predictions aligned to a reference corpus: one
-    TokenPrediction list per sentence. ``sentence_ids`` and ``surfaces``
+    """One model's predictions aligned to a reference corpus: one list of
+    (label, score) records per sentence. ``sentence_ids`` and ``surfaces``
     (one token-surface tuple per sentence) are kept when read from a file,
     so ``check_alignment`` can hold them to the reference."""
 
@@ -95,8 +96,7 @@ def majority_vote(votes, config=VoteConfig()):
     return _vote(votes, config)[0]
 
 
-@dataclass(frozen=True)
-class TokenDiag:
+class TokenDiag(NamedTuple):
     label: str  # final (post-repair) label
     surviving: int
     outcome: str  # majority | fallback | empty
@@ -195,13 +195,17 @@ def ensemble_corpus(sets, reference, config=VoteConfig()):
 
 
 def write_prediction_file(corpus, predictions, include_gold=True):
-    """Render per-token predictions as CoNLL-style text: `# id` headers and
-    `token [gold] predicted score` rows, blank line between sentences."""
+    """Render per-token predictions (records with a ``label`` and a
+    ``score``, such as TokenPrediction or TokenDiag) as CoNLL-style text:
+    `# id` headers and `token [gold] predicted score` rows, blank line
+    between sentences. Raises EnsembleError, naming the sentence, on a
+    label outside the BIO grammar or a score outside [0, 1]."""
     if len(predictions) != len(corpus.sentences):
         raise EnsembleError(
             f"{len(predictions)} prediction lists for {len(corpus.sentences)} sentences"
         )
     lines = []
+    valid_labels = set()  # labels that matched BIO_TAG_RE
     for sent, preds in zip(corpus.sentences, predictions):
         if len(preds) != len(sent):
             raise EnsembleError(
@@ -209,12 +213,16 @@ def write_prediction_file(corpus, predictions, include_gold=True):
             )
         lines.append(f"# {sent.id}")
         for surface, gold, p in zip(sent.surfaces, sent.gold_tags, preds):
-            cols = [surface]
-            if include_gold:
-                cols.append(gold)
-            cols.append(p.label)
-            cols.append(f"{p.score:.6f}")
-            lines.append(" ".join(cols))
+            label, score = p.label, p.score
+            if label not in valid_labels:
+                if not BIO_TAG_RE.match(label):
+                    raise EnsembleError(f"sentence {sent.id!r}: invalid BIO label {label!r}")
+                valid_labels.add(label)
+            if not 0.0 <= score <= 1.0:  # NaN included
+                raise EnsembleError(
+                    f"sentence {sent.id!r}: prediction score {score} outside [0, 1]")
+            lines.append(f"{surface} {gold} {label} {score:.6f}" if include_gold
+                         else f"{surface} {label} {score:.6f}")
         lines.append("")
     return "\n".join(lines)
 
@@ -231,7 +239,7 @@ class PredictionFileData:
 
 
 def read_prediction_file(text):
-    """Parse prediction text back into sentences of TokenPredictions.
+    """Parse prediction text back into one TokenPrediction list per sentence.
 
     Rows carry 4 columns (token gold predicted score) or 3 (token predicted
     score); the two may not be mixed within one file. A gold column is
@@ -265,14 +273,14 @@ def read_prediction_file(text):
                 score = float(score_text)
             except ValueError:
                 raise ParseError(f"malformed score {score_text!r}", lineno) from None
-            # TokenPrediction's checks, in its order and with its messages
+            # the label, then the score: the writer refuses the same faults
             if pred not in valid_tags:
                 if not BIO_TAG_RE.match(pred):
                     raise ParseError(f"invalid BIO label {pred!r}", lineno)
                 valid_tags.add(pred)
             if not (0.0 <= score <= 1.0):
                 raise ParseError(f"prediction score {score} outside [0, 1]", lineno)
-            predictions.append(TokenPrediction._trusted(pred, score))
+            predictions.append(TokenPrediction(pred, score))
             surfaces.append(_normalize(cols[0]))
         data.sentence_ids.append(sid)
         # a tuple, as Sentence.surfaces is: check_alignment compares the two

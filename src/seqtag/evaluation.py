@@ -8,7 +8,7 @@ over every class that appears in the gold or the predicted chunks.
 
 from dataclasses import dataclass
 
-from .corpus import BIO_TAG_RE, CorpusError, LabeledCorpus, extract_chunks
+from .corpus import BIO_TAG_RE, CorpusError, extract_chunks
 
 __all__ = ["ClassMetrics", "EvalReport", "evaluate"]
 

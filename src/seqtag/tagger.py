@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,27 +165,12 @@ def parse_config(text):
     return TaggerConfig(**values).validate()
 
 
-@dataclass(frozen=True)
-class TokenPrediction:
+class TokenPrediction(NamedTuple):
+    """One token's predicted label and its score in [0, 1]. Prediction
+    text is checked where it is read or written (``seqtag.ensemble``)."""
+
     label: str
     score: float
-
-    def __post_init__(self):
-        if not BIO_TAG_RE.match(self.label):
-            raise ModelError(f"invalid BIO label {self.label!r}")
-        if not (0.0 <= self.score <= 1.0):
-            raise ModelError(f"prediction score {self.score} outside [0, 1]")
-
-    @classmethod
-    def _trusted(cls, label, score):
-        """A TokenPrediction of a checked label and score, built without
-        ``__post_init__``. Fields are set one by one, never through the
-        instance ``__dict__``, which would materialize one dict per
-        prediction."""
-        pred = object.__new__(cls)
-        object.__setattr__(pred, "label", label)
-        object.__setattr__(pred, "score", score)
-        return pred
 
 
 @dataclass(frozen=True)
@@ -570,9 +556,10 @@ def _check_probabilities(probs, lengths):
 
 
 def _predictions(model, emissions, lengths, marginals=None):
-    """TokenPrediction lists of a padded batch; under the CRF head the
-    scores are ``marginals`` when the caller has them already. Scores that
-    overflowed are caught by ``_check_probabilities``, not warned about."""
+    """One (labels, scores) pair of columns per sentence of a padded batch;
+    under the CRF head the scores are ``marginals`` when the caller has
+    them already. Scores that overflowed are caught by
+    ``_check_probabilities``, not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
         if model.config.use_crf:
             trans = model.transitions()
@@ -585,15 +572,10 @@ def _predictions(model, emissions, lengths, marginals=None):
             best = [probs[b, :n].argmax(axis=1) for b, n in enumerate(lengths)]
     _check_probabilities(probs, lengths)
     names = model.tagset.labels
-    trusted = TokenPrediction._trusted
-    out = []
-    for b, path in enumerate(best):
-        # repair_bio checks every label against the BIO grammar, and the
-        # scores are finite probabilities clamped into [0, 1]
-        labels = repair_bio([names[t] for t in path])
-        row = probs[b, np.arange(len(path)), path].tolist()
-        out.append([trusted(lab, min(max(p, 0.0), 1.0)) for lab, p in zip(labels, row)])
-    return out
+    # the scores are finite probabilities, clamped into [0, 1]
+    return [(repair_bio([names[t] for t in path]),
+             np.clip(probs[b, np.arange(len(path)), path], 0.0, 1.0).tolist())
+            for b, path in enumerate(best)]
 
 
 def predict(model, sentence, contextual=None):
@@ -601,7 +583,8 @@ def predict(model, sentence, contextual=None):
     head, per-row argmax probability otherwise. Labels are BIO-repaired
     with scores carried over unchanged."""
     _, _, emissions, lengths = next(_eval_passes(model, [sentence], contextual))
-    return _predictions(model, emissions, lengths)[0]
+    labels, scores = _predictions(model, emissions, lengths)[0]
+    return list(map(TokenPrediction, labels, scores))
 
 
 # Eval-mode passes take length-sorted sentences up to this many padded
@@ -642,8 +625,8 @@ def predict_corpus(model, corpus, contextual=None):
     """``predict`` for every sentence, run in length-sorted batches."""
     predictions = [None] * len(corpus.sentences)
     for idx, _, emissions, lengths in _eval_passes(model, corpus.sentences, contextual):
-        for i, preds in zip(idx, _predictions(model, emissions, lengths)):
-            predictions[i] = preds
+        for i, (labels, scores) in zip(idx, _predictions(model, emissions, lengths)):
+            predictions[i] = list(map(TokenPrediction, labels, scores))
     return predictions
 
 
@@ -668,8 +651,8 @@ def _evaluate_dev(model, dev, contextual):
             )
         else:
             losses[idx], _ = _sentence_loss(model, emissions, lengths, gold)
-        for i, preds in zip(idx, _predictions(model, emissions, lengths, marginals)):
-            predictions[i] = [p.label for p in preds]
+        for i, (labels, _) in zip(idx, _predictions(model, emissions, lengths, marginals)):
+            predictions[i] = labels
     report = evaluate(dev, predictions)
     return float(np.mean(losses)), report.macro_f1
 

@@ -14,13 +14,12 @@ from seqtag.corpus import (
     Sentence,
     TagSet,
     extract_chunks,
-    parse_conll,
     repair_bio,
     split_corpus,
     write_conll,
 )
 from seqtag.crf import Transitions, crf_marginals, crf_nll_grad, log_partition, path_score, viterbi
-from seqtag.ensemble import PredictionSet, VoteConfig, ensemble_corpus, majority_vote
+from seqtag.ensemble import PredictionSet, ensemble_corpus, majority_vote
 from seqtag.evaluation import evaluate
 from seqtag.augment import Lexicon, OfflineLexiconBackend, combine, token_translate
 from seqtag.nn import (

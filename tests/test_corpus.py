@@ -281,6 +281,27 @@ class TestSentenceInvariants:
         assert sent.extras is None
         assert len(sent) == 2
 
+    @pytest.mark.parametrize("columns, message", [
+        # written as "x N N O", read back as POS None and extras ("N", "N")
+        ((("x", "y"), ("O", "O"), ("N N", "V")), "POS tag 'N N' is empty or contains whitespace"),
+        ((("x",), ("O",), ("",)), "POS tag '' is empty or contains whitespace"),
+        ((("x", "y"), ("O", "O"), None, (("e",), ("f g",))),
+         "extra field 'f g' is empty or contains whitespace"),
+        ((("x",), ("O",), None, (("e", ""),)), "extra field '' is empty or contains whitespace"),
+        # written as "#a O", read back as the id of the sentence "b"
+        ((("#a", "b"), ("O", "O")), "token surface '#a' starts with '#', as an id line does"),
+        ((("a", "#"), ("O", "O")), "token surface '#' starts with '#', as an id line does"),
+    ])
+    def test_fields_that_would_not_read_back_rejected(self, columns, message):
+        with pytest.raises(CorpusError) as info:
+            Sentence("s", *columns)
+        assert str(info.value) == message
+
+    def test_hash_inside_a_field_reads_back(self):
+        sent = Sentence("s", ("a#", "b"), ("O", "O"), ("#", "N#"), (("#e",), ()))
+        corpus = LabeledCorpus([sent], TagSet([]))
+        assert parse_conll(write_conll(corpus), ColumnConfig(pos_col=1)).sentences == [sent]
+
     def test_tag_outside_the_tagset_rejected(self):
         sent = Sentence("s", ("a", "b", "c"), ("B-X", "B-Y", "B-Z"))
         with pytest.raises(CorpusError, match="^sentence 's': tag 'B-Y' outside tagset"):

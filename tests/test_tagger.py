@@ -148,16 +148,6 @@ class TestTokenPrediction:
         p = TokenPrediction("B-PER", 0.5)
         assert p.label == "B-PER"
 
-    def test_invalid_label(self):
-        with pytest.raises(ModelError, match="BIO"):
-            TokenPrediction("PER", 0.5)
-
-    def test_score_bounds(self):
-        with pytest.raises(ModelError, match="outside"):
-            TokenPrediction("O", 1.5)
-        with pytest.raises(ModelError, match="outside"):
-            TokenPrediction("O", -0.1)
-
 
 class TestEarlyStopper:
     def test_loss_sequence_stops_at_seven_best_at_two(self):

@@ -1,7 +1,8 @@
-"""Checks made once where text enters the program: the parsers' row faults
-keep their messages and line numbers, parsed sentences and predictions
-equal publicly constructed ones (and predictions built through the trusted
-path weigh the same), and the shortcuts that skip work (unanimous votes,
+"""Checks made once where text enters or leaves the program: the parsers'
+row faults keep their messages and line numbers, the prediction writer
+refuses what the reader would, parsed sentences and predictions equal
+publicly constructed ones (and read predictions weigh no more than plain
+two-field records), and the shortcuts that skip work (unanimous votes,
 translations that share columns, the whitespace rule) agree with the slow
 forms they replace."""
 
@@ -32,11 +33,14 @@ from seqtag.corpus import (
 )
 from seqtag.ensemble import (
     PredictionFileData,
+    EnsembleError,
     PredictionSet,
+    TokenDiag,
     VoteConfig,
     _vote,
     ensemble_corpus,
     read_prediction_file,
+    write_prediction_file,
 )
 from seqtag.evaluation import evaluate
 from seqtag.tagger import TokenPrediction
@@ -132,6 +136,32 @@ class TestRowFaults:
         assert str(info.value) == message
         assert info.value.line_number == int(message.split(":")[0].split()[1])
 
+    @pytest.mark.parametrize("record, message", [
+        (TokenPrediction("PER", 0.5), "sentence 'b': invalid BIO label 'PER'"),
+        (TokenPrediction("O", 1.5), "sentence 'b': prediction score 1.5 outside [0, 1]"),
+        (TokenPrediction("O", -0.1), "sentence 'b': prediction score -0.1 outside [0, 1]"),
+        (TokenPrediction("O", float("nan")), "sentence 'b': prediction score nan outside [0, 1]"),
+        (TokenDiag("B-", 5, "majority", 0.9), "sentence 'b': invalid BIO label 'B-'"),
+        (TokenDiag("O", 0, "empty", 2.0), "sentence 'b': prediction score 2.0 outside [0, 1]"),
+    ])
+    def test_prediction_writer_refuses_what_the_reader_would(
+            self, record, message, tmp_path, monkeypatch, capsys):
+        corpus = parse_conll("# a\nx O\n\n# b\ny O\nz O\n")
+        valid = record._replace(label="O", score=1.0)
+        predictions = [[valid], [valid, record]]
+        for include_gold in (True, False):
+            with pytest.raises(EnsembleError) as info:
+                write_prediction_file(corpus, predictions, include_gold)
+            assert str(info.value) == message
+        # the predict command writes nothing
+        monkeypatch.setattr(cli, "load_model", lambda path: None)
+        monkeypatch.setattr(cli, "predict_corpus", lambda *args: predictions)
+        (tmp_path / "in.conll").write_text("# a\nx O\n\n# b\ny O\nz O\n", encoding="utf-8")
+        code = cli.main(["predict", str(tmp_path / "m.bin"), str(tmp_path / "in.conll"),
+                         str(tmp_path / "out.txt")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.conll"]
+
     def test_surface_that_normalizes_to_whitespace_is_rejected(self, monkeypatch):
         # NFC maps no non-space character to a space; the parser checks anyway
         monkeypatch.setattr(corpus_module, "_normalize",
@@ -148,10 +178,10 @@ class TestRowFaults:
         assert str(info.value) == "sentence 's2': invalid BIO tag 'B-'"
 
 
-# TokenPrediction's fields in a class of its own, built only through its
-# constructor. A trusted path that filled the instance __dict__ would change
-# how every TokenPrediction is stored, public ones included, so the
-# yardstick cannot be TokenPrediction itself.
+# TokenPrediction's fields in a class of its own: the yardstick for what a
+# read prediction weighs. A change to the record type that made every
+# TokenPrediction heavier would move both sides of a comparison with
+# TokenPrediction itself, so the yardstick cannot be TokenPrediction.
 @dataclass(frozen=True)
 class PredictionFields:
     label: str
