@@ -15,6 +15,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +54,17 @@ class ParseError(CorpusError):
         super().__init__(message)
 
 
-def _check_bio_grammar(tag):
-    if not BIO_TAG_RE.match(tag):
-        raise CorpusError(f"tag {tag!r} does not match the BIO grammar O | B-<class> | I-<class>")
+def _check_bio_grammar(tags):
+    """Raise CorpusError naming the first tag outside the BIO grammar;
+    each distinct tag is matched once."""
+    for tag in dict.fromkeys(tags):
+        if not BIO_TAG_RE.match(tag):
+            raise CorpusError(
+                f"tag {tag!r} does not match the BIO grammar O | B-<class> | I-<class>")
+
+
+# a C-level callable: it runs once per token of every corpus and prediction file
+_normalize = functools.partial(unicodedata.normalize, "NFC")
 
 
 def _joined(what, fields):
@@ -70,19 +79,15 @@ def _joined(what, fields):
     return joined
 
 
-def tag_class(tag):
-    """Entity class of a BIO tag, or None for O."""
-    return None if tag == "O" else tag[2:]
-
-
 @dataclass(frozen=True)
 class Sentence:
     """One sentence as tuple columns of equal length: token surfaces, gold
     BIO tags, optionally one POS tag per token, and optionally each token's
     extra file columns, kept verbatim for round-tripping (rows may differ
     in width; None when no token has any). Every field is a single
-    non-empty column of CoNLL text, and no surface starts with ``#``, so a
-    sentence reads back from ``write_conll`` as it was."""
+    non-empty column of CoNLL text, no surface starts with ``#`` and the id
+    is non-empty, stripped, NFC and on one line, so a sentence reads back
+    from ``write_conll`` as it was."""
 
     id: str
     surfaces: tuple[str, ...]
@@ -91,6 +96,8 @@ class Sentence:
     extras: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
+        if not self.id or "\n" in self.id or self.id != _normalize(self.id.strip()):
+            raise CorpusError(f"sentence id {self.id!r} would not read back from '# <id>'")
         n = len(self.surfaces)
         if not n:
             raise CorpusError(f"sentence {self.id!r} has no tokens")
@@ -112,8 +119,7 @@ class Sentence:
             _joined("POS tag", self.pos)
         if self.extras is not None:
             _joined("extra field", [f for row in self.extras for f in row])
-        for tag in dict.fromkeys(self.gold_tags):
-            _check_bio_grammar(tag)
+        _check_bio_grammar(self.gold_tags)
 
     def __len__(self):
         return len(self.surfaces)
@@ -190,17 +196,12 @@ class LabeledCorpus:
         return sum(len(s) for s in self.sentences)
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """Entity mention as a half-open token span."""
+class Chunk(NamedTuple):
+    """Entity mention of class ``cls`` over the token span [start, end)."""
 
     cls: str
     start: int
     end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise CorpusError(f"invalid chunk span [{self.start}, {self.end})")
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,6 @@ class ColumnConfig:
 
     labeled: bool = True
     pos_col: int | None = None
-
-
-# a C-level callable: it runs once per token of every corpus and prediction file
-_normalize = functools.partial(unicodedata.normalize, "NFC")
 
 
 def _conll_blocks(text):
@@ -299,9 +296,8 @@ def parse_conll(text, columns=ColumnConfig()):
                     if not BIO_TAG_RE.match(tag):
                         raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
                     valid_tags.add(tag)
-                    cls = tag_class(tag)
-                    if cls is not None:
-                        classes.add(cls)
+                    if tag != "O":
+                        classes.add(tag[2:])
                 tags.append(tag)
             # a str.split() column is non-empty and holds no whitespace, so
             # only a surface that NFC rewrote is checked again
@@ -346,34 +342,27 @@ def validate_bio(tags):
 
 
 def repair_bio(tags):
-    """Rewrite orphan I-X tags to B-X, left to right. Valid input comes back
-    unchanged; output always validates clean."""
-    repaired = []
-    prev = "O"
-    for tag in tags:
-        _check_bio_grammar(tag)
-        if tag.startswith("I-"):
-            cls = tag_class(tag)
-            if not (prev == f"B-{cls}" or prev == f"I-{cls}"):
-                tag = f"B-{cls}"
-        repaired.append(tag)
-        prev = tag
+    """``tags`` with the first tag of each ``extract_chunks`` chunk set to
+    B-X, so an orphan I-X becomes B-X. Valid input comes back unchanged;
+    output always validates clean."""
+    repaired = list(tags)
+    for cls, start, _ in extract_chunks(tags):
+        repaired[start] = f"B-{cls}"
     return repaired
 
 
 def extract_chunks(tags):
-    """Maximal B-X (I-X)* runs as Chunk objects, ordered by start.
-
-    An orphan I-X (after O, at the start, or after a chunk of another
-    class) opens a chunk, as in conlleval, so the result equals
+    """Maximal B-X (I-X)* runs as Chunks ordered by start: the one scan of
+    the rule that I-X continues a chunk only right after B-X or I-X. An
+    orphan I-X (after O, at the start, or after a chunk of another class)
+    opens a chunk, as in conlleval, so the result equals
     ``extract_chunks(repair_bio(tags))``. Tags outside the BIO grammar
-    raise CorpusError.
-    """
+    raise CorpusError."""
+    _check_bio_grammar(tags)
     chunks = []
     start = None
     cls = None
     for i, tag in enumerate(tags):
-        _check_bio_grammar(tag)
         if tag == "O":
             if start is not None:
                 chunks.append(Chunk(cls, start, i))

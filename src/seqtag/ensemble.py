@@ -63,30 +63,26 @@ class PredictionSet:
     surfaces: list | None = None
 
 
-def _support(survivors, label):
-    scores = [v.score for v in survivors if v.label == label]
-    return sum(scores) / len(scores) if scores else 0.0
-
-
 def _vote(votes, config):
     """Returns (label, surviving_count, outcome, support) with outcome in
-    {majority, fallback, empty}; support is the mean surviving score for
-    the winning label."""
-    survivors = [v for v in votes if v.score > config.score_threshold]
-    denominator = len(votes) if config.majority_of == "models" else len(survivors)
-    counts = {}
-    for v in survivors:
-        counts[v.label] = counts.get(v.label, 0) + 1
-    for label in sorted(counts):
-        if 2 * counts[label] > denominator:
-            return label, len(survivors), "majority", _support(survivors, label)
-    if not survivors:
+    {majority, fallback, empty}. One pass tallies each surviving label's
+    count and score total, summed in vote order; support is the winner's
+    total over its count, its mean surviving score."""
+    threshold = config.score_threshold
+    counts, totals = {}, {}
+    for v in votes:
+        if v.score > threshold:
+            counts[v.label] = counts.get(v.label, 0) + 1
+            totals[v.label] = totals.get(v.label, 0.0) + v.score
+    if not counts:
         return "O", 0, "empty", 0.0
-    totals = {}
-    for v in survivors:
-        totals[v.label] = totals.get(v.label, 0.0) + v.score
-    label = min(totals.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    return label, len(survivors), "fallback", _support(survivors, label)
+    surviving = sum(counts.values())
+    denominator = len(votes) if config.majority_of == "models" else surviving
+    for label, count in counts.items():
+        if 2 * count > denominator:  # true of at most one label
+            return label, surviving, "majority", totals[label] / count
+    label = min(totals, key=lambda lab: (-totals[lab], lab))
+    return label, surviving, "fallback", totals[label] / counts[label]
 
 
 def majority_vote(votes, config=VoteConfig()):
@@ -175,7 +171,7 @@ def ensemble_corpus(sets, reference, config=VoteConfig()):
         details = []
         for votes in zip(*[pset.predictions[si] for pset in sets]):
             # a unanimous vote above the threshold is a majority under either
-            # denominator; its support is _support's mean, summed in vote order
+            # denominator, with _vote's support; deciding it here is cheaper
             label = votes[0].label
             scores = [v.score for v in votes if v.label == label and v.score > threshold]
             if len(scores) == len(votes):

@@ -105,12 +105,14 @@ def lstm_forward(xw, w_h, alive):
     leading rows of the step before, and one set of gate ops on a fresh
     contiguous buffer, which is then copied back: ``xw`` leaves the call
     holding the post-activation gates i, f, g, o, the ``gates`` argument
-    of ``lstm_backward``. Returns the hidden states and the cell states,
-    each (2, N, h).
+    of ``lstm_backward``. Returns the hidden states, the cell states and
+    their tanh (the ``tanh_cs`` argument of ``lstm_backward``), each
+    (2, N, h).
     """
     h = w_h.shape[1]
     hs = np.empty(xw.shape[:2] + (h,))
     cs = np.empty_like(hs)
+    tanh_cs = np.empty_like(hs)
     prev = start = 0
     for k in alive.tolist():
         rows = slice(start, start + k)
@@ -126,9 +128,9 @@ def lstm_forward(xw, w_h, alive):
         np.multiply(z[..., :h], z[..., 2 * h:3 * h], out=c)
         if start:
             c += z[..., h:2 * h] * cs[:, before]
-        np.multiply(z[..., 3 * h:], np.tanh(c), out=hs[:, rows])
+        np.multiply(z[..., 3 * h:], np.tanh(c, out=tanh_cs[:, rows]), out=hs[:, rows])
         prev, start = start, start + k
-    return hs, cs
+    return hs, cs, tanh_cs
 
 
 def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows):

@@ -159,8 +159,9 @@ class BiLstm:
     layout, forward direction first: ``{prefix}.l{k}.w_x`` (2, d, 4h),
     ``.w_h`` (2, h, 4h) and ``.b`` (2, 4h).
 
-    The forward cache holds each layer's gates, which ``backward`` uses
-    as scratch space: one cache serves exactly one backward pass."""
+    The forward cache holds each layer's gates and tanh(c), which
+    ``backward`` uses as scratch space: one cache serves exactly one
+    backward pass."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -201,8 +202,8 @@ class BiLstm:
             xs[1] = packed[rev]
             gates = np.matmul(xs, w_x)
             gates += b[:, None]
-            hs, cs = lstm_forward(gates, w_h, alive)
-            caches.append((xs, hs, cs, gates))
+            hs, cs, tanh_cs = lstm_forward(gates, w_h, alive)
+            caches.append((xs, hs, cs, tanh_cs, gates))
             packed = np.concatenate([hs[0], hs[1][rev]], axis=1)
         out = np.zeros((n_batch * n, self.output_dim))
         out[flat] = packed
@@ -212,24 +213,25 @@ class BiLstm:
         (shape, flat, alive, rev, prev_rows), caches = cache
         h = self.hidden
         d_packed = d_out.reshape(-1, 2 * h)[flat]
-        for layer, (xs, hs, cs, gates) in zip(reversed(self.layers), reversed(caches)):
+        for layer, (xs, hs, cs, tanh_cs, gates) in zip(reversed(self.layers), reversed(caches)):
             d_hs = np.empty_like(hs)
             d_hs[0] = d_packed[:, :h]
             d_hs[1] = d_packed[rev, h:]
-            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs, gates, alive, prev_rows)
+            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs, tanh_cs, gates, alive,
+                                        prev_rows)
             d_packed = d_xs[0]
             d_packed += d_xs[1][rev]
         d_x = np.zeros((shape[0] * shape[1], shape[2]))
         d_x[flat] = d_packed
         return d_x.reshape(shape)
 
-    def _backward_layer(self, layer, d_hs, xs, hs, cs, gates, alive, prev_rows):
+    def _backward_layer(self, layer, d_hs, xs, hs, cs, tanh_cs, gates, alive, prev_rows):
         """Accumulate one layer's parameter gradients; return the gradient
-        w.r.t. its stacked input xs (2, N, d). ``gates`` are the
-        post-activation gates its forward pass left, overwritten here with
-        the input-projection gradient."""
+        w.r.t. its stacked input xs (2, N, d). ``tanh_cs`` and ``gates`` are
+        the tanh(c) and the post-activation gates its forward pass left,
+        overwritten here; ``gates`` becomes the input-projection gradient."""
         name, w_x, w_h, _ = layer
-        d_xw, d_wh = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates, w_h, alive, prev_rows)
+        d_xw, d_wh = lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows)
         # each direction's weight gradients sum its rows in the order it
         # stepped them
         acc = self._store.accumulate

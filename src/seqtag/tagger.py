@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BIO_TAG_RE, TagSet, repair_bio
+from .corpus import BIO_TAG_RE, LabeledCorpus, TagSet, repair_bio
 from .crf import (
     Transitions,
     bio_constraint_penalty,
@@ -680,8 +680,12 @@ def train(model, train_corpus, dev_corpus, config=None, contextual=None):
     stopping; returns the model restored to its best-epoch parameters plus
     the full history. Each optimizer batch runs as one padded pass; its
     loss is the mean of the per-sentence losses. ``contextual`` vectors,
-    keyed by sentence id and token index, serve both corpora."""
+    keyed by sentence id and token index, serve both corpora. A gold tag
+    outside the model's tagset, in either corpus, raises CorpusError naming
+    its sentence before the first epoch."""
     cfg = (config or model.config).validate()
+    for corpus in (train_corpus, dev_corpus):
+        LabeledCorpus(corpus.sentences, model.tagset)
     optimizer = AdamOptimizer(model.store, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed + 1)
     mode = "min" if cfg.early_stop_metric == "eval_loss" else "max"

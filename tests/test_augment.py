@@ -134,6 +134,11 @@ class TestCombine:
             "left/s0", "left/s1", "right/s0", "right/s1"
         ]
 
+    def test_name_count_must_match(self):
+        corpus = random_corpus(np.random.default_rng(13), 1)
+        with pytest.raises(AugmentError, match="^2 names for 1 corpora$"):
+            combine([corpus], "x", names=["a", "b"])
+
     def test_duplicate_names_collide(self):
         rng = np.random.default_rng(13)
         a = random_corpus(rng, 1)
@@ -188,6 +193,10 @@ class TestPlans:
             parse_plan("output\tx\nsource\ta\tp\tcap=lots\n")
         with pytest.raises(AugmentError, match="unique"):
             parse_plan("output\tx\nsource\ta\tp\nsource\ta\tq\n")
+        with pytest.raises(ParseError, match="^line 2: source 'a': cap must be >= 1$"):
+            parse_plan("output\tx\nsource\ta\tp\tcap=0\n")
+        with pytest.raises(AugmentError, match="^plan has no sources$"):
+            parse_plan("output\tx\n")
 
     def test_run_plan_caps_translates_and_combines(self):
         rng = np.random.default_rng(15)

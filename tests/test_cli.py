@@ -808,6 +808,17 @@ class TestTrainValidation:
         assert "use_pos" in err
         assert not (tmp_path / "m.bin").exists()
 
+    def test_dev_class_absent_from_training_fails_before_training(self, capsys, tmp_path):
+        (tmp_path / "t.conll").write_text("# t0\nalice B-PER\nsaw O\n", encoding="utf-8")
+        (tmp_path / "d.conll").write_text("# d0\nparis B-LOC\n", encoding="utf-8")
+        (tmp_path / "g.cfg").write_text(SMALL_CONFIG, encoding="utf-8")
+        code, out, err = run(
+            capsys, "train", tmp_path / "g.cfg", tmp_path / "t.conll",
+            tmp_path / "d.conll", tmp_path / "m.bin",
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: sentence 'd0': tag 'B-LOC' outside tagset ['PER']"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.conll", "g.cfg", "t.conll"]
 
     @pytest.mark.parametrize("option", ["--pretrained-vectors", "--contextual-vectors"])
     def test_non_finite_vectors_fail_at_parse(self, capsys, tmp_path, option):

@@ -201,6 +201,11 @@ class TestSplitCorpus:
         assert not (train_ids & dev_ids)
         assert train_ids | dev_ids == {s.id for s in corpus.sentences}
 
+    def test_one_sentence_cannot_split(self):
+        corpus = parse_conll("# s0\nx O\n")
+        with pytest.raises(CorpusError, match="^need at least 2 sentences to split$"):
+            split_corpus(corpus, 0.5, seed=0)
+
     def test_bad_fraction(self):
         from helpers import random_corpus
 
@@ -302,10 +307,32 @@ class TestSentenceInvariants:
         corpus = LabeledCorpus([sent], TagSet([]))
         assert parse_conll(write_conll(corpus), ColumnConfig(pos_col=1)).sentences == [sent]
 
+    # written as "# <id>", these would give a file parse_conll refuses
+    # ("a\nb"), or read back as the generated "s0" (""), as "a" (" a",
+    # "a ") or NFC-composed
+    @pytest.mark.parametrize("sid", ["a\nb", "", " a", "a ", "e\u0301"])
+    def test_ids_that_would_not_read_back_rejected(self, sid):
+        with pytest.raises(CorpusError) as info:
+            Sentence(sid, ("x",), ("O",))
+        assert str(info.value) == f"sentence id {sid!r} would not read back from '# <id>'"
+
+    @pytest.mark.parametrize("sid", ["x y", "#a", "\u00e9"])
+    def test_ids_read_back(self, sid):
+        sent = Sentence(sid, ("x",), ("O",))
+        assert parse_conll(write_conll(LabeledCorpus([sent], TagSet([])))).sentences == [sent]
+
     def test_tag_outside_the_tagset_rejected(self):
         sent = Sentence("s", ("a", "b", "c"), ("B-X", "B-Y", "B-Z"))
         with pytest.raises(CorpusError, match="^sentence 's': tag 'B-Y' outside tagset"):
             LabeledCorpus([sent], TagSet(["X", "Z"]))
+
+    def test_corpus_without_sentences_rejected(self):
+        with pytest.raises(CorpusError, match="^corpus has no sentences$"):
+            LabeledCorpus([], TagSet([]))
+
+    def test_empty_class_name_rejected(self):
+        with pytest.raises(CorpusError, match="^entity class names must be non-empty$"):
+            TagSet([""])
 
 
 def random_columnar_corpus(rng, n_sentences):

@@ -278,6 +278,20 @@ class TestBioConstraints:
 
             assert validate_bio(labels) == []
 
+    def test_penalties_follow_the_repair_rule(self):
+        # the CRF's copy of the BIO continuation rule forbids exactly the
+        # transitions, and the starts, that repair_bio rewrites
+        from seqtag.corpus import repair_bio
+
+        tagset = TagSet(["LOC", "ORG", "PER"])
+        matrix, start = bio_constraint_penalty(tagset)
+        labels = tagset.labels
+        for j, label in enumerate(labels):
+            assert (start[j] != 0) == (repair_bio([label]) != [label]), label
+            for i, prev in enumerate(labels):
+                assert (matrix[i, j] != 0) == (repair_bio([prev, label])[1] != label), \
+                    (prev, label)
+
 
 def oracle_log_z_marginals(emis, trans, lengths):
     """log Z (B,) and marginals (B, n, T) from the log-space oracle

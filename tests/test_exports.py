@@ -17,20 +17,26 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
+def _module_all(tree):
+    """The names a module's ``__all__`` lists (empty without one)."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_imports(path):
     """Names ``path`` imports but never reads; a name in its ``__all__``
     counts as read."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
-    used = set()
+    used = _module_all(tree)
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
@@ -41,3 +47,27 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(root)}: {name}"
               for path in files for name in _unused_imports(path)]
     assert unused == []
+
+
+def test_no_unreferenced_definitions():
+    # every module-level def and class of src/seqtag is exported in its
+    # module's __all__ or read somewhere in the package
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "seqtag").rglob("*.py"))}
+    assert len(trees) > 10
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unreferenced = [
+        f"{path.relative_to(root)}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in _module_all(tree) and node.name not in read
+    ]
+    assert unreferenced == []

@@ -374,12 +374,12 @@ class TestLstmKernel:
             batch, _, alive, _, _ = pack_layout(lengths)
             xw, w_h = self.stacked_inputs(rng, lengths, h)
             gates = xw.copy()
-            hs, cs = lstm_forward(gates, w_h, alive)
+            hs, cs, tanh_cs = lstm_forward(gates, w_h, alive)
             zero = np.zeros(h)
             for d in range(2):
                 for b in range(len(lengths)):
                     rows = np.flatnonzero(batch == b)
-                    got = (hs[d, rows], cs[d, rows], np.tanh(cs[d, rows]), gates[d, rows])
+                    got = (hs[d, rows], cs[d, rows], tanh_cs[d, rows], gates[d, rows])
                     want = reference_lstm(xw[d, rows], w_h[d], zero, zero)
                     for name, a, ref in zip(("hs", "cs", "tanh_cs", "gates"), got, want):
                         assert a.shape == ref.shape, name
@@ -395,16 +395,17 @@ class TestLstmKernel:
             xw, w_h = self.stacked_inputs(rng, lengths, h)
             d_hs = rng.normal(size=xw.shape[:2] + (h,))
             gates = xw.copy()
-            hs, cs = lstm_forward(gates, w_h, alive)
-            both = lstm_backward(d_hs, hs, cs, np.tanh(cs), gates.copy(), w_h,
+            hs, cs, tanh_cs = lstm_forward(gates, w_h, alive)
+            both = lstm_backward(d_hs, hs, cs, tanh_cs.copy(), gates.copy(), w_h,
                                  alive, prev_rows)
             for d in range(2):
                 one = slice(d, d + 1)
                 gates_d = xw[one].copy()
-                hs_d, cs_d = lstm_forward(gates_d, w_h[one], alive)
+                hs_d, cs_d, tanh_cs_d = lstm_forward(gates_d, w_h[one], alive)
                 assert np.array_equal(hs_d[0], hs[d]) and np.array_equal(cs_d[0], cs[d])
+                assert np.array_equal(tanh_cs_d[0], tanh_cs[d])
                 assert np.array_equal(gates_d[0], gates[d])
-                alone = lstm_backward(d_hs[one], hs_d, cs_d, np.tanh(cs_d), gates_d, w_h[one],
+                alone = lstm_backward(d_hs[one], hs_d, cs_d, tanh_cs_d, gates_d, w_h[one],
                                       alive, prev_rows)
                 for name, a, ref in zip(("d_xw", "d_wh"), alone, both):
                     assert np.array_equal(a[0], ref[d]), f"{name} direction {d}"

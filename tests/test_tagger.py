@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from seqtag.corpus import LabeledCorpus, Sentence, TagSet, validate_bio
+from seqtag.corpus import CorpusError, LabeledCorpus, Sentence, TagSet, validate_bio
 from seqtag.crf import Transitions, bio_constraint_penalty
 from seqtag.tagger import (
     ConfigError,
@@ -514,6 +514,22 @@ class TestTraining:
         model, history = train(build_model(small_config(max_epochs=1), corpus), corpus, dev)
         _, repaired_f1 = _evaluate_dev(model, with_first_tag("B-PER"), None)
         assert history.epochs[0].eval_macro_f1 == pytest.approx(repaired_f1, abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["train", "dev"])
+    def test_gold_class_outside_the_tagset_fails_before_training(self, monkeypatch, which):
+        # the error names the sentence, and no batch runs
+        rng = np.random.default_rng(4)
+        corpus = random_corpus(rng, 6, classes=("PER",))
+        model = build_model(small_config(), corpus)
+        loc = Sentence("x", ("paris",), ("B-LOC",))
+        both = {"train": corpus, "dev": corpus}
+        both[which] = LabeledCorpus(corpus.sentences + [loc], TagSet(["PER", "LOC"]))
+        batches = []
+        monkeypatch.setattr(tagger_module, "_train_batch", lambda *a: batches.append(a))
+        with pytest.raises(CorpusError) as info:
+            train(model, both["train"], both["dev"])
+        assert str(info.value) == "sentence 'x': tag 'B-LOC' outside tagset ['PER']"
+        assert batches == []
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(5)

@@ -99,6 +99,7 @@ CONLL_FAULTS = [
 ]
 
 PREDICTION_FAULTS = [
+    ("  \n", "empty prediction file"),
     ("a O\n", "line 1: expected 3 or 4 columns (token [gold] predicted score), got 2"),
     ("a O O 0.5\nb O 0.5\n", "line 2: mixed 3- and 4-column rows in one file"),
     ("a O 0.5\nb O O 0.5\n", "line 2: mixed 3- and 4-column rows in one file"),
@@ -134,7 +135,8 @@ class TestRowFaults:
         with pytest.raises(ParseError) as info:
             read_prediction_file(text)
         assert str(info.value) == message
-        assert info.value.line_number == int(message.split(":")[0].split()[1])
+        line = int(message.split(":")[0].split()[1]) if message.startswith("line ") else None
+        assert info.value.line_number == line
 
     @pytest.mark.parametrize("record, message", [
         (TokenPrediction("PER", 0.5), "sentence 'b': invalid BIO label 'PER'"),
@@ -161,6 +163,15 @@ class TestRowFaults:
                          str(tmp_path / "out.txt")])
         assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.conll"]
+
+    @pytest.mark.parametrize("predictions, message", [
+        ([], "0 prediction lists for 1 sentences"),
+        ([[TokenPrediction("O", 0.5)]], "sentence 's0': 1 predictions for 2 tokens"),
+    ])
+    def test_prediction_writer_refuses_misaligned_lists(self, predictions, message):
+        with pytest.raises(EnsembleError) as info:
+            write_prediction_file(parse_conll("# s0\nx O\ny O\n"), predictions)
+        assert str(info.value) == message
 
     def test_surface_that_normalizes_to_whitespace_is_rejected(self, monkeypatch):
         # NFC maps no non-space character to a space; the parser checks anyway

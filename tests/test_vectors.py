@@ -45,6 +45,9 @@ class TestWordVectors:
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError, match="no vectors"):
             parse_word_vectors("\n\n")
+        for parse in (parse_word_vectors, parse_contextual_vectors):
+            with pytest.raises(ParseError, match="^no vectors in file$"):
+                parse("\n")
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_component_names_the_line(self, component):
