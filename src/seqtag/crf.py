@@ -110,9 +110,12 @@ def _forward_backward(emissions, trans, lengths):
 
 
 def _marginals(alphas, betas, log_z, real):
-    """P(y_t = j) at real positions, 0 at padding (B, n, T)."""
-    log_p = np.where(real[:, :, None], alphas + betas - log_z[:, None, None], -np.inf)
-    return np.exp(log_p)
+    """P(y_t = j) at real positions, 0 at padding (B, n, T), computed in
+    place over ``alphas``, which it returns."""
+    alphas += betas
+    alphas -= log_z[:, None, None]
+    alphas[~real] = -np.inf
+    return np.exp(alphas, out=alphas)
 
 
 def log_partition(emissions, trans, lengths):
@@ -130,7 +133,7 @@ def viterbi(emissions, trans, lengths):
     paths, scores = viterbi_decode(
         emissions, trans.matrix, trans.start, trans.end, lengths
     )
-    return [[int(t) for t in path[:n]] for path, n in zip(paths, lengths)], scores
+    return [path[:n].tolist() for path, n in zip(paths, lengths)], scores
 
 
 def crf_marginals(emissions, trans, lengths):
@@ -141,9 +144,8 @@ def crf_marginals(emissions, trans, lengths):
 
 
 def _nll(emissions, trans, gold, lengths):
-    """Gold-path NLL (B,) and marginals (B, n, T) of a checked batch from one
-    forward-backward pass; also returns the pass and the gold paths (zero
-    at padding) for the gradients."""
+    """Gold-path NLL (B,) of a checked batch from one forward-backward pass;
+    also returns the pass and the gold paths (zero at padding)."""
     n_batch, n, n_tags = emissions.shape
     gold = np.asarray(gold, dtype=np.int64)
     if gold.shape != (n_batch, n):
@@ -153,7 +155,7 @@ def _nll(emissions, trans, gold, lengths):
     if gold.min() < 0 or gold.max() >= n_tags:
         raise ValueError("gold tag index out of range")
     loss = log_z - path_score(emissions, trans, gold, lengths)
-    return loss, _marginals(alphas, betas, log_z, real), (alphas, betas, log_z, real, gold)
+    return loss, (alphas, betas, log_z, real, gold)
 
 
 def crf_nll_marginals(emissions, trans, gold, lengths):
@@ -161,8 +163,8 @@ def crf_nll_marginals(emissions, trans, gold, lengths):
     marginals, from one forward-backward pass: what scoring a labelled
     batch needs. Shapes as in ``crf_nll_grad`` and ``crf_marginals``."""
     emissions, lengths = _check(emissions, trans, lengths)
-    loss, marginals, _ = _nll(emissions, trans, gold, lengths)
-    return loss, marginals
+    loss, (alphas, betas, log_z, real, _) = _nll(emissions, trans, gold, lengths)
+    return loss, _marginals(alphas, betas, log_z, real)
 
 
 def crf_nll_grad(emissions, trans, gold, lengths):
@@ -175,7 +177,9 @@ def crf_nll_grad(emissions, trans, gold, lengths):
     """
     emissions, lengths = _check(emissions, trans, lengths)
     n_batch = emissions.shape[0]
-    loss, marginals, (alphas, betas, log_z, real, gold) = _nll(emissions, trans, gold, lengths)
+    loss, (alphas, betas, log_z, real, gold) = _nll(emissions, trans, gold, lengths)
+    # the pairwise marginals below read the alphas
+    marginals = _marginals(alphas.copy(), betas, log_z, real)
     gold_onehot = np.zeros_like(marginals)
     np.put_along_axis(gold_onehot, gold[:, :, None], real[:, :, None].astype(np.float64),
                       axis=2)

@@ -21,7 +21,8 @@ each starting from a zero hidden and cell state; the backward direction's
 input comes already reversed within each sentence (``pack_layout``'s
 ``rev``), so both share one layout. ``lstm_forward`` leaves each step's
 post-activation gates in its input buffer, and ``lstm_backward`` reads
-them from there, so the gates are computed once.
+them from there, so the gates are computed once; an eval pass, which
+runs no backward, asks it to keep neither the gates nor the cell states.
 ``crf_forward_backward`` advances the CRF forward and backward passes
 together and ``viterbi_decode`` decodes.
 
@@ -95,7 +96,7 @@ def pack_layout(lengths):
     return order[j], step, alive, rev, prev_rows
 
 
-def lstm_forward(xw, w_h, alive):
+def lstm_forward(xw, w_h, alive, keep_states=True):
     """Both directions of a BiLSTM layer over precomputed input projections
     of a packed batch (``pack_layout``), from a zero hidden and cell state.
 
@@ -103,16 +104,23 @@ def lstm_forward(xw, w_h, alive):
     g, o; w_h: (2, h, 4h); alive: rows per step. Each step after the
     first is one stacked (2, alive[t], h) @ (2, h, 4h) matmul on the
     leading rows of the step before, and one set of gate ops on a fresh
-    contiguous buffer, which is then copied back: ``xw`` leaves the call
-    holding the post-activation gates i, f, g, o, the ``gates`` argument
-    of ``lstm_backward``. Returns the hidden states, the cell states and
-    their tanh (the ``tanh_cs`` argument of ``lstm_backward``), each
-    (2, N, h).
+    contiguous buffer. Returns the hidden states, the cell states and
+    their tanh, each (2, N, h).
+
+    With ``keep_states`` the call leaves what ``lstm_backward`` reads: the
+    gate buffer is copied back, so ``xw`` holds the post-activation gates
+    i, f, g, o (its ``gates`` argument), and the cell states and their
+    tanh are kept for every row (its ``cs`` and ``tanh_cs``). Without it
+    ``xw`` is left as it came, each step's cell state overwrites its
+    predecessor's leading rows of one (2, alive[0], h) buffer, and the
+    cell states and their tanh come back as None. The hidden states are
+    the same bits either way.
     """
     h = w_h.shape[1]
     hs = np.empty(xw.shape[:2] + (h,))
-    cs = np.empty_like(hs)
-    tanh_cs = np.empty_like(hs)
+    state_rows = xw.shape[1] if keep_states else alive[0]
+    cs = np.empty((xw.shape[0], state_rows, h))
+    tanh_cs = np.empty_like(cs)
     prev = start = 0
     for k in alive.tolist():
         rows = slice(start, start + k)
@@ -123,13 +131,20 @@ def lstm_forward(xw, w_h, alive):
         else:
             z = xw[:, rows].copy()
         _activate(z, h)
-        xw[:, rows] = z
-        c = cs[:, rows]
-        np.multiply(z[..., :h], z[..., 2 * h:3 * h], out=c)
+        if keep_states:
+            xw[:, rows] = z
+        # c = f * c_prev + i * g; without kept states, in place over c_prev
+        at, was = (start, prev) if keep_states else (0, 0)
+        c = cs[:, at:at + k]
         if start:
-            c += z[..., h:2 * h] * cs[:, before]
-        np.multiply(z[..., 3 * h:], np.tanh(c, out=tanh_cs[:, rows]), out=hs[:, rows])
+            np.multiply(z[..., h:2 * h], cs[:, was:was + k], out=c)
+            c += z[..., :h] * z[..., 2 * h:3 * h]
+        else:
+            np.multiply(z[..., :h], z[..., 2 * h:3 * h], out=c)
+        np.multiply(z[..., 3 * h:], np.tanh(c, out=tanh_cs[:, at:at + k]), out=hs[:, rows])
         prev, start = start, start + k
+    if not keep_states:
+        return hs, None, None
     return hs, cs, tanh_cs
 
 

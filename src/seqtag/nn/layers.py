@@ -3,8 +3,9 @@
 Every layer follows the same protocol: ``forward`` returns (output, cache)
 and mutates nothing, ``backward(d_out, cache)`` accumulates parameter
 gradients into the ParamStore and returns the gradient w.r.t. the layer
-input. Caches travel with the caller, so forward passes on a shared model
-are thread-safe.
+input. ``BiLstm.forward`` also takes the pass's mode; in eval mode it
+builds no cache and returns None for it. Caches travel with the caller,
+so forward passes on a shared model are thread-safe.
 
 Sequence layers take one shape: a right-padded batch (B, n, d) and its
 ``lengths`` (B,), where sentence b fills positions 0 .. lengths[b]-1; one
@@ -161,7 +162,9 @@ class BiLstm:
 
     The forward cache holds each layer's gates and tanh(c), which
     ``backward`` uses as scratch space: one cache serves exactly one
-    backward pass."""
+    backward pass. An eval-mode pass keeps no cache: each layer drops its
+    input once it is projected, and its gates once the next layer's input
+    is built, and ``lstm_forward`` keeps no per-row cell states."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -185,9 +188,9 @@ class BiLstm:
         self.output_dim = 2 * hidden
         self._store = store
 
-    def forward(self, x, lengths):
+    def forward(self, x, lengths, mode="train"):
         """x: (B, n, d) right-padded to ``lengths`` (B,), each in [1, n].
-        Returns the output (B, n, 2h) and a cache."""
+        Returns the output (B, n, 2h) and a cache, None in eval mode."""
         n_batch, n, d = x.shape
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.shape != (n_batch,) or lengths.min() < 1 or lengths.max() > n:
@@ -195,18 +198,26 @@ class BiLstm:
         batch, step, alive, rev, prev_rows = pack_layout(lengths)
         flat = batch * n + step
         packed = x.reshape(-1, d)[flat]
+        train = mode == "train"
         caches = []
         for _, w_x, w_h, b in self.layers:
             xs = np.empty((2,) + packed.shape)
             xs[0] = packed
             xs[1] = packed[rev]
+            del packed
             gates = np.matmul(xs, w_x)
             gates += b[:, None]
-            hs, cs, tanh_cs = lstm_forward(gates, w_h, alive)
-            caches.append((xs, hs, cs, tanh_cs, gates))
+            if not train:
+                del xs
+            hs, cs, tanh_cs = lstm_forward(gates, w_h, alive, keep_states=train)
+            if train:
+                caches.append((xs, hs, cs, tanh_cs, gates))
             packed = np.concatenate([hs[0], hs[1][rev]], axis=1)
+            del hs, cs, tanh_cs, gates
         out = np.zeros((n_batch * n, self.output_dim))
         out[flat] = packed
+        if not train:
+            return out.reshape(n_batch, n, -1), None
         return out.reshape(n_batch, n, -1), ((x.shape, flat, alive, rev, prev_rows), caches)
 
     def backward(self, d_out, cache):

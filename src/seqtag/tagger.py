@@ -7,7 +7,8 @@ embeddings, apply dropout, run the BiLSTM stack, optionally multi-head
 attention, then a linear head. With the CRF head the linear outputs are
 emission scores; otherwise they pass through a row softmax. Training runs
 each optimizer batch as one pass; evaluation and prediction run
-length-sorted batches of at most 256 padded positions.
+length-sorted batches of at most 512 padded positions and keep no
+backward cache.
 """
 
 import json
@@ -386,18 +387,28 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
 
 def _forward(model, sentences, mode, rng, contextual):
     """Run a list of sentences as one right-padded batch. Returns emissions
-    (B, n, T), the lengths (B,) and the cache for ``_backward``."""
+    (B, n, T), the lengths (B,) and the cache for ``_backward``. Nothing
+    reads a cache in eval mode, so there the cache is None and no layer's
+    cache outlives its layer."""
     cfg = model.config
+    train = mode == "train"
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    if mode == "train" and cfg.dropout > 0.0 and rng is None:
+    if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("training-mode forward pass needs an rng for dropout")
     x, routes = _features(model, sentences, lengths, contextual)
     x, drop_mask = dropout_apply(x, cfg.dropout, mode, rng, lengths)
-    h, lstm_caches = model.bilstm.forward(x, lengths)
+    if not train:
+        del routes
+    h, lstm_caches = model.bilstm.forward(x, lengths, mode)
+    del x
     mha_cache = None
     if cfg.use_mha:
         h, mha_cache = model.mha.forward(h, lengths)
+        if not train:
+            del mha_cache
     emissions, head_cache = model.head.forward(h)
+    if not train:
+        return emissions, lengths, None
     return emissions, lengths, (routes, drop_mask, lstm_caches, mha_cache, head_cache)
 
 
@@ -588,10 +599,22 @@ def predict(model, sentence, contextual=None):
 
 
 # Eval-mode passes take length-sorted sentences up to this many padded
-# positions (a longer sentence runs alone): enough sentences to amortize the
-# per-step work, few enough that a pass's arrays stay a few hundred KB and
-# peak memory does not grow with the corpus.
-_CHUNK_POSITIONS = 256
+# positions (a longer sentence runs alone), so peak memory does not grow
+# with the corpus. The curve behind it, on perfbench's predict_wide (two
+# untraced 20 s runs per budget at seed 47, one BLAS thread, 2-CPU Xeon)
+# and the tracemalloc peak of one predict_corpus call on its corpus
+# (seed 5, the 0.5 MiB of predictions included):
+#   budget   tok_s         peak_rss_mb   one call's peak
+#   256      39.8k-41.3k   50.4-51.0     1.25 MiB
+#   512      55.7k-57.8k   54.5-54.7     1.97 MiB
+#   768      60.0k-63.0k   55.8-56.3     2.72 MiB
+#   1024     64.0k-64.3k   58.1-60.2     3.46 MiB
+# With the backward cache still built, 256 read 36.3k-36.7k, 50.2-50.4 and
+# 1.78 MiB. Each step up adds ~0.75 MiB of peak, mostly the LSTM's
+# (2, N, 4h) gate buffer, while the gain shrinks; peak_rss_mb also grows
+# ~0.1 MiB per extra repetition perfbench fits in its window. 512 is the
+# largest budget whose peak_rss_mb stays within 10% of 256's.
+_CHUNK_POSITIONS = 512
 
 
 def _chunks(sentences):
@@ -612,13 +635,15 @@ def _eval_passes(model, sentences, contextual):
     """Eval-mode forward passes over length-sorted chunks; yields
     (indices into ``sentences``, the chunk, emissions, lengths). Overflow
     is not warned about: saturated gates are the right limit, and an inf
-    or NaN that reaches the scores fails ``_check_probabilities``."""
+    or NaN that reaches the scores fails ``_check_probabilities``. Callers
+    drop a chunk's arrays before they ask for the next, so no two chunks'
+    arrays are alive at once."""
     for idx in _chunks(sentences):
         batch = [sentences[i] for i in idx]
-        # the cache is dropped at once, not held while the next chunk runs
         with np.errstate(over="ignore", invalid="ignore"):
-            emissions, lengths = _forward(model, batch, "eval", None, contextual)[:2]
+            emissions, lengths, _ = _forward(model, batch, "eval", None, contextual)
         yield idx, batch, emissions, lengths
+        del emissions
 
 
 def predict_corpus(model, corpus, contextual=None):
@@ -627,6 +652,7 @@ def predict_corpus(model, corpus, contextual=None):
     for idx, _, emissions, lengths in _eval_passes(model, corpus.sentences, contextual):
         for i, (labels, scores) in zip(idx, _predictions(model, emissions, lengths)):
             predictions[i] = list(map(TokenPrediction, labels, scores))
+        del emissions
     return predictions
 
 
@@ -653,6 +679,7 @@ def _evaluate_dev(model, dev, contextual):
             losses[idx], _ = _sentence_loss(model, emissions, lengths, gold)
         for i, (labels, _) in zip(idx, _predictions(model, emissions, lengths, marginals)):
             predictions[i] = labels
+        del emissions, marginals
     report = evaluate(dev, predictions)
     return float(np.mean(losses)), report.macro_f1
 

@@ -22,9 +22,11 @@ from seqtag.nn import (
     ParamStore,
     gradient_check,
 )
+from seqtag import tagger as tagger_module
 from seqtag.tagger import (
     TaggerConfig,
     _backward,
+    _evaluate_dev,
     _forward,
     _gold_indices,
     _sentence_loss,
@@ -213,6 +215,24 @@ def test_tagger_loss_batch_matches_sentences(use_crf, lengths):
     assert_grads_close(batched, grads(model.store))
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("use_crf", [True, False])
+def test_eval_forward_keeps_no_cache_and_the_same_bits(use_crf, layers):
+    # with dropout 0 an eval pass computes what a training pass does, every
+    # feature and layer included, but hands back no cache
+    corpus, ctx = _feature_corpus([3, 7, 1, 5], seed=layers)
+    config = TaggerConfig(word_dim=4, use_char_cnn=True, char_dim=3, char_kernel=2,
+                          char_filters=3, use_pos=True, pos_dim=2,
+                          use_contextual_slot=True, use_mha=True, mha_heads=2,
+                          use_crf=use_crf, lstm_layers=layers, hidden=4, dropout=0.0, seed=3)
+    model = build_model(config, corpus, contextual_vectors=ctx)
+    emissions, lengths, cache = _forward(model, corpus.sentences, "train", None, ctx)
+    emis_eval, lengths_eval, no_cache = _forward(model, corpus.sentences, "eval", None, ctx)
+    assert cache is not None and no_cache is None
+    assert np.array_equal(lengths_eval, lengths)
+    assert np.array_equal(emis_eval, emissions)
+
+
 def test_training_batch_draws_dropout_like_sentences():
     # one optimizer batch as one padded pass, dropout on: losses and the
     # gradient equal per-sentence passes that draw their masks from the
@@ -231,10 +251,10 @@ def test_training_batch_draws_dropout_like_sentences():
     assert_grads_close(batched, summed)
 
 
-@pytest.mark.parametrize("use_crf", [True, False])
-def test_predict_corpus_matches_predict(use_crf):
-    # length-diverse corpus: many short sentences and a long tail, so the
-    # length-sorted batches mix sizes and a long sentence runs alone
+def _mixed_corpus_model(use_crf):
+    """A length-diverse corpus, many short sentences and a long tail, so the
+    length-sorted chunks mix sizes and a long sentence runs alone, and a
+    2-layer model with confident, non-uniform predictions on it."""
     rng = np.random.default_rng(5)
     corpus = random_corpus(rng, 40, min_len=1, max_len=12)
     long_tail = random_corpus(rng, 4, min_len=60, max_len=300, prefix="long")
@@ -242,13 +262,41 @@ def test_predict_corpus_matches_predict(use_crf):
     config = TaggerConfig(word_dim=6, hidden=5, lstm_layers=2, use_crf=use_crf,
                           crf_constrain_bio=use_crf, seed=9)
     model = build_model(config, corpus)
-    model.store["head.w"][...] *= 8.0  # confident, non-uniform predictions
+    model.store["head.w"][...] *= 8.0
+    return corpus, model
+
+
+# chunk budgets: one sentence per chunk, the default, the whole corpus at once
+BUDGETS = [1, tagger_module._CHUNK_POSITIONS, 10 ** 9]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("use_crf", [True, False])
+def test_predict_corpus_matches_predict(monkeypatch, use_crf, budget):
+    # a sentence's labels do not depend on its chunk companions, and its
+    # scores move by at most 1e-9
+    corpus, model = _mixed_corpus_model(use_crf)
+    monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", budget)
+    n_chunks = len(tagger_module._chunks(corpus.sentences))
+    assert n_chunks == {1: len(corpus), 10 ** 9: 1}.get(budget, n_chunks)
     batched = predict_corpus(model, corpus)
     for sent, preds in zip(corpus.sentences, batched):
         single = predict(model, sent)
         assert [p.label for p in preds] == [p.label for p in single]
         np.testing.assert_allclose([p.score for p in preds], [p.score for p in single],
                                    rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("use_crf", [True, False])
+def test_dev_evaluation_is_the_same_at_every_budget(monkeypatch, use_crf):
+    corpus, model = _mixed_corpus_model(use_crf)
+    results = []
+    for budget in BUDGETS:
+        monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", budget)
+        results.append(_evaluate_dev(model, corpus, None))
+    loss, f1 = results[0]
+    for got in results[1:]:
+        assert got[0].hex() == loss.hex() and got[1].hex() == f1.hex()
 
 
 def _char_batch(rng, n_chars, word_lengths):

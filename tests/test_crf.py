@@ -79,6 +79,7 @@ class TestViterbi:
         trans = Transitions.zeros(4)
         (path,), _ = viterbi(emis[None], trans, [6])
         assert path == list(np.argmax(emis, axis=1))
+        assert all(type(t) is int for t in path)
 
     def test_single_position(self):
         emis = np.array([[0.1, 0.9, -2.0]])
@@ -140,6 +141,23 @@ class TestMarginals:
             _, _, _, expected, _ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
             got = crf_marginals(emis[None], trans, [len(emis)])[0]
             np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    def test_padded_batch_is_the_textbook_formula_bit_for_bit(self):
+        # exp(alphas + betas - log Z) at real positions and 0 at padding,
+        # the same bits as the formula written out with its temporaries
+        rng = np.random.default_rng(7)
+        trans = Transitions(*(rng.normal(size=s) for s in [(4, 4), 4, 4]))
+        emis = rng.normal(size=(3, 6, 4))
+        lengths = np.array([6, 1, 4])
+        alphas, betas = kernels.crf_forward_backward(emis, trans.matrix, trans.start,
+                                                     trans.end, lengths)
+        final = alphas[np.arange(3), lengths - 1] + trans.end
+        mx = final.max(axis=1)
+        log_z = mx + np.log(np.sum(np.exp(final - mx[:, None]), axis=1))
+        real = np.arange(6)[None, :] < lengths[:, None]
+        want = np.exp(np.where(real[:, :, None], alphas + betas - log_z[:, None, None],
+                               -np.inf))
+        np.testing.assert_array_equal(crf_marginals(emis, trans, lengths), want)
 
     def test_invariant_under_emission_shift(self):
         rng = np.random.default_rng(6)

@@ -386,6 +386,19 @@ class TestLstmKernel:
                         np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12,
                                                    err_msg=f"{name} direction {d}")
 
+    def test_without_kept_states_the_same_hidden_bits(self):
+        # an eval pass keeps neither the gates nor the per-row cell states,
+        # and its input projections are left as they came
+        rng = np.random.default_rng(2)
+        for lengths, h in self.CASES:
+            _, _, alive, _, _ = pack_layout(lengths)
+            xw, w_h = self.stacked_inputs(rng, lengths, h)
+            hs, _, _ = lstm_forward(xw.copy(), w_h, alive)
+            scratch = xw.copy()
+            hs_eval, cs, tanh_cs = lstm_forward(scratch, w_h, alive, keep_states=False)
+            assert cs is None and tanh_cs is None
+            assert np.array_equal(hs_eval, hs) and np.array_equal(scratch, xw)
+
     def test_stacking_changes_no_bits(self):
         # a direction run in the stack gives exactly the values it gives
         # run alone, forward (gates included) and backward

@@ -5,6 +5,7 @@ small training run."""
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,32 @@ class TestPredict:
             predict(model, bare)
         assert len(predict_corpus(model, corpus)) == len(corpus)
 
+    def test_peak_memory_does_not_grow_with_the_corpus(self):
+        # eval passes run in chunks of at most _CHUNK_POSITIONS positions and
+        # hold nothing from one chunk into the next, so the corpus repeated
+        # 4 times peaks higher only by the predictions it returns and its
+        # index bookkeeping (under 100 bytes a sentence; a chunk's emissions
+        # held on would add 448)
+        rng = np.random.default_rng(4)
+        corpus = random_corpus(rng, 2 * tagger_module._CHUNK_POSITIONS // 8, min_len=8,
+                               max_len=8)
+        four = LabeledCorpus([Sentence(f"{k}.{s.id}", s.surfaces, s.gold_tags)
+                              for k in range(4) for s in corpus.sentences], corpus.tagset)
+        model = build_model(small_config(word_dim=8, hidden=16, use_crf=True), corpus)
+
+        def above_predictions(c):
+            predict_corpus(model, c)
+            tracemalloc.start()
+            try:
+                predictions = predict_corpus(model, c)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(predictions) == len(c)
+            return peak - held
+
+        assert above_predictions(four) - above_predictions(corpus) <= 100 * 3 * len(corpus)
+
     def test_crf_scores_are_path_marginals(self):
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(use_crf=True, seed=9), corpus)
@@ -416,6 +443,8 @@ class TestPredict:
     def test_bio_penalty_is_built_once_per_model(self, monkeypatch):
         rng = np.random.default_rng(21)
         corpus = random_corpus(rng, 60)
+        # a budget small enough that the corpus runs as several chunks
+        monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", 64)
         assert len(tagger_module._chunks(corpus.sentences)) > 1
         model = build_model(small_config(crf_constrain_bio=True), corpus)
         for name in ("crf.matrix", "crf.start", "crf.end"):
@@ -488,6 +517,8 @@ class TestTraining:
 
         real_pass = crf.crf_forward_backward
         monkeypatch.setattr(crf, "crf_forward_backward", counting)
+        # a budget small enough that the dev corpus runs as several chunks
+        monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", 64)
         rng = np.random.default_rng(6)
         corpus = random_corpus(rng, 10, classes=("PER", "LOC"))
         dev = random_corpus(rng, 40, classes=("PER", "LOC"), max_len=20, prefix="d")
