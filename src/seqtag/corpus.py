@@ -37,7 +37,8 @@ __all__ = [
     "corpus_stats",
 ]
 
-BIO_TAG_RE = re.compile(r"^(O|[BI]-\S+)$")
+# \Z, not $: $ also matches before a final newline, so "B-P\n" would pass
+BIO_TAG_RE = re.compile(r"^(O|[BI]-\S+)\Z")
 
 
 class CorpusError(ValueError):
@@ -135,8 +136,8 @@ class TagSet:
     def __init__(self, classes):
         self.classes = tuple(sorted(set(classes)))
         for c in self.classes:
-            if not c:
-                raise CorpusError("entity class names must be non-empty")
+            if not BIO_TAG_RE.match(f"B-{c}"):
+                raise CorpusError(f"{c!r} cannot form a BIO label")
         self.labels = ["O"]
         for c in self.classes:
             self.labels.append(f"B-{c}")
@@ -157,9 +158,6 @@ class TagSet:
             return self._index[label]
         except KeyError:
             raise CorpusError(f"label {label!r} not in tagset {list(self.labels)}") from None
-
-    def label(self, index):
-        return self.labels[index]
 
     def union(self, other):
         return TagSet(self.classes + other.classes)

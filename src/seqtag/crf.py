@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import crf_forward_backward, viterbi_decode
+from .kernels import _lse_rows, crf_forward_backward, viterbi_decode
 
 __all__ = [
     "Transitions",
@@ -96,9 +96,7 @@ def path_score(emissions, trans, paths, lengths):
 
 def _log_z(alphas, trans, lengths):
     """log Z (B,) from the alphas at each sentence's last position."""
-    final = alphas[np.arange(len(lengths)), lengths - 1] + trans.end
-    mx = final.max(axis=1)
-    return mx + np.log(np.sum(np.exp(final - mx[:, None]), axis=1))
+    return _lse_rows(alphas[np.arange(len(lengths)), lengths - 1] + trans.end)
 
 
 def _forward_backward(emissions, trans, lengths):

@@ -8,7 +8,7 @@ survives, O. Voting happens on raw labels; BIO repair runs once on the
 voted sequence, never on the inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .corpus import BIO_TAG_RE, ParseError, _conll_blocks, _normalize, repair_bio
@@ -52,15 +52,18 @@ class VoteConfig:
 
 @dataclass
 class PredictionSet:
-    """One model's predictions aligned to a reference corpus: one list of
-    (label, score) records per sentence. ``sentence_ids`` and ``surfaces``
-    (one token-surface tuple per sentence) are kept when read from a file,
-    so ``check_alignment`` can hold them to the reference."""
+    """One model's predictions aligned to a reference corpus: per sentence,
+    its id, its token surfaces (a tuple, as ``Sentence.surfaces`` is) and a
+    list of (label, score) records. ``read_prediction_file`` returns a set
+    with no ``model_id``; ``to_set`` names it."""
 
-    model_id: str
+    model_id: str | None
     predictions: list
-    sentence_ids: list | None = None
-    surfaces: list | None = None
+    sentence_ids: list
+    surfaces: list
+
+    def to_set(self, model_id):
+        return replace(self, model_id=model_id)
 
 
 def _vote(votes, config):
@@ -129,29 +132,29 @@ class EnsembleDiagnostics:
 
 def check_alignment(pset, reference):
     """Raise EnsembleError, naming the model, unless ``pset`` has one
-    prediction list per sentence of ``reference``, in order: the same
-    sentence ids and token surfaces where ``pset`` knows them, and one
-    prediction per token."""
-    if len(pset.predictions) != len(reference.sentences):
-        raise EnsembleError(
-            f"model {pset.model_id!r}: {len(pset.predictions)} sentences, "
-            f"reference has {len(reference.sentences)}"
-        )
-    for si, sent in enumerate(reference.sentences):
-        if pset.sentence_ids is not None and pset.sentence_ids[si] != sent.id:
+    prediction list, sentence id and surface tuple per sentence of
+    ``reference``, in order: the same sentence ids and token surfaces, and
+    one prediction per token."""
+    n = len(reference.sentences)
+    for what, column in (("sentences", pset.predictions), ("sentence ids", pset.sentence_ids),
+                         ("surface tuples", pset.surfaces)):
+        if len(column) != n:
+            raise EnsembleError(f"model {pset.model_id!r}: {len(column)} {what}, reference has {n}")
+    for sent, sid, surfaces, preds in zip(reference.sentences, pset.sentence_ids,
+                                          pset.surfaces, pset.predictions):
+        if sid != sent.id:
             raise EnsembleError(
-                f"model {pset.model_id!r}: sentence {pset.sentence_ids[si]!r} "
-                f"where reference has {sent.id!r}"
+                f"model {pset.model_id!r}: sentence {sid!r} where reference has {sent.id!r}"
             )
-        if pset.surfaces is not None and pset.surfaces[si] != sent.surfaces:
+        if surfaces != sent.surfaces:
             raise EnsembleError(
                 f"model {pset.model_id!r}: sentence {sent.id!r} tokens do not match "
                 "the reference corpus"
             )
-        if len(pset.predictions[si]) != len(sent):
+        if len(preds) != len(sent):
             raise EnsembleError(
                 f"model {pset.model_id!r}: sentence {sent.id!r} has "
-                f"{len(pset.predictions[si])} predictions for {len(sent)} tokens"
+                f"{len(preds)} predictions for {len(sent)} tokens"
             )
 
 
@@ -164,28 +167,14 @@ def ensemble_corpus(sets, reference, config=VoteConfig()):
         check_alignment(pset, reference)
 
     diagnostics = EnsembleDiagnostics(config, [p.model_id for p in sets])
-    threshold = config.score_threshold
     all_labels = []
     for si, sent in enumerate(reference.sentences):
-        voted = []
-        details = []
-        for votes in zip(*[pset.predictions[si] for pset in sets]):
-            # a unanimous vote above the threshold is a majority under either
-            # denominator, with _vote's support; deciding it here is cheaper
-            label = votes[0].label
-            scores = [v.score for v in votes if v.label == label and v.score > threshold]
-            if len(scores) == len(votes):
-                voted.append(label)
-                details.append((len(votes), "majority", sum(scores) / len(votes)))
-                continue
-            label, surviving, outcome, support = _vote(votes, config)
-            voted.append(label)
-            details.append((surviving, outcome, support))
-        repaired = repair_bio(voted)
+        tallies = [_vote(votes, config) for votes in zip(*[p.predictions[si] for p in sets])]
+        repaired = repair_bio([t[0] for t in tallies])
         all_labels.append(repaired)
         diagnostics.per_sentence.append(
             (sent.id, [TokenDiag(lab, s, o, sc)
-                       for lab, (s, o, sc) in zip(repaired, details)])
+                       for lab, (_, s, o, sc) in zip(repaired, tallies)])
         )
     return all_labels, diagnostics
 
@@ -223,19 +212,9 @@ def write_prediction_file(corpus, predictions, include_gold=True):
     return "\n".join(lines)
 
 
-@dataclass
-class PredictionFileData:
-    sentence_ids: list
-    surfaces: list
-    predictions: list
-
-    def to_set(self, model_id):
-        return PredictionSet(model_id, self.predictions, list(self.sentence_ids),
-                             list(self.surfaces))
-
-
 def read_prediction_file(text):
-    """Parse prediction text back into one TokenPrediction list per sentence.
+    """Parse prediction text into an unnamed PredictionSet: per sentence,
+    its id, its surfaces and one TokenPrediction per row.
 
     Rows carry 4 columns (token gold predicted score) or 3 (token predicted
     score); the two may not be mixed within one file. A gold column is
@@ -244,7 +223,7 @@ def read_prediction_file(text):
     """
     if not text.strip():
         raise ParseError("empty prediction file")
-    data = PredictionFileData([], [], [])
+    sentence_ids, all_surfaces, all_predictions = [], [], []
     width = None  # 4 with a gold column, 3 without; set by the first row
     valid_tags = set()  # labels that matched BIO_TAG_RE; validity depends on the string alone
     for sid, rows in _conll_blocks(text):
@@ -278,11 +257,11 @@ def read_prediction_file(text):
                 raise ParseError(f"prediction score {score} outside [0, 1]", lineno)
             predictions.append(TokenPrediction(pred, score))
             surfaces.append(_normalize(cols[0]))
-        data.sentence_ids.append(sid)
+        sentence_ids.append(sid)
         # a tuple, as Sentence.surfaces is: check_alignment compares the two
-        data.surfaces.append(tuple(surfaces))
-        data.predictions.append(predictions)
+        all_surfaces.append(tuple(surfaces))
+        all_predictions.append(predictions)
 
-    if not data.surfaces:
+    if not all_surfaces:
         raise ParseError("prediction file contains no sentences")
-    return data
+    return PredictionSet(None, all_predictions, sentence_ids, all_surfaces)

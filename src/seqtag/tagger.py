@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BIO_TAG_RE, LabeledCorpus, TagSet, repair_bio
+from .corpus import CorpusError, LabeledCorpus, TagSet, repair_bio
 from .crf import (
     Transitions,
     bio_constraint_penalty,
@@ -829,9 +829,10 @@ def _header_problem(header):
     for key in ("classes", "word_tokens", "char_tokens"):
         if not _distinct_names(header[key]):
             return f"model header {key}: expected a list of distinct non-empty strings"
-    bad = [c for c in header["classes"] if not BIO_TAG_RE.match(f"B-{c}")]
-    if bad:
-        return f"model header classes: {bad[0]!r} cannot form a BIO label"
+    try:
+        TagSet(header["classes"])
+    except CorpusError as exc:
+        return f"model header classes: {exc}"
     # TagSet sorts its classes, so an unsorted list would be read reordered
     if header["classes"] != sorted(header["classes"]):
         return "model header classes: expected sorted order"

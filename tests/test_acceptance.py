@@ -300,7 +300,8 @@ def test_ensemble_oracle():
                     TokenPrediction(t, float(s))
                     for t, s in zip(tags, rng.random(len(sent)))
                 ])
-            sets.append(PredictionSet(f"m{m}", preds))
+            sets.append(PredictionSet(f"m{m}", preds, [s.id for s in corpus.sentences],
+                                      [s.surfaces for s in corpus.sentences]))
         labels, _ = ensemble_corpus(sets, corpus)
         for si, sent in enumerate(corpus.sentences):
             voted = []

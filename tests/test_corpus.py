@@ -331,8 +331,12 @@ class TestSentenceInvariants:
             LabeledCorpus([], TagSet([]))
 
     def test_empty_class_name_rejected(self):
-        with pytest.raises(CorpusError, match="^entity class names must be non-empty$"):
+        with pytest.raises(CorpusError, match="^'' cannot form a BIO label$"):
             TagSet([""])
+        with pytest.raises(CorpusError, match="^'P R' cannot form a BIO label$"):
+            TagSet(["P R"])
+        with pytest.raises(CorpusError, match=r"^'P\\n' cannot form a BIO label$"):
+            TagSet(["P\n"])
 
 
 def random_columnar_corpus(rng, n_sentences):

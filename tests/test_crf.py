@@ -291,7 +291,7 @@ class TestBioConstraints:
             emis = rng.normal(scale=3.0, size=(5, len(tagset)))
             trans = Transitions.zeros(len(tagset)).penalized(matrix_pen, start_pen)
             (path,), _ = viterbi(emis[None], trans, [5])
-            labels = [tagset.label(i) for i in path]
+            labels = [tagset.labels[i] for i in path]
             from seqtag.corpus import validate_bio
 
             assert validate_bio(labels) == []

@@ -3,6 +3,7 @@ brute-force oracle sweep, vote invariants, alignment errors, and the
 prediction file format."""
 
 import unicodedata
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,8 +109,10 @@ def _single_token_ensemble(token_votes, config=VoteConfig()):
     """Run ensemble_corpus over one single-token sentence and return the
     (label, TokenDiag) pair for it."""
     corpus = random_corpus(np.random.default_rng(0), 1, min_len=1, max_len=1)
+    sent = corpus.sentences[0]
     sets = [
-        PredictionSet(f"m{i}", [[v]]) for i, v in enumerate(token_votes)
+        PredictionSet(f"m{i}", [[v]], [sent.id], [sent.surfaces])
+        for i, v in enumerate(token_votes)
     ]
     labels, diags = ensemble_corpus(sets, corpus, config)
     return labels[0][0], diags.per_sentence[0][1][0]
@@ -127,7 +130,8 @@ class TestEnsembleCorpus:
                     [TokenPrediction(t, float(s)) for t, s in zip(tags, scores)]
                 )
             sets.append(PredictionSet(
-                f"model{m}", preds, [s.id for s in corpus.sentences]
+                f"model{m}", preds, [s.id for s in corpus.sentences],
+                [s.surfaces for s in corpus.sentences]
             ))
         return sets
 
@@ -143,7 +147,7 @@ class TestEnsembleCorpus:
                  for p in sent_preds]
                 for sent_preds in base.predictions
             ]
-            sets.append(PredictionSet(f"m{m}", preds))
+            sets.append(PredictionSet(f"m{m}", preds, base.sentence_ids, base.surfaces))
         labels, diags = ensemble_corpus(sets, corpus)
         from seqtag.corpus import repair_bio
 
@@ -200,7 +204,8 @@ class TestEnsembleCorpus:
         rng = np.random.default_rng(3)
         corpus = random_corpus(rng, 3)
         sets = self.build_sets(rng, corpus, 2)
-        short = PredictionSet("shorty", sets[0].predictions[:-1])
+        short = PredictionSet("shorty", sets[0].predictions[:-1], sets[0].sentence_ids,
+                              sets[0].surfaces)
         with pytest.raises(EnsembleError, match="shorty"):
             ensemble_corpus([sets[0], short], corpus)
 
@@ -208,17 +213,26 @@ class TestEnsembleCorpus:
         bad_len[1] = bad_len[1][:-1] if len(bad_len[1]) > 1 else bad_len[1] + [
             TokenPrediction("O", 0.9)
         ]
-        broken = PredictionSet("lenny", bad_len, [s.id for s in corpus.sentences])
+        broken = PredictionSet("lenny", bad_len, sets[1].sentence_ids, sets[1].surfaces)
         with pytest.raises(EnsembleError) as exc:
             ensemble_corpus([sets[0], broken], corpus)
         assert "lenny" in str(exc.value)
         assert corpus.sentences[1].id in str(exc.value)
 
         wrong_ids = PredictionSet(
-            "iddy", sets[0].predictions, ["x" + s.id for s in corpus.sentences]
+            "iddy", sets[0].predictions, ["x" + s.id for s in corpus.sentences],
+            sets[0].surfaces
         )
         with pytest.raises(EnsembleError, match="iddy"):
             ensemble_corpus([sets[0], wrong_ids], corpus)
+
+        # three prediction lists but two ids (or two surface tuples)
+        for column, what in (("sentence_ids", "sentence ids"), ("surfaces", "surface tuples")):
+            stubby = replace(sets[0], model_id="stubby",
+                             **{column: getattr(sets[0], column)[:-1]})
+            with pytest.raises(EnsembleError,
+                               match=f"^model 'stubby': 2 {what}, reference has 3$"):
+                ensemble_corpus([sets[0], stubby], corpus)
 
     def test_diagnostics_counts_and_render(self):
         rng = np.random.default_rng(8)
@@ -282,6 +296,7 @@ class TestPredictionFiles:
         rng = np.random.default_rng(7)
         corpus, preds = self.make(rng)
         data = read_prediction_file(write_prediction_file(corpus, preds))
+        assert data.model_id is None
         pset = data.to_set("model-a")
         assert pset.model_id == "model-a"
         assert pset.sentence_ids == [s.id for s in corpus.sentences]

@@ -2,11 +2,12 @@
 row faults keep their messages and line numbers, the prediction writer
 refuses what the reader would, parsed sentences and predictions equal
 publicly constructed ones (and read predictions weigh no more than plain
-two-field records), and the shortcuts that skip work (unanimous votes,
-translations that share columns, the whitespace rule) agree with the slow
-forms they replace."""
+two-field records), the shortcuts that skip work (translations that share
+columns, the whitespace rule) agree with the slow forms they replace, and
+ensemble diagnostics, unanimous votes included, equal the per-token tally."""
 
 import gc
+import json
 import tracemalloc
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from seqtag.corpus import (
     repair_bio,
 )
 from seqtag.ensemble import (
-    PredictionFileData,
     EnsembleError,
     PredictionSet,
     TokenDiag,
@@ -235,9 +235,9 @@ class TestTrustedRecords:
         text = "# s\n" + "a O O 0.500000\n" * self.N
         read_prediction_file(text)
         parsed = retained_bytes(lambda: read_prediction_file(text))
-        public = retained_bytes(lambda: PredictionFileData(
-            ["s"], [tuple(["a" for _ in range(self.N)])],
-            [[PredictionFields("O", float("0.500000")) for _ in range(self.N)]]))
+        public = retained_bytes(lambda: PredictionSet(
+            None, [[PredictionFields("O", float("0.500000")) for _ in range(self.N)]],
+            ["s"], [tuple(["a" for _ in range(self.N)])]))
         assert parsed - public < 8 * self.N
 
     def test_translation_shares_unchanged_tokens(self):
@@ -278,7 +278,8 @@ class TestUnanimousVotes:
             # each model keeps the shared label of a token with probability 0.8
             preds = [[TokenPrediction(t if rng.random() < 0.8 else "B-PER", float(rng.random()))
                       for t in tags] for tags in base]
-            sets.append(PredictionSet(f"m{m}", preds))
+            sets.append(PredictionSet(f"m{m}", preds, [s.id for s in reference.sentences],
+                                      [s.surfaces for s in reference.sentences]))
         labels, diagnostics = ensemble_corpus(sets, reference, config)
         unanimous = 0
         for si, (sid, diags) in enumerate(diagnostics.per_sentence):
@@ -293,17 +294,20 @@ class TestUnanimousVotes:
 
 
 class TestModelLabels:
-    def test_a_class_that_cannot_form_a_label_fails_at_load(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edited", [b'"P R"', b'"P\\n"'], ids=["space", "newline"])
+    def test_a_class_that_cannot_form_a_label_fails_at_load(self, tmp_path, capsys, edited):
         corpus = parse_conll("alice B-PER\nbob O\n\nbob O\nalice B-PER\n")
         config = tagger.TaggerConfig(word_dim=4, hidden=4, lstm_layers=1, max_epochs=1)
         path = tmp_path / "m.bin"
         tagger.save_model(tagger.build_model(config, corpus), path)
-        # a hand-edited class name of the same length: "B-P R" breaks the grammar
-        path.write_bytes(path.read_bytes().replace(b'"PER"', b'"P R"', 1))
+        # a hand-edited class name of the same length: "B-P R" and "B-P\n"
+        # break the grammar
+        path.write_bytes(path.read_bytes().replace(b'"PER"', edited, 1))
         with pytest.raises(tagger.ModelError) as info:
             tagger.load_model(path)
+        name = json.loads(edited)
         assert str(info.value) == (
-            f"{path}: model header classes: 'P R' cannot form a BIO label")
+            f"{path}: model header classes: {name!r} cannot form a BIO label")
         (tmp_path / "in.conll").write_text("alice B-PER\n", encoding="utf-8")
         code = cli.main(["predict", str(path), str(tmp_path / "in.conll"),
                          str(tmp_path / "out.txt")])
