@@ -8,6 +8,7 @@ from .layers import (
     EmbeddingTable,
     Linear,
     MultiHeadAttention,
+    RowLayout,
     dropout_apply,
     softmax_rows,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "Linear",
     "MultiHeadAttention",
     "ParamStore",
+    "RowLayout",
     "dropout_apply",
     "gradient_check",
     "softmax_rows",

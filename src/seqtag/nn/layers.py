@@ -7,16 +7,17 @@ input. ``BiLstm.forward`` also takes the pass's mode; in eval mode it
 builds no cache and returns None for it. Caches travel with the caller,
 so forward passes on a shared model are thread-safe.
 
-Sequence layers take one shape: a right-padded batch (B, n, d) and its
-``lengths`` (B,), where sentence b fills positions 0 .. lengths[b]-1; one
-sentence is a batch of one. No real position depends on a padded one.
-``BiLstm`` packs the batch's real tokens, steps both directions of a
-layer in one stacked kernel call, and returns exact zeros at padded
-positions, in its output and in its input gradient. Elsewhere, values
-at padded positions are meaningless and the caller gives them zero
-gradient. ``Linear`` and ``EmbeddingTable`` act row by row on inputs of
-any rank. ``CharCNN`` takes words instead of sentences: (W, L) char indices
-right-padded to per-word lengths (W,).
+Sequence layers take a batch's real tokens only: (N, d) rows,
+sentence-major (sentence b's tokens in order, then sentence b + 1's), and
+the batch's ``RowLayout``, built once per pass from the lengths; one
+sentence is a batch of one. No token depends on another sentence's.
+``BiLstm`` gathers its packed, time-major layout from the rows and steps
+both directions of a layer in one stacked kernel call.
+``MultiHeadAttention`` scatters its projections into a zero-padded
+(B, heads, n, d_h) grid for the scores only. ``Linear``,
+``EmbeddingTable`` and ``dropout_apply`` act row by row. ``CharCNN``
+takes words instead of sentences: (W, L) char indices right-padded to
+per-word lengths (W,).
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from ..kernels import lstm_backward, lstm_forward, pack_layout
 from .params import uniform_init
 
 __all__ = [
+    "RowLayout",
     "EmbeddingTable",
     "CharCNN",
     "BiLstm",
@@ -42,6 +44,38 @@ def softmax_rows(x):
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+class RowLayout:
+    """Where a batch's sentence-major rows sit. From the lengths (B,), each
+    at least 1, it holds:
+    - ``lengths``, ``n`` (the longest) and ``offsets`` (B,), the first row
+      of each sentence;
+    - ``grid`` (N,): each row's position b * n + t in a padded (B, n) grid;
+    - ``packed`` (N,): the row behind each row of ``kernels.pack_layout``'s
+      time-major layout, and its ``alive``, ``rev`` and ``prev_rows``."""
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+            raise ValueError("lengths must be a non-empty vector of values >= 1")
+        self.lengths = lengths
+        self.n = int(lengths.max())
+        self.offsets = np.cumsum(lengths) - lengths
+        batch, step, self.alive, self.rev, self.prev_rows = pack_layout(lengths)
+        self.packed = self.offsets[batch] + step
+        self.grid = np.empty_like(step)
+        self.grid[self.packed] = batch * self.n + step
+
+    def scatter(self, rows):
+        """(B, n, ...) zeros holding ``rows`` (N, ...) at their positions."""
+        out = np.zeros((len(self.lengths) * self.n,) + rows.shape[1:], dtype=rows.dtype)
+        out[self.grid] = rows
+        return out.reshape((len(self.lengths), self.n) + rows.shape[1:])
+
+    def gather(self, padded):
+        """The rows (N, ...) of a (B, n, ...) grid."""
+        return padded.reshape((-1,) + padded.shape[2:])[self.grid]
 
 
 class EmbeddingTable:
@@ -140,16 +174,13 @@ def _dense(x, w):
 
 
 class BiLstm:
-    """Stack of bidirectional LSTM layers; each position's output is the
-    concatenation of the forward and backward hidden states (..., 2h).
+    """Stack of bidirectional LSTM layers; each row's output is the
+    concatenation of the forward and backward hidden states (N, 2h).
 
-    The layers run on real tokens only. ``forward`` packs the padded
-    batch once into the time-major layout of ``kernels.pack_layout``
-    (N = sum(lengths) rows, sorted by length) and scatters the last
-    layer's (N, 2h) output back into a zeroed (B, n, 2h); ``backward``
-    gathers and scatters the same rows. Output and input-gradient rows at
-    padded positions are exactly 0, and the padded entries of ``x`` and
-    ``d_out`` are never read.
+    ``forward`` gathers the rows once into the time-major layout of
+    ``kernels.pack_layout`` (``RowLayout.packed``) and scatters the last
+    layer's output back to rows; ``backward`` gathers and scatters the
+    same rows.
 
     The backward direction reads each sentence reversed within its own
     length: its rows are the packed rows permuted by the involution
@@ -188,16 +219,13 @@ class BiLstm:
         self.output_dim = 2 * hidden
         self._store = store
 
-    def forward(self, x, lengths, mode="train"):
-        """x: (B, n, d) right-padded to ``lengths`` (B,), each in [1, n].
-        Returns the output (B, n, 2h) and a cache, None in eval mode."""
-        n_batch, n, d = x.shape
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (n_batch,) or lengths.min() < 1 or lengths.max() > n:
-            raise ValueError(f"lengths must be {n_batch} values in [1, {n}]")
-        batch, step, alive, rev, prev_rows = pack_layout(lengths)
-        flat = batch * n + step
-        packed = x.reshape(-1, d)[flat]
+    def forward(self, x, layout, mode="train"):
+        """x: (N, d) rows of ``layout``. Returns the output (N, 2h) and a
+        cache, None in eval mode."""
+        if len(x) != len(layout.packed):
+            raise ValueError(f"lengths must be {len(x)} rows in all, got {len(layout.packed)}")
+        packed = x[layout.packed]
+        rev = layout.rev
         train = mode == "train"
         caches = []
         for _, w_x, w_h, b in self.layers:
@@ -209,32 +237,30 @@ class BiLstm:
             gates += b[:, None]
             if not train:
                 del xs
-            hs, cs, tanh_cs = lstm_forward(gates, w_h, alive, keep_states=train)
+            hs, cs, tanh_cs = lstm_forward(gates, w_h, layout.alive, keep_states=train)
             if train:
                 caches.append((xs, hs, cs, tanh_cs, gates))
             packed = np.concatenate([hs[0], hs[1][rev]], axis=1)
             del hs, cs, tanh_cs, gates
-        out = np.zeros((n_batch * n, self.output_dim))
-        out[flat] = packed
-        if not train:
-            return out.reshape(n_batch, n, -1), None
-        return out.reshape(n_batch, n, -1), ((x.shape, flat, alive, rev, prev_rows), caches)
+        out = np.empty_like(packed)
+        out[layout.packed] = packed
+        return out, ((layout, caches) if train else None)
 
     def backward(self, d_out, cache):
-        (shape, flat, alive, rev, prev_rows), caches = cache
-        h = self.hidden
-        d_packed = d_out.reshape(-1, 2 * h)[flat]
+        layout, caches = cache
+        h, rev = self.hidden, layout.rev
+        d_packed = d_out[layout.packed]
         for layer, (xs, hs, cs, tanh_cs, gates) in zip(reversed(self.layers), reversed(caches)):
             d_hs = np.empty_like(hs)
             d_hs[0] = d_packed[:, :h]
             d_hs[1] = d_packed[rev, h:]
-            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs, tanh_cs, gates, alive,
-                                        prev_rows)
+            d_xs = self._backward_layer(layer, d_hs, xs, hs, cs, tanh_cs, gates, layout.alive,
+                                        layout.prev_rows)
             d_packed = d_xs[0]
             d_packed += d_xs[1][rev]
-        d_x = np.zeros((shape[0] * shape[1], shape[2]))
-        d_x[flat] = d_packed
-        return d_x.reshape(shape)
+        d_x = np.empty_like(d_packed)
+        d_x[layout.packed] = d_packed
+        return d_x
 
     def _backward_layer(self, layer, d_hs, xs, hs, cs, tanh_cs, gates, alive, prev_rows):
         """Accumulate one layer's parameter gradients; return the gradient
@@ -277,60 +303,59 @@ class MultiHeadAttention:
         self.w_o = store.add(f"{prefix}.w_o", uniform_init(rng, (dim, dim), dim))
         self.b_o = store.add(f"{prefix}.b_o", np.zeros(dim))
 
-    def _split(self, x):
-        n_batch, n = x.shape[:2]
-        return x.reshape(n_batch, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+    def _split(self, rows, layout):
+        """(N, dim) rows as a zero-padded (B, heads, n, head_dim) grid."""
+        grid = layout.scatter(rows)
+        n_batch, n = grid.shape[:2]
+        return grid.reshape(n_batch, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def _merge(self, x):
-        n_batch, _, n, _ = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(n_batch, n, self.dim)
+    def _merge(self, grid, layout):
+        """The (N, dim) rows of a (B, heads, n, head_dim) grid."""
+        n_batch, _, n, _ = grid.shape
+        return layout.gather(grid.transpose(0, 2, 1, 3).reshape(n_batch, n, self.dim))
 
-    def forward(self, x, lengths):
-        """x: (B, n, dim) right-padded to ``lengths`` (B,). Returns the
-        output (B, n, dim) and a cache; the backward pass recomputes the
-        projections from x."""
-        q, k, v = self._project(x)
+    def forward(self, x, layout):
+        """x: (N, dim) rows of ``layout``. Returns the output (N, dim) and a
+        cache holding the projections for the backward pass."""
+        q, k, v = (self._split(x @ w, layout) for w in (self.w_q, self.w_k, self.w_v))
         scores = q @ k.swapaxes(2, 3)
         scores *= 1.0 / np.sqrt(self.head_dim)
-        padded_key = np.arange(x.shape[1]) >= np.asarray(lengths)[:, None]
+        padded_key = np.arange(layout.n) >= layout.lengths[:, None]
         scores[np.broadcast_to(padded_key[:, None, None, :], scores.shape)] = -np.inf
         attn = softmax_rows(scores)
-        y = _dense(self._merge(attn @ v), self.w_o) + self.b_o
-        return y, (x, attn)
+        context = self._merge(attn @ v, layout)
+        y = context @ self.w_o
+        y += self.b_o
+        return y, (layout, x, q, k, v, attn, context)
 
-    def _project(self, x):
-        return (self._split(_dense(x, w)) for w in (self.w_q, self.w_k, self.w_v))
-
-    def _project_backward(self, name, w, d_proj, flat_x):
-        """Accumulate one projection's weight gradient; return its share of
-        the input gradient (B * n, dim)."""
-        flat = self._merge(d_proj).reshape(-1, self.dim)
-        self._store.accumulate(f"{self._prefix}.w_{name}", flat_x.T @ flat)
-        return flat @ w.T
+    def _project_backward(self, name, w, d_proj, x):
+        """Accumulate one projection's weight gradient from its rows'
+        gradient ``d_proj`` (N, dim); return its share of the input
+        gradient (N, dim)."""
+        self._store.accumulate(f"{self._prefix}.w_{name}", x.T @ d_proj)
+        return d_proj @ w.T
 
     def backward(self, d_y, cache):
-        x, attn = cache
-        q, k, v = self._project(x)
-        pre = self._prefix
+        layout, x, q, k, v, attn, context = cache
         acc = self._store.accumulate
-        flat_y = d_y.reshape(-1, self.dim)
-        acc(f"{pre}.w_o", self._merge(attn @ v).reshape(-1, self.dim).T @ flat_y)
-        acc(f"{pre}.b_o", flat_y.sum(axis=0))
-        d_heads = self._split(_dense(d_y, self.w_o.T))
+        acc(f"{self._prefix}.w_o", context.T @ d_y)
+        acc(f"{self._prefix}.b_o", d_y.sum(axis=0))
+        d_heads = self._split(d_y @ self.w_o.T, layout)
         # softmax backward per row: a * (g - sum(g * a))
         d_scores = d_heads @ v.swapaxes(2, 3)
         d_scores -= np.sum(d_scores * attn, axis=3, keepdims=True)
         d_scores *= attn
         d_scores /= np.sqrt(self.head_dim)
-        flat_x = x.reshape(-1, self.dim)
-        d_x = self._project_backward("q", self.w_q, d_scores @ k, flat_x)
-        d_x += self._project_backward("k", self.w_k, d_scores.swapaxes(2, 3) @ q, flat_x)
-        d_x += self._project_backward("v", self.w_v, attn.swapaxes(2, 3) @ d_heads, flat_x)
-        return d_x.reshape(x.shape)
+        d_x = self._project_backward("q", self.w_q, self._merge(d_scores @ k, layout), x)
+        d_x += self._project_backward(
+            "k", self.w_k, self._merge(d_scores.swapaxes(2, 3) @ q, layout), x)
+        d_x += self._project_backward(
+            "v", self.w_v, self._merge(attn.swapaxes(2, 3) @ d_heads, layout), x)
+        return d_x
 
 
 class Linear:
-    """Affine map over the last axis; inputs of any rank."""
+    """Affine map of rows (N, d_in) -> (N, d_out)."""
 
     def __init__(self, store, prefix, d_in, d_out, rng):
         self.w = store.add(f"{prefix}.w", uniform_init(rng, (d_in, d_out), d_in))
@@ -339,27 +364,27 @@ class Linear:
         self._prefix = prefix
 
     def forward(self, x):
-        return _dense(x, self.w) + self.b, x
+        y = x @ self.w
+        y += self.b
+        return y, x
 
     def backward(self, d_y, cache):
         x = cache
-        flat_y = d_y.reshape(-1, d_y.shape[-1])
-        self._store.accumulate(f"{self._prefix}.w", x.reshape(-1, x.shape[-1]).T @ flat_y)
-        self._store.accumulate(f"{self._prefix}.b", flat_y.sum(axis=0))
-        return _dense(d_y, self.w.T)
+        self._store.accumulate(f"{self._prefix}.w", x.T @ d_y)
+        self._store.accumulate(f"{self._prefix}.b", d_y.sum(axis=0))
+        return d_y @ self.w.T
 
 
-def dropout_apply(x, rate, mode, rng, lengths):
-    """Inverted dropout on a padded batch x (B, n, d): in train mode each
-    sentence draws its own (lengths[b], d) mask in batch order, zeroing each
-    element with probability ``rate`` and scaling survivors by 1/(1-rate);
-    padding is zeroed. Identity in eval mode. Returns (output, mask); mask
-    is None when nothing was dropped."""
+def dropout_apply(x, rate, mode, rng):
+    """Inverted dropout on rows x (N, d): in train mode one (N, d) draw
+    zeroes each element with probability ``rate`` and scales survivors by
+    1/(1-rate). The rows are sentence-major, so the draw gives each
+    sentence the bits of its own (length, d) draw in batch order. Identity
+    in eval mode. Returns (output, mask); mask is None when nothing was
+    dropped."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if mode != "train" or rate == 0.0:
         return x, None
-    keep = np.zeros(x.shape)
-    for b, n in enumerate(lengths):
-        keep[b, :n] = (rng.random((n,) + x.shape[2:]) >= rate) / (1.0 - rate)
+    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * keep, keep

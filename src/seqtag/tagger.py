@@ -2,18 +2,21 @@
 char-CNN, POS embeddings), softmax or CRF head, mini-batch training with
 early stopping, and byte-deterministic model files.
 
-Pipeline per batch of right-padded sentences: concatenate enabled
-embeddings, apply dropout, run the BiLSTM stack, optionally multi-head
-attention, then a linear head. With the CRF head the linear outputs are
-emission scores; otherwise they pass through a row softmax. Training runs
-each optimizer batch as one pass; evaluation and prediction run
-length-sorted batches of at most 512 padded positions and keep no
-backward cache.
+Each call encodes its corpora once into flat index arrays over their
+tokens; a batch gathers its sentences' rows from them. Pipeline per
+batch, on the real tokens' rows: concatenate enabled embeddings, apply
+dropout, run the BiLSTM stack, optionally multi-head attention, then a
+linear head, whose rows are scattered into a zero-padded (B, n, T) grid
+for the loss. With the CRF head the linear outputs are emission scores;
+otherwise they pass through a row softmax. Training runs each optimizer
+batch as one pass; evaluation and prediction run length-sorted batches
+of at most 512 padded positions and keep no backward cache.
 """
 
 import json
 import math
 import struct
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -38,6 +41,7 @@ from .nn import (
     Linear,
     MultiHeadAttention,
     ParamStore,
+    RowLayout,
     dropout_apply,
     gradient_check,
 )
@@ -385,116 +389,142 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
     return model
 
 
-def _forward(model, sentences, mode, rng, contextual):
-    """Run a list of sentences as one right-padded batch. Returns emissions
-    (B, n, T), the lengths (B,) and the cache for ``_backward``. Nothing
-    reads a cache in eval mode, so there the cache is None and no layer's
-    cache outlives its layer."""
+# One pass's sentences: their RowLayout; per row, the word, contextual,
+# char and POS inputs of the enabled features (None when off), chars as
+# (N, L) indices right-padded to char_lengths; gold as a zero-padded (B, n)
+# grid (None unless encoded).
+_Batch = namedtuple("_Batch", "layout words contextual chars char_lengths pos gold")
+
+
+class _Encoding:
+    """Sentences as flat index arrays over their tokens, sentence-major:
+    sentence s holds rows ``offsets[s] .. offsets[s + 1] - 1``. Only the
+    features the model uses are encoded, and gold only when asked for;
+    unknown items get index 0. Chars are one flat array with per-token
+    offsets. Raises ModelError for a sentence the model cannot read."""
+
+    def __init__(self, model, sentences, contextual=None, gold=False):
+        cfg = model.config
+        self.sentences = sentences
+        self.lengths = _indices(map(len, sentences), len(sentences))
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
+        n = int(self.offsets[-1])
+        self.words = _indices((model.word_vocab.get(w, 0)
+                               for s in sentences for w in s.surfaces), n)
+        self.gold = self.contextual = self.chars = self.pos = None
+        if gold:
+            self.gold = _indices((model.tagset.index(t) for s in sentences for t in s.gold_tags), n)
+        if cfg.use_contextual_slot:
+            self.contextual = np.empty((n, model.contextual_dim))
+            for sent, start in zip(sentences, self.offsets):
+                self.contextual[start:start + len(sent)] = _contextual(model, sent, contextual)
+        if cfg.use_char_cnn:
+            self.char_lengths = _indices((len(w) for s in sentences for w in s.surfaces), n)
+            self.char_offsets = np.cumsum(self.char_lengths) - self.char_lengths
+            self.chars = _indices((model.char_vocab.get(ch, 0) for s in sentences
+                                   for w in s.surfaces for ch in w), self.char_lengths.sum())
+        if cfg.use_pos:
+            for sent in sentences:
+                if sent.pos is None:
+                    raise ModelError(f"sentence {sent.id!r}: model uses POS features but has "
+                                     "no POS column (pass --pos-col)")
+            self.pos = _indices((model.pos_vocab.get(p, 0) for s in sentences for p in s.pos), n)
+
+    def batch(self, idx=None):
+        """The sentences ``idx``, all of them by default, as one _Batch."""
+        idx = np.arange(len(self.lengths)) if idx is None else np.asarray(idx)
+        lengths = self.lengths[idx]
+        layout = RowLayout(lengths)
+        rows = np.repeat(self.offsets[idx] - layout.offsets, lengths) + np.arange(len(layout.grid))
+        chars = char_lengths = None
+        if self.chars is not None:
+            char_lengths = self.char_lengths[rows]
+            at = self.char_offsets[rows][:, None] + np.arange(char_lengths.max())
+            chars = self.chars[np.minimum(at, len(self.chars) - 1)]
+        return _Batch(layout, self.words[rows],
+                      None if self.contextual is None else self.contextual[rows], chars,
+                      char_lengths, None if self.pos is None else self.pos[rows],
+                      None if self.gold is None else layout.scatter(self.gold[rows]))
+
+
+def _indices(values, count):
+    # int32 halves what an encoded corpus holds for the whole call
+    return np.fromiter(values, dtype=np.int32, count=count)
+
+
+def _contextual(model, sent, contextual):
+    """The contextual vectors (len(sent), dim) of one sentence."""
+    if contextual is None:
+        raise ModelError(f"sentence {sent.id!r}: model uses contextual vectors "
+                         "but none were provided")
+    if contextual.dim != model.contextual_dim:
+        raise ModelError(f"contextual vectors have dimension {contextual.dim}, "
+                         f"model expects {model.contextual_dim}")
+    try:
+        return contextual.lookup_sentence(sent.id, len(sent))
+    except KeyError as exc:
+        raise ModelError(str(exc.args[0])) from None
+
+
+def _forward(model, batch, mode, rng):
+    """Run a _Batch through the network. Returns emissions (B, n, T), zero
+    at padding, and the cache for ``_backward``. Nothing reads a cache in
+    eval mode, so there the cache is None and no layer's cache outlives its
+    layer."""
     cfg = model.config
     train = mode == "train"
-    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    layout = batch.layout
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("training-mode forward pass needs an rng for dropout")
-    x, routes = _features(model, sentences, lengths, contextual)
-    x, drop_mask = dropout_apply(x, cfg.dropout, mode, rng, lengths)
+    x, routes = _features(model, batch)
+    x, drop_mask = dropout_apply(x, cfg.dropout, mode, rng)
     if not train:
         del routes
-    h, lstm_caches = model.bilstm.forward(x, lengths, mode)
+    h, lstm_caches = model.bilstm.forward(x, layout, mode)
     del x
     mha_cache = None
     if cfg.use_mha:
-        h, mha_cache = model.mha.forward(h, lengths)
+        h, mha_cache = model.mha.forward(h, layout)
         if not train:
             del mha_cache
-    emissions, head_cache = model.head.forward(h)
+    rows, head_cache = model.head.forward(h)
+    emissions = layout.scatter(rows)
     if not train:
-        return emissions, lengths, None
-    return emissions, lengths, (routes, drop_mask, lstm_caches, mha_cache, head_cache)
+        return emissions, None
+    return emissions, (layout, routes, drop_mask, lstm_caches, mha_cache, head_cache)
 
 
-def _features(model, sentences, lengths, contextual):
-    """The padded input (B, n, width) of the enabled features, and how to
-    route its gradient back to each of them."""
-    cfg = model.config
-    n_batch, n = len(sentences), int(lengths.max())
-    widx = np.zeros((n_batch, n), dtype=np.int64)
-    for b, sent in enumerate(sentences):
-        widx[b, :lengths[b]] = [model.word_vocab.get(s, 0) for s in sent.surfaces]
-    word_rows, word_cache = model.word_emb.lookup(widx)
-    parts = [word_rows]
-    routes = [("word", cfg.word_dim, word_cache)]
-
-    if cfg.use_contextual_slot:
-        if contextual is None:
-            raise ModelError(
-                f"sentence {sentences[0].id!r}: model uses contextual vectors "
-                "but none were provided"
-            )
-        if contextual.dim != model.contextual_dim:
-            raise ModelError(
-                f"contextual vectors have dimension {contextual.dim}, "
-                f"model expects {model.contextual_dim}"
-            )
-        ctx_rows = np.zeros((n_batch, n, model.contextual_dim))
-        for b, sent in enumerate(sentences):
-            try:
-                ctx_rows[b, :lengths[b]] = contextual.lookup_sentence(sent.id, lengths[b])
-            except KeyError as exc:
-                raise ModelError(str(exc.args[0])) from None
-        parts.append(ctx_rows)
-        routes.append(("frozen", model.contextual_dim, None))
-
-    if cfg.use_char_cnn:
-        # every real token of the batch is one row of a padded (W, L) pass
-        surfaces = [surface for sent in sentences for surface in sent.surfaces]
-        cidx = np.zeros((len(surfaces), max(map(len, surfaces))), dtype=np.int64)
-        for w, surface in enumerate(surfaces):
-            cidx[w, :len(surface)] = [model.char_vocab.get(ch, 0) for ch in surface]
-        per_word, char_cache = model.char_cnn.forward(cidx, [len(s) for s in surfaces])
-        real = np.arange(n) < lengths[:, None]
-        char_rows = np.zeros((n_batch, n, cfg.char_filters))
-        char_rows[real] = per_word
-        parts.append(char_rows)
-        routes.append(("char", cfg.char_filters, (real, char_cache)))
-
-    if cfg.use_pos:
-        pidx = np.zeros((n_batch, n), dtype=np.int64)
-        for b, sent in enumerate(sentences):
-            if sent.pos is None:
-                raise ModelError(
-                    f"sentence {sent.id!r}: model uses POS features but has no "
-                    "POS column (pass --pos-col)"
-                )
-            pidx[b, :lengths[b]] = [model.pos_vocab.get(p, 0) for p in sent.pos]
-        pos_rows, pos_cache = model.pos_emb.lookup(pidx)
-        parts.append(pos_rows)
-        routes.append(("pos", cfg.pos_dim, pos_cache))
-
-    x = np.concatenate(parts, axis=2) if len(parts) > 1 else parts[0]
-    return x, routes
+def _features(model, batch):
+    """The input rows (N, width) of the enabled features, and per feature
+    the layer its gradient goes back to (None for frozen contextual
+    vectors), its width and its cache."""
+    feats = [(model.word_emb, *model.word_emb.lookup(batch.words))]
+    if batch.contextual is not None:
+        feats.append((None, batch.contextual, None))
+    if batch.chars is not None:
+        feats.append((model.char_cnn, *model.char_cnn.forward(batch.chars, batch.char_lengths)))
+    if batch.pos is not None:
+        feats.append((model.pos_emb, *model.pos_emb.lookup(batch.pos)))
+    parts = [rows for _, rows, _ in feats]
+    x = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+    return x, [(layer, rows.shape[1], cache) for layer, rows, cache in feats]
 
 
 def _backward(model, d_emissions, cache):
-    """Backprop a batch; ``d_emissions`` (B, n, T) is zero at padding."""
-    routes, drop_mask, lstm_caches, mha_cache, head_cache = cache
-    d = model.head.backward(d_emissions, head_cache)
+    """Backprop a batch; ``d_emissions`` (B, n, T) is read at real tokens
+    only."""
+    layout, routes, drop_mask, lstm_caches, mha_cache, head_cache = cache
+    d = model.head.backward(layout.gather(d_emissions), head_cache)
     if mha_cache is not None:
         d = model.mha.backward(d, mha_cache)
     d = model.bilstm.backward(d, lstm_caches)
     if drop_mask is not None:
-        d = d * drop_mask
+        d *= drop_mask
     offset = 0
-    for kind, width, route_cache in routes:
-        part = d[:, :, offset:offset + width]
+    for layer, width, route_cache in routes:
+        if layer is not None:  # frozen contextual vectors take no gradient
+            layer.backward(d[:, offset:offset + width], route_cache)
         offset += width
-        if kind == "word":
-            model.word_emb.backward(part, route_cache)
-        elif kind == "char":
-            real, char_cache = route_cache
-            model.char_cnn.backward(part[real], char_cache)
-        elif kind == "pos":
-            model.pos_emb.backward(part, route_cache)
-        # frozen slots (contextual vectors) receive no gradient
 
 
 def _log_softmax(emissions):
@@ -538,16 +568,17 @@ def _sentence_loss(model, emissions, lengths, gold_idx, weight=1.0, want_grad=Fa
 
 def check_gradients(model, sentences, contextual=None, dropout_seed=0):
     """``nn.gradient_check`` of the training loss of ``sentences`` run as
-    one padded batch: the sum of their losses, through ``_forward``,
+    one batch: the sum of their losses, through ``_forward``,
     ``_sentence_loss`` and ``_backward`` as in training. Every loss call
     draws the dropout mask afresh from ``dropout_seed``, so all calls see
     the same mask. Returns the GradCheckReport."""
-    gold = _gold_indices(model, sentences, max(len(s) for s in sentences))
+    batch = _Encoding(model, sentences, contextual, gold=True).batch()
 
     def loss_fn(grad=False):
         rng = np.random.default_rng(dropout_seed)
-        emissions, lengths, cache = _forward(model, sentences, "train", rng, contextual)
-        losses, d_emis = _sentence_loss(model, emissions, lengths, gold, want_grad=grad)
+        emissions, cache = _forward(model, batch, "train", rng)
+        losses, d_emis = _sentence_loss(model, emissions, batch.layout.lengths, batch.gold,
+                                        want_grad=grad)
         if grad:
             _backward(model, d_emis, cache)
         return float(losses.sum())
@@ -593,90 +624,76 @@ def predict(model, sentence, contextual=None):
     """Label a sentence: Viterbi path with marginal scores under the CRF
     head, per-row argmax probability otherwise. Labels are BIO-repaired
     with scores carried over unchanged."""
-    _, _, emissions, lengths = next(_eval_passes(model, [sentence], contextual))
-    labels, scores = _predictions(model, emissions, lengths)[0]
+    _, batch, emissions = next(_eval_passes(model, _Encoding(model, [sentence], contextual)))
+    labels, scores = _predictions(model, emissions, batch.layout.lengths)[0]
     return list(map(TokenPrediction, labels, scores))
 
 
 # Eval-mode passes take length-sorted sentences up to this many padded
 # positions (a longer sentence runs alone), so peak memory does not grow
-# with the corpus. The curve behind it, on perfbench's predict_wide (two
-# untraced 20 s runs per budget at seed 47, one BLAS thread, 2-CPU Xeon)
-# and the tracemalloc peak of one predict_corpus call on its corpus
-# (seed 5, the 0.5 MiB of predictions included):
-#   budget   tok_s         peak_rss_mb   one call's peak
-#   256      39.8k-41.3k   50.4-51.0     1.25 MiB
-#   512      55.7k-57.8k   54.5-54.7     1.97 MiB
-#   768      60.0k-63.0k   55.8-56.3     2.72 MiB
-#   1024     64.0k-64.3k   58.1-60.2     3.46 MiB
-# With the backward cache still built, 256 read 36.3k-36.7k, 50.2-50.4 and
-# 1.78 MiB. Each step up adds ~0.75 MiB of peak, mostly the LSTM's
-# (2, N, 4h) gate buffer, while the gain shrinks; peak_rss_mb also grows
-# ~0.1 MiB per extra repetition perfbench fits in its window. 512 is the
-# largest budget whose peak_rss_mb stays within 10% of 256's.
+# with the corpus. 512 is the largest budget whose peak_rss_mb on
+# perfbench's predict_wide stays within 10% of 256's; each step of 256
+# adds ~0.75 MiB of peak, mostly the LSTM's (2, N, 4h) gate buffer, for a
+# shrinking gain (the measured curve is in BENCH_evalpass.json).
 _CHUNK_POSITIONS = 512
 
 
-def _chunks(sentences):
-    """Index lists covering ``sentences``, each a run of length-sorted
-    sentences whose padded batch has at most _CHUNK_POSITIONS positions."""
-    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
-    chunks = []
-    for i in order:
-        n = len(sentences[i])
-        if chunks and (len(chunks[-1]) + 1) * n <= _CHUNK_POSITIONS:
-            chunks[-1].append(i)
-        else:
-            chunks.append([i])
-    return chunks
+def _chunks(lengths):
+    """Index arrays covering sentences of ``lengths``, each a run of
+    length-sorted sentences whose padded batch has at most
+    _CHUNK_POSITIONS positions."""
+    order = np.argsort(lengths, kind="stable")
+    starts, size = [], 0
+    for k, n in enumerate(np.asarray(lengths)[order].tolist()):
+        if not starts or (size + 1) * n > _CHUNK_POSITIONS:
+            starts.append(k)
+            size = 0
+        size += 1
+    return np.split(order, starts[1:]) if starts else []
 
 
-def _eval_passes(model, sentences, contextual):
-    """Eval-mode forward passes over length-sorted chunks; yields
-    (indices into ``sentences``, the chunk, emissions, lengths). Overflow
-    is not warned about: saturated gates are the right limit, and an inf
-    or NaN that reaches the scores fails ``_check_probabilities``. Callers
-    drop a chunk's arrays before they ask for the next, so no two chunks'
-    arrays are alive at once."""
-    for idx in _chunks(sentences):
-        batch = [sentences[i] for i in idx]
+def _eval_passes(model, encoding):
+    """Eval-mode forward passes over length-sorted chunks of an _Encoding;
+    yields (indices of the chunk's sentences, its _Batch, emissions).
+    Overflow is not warned about: saturated gates are the right limit, and
+    an inf or NaN that reaches the scores fails ``_check_probabilities``.
+    Callers drop a chunk's arrays before they ask for the next, so no two
+    chunks' arrays are alive at once."""
+    for idx in _chunks(encoding.lengths):
+        batch = encoding.batch(idx)
         with np.errstate(over="ignore", invalid="ignore"):
-            emissions, lengths, _ = _forward(model, batch, "eval", None, contextual)
-        yield idx, batch, emissions, lengths
+            emissions, _ = _forward(model, batch, "eval", None)
+        yield idx, batch, emissions
         del emissions
 
 
 def predict_corpus(model, corpus, contextual=None):
     """``predict`` for every sentence, run in length-sorted batches."""
     predictions = [None] * len(corpus.sentences)
-    for idx, _, emissions, lengths in _eval_passes(model, corpus.sentences, contextual):
-        for i, (labels, scores) in zip(idx, _predictions(model, emissions, lengths)):
+    encoding = _Encoding(model, corpus.sentences, contextual)
+    for idx, batch, emissions in _eval_passes(model, encoding):
+        for i, (labels, scores) in zip(idx, _predictions(model, emissions,
+                                                         batch.layout.lengths)):
             predictions[i] = list(map(TokenPrediction, labels, scores))
         del emissions
     return predictions
 
 
-def _gold_indices(model, sentences, n):
-    """Gold tag indices (B, n), zero at padding."""
-    gold = np.zeros((len(sentences), n), dtype=np.int64)
-    for b, sent in enumerate(sentences):
-        gold[b, :len(sent)] = [model.tagset.index(t) for t in sent.gold_tags]
-    return gold
-
-
-def _evaluate_dev(model, dev, contextual):
+def _evaluate_dev(model, dev, encoding):
+    """Mean loss and macro-F1 of the ``dev`` corpus, whose _Encoding (with
+    gold) is ``encoding``."""
     losses = np.empty(len(dev.sentences))
     predictions = [None] * len(dev.sentences)
-    for idx, batch, emissions, lengths in _eval_passes(model, dev.sentences, contextual):
-        gold = _gold_indices(model, batch, emissions.shape[1])
+    for idx, batch, emissions in _eval_passes(model, encoding):
+        lengths = batch.layout.lengths
         marginals = None
         if _uses_crf_loss(model.config):
             # one forward-backward pass gives the loss and the scores
             losses[idx], marginals = crf_nll_marginals(
-                emissions, model.transitions(), gold, lengths
+                emissions, model.transitions(), batch.gold, lengths
             )
         else:
-            losses[idx], _ = _sentence_loss(model, emissions, lengths, gold)
+            losses[idx], _ = _sentence_loss(model, emissions, lengths, batch.gold)
         for i, (labels, _) in zip(idx, _predictions(model, emissions, lengths, marginals)):
             predictions[i] = labels
         del emissions, marginals
@@ -684,19 +701,22 @@ def _evaluate_dev(model, dev, contextual):
     return float(np.mean(losses)), report.macro_f1
 
 
-def _train_batch(model, batch, rng, contextual, epoch):
-    """Forward and backward of one optimizer batch as one padded pass, each
-    sentence's loss weighted 1/len(batch); returns the per-sentence losses.
-    The batch's caches die with this call, before the next batch runs."""
-    emissions, lengths, cache = _forward(model, batch, "train", rng, contextual)
+def _train_batch(model, encoding, idx, rng, epoch):
+    """Forward and backward of the optimizer batch of sentences ``idx`` of
+    an _Encoding (with gold) as one pass, each sentence's loss weighted
+    1/len(idx); returns the per-sentence losses. The batch's caches die
+    with this call, before the next batch runs."""
+    batch = encoding.batch(idx)
+    emissions, cache = _forward(model, batch, "train", rng)
     losses, d_emis = _sentence_loss(
-        model, emissions, lengths, _gold_indices(model, batch, emissions.shape[1]),
-        weight=1.0 / len(batch), want_grad=True,
+        model, emissions, batch.layout.lengths, batch.gold,
+        weight=1.0 / len(idx), want_grad=True,
     )
-    for sent, loss in zip(batch, losses):
+    for i, loss in zip(idx, losses):
         if not math.isfinite(loss):
             raise ModelError(
-                f"non-finite training loss at epoch {epoch}, sentence {sent.id!r}"
+                f"non-finite training loss at epoch {epoch}, "
+                f"sentence {encoding.sentences[i].id!r}"
             )
     _backward(model, d_emis, cache)
     return [float(loss) for loss in losses]
@@ -705,14 +725,16 @@ def _train_batch(model, batch, rng, contextual, epoch):
 def train(model, train_corpus, dev_corpus, config=None, contextual=None):
     """Mini-batch training with per-epoch dev evaluation and early
     stopping; returns the model restored to its best-epoch parameters plus
-    the full history. Each optimizer batch runs as one padded pass; its
-    loss is the mean of the per-sentence losses. ``contextual`` vectors,
-    keyed by sentence id and token index, serve both corpora. A gold tag
-    outside the model's tagset, in either corpus, raises CorpusError naming
-    its sentence before the first epoch."""
+    the full history. Each optimizer batch runs as one pass; its loss is
+    the mean of the per-sentence losses. ``contextual`` vectors, keyed by
+    sentence id and token index, serve both corpora. A gold tag outside
+    the model's tagset, in either corpus, raises CorpusError naming its
+    sentence before the first epoch."""
     cfg = (config or model.config).validate()
     for corpus in (train_corpus, dev_corpus):
         LabeledCorpus(corpus.sentences, model.tagset)
+    train_encoding, dev_encoding = (_Encoding(model, c.sentences, contextual, gold=True)
+                                    for c in (train_corpus, dev_corpus))
     optimizer = AdamOptimizer(model.store, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed + 1)
     mode = "min" if cfg.early_stop_metric == "eval_loss" else "max"
@@ -726,12 +748,11 @@ def train(model, train_corpus, dev_corpus, config=None, contextual=None):
         order = rng.permutation(len(train_corpus.sentences))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_corpus.sentences[si]
-                     for si in order[start:start + cfg.batch_size]]
-            epoch_losses.extend(_train_batch(model, batch, rng, contextual, epoch))
+            epoch_losses.extend(_train_batch(model, train_encoding,
+                                             order[start:start + cfg.batch_size], rng, epoch))
             optimizer.step()
 
-        eval_loss, eval_f1 = _evaluate_dev(model, dev_corpus, contextual)
+        eval_loss, eval_f1 = _evaluate_dev(model, dev_corpus, dev_encoding)
         if not math.isfinite(eval_loss):
             raise ModelError(f"non-finite evaluation loss at epoch {epoch}")
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), eval_loss, eval_f1))

@@ -29,6 +29,7 @@ from seqtag.nn import (
     Linear,
     MultiHeadAttention,
     ParamStore,
+    RowLayout,
     gradient_check,
 )
 from seqtag.tagger import (
@@ -124,10 +125,10 @@ def _layer_gradient_cases(seed):
     rl = rng.normal(size=(4, 4))
 
     def rnn_loss(grad=False, rnn=rnn, x=x, rl=rl):
-        y, cache = rnn.forward(x[None], [len(x)])
+        y, cache = rnn.forward(x, RowLayout([len(x)]))
         if grad:
-            rnn.backward(rl[None], cache)
-        return float(np.sum(y[0] * rl))
+            rnn.backward(rl, cache)
+        return float(np.sum(y * rl))
 
     cases.append(("bilstm", rnn_loss, store, 1e-4))
 
@@ -137,10 +138,10 @@ def _layer_gradient_cases(seed):
     rm = rng.normal(size=(3, 4))
 
     def mha_loss(grad=False, mha=mha, xm=xm, rm=rm):
-        y, cache = mha.forward(xm[None], [len(xm)])
+        y, cache = mha.forward(xm, RowLayout([len(xm)]))
         if grad:
-            mha.backward(rm[None], cache)
-        return float(np.sum(y[0] * rm))
+            mha.backward(rm, cache)
+        return float(np.sum(y * rm))
 
     cases.append(("mha", mha_loss, store, 1e-4))
 

@@ -1,6 +1,8 @@
-"""Padding equivalence: one right-padded batched call must match the
-per-sentence (B = 1) calls it replaces, for every layer, the CRF and the
-whole tagger loss, outputs and every parameter gradient alike. The
+"""Batch equivalence: one batched call must match the per-sentence
+(B = 1) calls it replaces, for every layer, the CRF and the whole tagger
+loss, outputs and every parameter gradient alike. Layers take a batch's
+sentence-major rows, so each sentence's output and input-gradient rows
+must equal its lone call's; the CRF takes a right-padded batch. The
 char-CNN's padded batch of words is checked against per-word calls and a
 textbook per-word oracle.
 
@@ -20,15 +22,16 @@ from seqtag.nn import (
     Linear,
     MultiHeadAttention,
     ParamStore,
+    RowLayout,
     gradient_check,
 )
 from seqtag import tagger as tagger_module
 from seqtag.tagger import (
     TaggerConfig,
     _backward,
+    _Encoding,
     _evaluate_dev,
     _forward,
-    _gold_indices,
     _sentence_loss,
     _train_batch,
     build_model,
@@ -61,6 +64,11 @@ def padded(rng, lengths, dim):
     return rng.normal(size=(len(lengths), max(lengths), dim))
 
 
+def sentence_rows(lengths):
+    """Each sentence's slice of a batch's sentence-major rows."""
+    return [slice(start, start + n) for start, n in zip(np.cumsum(lengths) - lengths, lengths)]
+
+
 def real_mask(lengths):
     return np.arange(max(lengths))[None, :] < np.asarray(lengths)[:, None]
 
@@ -75,22 +83,34 @@ def assert_grads_close(got, want):
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=TOL, err_msg=name)
 
 
-def check_sequence_layer(layer, store, x, lengths, out_dim, rng):
-    """Batched forward/backward of ``layer`` against per-sentence calls on
-    each sentence's unpadded rows as a batch of one; the output gradient is
-    zero at padding."""
-    d_out = rng.normal(size=x.shape[:2] + (out_dim,)) * real_mask(lengths)[:, :, None]
-    y, cache = layer.forward(x, lengths)
+def check_sequence_layer(layer, store, lengths, in_dim, out_dim, rng):
+    """Batched forward/backward of ``layer`` on random rows against
+    per-sentence calls on each sentence's rows as a batch of one."""
+    x = rng.normal(size=(sum(lengths), in_dim))
+    d_out = rng.normal(size=(sum(lengths), out_dim))
+    y, cache = layer.forward(x, RowLayout(lengths))
     d_x = layer.backward(d_out, cache)
     batched = grads(store)
     store.zero_grads()
-    for b, n in enumerate(lengths):
-        y_b, cache_b = layer.forward(x[b:b + 1, :n], [n])
-        np.testing.assert_allclose(y[b, :n], y_b[0], rtol=0, atol=TOL)
-        d_x_b = layer.backward(d_out[b:b + 1, :n], cache_b)
-        np.testing.assert_allclose(d_x[b, :n], d_x_b[0], rtol=0, atol=TOL)
-    assert not d_x[~real_mask(lengths)].any()
+    for rows, n in zip(sentence_rows(lengths), lengths):
+        y_b, cache_b = layer.forward(x[rows], RowLayout([n]))
+        np.testing.assert_allclose(y[rows], y_b, rtol=0, atol=TOL)
+        d_x_b = layer.backward(d_out[rows], cache_b)
+        np.testing.assert_allclose(d_x[rows], d_x_b, rtol=0, atol=TOL)
     assert_grads_close(batched, grads(store))
+
+
+@pytest.mark.parametrize("lengths", CASES)
+def test_row_layout_scatter_and_gather(lengths):
+    # the grid puts row r of sentence b at (b, t), the packed order visits
+    # every row once, and a scatter then gather is the identity
+    layout = RowLayout(lengths)
+    rows = np.arange(sum(lengths))
+    grid = layout.scatter(rows)
+    for b, (span, n) in enumerate(zip(sentence_rows(lengths), lengths)):
+        assert np.array_equal(grid[b, :n], rows[span]) and not grid[b, n:].any()
+    assert np.array_equal(layout.gather(grid), rows)
+    assert np.array_equal(np.sort(layout.packed), rows)
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -99,7 +119,7 @@ def test_bilstm_batch_matches_sentences(layers, lengths):
     rng = np.random.default_rng(len(lengths) * 10 + layers)
     store = ParamStore()
     rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=layers, rng=rng)
-    check_sequence_layer(rnn, store, padded(rng, lengths, 3), lengths, 8, rng)
+    check_sequence_layer(rnn, store, lengths, 3, 8, rng)
 
 
 @pytest.mark.parametrize("lengths", CASES)
@@ -107,7 +127,7 @@ def test_masked_attention_batch_matches_sentences(lengths):
     rng = np.random.default_rng(len(lengths))
     store = ParamStore()
     mha = MultiHeadAttention(store, "a", dim=6, heads=3, rng=rng)
-    check_sequence_layer(mha, store, padded(rng, lengths, 6), lengths, 6, rng)
+    check_sequence_layer(mha, store, lengths, 6, 6, rng)
 
 
 @pytest.mark.parametrize("lengths", CASES)
@@ -116,18 +136,18 @@ def test_linear_and_embedding_batch_match_sentences(lengths):
     store = ParamStore()
     emb = EmbeddingTable(store, "e", 7, 3, rng)
     lin = Linear(store, "l", 3, 5, rng)
-    idx = rng.integers(0, 7, size=(len(lengths), max(lengths))) * real_mask(lengths)
-    d_y = rng.normal(size=idx.shape + (5,)) * real_mask(lengths)[:, :, None]
+    idx = rng.integers(0, 7, size=sum(lengths))
+    d_y = rng.normal(size=(sum(lengths), 5))
     rows, emb_cache = emb.lookup(idx)
     y, lin_cache = lin.forward(rows)
     emb.backward(lin.backward(d_y, lin_cache), emb_cache)
     batched = grads(store)
     store.zero_grads()
-    for b, n in enumerate(lengths):
-        rows_b, emb_cache_b = emb.lookup(idx[b, :n])
+    for span in sentence_rows(lengths):
+        rows_b, emb_cache_b = emb.lookup(idx[span])
         y_b, lin_cache_b = lin.forward(rows_b)
-        np.testing.assert_allclose(y[b, :n], y_b, rtol=0, atol=TOL)
-        emb.backward(lin.backward(d_y[b, :n], lin_cache_b), emb_cache_b)
+        np.testing.assert_allclose(y[span], y_b, rtol=0, atol=TOL)
+        emb.backward(lin.backward(d_y[span], lin_cache_b), emb_cache_b)
     assert_grads_close(batched, grads(store))
 
 
@@ -197,19 +217,22 @@ def test_tagger_loss_batch_matches_sentences(use_crf, lengths):
             model.store[name][...] = rng.normal(size=model.store[name].shape)
     sentences = corpus.sentences
     weight = 1.0 / len(sentences)
+    encoding = _Encoding(model, sentences, ctx, gold=True)
 
-    emissions, lengths_out, cache = _forward(model, sentences, "train", None, ctx)
-    assert list(lengths_out) == lengths
-    gold = _gold_indices(model, sentences, emissions.shape[1])
-    losses, d_emis = _sentence_loss(model, emissions, lengths_out, gold, weight, True)
+    batch = encoding.batch()
+    emissions, cache = _forward(model, batch, "train", None)
+    assert list(batch.layout.lengths) == lengths
+    assert not emissions[~real_mask(lengths)].any()
+    losses, d_emis = _sentence_loss(model, emissions, batch.layout.lengths, batch.gold,
+                                    weight, True)
     _backward(model, d_emis, cache)
     batched = grads(model.store)
     model.store.zero_grads()
     for b, sent in enumerate(sentences):
-        emis_b, lengths_b, cache_b = _forward(model, [sent], "train", None, ctx)
+        one = encoding.batch([b])
+        emis_b, cache_b = _forward(model, one, "train", None)
         np.testing.assert_allclose(emissions[b, :len(sent)], emis_b[0], rtol=0, atol=TOL)
-        loss_b, d_b = _sentence_loss(model, emis_b, lengths_b,
-                                     _gold_indices(model, [sent], len(sent)), weight, True)
+        loss_b, d_b = _sentence_loss(model, emis_b, one.layout.lengths, one.gold, weight, True)
         assert losses[b] == pytest.approx(loss_b[0], abs=TOL)
         _backward(model, d_b, cache_b)
     assert_grads_close(batched, grads(model.store))
@@ -226,28 +249,29 @@ def test_eval_forward_keeps_no_cache_and_the_same_bits(use_crf, layers):
                           use_contextual_slot=True, use_mha=True, mha_heads=2,
                           use_crf=use_crf, lstm_layers=layers, hidden=4, dropout=0.0, seed=3)
     model = build_model(config, corpus, contextual_vectors=ctx)
-    emissions, lengths, cache = _forward(model, corpus.sentences, "train", None, ctx)
-    emis_eval, lengths_eval, no_cache = _forward(model, corpus.sentences, "eval", None, ctx)
+    batch = _Encoding(model, corpus.sentences, ctx).batch()
+    emissions, cache = _forward(model, batch, "train", None)
+    emis_eval, no_cache = _forward(model, batch, "eval", None)
     assert cache is not None and no_cache is None
-    assert np.array_equal(lengths_eval, lengths)
     assert np.array_equal(emis_eval, emissions)
 
 
 def test_training_batch_draws_dropout_like_sentences():
-    # one optimizer batch as one padded pass, dropout on: losses and the
+    # one optimizer batch as one pass, dropout on: losses and the
     # gradient equal per-sentence passes that draw their masks from the
     # same rng stream in batch order (each pass weighs its sentence 1)
     rng = np.random.default_rng(8)
     corpus = random_corpus(rng, 6, min_len=1, max_len=9)
     model = build_model(TaggerConfig(word_dim=4, hidden=4, dropout=0.3, seed=2), corpus)
-    batch = corpus.sentences
-    losses = _train_batch(model, batch, np.random.default_rng(7), None, 1)
+    encoding = _Encoding(model, corpus.sentences, gold=True)
+    n = len(corpus.sentences)
+    losses = _train_batch(model, encoding, np.arange(n), np.random.default_rng(7), 1)
     batched = grads(model.store)
     model.store.zero_grads()
     stream = np.random.default_rng(7)
-    singles = [_train_batch(model, [sent], stream, None, 1)[0] for sent in batch]
+    singles = [_train_batch(model, encoding, [i], stream, 1)[0] for i in range(n)]
     np.testing.assert_allclose(losses, singles, rtol=0, atol=TOL)
-    summed = {name: g / len(batch) for name, g in grads(model.store).items()}
+    summed = {name: g / n for name, g in grads(model.store).items()}
     assert_grads_close(batched, summed)
 
 
@@ -277,7 +301,7 @@ def test_predict_corpus_matches_predict(monkeypatch, use_crf, budget):
     # scores move by at most 1e-9
     corpus, model = _mixed_corpus_model(use_crf)
     monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", budget)
-    n_chunks = len(tagger_module._chunks(corpus.sentences))
+    n_chunks = len(tagger_module._chunks([len(s) for s in corpus.sentences]))
     assert n_chunks == {1: len(corpus), 10 ** 9: 1}.get(budget, n_chunks)
     batched = predict_corpus(model, corpus)
     for sent, preds in zip(corpus.sentences, batched):
@@ -290,10 +314,11 @@ def test_predict_corpus_matches_predict(monkeypatch, use_crf, budget):
 @pytest.mark.parametrize("use_crf", [True, False])
 def test_dev_evaluation_is_the_same_at_every_budget(monkeypatch, use_crf):
     corpus, model = _mixed_corpus_model(use_crf)
+    encoding = _Encoding(model, corpus.sentences, gold=True)
     results = []
     for budget in BUDGETS:
         monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", budget)
-        results.append(_evaluate_dev(model, corpus, None))
+        results.append(_evaluate_dev(model, corpus, encoding))
     loss, f1 = results[0]
     for got in results[1:]:
         assert got[0].hex() == loss.hex() and got[1].hex() == f1.hex()

@@ -50,7 +50,7 @@ DIGESTS = {
     ("train_features", "history"):
         "fb1b07d5a3784a7328d1b5df99b2d811e5a66823295d9ea7d437dbd2520f4c2e",
     ("train_features", "model"):
-        "9558d56dcf1d37955c88c1aba4b7546bd23d38375eaea3099f6eb1b455a1cfbe",
+        "a7bc4bc50d43174618b23ab281e82c8286de8d6b0eabd0dcc9e638bd6fe81e32",
 }
 
 # the CRF chains are one kernel, crf_forward_backward, so the entries for

@@ -18,6 +18,7 @@ from seqtag.nn import (
     Linear,
     MultiHeadAttention,
     ParamStore,
+    RowLayout,
     dropout_apply,
     gradient_check,
     softmax_rows,
@@ -224,8 +225,8 @@ class TestBiLstm:
         store = ParamStore()
         rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2,
                      rng=np.random.default_rng(0))
-        out, _ = rnn.forward(np.random.default_rng(1).normal(size=(1, 6, 3)), [6])
-        assert out.shape == (1, 6, 8)
+        out, _ = rnn.forward(np.random.default_rng(1).normal(size=(6, 3)), RowLayout([6]))
+        assert out.shape == (6, 8)
         assert rnn.output_dim == 8
 
     def test_rejects_zero_layers(self):
@@ -243,17 +244,17 @@ class TestBiLstm:
         for name in store.names():
             store[name][...] = rng.normal(size=store[name].shape) * 0.5
         lengths = [4, 1, 3]
-        x = rng.normal(size=(3, 4, 2))
-        out, _ = rnn.forward(x, lengths)
+        x = rng.normal(size=(sum(lengths), 2))
+        out, _ = rnn.forward(x, RowLayout(lengths))
         zeros = np.zeros(3)
-        for b, n in enumerate(lengths):
-            for k, half, rows in ((0, slice(0, 3), x[b, :n]),
-                                  (1, slice(3, 6), x[b, :n][::-1])):
+        for sent, got in zip(np.split(x, np.cumsum(lengths)[:-1]),
+                             np.split(out, np.cumsum(lengths)[:-1])):
+            for k, half, rows in ((0, slice(0, 3), sent), (1, slice(3, 6), sent[::-1])):
                 hs = reference_lstm(rows @ store["r.l0.w_x"][k] + store["r.l0.b"][k],
                                     store["r.l0.w_h"][k], zeros, zeros)[0]
                 if k:
                     hs = hs[::-1]
-                np.testing.assert_allclose(out[b, :n, half], hs, rtol=0, atol=1e-12,
+                np.testing.assert_allclose(got[:, half], hs, rtol=0, atol=1e-12,
                                            err_msg=f"direction {k}")
 
     def test_stacked_weights_keep_the_per_direction_draw_order(self):
@@ -275,25 +276,23 @@ class TestBiLstm:
     def test_packed_batch_equals_each_sentence_alone(self):
         # unsorted ragged batches with tied lengths and a length-1 sentence
         # through 2 layers give each sentence's lone outputs, input
-        # gradients and (summed) weight gradients; padded output and
-        # input-gradient rows are exactly 0, whatever the padding holds
+        # gradients and (summed) weight gradients
         for seed, lengths in enumerate(([3, 5, 1, 5, 2], [1, 4, 4, 2, 1, 3])):
             store = ParamStore()
             rng = np.random.default_rng(seed)
             rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2, rng=rng)
-            n_batch, n = len(lengths), max(lengths)
-            x = rng.normal(size=(n_batch, n, 3))
-            d_out = rng.normal(size=(n_batch, n, 8))
-            y, cache = rnn.forward(x, lengths)
+            x = rng.normal(size=(sum(lengths), 3))
+            d_out = rng.normal(size=(sum(lengths), 8))
+            y, cache = rnn.forward(x, RowLayout(lengths))
             d_x = rnn.backward(d_out, cache)
             batch_grads = {name: store.grad(name).copy() for name in store.names()}
             store.zero_grads()
-            for b, length in enumerate(lengths):
-                y_b, cache_b = rnn.forward(x[b:b + 1, :length], [length])
-                d_x_b = rnn.backward(d_out[b:b + 1, :length], cache_b)
-                np.testing.assert_allclose(y[b, :length], y_b[0], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(d_x[b, :length], d_x_b[0], rtol=0, atol=1e-12)
-                assert np.all(y[b, length:] == 0.0) and np.all(d_x[b, length:] == 0.0)
+            for start, length in zip(np.cumsum(lengths) - lengths, lengths):
+                rows = slice(start, start + length)
+                y_b, cache_b = rnn.forward(x[rows], RowLayout([length]))
+                d_x_b = rnn.backward(d_out[rows], cache_b)
+                np.testing.assert_allclose(y[rows], y_b, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(d_x[rows], d_x_b, rtol=0, atol=1e-12)
             for name in store.names():
                 np.testing.assert_allclose(batch_grads[name], store.grad(name), rtol=0,
                                            atol=1e-12, err_msg=name)
@@ -302,18 +301,18 @@ class TestBiLstm:
     def test_rejects_lengths_that_do_not_fit(self, lengths):
         rnn = BiLstm(ParamStore(), "r", 2, 3, layers=1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="lengths must be"):
-            rnn.forward(np.zeros((2, 3, 2)), lengths)
+            rnn.forward(np.zeros((5, 2)), RowLayout(lengths))
 
     def test_gradient_check_one_layer(self):
         for seed in range(3):
             store = ParamStore()
             rng = np.random.default_rng(seed)
             rnn = BiLstm(store, "r", input_dim=3, hidden=2, layers=1, rng=rng)
-            store.add("input", rng.normal(size=(1, 4, 3)))
-            r = rng.normal(size=(1, 4, 4))
+            store.add("input", rng.normal(size=(4, 3)))
+            r = rng.normal(size=(4, 4))
 
             def loss_fn(grad=False):
-                y, cache = rnn.forward(store["input"], [4])
+                y, cache = rnn.forward(store["input"], RowLayout([4]))
                 if grad:
                     store.accumulate("input", rnn.backward(r, cache))
                 return float(np.sum(y * r))
@@ -324,11 +323,11 @@ class TestBiLstm:
         store = ParamStore()
         rng = np.random.default_rng(7)
         rnn = BiLstm(store, "r", input_dim=2, hidden=2, layers=2, rng=rng)
-        store.add("input", rng.normal(size=(1, 3, 2)))
-        r = rng.normal(size=(1, 3, 4))
+        store.add("input", rng.normal(size=(3, 2)))
+        r = rng.normal(size=(3, 4))
 
         def loss_fn(grad=False):
-            y, cache = rnn.forward(store["input"], [3])
+            y, cache = rnn.forward(store["input"], RowLayout([3]))
             if grad:
                 store.accumulate("input", rnn.backward(r, cache))
             return float(np.sum(y * r))
@@ -429,8 +428,8 @@ class TestMultiHeadAttention:
         store = ParamStore()
         mha = MultiHeadAttention(store, "a", dim=6, heads=3,
                                  rng=np.random.default_rng(0))
-        y, _ = mha.forward(np.random.default_rng(1).normal(size=(1, 4, 6)), [4])
-        assert y.shape == (1, 4, 6)
+        y, _ = mha.forward(np.random.default_rng(1).normal(size=(4, 6)), RowLayout([4]))
+        assert y.shape == (4, 6)
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError):
@@ -441,7 +440,7 @@ class TestMultiHeadAttention:
         store = ParamStore()
         rng = np.random.default_rng(3)
         mha = MultiHeadAttention(store, "a", dim=4, heads=2, rng=rng)
-        _, (_, attn) = mha.forward(rng.normal(size=(1, 5, 4)), [5])
+        _, (*_, attn, _) = mha.forward(rng.normal(size=(5, 4)), RowLayout([5]))
         assert attn.shape == (1, 2, 5, 5)
         np.testing.assert_allclose(attn.sum(axis=3), np.ones((1, 2, 5)), atol=1e-12)
 
@@ -450,11 +449,11 @@ class TestMultiHeadAttention:
             store = ParamStore()
             rng = np.random.default_rng(seed)
             mha = MultiHeadAttention(store, "a", dim=4, heads=2, rng=rng)
-            store.add("input", rng.normal(size=(1, 3, 4)))
-            r = rng.normal(size=(1, 3, 4))
+            store.add("input", rng.normal(size=(3, 4)))
+            r = rng.normal(size=(3, 4))
 
             def loss_fn(grad=False):
-                y, cache = mha.forward(store["input"], [3])
+                y, cache = mha.forward(store["input"], RowLayout([3]))
                 if grad:
                     store.accumulate("input", mha.backward(r, cache))
                 return float(np.sum(y * r))
@@ -464,26 +463,26 @@ class TestMultiHeadAttention:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(1, 10, 10))
-        y, mask = dropout_apply(x, 0.5, "eval", np.random.default_rng(1), [10])
+        x = np.random.default_rng(0).normal(size=(10, 10))
+        y, mask = dropout_apply(x, 0.5, "eval", np.random.default_rng(1))
         assert y is x
         assert mask is None
 
     def test_zero_rate_is_identity(self):
-        x = np.ones((1, 3, 3))
-        y, mask = dropout_apply(x, 0.0, "train", np.random.default_rng(1), [3])
+        x = np.ones((3, 3))
+        y, mask = dropout_apply(x, 0.0, "train", np.random.default_rng(1))
         assert y is x
         assert mask is None
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            dropout_apply(np.ones((1, 2, 1)), 1.0, "train", np.random.default_rng(0), [2])
+            dropout_apply(np.ones((2, 1)), 1.0, "train", np.random.default_rng(0))
         with pytest.raises(ValueError):
-            dropout_apply(np.ones((1, 2, 1)), -0.1, "eval", np.random.default_rng(0), [2])
+            dropout_apply(np.ones((2, 1)), -0.1, "eval", np.random.default_rng(0))
 
     def test_zero_rate_statistics(self):
-        x = np.ones((1, 100, 100))
-        y, _ = dropout_apply(x, 0.5, "train", np.random.default_rng(42), [100])
+        x = np.ones((100, 100))
+        y, _ = dropout_apply(x, 0.5, "train", np.random.default_rng(42))
         zero_rate = np.mean(y == 0.0)
         assert abs(zero_rate - 0.5) < 0.02
         # survivors are scaled by exactly 1/(1-rate)
@@ -491,12 +490,22 @@ class TestDropout:
 
     def test_backward_routes_through_mask(self):
         # the output is linear in the input with the mask as its slope, so
-        # the gradient of the output is d_y * mask; padding gets zero
-        x = np.random.default_rng(5).normal(size=(3, 4, 2))
-        y, mask = dropout_apply(x, 0.3, "train", np.random.default_rng(6), [4, 1, 2])
+        # the gradient of the output is d_y * mask
+        x = np.random.default_rng(5).normal(size=(7, 2))
+        y, mask = dropout_apply(x, 0.3, "train", np.random.default_rng(6))
         assert np.array_equal(y, x * mask)
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
-        assert not mask[1, 1:].any() and not mask[2, 2:].any()
+
+    @pytest.mark.parametrize("lengths", [[1], [4, 1, 2], [3, 3, 9, 1, 5]])
+    def test_one_draw_equals_per_sentence_draws(self, lengths):
+        # one (N, d) draw over sentence-major rows gives each sentence the
+        # bits of its own (length, d) draw, taken in batch order
+        x = np.random.default_rng(len(lengths)).normal(size=(sum(lengths), 6))
+        y, mask = dropout_apply(x, 0.3, "train", np.random.default_rng(11))
+        stream = np.random.default_rng(11)
+        want = np.concatenate([(stream.random((n, 6)) >= 0.3) / 0.7 for n in lengths])
+        assert np.array_equal(mask, want)
+        assert np.array_equal(y, x * want)
 
 
 class TestAdamOptimizer:

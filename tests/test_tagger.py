@@ -29,7 +29,7 @@ from seqtag.tagger import (
     train,
 )
 from seqtag import tagger as tagger_module
-from seqtag.tagger import MODEL_MAGIC, _forward, _log_softmax, _sentence_loss, _gold_indices
+from seqtag.tagger import MODEL_MAGIC, _Encoding, _forward, _log_softmax, _sentence_loss
 from seqtag.tagger import _param_shapes
 from seqtag.vectors import ContextualVectors, WordVectors
 
@@ -45,7 +45,7 @@ def small_config(**overrides):
 
 def emissions_of(model, sentence, contextual=None):
     """Eval-mode emissions (n, T) of one sentence run as a batch of one."""
-    return _forward(model, [sentence], "eval", None, contextual)[0][0]
+    return _forward(model, _Encoding(model, [sentence], contextual).batch(), "eval", None)[0][0]
 
 
 class TestConfigParsing:
@@ -277,7 +277,7 @@ class TestForward:
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(dropout=0.5), corpus)
         with pytest.raises(ModelError, match="rng"):
-            _forward(model, [corpus.sentences[0]], "train", None, None)
+            _forward(model, _Encoding(model, corpus.sentences[:1]).batch(), "train", None)
 
     def test_contextual_vectors_enter_the_input(self):
         corpus = tiny_fixture_corpus()
@@ -417,8 +417,9 @@ class TestPredict:
             small_config(use_crf=True, crf_decode_only=True), corpus
         )
         sent = corpus.sentences[0]
-        emissions, lengths, _ = _forward(model, [sent], "eval", None, None)
-        gold = _gold_indices(model, [sent], len(sent))
+        batch = _Encoding(model, [sent], gold=True).batch()
+        emissions, _ = _forward(model, batch, "eval", None)
+        lengths, gold = batch.layout.lengths, batch.gold
         loss, _ = _sentence_loss(model, emissions, lengths, gold)
         # cross-entropy loss, so transition values play no role in the loss
         model.store["crf.matrix"][:] = 5.0
@@ -445,7 +446,7 @@ class TestPredict:
         corpus = random_corpus(rng, 60)
         # a budget small enough that the corpus runs as several chunks
         monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", 64)
-        assert len(tagger_module._chunks(corpus.sentences)) > 1
+        assert len(tagger_module._chunks([len(s) for s in corpus.sentences])) > 1
         model = build_model(small_config(crf_constrain_bio=True), corpus)
         for name in ("crf.matrix", "crf.start", "crf.end"):
             model.store[name][...] = rng.normal(size=model.store[name].shape)
@@ -498,7 +499,8 @@ class TestTraining:
         model, history = train(model, corpus, corpus)
         from seqtag.tagger import _evaluate_dev
 
-        eval_loss, eval_f1 = _evaluate_dev(model, corpus, None)
+        eval_loss, eval_f1 = _evaluate_dev(model, corpus,
+                                           _Encoding(model, corpus.sentences, gold=True))
         best = history.epochs[history.best_epoch - 1]
         assert eval_loss == pytest.approx(best.eval_loss, abs=1e-9)
         assert eval_f1 == pytest.approx(best.eval_macro_f1, abs=1e-9)
@@ -524,7 +526,7 @@ class TestTraining:
         dev = random_corpus(rng, 40, classes=("PER", "LOC"), max_len=20, prefix="d")
         cfg = small_config(max_epochs=1, use_crf=True, crf_decode_only=decode_only)
         train(build_model(cfg, corpus), corpus, dev)
-        n_chunks = len(tagger_module._chunks(dev.sentences))
+        n_chunks = len(tagger_module._chunks([len(s) for s in dev.sentences]))
         assert n_chunks > 1
         n_train = 0 if decode_only else math.ceil(10 / cfg.batch_size)
         assert len(calls) == n_train + n_chunks
@@ -543,7 +545,9 @@ class TestTraining:
 
         dev = with_first_tag("I-PER")
         model, history = train(build_model(small_config(max_epochs=1), corpus), corpus, dev)
-        _, repaired_f1 = _evaluate_dev(model, with_first_tag("B-PER"), None)
+        repaired = with_first_tag("B-PER")
+        _, repaired_f1 = _evaluate_dev(model, repaired,
+                                       _Encoding(model, repaired.sentences, gold=True))
         assert history.epochs[0].eval_macro_f1 == pytest.approx(repaired_f1, abs=1e-12)
 
     @pytest.mark.parametrize("which", ["train", "dev"])
