@@ -223,7 +223,7 @@ class BiLstm:
         """x: (N, d) rows of ``layout``. Returns the output (N, 2h) and a
         cache, None in eval mode."""
         if len(x) != len(layout.packed):
-            raise ValueError(f"lengths must be {len(x)} rows in all, got {len(layout.packed)}")
+            raise ValueError(f"lengths must be {len(x)} tokens in all, got {len(layout.packed)}")
         packed = x[layout.packed]
         rev = layout.rev
         train = mode == "train"

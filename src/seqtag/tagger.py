@@ -631,10 +631,20 @@ def predict(model, sentence, contextual=None):
 
 # Eval-mode passes take length-sorted sentences up to this many padded
 # positions (a longer sentence runs alone), so peak memory does not grow
-# with the corpus. 512 is the largest budget whose peak_rss_mb on
-# perfbench's predict_wide stays within 10% of 256's; each step of 256
-# adds ~0.75 MiB of peak, mostly the LSTM's (2, N, 4h) gate buffer, for a
-# shrinking gain (the measured curve is in BENCH_evalpass.json).
+# with the corpus. The curve behind it, on perfbench's predict_wide (two
+# untraced 20 s runs per budget at seed 47, one BLAS thread, 2-CPU Xeon)
+# and the tracemalloc peak of one predict_corpus call on its corpus
+# (seed 5, the 0.5 MiB of predictions included):
+#   budget   tok_s         peak_rss_mb   one call's peak
+#   256      39.8k-41.3k   50.4-51.0     1.25 MiB
+#   512      55.7k-57.8k   54.5-54.7     1.97 MiB
+#   768      60.0k-63.0k   55.8-56.3     2.72 MiB
+#   1024     64.0k-64.3k   58.1-60.2     3.46 MiB
+# With the backward cache still built, 256 read 36.3k-36.7k, 50.2-50.4 and
+# 1.78 MiB. Each step up adds ~0.75 MiB of peak, mostly the LSTM's
+# (2, N, 4h) gate buffer, while the gain shrinks; peak_rss_mb also grows
+# ~0.1 MiB per extra repetition perfbench fits in its window. 512 is the
+# largest budget whose peak_rss_mb stays within 10% of 256's.
 _CHUNK_POSITIONS = 512
 
 

@@ -202,6 +202,33 @@ def _feature_corpus(lengths, seed):
     return corpus, ctx
 
 
+def test_encoded_batch_matches_vocabulary_lookups():
+    # a batch gathered from a corpus encoding holds, token by token in
+    # batch order, what the vocabularies give (0 for an unknown item)
+    seen, seen_ctx = _feature_corpus([2, 3], seed=1)
+    corpus, ctx = _feature_corpus([4, 1, 6, 2, 5], seed=2)
+    config = TaggerConfig(word_dim=4, use_char_cnn=True, char_dim=3, char_kernel=2,
+                          char_filters=3, use_pos=True, pos_dim=2,
+                          use_contextual_slot=True, hidden=4, seed=3)
+    model = build_model(config, seen, contextual_vectors=seen_ctx)
+    sents = [corpus.sentences[i] for i in (3, 0, 4)]
+    batch = _Encoding(model, corpus.sentences, ctx, gold=True).batch([3, 0, 4])
+    surfaces = [w for s in sents for w in s.surfaces]
+    assert list(batch.layout.lengths) == [len(s) for s in sents]
+    assert batch.words.tolist() == [model.word_vocab.get(w, 0) for w in surfaces]
+    assert 0 in batch.words.tolist()
+    assert batch.pos.tolist() == [model.pos_vocab.get(p, 0) for s in sents for p in s.pos]
+    assert batch.char_lengths.tolist() == [len(w) for w in surfaces]
+    for row, w in zip(batch.chars, surfaces):
+        assert row[:len(w)].tolist() == [model.char_vocab.get(ch, 0) for ch in w]
+    np.testing.assert_array_equal(
+        batch.contextual, np.concatenate([ctx.lookup_sentence(s.id, len(s)) for s in sents]))
+    assert batch.gold.shape == (3, 5)
+    for row, sent in zip(batch.gold, sents):
+        assert row.tolist() == [model.tagset.index(t) for t in sent.gold_tags] + [0] * (
+            5 - len(sent))
+
+
 @pytest.mark.parametrize("use_crf", [True, False])
 @pytest.mark.parametrize("lengths", CASES[:8])
 def test_tagger_loss_batch_matches_sentences(use_crf, lengths):
