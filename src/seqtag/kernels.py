@@ -2,7 +2,7 @@
 
 One numpy implementation per kernel, each run over a whole batch of
 sentences. The LSTM kernels take a packed, time-major batch
-(``pack_layout``, as PyTorch's ``PackedSequence``): the sentences are
+(``nn.RowLayout``, as PyTorch's ``PackedSequence``): the sentences are
 sorted by length, descending, and step t's ``alive[t]`` rows are one
 contiguous run of an (N, ...) array, N the number of real tokens, whose
 predecessors are the leading ``alive[t]`` rows of step t - 1. No step
@@ -18,8 +18,8 @@ leading axis of size 2, so each step is one stacked matmul for both (the
 batching cuDNN applies to recurrent work). ``lstm_forward`` and
 ``lstm_backward`` take both directions of a BiLSTM layer, ``(2, N, ...)``,
 each starting from a zero hidden and cell state; the backward direction's
-input comes already reversed within each sentence (``pack_layout``'s
-``rev``), so both share one layout. ``lstm_forward`` leaves each step's
+input comes already reversed within each sentence (``RowLayout.rev``),
+so both share one layout. ``lstm_forward`` leaves each step's
 post-activation gates in its input buffer, and ``lstm_backward`` reads
 them from there, so the gates are computed once; an eval pass, which
 runs no backward, asks it to keep neither the gates nor the cell states.
@@ -41,7 +41,6 @@ bits as it would alone.
 import numpy as np
 
 __all__ = [
-    "pack_layout",
     "lstm_forward",
     "lstm_backward",
     "crf_forward_backward",
@@ -66,39 +65,9 @@ def _activate(z, h):
     return z
 
 
-def pack_layout(lengths):
-    """Packed, time-major layout of a batch of sentence lengths (B,), each
-    at least 1, as in a PyTorch ``PackedSequence``.
-
-    The sentences are stably sorted by length, descending; ``alive[t]`` is
-    the number still running at step t. Step t's rows are one contiguous
-    run of ``alive[t]`` rows (``N = sum(lengths)`` in all), and row j of
-    step t continues row j of step t - 1. Returns:
-    - ``batch``, ``step`` (N,): packed row r holds position ``step[r]`` of
-      sentence ``batch[r]``;
-    - ``alive`` (steps,);
-    - ``rev`` (N,): the involution that maps each row to the same
-      sentence's position ``length - 1 - step``, i.e. the sentence read
-      backwards in the same layout;
-    - ``prev_rows`` (N - B,): the predecessor of each row after the first
-      step's B rows.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    sorted_len = lengths[order]
-    alive = np.count_nonzero(sorted_len[None, :] > np.arange(sorted_len[0])[:, None], axis=1)
-    starts = np.cumsum(alive) - alive
-    step = np.repeat(np.arange(len(alive)), alive)
-    j = np.arange(len(step)) - starts[step]
-    rev = starts[sorted_len[j] - 1 - step] + j
-    first = len(lengths)
-    prev_rows = starts[step[first:] - 1] + j[first:]
-    return order[j], step, alive, rev, prev_rows
-
-
 def lstm_forward(xw, w_h, alive, keep_states=True):
     """Both directions of a BiLSTM layer over precomputed input projections
-    of a packed batch (``pack_layout``), from a zero hidden and cell state.
+    of a packed batch (``nn.RowLayout``), from a zero hidden and cell state.
 
     xw: (2, N, 4h) rows of x_t @ W_x + b per direction, gate order i, f,
     g, o; w_h: (2, h, 4h); alive: rows per step. Each step after the
@@ -150,7 +119,7 @@ def lstm_forward(xw, w_h, alive, keep_states=True):
 
 def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows):
     """Backprop through lstm_forward, all arrays (2, N, .) in the packed
-    layout of ``alive`` and ``prev_rows`` (``pack_layout``); ``gates`` is
+    layout of ``alive`` and ``prev_rows`` (``nn.RowLayout``); ``gates`` is
     the post-activation ``xw`` that ``lstm_forward`` left. Returns
     gradients w.r.t. the input projections xw (2, N, 4h) and the
     recurrent weights (2, h, 4h).

@@ -23,7 +23,7 @@ per-word lengths (W,).
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..kernels import lstm_backward, lstm_forward, pack_layout
+from ..kernels import lstm_backward, lstm_forward
 from .params import uniform_init
 
 __all__ = [
@@ -52,8 +52,15 @@ class RowLayout:
     - ``lengths``, ``n`` (the longest) and ``offsets`` (B,), the first row
       of each sentence;
     - ``grid`` (N,): each row's position b * n + t in a padded (B, n) grid;
-    - ``packed`` (N,): the row behind each row of ``kernels.pack_layout``'s
-      time-major layout, and its ``alive``, ``rev`` and ``prev_rows``."""
+    - the packed, time-major layout the LSTM kernels step over, as in a
+      PyTorch ``PackedSequence``: the sentences stably sorted by length,
+      descending, ``alive[t]`` of them still running at step t, and step
+      t's rows one contiguous run whose row j continues row j of step
+      t - 1. ``packed`` (N,) is the row behind each packed row; ``rev``
+      (N,) the involution mapping each packed row to its sentence's
+      position ``length - 1 - t``, the sentence read backwards in the same
+      layout; ``prev_rows`` (N - B,) the predecessor of each packed row
+      after the first step's B rows."""
 
     def __init__(self, lengths):
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -62,7 +69,17 @@ class RowLayout:
         self.lengths = lengths
         self.n = int(lengths.max())
         self.offsets = np.cumsum(lengths) - lengths
-        batch, step, self.alive, self.rev, self.prev_rows = pack_layout(lengths)
+        order = np.argsort(-lengths, kind="stable")
+        sorted_len = lengths[order]
+        self.alive = np.count_nonzero(sorted_len > np.arange(self.n)[:, None], axis=1)
+        starts = np.cumsum(self.alive) - self.alive
+        # packed row r holds position step[r] of sentence order[j[r]]
+        step = np.repeat(np.arange(self.n), self.alive)
+        j = np.arange(len(step)) - starts[step]
+        self.rev = starts[sorted_len[j] - 1 - step] + j
+        first = len(lengths)
+        self.prev_rows = starts[step[first:] - 1] + j[first:]
+        batch = order[j]
         self.packed = self.offsets[batch] + step
         self.grid = np.empty_like(step)
         self.grid[self.packed] = batch * self.n + step
@@ -177,19 +194,18 @@ class BiLstm:
     """Stack of bidirectional LSTM layers; each row's output is the
     concatenation of the forward and backward hidden states (N, 2h).
 
-    ``forward`` gathers the rows once into the time-major layout of
-    ``kernels.pack_layout`` (``RowLayout.packed``) and scatters the last
-    layer's output back to rows; ``backward`` gathers and scatters the
-    same rows.
+    ``forward`` gathers the rows once into the pass's packed, time-major
+    layout (``RowLayout.packed``) and scatters the last layer's output
+    back to rows; ``backward`` gathers and scatters the same rows.
 
     The backward direction reads each sentence reversed within its own
     length: its rows are the packed rows permuted by the involution
-    ``rev``. Both directions of a layer run as one stacked recurrence: the
-    layer input and its reversal form a (2, N, d) batch that one matmul
-    projects against the layer's input weights, and one ``lstm_forward``
-    call steps both. Each layer stores its parameters in that stacked
-    layout, forward direction first: ``{prefix}.l{k}.w_x`` (2, d, 4h),
-    ``.w_h`` (2, h, 4h) and ``.b`` (2, 4h).
+    ``RowLayout.rev``. Both directions of a layer run as one stacked
+    recurrence: the layer input and its reversal form a (2, N, d) batch
+    that one matmul projects against the layer's input weights, and one
+    ``lstm_forward`` call steps both. Each layer stores its parameters in
+    that stacked layout, forward direction first: ``{prefix}.l{k}.w_x``
+    (2, d, 4h), ``.w_h`` (2, h, 4h) and ``.b`` (2, 4h).
 
     The forward cache holds each layer's gates and tanh(c), which
     ``backward`` uses as scratch space: one cache serves exactly one

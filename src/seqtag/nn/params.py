@@ -1,5 +1,7 @@
 """Named parameter storage with paired gradient accumulators."""
 
+import math
+
 import numpy as np
 
 __all__ = ["ParamStore", "uniform_init"]
@@ -7,7 +9,7 @@ __all__ = ["ParamStore", "uniform_init"]
 
 def uniform_init(rng, shape, fan_in):
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
-    bound = 1.0 / np.sqrt(fan_in)
+    bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

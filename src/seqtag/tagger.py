@@ -6,11 +6,12 @@ Each call encodes its corpora once into flat index arrays over their
 tokens; a batch gathers its sentences' rows from them. Pipeline per
 batch, on the real tokens' rows: concatenate enabled embeddings, apply
 dropout, run the BiLSTM stack, optionally multi-head attention, then a
-linear head, whose rows are scattered into a zero-padded (B, n, T) grid
-for the loss. With the CRF head the linear outputs are emission scores;
-otherwise they pass through a row softmax. Training runs each optimizer
-batch as one pass; evaluation and prediction run length-sorted batches
-of at most 512 padded positions and keep no backward cache.
+linear head giving one row of tag scores per token. With the CRF head the
+rows are emission scores, which the CRF reads scattered into a
+zero-padded (B, n, T) grid; otherwise they pass through a row softmax and
+stay rows. Training runs each optimizer batch as one pass; evaluation and
+prediction run length-sorted batches of at most 512 padded positions and
+keep no backward cache.
 """
 
 import json
@@ -391,8 +392,8 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
 
 # One pass's sentences: their RowLayout; per row, the word, contextual,
 # char and POS inputs of the enabled features (None when off), chars as
-# (N, L) indices right-padded to char_lengths; gold as a zero-padded (B, n)
-# grid (None unless encoded).
+# (N, L) indices right-padded to char_lengths, and the gold tag (None
+# unless encoded).
 _Batch = namedtuple("_Batch", "layout words contextual chars char_lengths pos gold")
 
 
@@ -444,7 +445,7 @@ class _Encoding:
         return _Batch(layout, self.words[rows],
                       None if self.contextual is None else self.contextual[rows], chars,
                       char_lengths, None if self.pos is None else self.pos[rows],
-                      None if self.gold is None else layout.scatter(self.gold[rows]))
+                      None if self.gold is None else self.gold[rows])
 
 
 def _indices(values, count):
@@ -467,10 +468,10 @@ def _contextual(model, sent, contextual):
 
 
 def _forward(model, batch, mode, rng):
-    """Run a _Batch through the network. Returns emissions (B, n, T), zero
-    at padding, and the cache for ``_backward``. Nothing reads a cache in
-    eval mode, so there the cache is None and no layer's cache outlives its
-    layer."""
+    """Run a _Batch through the network. Returns the head's rows (N, T),
+    one per token, and the cache for ``_backward``. Nothing reads a cache
+    in eval mode, so there the cache is None and no layer's cache outlives
+    its layer."""
     cfg = model.config
     train = mode == "train"
     layout = batch.layout
@@ -488,10 +489,9 @@ def _forward(model, batch, mode, rng):
         if not train:
             del mha_cache
     rows, head_cache = model.head.forward(h)
-    emissions = layout.scatter(rows)
     if not train:
-        return emissions, None
-    return emissions, (layout, routes, drop_mask, lstm_caches, mha_cache, head_cache)
+        return rows, None
+    return rows, (routes, drop_mask, lstm_caches, mha_cache, head_cache)
 
 
 def _features(model, batch):
@@ -510,11 +510,11 @@ def _features(model, batch):
     return x, [(layer, rows.shape[1], cache) for layer, rows, cache in feats]
 
 
-def _backward(model, d_emissions, cache):
-    """Backprop a batch; ``d_emissions`` (B, n, T) is read at real tokens
-    only."""
-    layout, routes, drop_mask, lstm_caches, mha_cache, head_cache = cache
-    d = model.head.backward(layout.gather(d_emissions), head_cache)
+def _backward(model, d_rows, cache):
+    """Backprop a batch from the gradient ``d_rows`` (N, T) of the head's
+    rows."""
+    routes, drop_mask, lstm_caches, mha_cache, head_cache = cache
+    d = model.head.backward(d_rows, head_cache)
     if mha_cache is not None:
         d = model.mha.backward(d, mha_cache)
     d = model.bilstm.backward(d, lstm_caches)
@@ -527,9 +527,9 @@ def _backward(model, d_emissions, cache):
         offset += width
 
 
-def _log_softmax(emissions):
-    m = emissions.max(axis=-1, keepdims=True)
-    shifted = emissions - m
+def _log_softmax(scores):
+    m = scores.max(axis=-1, keepdims=True)
+    shifted = scores - m
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -537,14 +537,14 @@ def _uses_crf_loss(cfg):
     return cfg.use_crf and not cfg.crf_decode_only
 
 
-def _sentence_loss(model, emissions, lengths, gold_idx, weight=1.0, want_grad=False):
-    """Per-sentence losses (B,) of a padded batch: CRF NLL, or mean
-    per-token cross-entropy. With ``want_grad`` also returns
-    d_loss/d_emissions, each sentence's share scaled by ``weight`` and zero
-    at padding, and accumulates CRF transition gradients."""
+def _sentence_loss(model, rows, layout, gold, weight=1.0, want_grad=False):
+    """Per-sentence losses (B,) of a batch from its head rows (N, T) and
+    gold tags (N,): CRF NLL, or mean per-token cross-entropy. With
+    ``want_grad`` also returns d_loss/d_rows (N, T), each sentence's share
+    scaled by ``weight``, and accumulates CRF transition gradients."""
     if _uses_crf_loss(model.config):
         losses, d_emis, d_matrix, d_start, d_end = crf_nll_grad(
-            emissions, model.transitions(), gold_idx, lengths
+            layout.scatter(rows), model.transitions(), layout.scatter(gold), layout.lengths
         )
         if not want_grad:
             return losses, None
@@ -552,17 +552,18 @@ def _sentence_loss(model, emissions, lengths, gold_idx, weight=1.0, want_grad=Fa
         acc("crf.matrix", weight * d_matrix)
         acc("crf.start", weight * d_start)
         acc("crf.end", weight * d_end)
-        return losses, weight * d_emis
-    real = np.arange(emissions.shape[1])[None, :] < lengths[:, None]
-    logp = _log_softmax(emissions)
-    gold = gold_idx[:, :, None]
-    gold_logp = np.take_along_axis(logp, gold, axis=2)[:, :, 0]
-    losses = -np.where(real, gold_logp, 0.0).sum(axis=1) / lengths
+        return losses, weight * layout.gather(d_emis)
+    logp = _log_softmax(rows)
+    at = np.arange(len(gold))
+    # each sentence sums its zero-padded grid row: numpy's pairwise sum
+    # groups terms by position, so a sum over its rows alone could round
+    # differently
+    losses = -layout.scatter(logp[at, gold]).sum(axis=1) / layout.lengths
     if not want_grad:
         return losses, None
     d = np.exp(logp)
-    np.put_along_axis(d, gold, np.take_along_axis(d, gold, axis=2) - 1.0, axis=2)
-    d *= np.where(real, weight / lengths[:, None], 0.0)[:, :, None]
+    d[at, gold] -= 1.0
+    d *= np.repeat(weight / layout.lengths, layout.lengths)[:, None]
     return losses, d
 
 
@@ -576,56 +577,57 @@ def check_gradients(model, sentences, contextual=None, dropout_seed=0):
 
     def loss_fn(grad=False):
         rng = np.random.default_rng(dropout_seed)
-        emissions, cache = _forward(model, batch, "train", rng)
-        losses, d_emis = _sentence_loss(model, emissions, batch.layout.lengths, batch.gold,
-                                        want_grad=grad)
+        rows, cache = _forward(model, batch, "train", rng)
+        losses, d_rows = _sentence_loss(model, rows, batch.layout, batch.gold, want_grad=grad)
         if grad:
-            _backward(model, d_emis, cache)
+            _backward(model, d_rows, cache)
         return float(losses.sum())
 
     return gradient_check(loss_fn, model.store)
 
 
-def _check_probabilities(probs, lengths):
-    """Raise ModelError unless every real row of ``probs`` (B, n, T) sums to
-    1 within 1e-6; a NaN or inf entry fails too, as its row sum does."""
-    real = np.arange(probs.shape[1]) < lengths[:, None]
-    if not np.all(np.abs(probs.sum(axis=2)[real] - 1.0) <= 1e-6):
+def _check_probabilities(probs):
+    """Raise ModelError unless every row of ``probs`` (N, T) sums to 1
+    within 1e-6; a NaN or inf entry fails too, as its row sum does."""
+    if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6):
         raise ModelError(
             "tag scores are not finite probabilities: the model's parameters "
             "are out of range"
         )
 
 
-def _predictions(model, emissions, lengths, marginals=None):
-    """One (labels, scores) pair of columns per sentence of a padded batch;
-    under the CRF head the scores are ``marginals`` when the caller has
-    them already. Scores that overflowed are caught by
-    ``_check_probabilities``, not warned about."""
+def _predictions(model, rows, layout, marginals=None):
+    """One (labels, scores) pair of columns per sentence of a batch, from
+    its head rows (N, T); under the CRF head the scores are ``marginals``
+    (B, n, T) when the caller has them already. Scores that overflowed are
+    caught by ``_check_probabilities``, not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
         if model.config.use_crf:
             trans = model.transitions()
-            best, _ = viterbi(emissions, trans, lengths)
+            emissions = layout.scatter(rows)
+            paths, _ = viterbi(emissions, trans, layout.lengths)
+            best = np.concatenate(paths)
             if marginals is None:
-                marginals = crf_marginals(emissions, trans, lengths)
-            probs = marginals
+                marginals = crf_marginals(emissions, trans, layout.lengths)
+            probs = layout.gather(marginals)
         else:
-            probs = np.exp(_log_softmax(emissions))
-            best = [probs[b, :n].argmax(axis=1) for b, n in enumerate(lengths)]
-    _check_probabilities(probs, lengths)
+            probs = np.exp(_log_softmax(rows))
+            best = probs.argmax(axis=1)
+    _check_probabilities(probs)
     names = model.tagset.labels
+    labels = [names[t] for t in best.tolist()]
     # the scores are finite probabilities, clamped into [0, 1]
-    return [(repair_bio([names[t] for t in path]),
-             np.clip(probs[b, np.arange(len(path)), path], 0.0, 1.0).tolist())
-            for b, path in enumerate(best)]
+    scores = np.clip(probs[np.arange(len(best)), best], 0.0, 1.0).tolist()
+    return [(repair_bio(labels[a:a + n]), scores[a:a + n])
+            for a, n in zip(layout.offsets.tolist(), layout.lengths.tolist())]
 
 
 def predict(model, sentence, contextual=None):
     """Label a sentence: Viterbi path with marginal scores under the CRF
     head, per-row argmax probability otherwise. Labels are BIO-repaired
     with scores carried over unchanged."""
-    _, batch, emissions = next(_eval_passes(model, _Encoding(model, [sentence], contextual)))
-    labels, scores = _predictions(model, emissions, batch.layout.lengths)[0]
+    _, batch, rows = next(_eval_passes(model, _Encoding(model, [sentence], contextual)))
+    labels, scores = _predictions(model, rows, batch.layout)[0]
     return list(map(TokenPrediction, labels, scores))
 
 
@@ -664,7 +666,7 @@ def _chunks(lengths):
 
 def _eval_passes(model, encoding):
     """Eval-mode forward passes over length-sorted chunks of an _Encoding;
-    yields (indices of the chunk's sentences, its _Batch, emissions).
+    yields (indices of the chunk's sentences, its _Batch, its head rows).
     Overflow is not warned about: saturated gates are the right limit, and
     an inf or NaN that reaches the scores fails ``_check_probabilities``.
     Callers drop a chunk's arrays before they ask for the next, so no two
@@ -672,20 +674,19 @@ def _eval_passes(model, encoding):
     for idx in _chunks(encoding.lengths):
         batch = encoding.batch(idx)
         with np.errstate(over="ignore", invalid="ignore"):
-            emissions, _ = _forward(model, batch, "eval", None)
-        yield idx, batch, emissions
-        del emissions
+            rows, _ = _forward(model, batch, "eval", None)
+        yield idx, batch, rows
+        del rows
 
 
 def predict_corpus(model, corpus, contextual=None):
     """``predict`` for every sentence, run in length-sorted batches."""
     predictions = [None] * len(corpus.sentences)
     encoding = _Encoding(model, corpus.sentences, contextual)
-    for idx, batch, emissions in _eval_passes(model, encoding):
-        for i, (labels, scores) in zip(idx, _predictions(model, emissions,
-                                                         batch.layout.lengths)):
+    for idx, batch, rows in _eval_passes(model, encoding):
+        for i, (labels, scores) in zip(idx, _predictions(model, rows, batch.layout)):
             predictions[i] = list(map(TokenPrediction, labels, scores))
-        del emissions
+        del rows
     return predictions
 
 
@@ -694,19 +695,20 @@ def _evaluate_dev(model, dev, encoding):
     gold) is ``encoding``."""
     losses = np.empty(len(dev.sentences))
     predictions = [None] * len(dev.sentences)
-    for idx, batch, emissions in _eval_passes(model, encoding):
-        lengths = batch.layout.lengths
+    for idx, batch, rows in _eval_passes(model, encoding):
+        layout = batch.layout
         marginals = None
         if _uses_crf_loss(model.config):
             # one forward-backward pass gives the loss and the scores
             losses[idx], marginals = crf_nll_marginals(
-                emissions, model.transitions(), batch.gold, lengths
+                layout.scatter(rows), model.transitions(), layout.scatter(batch.gold),
+                layout.lengths
             )
         else:
-            losses[idx], _ = _sentence_loss(model, emissions, lengths, batch.gold)
-        for i, (labels, _) in zip(idx, _predictions(model, emissions, lengths, marginals)):
+            losses[idx], _ = _sentence_loss(model, rows, layout, batch.gold)
+        for i, (labels, _) in zip(idx, _predictions(model, rows, layout, marginals)):
             predictions[i] = labels
-        del emissions, marginals
+        del rows, marginals
     report = evaluate(dev, predictions)
     return float(np.mean(losses)), report.macro_f1
 
@@ -717,18 +719,16 @@ def _train_batch(model, encoding, idx, rng, epoch):
     1/len(idx); returns the per-sentence losses. The batch's caches die
     with this call, before the next batch runs."""
     batch = encoding.batch(idx)
-    emissions, cache = _forward(model, batch, "train", rng)
-    losses, d_emis = _sentence_loss(
-        model, emissions, batch.layout.lengths, batch.gold,
-        weight=1.0 / len(idx), want_grad=True,
-    )
+    rows, cache = _forward(model, batch, "train", rng)
+    losses, d_rows = _sentence_loss(model, rows, batch.layout, batch.gold,
+                                    weight=1.0 / len(idx), want_grad=True)
     for i, loss in zip(idx, losses):
         if not math.isfinite(loss):
             raise ModelError(
                 f"non-finite training loss at epoch {epoch}, "
                 f"sentence {encoding.sentences[i].id!r}"
             )
-    _backward(model, d_emis, cache)
+    _backward(model, d_rows, cache)
     return [float(loss) for loss in losses]
 
 
@@ -891,7 +891,7 @@ def load_model(path):
         raise ModelError(f"{path}: truncated model file")
     try:
         header = json.loads(data[body_start:body_start + header_len])
-    except ValueError:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError):  # invalid JSON or UTF-8, or nested too deep
         raise ModelError(f"{path}: corrupt model header") from None
     problem = _header_problem(header)
     if problem:

@@ -223,10 +223,7 @@ def test_encoded_batch_matches_vocabulary_lookups():
         assert row[:len(w)].tolist() == [model.char_vocab.get(ch, 0) for ch in w]
     np.testing.assert_array_equal(
         batch.contextual, np.concatenate([ctx.lookup_sentence(s.id, len(s)) for s in sents]))
-    assert batch.gold.shape == (3, 5)
-    for row, sent in zip(batch.gold, sents):
-        assert row.tolist() == [model.tagset.index(t) for t in sent.gold_tags] + [0] * (
-            5 - len(sent))
+    assert batch.gold.tolist() == [model.tagset.index(t) for s in sents for t in s.gold_tags]
 
 
 @pytest.mark.parametrize("use_crf", [True, False])
@@ -247,19 +244,17 @@ def test_tagger_loss_batch_matches_sentences(use_crf, lengths):
     encoding = _Encoding(model, sentences, ctx, gold=True)
 
     batch = encoding.batch()
-    emissions, cache = _forward(model, batch, "train", None)
+    rows, cache = _forward(model, batch, "train", None)
     assert list(batch.layout.lengths) == lengths
-    assert not emissions[~real_mask(lengths)].any()
-    losses, d_emis = _sentence_loss(model, emissions, batch.layout.lengths, batch.gold,
-                                    weight, True)
-    _backward(model, d_emis, cache)
+    losses, d_rows = _sentence_loss(model, rows, batch.layout, batch.gold, weight, True)
+    _backward(model, d_rows, cache)
     batched = grads(model.store)
     model.store.zero_grads()
-    for b, sent in enumerate(sentences):
+    for b, at in enumerate(sentence_rows(lengths)):
         one = encoding.batch([b])
-        emis_b, cache_b = _forward(model, one, "train", None)
-        np.testing.assert_allclose(emissions[b, :len(sent)], emis_b[0], rtol=0, atol=TOL)
-        loss_b, d_b = _sentence_loss(model, emis_b, one.layout.lengths, one.gold, weight, True)
+        rows_b, cache_b = _forward(model, one, "train", None)
+        np.testing.assert_allclose(rows[at], rows_b, rtol=0, atol=TOL)
+        loss_b, d_b = _sentence_loss(model, rows_b, one.layout, one.gold, weight, True)
         assert losses[b] == pytest.approx(loss_b[0], abs=TOL)
         _backward(model, d_b, cache_b)
     assert_grads_close(batched, grads(model.store))
@@ -277,10 +272,10 @@ def test_eval_forward_keeps_no_cache_and_the_same_bits(use_crf, layers):
                           use_crf=use_crf, lstm_layers=layers, hidden=4, dropout=0.0, seed=3)
     model = build_model(config, corpus, contextual_vectors=ctx)
     batch = _Encoding(model, corpus.sentences, ctx).batch()
-    emissions, cache = _forward(model, batch, "train", None)
-    emis_eval, no_cache = _forward(model, batch, "eval", None)
+    rows, cache = _forward(model, batch, "train", None)
+    rows_eval, no_cache = _forward(model, batch, "eval", None)
     assert cache is not None and no_cache is None
-    assert np.array_equal(emis_eval, emissions)
+    assert np.array_equal(rows_eval, rows)
 
 
 def test_training_batch_draws_dropout_like_sentences():

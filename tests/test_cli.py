@@ -422,6 +422,9 @@ def corrupt_model(data, corruption):
         header["format_version"] = 1
     elif corruption == "unsorted classes":
         header["classes"] = header["classes"][::-1]
+    elif corruption == "header nested 200,000 deep":
+        raw = b"[" * 200_000
+        return data[:8] + struct.pack("<Q", len(raw)) + raw + blocks
     elif corruption == "oversized config":
         header["config"].update(hidden=1000, lstm_layers=2)
     elif corruption == "CRF scores scaled by 1e150":
@@ -449,6 +452,7 @@ class TestCorruptModel:
         "CRF scores scaled by 1e150",
         "format version 1",
         "unsorted classes",
+        "header nested 200,000 deep",
     ])
     @pytest.mark.filterwarnings("error")
     def test_predict_exits_one_with_one_error_line(self, capsys, trained,
@@ -1053,25 +1057,32 @@ class TestGradcheckCommand:
 
 class TestImpossibleArrays:
     """A config whose sizes ask for an array far beyond the address space
-    (tens of PiB) fails at once with one ``error:`` line, exit 1."""
+    (tens of PiB) fails at once with one ``error:`` line, exit 1; a size
+    beyond int64 fails numpy's shape check before anything is allocated."""
 
-    def test_gradcheck_char_kernel(self, capsys, tmp_path):
+    SIZES = pytest.mark.parametrize("size, message", [
+        ("1000000000000000", "error: out of memory: "),
+        ("100000000000000000000", "error: Maximum allowed dimension exceeded"),
+    ], ids=["beyond_memory", "beyond_int64"])
+
+    @SIZES
+    def test_gradcheck_char_kernel(self, capsys, tmp_path, size, message):
         cfg = tmp_path / "g.cfg"
-        cfg.write_text("use_char_cnn = true\nchar_kernel = 1000000000000000\n",
-                       encoding="utf-8")
+        cfg.write_text(f"use_char_cnn = true\nchar_kernel = {size}\n", encoding="utf-8")
         code, out, err = run(capsys, "gradcheck", cfg)
         assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: ")
+        assert len(err.splitlines()) == 1 and err.startswith(message)
 
-    def test_train_word_dim(self, capsys, tmp_path):
+    @SIZES
+    def test_train_word_dim(self, capsys, tmp_path, size, message):
         (tmp_path / "c.conll").write_text(learnable_corpus_text(4), encoding="utf-8")
         cfg = tmp_path / "g.cfg"
-        cfg.write_text(SMALL_CONFIG.replace("word_dim = 8", "word_dim = 1000000000000000"),
+        cfg.write_text(SMALL_CONFIG.replace("word_dim = 8", f"word_dim = {size}"),
                        encoding="utf-8")
         code, out, err = run(capsys, "train", cfg, tmp_path / "c.conll", tmp_path / "c.conll",
                              tmp_path / "m.bin")
         assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: ")
+        assert len(err.splitlines()) == 1 and err.startswith(message)
         assert not (tmp_path / "m.bin").exists()
 
 

@@ -49,25 +49,39 @@ def test_no_unused_imports():
     assert unused == []
 
 
+# Public entry points only the [PRIMARY] oracles call, with the reason each
+# cannot be reached through a function the package or perfbench reads.
+ORACLE_ENTRY_POINTS = {
+    # the CRF oracle checks log Z directly; the package computes it only
+    # inside the NLL functions
+    "log_partition",
+    # the Ensemble oracle votes label pools holding a lone I-PER, which
+    # ensemble_corpus would BIO-repair to B-PER
+    "majority_vote",
+}
+
+
 def test_no_unreferenced_definitions():
-    # every module-level def and class of src/seqtag is exported in its
-    # module's __all__ or read somewhere in the package
+    # every module-level def and class of src/seqtag is read somewhere in
+    # the package or in perfbench/: a name in __all__ that only tests read
+    # is not used, unless it is an oracle's entry point
     root = Path(__file__).resolve().parents[1]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((root / "src" / "seqtag").rglob("*.py"))}
     assert len(trees) > 10
+    readers = list(trees.values()) + [ast.parse(path.read_text(encoding="utf-8"))
+                                      for path in sorted((root / "perfbench").glob("*.py"))]
     read = set()
-    for tree in trees.values():
+    for tree in readers:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    unreferenced = [
-        f"{path.relative_to(root)}: {node.name}"
-        for path, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in _module_all(tree) and node.name not in read
-    ]
+    defined = {(path, node.name) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unreferenced = [f"{path.relative_to(root)}: {name}" for path, name in sorted(defined)
+                    if name not in read | ORACLE_ENTRY_POINTS]
     assert unreferenced == []
+    # the allow-list holds only defined names that nothing else reads
+    assert ORACLE_ENTRY_POINTS <= {name for _, name in defined} - read

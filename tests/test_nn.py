@@ -8,7 +8,7 @@ real parameters so input gradients get checked by the same machinery.
 import numpy as np
 import pytest
 
-from seqtag.kernels import lstm_backward, lstm_forward, pack_layout
+from seqtag.kernels import lstm_backward, lstm_forward
 from seqtag.nn import (
     AdamOptimizer,
     BiLstm,
@@ -347,9 +347,11 @@ class TestLstmKernel:
         w_h = rng.normal(size=(2, h, 4 * h)) * 0.5
         return xw, w_h
 
-    def test_pack_layout(self):
+    def test_packed_layout(self):
         for lengths, _ in self.CASES:
-            batch, step, alive, rev, prev_rows = pack_layout(lengths)
+            layout = RowLayout(lengths)
+            batch, step = divmod(layout.grid[layout.packed], layout.n)
+            alive, rev, prev_rows = layout.alive, layout.rev, layout.prev_rows
             n_batch = len(lengths)
             # every real position appears once, time-major, and each step's
             # rows continue the leading rows of the step before
@@ -370,7 +372,9 @@ class TestLstmKernel:
         # leaves in xw included
         rng = np.random.default_rng(0)
         for lengths, h in self.CASES:
-            batch, _, alive, _, _ = pack_layout(lengths)
+            layout = RowLayout(lengths)
+            batch, _ = divmod(layout.grid[layout.packed], layout.n)
+            alive = layout.alive
             xw, w_h = self.stacked_inputs(rng, lengths, h)
             gates = xw.copy()
             hs, cs, tanh_cs = lstm_forward(gates, w_h, alive)
@@ -390,7 +394,7 @@ class TestLstmKernel:
         # and its input projections are left as they came
         rng = np.random.default_rng(2)
         for lengths, h in self.CASES:
-            _, _, alive, _, _ = pack_layout(lengths)
+            alive = RowLayout(lengths).alive
             xw, w_h = self.stacked_inputs(rng, lengths, h)
             hs, _, _ = lstm_forward(xw.copy(), w_h, alive)
             scratch = xw.copy()
@@ -403,7 +407,8 @@ class TestLstmKernel:
         # run alone, forward (gates included) and backward
         rng = np.random.default_rng(1)
         for lengths, h in self.CASES:
-            _, _, alive, _, prev_rows = pack_layout(lengths)
+            layout = RowLayout(lengths)
+            alive, prev_rows = layout.alive, layout.prev_rows
             xw, w_h = self.stacked_inputs(rng, lengths, h)
             d_hs = rng.normal(size=xw.shape[:2] + (h,))
             gates = xw.copy()

@@ -44,8 +44,8 @@ def small_config(**overrides):
 
 
 def emissions_of(model, sentence, contextual=None):
-    """Eval-mode emissions (n, T) of one sentence run as a batch of one."""
-    return _forward(model, _Encoding(model, [sentence], contextual).batch(), "eval", None)[0][0]
+    """Eval-mode head rows (n, T) of one sentence run as a batch of one."""
+    return _forward(model, _Encoding(model, [sentence], contextual).batch(), "eval", None)[0]
 
 
 class TestConfigParsing:
@@ -418,12 +418,11 @@ class TestPredict:
         )
         sent = corpus.sentences[0]
         batch = _Encoding(model, [sent], gold=True).batch()
-        emissions, _ = _forward(model, batch, "eval", None)
-        lengths, gold = batch.layout.lengths, batch.gold
-        loss, _ = _sentence_loss(model, emissions, lengths, gold)
+        rows, _ = _forward(model, batch, "eval", None)
+        loss, _ = _sentence_loss(model, rows, batch.layout, batch.gold)
         # cross-entropy loss, so transition values play no role in the loss
         model.store["crf.matrix"][:] = 5.0
-        loss2, _ = _sentence_loss(model, emissions, lengths, gold)
+        loss2, _ = _sentence_loss(model, rows, batch.layout, batch.gold)
         assert loss == pytest.approx(loss2)
 
     def test_repair_applies_to_output_labels(self):
