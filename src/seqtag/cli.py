@@ -6,7 +6,7 @@ success, 1 on validation or computation failure, 2 on I/O failure.
 """
 
 import argparse
-import itertools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -211,7 +211,8 @@ def cmd_gradcheck(args):
     parameters, contextual vectors and dropout mask."""
     config = _parse(args.config, parse_config)
     heads = config.mha_heads if config.use_mha else 1
-    hidden = next(h for h in itertools.count(2) if 2 * h % heads == 0)
+    # the least hidden >= 2 whose BiLSTM output width 2 * hidden the heads divide
+    hidden = max(2, heads // math.gcd(heads, 2))
     config = replace(config, word_dim=3, char_dim=2, char_filters=2, pos_dim=2,
                      hidden=hidden, seed=args.seed)
     corpus = parse_conll(_GRADCHECK_BATCH, ColumnConfig(pos_col=1))

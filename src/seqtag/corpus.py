@@ -381,6 +381,8 @@ def split_corpus(corpus, train_fraction, seed):
     the corpus."""
     if not (0.0 < train_fraction < 1.0):
         raise CorpusError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    if seed < 0:
+        raise CorpusError(f"seed must be >= 0, got {seed}")
     n = len(corpus.sentences)
     if n < 2:
         raise CorpusError("need at least 2 sentences to split")

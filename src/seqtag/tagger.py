@@ -7,11 +7,10 @@ tokens; a batch gathers its sentences' rows from them. Pipeline per
 batch, on the real tokens' rows: concatenate enabled embeddings, apply
 dropout, run the BiLSTM stack, optionally multi-head attention, then a
 linear head giving one row of tag scores per token. With the CRF head the
-rows are emission scores, which the CRF reads scattered into a
-zero-padded (B, n, T) grid; otherwise they pass through a row softmax and
-stay rows. Training runs each optimizer batch as one pass; evaluation and
-prediction run length-sorted batches of at most 512 padded positions and
-keep no backward cache.
+rows are emission scores, which the CRF reads with the batch's RowLayout;
+otherwise they pass through a row softmax. Training runs each optimizer
+batch as one pass; evaluation and prediction run length-sorted batches of
+at most 512 padded positions and keep no backward cache.
 """
 
 import json
@@ -29,7 +28,8 @@ from .crf import (
     bio_constraint_penalty,
     crf_marginals,
     crf_nll_grad,
-    crf_nll_marginals,
+    log_partition,
+    path_score,
     viterbi,
 )
 from .evaluation import evaluate
@@ -115,6 +115,8 @@ class TaggerConfig:
                     "batch_size", "max_epochs", "patience"):
             if getattr(self, key) < 1:
                 problems.append((key, "must be >= 1"))
+        if self.seed < 0:
+            problems.append(("seed", "must be >= 0"))
         if not (0.0 <= self.dropout < 1.0):
             problems.append(("dropout", "must lie in [0, 1)"))
         if not (0.0 < self.learning_rate < math.inf):
@@ -541,18 +543,19 @@ def _sentence_loss(model, rows, layout, gold, weight=1.0, want_grad=False):
     """Per-sentence losses (B,) of a batch from its head rows (N, T) and
     gold tags (N,): CRF NLL, or mean per-token cross-entropy. With
     ``want_grad`` also returns d_loss/d_rows (N, T), each sentence's share
-    scaled by ``weight``, and accumulates CRF transition gradients."""
+    scaled by ``weight``, and accumulates CRF transition gradients;
+    without it the CRF NLL is log Z minus the gold path's score, the same
+    bits as ``crf_nll_grad``'s loss, and no gradient is built."""
     if _uses_crf_loss(model.config):
-        losses, d_emis, d_matrix, d_start, d_end = crf_nll_grad(
-            layout.scatter(rows), model.transitions(), layout.scatter(gold), layout.lengths
-        )
+        trans = model.transitions()
         if not want_grad:
-            return losses, None
+            return log_partition(rows, trans, layout) - path_score(rows, trans, gold, layout), None
+        losses, d_rows, d_matrix, d_start, d_end = crf_nll_grad(rows, trans, gold, layout)
         acc = model.store.accumulate
         acc("crf.matrix", weight * d_matrix)
         acc("crf.start", weight * d_start)
         acc("crf.end", weight * d_end)
-        return losses, weight * layout.gather(d_emis)
+        return losses, weight * d_rows
     logp = _log_softmax(rows)
     at = np.arange(len(gold))
     # each sentence sums its zero-padded grid row: numpy's pairwise sum
@@ -596,30 +599,40 @@ def _check_probabilities(probs):
         )
 
 
-def _predictions(model, rows, layout, marginals=None):
-    """One (labels, scores) pair of columns per sentence of a batch, from
-    its head rows (N, T); under the CRF head the scores are ``marginals``
-    (B, n, T) when the caller has them already. Scores that overflowed are
-    caught by ``_check_probabilities``, not warned about."""
+def _decode(model, rows, layout):
+    """Each row's tag (N,) from a batch's head rows (N, T), and the
+    probabilities (N, T) it was picked from: the Viterbi path and None
+    under the CRF head, the argmax of the row softmax and the softmax
+    otherwise. Overflow is not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
         if model.config.use_crf:
-            trans = model.transitions()
-            emissions = layout.scatter(rows)
-            paths, _ = viterbi(emissions, trans, layout.lengths)
-            best = np.concatenate(paths)
-            if marginals is None:
-                marginals = crf_marginals(emissions, trans, layout.lengths)
-            probs = layout.gather(marginals)
-        else:
-            probs = np.exp(_log_softmax(rows))
-            best = probs.argmax(axis=1)
+            return viterbi(rows, model.transitions(), layout)[0], None
+        probs = np.exp(_log_softmax(rows))
+        return probs.argmax(axis=1), probs
+
+
+def _labels(model, best, layout):
+    """The BIO-repaired label column of each sentence from its rows' tags
+    ``best`` (N,)."""
+    names = [model.tagset.labels[t] for t in best.tolist()]
+    return [repair_bio(names[a:a + n])
+            for a, n in zip(layout.offsets.tolist(), layout.lengths.tolist())]
+
+
+def _predictions(model, rows, layout):
+    """One (labels, scores) pair of columns per sentence of a batch, from
+    its head rows (N, T); under the CRF head the scores are the marginals.
+    Scores that overflowed are caught by ``_check_probabilities``, not
+    warned about."""
+    best, probs = _decode(model, rows, layout)
+    if probs is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = crf_marginals(rows, model.transitions(), layout)
     _check_probabilities(probs)
-    names = model.tagset.labels
-    labels = [names[t] for t in best.tolist()]
     # the scores are finite probabilities, clamped into [0, 1]
     scores = np.clip(probs[np.arange(len(best)), best], 0.0, 1.0).tolist()
-    return [(repair_bio(labels[a:a + n]), scores[a:a + n])
-            for a, n in zip(layout.offsets.tolist(), layout.lengths.tolist())]
+    return [(labels, scores[a:a + n]) for labels, a, n in
+            zip(_labels(model, best, layout), layout.offsets.tolist(), layout.lengths.tolist())]
 
 
 def predict(model, sentence, contextual=None):
@@ -692,23 +705,16 @@ def predict_corpus(model, corpus, contextual=None):
 
 def _evaluate_dev(model, dev, encoding):
     """Mean loss and macro-F1 of the ``dev`` corpus, whose _Encoding (with
-    gold) is ``encoding``."""
+    gold) is ``encoding``: per chunk the loss without a gradient and the
+    decoded labels, with no scores (so no CRF marginals)."""
     losses = np.empty(len(dev.sentences))
     predictions = [None] * len(dev.sentences)
     for idx, batch, rows in _eval_passes(model, encoding):
-        layout = batch.layout
-        marginals = None
-        if _uses_crf_loss(model.config):
-            # one forward-backward pass gives the loss and the scores
-            losses[idx], marginals = crf_nll_marginals(
-                layout.scatter(rows), model.transitions(), layout.scatter(batch.gold),
-                layout.lengths
-            )
-        else:
-            losses[idx], _ = _sentence_loss(model, rows, layout, batch.gold)
-        for i, (labels, _) in zip(idx, _predictions(model, rows, layout, marginals)):
+        losses[idx], _ = _sentence_loss(model, rows, batch.layout, batch.gold)
+        best, _ = _decode(model, rows, batch.layout)
+        for i, labels in zip(idx, _labels(model, best, batch.layout)):
             predictions[i] = labels
-        del rows, marginals
+        del rows
     report = evaluate(dev, predictions)
     return float(np.mean(losses)), report.macro_f1
 

@@ -73,15 +73,15 @@ def test_crf_oracle_equivalence():
             log_z, best_path, best_score, marginals, _ = enumerate_crf(
                 emissions, trans.matrix, trans.start, trans.end
             )
-            batch = emissions[None]
-            assert log_partition(batch, trans, [n])[0] == pytest.approx(log_z, abs=1e-9)
-            (path,), (score,) = viterbi(batch, trans, [n])
+            one = RowLayout([n])
+            assert log_partition(emissions, trans, one)[0] == pytest.approx(log_z, abs=1e-9)
+            path, (score,) = viterbi(emissions, trans, one)
             assert score == pytest.approx(best_score, abs=1e-9)
             assert list(path) == best_path
-            assert path_score(batch, trans, [path], [n])[0] == pytest.approx(
+            assert path_score(emissions, trans, path, one)[0] == pytest.approx(
                 score, abs=1e-9
             )
-            got = crf_marginals(batch, trans, [n])[0]
+            got = crf_marginals(emissions, trans, one)
             np.testing.assert_allclose(got, marginals, atol=1e-9)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"CRF oracle sweep took {elapsed:.1f}s"
@@ -168,8 +168,8 @@ def _layer_gradient_cases(seed):
 
     def crf_loss(grad=False, store=store, gold=gold):
         trans = Transitions(store["matrix"], store["start"], store["end"])
-        (loss,), (d_e,), d_m, d_s, d_end = crf_nll_grad(store["emissions"][None], trans,
-                                                        [gold], [len(gold)])
+        (loss,), d_e, d_m, d_s, d_end = crf_nll_grad(store["emissions"], trans, gold,
+                                                     RowLayout([len(gold)]))
         if grad:
             store.accumulate("emissions", d_e)
             store.accumulate("matrix", d_m)

@@ -2,8 +2,8 @@
 (B = 1) calls it replaces, for every layer, the CRF and the whole tagger
 loss, outputs and every parameter gradient alike. Layers take a batch's
 sentence-major rows, so each sentence's output and input-gradient rows
-must equal its lone call's; the CRF takes a right-padded batch. The
-char-CNN's padded batch of words is checked against per-word calls and a
+must equal its lone call's; so must the CRF's, which takes the rows too.
+The char-CNN's padded batch of words is checked against per-word calls and a
 textbook per-word oracle.
 
 Summation order differs between a batch and its sentences, so values are
@@ -59,18 +59,13 @@ CASES = length_cases()
 
 
 def padded(rng, lengths, dim):
-    """Random (B, n, dim) batch; padding holds garbage, which must not
-    leak into any real position or gradient."""
+    """Random (B, n, dim) batch; padding holds garbage."""
     return rng.normal(size=(len(lengths), max(lengths), dim))
 
 
 def sentence_rows(lengths):
     """Each sentence's slice of a batch's sentence-major rows."""
     return [slice(start, start + n) for start, n in zip(np.cumsum(lengths) - lengths, lengths)]
-
-
-def real_mask(lengths):
-    return np.arange(max(lengths))[None, :] < np.asarray(lengths)[:, None]
 
 
 def grads(store):
@@ -157,26 +152,25 @@ def test_crf_batch_matches_sentences(lengths):
     n_tags = 4
     trans = Transitions(rng.normal(size=(n_tags, n_tags)), rng.normal(size=n_tags),
                         rng.normal(size=n_tags))
-    emissions = padded(rng, lengths, n_tags) * 2.0
-    gold = rng.integers(0, n_tags, size=emissions.shape[:2])
-    log_z = log_partition(emissions, trans, lengths)
-    marginals = crf_marginals(emissions, trans, lengths)
-    paths, scores = viterbi(emissions, trans, lengths)
-    loss, d_e, d_m, d_s, d_end = crf_nll_grad(emissions, trans, gold, lengths)
-    assert not marginals[~real_mask(lengths)].any()
-    assert not d_e[~real_mask(lengths)].any()
+    layout = RowLayout(lengths)
+    emissions = layout.gather(padded(rng, lengths, n_tags) * 2.0)
+    gold = layout.gather(rng.integers(0, n_tags, size=(len(lengths), max(lengths))))
+    log_z = log_partition(emissions, trans, layout)
+    marginals = crf_marginals(emissions, trans, layout)
+    paths, scores = viterbi(emissions, trans, layout)
+    loss, d_e, d_m, d_s, d_end = crf_nll_grad(emissions, trans, gold, layout)
     sums = [np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags)]
-    for b, n in enumerate(lengths):
-        e_b = emissions[b:b + 1, :n]
-        assert log_z[b] == pytest.approx(log_partition(e_b, trans, [n])[0], abs=TOL)
-        np.testing.assert_allclose(marginals[b, :n], crf_marginals(e_b, trans, [n])[0],
+    for b, (n, span) in enumerate(zip(lengths, sentence_rows(lengths))):
+        e_b, one = emissions[span], RowLayout([n])
+        assert log_z[b] == pytest.approx(log_partition(e_b, trans, one)[0], abs=TOL)
+        np.testing.assert_allclose(marginals[span], crf_marginals(e_b, trans, one),
                                    rtol=0, atol=TOL)
-        (path_b,), (score_b,) = viterbi(e_b, trans, [n])
-        assert paths[b] == path_b
+        path_b, (score_b,) = viterbi(e_b, trans, one)
+        np.testing.assert_array_equal(paths[span], path_b)
         assert scores[b] == pytest.approx(score_b, abs=TOL)
-        (loss_b,), (d_e_b,), *d_trans = crf_nll_grad(e_b, trans, gold[b:b + 1, :n], [n])
+        (loss_b,), d_e_b, *d_trans = crf_nll_grad(e_b, trans, gold[span], one)
         assert loss[b] == pytest.approx(loss_b, abs=TOL)
-        np.testing.assert_allclose(d_e[b, :n], d_e_b, rtol=0, atol=TOL)
+        np.testing.assert_allclose(d_e[span], d_e_b, rtol=0, atol=TOL)
         for total, part in zip(sums, d_trans):
             total += part
     for got, want in zip((d_m, d_s, d_end), sums):

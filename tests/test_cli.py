@@ -87,6 +87,24 @@ class TestExitCodes:
         assert code == 1
         assert "train_fraction" in err
 
+    def test_negative_split_seed_is_validation_failure(self, capsys, fixture_file, tmp_path):
+        code, out, err = run(
+            capsys, "split", fixture_file, "--seed", "-3",
+            "--train-out", tmp_path / "a", "--dev-out", tmp_path / "b",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be >= 0, got -3\n"
+        assert not (tmp_path / "a").exists()
+
+    def test_negative_config_seed_is_validation_failure(self, capsys, tmp_path):
+        (tmp_path / "c.conll").write_text(learnable_corpus_text(4), encoding="utf-8")
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(SMALL_CONFIG + "seed = -1\n", encoding="utf-8")
+        code, out, err = run(capsys, "train", cfg, tmp_path / "c.conll", tmp_path / "c.conll",
+                             tmp_path / "m.bin")
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}: invalid config: seed: must be >= 0\n"
+
     def test_bad_usage(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
@@ -1069,6 +1087,16 @@ class TestImpossibleArrays:
     def test_gradcheck_char_kernel(self, capsys, tmp_path, size, message):
         cfg = tmp_path / "g.cfg"
         cfg.write_text(f"use_char_cnn = true\nchar_kernel = {size}\n", encoding="utf-8")
+        code, out, err = run(capsys, "gradcheck", cfg)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith(message)
+
+    @SIZES
+    def test_gradcheck_attention_heads(self, capsys, tmp_path, size, message):
+        # gradcheck picks its hidden width from the head count at once
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(f"use_mha = true\nhidden = {size}\nmha_heads = {2 * int(size)}\n",
+                       encoding="utf-8")
         code, out, err = run(capsys, "gradcheck", cfg)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith(message)

@@ -206,6 +206,13 @@ class TestSplitCorpus:
         with pytest.raises(CorpusError, match="^need at least 2 sentences to split$"):
             split_corpus(corpus, 0.5, seed=0)
 
+    def test_negative_seed_named(self):
+        from helpers import random_corpus
+
+        corpus = random_corpus(np.random.default_rng(0), 4)
+        with pytest.raises(CorpusError, match="^seed must be >= 0, got -3$"):
+            split_corpus(corpus, 0.5, seed=-3)
+
     def test_bad_fraction(self):
         from helpers import random_corpus
 

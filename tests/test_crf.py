@@ -10,11 +10,11 @@ from seqtag.crf import (
     bio_constraint_penalty,
     crf_marginals,
     crf_nll_grad,
-    crf_nll_marginals,
     log_partition,
     path_score,
     viterbi,
 )
+from seqtag.nn import RowLayout
 
 from helpers import enumerate_crf, reference_crf_alphas, reference_crf_betas
 
@@ -31,43 +31,48 @@ def random_instance(rng, n=None, n_tags=None, scale=1.0):
     return emis, trans
 
 
+def one(emis):
+    """The layout of ``emis`` (n, T) as a batch of one sentence."""
+    return RowLayout([len(emis)])
+
+
 class TestLogPartition:
     def test_uniform_two_by_two(self):
         emis = np.zeros((2, 2))
         trans = Transitions.zeros(2)
-        assert log_partition(emis[None], trans, [2])[0] == pytest.approx(math.log(4.0),
+        assert log_partition(emis, trans, one(emis))[0] == pytest.approx(math.log(4.0),
                                                                          abs=1e-12)
 
     def test_single_position_closed_form(self):
         emis = np.array([[0.3, -1.2, 2.0]])
         trans = Transitions.zeros(3)
         expected = math.log(sum(math.exp(v) for v in emis[0]))
-        assert log_partition(emis[None], trans, [1])[0] == pytest.approx(expected, abs=1e-12)
+        assert log_partition(emis, trans, one(emis))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             emis, trans = random_instance(rng)
             expected, _, _, _, _ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            got = log_partition(emis[None], trans, [len(emis)])[0]
+            got = log_partition(emis, trans, one(emis))[0]
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_emission_shift_invariance(self):
         rng = np.random.default_rng(5)
         emis, trans = random_instance(rng, n=4, n_tags=3)
-        base = log_partition(emis[None], trans, [4])[0]
+        base = log_partition(emis, trans, one(emis))[0]
         shifted = emis.copy()
         shifted[2] += 7.5
-        assert log_partition(shifted[None], trans, [4])[0] == pytest.approx(base + 7.5, abs=1e-9)
+        assert log_partition(shifted, trans, one(emis))[0] == pytest.approx(base + 7.5, abs=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            log_partition(np.zeros((1, 2, 3)), Transitions.zeros(2), [2])
+            log_partition(np.zeros((2, 3)), Transitions.zeros(2), RowLayout([2]))
 
     def test_stable_for_large_scores(self):
-        emis = np.full((1, 5, 3), 1e3)
+        emis = np.full((5, 3), 1e3)
         trans = Transitions.zeros(3)
-        (value,) = log_partition(emis, trans, [5])
+        (value,) = log_partition(emis, trans, one(emis))
         assert np.isfinite(value)
         assert value == pytest.approx(5e3 + 5 * math.log(3), rel=1e-12)
 
@@ -77,23 +82,23 @@ class TestViterbi:
         rng = np.random.default_rng(0)
         emis = rng.normal(size=(6, 4))
         trans = Transitions.zeros(4)
-        (path,), _ = viterbi(emis[None], trans, [6])
-        assert path == list(np.argmax(emis, axis=1))
-        assert all(type(t) is int for t in path)
+        path, _ = viterbi(emis, trans, one(emis))
+        assert path.tolist() == list(np.argmax(emis, axis=1))
+        assert path.dtype == np.int64
 
     def test_single_position(self):
         emis = np.array([[0.1, 0.9, -2.0]])
         trans = Transitions(np.zeros((3, 3)), np.array([0.0, 0.0, 3.5]), np.zeros(3))
-        (path,), (score,) = viterbi(emis[None], trans, [1])
-        assert path == [2]
+        path, (score,) = viterbi(emis, trans, one(emis))
+        assert path.tolist() == [2]
         assert score == pytest.approx(3.5 - 2.0)
 
     def test_score_is_path_score(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             emis, trans = random_instance(rng)
-            (path,), (score,) = viterbi(emis[None], trans, [len(emis)])
-            (expected,) = path_score(emis[None], trans, [path], [len(emis)])
+            path, (score,) = viterbi(emis, trans, one(emis))
+            (expected,) = path_score(emis, trans, path, one(emis))
             assert score == pytest.approx(expected, abs=1e-10)
 
     def test_matches_enumeration(self):
@@ -101,21 +106,21 @@ class TestViterbi:
         for _ in range(100):
             emis, trans = random_instance(rng)
             _, _, best_score, _, _ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            _, (score,) = viterbi(emis[None], trans, [len(emis)])
+            _, (score,) = viterbi(emis, trans, one(emis))
             assert score == pytest.approx(best_score, abs=1e-10)
 
     def test_ties_break_toward_lower_index(self):
         emis = np.zeros((3, 3))
         trans = Transitions.zeros(3)
-        (path,), _ = viterbi(emis[None], trans, [3])
-        assert path == [0, 0, 0]
+        path, _ = viterbi(emis, trans, one(emis))
+        assert path.tolist() == [0, 0, 0]
 
 
 class TestMarginals:
     def test_uniform_symmetry(self):
         emis = np.zeros((3, 2))
         trans = Transitions.zeros(2)
-        np.testing.assert_allclose(crf_marginals(emis[None], trans, [3]), 0.5, atol=1e-12)
+        np.testing.assert_allclose(crf_marginals(emis, trans, one(emis)), 0.5, atol=1e-12)
 
     def test_single_position_softmax(self):
         rng = np.random.default_rng(3)
@@ -124,76 +129,84 @@ class TestMarginals:
         scores = emis[0] + trans.start + trans.end
         expected = np.exp(scores - scores.max())
         expected /= expected.sum()
-        np.testing.assert_allclose(crf_marginals(emis[None], trans, [1])[0, 0], expected,
+        np.testing.assert_allclose(crf_marginals(emis, trans, one(emis))[0], expected,
                                    atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             emis, trans = random_instance(rng)
-            m = crf_marginals(emis[None], trans, [len(emis)])
-            np.testing.assert_allclose(m.sum(axis=2), 1.0, atol=1e-12)
+            m = crf_marginals(emis, trans, one(emis))
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             emis, trans = random_instance(rng)
             _, _, _, expected, _ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            got = crf_marginals(emis[None], trans, [len(emis)])[0]
+            got = crf_marginals(emis, trans, one(emis))
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
-    def test_padded_batch_is_the_textbook_formula_bit_for_bit(self):
-        # exp(alphas + betas - log Z) at real positions and 0 at padding,
-        # the same bits as the formula written out with its temporaries
+    def test_ragged_batch_is_the_textbook_formula_bit_for_bit(self):
+        # exp(alphas + betas - log Z) at every row, the same bits as the
+        # formula written out with its temporaries
         rng = np.random.default_rng(7)
         trans = Transitions(*(rng.normal(size=s) for s in [(4, 4), 4, 4]))
         emis = rng.normal(size=(3, 6, 4))
         lengths = np.array([6, 1, 4])
+        layout = RowLayout(lengths)
         alphas, betas = kernels.crf_forward_backward(emis, trans.matrix, trans.start,
                                                      trans.end, lengths)
         final = alphas[np.arange(3), lengths - 1] + trans.end
         mx = final.max(axis=1)
         log_z = mx + np.log(np.sum(np.exp(final - mx[:, None]), axis=1))
-        real = np.arange(6)[None, :] < lengths[:, None]
-        want = np.exp(np.where(real[:, :, None], alphas + betas - log_z[:, None, None],
-                               -np.inf))
-        np.testing.assert_array_equal(crf_marginals(emis, trans, lengths), want)
+        want = np.exp(layout.gather(alphas) + layout.gather(betas)
+                      - np.repeat(log_z, lengths)[:, None])
+        np.testing.assert_array_equal(crf_marginals(layout.gather(emis), trans, layout), want)
 
     def test_invariant_under_emission_shift(self):
         rng = np.random.default_rng(6)
         emis, trans = random_instance(rng, n=4, n_tags=3)
-        base = crf_marginals(emis[None], trans, [4])
+        base = crf_marginals(emis, trans, one(emis))
         shifted = emis.copy()
         shifted[1] += -3.3
-        np.testing.assert_allclose(crf_marginals(shifted[None], trans, [4]), base, atol=1e-9)
+        np.testing.assert_allclose(crf_marginals(shifted, trans, one(emis)), base, atol=1e-9)
 
 
 class TestNllGrad:
-    def test_nll_marginals_equal_the_separate_passes(self):
-        # one forward-backward pass gives the same bits as crf_nll_grad's
-        # loss and crf_marginals, for a batch of one and for a padded batch
+    def test_loss_is_log_partition_minus_path_score_bit_for_bit(self):
+        # the tagger's loss-only path, for a ragged batch and a batch of one
         rng = np.random.default_rng(12)
         trans = Transitions(*(rng.normal(size=s) for s in [(4, 4), 4, 4]))
-        emis = rng.normal(size=(3, 6, 4))
-        lengths = np.array([6, 1, 4])
-        gold = rng.integers(0, 4, size=(3, 6))
-        loss, marginals = crf_nll_marginals(emis, trans, gold, lengths)
-        np.testing.assert_array_equal(loss, crf_nll_grad(emis, trans, gold, lengths)[0])
-        np.testing.assert_array_equal(marginals, crf_marginals(emis, trans, lengths))
-        loss, marginals = crf_nll_marginals(emis[:1], trans, gold[:1], [6])
-        np.testing.assert_array_equal(loss, crf_nll_grad(emis[:1], trans, gold[:1], [6])[0])
-        np.testing.assert_array_equal(marginals, crf_marginals(emis[:1], trans, [6]))
+        for lengths in ([6, 1, 4], [6]):
+            layout = RowLayout(lengths)
+            emis = rng.normal(size=(sum(lengths), 4))
+            gold = rng.integers(0, 4, size=sum(lengths))
+            np.testing.assert_array_equal(
+                crf_nll_grad(emis, trans, gold, layout)[0],
+                log_partition(emis, trans, layout) - path_score(emis, trans, gold, layout))
+
+    def test_row_count_disagreeing_with_the_layout(self):
+        emis, trans, layout = np.zeros((3, 2)), Transitions.zeros(2), RowLayout([2])
+        gold = np.zeros(3, dtype=np.int64)
+        for call in (lambda: log_partition(emis, trans, layout),
+                     lambda: viterbi(emis, trans, layout),
+                     lambda: crf_marginals(emis, trans, layout),
+                     lambda: path_score(emis, trans, gold[:2], layout),
+                     lambda: crf_nll_grad(emis, trans, gold, layout)):
+            with pytest.raises(ValueError, match="rows"):
+                call()
 
     def test_peaked_emissions_near_zero_loss(self):
         n, n_tags = 4, 3
         gold = [0, 2, 1, 1]
         emis = np.full((n, n_tags), -100.0)
         emis[np.arange(n), gold] = 100.0
-        (loss,), *_ = crf_nll_grad(emis[None], Transitions.zeros(n_tags), [gold], [n])
+        (loss,), *_ = crf_nll_grad(emis, Transitions.zeros(n_tags), gold, one(emis))
         assert 0.0 <= loss < 1e-6
 
     def test_uniform_loss_log4(self):
-        (loss,), *_ = crf_nll_grad(np.zeros((1, 2, 2)), Transitions.zeros(2), [[0, 1]], [2])
+        (loss,), *_ = crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0, 1], RowLayout([2]))
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_gold_probability_in_unit_interval(self):
@@ -202,11 +215,11 @@ class TestNllGrad:
             emis, trans = random_instance(rng)
             n, n_tags = emis.shape
             gold = rng.integers(0, n_tags, size=n)
-            (loss,), *_ = crf_nll_grad(emis[None], trans, gold[None], [n])
+            (loss,), *_ = crf_nll_grad(emis, trans, gold, one(emis))
             p = math.exp(-loss)
             assert 0.0 < p <= 1.0 + 1e-12
             log_z, *_ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-            expected = math.exp(path_score(emis[None], trans, gold[None], [n])[0] - log_z)
+            expected = math.exp(path_score(emis, trans, gold, one(emis))[0] - log_z)
             assert p == pytest.approx(expected, abs=1e-10)
 
     def test_emission_gradient_rows_sum_to_zero(self):
@@ -215,8 +228,8 @@ class TestNllGrad:
             emis, trans = random_instance(rng)
             n, n_tags = emis.shape
             gold = rng.integers(0, n_tags, size=n)
-            _, d_emis, _, _, _ = crf_nll_grad(emis[None], trans, gold[None], [n])
-            np.testing.assert_allclose(d_emis.sum(axis=2), 0.0, atol=1e-9)
+            _, d_emis, _, _, _ = crf_nll_grad(emis, trans, gold, one(emis))
+            np.testing.assert_allclose(d_emis.sum(axis=1), 0.0, atol=1e-9)
 
     def test_transition_gradient_matches_enumeration(self):
         rng = np.random.default_rng(9)
@@ -224,8 +237,7 @@ class TestNllGrad:
             emis, trans = random_instance(rng)
             n, n_tags = emis.shape
             gold = rng.integers(0, n_tags, size=n)
-            _, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis[None], trans, gold[None],
-                                                               [n])
+            _, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis, trans, gold, one(emis))
             _, _, _, marg, pairs = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
             gold_pairs = np.zeros_like(trans.matrix)
             for a, b in zip(gold[:-1], gold[1:]):
@@ -233,17 +245,17 @@ class TestNllGrad:
             np.testing.assert_allclose(d_matrix, pairs - gold_pairs, atol=1e-9)
             onehot = np.zeros_like(emis)
             onehot[np.arange(n), gold] = 1.0
-            np.testing.assert_allclose(d_emis[0], marg - onehot, atol=1e-9)
+            np.testing.assert_allclose(d_emis, marg - onehot, atol=1e-9)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         emis, trans = random_instance(rng, n=3, n_tags=3)
-        gold = np.array([[1, 0, 2]])
-        loss, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis[None], trans, gold, [3])
+        gold = np.array([1, 0, 2])
+        loss, d_emis, d_matrix, d_start, d_end = crf_nll_grad(emis, trans, gold, one(emis))
         step = 1e-6
 
         def loss_at(e, m, s, z):
-            return crf_nll_grad(e[None], Transitions(m, s, z), gold, [3])[0][0]
+            return crf_nll_grad(e, Transitions(m, s, z), gold, one(e))[0][0]
 
         for target, grad in (("emis", d_emis), ("matrix", d_matrix),
                              ("start", d_start), ("end", d_end)):
@@ -264,11 +276,11 @@ class TestNllGrad:
 
     def test_out_of_range_gold(self):
         with pytest.raises(ValueError, match="range"):
-            crf_nll_grad(np.zeros((1, 2, 2)), Transitions.zeros(2), [[0, 5]], [2])
+            crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0, 5], RowLayout([2]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            crf_nll_grad(np.zeros((1, 2, 2)), Transitions.zeros(2), [[0]], [2])
+            crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0], RowLayout([2]))
 
 
 class TestBioConstraints:
@@ -290,8 +302,8 @@ class TestBioConstraints:
         for _ in range(50):
             emis = rng.normal(scale=3.0, size=(5, len(tagset)))
             trans = Transitions.zeros(len(tagset)).penalized(matrix_pen, start_pen)
-            (path,), _ = viterbi(emis[None], trans, [5])
-            labels = [tagset.labels[i] for i in path]
+            path, _ = viterbi(emis, trans, one(emis))
+            labels = [tagset.labels[i] for i in path.tolist()]
             from seqtag.corpus import validate_bio
 
             assert validate_bio(labels) == []
@@ -345,10 +357,12 @@ class TestKernelsAgainstLogSpaceOracle:
 
     def check(self, emis, trans, lengths):
         log_z, marginals = oracle_log_z_marginals(emis, trans, lengths)
-        np.testing.assert_allclose(log_partition(emis, trans, lengths), log_z,
+        layout = RowLayout(lengths)
+        rows = layout.gather(emis)
+        np.testing.assert_allclose(log_partition(rows, trans, layout), log_z,
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(crf_marginals(emis, trans, lengths), marginals,
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(crf_marginals(rows, trans, layout),
+                                   layout.gather(marginals), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("penalized", [False, True])
     def test_unit_scale(self, penalized):
@@ -428,6 +442,6 @@ class TestKernelsAgainstLogSpaceOracle:
         assert product[i] == 0.0
         exact_rows = self.count_exact_rows(monkeypatch)
         log_z, *_ = enumerate_crf(emis, trans.matrix, trans.start, trans.end)
-        assert log_partition(emis[None], trans, [2])[0] == pytest.approx(log_z, rel=1e-12)
+        assert log_partition(emis, trans, one(emis))[0] == pytest.approx(log_z, rel=1e-12)
         assert log_z == pytest.approx(1200.0)
         assert sum(exact_rows) >= 1

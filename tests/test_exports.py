@@ -52,9 +52,6 @@ def test_no_unused_imports():
 # Public entry points only the [PRIMARY] oracles call, with the reason each
 # cannot be reached through a function the package or perfbench reads.
 ORACLE_ENTRY_POINTS = {
-    # the CRF oracle checks log Z directly; the package computes it only
-    # inside the NLL functions
-    "log_partition",
     # the Ensemble oracle votes label pools holding a lone I-PER, which
     # ensemble_corpus would BIO-repair to B-PER
     "majority_vote",

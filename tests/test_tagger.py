@@ -128,6 +128,12 @@ class TestConfigValidation:
             TaggerConfig(use_mha=True, hidden=3, mha_heads=4).validate()
         TaggerConfig(use_mha=True, hidden=4, mha_heads=4).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^invalid config: seed: must be >= 0$") as exc:
+            parse_config("seed = -1\n")
+        assert exc.value.keys == ("seed",)
+        TaggerConfig(seed=0).validate()
+
     def test_decode_only_requires_crf(self):
         with pytest.raises(ConfigError, match="crf_decode_only"):
             TaggerConfig(use_crf=False, crf_decode_only=True).validate()
@@ -505,9 +511,10 @@ class TestTraining:
         assert eval_f1 == pytest.approx(best.eval_macro_f1, abs=1e-9)
 
     @pytest.mark.parametrize("decode_only", [False, True])
-    def test_crf_forward_backward_runs_once_per_pass(self, monkeypatch, decode_only):
+    def test_crf_forward_backward_runs_at_most_once_per_pass(self, monkeypatch, decode_only):
         # one forward-backward pass per training batch and one per dev
-        # chunk: the dev loss and the marginal scores share it
+        # chunk for its loss; dev decoding is Viterbi alone, so with the
+        # CRF only decoding a dev chunk runs none
         from seqtag import crf
 
         calls = []
@@ -527,8 +534,8 @@ class TestTraining:
         train(build_model(cfg, corpus), corpus, dev)
         n_chunks = len(tagger_module._chunks([len(s) for s in dev.sentences]))
         assert n_chunks > 1
-        n_train = 0 if decode_only else math.ceil(10 / cfg.batch_size)
-        assert len(calls) == n_train + n_chunks
+        n_passes = 0 if decode_only else math.ceil(10 / cfg.batch_size) + n_chunks
+        assert len(calls) == n_passes
 
     def test_dev_gold_with_an_orphan_inside_tag(self):
         # an I- tag with no B- before it opens a gold chunk, so the dev
@@ -673,6 +680,22 @@ class TestModelFiles:
         )
         with pytest.raises(ModelError, match="version"):
             load_model(rewritten)
+
+    def test_negative_seed_in_header_named_with_the_path(self, tmp_path):
+        model = build_model(small_config(), tiny_fixture_corpus())
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16:16 + header_len])
+        header["config"]["seed"] = -1
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        rewritten = tmp_path / "seed.bin"
+        rewritten.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(raw)) + raw
+                              + data[16 + header_len:])
+        with pytest.raises(ModelError) as exc:
+            load_model(rewritten)
+        assert str(exc.value) == f"{rewritten}: invalid config: seed: must be >= 0"
 
     @pytest.mark.parametrize("declared", ["file inventory", "config inventory"])
     def test_oversized_header_rejected_before_building(self, tmp_path, monkeypatch,
