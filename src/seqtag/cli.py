@@ -74,6 +74,13 @@ def _columns(args):
     return ColumnConfig(pos_col=args.pos_col)
 
 
+def _distinct_outputs(flag_a, path_a, flag_b, path_b):
+    """Refuse two outputs that name one file, which the second write would
+    silently replace; checked before any input is read."""
+    if os.path.realpath(path_a) == os.path.realpath(path_b):
+        raise ValueError(f"{flag_a} and {flag_b} name the same file: {path_b}")
+
+
 def cmd_stats(args):
     corpus = _parse(args.corpus, parse_conll, _columns(args))
     print(corpus_stats(corpus).render_table())
@@ -81,6 +88,7 @@ def cmd_stats(args):
 
 
 def cmd_split(args):
+    _distinct_outputs("--train-out", args.train_out, "--dev-out", args.dev_out)
     corpus = _parse(args.corpus, parse_conll, _columns(args))
     train_part, dev_part = split_corpus(corpus, args.train_fraction, args.seed)
     _write(args.train_out, write_conll(train_part))
@@ -91,6 +99,8 @@ def cmd_split(args):
 
 
 def cmd_augment(args):
+    manifest_path = args.manifest or args.out + ".manifest"
+    _distinct_outputs("--out", args.out, "--manifest", manifest_path)
     plan = _parse(args.plan, parse_plan)
     # a relative corpus or lexicon path names a file beside the plan;
     # joining leaves an absolute one unchanged
@@ -105,7 +115,6 @@ def cmd_augment(args):
             )
     result, manifest = run_plan(plan, corpora, backends)
     _write(args.out, write_conll(result))
-    manifest_path = args.manifest or args.out + ".manifest"
     _write(manifest_path, manifest)
     print(manifest, end="")
     print(f"wrote {len(result)} sentences -> {args.out}")
@@ -113,6 +122,8 @@ def cmd_augment(args):
 
 
 def cmd_train(args):
+    history_path = args.history_out or args.model_out + ".history"
+    _distinct_outputs("model_out", args.model_out, "--history-out", history_path)
     config = _parse(args.config, parse_config)
     columns = _columns(args)
     train_corpus = _parse(args.train, parse_conll, columns)
@@ -126,7 +137,6 @@ def cmd_train(args):
     model = build_model(config, train_corpus, pretrained, contextual)
     model, history = train(model, train_corpus, dev_corpus, config, contextual)
     save_model(model, args.model_out)
-    history_path = args.history_out or args.model_out + ".history"
     _write(history_path, history.render())
     best = history.epochs[history.best_epoch - 1]
     print(
@@ -153,6 +163,8 @@ def cmd_predict(args):
 
 
 def cmd_ensemble(args):
+    diag_path = args.diagnostics or args.out + ".diag"
+    _distinct_outputs("--out", args.out, "--diagnostics", diag_path)
     if len(args.predictions) < 2:
         raise EnsembleError(
             f"need at least 2 prediction files, got {len(args.predictions)}"
@@ -165,7 +177,6 @@ def cmd_ensemble(args):
     # a TokenDiag carries the voted label and its support score
     _write(args.out, write_prediction_file(
         reference, [diags for _, diags in diagnostics.per_sentence]))
-    diag_path = args.diagnostics or args.out + ".diag"
     _write(diag_path, diagnostics.render())
     print(
         f"ensembled {len(sets)} models over {len(reference)} sentences "
@@ -209,6 +220,8 @@ def cmd_gradcheck(args):
     constraint, decode-only, LSTM layers, char kernel, dropout rate) at
     small widths, on the built-in batch, with ``--seed`` fixing the
     parameters, contextual vectors and dropout mask."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = _parse(args.config, parse_config)
     heads = config.mha_heads if config.use_mha else 1
     # the least hidden >= 2 whose BiLSTM output width 2 * hidden the heads divide

@@ -23,6 +23,8 @@ so both share one layout. ``lstm_forward`` leaves each step's
 post-activation gates in its input buffer, and ``lstm_backward`` reads
 them from there, so the gates are computed once; an eval pass, which
 runs no backward, asks it to keep neither the gates nor the cell states.
+``lstm_backward`` writes into nothing it is given, so one forward pass's
+arrays serve any number of backward passes.
 ``crf_forward_backward`` advances the CRF forward and backward passes
 together and ``viterbi_decode`` decodes.
 
@@ -122,42 +124,21 @@ def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows):
     layout of ``alive`` and ``prev_rows`` (``nn.RowLayout``); ``gates`` is
     the post-activation ``xw`` that ``lstm_forward`` left. Returns
     gradients w.r.t. the input projections xw (2, N, 4h) and the
-    recurrent weights (2, h, 4h).
-
-    ``gates`` (contiguous) and ``tanh_cs`` are scratch space: both are
-    overwritten, and ``gates`` is returned as the xw gradient, so a batch's
-    backward pass allocates little beyond its inputs."""
+    recurrent weights (2, h, 4h). Reads its arguments and writes only
+    arrays it allocates."""
     n_dir, n_rows, h = hs.shape
     first = n_rows - len(prev_rows)
-    dz = gates.reshape(n_dir, n_rows, 4, h)
-    i, f, g, o = dz[..., 0, :], dz[..., 1, :], dz[..., 2, :], dz[..., 3, :]
-    # overwrite each gate with the factor of its pre-activation gradient
-    # that does not depend on the recursion: dz_i = dc * g * i * (1 - i),
-    # dz_f = dc * c_prev * f * (1 - f), dz_g = dc * i * (1 - g^2) and
-    # dz_o = dh * tanh(c) * o * (1 - o); tanh_cs becomes d(dc)/d(dh)
-    # = o * (1 - tanh(c)^2). One scratch buffer serves the i, g and o
-    # factors, then keeps the forget gate f that the recursion needs.
-    scratch = 1.0 - o
-    scratch *= o
-    scratch *= tanh_cs
-    np.multiply(tanh_cs, tanh_cs, out=tanh_cs)
-    np.subtract(1.0, tanh_cs, out=tanh_cs)
-    tanh_cs *= o
-    dc_dh = tanh_cs
-    o[...] = scratch
-    np.subtract(1.0, i, out=scratch)
-    scratch *= i
-    scratch *= g
-    g *= g
-    np.subtract(1.0, g, out=g)
-    g *= i
-    i[...] = scratch
-    f_gate = scratch
-    f_gate[...] = f
-    np.subtract(1.0, f_gate, out=f)
-    f *= f_gate
-    f[:, first:] *= cs[:, prev_rows]
-    f[:, :first] = 0.0  # the initial cell state is zero
+    i, f, g, o = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    c_prev = np.zeros_like(cs)  # the initial cell state is zero
+    c_prev[:, first:] = cs[:, prev_rows]
+    # each gate's factor of its pre-activation gradient that does not
+    # depend on the recursion: dz_i = dc * (1 - i) * i * g, dz_f = dc *
+    # (1 - f) * f * c_prev, dz_g = dc * (1 - g^2) * i and dz_o = dh *
+    # (1 - o) * o * tanh(c); and d(dc)/d(dh) = (1 - tanh(c)^2) * o
+    dz = np.stack([(1.0 - i) * i * g, (1.0 - f) * f * c_prev, (1.0 - g * g) * i,
+                   (1.0 - o) * o * tanh_cs], axis=2)
+    dc_dh = (1.0 - tanh_cs * tanh_cs) * o
+    d_xw = dz.reshape(n_dir, n_rows, 4 * h)
 
     w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))
     # a row alive at step t + 1 carries dh and dc back to the same row of
@@ -175,13 +156,13 @@ def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows):
         np.multiply(dz[:, rows, :3], dc[:, :, None, :], out=dz[:, rows, :3])
         np.multiply(dz[:, rows, 3], dh, out=dz[:, rows, 3])
         if t:
-            dc_next = dc * f_gate[:, rows]
-            dh_next = np.matmul(gates[:, rows], w_h_t)
+            dc_next = dc * f[:, rows]
+            dh_next = np.matmul(d_xw[:, rows], w_h_t)
         end = start
 
     # the first step's predecessor is the zero state: it adds nothing
-    d_wh = np.matmul(hs[:, prev_rows].transpose(0, 2, 1), gates[:, first:])
-    return gates, d_wh
+    d_wh = np.matmul(hs[:, prev_rows].transpose(0, 2, 1), d_xw[:, first:])
+    return d_xw, d_wh
 
 
 # A column sum of shifted probabilities below this is recomputed exactly

@@ -207,11 +207,11 @@ class BiLstm:
     that stacked layout, forward direction first: ``{prefix}.l{k}.w_x``
     (2, d, 4h), ``.w_h`` (2, h, 4h) and ``.b`` (2, 4h).
 
-    The forward cache holds each layer's gates and tanh(c), which
-    ``backward`` uses as scratch space: one cache serves exactly one
-    backward pass. An eval-mode pass keeps no cache: each layer drops its
-    input once it is projected, and its gates once the next layer's input
-    is built, and ``lstm_forward`` keeps no per-row cell states."""
+    The forward cache holds each layer's input, hidden and cell states,
+    tanh(c) and gates; ``backward`` only reads it. An eval-mode pass keeps
+    no cache: each layer drops its input once it is projected, and its
+    gates once the next layer's input is built, and ``lstm_forward`` keeps
+    no per-row cell states."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -281,8 +281,7 @@ class BiLstm:
     def _backward_layer(self, layer, d_hs, xs, hs, cs, tanh_cs, gates, alive, prev_rows):
         """Accumulate one layer's parameter gradients; return the gradient
         w.r.t. its stacked input xs (2, N, d). ``tanh_cs`` and ``gates`` are
-        the tanh(c) and the post-activation gates its forward pass left,
-        overwritten here; ``gates`` becomes the input-projection gradient."""
+        the tanh(c) and the post-activation gates its forward pass left."""
         name, w_x, w_h, _ = layer
         d_xw, d_wh = lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows)
         # each direction's weight gradients sum its rows in the order it

@@ -70,19 +70,20 @@ def _parse_floats(fields, line_no):
 
 def parse_word_vectors(text):
     """Parse `token c1 c2 ... cd` lines; a leading `count dim` header line
-    (two integer fields) is recognized and skipped."""
+    (two integer fields) is recognized, and must state the count and the
+    dimension of the vectors that follow."""
     vectors = {}
     dim = None
     lines = text.splitlines()
-    start = 0
+    header = None
     if lines:
         fields = lines[0].split()
         if len(fields) == 2:
             try:
-                int(fields[0]), int(fields[1])
-                start = 1
+                header = int(fields[0]), int(fields[1])
             except ValueError:
                 pass
+    start = 0 if header is None else 1
     for line_no, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
@@ -100,6 +101,9 @@ def parse_word_vectors(text):
         vectors[token] = vec
     if dim is None:
         raise ParseError("no vectors in file")
+    if header is not None and header != (len(vectors), dim):
+        raise ParseError(f"header says {header[0]} vectors of dimension {header[1]}, "
+                         f"the file has {len(vectors)} of dimension {dim}", 1)
     return WordVectors(vectors, dim)
 
 

@@ -105,6 +105,33 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: {cfg}: invalid config: seed: must be >= 0\n"
 
+    @pytest.mark.parametrize("command, flags", [
+        ("split", ("--train-out", "--dev-out")),
+        ("train", ("model_out", "--history-out")),
+        ("augment", ("--out", "--manifest")),
+        ("ensemble", ("--out", "--diagnostics")),
+    ])
+    def test_two_outputs_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch,
+                                                      command, flags):
+        # the inputs do not exist: the check comes before any input is read,
+        # and the file the outputs name keeps its bytes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "same").write_bytes(b"keep\n")
+        same, alias = "same", os.path.join("sub", "..", "same")
+        argv = {
+            "split": ["split", "c.conll", "--train-out", same, "--dev-out", alias],
+            "train": ["train", "g.cfg", "c.conll", "c.conll", same, "--history-out", alias],
+            "augment": ["augment", "plan.txt", "--out", same, "--manifest", alias],
+            "ensemble": ["ensemble", "a.pred", "b.pred", "--reference", "c.conll",
+                         "--out", same, "--diagnostics", alias],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flags[0]} and {flags[1]} name the same file: {alias}\n"
+        assert sorted(os.listdir(tmp_path)) == ["same", "sub"]
+        assert (tmp_path / "same").read_bytes() == b"keep\n"
+
     def test_bad_usage(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
@@ -1041,6 +1068,11 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck", cfg)
         assert code == 0
         assert self.groups(out) == dict.fromkeys(["word", "lstm", "head"], "PASS")
+
+    def test_negative_seed_names_the_flag(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gradcheck", self.write_config(tmp_path), "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be >= 0, got -1\n"
 
     def test_injected_gradient_bug_fails(self, capsys, tmp_path, monkeypatch):
         from seqtag.nn.layers import Linear

@@ -297,6 +297,26 @@ class TestBiLstm:
                 np.testing.assert_allclose(batch_grads[name], store.grad(name), rtol=0,
                                            atol=1e-12, err_msg=name)
 
+    def test_one_cache_serves_two_backward_passes(self):
+        # backward only reads the forward cache: a second pass from it gives
+        # the same input and parameter gradients, bit for bit
+        store = ParamStore()
+        rng = np.random.default_rng(5)
+        rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2, rng=rng)
+        lengths = [3, 5, 1, 5, 2]
+        x = rng.normal(size=(sum(lengths), 3))
+        d_out = rng.normal(size=(sum(lengths), 8))
+        _, cache = rnn.forward(x, RowLayout(lengths))
+        passes = []
+        for _ in range(2):
+            store.zero_grads()
+            d_x = rnn.backward(d_out, cache)
+            passes.append((d_x, {name: store.grad(name).copy() for name in store.names()}))
+        (d_x_1, grads_1), (d_x_2, grads_2) = passes
+        assert d_x_1.tobytes() == d_x_2.tobytes()
+        for name in store.names():
+            assert grads_1[name].tobytes() == grads_2[name].tobytes(), name
+
     @pytest.mark.parametrize("lengths", [[0, 3], [4, 3], [3], [3, 2, 1], [[3, 2]], []])
     def test_rejects_lengths_that_do_not_fit(self, lengths):
         rnn = BiLstm(ParamStore(), "r", 2, 3, layers=1, rng=np.random.default_rng(0))
@@ -426,6 +446,24 @@ class TestLstmKernel:
                                       alive, prev_rows)
                 for name, a, ref in zip(("d_xw", "d_wh"), alone, both):
                     assert np.array_equal(a[0], ref[d]), f"{name} direction {d}"
+
+
+    def test_backward_writes_none_of_its_inputs(self):
+        # every array argument read-only: the call runs and gives the bits
+        # of a call on writable copies
+        rng = np.random.default_rng(3)
+        for lengths, h in self.CASES:
+            layout = RowLayout(lengths)
+            xw, w_h = self.stacked_inputs(rng, lengths, h)
+            hs, cs, tanh_cs = lstm_forward(xw, w_h, layout.alive)
+            d_hs = rng.normal(size=hs.shape)
+            args = [d_hs, hs, cs, tanh_cs, xw, w_h, layout.alive, layout.prev_rows]
+            want = lstm_backward(*[a.copy() for a in args])
+            for a in args:
+                a.flags.writeable = False
+            got = lstm_backward(*args)
+            for name, a, ref in zip(("d_xw", "d_wh"), got, want):
+                assert a.shape == ref.shape and a.tobytes() == ref.tobytes(), name
 
 
 class TestMultiHeadAttention:
