@@ -105,28 +105,26 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: {cfg}: invalid config: seed: must be >= 0\n"
 
-    @pytest.mark.parametrize("command, flags", [
-        ("split", ("--train-out", "--dev-out")),
-        ("train", ("model_out", "--history-out")),
-        ("augment", ("--out", "--manifest")),
-        ("ensemble", ("--out", "--diagnostics")),
-    ])
+    @pytest.mark.parametrize("command", ["split", "train", "augment", "ensemble"])
     def test_two_outputs_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch,
-                                                      command, flags):
+                                                      command):
         # the inputs do not exist: the check comes before any input is read,
         # and the file the outputs name keeps its bytes
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "same").write_bytes(b"keep\n")
         same, alias = "same", os.path.join("sub", "..", "same")
-        argv = {
-            "split": ["split", "c.conll", "--train-out", same, "--dev-out", alias],
-            "train": ["train", "g.cfg", "c.conll", "c.conll", same, "--history-out", alias],
-            "augment": ["augment", "plan.txt", "--out", same, "--manifest", alias],
-            "ensemble": ["ensemble", "a.pred", "b.pred", "--reference", "c.conll",
-                         "--out", same, "--diagnostics", alias],
+        argv, flags = {
+            "split": (["c.conll", "--train-out", same, "--dev-out", alias],
+                      ("--train-out", "--dev-out")),
+            "train": (["g.cfg", "c.conll", "c.conll", same, "--history-out", alias],
+                      ("model_out", "--history-out")),
+            "augment": (["plan.txt", "--out", same, "--manifest", alias],
+                        ("--out", "--manifest")),
+            "ensemble": (["a.pred", "b.pred", "--reference", "c.conll", "--out", same,
+                          "--diagnostics", alias], ("--out", "--diagnostics")),
         }[command]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, command, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: {flags[0]} and {flags[1]} name the same file: {alias}\n"
         assert sorted(os.listdir(tmp_path)) == ["same", "sub"]

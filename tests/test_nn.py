@@ -447,7 +447,6 @@ class TestLstmKernel:
                 for name, a, ref in zip(("d_xw", "d_wh"), alone, both):
                     assert np.array_equal(a[0], ref[d]), f"{name} direction {d}"
 
-
     def test_backward_writes_none_of_its_inputs(self):
         # every array argument read-only: the call runs and gives the bits
         # of a call on writable copies
