@@ -181,12 +181,20 @@ def parse_plan(text):
             if len(fields) < 3:
                 raise ParseError("source needs a name and a path", lineno)
             name, path = fields[1], fields[2]
+            if not path:
+                raise ParseError(f"source {name!r}: empty corpus path", lineno)
             options = {"lexicon_path": None, "fallback": "keep", "cap": None}
+            given = set()
             for extra in fields[3:]:
                 key, sep, value = extra.partition("=")
                 if not sep:
                     raise ParseError(f"malformed source option {extra!r}", lineno)
+                if key in given:
+                    raise ParseError(f"source {name!r}: option {key!r} given twice", lineno)
+                given.add(key)
                 if key == "lexicon":
+                    if not value:
+                        raise ParseError(f"source {name!r}: empty lexicon path", lineno)
                     options["lexicon_path"] = value
                 elif key == "fallback":
                     options["fallback"] = value

@@ -74,11 +74,16 @@ def _columns(args):
     return ColumnConfig(pos_col=args.pos_col)
 
 
-def _distinct_outputs(flag_a, path_a, flag_b, path_b):
-    """Refuse two outputs that name one file, which the second write would
-    silently replace; checked before any input is read."""
-    if os.path.realpath(path_a) == os.path.realpath(path_b):
-        raise ValueError(f"{flag_a} and {flag_b} name the same file: {path_b}")
+def _distinct_outputs(outputs, inputs=()):
+    """Refuse an output that names one of the command's inputs or another
+    output, which its write would silently replace; checked before the
+    inputs are read. Both are (name, path) pairs; a None path is skipped."""
+    named = [(name, path) for name, path in inputs if path is not None]
+    for name, path in outputs:
+        for other, other_path in named:
+            if os.path.realpath(other_path) == os.path.realpath(path):
+                raise ValueError(f"{other} and {name} name the same file: {path}")
+        named.append((name, path))
 
 
 def cmd_stats(args):
@@ -88,7 +93,8 @@ def cmd_stats(args):
 
 
 def cmd_split(args):
-    _distinct_outputs("--train-out", args.train_out, "--dev-out", args.dev_out)
+    _distinct_outputs([("--train-out", args.train_out), ("--dev-out", args.dev_out)],
+                      [("corpus", args.corpus)])
     corpus = _parse(args.corpus, parse_conll, _columns(args))
     train_part, dev_part = split_corpus(corpus, args.train_fraction, args.seed)
     _write(args.train_out, write_conll(train_part))
@@ -100,11 +106,15 @@ def cmd_split(args):
 
 def cmd_augment(args):
     manifest_path = args.manifest or args.out + ".manifest"
-    _distinct_outputs("--out", args.out, "--manifest", manifest_path)
+    outputs = [("--out", args.out), ("--manifest", manifest_path)]
+    _distinct_outputs(outputs, [("plan", args.plan)])
     plan = _parse(args.plan, parse_plan)
     # a relative corpus or lexicon path names a file beside the plan;
     # joining leaves an absolute one unchanged
     plan_dir = Path(args.plan).parent
+    _distinct_outputs(outputs, [(f"source {s.name!r}", plan_dir / s.path) for s in plan.sources]
+                      + [(f"lexicon of source {s.name!r}", plan_dir / s.lexicon_path)
+                         for s in plan.sources if s.lexicon_path is not None])
     corpora = {}
     backends = {}
     for source in plan.sources:
@@ -123,7 +133,10 @@ def cmd_augment(args):
 
 def cmd_train(args):
     history_path = args.history_out or args.model_out + ".history"
-    _distinct_outputs("model_out", args.model_out, "--history-out", history_path)
+    _distinct_outputs([("model_out", args.model_out), ("--history-out", history_path)],
+                      [("config", args.config), ("train", args.train), ("dev", args.dev),
+                       ("--pretrained-vectors", args.pretrained_vectors),
+                       ("--contextual-vectors", args.contextual_vectors)])
     config = _parse(args.config, parse_config)
     columns = _columns(args)
     train_corpus = _parse(args.train, parse_conll, columns)
@@ -149,6 +162,8 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    _distinct_outputs([("out", args.out)], [("model", args.model), ("corpus", args.corpus),
+                                            ("--contextual-vectors", args.contextual_vectors)])
     model = load_model(args.model)
     columns = ColumnConfig(labeled=not args.no_gold, pos_col=args.pos_col)
     corpus = _parse(args.corpus, parse_conll, columns)
@@ -164,7 +179,9 @@ def cmd_predict(args):
 
 def cmd_ensemble(args):
     diag_path = args.diagnostics or args.out + ".diag"
-    _distinct_outputs("--out", args.out, "--diagnostics", diag_path)
+    _distinct_outputs([("--out", args.out), ("--diagnostics", diag_path)],
+                      [("predictions", path) for path in args.predictions]
+                      + [("--reference", args.reference)])
     if len(args.predictions) < 2:
         raise EnsembleError(
             f"need at least 2 prediction files, got {len(args.predictions)}"

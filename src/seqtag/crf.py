@@ -7,10 +7,11 @@ sentence-major as the tagger's head gives them, plus the batch's
 per-sentence ones (B,). A path through a sentence's emissions ``e``
 (n, T) under transitions ``trans`` scores
 ``start[y0] + sum_t e[t, y_t] + sum_t trans[y_(t-1), y_t] + end[y_(n-1)]``.
-The recursions run in log space via the kernels module, over a
-zero-padded (B, n, T) grid that only this module builds, once per call.
-The forward and backward passes run together, both chains of a step as
-one (2, B, T) @ (2, T, T) matmul of shifted probabilities, exact to
+The recursions run in log space via the kernels module, over the
+batch's packed, time-major rows (``RowLayout.packed``), the layout the
+LSTM kernels step over; no padded position is built. The forward and
+backward passes run together, both chains of a step as one
+(2, alive_t, T) @ (2, T, T) matmul of shifted probabilities, exact to
 roundoff (entries that underflow are recomputed as a plain log-sum-exp).
 Viterbi is max-plus.
 """
@@ -71,11 +72,10 @@ def _require_shape(what, array, shape):
                          f"got {np.shape(array)}")
 
 
-def _grid(rows, trans, layout):
-    """The emission rows (N, T) scattered into the zero-padded (B, n, T)
-    grid the kernels step over."""
-    _require_shape("emission rows", rows, (len(layout.grid), trans.n_tags))
-    return layout.scatter(rows)
+def _packed(rows, trans, layout):
+    """The emission rows (N, T) in the packed order the kernels step over."""
+    _require_shape("emission rows", rows, (len(layout.packed), trans.n_tags))
+    return rows[layout.packed]
 
 
 def _last(layout):
@@ -86,27 +86,23 @@ def _last(layout):
 def path_score(rows, trans, tags, layout):
     """Score (B,) of the tag path ``tags`` (N,), one tag per row."""
     tags = np.asarray(tags)
-    _require_shape("emission rows", rows, (len(layout.grid), trans.n_tags))
-    _require_shape("tag path", tags, (len(layout.grid),))
+    _require_shape("emission rows", rows, (len(layout.packed), trans.n_tags))
+    _require_shape("tag path", tags, (len(layout.packed),))
     if tags.min() < 0 or tags.max() >= trans.n_tags:
         raise ValueError("tag index out of range")
-    # each sentence sums its zero-padded grid row: numpy's pairwise sum
-    # groups terms by position, so a sum over its rows alone could round
-    # differently. Each row's transition comes from the row before it;
-    # at a sentence's first row, grid column 0, that row is another
-    # sentence's, so the column is dropped.
-    emitted = layout.scatter(rows[np.arange(len(tags)), tags]).sum(axis=1)
-    moved = layout.scatter(trans.matrix[np.roll(tags, 1), tags])[:, 1:].sum(axis=1)
-    score = trans.start[tags[layout.offsets]] + emitted
-    score += moved
+    # each row's transition comes from the row before it, except at a
+    # sentence's first row, which takes the start score
+    moved = trans.matrix[np.roll(tags, 1), tags]
+    moved[layout.offsets] = trans.start[tags[layout.offsets]]
+    score = np.add.reduceat(rows[np.arange(len(tags)), tags] + moved, layout.offsets)
     return score + trans.end[tags[_last(layout)]]
 
 
 def _forward_backward(rows, trans, layout):
     """alphas and betas (N, T) at each row, and log Z (B,)."""
-    alphas, betas = crf_forward_backward(_grid(rows, trans, layout), trans.matrix,
-                                         trans.start, trans.end, layout.lengths)
-    alphas, betas = layout.gather(alphas), layout.gather(betas)
+    alphas, betas = map(layout.unpack, crf_forward_backward(
+        _packed(rows, trans, layout), trans.matrix, trans.start, trans.end, layout.alive,
+        layout.rev))
     return alphas, betas, _lse_rows(alphas[_last(layout)] + trans.end)
 
 
@@ -127,9 +123,9 @@ def viterbi(rows, trans, layout):
     """Best-scoring tag path of each sentence, as one tag per row (N,), and
     its score (B,); ties break toward lower tag indices at every
     backpointer."""
-    paths, scores = viterbi_decode(_grid(rows, trans, layout), trans.matrix, trans.start,
-                                   trans.end, layout.lengths)
-    return layout.gather(paths), scores
+    path, scores = viterbi_decode(_packed(rows, trans, layout), trans.matrix, trans.start,
+                                  trans.end, layout.alive)
+    return layout.unpack(path), scores[layout.order]
 
 
 def crf_marginals(rows, trans, layout):

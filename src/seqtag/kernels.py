@@ -1,17 +1,12 @@
 """Hot numeric kernels: LSTM recurrences and CRF dynamic programs.
 
 One numpy implementation per kernel, each run over a whole batch of
-sentences. The LSTM kernels take a packed, time-major batch
-(``nn.RowLayout``, as PyTorch's ``PackedSequence``): the sentences are
-sorted by length, descending, and step t's ``alive[t]`` rows are one
-contiguous run of an (N, ...) array, N the number of real tokens, whose
-predecessors are the leading ``alive[t]`` rows of step t - 1. No step
-touches a padded position. The CRF kernels take a right-padded batch
-``(B, n, ...)``, a sentence of length ``L_b`` at positions
-``0 .. L_b - 1`` of its row, plus the ``lengths`` vector: padded steps
-come after every real step, so they never feed the forward chain, and
-the backward chain and ``viterbi_decode``, which run right to left or
-read the last real step, use ``lengths``.
+sentences in one packed, time-major layout (``nn.RowLayout``, as
+PyTorch's ``PackedSequence``): the sentences are sorted by length,
+descending, and step t's ``alive[t]`` rows are one contiguous run of an
+(N, ...) array, N the number of real tokens, whose predecessors are the
+leading ``alive[t]`` rows of step t - 1. No step touches a padded
+position, and a sentence that has ended drops out of every later step.
 
 Independent recurrences over the same input run as one step loop with a
 leading axis of size 2, so each step is one stacked matmul for both (the
@@ -32,7 +27,7 @@ The CRF chains stay in log space but run each step as one matmul of
 shifted probabilities, exp(prev - row max) @ exp(trans - column max),
 whose log plus the two shifts is the step's log-sum-exp; an entry whose
 terms underflowed is recomputed exactly (``_step``). ``viterbi_decode`` is
-max-plus over a (B, T, T) tensor.
+max-plus over an (alive[t], T, T) tensor per step.
 
 All kernels take and return float64 arrays and use plain IEEE arithmetic,
 so results are reproducible and finite-difference checks hold tightly.
@@ -203,57 +198,62 @@ def _step(prev, shifted, trans, shift):
     return out
 
 
-def crf_forward_backward(emis, trans, start, end, lengths):
-    """Forward and backward log-potentials, each (B, n, T), as two chains
-    of one recursion: step s advances the alphas at position s and the
-    betas at n - 1 - s with one (2, B, T) @ (2, T, T) product.
+def crf_forward_backward(emis, trans, start, end, alive, rev):
+    """Forward and backward log-potentials, each (N, T), of a packed batch
+    (``nn.RowLayout``) of emission rows ``emis`` (N, T), as two chains of
+    one recursion: the forward chain steps over the packed rows and the
+    backward chain over ``emis[rev]``, the sentences read backwards, both
+    in the layout of ``alive``, each step one (2, alive[t], T) @ (2, T, T)
+    product.
 
-    alphas[b, t, j] = log sum over prefixes ending in tag j at position t
-    (end scores not folded in); rows past a sentence's end depend on its
-    padding and are never read. betas[b, t, i] = log sum over suffixes
-    starting with tag i at position t (emission at t not folded in); rows
-    at and past a sentence's last position hold ``end``."""
-    n_batch, n, n_tags = emis.shape
-    alphas = np.empty((n_batch, n, n_tags))
-    betas = np.empty((n_batch, n, n_tags))
-    alphas[:, 0] = start + emis[:, 0]
-    betas[:, n - 1] = end
-    last = (lengths - 1)[:, None]
+    alphas[r, j] = log sum over prefixes ending in tag j at row r (end
+    scores not folded in). betas[r, i] = log sum over suffixes starting
+    with tag i at row r (emission at r not folded in); a sentence's last
+    row holds ``end``."""
+    alphas = np.empty_like(emis)
+    back = np.empty_like(emis)  # the betas at the reversed rows
+    emis_rev = emis[rev]
+    first = alive[0]
+    alphas[:first] = start + emis[:first]
+    back[:first] = end
     # the backward chain sums over successors: it steps on trans.T
     chains = np.stack([trans, trans.T])
     shift = chains.max(axis=1, keepdims=True)
     shifted = np.exp(chains - shift)
-    prev = np.empty((2, n_batch, n_tags))
-    for s in range(1, n):
-        t = n - 1 - s
-        prev[0] = alphas[:, s - 1]
-        np.add(emis[:, t + 1], betas[:, t + 1], out=prev[1])
+    before, at = 0, first
+    for k in alive[1:].tolist():
+        rows, pred = slice(at, at + k), slice(before, before + k)
+        prev = np.stack([alphas[pred], emis_rev[pred] + back[pred]])
         out = _step(prev, shifted, chains, shift)
-        np.add(out[0], emis[:, s], out=alphas[:, s])
-        betas[:, t] = np.where(t >= last, end, out[1])
-    return alphas, betas
+        np.add(out[0], emis[rows], out=alphas[rows])
+        back[rows] = out[1]
+        before, at = at, at + k
+    return alphas, back[rev]
 
 
-def viterbi_decode(emis, trans, start, end, lengths):
-    """Max-scoring tag path of each sentence (B, n; entries past its end are
-    padding) and its score (B,); backpointer ties break toward the lower
-    tag index."""
-    n_batch, n, n_tags = emis.shape
-    rows = np.arange(n_batch)
-    delta = start + emis[:, 0]
-    backptr = np.zeros((n_batch, n, n_tags), dtype=np.int64)
-    for t in range(1, n):
-        m = delta[:, :, None] + trans
+def viterbi_decode(emis, trans, start, end, alive):
+    """Max-scoring tag path of each sentence of a packed batch of emission
+    rows ``emis`` (N, T), one tag per packed row (N,), and its score (B,)
+    in packed order; backpointer ties break toward the lower tag index.
+    Step t updates the leading ``alive[t]`` scores: the trailing ones are
+    the finished sentences'."""
+    first = alive[0]
+    delta = start + emis[:first]
+    backptr = np.empty(emis.shape, dtype=np.int64)
+    at = first
+    for k in alive[1:].tolist():
+        m = delta[:k, :, None] + trans
         bp = np.argmax(m, axis=1)
-        backptr[:, t] = bp
-        step = np.take_along_axis(m, bp[:, None, :], axis=1)[:, 0] + emis[:, t]
-        delta = np.where((t < lengths)[:, None], step, delta)
-    delta = delta + end
+        backptr[at:at + k] = bp
+        delta[:k] = np.take_along_axis(m, bp[:, None, :], axis=1)[:, 0] + emis[at:at + k]
+        at += k
+    delta += end
     cur = np.argmax(delta, axis=1)
-    scores = delta[rows, cur]
-    path = np.empty((n_batch, n), dtype=np.int64)
-    for t in range(n - 1, 0, -1):
-        path[:, t] = cur
-        cur = np.where(t < lengths, backptr[rows, t, cur], cur)
-    path[:, 0] = cur
+    scores = delta[np.arange(first), cur]
+    path = np.empty(len(emis), dtype=np.int64)
+    for k in alive[:0:-1].tolist():
+        path[at - k:at] = cur[:k]
+        cur[:k] = backptr[at - k:at][np.arange(k), cur[:k]]
+        at -= k
+    path[:first] = cur
     return path, scores

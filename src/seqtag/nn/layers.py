@@ -11,10 +11,10 @@ Sequence layers take a batch's real tokens only: (N, d) rows,
 sentence-major (sentence b's tokens in order, then sentence b + 1's), and
 the batch's ``RowLayout``, built once per pass from the lengths; one
 sentence is a batch of one. No token depends on another sentence's.
-``BiLstm`` gathers its packed, time-major layout from the rows and steps
-both directions of a layer in one stacked kernel call.
-``MultiHeadAttention`` scatters its projections into a zero-padded
-(B, heads, n, d_h) grid for the scores only. ``Linear``,
+``BiLstm`` packs the rows into their time-major layout and steps both
+directions of a layer in one stacked kernel call. Only
+``MultiHeadAttention`` builds a zero-padded (B, heads, n, d_h) grid, for
+the scores. ``Linear``,
 ``EmbeddingTable`` and ``dropout_apply`` act row by row. ``CharCNN``
 takes words instead of sentences: (W, L) char indices right-padded to
 per-word lengths (W,).
@@ -56,7 +56,9 @@ class RowLayout:
       PyTorch ``PackedSequence``: the sentences stably sorted by length,
       descending, ``alive[t]`` of them still running at step t, and step
       t's rows one contiguous run whose row j continues row j of step
-      t - 1. ``packed`` (N,) is the row behind each packed row; ``rev``
+      t - 1. ``order`` (B,) is each sentence's place in packed order;
+      ``packed`` (N,) the row behind each packed row (``unpack`` puts
+      packed rows back); ``rev``
       (N,) the involution mapping each packed row to its sentence's
       position ``length - 1 - t``, the sentence read backwards in the same
       layout; ``prev_rows`` (N - B,) the predecessor of each packed row
@@ -70,6 +72,7 @@ class RowLayout:
         self.n = int(lengths.max())
         self.offsets = np.cumsum(lengths) - lengths
         order = np.argsort(-lengths, kind="stable")
+        self.order = np.argsort(order)
         sorted_len = lengths[order]
         self.alive = np.count_nonzero(sorted_len > np.arange(self.n)[:, None], axis=1)
         starts = np.cumsum(self.alive) - self.alive
@@ -83,6 +86,12 @@ class RowLayout:
         self.packed = self.offsets[batch] + step
         self.grid = np.empty_like(step)
         self.grid[self.packed] = batch * self.n + step
+
+    def unpack(self, packed):
+        """The rows (N, ...) of an array of packed rows (N, ...)."""
+        rows = np.empty_like(packed)
+        rows[self.packed] = packed
+        return rows
 
     def scatter(self, rows):
         """(B, n, ...) zeros holding ``rows`` (N, ...) at their positions."""
@@ -194,9 +203,9 @@ class BiLstm:
     """Stack of bidirectional LSTM layers; each row's output is the
     concatenation of the forward and backward hidden states (N, 2h).
 
-    ``forward`` gathers the rows once into the pass's packed, time-major
-    layout (``RowLayout.packed``) and scatters the last layer's output
-    back to rows; ``backward`` gathers and scatters the same rows.
+    ``forward`` packs the rows once into the pass's time-major layout
+    (``RowLayout.packed``) and unpacks the last layer's output back to
+    rows; ``backward`` packs and unpacks the same rows.
 
     The backward direction reads each sentence reversed within its own
     length: its rows are the packed rows permuted by the involution
@@ -258,9 +267,7 @@ class BiLstm:
                 caches.append((xs, hs, cs, tanh_cs, gates))
             packed = np.concatenate([hs[0], hs[1][rev]], axis=1)
             del hs, cs, tanh_cs, gates
-        out = np.empty_like(packed)
-        out[layout.packed] = packed
-        return out, ((layout, caches) if train else None)
+        return layout.unpack(packed), ((layout, caches) if train else None)
 
     def backward(self, d_out, cache):
         layout, caches = cache
@@ -274,9 +281,7 @@ class BiLstm:
                                         layout.prev_rows)
             d_packed = d_xs[0]
             d_packed += d_xs[1][rev]
-        d_x = np.empty_like(d_packed)
-        d_x[layout.packed] = d_packed
-        return d_x
+        return layout.unpack(d_packed)
 
     def _backward_layer(self, layer, d_hs, xs, hs, cs, tanh_cs, gates, alive, prev_rows):
         """Accumulate one layer's parameter gradients; return the gradient

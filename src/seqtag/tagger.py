@@ -558,10 +558,7 @@ def _sentence_loss(model, rows, layout, gold, weight=1.0, want_grad=False):
         return losses, weight * d_rows
     logp = _log_softmax(rows)
     at = np.arange(len(gold))
-    # each sentence sums its zero-padded grid row: numpy's pairwise sum
-    # groups terms by position, so a sum over its rows alone could round
-    # differently
-    losses = -layout.scatter(logp[at, gold]).sum(axis=1) / layout.lengths
+    losses = -np.add.reduceat(logp[at, gold], layout.offsets) / layout.lengths
     if not want_grad:
         return losses, None
     d = np.exp(logp)
@@ -738,6 +735,12 @@ def _train_batch(model, encoding, idx, rng, epoch):
     return [float(loss) for loss in losses]
 
 
+# The fields ``train`` takes from its ``config``; a pass reads every other
+# field from ``model.config``.
+_TRAINING_KEYS = {"batch_size", "max_epochs", "patience", "learning_rate", "weight_decay",
+                  "early_stop_metric", "seed"}
+
+
 def train(model, train_corpus, dev_corpus, config=None, contextual=None):
     """Mini-batch training with per-epoch dev evaluation and early
     stopping; returns the model restored to its best-epoch parameters plus
@@ -745,8 +748,14 @@ def train(model, train_corpus, dev_corpus, config=None, contextual=None):
     the mean of the per-sentence losses. ``contextual`` vectors, keyed by
     sentence id and token index, serve both corpora. A gold tag outside
     the model's tagset, in either corpus, raises CorpusError naming its
-    sentence before the first epoch."""
+    sentence before the first epoch; a ``config`` that differs from
+    ``model.config`` outside _TRAINING_KEYS raises ConfigError."""
     cfg = (config or model.config).validate()
+    clashes = [f.name for f in fields(cfg) if f.name not in _TRAINING_KEYS
+               and getattr(cfg, f.name) != getattr(model.config, f.name)]
+    if clashes:
+        raise ConfigError(f"config differs from the model's in {', '.join(clashes)}: training "
+                          f"may change only {', '.join(sorted(_TRAINING_KEYS))}", keys=clashes)
     for corpus in (train_corpus, dev_corpus):
         LabeledCorpus(corpus.sentences, model.tagset)
     train_encoding, dev_encoding = (_Encoding(model, c.sentences, contextual, gold=True)

@@ -232,7 +232,8 @@ def reference_char_cnn(emb, w, b, kernel):
 
 def reference_crf_alphas(emis, trans, start):
     """Log-space CRF forward recursion, one (B, T, T) log-sum-exp per step:
-    the same (B, n, T) alphas as ``kernels.crf_forward_backward``."""
+    (B, n, T) over a right-padded batch, whose real positions hold
+    ``kernels.crf_forward_backward``'s packed alphas."""
     n_batch, n, n_tags = emis.shape
     alphas = np.empty((n_batch, n, n_tags))
     alphas[:, 0] = start + emis[:, 0]
@@ -245,7 +246,8 @@ def reference_crf_alphas(emis, trans, start):
 
 def reference_crf_betas(emis, trans, end, lengths):
     """Log-space CRF backward recursion, one (B, T, T) log-sum-exp per step:
-    the same (B, n, T) betas as ``kernels.crf_forward_backward``."""
+    (B, n, T) over a right-padded batch, whose real positions hold
+    ``kernels.crf_forward_backward``'s packed betas."""
     n_batch, n, n_tags = emis.shape
     betas = np.empty((n_batch, n, n_tags))
     betas[:, n - 1] = end

@@ -197,6 +197,14 @@ class TestPlans:
             parse_plan("output\tx\nsource\ta\tp\tcap=0\n")
         with pytest.raises(AugmentError, match="^plan has no sources$"):
             parse_plan("output\tx\n")
+        with pytest.raises(ParseError, match="^line 2: source 'a': empty corpus path$"):
+            parse_plan("output\tx\nsource\ta\t\tlexicon=l.tsv\n")
+        with pytest.raises(ParseError, match="^line 2: source 'a': empty lexicon path$"):
+            parse_plan("output\tx\nsource\ta\tc.conll\tlexicon=\n")
+        with pytest.raises(ParseError, match="^line 2: source 'a': option 'cap' given twice$"):
+            parse_plan("output\tx\nsource\ta\tp\tcap=2\tcap=3\n")
+        with pytest.raises(ParseError, match="^line 2: source 'a': option 'lexicon' given twice$"):
+            parse_plan("output\tx\nsource\ta\tp\tlexicon=l.tsv\tlexicon=m.tsv\n")
 
     def test_run_plan_caps_translates_and_combines(self):
         rng = np.random.default_rng(15)

@@ -106,6 +106,10 @@ def test_row_layout_scatter_and_gather(lengths):
         assert np.array_equal(grid[b, :n], rows[span]) and not grid[b, n:].any()
     assert np.array_equal(layout.gather(grid), rows)
     assert np.array_equal(np.sort(layout.packed), rows)
+    assert np.array_equal(layout.unpack(rows[layout.packed]), rows)
+    # the first step's packed rows are each sentence's first row, and
+    # ``order`` is each sentence's place among them
+    assert np.array_equal(layout.packed[layout.order], layout.offsets)
 
 
 @pytest.mark.parametrize("layers", [1, 2])

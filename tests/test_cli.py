@@ -130,6 +130,42 @@ class TestExitCodes:
         assert sorted(os.listdir(tmp_path)) == ["same", "sub"]
         assert (tmp_path / "same").read_bytes() == b"keep\n"
 
+    @pytest.mark.parametrize("command, argv, plan, first, second", [
+        ("split", ["same", "--train-out", "ALIAS", "--dev-out", "d.conll"], None,
+         "corpus", "--train-out"),
+        ("train", ["g.cfg", "same", "c.conll", "ALIAS"], None, "train", "model_out"),
+        ("train", ["g.cfg", "c.conll", "c.conll", "m.bin", "--pretrained-vectors", "same",
+                   "--history-out", "ALIAS"], None, "--pretrained-vectors", "--history-out"),
+        ("predict", ["same", "c.conll", "ALIAS"], None, "model", "out"),
+        ("predict", ["m.bin", "c.conll", "ALIAS", "--contextual-vectors", "same"], None,
+         "--contextual-vectors", "out"),
+        ("ensemble", ["a.pred", "same", "--reference", "c.conll", "--out", "ALIAS"], None,
+         "predictions", "--out"),
+        ("ensemble", ["a.pred", "b.pred", "--reference", "same", "--out", "v.txt",
+                      "--diagnostics", "ALIAS"], None, "--reference", "--diagnostics"),
+        ("augment", ["same", "--out", "ALIAS"], None, "plan", "--out"),
+        ("augment", ["plan.txt", "--out", "o.conll", "--manifest", "ALIAS"],
+         "output\tx\nsource\ta\tsame\n", "source 'a'", "--manifest"),
+        ("augment", ["plan.txt", "--out", "ALIAS"],
+         "output\tx\nsource\ta\tc.conll\tlexicon=same\n", "lexicon of source 'a'", "--out"),
+    ])
+    def test_output_naming_an_input_is_refused(self, capsys, tmp_path, monkeypatch, command,
+                                               argv, plan, first, second):
+        # the check comes before the input is read (the other inputs do
+        # not exist), the input keeps its bytes and nothing is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "same").write_bytes(b"keep\n")
+        if plan is not None:
+            (tmp_path / "plan.txt").write_text(plan, encoding="utf-8")
+        alias = os.path.join("sub", "..", "same")
+        code, out, err = run(capsys, command, *[alias if a == "ALIAS" else a for a in argv])
+        assert (code, out) == (1, "")
+        assert err == f"error: {first} and {second} name the same file: {alias}\n"
+        written = sorted(["same", "sub"] + (["plan.txt"] if plan is not None else []))
+        assert sorted(os.listdir(tmp_path)) == written
+        assert (tmp_path / "same").read_bytes() == b"keep\n"
+
     def test_bad_usage(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1

@@ -155,14 +155,15 @@ class TestMarginals:
         emis = rng.normal(size=(3, 6, 4))
         lengths = np.array([6, 1, 4])
         layout = RowLayout(lengths)
-        alphas, betas = kernels.crf_forward_backward(emis, trans.matrix, trans.start,
-                                                     trans.end, lengths)
-        final = alphas[np.arange(3), lengths - 1] + trans.end
+        rows = layout.gather(emis)
+        alphas, betas = (layout.unpack(a) for a in kernels.crf_forward_backward(
+            rows[layout.packed], trans.matrix, trans.start, trans.end, layout.alive,
+            layout.rev))
+        final = alphas[layout.offsets + lengths - 1] + trans.end
         mx = final.max(axis=1)
         log_z = mx + np.log(np.sum(np.exp(final - mx[:, None]), axis=1))
-        want = np.exp(layout.gather(alphas) + layout.gather(betas)
-                      - np.repeat(log_z, lengths)[:, None])
-        np.testing.assert_array_equal(crf_marginals(layout.gather(emis), trans, layout), want)
+        want = np.exp(alphas + betas - np.repeat(log_z, lengths)[:, None])
+        np.testing.assert_array_equal(crf_marginals(rows, trans, layout), want)
 
     def test_invariant_under_emission_shift(self):
         rng = np.random.default_rng(6)
@@ -403,17 +404,21 @@ class TestKernelsAgainstLogSpaceOracle:
 
     @pytest.mark.parametrize("penalized", [False, True])
     def test_forward_backward_matches_oracle_recursions(self, penalized):
-        # both chains against the oracle recursions, padding rows included
+        # both chains against the oracle recursions at every real position
         rng = np.random.default_rng(31 + penalized)
         for scale in (1.0, 30.0):
             emis, trans, lengths = self.ragged_batch(rng, scale, penalized)
+            layout = RowLayout(lengths)
             alphas, betas = kernels.crf_forward_backward(
-                emis, trans.matrix, trans.start, trans.end, lengths)
+                layout.gather(emis)[layout.packed], trans.matrix, trans.start, trans.end,
+                layout.alive, layout.rev)
             np.testing.assert_allclose(
-                alphas, reference_crf_alphas(emis, trans.matrix, trans.start),
+                layout.unpack(alphas),
+                layout.gather(reference_crf_alphas(emis, trans.matrix, trans.start)),
                 rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
-                betas, reference_crf_betas(emis, trans.matrix, trans.end, lengths),
+                layout.unpack(betas),
+                layout.gather(reference_crf_betas(emis, trans.matrix, trans.end, lengths)),
                 rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [300.0, 3000.0])

@@ -82,3 +82,35 @@ def test_no_unreferenced_definitions():
     assert unreferenced == []
     # the allow-list holds only defined names that nothing else reads
     assert ORACLE_ENTRY_POINTS <= {name for _, name in defined} - read
+
+
+def _grid_calls(tree):
+    """(class, function) around each ``.scatter(``/``.gather(`` call of a
+    module, None where there is none."""
+    calls = []
+
+    def visit(node, cls, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("scatter", "gather")):
+                calls.append((cls, func))
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, func)
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, cls, child.name)
+            else:
+                visit(child, cls, func)
+
+    visit(tree, None, None)
+    return calls
+
+
+def test_only_attention_builds_a_padded_grid():
+    # every kernel steps over RowLayout's packed rows; only the attention
+    # scores need a zero-padded (B, n) grid
+    root = Path(__file__).resolve().parents[1]
+    calls = [(path.relative_to(root), cls, func)
+             for path in sorted((root / "src" / "seqtag").rglob("*.py"))
+             for cls, func in _grid_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert any(cls == "MultiHeadAttention" for _, cls, _ in calls)
+    assert [call for call in calls if call[1] != "MultiHeadAttention"] == []

@@ -40,13 +40,13 @@ DIGESTS = {
     ("corpus_tools", "voted"):
         "46277a317b5cb44b957f2736aa679da2ffd0f08e2322963f0f8880bc2d5c392f",
     ("predict_wide", "model"):
-        "06cac7388e7eeaaef1d32839ed5716f231620ccedd2181f416cdf94980e6d92e",
+        "27bba1ef8bb812134865477677a3a028db6ba8aa37ac8c1d02bfa560c2c3662b",
     ("predict_wide", "predictions"):
         "da21574306464d92c93d15002239b89119ae8453b701ef59459dc87f39e453be",
     ("train_crf", "history"):
         "ee0506b66d7339f5c67c896d5a206a53523933043e859d20afb1ed3dd4bb4e83",
     ("train_crf", "model"):
-        "305d12e2f5a2c99f7eac4260537c0493c86b6a383d974080a9f458d0d8fbf697",
+        "a1f3b194bd34e39b04af13e240034b0fab0261fa1fdba96584b4cf4e86b4992b",
     ("train_features", "history"):
         "fb1b07d5a3784a7328d1b5df99b2d811e5a66823295d9ea7d437dbd2520f4c2e",
     ("train_features", "model"):

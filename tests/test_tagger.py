@@ -572,6 +572,31 @@ class TestTraining:
         assert str(info.value) == "sentence 'x': tag 'B-LOC' outside tagset ['PER']"
         assert batches == []
 
+    def test_config_differing_in_a_model_field_fails_before_training(self, monkeypatch):
+        # a pass reads dropout and the head from model.config, so a train
+        # config that differs there is refused, naming each field
+        rng = np.random.default_rng(4)
+        corpus = random_corpus(rng, 6, classes=("PER",))
+        model = build_model(small_config(), corpus)
+        batches = []
+        monkeypatch.setattr(tagger_module, "_train_batch", lambda *a: batches.append(a))
+        with pytest.raises(ConfigError) as info:
+            train(model, corpus, corpus, small_config(dropout=0.9, use_crf=False))
+        assert info.value.keys == ("use_crf", "dropout")
+        assert str(info.value) == (
+            "config differs from the model's in use_crf, dropout: training may change only "
+            "batch_size, early_stop_metric, learning_rate, max_epochs, patience, seed, "
+            "weight_decay")
+        assert batches == []
+
+    def test_config_differing_only_in_training_fields_trains(self):
+        rng = np.random.default_rng(4)
+        corpus = random_corpus(rng, 6, classes=("PER",))
+        model = build_model(small_config(max_epochs=3), corpus)
+        _, history = train(model, corpus, corpus,
+                           small_config(max_epochs=1, learning_rate=0.05))
+        assert [e.epoch for e in history.epochs] == [1]
+
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(5)
         corpus = random_corpus(rng, 6, classes=("PER", "LOC"))
