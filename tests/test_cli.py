@@ -148,7 +148,9 @@ class TestExitCodes:
          "output\tx\nsource\ta\tsame\n", "source 'a'", "--manifest"),
         ("augment", ["plan.txt", "--out", "ALIAS"],
          "output\tx\nsource\ta\tc.conll\tlexicon=same\n", "lexicon of source 'a'", "--out"),
-    ])
+    ], ids=["split-corpus", "train-corpus", "train-vectors", "predict-model",
+            "predict-contextual", "ensemble-predictions", "ensemble-reference", "augment-plan",
+            "augment-source", "augment-lexicon"])
     def test_output_naming_an_input_is_refused(self, capsys, tmp_path, monkeypatch, command,
                                                argv, plan, first, second):
         # the check comes before the input is read (the other inputs do
