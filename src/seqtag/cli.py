@@ -75,11 +75,17 @@ def _columns(args):
 
 
 def _distinct_outputs(outputs, inputs=()):
-    """Refuse an output that names one of the command's inputs or another
-    output, which its write would silently replace; checked before the
-    inputs are read. Both are (name, path) pairs; a None path is skipped."""
+    """Refuse an output that cannot be written, as an OSError: one that
+    names a directory or sits in a directory that does not exist; and one
+    that names one of the command's inputs or another output, which its
+    write would silently replace. Checked before the inputs are read. Both
+    are (name, path) pairs; a None path is skipped."""
     named = [(name, path) for name, path in inputs if path is not None]
     for name, path in outputs:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{name} names a directory: {path}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{name} names a file in a missing directory: {path}")
         for other, other_path in named:
             if os.path.realpath(other_path) == os.path.realpath(path):
                 raise ValueError(f"{other} and {name} name the same file: {path}")

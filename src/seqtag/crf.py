@@ -7,20 +7,23 @@ sentence-major as the tagger's head gives them, plus the batch's
 per-sentence ones (B,). A path through a sentence's emissions ``e``
 (n, T) under transitions ``trans`` scores
 ``start[y0] + sum_t e[t, y_t] + sum_t trans[y_(t-1), y_t] + end[y_(n-1)]``.
-The recursions run in log space via the kernels module, over the
-batch's packed, time-major rows (``RowLayout.packed``), the layout the
-LSTM kernels step over; no padded position is built. The forward and
-backward passes run together, both chains of a step as one
-(2, alive_t, T) @ (2, T, T) matmul of shifted probabilities, exact to
-roundoff (entries that underflow are recomputed as a plain log-sum-exp).
-Viterbi is max-plus.
+
+The recursions step over the batch's packed, time-major rows
+(``RowLayout.packed``), the layout the LSTM steps over: step t's
+``alive[t]`` rows are one contiguous run whose predecessors are the
+leading ``alive[t]`` rows of step t - 1, so no padded position is built.
+``_chains`` steps the forward chain, and for marginals and gradients the
+backward chain over the sentences read backwards (``RowLayout.rev``),
+both as one (C, alive[t], T) @ (C, T, T) matmul of shifted probabilities
+per step, in log space and exact to roundoff (entries that underflow are
+recomputed as a plain log-sum-exp); a chain stacked with another gives
+the same bits as alone. Viterbi is max-plus. All arithmetic is float64
+and plain IEEE, so results are reproducible.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import _lse_rows, crf_forward_backward, viterbi_decode
 
 __all__ = [
     "Transitions",
@@ -73,7 +76,7 @@ def _require_shape(what, array, shape):
 
 
 def _packed(rows, trans, layout):
-    """The emission rows (N, T) in the packed order the kernels step over."""
+    """The emission rows (N, T) in the packed order the recursions step over."""
     _require_shape("emission rows", rows, (len(layout.packed), trans.n_tags))
     return rows[layout.packed]
 
@@ -98,12 +101,85 @@ def path_score(rows, trans, tags, layout):
     return score + trans.end[tags[_last(layout)]]
 
 
+# A column sum of shifted probabilities below this is recomputed exactly
+# (see ``_step``); above it, the terms lost to underflow (each under
+# ~5e-324) change the sum by far less than one ulp.
+_TINY = 1e-280
+
+
+def _lse_rows(s):
+    """log sum exp over the last axis of a 2-d array."""
+    mx = s.max(axis=1)
+    return mx + np.log(np.sum(np.exp(s - mx[:, None]), axis=1))
+
+
+def _step(prev, shifted, trans, shift):
+    """One log-space CRF step for C independent chains over a batch:
+    out[c, b, j] = log sum_i exp(prev[c, b, i] + trans[c, i, j]), given
+    ``shifted`` = exp(trans - shift) with ``shift`` (C, 1, T) the column
+    maximum of each ``trans``.
+
+    The sums run as one (C, B, T) @ (C, T, T) product of probabilities
+    scaled by each row's maximum. An entry whose scaled sum falls below
+    _TINY (its dominant terms underflowed, e.g. every allowed predecessor
+    sits ~745 below a penalized one) is recomputed as an exact
+    log-sum-exp."""
+    m = prev.max(axis=2, keepdims=True)
+    u = np.matmul(np.exp(prev - m), shifted)
+    exact = u.min() < _TINY
+    if exact:
+        low = u < _TINY
+        u[low] = 1.0  # a placeholder that logs without warning, overwritten below
+    out = np.log(u)
+    out += m
+    out += shift
+    if exact:
+        c, b, j = np.nonzero(low)
+        out[c, b, j] = _lse_rows(prev[c, b] + trans[c, :, j])
+    return out
+
+
+def _chains(rows, trans, layout, n_chains):
+    """The CRF chains of a batch's emission rows (N, T), stepped together
+    over its packed rows ``emis``: the forward chain, and with
+    ``n_chains`` 2 also the backward chain, which sums over successors
+    (it steps on ``trans.T``) over ``emis[rev]``, the sentences read
+    backwards in the same layout. Each chain holds its log-potentials
+    without its own row's emission, so a step adds each chain's input to
+    its predecessor rows and runs one ``_step``.
+
+    Returns log Z (B,), ``emis`` and the sums (n_chains, N, T) in packed
+    order: alphas = sums[0] + emis are the log sums over prefixes ending
+    in each tag (end scores not folded in), and sums[1] at packed row r
+    the log sums over suffixes from row rev[r] (its emission not folded
+    in; a sentence's last row holds ``end``)."""
+    emis = _packed(rows, trans, layout)
+    chains = [(emis, trans.matrix, trans.start)]
+    if n_chains == 2:
+        chains.append((emis[layout.rev], trans.matrix.T, trans.end))
+    inputs, chains, starts = map(np.stack, zip(*chains))
+    shift = chains.max(axis=1, keepdims=True)
+    shifted = np.exp(chains - shift)
+    sums = np.empty_like(inputs)
+    first = layout.alive[0]
+    sums[:, :first] = starts[:, None]
+    before, at = 0, first
+    for k in layout.alive[1:].tolist():
+        pred = slice(before, before + k)
+        sums[:, at:at + k] = _step(sums[:, pred] + inputs[:, pred], shifted, chains, shift)
+        before, at = at, at + k
+    # each sentence's last packed row, in packed order
+    last = layout.rev[:first]
+    log_z = _lse_rows(sums[0, last] + emis[last] + trans.end)[layout.order]
+    return log_z, emis, sums
+
+
 def _forward_backward(rows, trans, layout):
     """alphas and betas (N, T) at each row, and log Z (B,)."""
-    alphas, betas = map(layout.unpack, crf_forward_backward(
-        _packed(rows, trans, layout), trans.matrix, trans.start, trans.end, layout.alive,
-        layout.rev))
-    return alphas, betas, _lse_rows(alphas[_last(layout)] + trans.end)
+    log_z, emis, sums = _chains(rows, trans, layout, 2)
+    betas = np.empty_like(emis)
+    betas[layout.packed[layout.rev]] = sums[1]
+    return layout.unpack(sums[0] + emis), betas, log_z
 
 
 def _marginals(alphas, betas, log_z, layout):
@@ -116,7 +192,35 @@ def _marginals(alphas, betas, log_z, layout):
 
 def log_partition(rows, trans, layout):
     """log sum over all paths of exp(path score), per sentence (B,)."""
-    return _forward_backward(rows, trans, layout)[2]
+    return _chains(rows, trans, layout, 1)[0]
+
+
+def viterbi_decode(emis, trans, start, end, alive):
+    """Max-scoring tag path of each sentence of a packed batch of emission
+    rows ``emis`` (N, T), one tag per packed row (N,), and its score (B,)
+    in packed order; backpointer ties break toward the lower tag index.
+    Step t updates the leading ``alive[t]`` scores: the trailing ones are
+    the finished sentences'."""
+    first = alive[0]
+    delta = start + emis[:first]
+    backptr = np.empty(emis.shape, dtype=np.int64)
+    at = first
+    for k in alive[1:].tolist():
+        m = delta[:k, :, None] + trans
+        bp = np.argmax(m, axis=1)
+        backptr[at:at + k] = bp
+        delta[:k] = np.take_along_axis(m, bp[:, None, :], axis=1)[:, 0] + emis[at:at + k]
+        at += k
+    delta += end
+    cur = np.argmax(delta, axis=1)
+    scores = delta[np.arange(first), cur]
+    path = np.empty(len(emis), dtype=np.int64)
+    for k in alive[:0:-1].tolist():
+        path[at - k:at] = cur[:k]
+        cur[:k] = backptr[at - k:at][np.arange(k), cur[:k]]
+        at -= k
+    path[:first] = cur
+    return path, scores
 
 
 def viterbi(rows, trans, layout):

@@ -12,18 +12,28 @@ sentence-major (sentence b's tokens in order, then sentence b + 1's), and
 the batch's ``RowLayout``, built once per pass from the lengths; one
 sentence is a batch of one. No token depends on another sentence's.
 ``BiLstm`` packs the rows into their time-major layout and steps both
-directions of a layer in one stacked kernel call. Only
+directions of a layer in one stacked call of ``lstm_forward``. Only
 ``MultiHeadAttention`` builds a zero-padded (B, heads, n, d_h) grid, for
 the scores. ``Linear``,
 ``EmbeddingTable`` and ``dropout_apply`` act row by row. ``CharCNN``
 takes words instead of sentences: (W, L) char indices right-padded to
 per-word lengths (W,).
+
+``lstm_forward`` and ``lstm_backward``, the LSTM recurrences, step both
+directions of a layer, ``(2, N, ...)``, over one packed layout as one
+stacked matmul per step (the batching cuDNN applies to recurrent work):
+the backward direction's input comes already reversed within each
+sentence (``RowLayout.rev``). ``lstm_forward`` leaves each step's
+post-activation gates in its input buffer for ``lstm_backward``, so the
+gates are computed once, and ``lstm_backward`` writes into nothing it is
+given, so one forward pass's arrays serve any number of backward passes.
+They use plain float64 IEEE arithmetic, and stacking changes none of
+it: each direction gives the same bits as it would alone.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..kernels import lstm_backward, lstm_forward
 from .params import uniform_init
 
 __all__ = [
@@ -52,7 +62,7 @@ class RowLayout:
     - ``lengths``, ``n`` (the longest) and ``offsets`` (B,), the first row
       of each sentence;
     - ``grid`` (N,): each row's position b * n + t in a padded (B, n) grid;
-    - the packed, time-major layout the LSTM kernels step over, as in a
+    - the packed, time-major layout the LSTM and the CRF step over, as in a
       PyTorch ``PackedSequence``: the sentences stably sorted by length,
       descending, ``alive[t]`` of them still running at step t, and step
       t's rows one contiguous run whose row j continues row j of step
@@ -197,6 +207,121 @@ class CharCNN:
 def _dense(x, w):
     """``x @ w`` over the last axis of ``x`` as one 2-D matmul."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _activate(z, h):
+    """Gate activations in place over the last axis of ``z`` (order i, f,
+    g, o): tanh on g, and on i, f and o the stable sigmoid
+    exp(min(z, 0)) / (1 + exp(-|z|)), which is 1 / (1 + exp(-z)) for
+    z >= 0 and exp(z) / (1 + exp(z)) otherwise."""
+    g = np.tanh(z[..., 2 * h:3 * h])
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= e
+    z[..., 2 * h:3 * h] = g
+    return z
+
+
+def lstm_forward(xw, w_h, alive, keep_states=True):
+    """Both directions of a BiLSTM layer over precomputed input projections
+    of a packed batch (``RowLayout``), from a zero hidden and cell state.
+
+    xw: (2, N, 4h) rows of x_t @ W_x + b per direction, gate order i, f,
+    g, o; w_h: (2, h, 4h); alive: rows per step. Each step after the
+    first is one stacked (2, alive[t], h) @ (2, h, 4h) matmul on the
+    leading rows of the step before, and one set of gate ops on a fresh
+    contiguous buffer. Returns the hidden states, the cell states and
+    their tanh, each (2, N, h).
+
+    With ``keep_states`` the call leaves what ``lstm_backward`` reads: the
+    gate buffer is copied back, so ``xw`` holds the post-activation gates
+    i, f, g, o (its ``gates`` argument), and the cell states and their
+    tanh are kept for every row (its ``cs`` and ``tanh_cs``). Without it
+    ``xw`` is left as it came, each step's cell state overwrites its
+    predecessor's leading rows of one (2, alive[0], h) buffer, and the
+    cell states and their tanh come back as None. The hidden states are
+    the same bits either way.
+    """
+    h = w_h.shape[1]
+    hs = np.empty(xw.shape[:2] + (h,))
+    state_rows = xw.shape[1] if keep_states else alive[0]
+    cs = np.empty((xw.shape[0], state_rows, h))
+    tanh_cs = np.empty_like(cs)
+    prev = start = 0
+    for k in alive.tolist():
+        rows = slice(start, start + k)
+        if start:
+            before = slice(prev, prev + k)
+            z = np.matmul(hs[:, before], w_h)
+            z += xw[:, rows]
+        else:
+            z = xw[:, rows].copy()
+        _activate(z, h)
+        if keep_states:
+            xw[:, rows] = z
+        # c = f * c_prev + i * g; without kept states, in place over c_prev
+        at, was = (start, prev) if keep_states else (0, 0)
+        c = cs[:, at:at + k]
+        if start:
+            np.multiply(z[..., h:2 * h], cs[:, was:was + k], out=c)
+            c += z[..., :h] * z[..., 2 * h:3 * h]
+        else:
+            np.multiply(z[..., :h], z[..., 2 * h:3 * h], out=c)
+        np.multiply(z[..., 3 * h:], np.tanh(c, out=tanh_cs[:, at:at + k]), out=hs[:, rows])
+        prev, start = start, start + k
+    if not keep_states:
+        return hs, None, None
+    return hs, cs, tanh_cs
+
+
+def lstm_backward(d_hs, hs, cs, tanh_cs, gates, w_h, alive, prev_rows):
+    """Backprop through lstm_forward, all arrays (2, N, .) in the packed
+    layout of ``alive`` and ``prev_rows`` (``RowLayout``); ``gates`` is
+    the post-activation ``xw`` that ``lstm_forward`` left. Returns
+    gradients w.r.t. the input projections xw (2, N, 4h) and the
+    recurrent weights (2, h, 4h). Reads its arguments and writes only
+    arrays it allocates."""
+    n_dir, n_rows, h = hs.shape
+    first = n_rows - len(prev_rows)
+    i, f, g, o = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    c_prev = np.zeros_like(cs)  # the initial cell state is zero
+    c_prev[:, first:] = cs[:, prev_rows]
+    # each gate's factor of its pre-activation gradient that does not
+    # depend on the recursion: dz_i = dc * (1 - i) * i * g, dz_f = dc *
+    # (1 - f) * f * c_prev, dz_g = dc * (1 - g^2) * i and dz_o = dh *
+    # (1 - o) * o * tanh(c); and d(dc)/d(dh) = (1 - tanh(c)^2) * o
+    dz = np.stack([(1.0 - i) * i * g, (1.0 - f) * f * c_prev, (1.0 - g * g) * i,
+                   (1.0 - o) * o * tanh_cs], axis=2)
+    dc_dh = (1.0 - tanh_cs * tanh_cs) * o
+    d_xw = dz.reshape(n_dir, n_rows, 4 * h)
+
+    w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))
+    # a row alive at step t + 1 carries dh and dc back to the same row of
+    # step t; the rows that end at step t start from d_hs alone
+    dh_next = dc_next = np.zeros((n_dir, 0, h))
+    end = n_rows
+    alive = alive.tolist()
+    for t in range(len(alive) - 1, -1, -1):
+        start = end - alive[t]
+        rows = slice(start, end)
+        dh = d_hs[:, rows].copy()
+        dh[:, :dh_next.shape[1]] += dh_next
+        dc = dh * dc_dh[:, rows]
+        dc[:, :dc_next.shape[1]] += dc_next
+        np.multiply(dz[:, rows, :3], dc[:, :, None, :], out=dz[:, rows, :3])
+        np.multiply(dz[:, rows, 3], dh, out=dz[:, rows, 3])
+        if t:
+            dc_next = dc * f[:, rows]
+            dh_next = np.matmul(d_xw[:, rows], w_h_t)
+        end = start
+
+    # the first step's predecessor is the zero state: it adds nothing
+    d_wh = np.matmul(hs[:, prev_rows].transpose(0, 2, 1), d_xw[:, first:])
+    return d_xw, d_wh
 
 
 class BiLstm:

@@ -53,7 +53,7 @@ def reference_lstm(xw, w_h, h0, c0):
     i = sigmoid(z_i), f = sigmoid(z_f), g = tanh(z_g), o = sigmoid(z_o),
     c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t), with
     sigmoid(z) = 1 / (1 + exp(-z)). Returns (hs, cs, tanh_cs, gates) of
-    one direction and one sentence, as ``kernels.lstm_forward`` gives them
+    one direction and one sentence, as ``nn.layers.lstm_forward`` gives them
     at that sentence's packed rows: hs and cs as returned, the
     post-activation gates i, f, g, o as left in its ``xw`` argument.
     """
@@ -232,8 +232,8 @@ def reference_char_cnn(emb, w, b, kernel):
 
 def reference_crf_alphas(emis, trans, start):
     """Log-space CRF forward recursion, one (B, T, T) log-sum-exp per step:
-    (B, n, T) over a right-padded batch, whose real positions hold
-    ``kernels.crf_forward_backward``'s packed alphas."""
+    (B, n, T) over a right-padded batch, whose real positions hold the
+    alphas of ``crf._chains``."""
     n_batch, n, n_tags = emis.shape
     alphas = np.empty((n_batch, n, n_tags))
     alphas[:, 0] = start + emis[:, 0]
@@ -246,8 +246,8 @@ def reference_crf_alphas(emis, trans, start):
 
 def reference_crf_betas(emis, trans, end, lengths):
     """Log-space CRF backward recursion, one (B, T, T) log-sum-exp per step:
-    (B, n, T) over a right-padded batch, whose real positions hold
-    ``kernels.crf_forward_backward``'s packed betas."""
+    (B, n, T) over a right-padded batch, whose real positions hold the
+    betas of ``crf._chains``' backward chain."""
     n_batch, n, n_tags = emis.shape
     betas = np.empty((n_batch, n, n_tags))
     betas[:, n - 1] = end

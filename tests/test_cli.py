@@ -15,7 +15,7 @@ import pytest
 from seqtag import cli
 from seqtag.corpus import ColumnConfig, parse_conll, write_conll
 from seqtag.ensemble import read_prediction_file, write_prediction_file
-from seqtag.tagger import TokenPrediction
+from seqtag.tagger import TaggerConfig, TokenPrediction, build_model, save_model
 
 from helpers import random_corpus, tiny_fixture_corpus
 
@@ -167,6 +167,47 @@ class TestExitCodes:
         written = sorted(["same", "sub"] + (["plan.txt"] if plan is not None else []))
         assert sorted(os.listdir(tmp_path)) == written
         assert (tmp_path / "same").read_bytes() == b"keep\n"
+
+    @pytest.mark.parametrize("bad", ["missing directory", "directory"])
+    @pytest.mark.parametrize("command", ["split", "train", "predict", "augment", "ensemble"])
+    def test_unwritable_output_is_refused_before_any_input_is_read(self, capsys, tmp_path,
+                                                                   monkeypatch, command, bad):
+        # every input is valid, so only the check stops the command: it
+        # exits 2 naming the output as given, a pre-existing output keeps
+        # its bytes, no temporary file is left and train never trains
+        monkeypatch.chdir(tmp_path)
+        corpus = tiny_fixture_corpus()
+        pred = write_prediction_file(corpus, [[TokenPrediction(t, 1.0) for t in s.gold_tags]
+                                              for s in corpus.sentences])
+        for name, text in {"c.conll": write_conll(corpus), "g.cfg": SMALL_CONFIG,
+                           "plan.txt": "output\tx\nsource\ta\tc.conll\n",
+                           "a.pred": pred, "b.pred": pred, "old.out": "keep\n"}.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        save_model(build_model(TaggerConfig(hidden=4, word_dim=4, seed=1), corpus),
+                   tmp_path / "m.bin")
+        (tmp_path / "outdir").mkdir()
+        target = "outdir" if bad == "directory" else os.path.join("nodir", "x.out")
+        argv, flag = {
+            "split": (["c.conll", "--train-out", "old.out", "--dev-out", target], "--dev-out"),
+            "train": (["g.cfg", "c.conll", "c.conll", "old.out", "--history-out", target],
+                      "--history-out"),
+            "predict": (["m.bin", "c.conll", target], "out"),
+            "augment": (["plan.txt", "--out", "old.out", "--manifest", target], "--manifest"),
+            "ensemble": (["a.pred", "b.pred", "--reference", "c.conll", "--out", "old.out",
+                          "--diagnostics", target], "--diagnostics"),
+        }[command]
+        trained, real_train = [], cli.train
+        monkeypatch.setattr(cli, "train", lambda *a: trained.append(a) or real_train(*a))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        reason = "names a directory" if bad == "directory" else \
+            "names a file in a missing directory"
+        assert err == f"error: {flag} {reason}: {target}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert sorted(os.listdir(tmp_path)) == sorted(list(before) + ["outdir"])
+        assert os.listdir(tmp_path / "outdir") == []
+        assert trained == []
 
     def test_bad_usage(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -332,6 +332,9 @@ class TestSentenceInvariants:
         sent = Sentence("s", ("a", "b", "c"), ("B-X", "B-Y", "B-Z"))
         with pytest.raises(CorpusError, match="^sentence 's': tag 'B-Y' outside tagset"):
             LabeledCorpus([sent], TagSet(["X", "Z"]))
+        with pytest.raises(CorpusError, match=r"^label 'B-Y' not in tagset \['O', 'B-X', "
+                                              r"'I-X', 'B-Z', 'I-Z'\]$"):
+            TagSet(["X", "Z"]).index("B-Y")
 
     def test_corpus_without_sentences_rejected(self):
         with pytest.raises(CorpusError, match="^corpus has no sentences$"):

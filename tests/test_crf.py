@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqtag import kernels
+from seqtag import crf
 from seqtag.corpus import TagSet
 from seqtag.crf import (
     Transitions,
@@ -68,6 +68,11 @@ class TestLogPartition:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             log_partition(np.zeros((2, 3)), Transitions.zeros(2), RowLayout([2]))
+        with pytest.raises(ValueError, match=r"^transition matrix must be square, got \(2, 3\)$"):
+            Transitions(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
+        for start, end in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros((2, 1)))):
+            with pytest.raises(ValueError, match="^start/end score lengths must match the tag"):
+                Transitions(np.zeros((2, 2)), start, end)
 
     def test_stable_for_large_scores(self):
         emis = np.full((5, 3), 1e3)
@@ -156,9 +161,8 @@ class TestMarginals:
         lengths = np.array([6, 1, 4])
         layout = RowLayout(lengths)
         rows = layout.gather(emis)
-        alphas, betas = (layout.unpack(a) for a in kernels.crf_forward_backward(
-            rows[layout.packed], trans.matrix, trans.start, trans.end, layout.alive,
-            layout.rev))
+        _, emis, sums = crf._chains(rows, trans, layout, 2)
+        alphas, betas = layout.unpack(sums[0] + emis), layout.unpack(sums[1][layout.rev])
         final = alphas[layout.offsets + lengths - 1] + trans.end
         mx = final.max(axis=1)
         log_z = mx + np.log(np.sum(np.exp(final - mx[:, None]), axis=1))
@@ -175,17 +179,30 @@ class TestMarginals:
 
 
 class TestNllGrad:
-    def test_loss_is_log_partition_minus_path_score_bit_for_bit(self):
-        # the tagger's loss-only path, for a ragged batch and a batch of one
+    def test_loss_is_log_partition_minus_path_score_bit_for_bit(self, monkeypatch):
+        # the tagger's loss-only path runs the forward chain alone, the
+        # gradient's runs both: for a ragged batch, a batch of one, and wide
+        # BIO-penalized batches whose backward chain takes the exact-column
+        # path
+        oracle = TestKernelsAgainstLogSpaceOracle()
+        per_chain = oracle.count_exact_rows_per_chain(monkeypatch)
         rng = np.random.default_rng(12)
         trans = Transitions(*(rng.normal(size=s) for s in [(4, 4), 4, 4]))
+        batches = []
         for lengths in ([6, 1, 4], [6]):
-            layout = RowLayout(lengths)
             emis = rng.normal(size=(sum(lengths), 4))
-            gold = rng.integers(0, 4, size=sum(lengths))
+            batches.append((emis, trans, rng.integers(0, 4, size=sum(lengths)), RowLayout(lengths)))
+        for scale in (300.0, 3000.0):
+            wide = np.random.default_rng(int(scale))
+            emis, penalized, lengths = oracle.ragged_batch(wide, scale, True)
+            layout = RowLayout(lengths)
+            gold = wide.integers(0, penalized.n_tags, size=len(layout.packed))
+            batches.append((layout.gather(emis), penalized, gold, layout))
+        for emis, trans, gold, layout in batches:
             np.testing.assert_array_equal(
                 crf_nll_grad(emis, trans, gold, layout)[0],
                 log_partition(emis, trans, layout) - path_score(emis, trans, gold, layout))
+        assert per_chain[1] > 0
 
     def test_row_count_disagreeing_with_the_layout(self):
         emis, trans, layout = np.zeros((3, 2)), Transitions.zeros(2), RowLayout([2])
@@ -340,8 +357,8 @@ def oracle_log_z_marginals(emis, trans, lengths):
 
 @pytest.mark.filterwarnings("error")
 class TestKernelsAgainstLogSpaceOracle:
-    """``crf_forward_backward`` (shifted-probability matmuls) against the
-    plain log-sum-exp recursions, on ragged batches."""
+    """``crf._chains`` (shifted-probability matmuls) against the plain
+    log-sum-exp recursions, on ragged batches."""
 
     TAGSET = TagSet(["PER", "LOC", "ORG"])
 
@@ -373,15 +390,25 @@ class TestKernelsAgainstLogSpaceOracle:
 
     def count_exact_rows(self, monkeypatch):
         """List that grows by the number of exactly recomputed entries on
-        every call of the kernels' exact-column path."""
-        exact_rows = []
-        lse_rows = kernels._lse_rows
+        every call of ``_step``'s exact-column path; the ``_lse_rows``
+        calls that compute log Z are not counted."""
+        exact_rows, stepping = [], []
+        lse_rows, step = crf._lse_rows, crf._step
 
         def counting(s):
-            exact_rows.append(len(s))
+            if stepping:
+                exact_rows.append(len(s))
             return lse_rows(s)
 
-        monkeypatch.setattr(kernels, "_lse_rows", counting)
+        def marking(*args):
+            stepping.append(True)
+            try:
+                return step(*args)
+            finally:
+                stepping.pop()
+
+        monkeypatch.setattr(crf, "_lse_rows", counting)
+        monkeypatch.setattr(crf, "_step", marking)
         return exact_rows
 
     def count_exact_rows_per_chain(self, monkeypatch):
@@ -390,7 +417,7 @@ class TestKernelsAgainstLogSpaceOracle:
         run's exact-column entries (a chain alone gives the same bits)."""
         exact_rows = self.count_exact_rows(monkeypatch)
         per_chain = [0, 0]
-        step = kernels._step
+        step = crf._step
 
         def counting(prev, shifted, trans, shift):
             for c in range(len(prev)):
@@ -399,7 +426,7 @@ class TestKernelsAgainstLogSpaceOracle:
                 per_chain[c] += sum(exact_rows[before:])
             return step(prev, shifted, trans, shift)
 
-        monkeypatch.setattr(kernels, "_step", counting)
+        monkeypatch.setattr(crf, "_step", counting)
         return per_chain
 
     @pytest.mark.parametrize("penalized", [False, True])
@@ -409,15 +436,13 @@ class TestKernelsAgainstLogSpaceOracle:
         for scale in (1.0, 30.0):
             emis, trans, lengths = self.ragged_batch(rng, scale, penalized)
             layout = RowLayout(lengths)
-            alphas, betas = kernels.crf_forward_backward(
-                layout.gather(emis)[layout.packed], trans.matrix, trans.start, trans.end,
-                layout.alive, layout.rev)
+            _, packed, sums = crf._chains(layout.gather(emis), trans, layout, 2)
             np.testing.assert_allclose(
-                layout.unpack(alphas),
+                layout.unpack(sums[0] + packed),
                 layout.gather(reference_crf_alphas(emis, trans.matrix, trans.start)),
                 rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
-                layout.unpack(betas),
+                layout.unpack(sums[1][layout.rev]),
                 layout.gather(reference_crf_betas(emis, trans.matrix, trans.end, lengths)),
                 rtol=1e-12, atol=1e-12)
 

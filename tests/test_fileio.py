@@ -52,6 +52,17 @@ def test_torn_write_keeps_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize("bad", ["missing directory", "directory"])
+def test_failed_write_names_the_path_not_the_temporary_file(tmp_path, bad):
+    (tmp_path / "outdir").mkdir()
+    target = tmp_path / ("outdir" if bad == "directory" else os.path.join("nodir", "x.out"))
+    with pytest.raises(OSError) as raised:
+        fileio.write_atomic(target, b"data")
+    assert raised.value.filename == str(target) and raised.value.filename2 is None
+    assert str(raised.value).endswith(f": {str(target)!r}")
+    assert os.listdir(tmp_path) == ["outdir"] and os.listdir(tmp_path / "outdir") == []
+
+
 def test_torn_model_save_keeps_old_model(tmp_path, monkeypatch):
     corpus = tiny_fixture_corpus()
     path = tmp_path / "m.bin"

@@ -53,7 +53,7 @@ DIGESTS = {
         "a7bc4bc50d43174618b23ab281e82c8286de8d6b0eabd0dcc9e638bd6fe81e32",
 }
 
-# the CRF chains are one kernel, crf_forward_backward, so the entries for
+# the CRF chains step in one function, crf._chains, so the entries for
 # its former halves find no site
 ABSENT_SITES = {"seqtag.crf.crf_alphas", "seqtag.crf.crf_betas"}
 UNREACHED = {"kernels.crf_alphas", "kernels.crf_betas"}

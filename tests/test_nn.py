@@ -8,7 +8,6 @@ real parameters so input gradients get checked by the same machinery.
 import numpy as np
 import pytest
 
-from seqtag.kernels import lstm_backward, lstm_forward
 from seqtag.nn import (
     AdamOptimizer,
     BiLstm,
@@ -24,6 +23,7 @@ from seqtag.nn import (
     softmax_rows,
     uniform_init,
 )
+from seqtag.nn.layers import lstm_backward, lstm_forward
 
 from helpers import reference_lstm
 

@@ -512,19 +512,19 @@ class TestTraining:
 
     @pytest.mark.parametrize("decode_only", [False, True])
     def test_crf_forward_backward_runs_at_most_once_per_pass(self, monkeypatch, decode_only):
-        # one forward-backward pass per training batch and one per dev
-        # chunk for its loss; dev decoding is Viterbi alone, so with the
-        # CRF only decoding a dev chunk runs none
+        # one two-chain pass per training batch and one forward-chain pass
+        # per dev chunk for its loss; dev decoding is Viterbi alone, so with
+        # the CRF only decoding a dev chunk runs none
         from seqtag import crf
 
-        calls = []
+        chain_counts = []
 
-        def counting(*args):
-            calls.append(args[0].shape[0])
-            return real_pass(*args)
+        def counting(rows, trans, layout, n_chains):
+            chain_counts.append(n_chains)
+            return real_chains(rows, trans, layout, n_chains)
 
-        real_pass = crf.crf_forward_backward
-        monkeypatch.setattr(crf, "crf_forward_backward", counting)
+        real_chains = crf._chains
+        monkeypatch.setattr(crf, "_chains", counting)
         # a budget small enough that the dev corpus runs as several chunks
         monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", 64)
         rng = np.random.default_rng(6)
@@ -534,8 +534,8 @@ class TestTraining:
         train(build_model(cfg, corpus), corpus, dev)
         n_chunks = len(tagger_module._chunks([len(s) for s in dev.sentences]))
         assert n_chunks > 1
-        n_passes = 0 if decode_only else math.ceil(10 / cfg.batch_size) + n_chunks
-        assert len(calls) == n_passes
+        want = [] if decode_only else [2] * math.ceil(10 / cfg.batch_size) + [1] * n_chunks
+        assert chain_counts == want
 
     def test_dev_gold_with_an_orphan_inside_tag(self):
         # an I- tag with no B- before it opens a gold chunk, so the dev
