@@ -75,11 +75,11 @@ def _columns(args):
 
 
 def _distinct_outputs(outputs, inputs=()):
-    """Refuse an output that cannot be written, as an OSError: one that
-    names a directory or sits in a directory that does not exist; and one
-    that names one of the command's inputs or another output, which its
-    write would silently replace. Checked before the inputs are read. Both
-    are (name, path) pairs; a None path is skipped."""
+    """Refuse, before the inputs are read, an output that names a directory
+    or sits in a directory that does not exist (an OSError), and one that
+    names one of the command's inputs or another output, which its write
+    would silently replace (a ValueError). Both are (name, path) pairs; a
+    None path is skipped."""
     named = [(name, path) for name, path in inputs if path is not None]
     for name, path in outputs:
         if os.path.isdir(path):

@@ -161,8 +161,8 @@ class TestMarginals:
         lengths = np.array([6, 1, 4])
         layout = RowLayout(lengths)
         rows = layout.gather(emis)
-        _, emis, sums = crf._chains(rows, trans, layout, 2)
-        alphas, betas = layout.unpack(sums[0] + emis), layout.unpack(sums[1][layout.rev])
+        _, packed, sums = crf._chains(rows, trans, layout, 2)
+        alphas, betas = layout.unpack(sums[0] + packed), layout.unpack(sums[1][layout.rev])
         final = alphas[layout.offsets + lengths - 1] + trans.end
         mx = final.max(axis=1)
         log_z = mx + np.log(np.sum(np.exp(final - mx[:, None]), axis=1))
@@ -191,7 +191,8 @@ class TestNllGrad:
         batches = []
         for lengths in ([6, 1, 4], [6]):
             emis = rng.normal(size=(sum(lengths), 4))
-            batches.append((emis, trans, rng.integers(0, 4, size=sum(lengths)), RowLayout(lengths)))
+            gold = rng.integers(0, 4, size=sum(lengths))
+            batches.append((emis, trans, gold, RowLayout(lengths)))
         for scale in (300.0, 3000.0):
             wide = np.random.default_rng(int(scale))
             emis, penalized, lengths = oracle.ragged_batch(wide, scale, True)
