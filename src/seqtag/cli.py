@@ -31,7 +31,7 @@ from .ensemble import (
     write_prediction_file,
 )
 from .evaluation import evaluate
-from .fileio import write_atomic
+from .fileio import write_staged
 from .tagger import (
     build_model,
     check_gradients,
@@ -66,8 +66,9 @@ def _parse(path, parser, *args, **kwargs):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _write(path, text):
-    write_atomic(path, text.encode("utf-8"))
+def _write(*outputs):
+    """Write each (path, text) pair as UTF-8, all or none (``write_staged``)."""
+    write_staged([(path, text.encode("utf-8")) for path, text in outputs])
 
 
 def _columns(args):
@@ -103,8 +104,7 @@ def cmd_split(args):
                       [("corpus", args.corpus)])
     corpus = _parse(args.corpus, parse_conll, _columns(args))
     train_part, dev_part = split_corpus(corpus, args.train_fraction, args.seed)
-    _write(args.train_out, write_conll(train_part))
-    _write(args.dev_out, write_conll(dev_part))
+    _write((args.train_out, write_conll(train_part)), (args.dev_out, write_conll(dev_part)))
     print(f"train {len(train_part)} sentences -> {args.train_out}")
     print(f"dev {len(dev_part)} sentences -> {args.dev_out}")
     return 0
@@ -130,8 +130,7 @@ def cmd_augment(args):
                 _parse(plan_dir / source.lexicon_path, parse_lexicon, name=source.lexicon_path)
             )
     result, manifest = run_plan(plan, corpora, backends)
-    _write(args.out, write_conll(result))
-    _write(manifest_path, manifest)
+    _write((args.out, write_conll(result)), (manifest_path, manifest))
     print(manifest, end="")
     print(f"wrote {len(result)} sentences -> {args.out}")
     return 0
@@ -156,7 +155,7 @@ def cmd_train(args):
     model = build_model(config, train_corpus, pretrained, contextual)
     model, history = train(model, train_corpus, dev_corpus, config, contextual)
     save_model(model, args.model_out)
-    _write(history_path, history.render())
+    _write((history_path, history.render()))
     best = history.epochs[history.best_epoch - 1]
     print(
         f"trained {history.stopped_epoch} epochs, best epoch {history.best_epoch} "
@@ -177,8 +176,8 @@ def cmd_predict(args):
     if args.contextual_vectors:
         contextual = _parse(args.contextual_vectors, parse_contextual_vectors)
     predictions = predict_corpus(model, corpus, contextual)
-    _write(args.out, write_prediction_file(corpus, predictions,
-                                           include_gold=not args.no_gold))
+    _write((args.out, write_prediction_file(corpus, predictions,
+                                            include_gold=not args.no_gold)))
     print(f"wrote predictions for {len(corpus)} sentences -> {args.out}")
     return 0
 
@@ -197,10 +196,10 @@ def cmd_ensemble(args):
             for path in args.predictions]
     config = VoteConfig(args.threshold, args.majority_of)
     _, diagnostics = ensemble_corpus(sets, reference, config)
-    # a TokenDiag carries the voted label and its support score
-    _write(args.out, write_prediction_file(
-        reference, [diags for _, diags in diagnostics.per_sentence]))
-    _write(diag_path, diagnostics.render())
+    # each sentence's SentenceVotes writes its voted labels with their support
+    _write((args.out, write_prediction_file(
+        reference, [votes for _, votes in diagnostics.per_sentence])),
+        (diag_path, diagnostics.render()))
     print(
         f"ensembled {len(sets)} models over {len(reference)} sentences "
         f"({diagnostics.n_fallbacks} non-majority tokens) -> {args.out}"
@@ -213,7 +212,7 @@ def cmd_evaluate(args):
     pset = _parse(args.predictions, read_prediction_file).to_set(
         os.path.basename(args.predictions))
     check_alignment(pset, gold)
-    report = evaluate(gold, [[p.label for p in preds] for preds in pset.predictions])
+    report = evaluate(gold, [preds.labels for preds in pset.predictions])
     print(report.render_table())
     print()
     print(report.render_kv())

@@ -15,6 +15,8 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -216,27 +218,42 @@ class ColumnConfig:
     pos_col: int | None = None
 
 
+# the first character of a blank line or a '#' line: the lines that end or
+# name a block, the only lines _conll_blocks visits one at a time
+_IS_MARK = frozenset(("", "#")).__contains__
+_FIRST_CHAR = itemgetter(slice(0, 1))
+
+
 def _conll_blocks(text):
-    """Yield (sentence id, rows) for each blank-line-separated block of
-    CoNLL-style text, one (line number, line, columns) row per token line.
+    """Yield (sentence id, line numbers, lines) for each blank-line-separated
+    block of CoNLL-style text: its token lines, stripped, and their 1-based
+    line numbers.
 
     A ``#`` line names the block it precedes or lies in (a blank line drops
     a pending name); ids are NFC-normalized, and unnamed blocks are numbered
-    s0, s1, ... in order.
+    s0, s1, ... in order. Token lines are sliced out in runs between the
+    blank and ``#`` lines.
     """
-    sid, rows, generated = None, [], 0
-    for lineno, raw in enumerate(text.split("\n") + [""], start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            sid = _normalize(line[1:].strip()) or None
-        elif line:
-            rows.append((lineno, line, line.split()))
-        else:
-            if rows:
-                if sid is None:
-                    sid, generated = f"s{generated}", generated + 1
-                yield sid, rows
-            sid, rows = None, []
+    lines = list(map(str.strip, text.split("\n")))
+    lines.append("")
+    sid, generated, start, runs = None, 0, 0, []
+    for at in compress(count(), map(_IS_MARK, map(_FIRST_CHAR, lines))):
+        if at > start:
+            runs.append((start, at))
+        start = at + 1
+        if lines[at]:
+            sid = _normalize(lines[at][1:].strip()) or None
+            continue
+        if runs:
+            if sid is None:
+                sid, generated = f"s{generated}", generated + 1
+            if len(runs) == 1:
+                ((a, b),) = runs
+                yield sid, range(a + 1, b + 1), lines[a:b]
+            else:  # '#' lines inside the block
+                kept = [i for a, b in runs for i in range(a, b)]
+                yield sid, [i + 1 for i in kept], [lines[i] for i in kept]
+        sid, runs = None, []
 
 
 def _row_layout(columns, n_fields, n):
@@ -276,9 +293,9 @@ def parse_conll(text, columns=ColumnConfig()):
     n_fields = 1 + labeled + (pos_col is not None)
     layouts = {}  # column count -> _row_layout
     valid_tags = set()  # tags that matched BIO_TAG_RE; validity depends on the string alone
-    for sid, rows in _conll_blocks(text):
+    for sid, numbers, lines in _conll_blocks(text):
         surfaces, tags, pos, extras = [], [], [], []
-        for lineno, line, cols in rows:
+        for lineno, line, cols in zip(numbers, lines, map(str.split, lines)):
             n = len(cols)
             if n not in layouts:
                 layouts[n] = _row_layout(columns, n_fields, n)

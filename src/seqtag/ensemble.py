@@ -6,19 +6,26 @@ it wins; otherwise the surviving label with the highest total score wins
 (ties broken toward the lexicographically smallest label); if nothing
 survives, O. Voting happens on raw labels; BIO repair runs once on the
 voted sequence, never on the inputs.
+
+Predictions travel as per-sentence columns (``SentencePredictions``): a
+prediction file is read into them, the vote runs on every token of the
+corpus at once as arrays, and the diagnostics keep each token's result
+as per-sentence columns (``SentenceVotes``), which write as voted text.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from itertools import chain
+
+import numpy as np
 
 from .corpus import BIO_TAG_RE, ParseError, _conll_blocks, _normalize, repair_bio
-from .tagger import TokenPrediction
+from .tagger import SentencePredictions
 
 __all__ = [
     "EnsembleError",
     "VoteConfig",
     "PredictionSet",
-    "TokenDiag",
+    "SentenceVotes",
     "EnsembleDiagnostics",
     "majority_vote",
     "check_alignment",
@@ -30,6 +37,7 @@ __all__ = [
 # the rule a token without a majority falls back on, named in diagnostics
 FALLBACK_POLICY = "highest-total-score"
 MAJORITY_DENOMINATORS = ("models", "survivors")
+OUTCOMES = ("majority", "fallback", "empty")
 
 
 class EnsembleError(ValueError):
@@ -53,9 +61,9 @@ class VoteConfig:
 @dataclass
 class PredictionSet:
     """One model's predictions aligned to a reference corpus: per sentence,
-    its id, its token surfaces (a tuple, as ``Sentence.surfaces`` is) and a
-    list of (label, score) records. ``read_prediction_file`` returns a set
-    with no ``model_id``; ``to_set`` names it."""
+    its id, its token surfaces (a tuple, as ``Sentence.surfaces`` is) and
+    its SentencePredictions. ``read_prediction_file`` returns a set with no
+    ``model_id``; ``to_set`` names it."""
 
     model_id: str | None
     predictions: list
@@ -66,54 +74,76 @@ class PredictionSet:
         return replace(self, model_id=model_id)
 
 
-def _vote(votes, config):
-    """Returns (label, surviving_count, outcome, support) with outcome in
-    {majority, fallback, empty}. One pass tallies each surviving label's
-    count and score total, summed in vote order; support is the winner's
-    total over its count, its mean surviving score."""
-    threshold = config.score_threshold
-    counts, totals = {}, {}
-    for v in votes:
-        if v.score > threshold:
-            counts[v.label] = counts.get(v.label, 0) + 1
-            totals[v.label] = totals.get(v.label, 0.0) + v.score
-    if not counts:
-        return "O", 0, "empty", 0.0
-    surviving = sum(counts.values())
-    denominator = len(votes) if config.majority_of == "models" else surviving
-    for label, count in counts.items():
-        if 2 * count > denominator:  # true of at most one label
-            return label, surviving, "majority", totals[label] / count
-    label = min(totals, key=lambda lab: (-totals[lab], lab))
-    return label, surviving, "fallback", totals[label] / counts[label]
+def _tally(columns, config):
+    """Vote every token of aligned flat columns, one (labels, scores) pair
+    per model in vote order. Returns per token the winning label (a list),
+    then as arrays its surviving vote count, its outcome (an index into
+    OUTCOMES) and its support, the winner's mean surviving score.
+
+    Each label gets a column of (tokens, labels) count and total arrays,
+    labels in sorted order; every model adds its surviving votes to them in
+    turn, so each total is summed in vote order. A label held by more than
+    half of the models (or of the survivors) wins; otherwise the highest
+    total does, and ``argmax`` breaks a tie toward the first, i.e. the
+    lexicographically smallest, label. A surviving score exceeds a
+    threshold >= 0, so a label with no survivor has the lowest total, 0."""
+    names = sorted(set(chain.from_iterable(labels for labels, _ in columns)) | {"O"})
+    code = {name: i for i, name in enumerate(names)}
+    n = len(columns[0][0])
+    counts = np.zeros((n, len(names)), np.int32)
+    totals = np.zeros((n, len(names)))
+    base = np.arange(n) * len(names)
+    for labels, scores in columns:
+        at = base + np.fromiter(map(code.__getitem__, labels), np.intp, n)
+        scores = np.asarray(scores, dtype=float)
+        alive = scores > config.score_threshold
+        counts.ravel()[at] += alive
+        totals.ravel()[at] += np.where(alive, scores, 0.0)
+    surviving = counts.sum(axis=1)
+    denominator = len(columns) if config.majority_of == "models" else surviving[:, None]
+    majority = 2 * counts > denominator  # true of at most one label per token
+    has_majority = majority.any(axis=1)
+    winner = np.where(has_majority, majority.argmax(axis=1), totals.argmax(axis=1))
+    empty = surviving == 0
+    winner[empty] = code["O"]
+    outcome = np.where(empty, 2, np.where(has_majority, 0, 1))
+    rows = np.arange(n)
+    count = counts[rows, winner]
+    support = np.divide(totals[rows, winner], count, out=np.zeros(n), where=count > 0)
+    return np.array(names, dtype=object)[winner].tolist(), surviving, outcome, support
 
 
 def majority_vote(votes, config=VoteConfig()):
-    """Ensemble label for one token given one vote per model."""
+    """Ensemble label for one token given one vote per model (records with
+    a ``label`` and a ``score``), by the vote ``ensemble_corpus`` runs; the
+    label is not BIO-repaired."""
     if not votes:
         raise EnsembleError("cannot vote on an empty vote list")
-    return _vote(votes, config)[0]
+    return _tally([([v.label], [v.score]) for v in votes], config)[0][0]
 
 
-class TokenDiag(NamedTuple):
-    label: str  # final (post-repair) label
-    surviving: int
-    outcome: str  # majority | fallback | empty
-    score: float  # mean surviving score behind the winning label
+@dataclass(slots=True)
+class SentenceVotes(SentencePredictions):
+    """One sentence's vote as columns: the final (post-repair) ``labels``,
+    each one's support as ``scores`` (the mean surviving score behind the
+    winning label, 0.0 for an empty vote), and each token's surviving vote
+    count and outcome (majority | fallback | empty). As a
+    SentencePredictions it writes as the voted prediction text."""
+
+    surviving: list
+    outcomes: tuple
 
 
 @dataclass
 class EnsembleDiagnostics:
     config: VoteConfig
     model_ids: list
-    per_sentence: list = field(default_factory=list)  # (sentence_id, [TokenDiag])
+    per_sentence: list = field(default_factory=list)  # (sentence_id, SentenceVotes)
 
     @property
     def n_fallbacks(self):
-        return sum(
-            1 for _, diags in self.per_sentence
-            for d in diags if d.outcome != "majority"
-        )
+        return sum(len(v.outcomes) - v.outcomes.count("majority")
+                   for _, v in self.per_sentence)
 
     def render(self):
         lines = [
@@ -123,10 +153,10 @@ class EnsembleDiagnostics:
             f"# models {','.join(self.model_ids)}",
             f"# non_majority_tokens {self.n_fallbacks}",
         ]
-        for sid, diags in self.per_sentence:
+        for sid, votes in self.per_sentence:
             lines.append(f"# sentence {sid}")
-            for i, d in enumerate(diags):
-                lines.append(f"{i} {d.label} {d.surviving} {d.outcome}")
+            lines.extend(map(" ".join, zip(map(str, range(len(votes))), votes.labels,
+                                           map(str, votes.surviving), votes.outcomes)))
         return "\n".join(lines) + "\n"
 
 
@@ -140,6 +170,11 @@ def check_alignment(pset, reference):
                          ("surface tuples", pset.surfaces)):
         if len(column) != n:
             raise EnsembleError(f"model {pset.model_id!r}: {len(column)} {what}, reference has {n}")
+    # whole columns first; only a set that fails is walked sentence by sentence
+    if (pset.sentence_ids == [sent.id for sent in reference.sentences]
+            and pset.surfaces == [sent.surfaces for sent in reference.sentences]
+            and list(map(len, pset.predictions)) == list(map(len, pset.surfaces))):
+        return
     for sent, sid, surfaces, preds in zip(reference.sentences, pset.sentence_ids,
                                           pset.surfaces, pset.predictions):
         if sid != sent.id:
@@ -159,32 +194,58 @@ def check_alignment(pset, reference):
 
 
 def ensemble_corpus(sets, reference, config=VoteConfig()):
-    """Vote every token across ``sets``, repair the voted sequences, and
-    return (label sequences, diagnostics)."""
+    """Vote every token across ``sets`` at once (``_tally``), repair each
+    voted sentence, and return (label lists, diagnostics)."""
     if len(sets) < 2:
         raise EnsembleError(f"need at least 2 prediction sets, got {len(sets)}")
     for pset in sets:
         check_alignment(pset, reference)
 
+    columns = [(list(chain.from_iterable(p.labels for p in pset.predictions)),
+                list(chain.from_iterable(p.scores for p in pset.predictions)))
+               for pset in sets]
+    voted, surviving, outcome, support = _tally(columns, config)
+    surviving, support = surviving.tolist(), support.tolist()
+    outcomes = np.array(OUTCOMES, dtype=object)[outcome].tolist()
     diagnostics = EnsembleDiagnostics(config, [p.model_id for p in sets])
     all_labels = []
-    for si, sent in enumerate(reference.sentences):
-        tallies = [_vote(votes, config) for votes in zip(*[p.predictions[si] for p in sets])]
-        repaired = repair_bio([t[0] for t in tallies])
+    a = 0
+    for sent in reference.sentences:
+        b = a + len(sent)
+        repaired = repair_bio(voted[a:b])
         all_labels.append(repaired)
-        diagnostics.per_sentence.append(
-            (sent.id, [TokenDiag(lab, s, o, sc)
-                       for lab, (_, s, o, sc) in zip(repaired, tallies)])
-        )
+        diagnostics.per_sentence.append((sent.id, SentenceVotes(
+            tuple(repaired), support[a:b], surviving[a:b], tuple(outcomes[a:b]))))
+        a = b
     return all_labels, diagnostics
 
 
+def _refuse_rows(sid, labels, scores):
+    """Raise EnsembleError naming sentence ``sid`` and the first of its
+    rows whose label is outside the BIO grammar or whose score is outside
+    [0, 1], NaN included: the label first, then the score."""
+    for label, score in zip(labels, scores):
+        if not BIO_TAG_RE.match(label):
+            raise EnsembleError(f"sentence {sid!r}: invalid BIO label {label!r}")
+        if not 0.0 <= score <= 1.0:
+            raise EnsembleError(f"sentence {sid!r}: prediction score {score} outside [0, 1]")
+
+
+def _in_unit_interval(scores):
+    """True when every score lies in [0, 1]. A NaN can hide from ``min``
+    and ``max`` but not from the sum, and once both bounds hold no
+    infinity is left to make the sum NaN."""
+    total = sum(scores)
+    return 0.0 <= min(scores) and max(scores) <= 1.0 and total == total
+
+
 def write_prediction_file(corpus, predictions, include_gold=True):
-    """Render per-token predictions (records with a ``label`` and a
-    ``score``, such as TokenPrediction or TokenDiag) as CoNLL-style text:
-    `# id` headers and `token [gold] predicted score` rows, blank line
-    between sentences. Raises EnsembleError, naming the sentence, on a
-    label outside the BIO grammar or a score outside [0, 1]."""
+    """Render per-sentence prediction columns (anything with ``labels`` and
+    ``scores``, such as SentencePredictions or SentenceVotes) as
+    CoNLL-style text: `# id` headers and `token [gold] predicted score`
+    rows, blank line between sentences. Raises EnsembleError, naming the
+    sentence, on a label outside the BIO grammar or a score outside
+    [0, 1]."""
     if len(predictions) != len(corpus.sentences):
         raise EnsembleError(
             f"{len(predictions)} prediction lists for {len(corpus.sentences)} sentences"
@@ -192,75 +253,110 @@ def write_prediction_file(corpus, predictions, include_gold=True):
     lines = []
     valid_labels = set()  # labels that matched BIO_TAG_RE
     for sent, preds in zip(corpus.sentences, predictions):
-        if len(preds) != len(sent):
+        labels, scores = preds.labels, preds.scores
+        if len(labels) != len(sent):
             raise EnsembleError(
-                f"sentence {sent.id!r}: {len(preds)} predictions for {len(sent)} tokens"
+                f"sentence {sent.id!r}: {len(labels)} predictions for {len(sent)} tokens"
             )
+        new = set(labels) - valid_labels
+        if not all(map(BIO_TAG_RE.match, new)) or not _in_unit_interval(scores):
+            _refuse_rows(sent.id, labels, scores)
+        valid_labels |= new
         lines.append(f"# {sent.id}")
-        for surface, gold, p in zip(sent.surfaces, sent.gold_tags, preds):
-            label, score = p.label, p.score
-            if label not in valid_labels:
-                if not BIO_TAG_RE.match(label):
-                    raise EnsembleError(f"sentence {sent.id!r}: invalid BIO label {label!r}")
-                valid_labels.add(label)
-            if not 0.0 <= score <= 1.0:  # NaN included
-                raise EnsembleError(
-                    f"sentence {sent.id!r}: prediction score {score} outside [0, 1]")
-            lines.append(f"{surface} {gold} {label} {score:.6f}" if include_gold
-                         else f"{surface} {label} {score:.6f}")
+        fields = (sent.surfaces, sent.gold_tags) if include_gold else (sent.surfaces,)
+        lines.extend(map(" ".join, zip(*fields, labels, map("%.6f".__mod__, scores))))
         lines.append("")
     return "\n".join(lines)
 
 
+def _block_rows(numbers, lines, width, valid_tags):
+    """One block of a prediction file, its lines and their line numbers,
+    read row by row as (width, labels, scores, surfaces); ``width`` is the
+    file's column count so far (None before the first row). Raises
+    ParseError naming the first faulty row and its fault."""
+    labels, scores, surfaces = [], [], []
+    for lineno, cols in zip(numbers, map(str.split, lines)):
+        if len(cols) != width:
+            if len(cols) not in (3, 4):
+                raise ParseError(
+                    f"expected 3 or 4 columns (token [gold] predicted score), got {len(cols)}",
+                    lineno,
+                )
+            if width is not None:
+                raise ParseError("mixed 3- and 4-column rows in one file", lineno)
+            width = len(cols)
+        pred, score_text = cols[-2], cols[-1]
+        if width == 4 and cols[1] not in valid_tags:
+            if not BIO_TAG_RE.match(cols[1]):
+                raise ParseError(f"gold tag {cols[1]!r} does not match the BIO grammar",
+                                 lineno)
+            valid_tags.add(cols[1])
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"malformed score {score_text!r}", lineno) from None
+        # the label, then the score: the writer refuses the same faults
+        if pred not in valid_tags:
+            if not BIO_TAG_RE.match(pred):
+                raise ParseError(f"invalid BIO label {pred!r}", lineno)
+            valid_tags.add(pred)
+        if not (0.0 <= score <= 1.0):
+            raise ParseError(f"prediction score {score} outside [0, 1]", lineno)
+        labels.append(pred)
+        scores.append(score)
+        surfaces.append(_normalize(cols[0]))
+    return width, tuple(labels), scores, tuple(surfaces)
+
+
+def _block_bulk(lines, width, valid_tags):
+    """``_block_rows`` checked a column at a time: one column count, the
+    block's distinct tags against the BIO grammar, the scores through
+    ``float`` and then their bounds. Returns None on any fault, which
+    ``_block_rows`` then names."""
+    cols = list(map(str.split, lines))
+    widths = set(map(len, cols))
+    if len(widths) != 1 or not widths <= ({width} if width else {3, 4}):
+        return None
+    width = widths.pop()
+    columns = list(zip(*cols))
+    labels, score_texts = columns[-2:]
+    tags = set(labels).union(columns[1]) if width == 4 else set(labels)
+    new = tags - valid_tags
+    if not all(map(BIO_TAG_RE.match, new)):
+        return None
+    valid_tags |= new
+    try:
+        scores = list(map(float, score_texts))
+    except ValueError:
+        return None
+    if not _in_unit_interval(scores):
+        return None
+    return width, labels, scores, tuple(map(_normalize, columns[0]))
+
+
 def read_prediction_file(text):
     """Parse prediction text into an unnamed PredictionSet: per sentence,
-    its id, its surfaces and one TokenPrediction per row.
+    its id, its surfaces and its SentencePredictions.
 
     Rows carry 4 columns (token gold predicted score) or 3 (token predicted
     score); the two may not be mixed within one file. A gold column is
     checked against the BIO grammar but not kept. Blocks, ids and surfaces
-    follow the corpus rules of ``parse_conll``, NFC included.
+    follow the corpus rules of ``parse_conll``, NFC included. Each block is
+    checked in bulk; a block that fails is read again row by row, which
+    names the first faulty row.
     """
     if not text.strip():
         raise ParseError("empty prediction file")
     sentence_ids, all_surfaces, all_predictions = [], [], []
     width = None  # 4 with a gold column, 3 without; set by the first row
     valid_tags = set()  # labels that matched BIO_TAG_RE; validity depends on the string alone
-    for sid, rows in _conll_blocks(text):
-        surfaces, predictions = [], []
-        for lineno, _, cols in rows:
-            if len(cols) != width:
-                if len(cols) not in (3, 4):
-                    raise ParseError(
-                        f"expected 3 or 4 columns (token [gold] predicted score), got {len(cols)}",
-                        lineno,
-                    )
-                if width is not None:
-                    raise ParseError("mixed 3- and 4-column rows in one file", lineno)
-                width = len(cols)
-            pred, score_text = cols[-2], cols[-1]
-            if width == 4 and cols[1] not in valid_tags:
-                if not BIO_TAG_RE.match(cols[1]):
-                    raise ParseError(f"gold tag {cols[1]!r} does not match the BIO grammar",
-                                     lineno)
-                valid_tags.add(cols[1])
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(f"malformed score {score_text!r}", lineno) from None
-            # the label, then the score: the writer refuses the same faults
-            if pred not in valid_tags:
-                if not BIO_TAG_RE.match(pred):
-                    raise ParseError(f"invalid BIO label {pred!r}", lineno)
-                valid_tags.add(pred)
-            if not (0.0 <= score <= 1.0):
-                raise ParseError(f"prediction score {score} outside [0, 1]", lineno)
-            predictions.append(TokenPrediction(pred, score))
-            surfaces.append(_normalize(cols[0]))
+    for sid, numbers, lines in _conll_blocks(text):
+        width, labels, scores, surfaces = (_block_bulk(lines, width, valid_tags)
+                                           or _block_rows(numbers, lines, width, valid_tags))
         sentence_ids.append(sid)
         # a tuple, as Sentence.surfaces is: check_alignment compares the two
-        all_surfaces.append(tuple(surfaces))
-        all_predictions.append(predictions)
+        all_surfaces.append(surfaces)
+        all_predictions.append(SentencePredictions(labels, scores))
 
     if not all_surfaces:
         raise ParseError("prediction file contains no sentences")

@@ -53,6 +53,7 @@ __all__ = [
     "TaggerConfig",
     "TaggerModel",
     "TokenPrediction",
+    "SentencePredictions",
     "EpochStats",
     "TrainHistory",
     "EarlyStopper",
@@ -174,11 +175,32 @@ def parse_config(text):
 
 
 class TokenPrediction(NamedTuple):
-    """One token's predicted label and its score in [0, 1]. Prediction
-    text is checked where it is read or written (``seqtag.ensemble``)."""
+    """One token's predicted label and its score in [0, 1], as a
+    SentencePredictions builds it on demand. Prediction text is checked
+    where it is read or written (``seqtag.ensemble``)."""
 
     label: str
     score: float
+
+
+@dataclass(slots=True)
+class SentencePredictions:
+    """One sentence's predictions as two columns, one entry per token: a
+    tuple of labels and a list of scores in [0, 1]. ``len`` counts the
+    tokens, and indexing and iteration give TokenPrediction records built
+    from the columns on demand; none is stored."""
+
+    labels: tuple
+    scores: list
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        return TokenPrediction(self.labels[i], self.scores[i])
+
+    def __iter__(self):
+        return map(TokenPrediction, self.labels, self.scores)
 
 
 @dataclass(frozen=True)
@@ -617,7 +639,7 @@ def _labels(model, best, layout):
 
 
 def _predictions(model, rows, layout):
-    """One (labels, scores) pair of columns per sentence of a batch, from
+    """One SentencePredictions per sentence of a batch, from
     its head rows (N, T); under the CRF head the scores are the marginals.
     Scores that overflowed are caught by ``_check_probabilities``, not
     warned about."""
@@ -628,17 +650,16 @@ def _predictions(model, rows, layout):
     _check_probabilities(probs)
     # the scores are finite probabilities, clamped into [0, 1]
     scores = np.clip(probs[np.arange(len(best)), best], 0.0, 1.0).tolist()
-    return [(labels, scores[a:a + n]) for labels, a, n in
+    return [SentencePredictions(tuple(labels), scores[a:a + n]) for labels, a, n in
             zip(_labels(model, best, layout), layout.offsets.tolist(), layout.lengths.tolist())]
 
 
 def predict(model, sentence, contextual=None):
     """Label a sentence: Viterbi path with marginal scores under the CRF
     head, per-row argmax probability otherwise. Labels are BIO-repaired
-    with scores carried over unchanged."""
+    with scores carried over unchanged. Returns a SentencePredictions."""
     _, batch, rows = next(_eval_passes(model, _Encoding(model, [sentence], contextual)))
-    labels, scores = _predictions(model, rows, batch.layout)[0]
-    return list(map(TokenPrediction, labels, scores))
+    return _predictions(model, rows, batch.layout)[0]
 
 
 # Eval-mode passes take length-sorted sentences up to this many padded
@@ -690,12 +711,13 @@ def _eval_passes(model, encoding):
 
 
 def predict_corpus(model, corpus, contextual=None):
-    """``predict`` for every sentence, run in length-sorted batches."""
+    """``predict`` for every sentence, run in length-sorted batches: one
+    SentencePredictions per sentence of ``corpus``, in its order."""
     predictions = [None] * len(corpus.sentences)
     encoding = _Encoding(model, corpus.sentences, contextual)
     for idx, batch, rows in _eval_passes(model, encoding):
-        for i, (labels, scores) in zip(idx, _predictions(model, rows, batch.layout)):
-            predictions[i] = list(map(TokenPrediction, labels, scores))
+        for i, preds in zip(idx.tolist(), _predictions(model, rows, batch.layout)):
+            predictions[i] = preds
         del rows
     return predictions
 

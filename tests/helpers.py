@@ -5,10 +5,12 @@ set intersection. None of it calls the code paths it checks."""
 import itertools
 import math
 import re
+import unicodedata
 
 import numpy as np
 
 from seqtag.corpus import LabeledCorpus, Sentence, TagSet
+from seqtag.tagger import SentencePredictions
 
 
 def enumerate_crf(emissions, matrix, start, end):
@@ -154,6 +156,63 @@ def brute_vote(labels, scores, threshold, n_models):
         totals[l] = totals.get(l, 0.0) + s
     best = max(totals.values())
     return min(l for l, s in totals.items() if s == best)
+
+
+def reference_vote(votes, config):
+    """The vote rule on one token's votes (records with a ``label`` and a
+    ``score``, one per model), one vote at a time: the slow reference for
+    ``seqtag.ensemble``'s whole-corpus vote. Returns (label,
+    surviving_count, outcome, support) with outcome in {majority,
+    fallback, empty}. One pass tallies each surviving label's count and
+    score total, summed in vote order; support is the winner's total over
+    its count, its mean surviving score."""
+    threshold = config.score_threshold
+    counts, totals = {}, {}
+    for v in votes:
+        if v.score > threshold:
+            counts[v.label] = counts.get(v.label, 0) + 1
+            totals[v.label] = totals.get(v.label, 0.0) + v.score
+    if not counts:
+        return "O", 0, "empty", 0.0
+    surviving = sum(counts.values())
+    denominator = len(votes) if config.majority_of == "models" else surviving
+    for label, count in counts.items():
+        if 2 * count > denominator:  # true of at most one label
+            return label, surviving, "majority", totals[label] / count
+    label = min(totals, key=lambda lab: (-totals[lab], lab))
+    return label, surviving, "fallback", totals[label] / counts[label]
+
+
+def reference_conll_blocks(text):
+    """(sentence id, line numbers, lines) per block of CoNLL-style text,
+    found one line at a time: a ``#`` line names the block it precedes or
+    lies in, a blank line ends a block and drops a pending name, and
+    unnamed blocks are numbered s0, s1, ... Lines are stripped and ids
+    NFC-normalized."""
+    blocks = []
+    sid, numbers, lines, generated = None, [], [], 0
+    for lineno, raw in enumerate(text.split("\n") + [""], start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            sid = unicodedata.normalize("NFC", line[1:].strip()) or None
+        elif line:
+            numbers.append(lineno)
+            lines.append(line)
+        else:
+            if lines:
+                if sid is None:
+                    sid, generated = f"s{generated}", generated + 1
+                blocks.append((sid, numbers, lines))
+            sid, numbers, lines = None, [], []
+    return blocks
+
+
+def sentence_predictions(records):
+    """A SentencePredictions holding the (label, score) ``records`` of one
+    sentence, TokenPrediction records included."""
+    records = list(records)
+    return SentencePredictions(tuple(label for label, _ in records),
+                               [score for _, score in records])
 
 
 def random_bio_tags(rng, length, classes):

@@ -34,6 +34,7 @@ from seqtag.nn import (
 )
 from seqtag.tagger import (
     EarlyStopper,
+    SentencePredictions,
     TaggerConfig,
     TokenPrediction,
     build_model,
@@ -297,10 +298,8 @@ def test_ensemble_oracle():
             preds = []
             for sent in corpus.sentences:
                 tags = random_bio_tags(rng, len(sent), classes)
-                preds.append([
-                    TokenPrediction(t, float(s))
-                    for t, s in zip(tags, rng.random(len(sent)))
-                ])
+                preds.append(SentencePredictions(
+                    tuple(tags), [float(s) for s in rng.random(len(sent))]))
             sets.append(PredictionSet(f"m{m}", preds, [s.id for s in corpus.sentences],
                                       [s.surfaces for s in corpus.sentences]))
         labels, _ = ensemble_corpus(sets, corpus)

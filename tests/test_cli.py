@@ -17,7 +17,7 @@ from seqtag.corpus import ColumnConfig, parse_conll, write_conll
 from seqtag.ensemble import read_prediction_file, write_prediction_file
 from seqtag.tagger import TaggerConfig, TokenPrediction, build_model, save_model
 
-from helpers import random_corpus, tiny_fixture_corpus
+from helpers import random_corpus, sentence_predictions, tiny_fixture_corpus
 
 GOLDEN_STATS = """\
 sentences            3
@@ -177,8 +177,9 @@ class TestExitCodes:
         # its bytes, no temporary file is left and train never trains
         monkeypatch.chdir(tmp_path)
         corpus = tiny_fixture_corpus()
-        pred = write_prediction_file(corpus, [[TokenPrediction(t, 1.0) for t in s.gold_tags]
-                                              for s in corpus.sentences])
+        pred = write_prediction_file(corpus, [
+            sentence_predictions(TokenPrediction(t, 1.0) for t in s.gold_tags)
+            for s in corpus.sentences])
         for name, text in {"c.conll": write_conll(corpus), "g.cfg": SMALL_CONFIG,
                            "plan.txt": "output\tx\nsource\ta\tc.conll\n",
                            "a.pred": pred, "b.pred": pred, "old.out": "keep\n"}.items():
@@ -730,7 +731,8 @@ class TestSeededCorpusCorruption:
         corpus = random_corpus(rng, 6, min_len=2, max_len=6, vocab=vocab)
         (tmp_path / "gold.conll").write_text(write_conll(corpus), encoding="utf-8")
         for name in ("p1.txt", "p2.txt"):
-            preds = [[TokenPrediction(t, float(rng.random())) for t in s.gold_tags]
+            preds = [sentence_predictions(TokenPrediction(t, float(rng.random()))
+                                          for t in s.gold_tags)
                      for s in corpus.sentences]
             (tmp_path / name).write_text(write_prediction_file(corpus, preds),
                                          encoding="utf-8")

@@ -1,14 +1,17 @@
 """Threshold-gated majority voting: hand-worked rule applications, a
-brute-force oracle sweep, vote invariants, alignment errors, and the
-prediction file format."""
+brute-force oracle sweep, the whole-corpus vote against the per-token
+reference, vote invariants, alignment errors, and the prediction file
+format."""
 
 import unicodedata
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from seqtag.corpus import parse_conll, validate_bio
+from seqtag import ensemble as ensemble_module
+from seqtag.corpus import parse_conll, repair_bio, validate_bio
 from seqtag.ensemble import (
     EnsembleDiagnostics,
     EnsembleError,
@@ -20,9 +23,15 @@ from seqtag.ensemble import (
     read_prediction_file,
     write_prediction_file,
 )
-from seqtag.tagger import TokenPrediction
+from seqtag.tagger import SentencePredictions, TokenPrediction
 
-from helpers import brute_vote, random_bio_tags, random_corpus
+from helpers import (
+    brute_vote,
+    random_bio_tags,
+    random_corpus,
+    reference_vote,
+    sentence_predictions,
+)
 
 
 def votes(*pairs):
@@ -83,7 +92,7 @@ class TestMajorityVote:
                   ("O", 0.2))
         assert majority_vote(v) == "B-PER"  # via fallback, not majority
         _, diag = _single_token_ensemble(v)
-        assert diag.outcome == "fallback"
+        assert diag.outcomes == ("fallback",)
 
     def test_survivor_denominator_switch(self):
         v = votes(("B-PER", 0.9), ("B-PER", 0.8), ("O", 0.2), ("O", 0.2),
@@ -91,7 +100,7 @@ class TestMajorityVote:
         cfg = VoteConfig(majority_of="survivors")
         assert majority_vote(v, cfg) == "B-PER"
         _, diag = _single_token_ensemble(v, cfg)
-        assert diag.outcome == "majority"
+        assert diag.outcomes == ("majority",)
 
     def test_empty_vote_list_rejected(self):
         with pytest.raises(EnsembleError, match="empty"):
@@ -106,16 +115,96 @@ class TestMajorityVote:
 
 
 def _single_token_ensemble(token_votes, config=VoteConfig()):
-    """Run ensemble_corpus over one single-token sentence and return the
-    (label, TokenDiag) pair for it."""
+    """Run ensemble_corpus over one single-token sentence and return its
+    label and its SentenceVotes."""
     corpus = random_corpus(np.random.default_rng(0), 1, min_len=1, max_len=1)
     sent = corpus.sentences[0]
     sets = [
-        PredictionSet(f"m{i}", [[v]], [sent.id], [sent.surfaces])
+        PredictionSet(f"m{i}", [sentence_predictions([v])], [sent.id], [sent.surfaces])
         for i, v in enumerate(token_votes)
     ]
     labels, diags = ensemble_corpus(sets, corpus, config)
-    return labels[0][0], diags.per_sentence[0][1][0]
+    return labels[0][0], diags.per_sentence[0][1]
+
+
+# the four configurations the voted text and .diag digests were compared under
+VOTE_CONFIGS = [VoteConfig(), VoteConfig(0.3, "survivors"), VoteConfig(0.0), VoteConfig(1.0)]
+LABEL_POOL = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-CW"]
+
+
+def random_vote_sets(rng, corpus, n_models, threshold):
+    """``n_models`` aligned prediction sets over ``corpus`` with raw labels
+    from LABEL_POOL. Three scores in four come from a grid that holds
+    ``threshold``, so scores equal to the threshold, tied totals and
+    tokens with no surviving vote are common; the rest are uniform."""
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0, threshold]
+    ids, surfaces = [s.id for s in corpus.sentences], [s.surfaces for s in corpus.sentences]
+    sets = []
+    for m in range(n_models):
+        preds = []
+        for sent in corpus.sentences:
+            labels = tuple(LABEL_POOL[i] for i in rng.integers(len(LABEL_POOL), size=len(sent)))
+            scores = [float(grid[rng.integers(len(grid))]) if rng.random() < 0.75
+                      else float(rng.random()) for _ in range(len(sent))]
+            preds.append(SentencePredictions(labels, scores))
+        sets.append(PredictionSet(f"m{m}", preds, ids, surfaces))
+    return sets
+
+
+class TestWholeCorpusVote:
+    @pytest.mark.parametrize("config", VOTE_CONFIGS)
+    def test_every_token_has_the_reference_bits(self, config):
+        # (label, surviving, outcome, support) of the array vote equal the
+        # per-token reference's, the support to the last bit, before and
+        # after BIO repair, and through majority_vote's one-token entry
+        rng = np.random.default_rng(2027)
+        corpus = random_corpus(rng, 80, min_len=1, max_len=9)
+        seen = {"empty": 0, "tie": 0, "at threshold": 0}
+        for n_models in (2, 3, 4, 7):
+            sets = random_vote_sets(rng, corpus, n_models, config.score_threshold)
+            columns = [(list(chain.from_iterable(p.labels for p in s.predictions)),
+                        list(chain.from_iterable(p.scores for p in s.predictions)))
+                       for s in sets]
+            labels, surviving, outcome, support = ensemble_module._tally(columns, config)
+            fast = [(lab, int(n), ensemble_module.OUTCOMES[o], float.hex(float(x)))
+                    for lab, n, o, x in zip(labels, surviving, outcome, support)]
+            token_votes = [list(v) for v in zip(*[chain.from_iterable(s.predictions)
+                                                   for s in sets])]
+            reference = [reference_vote(v, config) for v in token_votes]
+            assert fast == [(lab, n, o, float.hex(x)) for lab, n, o, x in reference]
+            assert [majority_vote(v, config) for v in token_votes] == [r[0] for r in reference]
+
+            voted, diagnostics = ensemble_corpus(sets, corpus, config)
+            at = 0
+            for sent, repaired, (sid, votes) in zip(corpus.sentences, voted,
+                                                    diagnostics.per_sentence):
+                ref = reference[at:at + len(sent)]
+                at += len(sent)
+                assert sid == sent.id
+                assert repaired == repair_bio([r[0] for r in ref]) == list(votes.labels)
+                assert votes.surviving == [r[1] for r in ref]
+                assert votes.outcomes == tuple(r[2] for r in ref)
+                assert [float.hex(x) for x in votes.scores] == [float.hex(r[3]) for r in ref]
+            for v, (_, _, result, _) in zip(token_votes, reference):
+                seen["empty"] += result == "empty"
+                seen["at threshold"] += any(x.score == config.score_threshold for x in v)
+                totals = {}
+                for x in v:
+                    if x.score > config.score_threshold:
+                        totals[x.label] = totals.get(x.label, 0.0) + x.score
+                seen["tie"] += (result == "fallback"
+                                and sorted(totals.values())[-2:].count(max(totals.values())) == 2)
+        # no score exceeds a threshold of 1.0, so every vote there is empty
+        assert seen["empty"] >= 20 and seen["at threshold"] >= 20, seen
+        assert seen["tie"] >= 20 if config.score_threshold < 1.0 else seen["tie"] == 0, seen
+
+    def test_one_token_vote_is_the_corpus_vote(self):
+        # majority_vote runs the same tally as ensemble_corpus, unrepaired:
+        # a lone I-PER majority stays I-PER
+        v = votes(("I-PER", 0.9), ("I-PER", 0.8), ("O", 0.7))
+        assert majority_vote(v) == "I-PER"
+        label, diag = _single_token_ensemble(v)
+        assert (label, diag.surviving, diag.outcomes) == ("B-PER", [3], ("majority",))
 
 
 class TestEnsembleCorpus:
@@ -126,9 +215,8 @@ class TestEnsembleCorpus:
             for sent in corpus.sentences:
                 tags = random_bio_tags(rng, len(sent), list(classes))
                 scores = rng.random(len(sent))
-                preds.append(
-                    [TokenPrediction(t, float(s)) for t, s in zip(tags, scores)]
-                )
+                preds.append(sentence_predictions(
+                    TokenPrediction(t, float(s)) for t, s in zip(tags, scores)))
             sets.append(PredictionSet(
                 f"model{m}", preds, [s.id for s in corpus.sentences],
                 [s.surfaces for s in corpus.sentences]
@@ -143,8 +231,8 @@ class TestEnsembleCorpus:
         sets = []
         for m in range(3):
             preds = [
-                [TokenPrediction(p.label, min(1.0, 0.6 + 0.1 * m))
-                 for p in sent_preds]
+                sentence_predictions(TokenPrediction(p.label, min(1.0, 0.6 + 0.1 * m))
+                                     for p in sent_preds)
                 for sent_preds in base.predictions
             ]
             sets.append(PredictionSet(f"m{m}", preds, base.sentence_ids, base.surfaces))
@@ -154,8 +242,8 @@ class TestEnsembleCorpus:
         for got, sent_preds in zip(labels, base.predictions):
             assert got == repair_bio([p.label for p in sent_preds])
         assert all(
-            d.outcome == "majority"
-            for _, ds in diags.per_sentence for d in ds
+            outcome == "majority"
+            for _, ds in diags.per_sentence for outcome in ds.outcomes
         )
 
     def test_matches_brute_force_oracle(self):
@@ -213,6 +301,7 @@ class TestEnsembleCorpus:
         bad_len[1] = bad_len[1][:-1] if len(bad_len[1]) > 1 else bad_len[1] + [
             TokenPrediction("O", 0.9)
         ]
+        bad_len = [sentence_predictions(p) for p in bad_len]
         broken = PredictionSet("lenny", bad_len, sets[1].sentence_ids, sets[1].surfaces)
         with pytest.raises(EnsembleError) as exc:
             ensemble_corpus([sets[0], broken], corpus)
@@ -240,8 +329,8 @@ class TestEnsembleCorpus:
         sets = self.build_sets(rng, corpus, 3)
         _, diags = ensemble_corpus(sets, corpus)
         manual = sum(
-            1 for _, ds in diags.per_sentence for d in ds
-            if d.outcome != "majority"
+            1 for _, ds in diags.per_sentence for outcome in ds.outcomes
+            if outcome != "majority"
         )
         assert diags.n_fallbacks == manual
         text = diags.render()
@@ -256,8 +345,8 @@ class TestPredictionFiles:
     def make(self, rng, n=4):
         corpus = random_corpus(rng, n)
         preds = [
-            [TokenPrediction(t, float(rng.random()))
-             for t in random_bio_tags(rng, len(s), ["PER", "LOC"])]
+            sentence_predictions(TokenPrediction(t, float(rng.random()))
+                                 for t in random_bio_tags(rng, len(s), ["PER", "LOC"]))
             for s in corpus.sentences
         ]
         return corpus, preds
@@ -318,7 +407,7 @@ class TestPredictionFiles:
             message = "model 'p.txt': 1 sentences, reference has 2"
         pset = read_prediction_file(text).to_set("p.txt")
         good = read_prediction_file(write_prediction_file(
-            corpus, [[TokenPrediction("O", 0.9)] * len(s) for s in corpus.sentences]
+            corpus, [sentence_predictions([("O", 0.9)] * len(s)) for s in corpus.sentences]
         )).to_set("q.txt")
         check_alignment(good, corpus)
         with pytest.raises(EnsembleError) as info:

@@ -8,7 +8,9 @@ ensemble diagnostics, unanimous votes included, equal the per-token tally."""
 
 import gc
 import json
+import random
 import tracemalloc
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 from seqtag import cli
 from seqtag import corpus as corpus_module
+from seqtag import ensemble as ensemble_module
 from seqtag import tagger
 from seqtag.augment import (
     Lexicon,
@@ -35,17 +38,22 @@ from seqtag.corpus import (
 from seqtag.ensemble import (
     EnsembleError,
     PredictionSet,
-    TokenDiag,
+    SentenceVotes,
     VoteConfig,
-    _vote,
     ensemble_corpus,
     read_prediction_file,
     write_prediction_file,
 )
 from seqtag.evaluation import evaluate
-from seqtag.tagger import TokenPrediction
+from seqtag.tagger import SentencePredictions, TokenPrediction
 
-from helpers import random_bio_tags, random_corpus
+from helpers import (
+    random_bio_tags,
+    random_corpus,
+    reference_conll_blocks,
+    reference_vote,
+    sentence_predictions,
+)
 
 # every code point but the surrogates, which no UTF-8 input can hold
 ALL_CHARS = "".join(chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF)
@@ -138,19 +146,30 @@ class TestRowFaults:
         line = int(message.split(":")[0].split()[1]) if message.startswith("line ") else None
         assert info.value.line_number == line
 
-    @pytest.mark.parametrize("record, message", [
-        (TokenPrediction("PER", 0.5), "sentence 'b': invalid BIO label 'PER'"),
-        (TokenPrediction("O", 1.5), "sentence 'b': prediction score 1.5 outside [0, 1]"),
-        (TokenPrediction("O", -0.1), "sentence 'b': prediction score -0.1 outside [0, 1]"),
-        (TokenPrediction("O", float("nan")), "sentence 'b': prediction score nan outside [0, 1]"),
-        (TokenDiag("B-", 5, "majority", 0.9), "sentence 'b': invalid BIO label 'B-'"),
-        (TokenDiag("O", 0, "empty", 2.0), "sentence 'b': prediction score 2.0 outside [0, 1]"),
+    @pytest.mark.parametrize("votes, rows, message", [
+        (False, [("O", 1.0), ("PER", 0.5)], "sentence 'b': invalid BIO label 'PER'"),
+        (False, [("O", 1.0), ("O", 1.5)], "sentence 'b': prediction score 1.5 outside [0, 1]"),
+        (False, [("O", 1.0), ("O", -0.1)], "sentence 'b': prediction score -0.1 outside [0, 1]"),
+        (False, [("O", 1.0), ("O", float("nan"))],
+         "sentence 'b': prediction score nan outside [0, 1]"),
+        # the first faulty row names the fault, as the reader's rows do
+        (False, [("O", 2.5), ("PER", 0.5)], "sentence 'b': prediction score 2.5 outside [0, 1]"),
+        (False, [("Q", 0.5), ("O", -1.0)], "sentence 'b': invalid BIO label 'Q'"),
+        (True, [("O", 1.0), ("B-", 0.9)], "sentence 'b': invalid BIO label 'B-'"),
+        (True, [("O", 1.0), ("O", 2.0)], "sentence 'b': prediction score 2.0 outside [0, 1]"),
     ])
     def test_prediction_writer_refuses_what_the_reader_would(
-            self, record, message, tmp_path, monkeypatch, capsys):
+            self, votes, rows, message, tmp_path, monkeypatch, capsys):
         corpus = parse_conll("# a\nx O\n\n# b\ny O\nz O\n")
-        valid = record._replace(label="O", score=1.0)
-        predictions = [[valid], [valid, record]]
+
+        def column(rows):
+            preds = sentence_predictions(rows)
+            if votes:  # an ensemble's columns write the same way
+                return SentenceVotes(preds.labels, preds.scores, [5] * len(rows),
+                                     ("majority",) * len(rows))
+            return preds
+
+        predictions = [column([("O", 1.0)]), column(rows)]
         for include_gold in (True, False):
             with pytest.raises(EnsembleError) as info:
                 write_prediction_file(corpus, predictions, include_gold)
@@ -166,7 +185,7 @@ class TestRowFaults:
 
     @pytest.mark.parametrize("predictions, message", [
         ([], "0 prediction lists for 1 sentences"),
-        ([[TokenPrediction("O", 0.5)]], "sentence 's0': 1 predictions for 2 tokens"),
+        ([sentence_predictions([("O", 0.5)])], "sentence 's0': 1 predictions for 2 tokens"),
     ])
     def test_prediction_writer_refuses_misaligned_lists(self, predictions, message):
         with pytest.raises(EnsembleError) as info:
@@ -187,6 +206,111 @@ class TestRowFaults:
         with pytest.raises(CorpusError) as info:
             evaluate(gold, [["B-PER", "O"], ["O", "B-"]])
         assert str(info.value) == "sentence 's2': invalid BIO tag 'B-'"
+
+
+SURFACES = ["a", "dhaka", "cafe\u0301", "A\u030angstrom", "ঢাকা", "x#y", "1.5", "O", "\u212b"]
+SCORE_TEXTS = ["0.5", "1", "0", "0.000000", "1.000000", "1e-3", "+0.25", "-0", ".5", "0E0",
+               "0.1234567"]
+TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-X.Y"]
+
+
+def random_prediction_text(r, width):
+    """A random valid prediction file of ``width`` columns: NFC-rewritten
+    surfaces and ids, ids before a block, inside it, empty or absent,
+    dropped names, any whitespace between columns and around rows,
+    whitespace-only separator lines, and LF or CRLF line ends."""
+    spaces = [ch for ch in WHITESPACE if ch != "\n"]
+
+    def gap():
+        return r.choice([" ", " ", "\t", "  ", r.choice(spaces)])
+
+    lines = []
+    for k in range(r.randint(1, 7)):
+        if r.random() < 0.1:
+            lines += ["# dropped", ""]
+        rows = []
+        for _ in range(r.randint(1, 6)):
+            fields = [r.choice(SURFACES)] + [r.choice(TAGS)] * (width == 4) + [
+                r.choice(TAGS), r.choice(SCORE_TEXTS + [f"{r.random():.6f}"])]
+            row = gap().join(fields)
+            rows.append(row if r.random() < 0.8 else gap() + row + gap())
+        name = r.choice([None, f"# id{k}", f"#e\u0301{k}", f"  # New York {k} ", "#"])
+        if name is not None:
+            rows.insert(0 if r.random() < 0.7 else r.randint(1, len(rows)), name)
+        lines += rows + [r.choice(["", "", "  ", "\t", r.choice(spaces)])
+                         for _ in range(r.randint(1, 2))]
+    newline = "\r\n" if r.random() < 0.3 else "\n"
+    return newline.join(lines[:-1] if r.random() < 0.5 else lines)
+
+
+def read_row_by_row(text, monkeypatch):
+    """``read_prediction_file`` with every block read by the per-row
+    reference path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ensemble_module, "_block_bulk", lambda *args: None)
+        return read_prediction_file(text)
+
+
+def outcome(read, text):
+    try:
+        data = read(text)
+    except ParseError as exc:
+        return str(exc), exc.line_number
+    return (data.sentence_ids, data.surfaces, [p.labels for p in data.predictions],
+            [p.scores for p in data.predictions])
+
+
+class TestBulkReader:
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_valid_files_read_as_row_by_row(self, width, monkeypatch):
+        rows_read = []
+        real_rows = ensemble_module._block_rows
+        monkeypatch.setattr(ensemble_module, "_block_rows",
+                            lambda *args: rows_read.append(args) or real_rows(*args))
+        r = random.Random(width)
+        for _ in range(300):
+            text = random_prediction_text(r, width)
+            blocks = reference_conll_blocks(text)
+            assert [(sid, list(numbers), lines)
+                    for sid, numbers, lines in corpus_module._conll_blocks(text)] == blocks
+            expected = ([sid for sid, _, _ in blocks],
+                        [tuple(unicodedata.normalize("NFC", line.split()[0]) for line in lines)
+                         for _, _, lines in blocks],
+                        [tuple(line.split()[-2] for line in lines) for _, _, lines in blocks],
+                        [[float(line.split()[-1]) for line in lines] for _, _, lines in blocks])
+            assert outcome(read_prediction_file, text) == expected
+            assert rows_read == []  # every block passed the bulk checks
+            assert outcome(lambda t: read_row_by_row(t, monkeypatch), text) == expected
+            assert len(rows_read) == len(blocks)
+            rows_read.clear()
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_faulty_files_fail_as_row_by_row(self, width, monkeypatch):
+        r = random.Random(10 + width)
+        faults = 0
+        for _ in range(300):
+            lines = random_prediction_text(r, width).split("\n")
+            rows = [i for i, line in enumerate(lines)
+                    if line.strip() and not line.strip().startswith("#")]
+            at = r.choice(rows)
+            fields = lines[at].split()
+            column = r.choice(["score", "label", "gold", "extra", "drop"])
+            if column == "score":
+                fields[-1] = r.choice(["x", "1.5", "nan", "-0.1", "inf", "1e9", "0,5"])
+            elif column == "label":
+                fields[-2] = r.choice(["Q", "B-", "I-", "PER", "o"])
+            elif column == "gold" and width == 4:
+                fields[1] = r.choice(["X", "B-", "i-PER"])
+            elif column == "extra":
+                fields.insert(r.randint(1, len(fields)), "O")
+            else:
+                del fields[r.randint(0, len(fields) - 1)]
+            lines[at] = " ".join(fields)
+            text = "\n".join(lines)
+            bulk = outcome(read_prediction_file, text)
+            assert bulk == outcome(lambda t: read_row_by_row(t, monkeypatch), text)
+            faults += isinstance(bulk[0], str)
+        assert faults > 200
 
 
 # TokenPrediction's fields in a class of its own: the yardstick for what a
@@ -228,8 +352,9 @@ class TestTrustedRecords:
 
     def test_read_predictions_equal_public_ones(self):
         data = read_prediction_file("a O B-PER 0.250000\nb O I-PER 1.000000\n")
-        assert data.predictions == [[TokenPrediction("B-PER", 0.25),
-                                     TokenPrediction("I-PER", 1.0)]]
+        assert data.predictions == [SentencePredictions(("B-PER", "I-PER"), [0.25, 1.0])]
+        assert list(data.predictions[0]) == [TokenPrediction("B-PER", 0.25),
+                                             TokenPrediction("I-PER", 1.0)]
 
     def test_read_predictions_weigh_what_public_ones_do(self):
         text = "# s\n" + "a O O 0.500000\n" * self.N
@@ -276,19 +401,20 @@ class TestUnanimousVotes:
         sets = []
         for m in range(5):
             # each model keeps the shared label of a token with probability 0.8
-            preds = [[TokenPrediction(t if rng.random() < 0.8 else "B-PER", float(rng.random()))
-                      for t in tags] for tags in base]
+            preds = [sentence_predictions(
+                TokenPrediction(t if rng.random() < 0.8 else "B-PER", float(rng.random()))
+                for t in tags) for tags in base]
             sets.append(PredictionSet(f"m{m}", preds, [s.id for s in reference.sentences],
                                       [s.surfaces for s in reference.sentences]))
         labels, diagnostics = ensemble_corpus(sets, reference, config)
         unanimous = 0
         for si, (sid, diags) in enumerate(diagnostics.per_sentence):
-            full = [_vote([s.predictions[si][ti] for s in sets], config)
+            full = [reference_vote([s.predictions[si][ti] for s in sets], config)
                     for ti in range(len(diags))]
             unanimous += sum(
                 len({s.predictions[si][ti].label for s in sets}) == 1 for ti in range(len(diags)))
             assert labels[si] == repair_bio([f[0] for f in full])
-            assert [(d.label, d.surviving, d.outcome, d.score) for d in diags] == [
+            assert list(zip(diags.labels, diags.surviving, diags.outcomes, diags.scores)) == [
                 (lab, f[1], f[2], f[3]) for lab, f in zip(labels[si], full)]
         assert unanimous > 20
 
@@ -343,5 +469,7 @@ class TestModelLabels:
         config = tagger.TaggerConfig(word_dim=4, hidden=4, lstm_layers=1, max_epochs=1)
         model = tagger.build_model(config, corpus)
         for preds in tagger.predict_corpus(model, corpus):
-            assert preds == [TokenPrediction(p.label, p.score) for p in preds]
-            assert all(type(p.score) is float for p in preds)
+            assert preds == sentence_predictions(preds)
+            assert type(preds.labels) is tuple and type(preds.scores) is list
+            assert all(type(label) is str for label in preds.labels)
+            assert all(type(score) is float for score in preds.scores)
