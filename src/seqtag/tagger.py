@@ -10,7 +10,9 @@ linear head giving one row of tag scores per token. With the CRF head the
 rows are emission scores, which the CRF reads with the batch's RowLayout;
 otherwise they pass through a row softmax. Training runs each optimizer
 batch as one pass; evaluation and prediction run length-sorted batches of
-at most 512 padded positions and keep no backward cache.
+at most 512 padded positions and keep no backward cache. Prediction
+returns one SentencePredictions per sentence: its label and score
+columns, from which TokenPrediction records are built only on demand.
 """
 
 import json
