@@ -152,11 +152,15 @@ def random_vote_sets(rng, corpus, n_models, threshold):
 
 
 class TestWholeCorpusVote:
+    @pytest.mark.parametrize("window", [None, 7], ids=["one window", "windows of 7"])
     @pytest.mark.parametrize("config", VOTE_CONFIGS)
-    def test_every_token_has_the_reference_bits(self, config):
+    def test_every_token_has_the_reference_bits(self, config, window, monkeypatch):
         # (label, surviving, outcome, support) of the array vote equal the
         # per-token reference's, the support to the last bit, before and
-        # after BIO repair, and through majority_vote's one-token entry
+        # after BIO repair, and through majority_vote's one-token entry;
+        # voted in one window or in many, sentences crossing their edges
+        if window:
+            monkeypatch.setattr(ensemble_module, "_TALLY_TOKENS", window)
         rng = np.random.default_rng(2027)
         corpus = random_corpus(rng, 80, min_len=1, max_len=9)
         seen = {"empty": 0, "tie": 0, "at threshold": 0}
