@@ -36,9 +36,9 @@ from .tagger import (
     build_model,
     check_gradients,
     load_model,
+    model_bytes,
     parse_config,
     predict_corpus,
-    save_model,
     train,
 )
 from .vectors import ContextualVectors, parse_contextual_vectors, parse_word_vectors
@@ -154,8 +154,8 @@ def cmd_train(args):
         contextual = _parse(args.contextual_vectors, parse_contextual_vectors)
     model = build_model(config, train_corpus, pretrained, contextual)
     model, history = train(model, train_corpus, dev_corpus, config, contextual)
-    save_model(model, args.model_out)
-    _write((history_path, history.render()))
+    write_staged([(args.model_out, model_bytes(model)),
+                  (history_path, history.render().encode("utf-8"))])
     best = history.epochs[history.best_epoch - 1]
     print(
         f"trained {history.stopped_epoch} epochs, best epoch {history.best_epoch} "

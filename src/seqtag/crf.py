@@ -17,8 +17,10 @@ backward chain over the sentences read backwards (``RowLayout.rev``),
 both as one (C, alive[t], T) @ (C, T, T) matmul of shifted probabilities
 per step, in log space and exact to roundoff (entries that underflow are
 recomputed as a plain log-sum-exp); a chain stacked with another gives
-the same bits as alone. Viterbi is max-plus. All arithmetic is float64
-and plain IEEE, so results are reproducible.
+the same bits as alone. Viterbi is max-plus over the same rows, with
+each step's predecessors on its last, contiguous axis (``trans.T``) and
+the best scores and backpointers read through flat indices. All
+arithmetic is float64 and plain IEEE, so results are reproducible.
 """
 
 from dataclasses import dataclass
@@ -200,24 +202,31 @@ def viterbi_decode(emis, trans, start, end, alive):
     rows ``emis`` (N, T), one tag per packed row (N,), and its score (B,)
     in packed order; backpointer ties break toward the lower tag index.
     Step t updates the leading ``alive[t]`` scores: the trailing ones are
-    the finished sentences'."""
-    first = alive[0]
+    the finished sentences'. A step's scores are m[b, j, i] = delta[b, i]
+    + trans[i, j], so ``argmax`` (the first maximum) runs over contiguous
+    predecessor rows; the best scores and, in the backtrace, the
+    backpointers are read with flat indices (``base[b, j]`` is row (b, j)'s
+    offset in ``m``)."""
+    first, n_tags = alive[0], len(start)
+    into = np.ascontiguousarray(trans.T)
+    rows = np.arange(first) * n_tags
+    base = (rows[:, None] + np.arange(n_tags)) * n_tags
     delta = start + emis[:first]
     backptr = np.empty(emis.shape, dtype=np.int64)
     at = first
     for k in alive[1:].tolist():
-        m = delta[:k, :, None] + trans
-        bp = np.argmax(m, axis=1)
+        m = delta[:k, None, :] + into
+        bp = m.argmax(axis=2)
         backptr[at:at + k] = bp
-        delta[:k] = np.take_along_axis(m, bp[:, None, :], axis=1)[:, 0] + emis[at:at + k]
+        delta[:k] = m.ravel()[base[:k] + bp] + emis[at:at + k]
         at += k
     delta += end
     cur = np.argmax(delta, axis=1)
-    scores = delta[np.arange(first), cur]
+    scores = delta.ravel()[rows + cur]
     path = np.empty(len(emis), dtype=np.int64)
     for k in alive[:0:-1].tolist():
         path[at - k:at] = cur[:k]
-        cur[:k] = backptr[at - k:at][np.arange(k), cur[:k]]
+        cur[:k] = backptr.ravel()[(at - k) * n_tags + rows[:k] + cur[:k]]
         at -= k
     path[:first] = cur
     return path, scores

@@ -65,6 +65,7 @@ __all__ = [
     "train",
     "predict",
     "predict_corpus",
+    "model_bytes",
     "save_model",
     "load_model",
 ]
@@ -831,17 +832,21 @@ def _header_dict(model):
     }
 
 
-def save_model(model, path):
-    """Serialize to a self-describing binary: magic, length-prefixed JSON
+def model_bytes(model):
+    """The model as a self-describing binary: magic, length-prefixed JSON
     header, then raw little-endian float64 parameter blocks in sorted name
-    order. Byte-deterministic for a given model; the file is replaced
-    atomically."""
+    order. Byte-deterministic for a given model."""
     header = json.dumps(_header_dict(model), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     blocks = [MODEL_MAGIC, struct.pack("<Q", len(header)), header]
     for name in model.store.names():
         blocks.append(np.ascontiguousarray(model.store[name], dtype="<f8").tobytes())
-    write_atomic(path, b"".join(blocks))
+    return b"".join(blocks)
+
+
+def save_model(model, path):
+    """Write ``model_bytes(model)`` to ``path``, replacing it atomically."""
+    write_atomic(path, model_bytes(model))
 
 
 _HEADER_KEYS = frozenset(

@@ -317,3 +317,32 @@ def reference_crf_betas(emis, trans, end, lengths):
         inner = mx + np.log(np.sum(np.exp(m - mx[:, :, None]), axis=2))
         betas[:, t] = np.where(t >= last, end, inner)
     return betas
+
+
+def reference_viterbi_decode(emis, trans, start, end, alive):
+    """Max-plus Viterbi over a packed batch, as ``crf.viterbi_decode`` takes
+    it: each step builds m[b, i, j] = delta[b, i] + trans[i, j], takes the
+    first maximum over predecessors i with ``argmax`` and gathers the best
+    scores with ``take_along_axis``; the backtrace indexes each step's
+    backpointer block. Returns the path (N,) and the scores (B,), both in
+    packed order."""
+    first = alive[0]
+    delta = start + emis[:first]
+    backptr = np.empty(emis.shape, dtype=np.int64)
+    at = first
+    for k in alive[1:].tolist():
+        m = delta[:k, :, None] + trans
+        bp = np.argmax(m, axis=1)
+        backptr[at:at + k] = bp
+        delta[:k] = np.take_along_axis(m, bp[:, None, :], axis=1)[:, 0] + emis[at:at + k]
+        at += k
+    delta += end
+    cur = np.argmax(delta, axis=1)
+    scores = delta[np.arange(first), cur]
+    path = np.empty(len(emis), dtype=np.int64)
+    for k in alive[:0:-1].tolist():
+        path[at - k:at] = cur[:k]
+        cur[:k] = backptr[at - k:at][np.arange(k), cur[:k]]
+        at -= k
+    path[:first] = cur
+    return path, scores

@@ -16,7 +16,12 @@ from seqtag.crf import (
 )
 from seqtag.nn import RowLayout
 
-from helpers import enumerate_crf, reference_crf_alphas, reference_crf_betas
+from helpers import (
+    enumerate_crf,
+    reference_crf_alphas,
+    reference_crf_betas,
+    reference_viterbi_decode,
+)
 
 
 def random_instance(rng, n=None, n_tags=None, scale=1.0):
@@ -119,6 +124,55 @@ class TestViterbi:
         trans = Transitions.zeros(3)
         path, _ = viterbi(emis, trans, one(emis))
         assert path.tolist() == [0, 0, 0]
+
+    def test_ties_break_toward_lower_index_in_a_packed_batch(self):
+        layout = RowLayout([3, 7, 1, 5])
+        emis = np.zeros((16, 4))
+        path, scores = viterbi(emis, Transitions.zeros(4), layout)
+        assert path.tolist() == [0] * 16
+        assert scores.tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("order", ["transposed view", "fortran copy"])
+    def test_non_contiguous_transitions(self, order):
+        rng = np.random.default_rng(3)
+        layout = RowLayout([4, 9, 2])
+        emis, trans = random_instance(rng, n=15, n_tags=5)
+        matrix = (np.ascontiguousarray(trans.matrix.T).T if order == "transposed view"
+                  else np.asfortranarray(trans.matrix))
+        assert not matrix.flags.c_contiguous
+        path, scores = viterbi(emis, Transitions(matrix, trans.start, trans.end), layout)
+        expected_path, expected_scores = viterbi(emis, trans, layout)
+        assert np.array_equal(path, expected_path)
+        assert scores.tobytes() == expected_scores.tobytes()
+
+    def test_matches_the_take_along_axis_reference_bit_for_bit(self):
+        # random packed batches: mixed lengths, and every fifth batch all
+        # of length 1; scales up to 50; a quarter with -1e4 penalties and a
+        # quarter with integer scores, where ties are frequent
+        rng = np.random.default_rng(4)
+        for case in range(400):
+            n_tags = (2, 9, 37)[case % 3]
+            n_sent = int(rng.integers(1, 10))
+            lengths = (np.ones(n_sent, dtype=int) if case % 5 == 0
+                       else rng.integers(1, 15, size=n_sent))
+            layout = RowLayout(lengths)
+            scale = rng.uniform(0.1, 50.0)
+            emis, trans = random_instance(rng, n=int(lengths.sum()), n_tags=n_tags,
+                                          scale=scale)
+            if case % 4 == 1:
+                # rounded from unit scale: a few distinct values, so many ties
+                emis = np.round(emis / scale)
+                trans = Transitions(*(np.round(a / scale)
+                                      for a in (trans.matrix, trans.start, trans.end)))
+            elif case % 4 == 2:
+                trans = trans.penalized(
+                    np.where(rng.random((n_tags, n_tags)) < 0.3, crf.CONSTRAINT_PENALTY, 0.0),
+                    np.where(rng.random(n_tags) < 0.3, crf.CONSTRAINT_PENALTY, 0.0))
+            args = (emis[layout.packed], trans.matrix, trans.start, trans.end, layout.alive)
+            path, scores = crf.viterbi_decode(*args)
+            expected_path, expected_scores = reference_viterbi_decode(*args)
+            assert np.array_equal(path, expected_path), case
+            assert scores.tobytes() == expected_scores.tobytes(), case
 
 
 class TestMarginals:

@@ -1,8 +1,8 @@
 """Atomic output files: an interrupted write leaves the previous file
 byte-identical and no temporary file behind, for the shared helper and
 for the writers that use it (model files and CLI outputs); a command
-with several outputs replaces none of them unless it can write them
-all."""
+with several outputs (``split``, ``train``, ``augment``, ``ensemble``)
+replaces none of them unless it can write them all."""
 
 import os
 
@@ -148,8 +148,18 @@ def _split_inputs(tmp_path):
             "--dev-out", str(tmp_path / "dev.txt")]
 
 
+def _train_inputs(tmp_path):
+    (tmp_path / "c.conll").write_text("# s0\nalice B-PER\nran O\n\n# s1\nbob B-PER\n",
+                                      encoding="utf-8")
+    (tmp_path / "g.cfg").write_text("word_dim = 4\nhidden = 4\nlstm_layers = 1\n"
+                                    "max_epochs = 1\n", encoding="utf-8")
+    return ["train", str(tmp_path / "g.cfg"), str(tmp_path / "c.conll"),
+            str(tmp_path / "c.conll"), str(tmp_path / "out.txt")]
+
+
 @pytest.mark.parametrize("command, second", [
     (_split_inputs, "dev.txt"),
+    (_train_inputs, "out.txt.history"),
     (_augment_inputs, "out.txt.manifest"),
     (_ensemble_inputs, "out.txt.diag"),
 ])
