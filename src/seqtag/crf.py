@@ -146,9 +146,10 @@ def _chains(rows, trans, layout, n_chains):
     over its packed rows ``emis``: the forward chain, and with
     ``n_chains`` 2 also the backward chain, which sums over successors
     (it steps on ``trans.T``) over ``emis[rev]``, the sentences read
-    backwards in the same layout. Each chain holds its log-potentials
-    without its own row's emission, so a step adds each chain's input to
-    its predecessor rows and runs one ``_step``.
+    backwards in the same layout, its input written straight into the
+    chains' one (n_chains, N, T) input buffer. Each chain holds its
+    log-potentials without its own row's emission, so a step adds each
+    chain's input to its predecessor rows and runs one ``_step``.
 
     Returns log Z (B,), ``emis`` and the sums (n_chains, N, T) in packed
     order: alphas = sums[0] + emis are the log sums over prefixes ending
@@ -156,10 +157,12 @@ def _chains(rows, trans, layout, n_chains):
     the log sums over suffixes from row rev[r] (its emission not folded
     in; a sentence's last row holds ``end``)."""
     emis = _packed(rows, trans, layout)
-    chains = [(emis, trans.matrix, trans.start)]
+    inputs = np.empty((n_chains,) + emis.shape)
+    inputs[0] = emis
     if n_chains == 2:
-        chains.append((emis[layout.rev], trans.matrix.T, trans.end))
-    inputs, chains, starts = map(np.stack, zip(*chains))
+        np.take(emis, layout.rev, axis=0, out=inputs[1])
+    pairs = [(trans.matrix, trans.start), (trans.matrix.T, trans.end)][:n_chains]
+    chains, starts = map(np.stack, zip(*pairs))
     shift = chains.max(axis=1, keepdims=True)
     shifted = np.exp(chains - shift)
     sums = np.empty_like(inputs)
@@ -177,11 +180,13 @@ def _chains(rows, trans, layout, n_chains):
 
 
 def _forward_backward(rows, trans, layout):
-    """alphas and betas (N, T) at each row, and log Z (B,)."""
+    """alphas and betas (N, T) at each row, and log Z (B,). The alphas
+    are built in place over the forward chain's sums."""
     log_z, emis, sums = _chains(rows, trans, layout, 2)
     betas = np.empty_like(emis)
     betas[layout.packed[layout.rev]] = sums[1]
-    return layout.unpack(sums[0] + emis), betas, log_z
+    sums[0] += emis
+    return layout.unpack(sums[0]), betas, log_z
 
 
 def _marginals(alphas, betas, log_z, layout):

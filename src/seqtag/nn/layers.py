@@ -344,8 +344,8 @@ class BiLstm:
     The forward cache holds each layer's input, hidden and cell states,
     tanh(c) and gates; ``backward`` only reads it. An eval-mode pass keeps
     no cache: each layer drops its input once it is projected, and its
-    gates once the next layer's input is built, and ``lstm_forward`` keeps
-    no per-row cell states."""
+    gates before the next layer's input is built, and ``lstm_forward``
+    keeps no per-row cell states."""
 
     def __init__(self, store, prefix, input_dim, hidden, layers, rng):
         if layers < 1:
@@ -390,8 +390,9 @@ class BiLstm:
             hs, cs, tanh_cs = lstm_forward(gates, w_h, layout.alive, keep_states=train)
             if train:
                 caches.append((xs, hs, cs, tanh_cs, gates))
+            del cs, tanh_cs, gates
             packed = np.concatenate([hs[0], hs[1][rev]], axis=1)
-            del hs, cs, tanh_cs, gates
+            del hs
         return layout.unpack(packed), ((layout, caches) if train else None)
 
     def backward(self, d_out, cache):

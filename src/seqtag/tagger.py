@@ -10,7 +10,7 @@ linear head giving one row of tag scores per token. With the CRF head the
 rows are emission scores, which the CRF reads with the batch's RowLayout;
 otherwise they pass through a row softmax. Training runs each optimizer
 batch as one pass; evaluation and prediction run length-sorted batches of
-at most 512 padded positions and keep no backward cache. Prediction
+at most 1024 padded positions and keep no backward cache. Prediction
 returns one SentencePredictions per sentence: its label and score
 columns, from which TokenPrediction records are built only on demand.
 """
@@ -667,21 +667,27 @@ def predict(model, sentence, contextual=None):
 
 # Eval-mode passes take length-sorted sentences up to this many padded
 # positions (a longer sentence runs alone), so peak memory does not grow
-# with the corpus. The curve behind it, on perfbench's predict_wide (two
-# untraced 20 s runs per budget at seed 47, one BLAS thread, 2-CPU Xeon)
-# and the tracemalloc peak of one predict_corpus call on its corpus
-# (seed 5, the 0.5 MiB of predictions included):
-#   budget   tok_s         peak_rss_mb   one call's peak
-#   256      39.8k-41.3k   50.4-51.0     1.25 MiB
-#   512      55.7k-57.8k   54.5-54.7     1.97 MiB
-#   768      60.0k-63.0k   55.8-56.3     2.72 MiB
-#   1024     64.0k-64.3k   58.1-60.2     3.46 MiB
-# With the backward cache still built, 256 read 36.3k-36.7k, 50.2-50.4 and
-# 1.78 MiB. Each step up adds ~0.75 MiB of peak, mostly the LSTM's
-# (2, N, 4h) gate buffer, while the gain shrinks; peak_rss_mb also grows
-# ~0.1 MiB per extra repetition perfbench fits in its window. 512 is the
-# largest budget whose peak_rss_mb stays within 10% of 256's.
-_CHUNK_POSITIONS = 512
+# with the corpus. A position costs 64 * h bytes of LSTM gates, the
+# (2, N, 4h) projection and the pass's largest array (16 MiB per chunk at
+# hidden 256), 8 * heads * n bytes of attention scores (n the chunk's
+# longest sentence) and about 5 * 8 * T bytes of CRF chains (T tags). The
+# curve behind the budget, on perfbench's predict_wide (two untraced 20 s
+# runs per budget at seed 47, one BLAS thread, 2-CPU Xeon) and the
+# tracemalloc peak of one predict_corpus call on its corpus (the 0.27 MiB
+# of predictions included). "held" rows kept each layer's gates alive
+# while the next layer's input was built, and stacked copies of the CRF
+# chain inputs:
+#   budget        tok_s         peak_rss_mb   one call's peak
+#   512 (held)    61.4k-63.7k   68.1-68.6     1.86 MiB
+#   512           61.3k-62.1k   67.2-67.8     1.59 MiB
+#   768           68.5k-68.8k   70.6-71.1     2.23 MiB
+#   1024 (held)   74.4k-74.5k   74.6-75.2     3.40 MiB
+#   1024          73.4k-74.3k   72.6-73.8     2.81 MiB
+#   1536          81.0k-81.5k   75.7-75.8     3.91 MiB
+# peak_rss_mb also grows ~0.1 MiB per extra repetition perfbench fits in
+# its window (it keeps each one's prediction text). 1024 is the largest
+# budget whose one-call peak stays under 3 MiB; 1536 read ~10% faster.
+_CHUNK_POSITIONS = 1024
 
 
 def _chunks(lengths):

@@ -314,6 +314,25 @@ def _mixed_corpus_model(use_crf):
 BUDGETS = [1, tagger_module._CHUNK_POSITIONS, 10 ** 9]
 
 
+@pytest.mark.parametrize("budget", [1, 64, tagger_module._CHUNK_POSITIONS, 10 ** 9])
+def test_chunks_cover_each_sentence_once_within_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", budget)
+    rng = np.random.default_rng(budget)
+    for _ in range(60):
+        lengths = np.minimum(rng.lognormal(np.log(20), 1.0, size=rng.integers(0, 120)),
+                             3000).astype(np.int64) + 1
+        chunks = tagger_module._chunks(lengths)
+        flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        # every sentence once, each chunk a run of ascending lengths
+        assert np.array_equal(np.sort(flat), np.arange(len(lengths)))
+        assert np.all(np.diff(lengths[flat]) >= 0)
+        for chunk in chunks:
+            if len(chunk) > 1:
+                assert len(chunk) * lengths[chunk].max() <= budget
+        for i in np.flatnonzero(lengths > budget):
+            assert any(len(chunk) == 1 and chunk[0] == i for chunk in chunks)
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("use_crf", [True, False])
 def test_predict_corpus_matches_predict(monkeypatch, use_crf, budget):

@@ -399,6 +399,36 @@ class TestPredict:
 
         assert above_predictions(four) - above_predictions(corpus) <= 100 * 3 * len(corpus)
 
+    def test_one_chunk_holds_only_the_lstm_working_set(self):
+        # predict_wide's widths: word_dim d 32, hidden h 32, 18 classes (37
+        # labels) under the BIO constraint. An eval pass must hold at once
+        # the LSTM's (2, N, 4h) gates, its (2, N, h) hidden states and the
+        # pass's (N, d) input: 8 * (10h + d) bytes a row. The slack is 64
+        # bytes a row for the index arrays of the encoding, the batch and
+        # its RowLayout (52 measured), and 128 KiB for buffers that do not
+        # grow with N: numpy's 64 KiB ufunc buffer (the bias added to the
+        # gates) and one step's (2, B, 4h) temporaries. The CRF's chain
+        # inputs, sums and emissions, 5 * 8 * T bytes a row, come after the
+        # gates are gone. Gates kept alive while the next layer's input is
+        # built would add 8 * 3h bytes a row.
+        rng = np.random.default_rng(3)
+        corpus = random_corpus(rng, 12, classes=tuple(f"C{k}" for k in range(18)),
+                               min_len=30, max_len=40)
+        assert len(tagger_module._chunks([len(s) for s in corpus.sentences])) == 1
+        d = h = 32
+        model = build_model(TaggerConfig(word_dim=d, hidden=h, lstm_layers=1, use_crf=True,
+                                         crf_constrain_bio=True, seed=3), corpus)
+        predict_corpus(model, corpus)
+        tracemalloc.start()
+        try:
+            predictions = predict_corpus(model, corpus)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(predictions) == len(corpus)
+        rows = corpus.n_tokens
+        assert peak - held <= (8 * (10 * h + d) + 64) * rows + 128 * 1024
+
     def test_crf_scores_are_path_marginals(self):
         corpus = tiny_fixture_corpus()
         model = build_model(small_config(use_crf=True, seed=9), corpus)
