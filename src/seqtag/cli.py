@@ -41,7 +41,7 @@ from .tagger import (
     predict_corpus,
     train,
 )
-from .vectors import ContextualVectors, parse_contextual_vectors, parse_word_vectors
+from .vectors import parse_contextual_vectors, parse_word_vectors
 
 __all__ = ["main", "entry"]
 
@@ -254,10 +254,8 @@ def cmd_gradcheck(args):
     contextual = None
     if config.use_contextual_slot:
         rng = np.random.default_rng(args.seed)
-        contextual = ContextualVectors(
-            {(s.id, i): rng.normal(size=2) for s in corpus.sentences for i in range(len(s))},
-            dim=2,
-        )
+        contextual = {(s.id, i): rng.normal(size=2)
+                      for s in corpus.sentences for i in range(len(s))}
     model = build_model(config, corpus, contextual_vectors=contextual)
     report = check_gradients(model, corpus.sentences, contextual, dropout_seed=args.seed)
     worst = {}

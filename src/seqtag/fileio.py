@@ -1,9 +1,11 @@
-"""Atomic file replacement, shared by every writer of output files."""
+"""Atomic file replacement, shared by every writer of output files:
+``write_staged`` writes a command's outputs, one or several, each through
+a temporary file, and replaces none before all are written."""
 
 import contextlib
 import os
 
-__all__ = ["write_atomic", "write_staged"]
+__all__ = ["write_staged"]
 
 
 def write_staged(outputs):
@@ -40,10 +42,3 @@ def write_staged(outputs):
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
-
-
-def write_atomic(path, data):
-    """Write ``data`` (bytes) to ``path`` through a temporary file and
-    ``os.replace``: ``write_staged`` with one output, so a reader sees the
-    old file or the new one, never a torn one."""
-    write_staged([(path, data)])

@@ -35,7 +35,7 @@ from .crf import (
     viterbi,
 )
 from .evaluation import evaluate
-from .fileio import write_atomic
+from .fileio import write_staged
 from .nn import (
     AdamOptimizer,
     BiLstm,
@@ -75,11 +75,7 @@ MODEL_FORMAT_VERSION = 2
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; ``keys`` names every offending field."""
-
-    def __init__(self, message, keys=()):
-        super().__init__(message)
-        self.keys = tuple(keys)
+    """Invalid configuration; the message names every offending field."""
 
 
 class ModelError(ValueError):
@@ -135,7 +131,7 @@ class TaggerConfig:
             problems.append(("crf_decode_only", "requires use_crf"))
         if problems:
             detail = "; ".join(f"{k}: {msg}" for k, msg in problems)
-            raise ConfigError(f"invalid config: {detail}", keys=[k for k, _ in problems])
+            raise ConfigError(f"invalid config: {detail}")
         return self
 
 
@@ -147,13 +143,11 @@ def _convert(name, kind, raw):
         low = raw.lower()
         if low in ("true", "false"):
             return low == "true"
-        raise ConfigError(f"key {name}: expected true or false, got {raw!r}", keys=[name])
+        raise ConfigError(f"key {name}: expected true or false, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(
-            f"key {name}: cannot parse {raw!r} as {kind.__name__}", keys=[name]
-        ) from None
+        raise ConfigError(f"key {name}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def parse_config(text):
@@ -170,9 +164,9 @@ def parse_config(text):
         key = key.strip()
         raw = raw.strip()
         if key not in _CONFIG_KINDS:
-            raise ConfigError(f"line {line_no}: unknown config key {key!r}", keys=[key])
+            raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         if key in values:
-            raise ConfigError(f"line {line_no}: duplicate config key {key!r}", keys=[key])
+            raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
         values[key] = _convert(key, _CONFIG_KINDS[key], raw)
     return TaggerConfig(**values).validate()
 
@@ -271,12 +265,9 @@ def _param_shapes(config, n_labels, n_words, n_chars, n_pos, contextual_dim):
     file's inventory and size against it before building anything."""
     config.validate()
     if config.use_contextual_slot and contextual_dim < 1:
-        raise ConfigError(
-            "use_contextual_slot requires a contextual vector file",
-            keys=["use_contextual_slot"],
-        )
+        raise ConfigError("use_contextual_slot requires a contextual vector file")
     if config.use_pos and n_pos is None:
-        raise ConfigError("use_pos requires a corpus with a POS column", keys=["use_pos"])
+        raise ConfigError("use_pos requires a corpus with a POS column")
     h = config.hidden
     shapes = {"word.emb": (n_words + 1, config.word_dim)}
     input_dim = config.word_dim
@@ -382,33 +373,41 @@ class TaggerModel:
         return trans
 
 
+def _table_dim(vectors, name):
+    """The dimension shared by the 1-D vectors of the dict ``vectors``, 0
+    for None or an empty dict; a ConfigError names any other shapes."""
+    shapes = sorted({np.shape(vec) for vec in (vectors or {}).values()})
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise ConfigError(f"{name} vectors must share one 1-D shape, got "
+                          f"{', '.join(map(str, shapes))}")
+    return shapes[0][0] if shapes else 0
+
+
 def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None):
     """Construct a model whose vocabularies come from ``corpus``; index 0 of
     every vocabulary is the unknown slot. Word rows for tokens covered by
-    ``pretrained_vectors`` are copied verbatim; everything else is random
-    under ``config.seed``."""
+    ``pretrained_vectors``, a ``{token: vector}`` dict, are copied
+    verbatim; everything else is random under ``config.seed``. With
+    ``use_contextual_slot`` the slot's width is the dimension of
+    ``contextual_vectors``, a ``{(sentence id, token index): vector}``
+    dict. Each table's vectors must share one 1-D shape."""
     config.validate()
-    if pretrained_vectors is not None and pretrained_vectors.dim != config.word_dim:
-        raise ConfigError(
-            f"pretrained vectors have dimension {pretrained_vectors.dim}, "
-            f"config word_dim is {config.word_dim}",
-            keys=["word_dim"],
-        )
+    word_dim = _table_dim(pretrained_vectors, "pretrained")
+    if word_dim and word_dim != config.word_dim:
+        raise ConfigError(f"pretrained vectors have dimension {word_dim}, "
+                          f"config word_dim is {config.word_dim}")
     surfaces = sorted({w for s in corpus.sentences for w in s.surfaces})
     chars = sorted({ch for tok in surfaces for ch in tok})
     pos_tags = None
     if config.use_pos:
         if any(s.pos is None for s in corpus.sentences):
-            raise ConfigError(
-                "use_pos is enabled but the corpus has tokens without POS tags",
-                keys=["use_pos"],
-            )
+            raise ConfigError("use_pos is enabled but the corpus has tokens without POS tags")
         pos_tags = sorted({p for s in corpus.sentences for p in s.pos})
     contextual_dim = 0
-    if config.use_contextual_slot and contextual_vectors is not None:
-        contextual_dim = contextual_vectors.dim
+    if config.use_contextual_slot:
+        contextual_dim = _table_dim(contextual_vectors, "contextual")
     model = TaggerModel(config, corpus.tagset, surfaces, chars, pos_tags, contextual_dim)
-    if pretrained_vectors is not None:
+    if word_dim:
         table = model.store["word.emb"]
         for token, idx in model.word_vocab.items():
             vec = pretrained_vectors.get(token)
@@ -443,9 +442,20 @@ class _Encoding:
         if gold:
             self.gold = _indices((model.tagset.index(t) for s in sentences for t in s.gold_tags), n)
         if cfg.use_contextual_slot:
-            self.contextual = np.empty((n, model.contextual_dim))
-            for sent, start in zip(sentences, self.offsets):
-                self.contextual[start:start + len(sent)] = _contextual(model, sent, contextual)
+            if sentences and not contextual:
+                raise ModelError(f"sentence {sentences[0].id!r}: model uses contextual vectors "
+                                 "but none were provided")
+            dim = model.contextual_dim
+            self.contextual = np.empty((n, dim))
+            keys = ((s.id, i) for s in sentences for i in range(len(s)))
+            for row, (sid, i) in enumerate(keys):
+                vec = contextual.get((sid, i))
+                if vec is None:
+                    raise ModelError(f"no contextual vector for sentence {sid!r} token {i}")
+                if np.shape(vec) != (dim,):
+                    raise ModelError(f"contextual vectors have dimension {np.size(vec)}, "
+                                     f"model expects {dim}")
+                self.contextual[row] = vec
         if cfg.use_char_cnn:
             self.char_lengths = _indices((len(w) for s in sentences for w in s.surfaces), n)
             self.char_offsets = np.cumsum(self.char_lengths) - self.char_lengths
@@ -478,20 +488,6 @@ class _Encoding:
 def _indices(values, count):
     # int32 halves what an encoded corpus holds for the whole call
     return np.fromiter(values, dtype=np.int32, count=count)
-
-
-def _contextual(model, sent, contextual):
-    """The contextual vectors (len(sent), dim) of one sentence."""
-    if contextual is None:
-        raise ModelError(f"sentence {sent.id!r}: model uses contextual vectors "
-                         "but none were provided")
-    if contextual.dim != model.contextual_dim:
-        raise ModelError(f"contextual vectors have dimension {contextual.dim}, "
-                         f"model expects {model.contextual_dim}")
-    try:
-        return contextual.lookup_sentence(sent.id, len(sent))
-    except KeyError as exc:
-        raise ModelError(str(exc.args[0])) from None
 
 
 def _forward(model, batch, mode, rng):
@@ -660,7 +656,10 @@ def _predictions(model, rows, layout):
 def predict(model, sentence, contextual=None):
     """Label a sentence: Viterbi path with marginal scores under the CRF
     head, per-row argmax probability otherwise. Labels are BIO-repaired
-    with scores carried over unchanged. Returns a SentencePredictions."""
+    with scores carried over unchanged. A model with the contextual slot
+    reads the sentence's vectors from ``contextual``, a
+    ``{(sentence id, token index): vector}`` dict. Returns a
+    SentencePredictions."""
     _, batch, rows = next(_eval_passes(model, _Encoding(model, [sentence], contextual)))
     return _predictions(model, rows, batch.layout)[0]
 
@@ -721,7 +720,9 @@ def _eval_passes(model, encoding):
 
 def predict_corpus(model, corpus, contextual=None):
     """``predict`` for every sentence, run in length-sorted batches: one
-    SentencePredictions per sentence of ``corpus``, in its order."""
+    SentencePredictions per sentence of ``corpus``, in its order.
+    ``contextual`` is a ``{(sentence id, token index): vector}`` dict, as
+    for ``predict``."""
     predictions = [None] * len(corpus.sentences)
     encoding = _Encoding(model, corpus.sentences, contextual)
     for idx, batch, rows in _eval_passes(model, encoding):
@@ -776,8 +777,8 @@ def train(model, train_corpus, dev_corpus, config=None, contextual=None):
     """Mini-batch training with per-epoch dev evaluation and early
     stopping; returns the model restored to its best-epoch parameters plus
     the full history. Each optimizer batch runs as one pass; its loss is
-    the mean of the per-sentence losses. ``contextual`` vectors, keyed by
-    sentence id and token index, serve both corpora. A gold tag outside
+    the mean of the per-sentence losses. ``contextual``, a
+    ``{(sentence id, token index): vector}`` dict, serves both corpora. A gold tag outside
     the model's tagset, in either corpus, raises CorpusError naming its
     sentence before the first epoch; a ``config`` that differs from
     ``model.config`` outside _TRAINING_KEYS raises ConfigError."""
@@ -786,7 +787,7 @@ def train(model, train_corpus, dev_corpus, config=None, contextual=None):
                and getattr(cfg, f.name) != getattr(model.config, f.name)]
     if clashes:
         raise ConfigError(f"config differs from the model's in {', '.join(clashes)}: training "
-                          f"may change only {', '.join(sorted(_TRAINING_KEYS))}", keys=clashes)
+                          f"may change only {', '.join(sorted(_TRAINING_KEYS))}")
     for corpus in (train_corpus, dev_corpus):
         LabeledCorpus(corpus.sentences, model.tagset)
     train_encoding, dev_encoding = (_Encoding(model, c.sentences, contextual, gold=True)
@@ -852,7 +853,7 @@ def model_bytes(model):
 
 def save_model(model, path):
     """Write ``model_bytes(model)`` to ``path``, replacing it atomically."""
-    write_atomic(path, model_bytes(model))
+    write_staged([(path, model_bytes(model))])
 
 
 _HEADER_KEYS = frozenset(

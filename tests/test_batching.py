@@ -38,7 +38,6 @@ from seqtag.tagger import (
     predict,
     predict_corpus,
 )
-from seqtag.vectors import ContextualVectors
 
 from helpers import random_bio_tags, random_corpus, reference_char_cnn
 
@@ -195,8 +194,7 @@ def _feature_corpus(lengths, seed):
         ])
         sentences.append(Sentence(f"s{i}", surfaces, tuple(tags), pos_tags))
     corpus = LabeledCorpus(sentences, TagSet(["PER", "LOC"]))
-    ctx = ContextualVectors({(s.id, t): rng.normal(size=3)
-                             for s in sentences for t in range(len(s))}, dim=3)
+    ctx = {(s.id, t): rng.normal(size=3) for s in sentences for t in range(len(s))}
     return corpus, ctx
 
 
@@ -220,7 +218,7 @@ def test_encoded_batch_matches_vocabulary_lookups():
     for row, w in zip(batch.chars, surfaces):
         assert row[:len(w)].tolist() == [model.char_vocab.get(ch, 0) for ch in w]
     np.testing.assert_array_equal(
-        batch.contextual, np.concatenate([ctx.lookup_sentence(s.id, len(s)) for s in sents]))
+        batch.contextual, [ctx[s.id, t] for s in sents for t in range(len(s))])
     assert batch.gold.tolist() == [model.tagset.index(t) for s in sents for t in s.gold_tags]
 
 

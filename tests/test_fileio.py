@@ -43,10 +43,10 @@ def torn_writes(monkeypatch, first=1):
     monkeypatch.setattr(fileio.os, "fdopen", fdopen)
 
 
-def test_write_atomic_replaces_contents(tmp_path):
+def test_one_staged_output_replaces_contents(tmp_path):
     target = tmp_path / "out.txt"
-    fileio.write_atomic(target, b"old")
-    fileio.write_atomic(target, b"new contents")
+    fileio.write_staged([(target, b"old")])
+    fileio.write_staged([(target, b"new contents")])
     assert target.read_bytes() == b"new contents"
     assert os.listdir(tmp_path) == ["out.txt"]
 
@@ -56,7 +56,7 @@ def test_torn_write_keeps_old_file(tmp_path, monkeypatch):
     target.write_bytes(b"old contents")
     torn_writes(monkeypatch)
     with pytest.raises(OSError, match="No space"):
-        fileio.write_atomic(target, b"x" * 1000)
+        fileio.write_staged([(target, b"x" * 1000)])
     assert target.read_bytes() == b"old contents"
     assert os.listdir(tmp_path) == ["out.txt"]
 
@@ -66,7 +66,7 @@ def test_failed_write_names_the_path_not_the_temporary_file(tmp_path, bad):
     (tmp_path / "outdir").mkdir()
     target = tmp_path / ("outdir" if bad == "directory" else os.path.join("nodir", "x.out"))
     with pytest.raises(OSError) as raised:
-        fileio.write_atomic(target, b"data")
+        fileio.write_staged([(target, b"data")])
     assert raised.value.filename == str(target) and raised.value.filename2 is None
     assert str(raised.value).endswith(f": {str(target)!r}")
     assert os.listdir(tmp_path) == ["outdir"] and os.listdir(tmp_path / "outdir") == []

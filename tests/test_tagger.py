@@ -22,6 +22,7 @@ from seqtag.tagger import (
     build_model,
     check_gradients,
     load_model,
+    model_bytes,
     parse_config,
     predict,
     predict_corpus,
@@ -31,7 +32,6 @@ from seqtag.tagger import (
 from seqtag import tagger as tagger_module
 from seqtag.tagger import MODEL_MAGIC, _Encoding, _forward, _log_softmax, _sentence_loss
 from seqtag.tagger import _param_shapes
-from seqtag.vectors import ContextualVectors, WordVectors
 
 from helpers import enumerate_crf, random_corpus, tiny_fixture_corpus
 
@@ -87,9 +87,9 @@ class TestConfigParsing:
         assert cfg.hidden == 9
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config key") as exc:
+        with pytest.raises(ConfigError) as exc:
             parse_config("worddim = 3\n")
-        assert exc.value.keys == ("worddim",)
+        assert str(exc.value) == "line 1: unknown config key 'worddim'"
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -117,7 +117,8 @@ class TestConfigValidation:
         cfg = TaggerConfig(hidden=0, dropout=1.5, learning_rate=-1.0)
         with pytest.raises(ConfigError) as exc:
             cfg.validate()
-        assert set(exc.value.keys) == {"hidden", "dropout", "learning_rate"}
+        assert str(exc.value) == ("invalid config: hidden: must be >= 1; dropout: must lie in "
+                                  "[0, 1); learning_rate: must be positive and finite")
 
     def test_bilstm_is_mandatory(self):
         with pytest.raises(ConfigError, match="lstm_layers"):
@@ -131,7 +132,6 @@ class TestConfigValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="^invalid config: seed: must be >= 0$") as exc:
             parse_config("seed = -1\n")
-        assert exc.value.keys == ("seed",)
         TaggerConfig(seed=0).validate()
 
     def test_decode_only_requires_crf(self):
@@ -145,9 +145,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["learning_rate", "weight_decay"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_rates_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"{key}: must be .* finite") as exc:
+        with pytest.raises(ConfigError) as exc:
             parse_config(f"{key} = {value}\n")
-        assert exc.value.keys == (key,)
+        bound = "positive" if key == "learning_rate" else "non-negative"
+        assert str(exc.value) == f"invalid config: {key}: must be {bound} and finite"
 
 
 class TestTokenPrediction:
@@ -216,7 +217,7 @@ class TestBuildModel:
     def test_pretrained_rows_copied_verbatim(self):
         corpus = tiny_fixture_corpus()
         vec = np.arange(6, dtype=float) / 10.0
-        wv = WordVectors({"mehta": vec, "absent": vec * 2}, dim=6)
+        wv = {"mehta": vec, "absent": vec * 2}
         model = build_model(small_config(), corpus, pretrained_vectors=wv)
         np.testing.assert_array_equal(
             model.store["word.emb"][model.word_vocab["mehta"]], vec
@@ -224,10 +225,23 @@ class TestBuildModel:
 
     def test_pretrained_dim_mismatch(self):
         corpus = tiny_fixture_corpus()
-        wv = WordVectors({"mehta": np.zeros(3)}, dim=3)
+        wv = {"mehta": np.zeros(3)}
         with pytest.raises(ConfigError) as exc:
             build_model(small_config(), corpus, pretrained_vectors=wv)
-        assert exc.value.keys == ("word_dim",)
+        assert str(exc.value) == "pretrained vectors have dimension 3, config word_dim is 6"
+
+    def test_pretrained_vectors_of_two_sizes_are_refused_by_shape(self):
+        corpus = tiny_fixture_corpus()
+        wv = {"mehta": np.zeros(6), "dhaka": np.zeros(5), "rahim": np.zeros(6)}
+        with pytest.raises(ConfigError) as exc:
+            build_model(small_config(), corpus, pretrained_vectors=wv)
+        assert str(exc.value) == "pretrained vectors must share one 1-D shape, got (5,), (6,)"
+
+    def test_empty_pretrained_table_counts_as_none(self):
+        corpus = tiny_fixture_corpus()
+        a = build_model(small_config(), corpus, pretrained_vectors={})
+        b = build_model(small_config(), corpus)
+        assert model_bytes(a) == model_bytes(b)
 
     def test_pos_requires_pos_column(self):
         corpus = random_corpus(np.random.default_rng(0), 3)
@@ -237,8 +251,16 @@ class TestBuildModel:
 
     def test_contextual_slot_requires_vectors(self):
         corpus = tiny_fixture_corpus()
-        with pytest.raises(ConfigError, match="contextual"):
-            build_model(small_config(use_contextual_slot=True), corpus)
+        for empty in (None, {}):
+            with pytest.raises(ConfigError) as exc:
+                build_model(small_config(use_contextual_slot=True), corpus,
+                            contextual_vectors=empty)
+            assert str(exc.value) == "use_contextual_slot requires a contextual vector file"
+        ragged = {("s0", 0): np.zeros(3), ("s0", 1): np.zeros((3, 1))}
+        with pytest.raises(ConfigError) as exc:
+            build_model(small_config(use_contextual_slot=True), corpus,
+                        contextual_vectors=ragged)
+        assert str(exc.value) == "contextual vectors must share one 1-D shape, got (3,), (3, 1)"
 
     def test_crf_parameters_present_only_with_crf(self):
         corpus = tiny_fixture_corpus()
@@ -292,32 +314,55 @@ class TestForward:
         for sent in corpus.sentences:
             for i in range(len(sent)):
                 vectors[(sent.id, i)] = rng.normal(size=3)
-        ctx = ContextualVectors(vectors, dim=3)
+        ctx = vectors
         model = build_model(small_config(use_contextual_slot=True), corpus,
                             contextual_vectors=ctx)
         sent = corpus.sentences[0]
         out_a = emissions_of(model, sent, contextual=ctx)
-        shifted = ContextualVectors(
-            {k: v + 1.0 for k, v in vectors.items()}, dim=3
-        )
+        shifted = {k: v + 1.0 for k, v in vectors.items()}
         out_b = emissions_of(model, sent, contextual=shifted)
         assert not np.allclose(out_a, out_b)
 
     def test_contextual_errors_name_the_sentence(self):
         corpus = tiny_fixture_corpus()
-        ctx = ContextualVectors({(s.id, i): np.zeros(3)
-                                 for s in corpus.sentences
-                                 for i in range(len(s))}, dim=3)
+        ctx = {(s.id, i): np.zeros(3) for s in corpus.sentences for i in range(len(s))}
         model = build_model(small_config(use_contextual_slot=True), corpus,
                             contextual_vectors=ctx)
-        with pytest.raises(ModelError, match="contextual"):
-            emissions_of(model, corpus.sentences[0])
-        missing = ContextualVectors({("s0", 0): np.zeros(3)}, dim=3)
-        with pytest.raises(ModelError, match="'s0' token 1"):
-            emissions_of(model, corpus.sentences[0], contextual=missing)
-        wrong_dim = ContextualVectors({("s0", 0): np.zeros(5)}, dim=5)
-        with pytest.raises(ModelError, match="dimension"):
-            emissions_of(model, corpus.sentences[0], contextual=wrong_dim)
+        s0, s9 = corpus.sentences[0], Sentence("s9", ("mehta",), ("O",))
+        for absent in (None, {}):
+            with pytest.raises(ModelError) as exc:
+                emissions_of(model, s0, contextual=absent)
+            assert str(exc.value) == ("sentence 's0': model uses contextual vectors "
+                                      "but none were provided")
+        for sent, message in [(s0, "no contextual vector for sentence 's0' token 1"),
+                              (s9, "no contextual vector for sentence 's9' token 0")]:
+            with pytest.raises(ModelError) as exc:
+                emissions_of(model, sent, contextual={("s0", 0): np.zeros(3)})
+            assert str(exc.value) == message
+        wrong_dim = {("s0", 0): np.zeros(5)}
+        with pytest.raises(ModelError) as exc:
+            emissions_of(model, s0, contextual=wrong_dim)
+        assert str(exc.value) == "contextual vectors have dimension 5, model expects 3"
+
+    def test_contextual_vector_of_the_wrong_size_is_refused_by_name(self):
+        # one vector of the table that predict or train reads has the
+        # wrong size: a ModelError, not numpy's broadcast error
+        corpus = tiny_fixture_corpus()
+        ctx = {(s.id, i): np.zeros(3) for s in corpus.sentences for i in range(len(s))}
+        model = build_model(small_config(use_contextual_slot=True), corpus,
+                            contextual_vectors=ctx)
+        bad = dict(ctx)
+        bad["s1", 2] = np.zeros(2)
+        message = "contextual vectors have dimension 2, model expects 3"
+        with pytest.raises(ModelError) as exc:
+            predict(model, corpus.sentences[1], bad)
+        assert str(exc.value) == message
+        with pytest.raises(ModelError) as exc:
+            predict_corpus(model, corpus, bad)
+        assert str(exc.value) == message
+        with pytest.raises(ModelError) as exc:
+            train(model, corpus, corpus, contextual=bad)
+        assert str(exc.value) == message
 
 
 class TestWholeModelGradients:
@@ -612,7 +657,6 @@ class TestTraining:
         monkeypatch.setattr(tagger_module, "_train_batch", lambda *a: batches.append(a))
         with pytest.raises(ConfigError) as info:
             train(model, corpus, corpus, small_config(dropout=0.9, use_crf=False))
-        assert info.value.keys == ("use_crf", "dropout")
         assert str(info.value) == (
             "config differs from the model's in use_crf, dropout: training may change only "
             "batch_size, early_stop_metric, learning_rate, max_epochs, patience, seed, "
@@ -792,8 +836,7 @@ class TestModelFiles:
     ])
     def test_param_shapes_match_the_built_model(self, overrides):
         corpus = tiny_fixture_corpus()
-        ctx = ContextualVectors({(s.id, i): np.zeros(3) for s in corpus.sentences
-                                 for i in range(len(s))}, dim=3)
+        ctx = {(s.id, i): np.zeros(3) for s in corpus.sentences for i in range(len(s))}
         model = build_model(small_config(**overrides), corpus, contextual_vectors=ctx)
         shapes = _param_shapes(model.config, len(corpus.tagset), len(model.word_vocab),
                                len(model.char_vocab), len(model.pos_vocab or {}) or None,
