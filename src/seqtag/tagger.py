@@ -656,10 +656,9 @@ def _predictions(model, rows, layout):
 def predict(model, sentence, contextual=None):
     """Label a sentence: Viterbi path with marginal scores under the CRF
     head, per-row argmax probability otherwise. Labels are BIO-repaired
-    with scores carried over unchanged. A model with the contextual slot
-    reads the sentence's vectors from ``contextual``, a
-    ``{(sentence id, token index): vector}`` dict. Returns a
-    SentencePredictions."""
+    with scores carried over unchanged. ``contextual`` is a
+    ``{(sentence id, token index): vector}`` dict, read by a model with
+    the contextual slot. Returns a SentencePredictions."""
     _, batch, rows = next(_eval_passes(model, _Encoding(model, [sentence], contextual)))
     return _predictions(model, rows, batch.layout)[0]
 
@@ -778,10 +777,11 @@ def train(model, train_corpus, dev_corpus, config=None, contextual=None):
     stopping; returns the model restored to its best-epoch parameters plus
     the full history. Each optimizer batch runs as one pass; its loss is
     the mean of the per-sentence losses. ``contextual``, a
-    ``{(sentence id, token index): vector}`` dict, serves both corpora. A gold tag outside
-    the model's tagset, in either corpus, raises CorpusError naming its
-    sentence before the first epoch; a ``config`` that differs from
-    ``model.config`` outside _TRAINING_KEYS raises ConfigError."""
+    ``{(sentence id, token index): vector}`` dict, serves both corpora. A
+    gold tag outside the model's tagset, in either corpus, raises
+    CorpusError naming its sentence before the first epoch; a ``config``
+    that differs from ``model.config`` outside _TRAINING_KEYS raises
+    ConfigError."""
     cfg = (config or model.config).validate()
     clashes = [f.name for f in fields(cfg) if f.name not in _TRAINING_KEYS
                and getattr(cfg, f.name) != getattr(model.config, f.name)]
