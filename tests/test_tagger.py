@@ -130,7 +130,7 @@ class TestConfigValidation:
         TaggerConfig(use_mha=True, hidden=4, mha_heads=4).validate()
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match="^invalid config: seed: must be >= 0$") as exc:
+        with pytest.raises(ConfigError, match="^invalid config: seed: must be >= 0$"):
             parse_config("seed = -1\n")
         TaggerConfig(seed=0).validate()
 
@@ -314,11 +314,10 @@ class TestForward:
         for sent in corpus.sentences:
             for i in range(len(sent)):
                 vectors[(sent.id, i)] = rng.normal(size=3)
-        ctx = vectors
         model = build_model(small_config(use_contextual_slot=True), corpus,
-                            contextual_vectors=ctx)
+                            contextual_vectors=vectors)
         sent = corpus.sentences[0]
-        out_a = emissions_of(model, sent, contextual=ctx)
+        out_a = emissions_of(model, sent, contextual=vectors)
         shifted = {k: v + 1.0 for k, v in vectors.items()}
         out_b = emissions_of(model, sent, contextual=shifted)
         assert not np.allclose(out_a, out_b)
