@@ -1,5 +1,6 @@
 """Minimal neural compute core: layers with analytic backward passes, a
-parameter store, AdamW updates, and finite-difference gradient checking."""
+parameter store drawn from the layers' spec rows or filled from a file,
+AdamW updates, and finite-difference gradient checking."""
 
 from .gradcheck import GradCheckReport, gradient_check
 from .layers import (
@@ -13,7 +14,7 @@ from .layers import (
     softmax_rows,
 )
 from .optim import AdamOptimizer
-from .params import ParamStore, uniform_init
+from .params import ParamStore
 
 __all__ = [
     "AdamOptimizer",
@@ -28,5 +29,4 @@ __all__ = [
     "dropout_apply",
     "gradient_check",
     "softmax_rows",
-    "uniform_init",
 ]

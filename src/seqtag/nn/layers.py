@@ -1,11 +1,14 @@
 """Neural layers with forward passes and hand-derived backward passes.
 
-Every layer follows the same protocol: ``forward`` returns (output, cache)
-and mutates nothing, ``backward(d_out, cache)`` accumulates parameter
-gradients into the ParamStore and returns the gradient w.r.t. the layer
-input. ``BiLstm.forward`` also takes the pass's mode; in eval mode it
-builds no cache and returns None for it. Caches travel with the caller,
-so forward passes on a shared model are thread-safe.
+Every layer follows the same protocol: ``spec`` states its parameters
+once, as ``(name, shape, fan_in)`` rows for ``ParamStore.draw``; the
+constructor takes them from a filled ParamStore by prefix and reads its
+sizes off their shapes; ``forward`` returns (output, cache) and mutates
+nothing, ``backward(d_out, cache)`` accumulates parameter gradients into
+the ParamStore and returns the gradient w.r.t. the layer input.
+``BiLstm.forward`` also takes the pass's mode; in eval mode it builds no
+cache and returns None for it. Caches travel with the caller, so forward
+passes on a shared model are thread-safe.
 
 Sequence layers take a batch's real tokens only: (N, d) rows,
 sentence-major (sentence b's tokens in order, then sentence b + 1's), and
@@ -33,8 +36,6 @@ it: each direction gives the same bits as it would alone.
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .params import uniform_init
 
 __all__ = [
     "RowLayout",
@@ -118,10 +119,14 @@ class EmbeddingTable:
     """Index -> row lookup over a trainable table. Index 0 is the unknown
     slot by convention; callers map out-of-vocabulary items to it."""
 
-    def __init__(self, store, name, vocab_size, dim, rng):
+    @staticmethod
+    def spec(name, rows, dim):
+        # an embedding table's fan-in is its width
+        return [(name, (rows, dim), dim)]
+
+    def __init__(self, store, name):
         self.name = name
-        self.dim = dim
-        self.table = store.add(name, uniform_init(rng, (vocab_size, dim), dim))
+        self.table = store[name]
         self._store = store
 
     def lookup(self, indices):
@@ -144,17 +149,21 @@ class CharCNN:
     first maximal window. A padded batch of words runs as one convolution
     matmul and one pooling; each word's features equal a call on it alone."""
 
-    def __init__(self, store, prefix, n_chars, char_dim, kernel, filters, rng):
+    @staticmethod
+    def spec(prefix, n_chars, char_dim, kernel, filters):
         if kernel < 1 or filters < 1:
             raise ValueError("kernel size and filter count must be positive")
-        self.kernel = kernel
-        self.filters = filters
-        self.char_dim = char_dim
-        self.chars = EmbeddingTable(store, f"{prefix}.chars", n_chars, char_dim, rng)
-        self.w = store.add(
-            f"{prefix}.w", uniform_init(rng, (kernel * char_dim, filters), kernel * char_dim)
-        )
-        self.b = store.add(f"{prefix}.b", np.zeros(filters))
+        return [*EmbeddingTable.spec(f"{prefix}.chars", n_chars, char_dim),
+                (f"{prefix}.w", (kernel * char_dim, filters), kernel * char_dim),
+                (f"{prefix}.b", (filters,), 0)]
+
+    def __init__(self, store, prefix):
+        self.chars = EmbeddingTable(store, f"{prefix}.chars")
+        self.w = store[f"{prefix}.w"]
+        self.b = store[f"{prefix}.b"]
+        self.char_dim = self.chars.table.shape[1]
+        self.kernel = self.w.shape[0] // self.char_dim
+        self.filters = self.w.shape[1]
         self._store = store
         self._prefix = prefix
 
@@ -347,26 +356,26 @@ class BiLstm:
     gates before the next layer's input is built, and ``lstm_forward``
     keeps no per-row cell states."""
 
-    def __init__(self, store, prefix, input_dim, hidden, layers, rng):
+    @staticmethod
+    def spec(prefix, input_dim, hidden, layers):
         if layers < 1:
             raise ValueError("BiLSTM needs at least one layer")
-        self.hidden = hidden
-        self.layers = []
+        rows = []
         d = input_dim
         for l in range(layers):
-            # each direction draws its w_x, then its w_h
-            draws = [(uniform_init(rng, (d, 4 * hidden), d),
-                      uniform_init(rng, (hidden, 4 * hidden), hidden)) for _ in range(2)]
-            w_x, w_h = zip(*draws)
             name = f"{prefix}.l{l}"
-            self.layers.append((
-                name,
-                store.add(f"{name}.w_x", np.stack(w_x)),
-                store.add(f"{name}.w_h", np.stack(w_h)),
-                store.add(f"{name}.b", np.zeros((2, 4 * hidden))),
-            ))
+            # each direction draws its w_x, then its w_h
+            rows += [(f"{name}.w_x", (d, 4 * hidden), d),
+                     (f"{name}.w_h", (hidden, 4 * hidden), hidden)] * 2
+            rows += [(f"{name}.b", (4 * hidden,), 0)] * 2
             d = 2 * hidden
-        self.output_dim = 2 * hidden
+        return rows
+
+    def __init__(self, store, prefix):
+        self.layers = []
+        while f"{prefix}.l{len(self.layers)}.w_x" in store:
+            name = f"{prefix}.l{len(self.layers)}"
+            self.layers.append((name, *(store[f"{name}.{p}"] for p in ("w_x", "w_h", "b"))))
         self._store = store
 
     def forward(self, x, layout, mode="train"):
@@ -397,7 +406,7 @@ class BiLstm:
 
     def backward(self, d_out, cache):
         layout, caches = cache
-        h, rev = self.hidden, layout.rev
+        h, rev = d_out.shape[1] // 2, layout.rev
         d_packed = d_out[layout.packed]
         for layer, (xs, hs, cs, tanh_cs, gates) in zip(reversed(self.layers), reversed(caches)):
             d_hs = np.empty_like(hs)
@@ -435,19 +444,21 @@ class MultiHeadAttention:
     its gradient is identically zero (which also breaks finite-difference
     verification). Only the output projection has a bias."""
 
-    def __init__(self, store, prefix, dim, heads, rng):
-        if dim % heads != 0:
-            raise ValueError(f"model dim {dim} not divisible by {heads} heads")
-        self.dim = dim
+    @staticmethod
+    def spec(prefix, dim):
+        return [*((f"{prefix}.{w}", (dim, dim), dim) for w in ("w_q", "w_k", "w_v", "w_o")),
+                (f"{prefix}.b_o", (dim,), 0)]
+
+    def __init__(self, store, prefix, heads):
+        self.w_q, self.w_k, self.w_v, self.w_o, self.b_o = (
+            store[f"{prefix}.{name}"] for name in ("w_q", "w_k", "w_v", "w_o", "b_o"))
+        self.dim = len(self.b_o)
+        if self.dim % heads != 0:
+            raise ValueError(f"model dim {self.dim} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = dim // heads
+        self.head_dim = self.dim // heads
         self._store = store
         self._prefix = prefix
-        self.w_q = store.add(f"{prefix}.w_q", uniform_init(rng, (dim, dim), dim))
-        self.w_k = store.add(f"{prefix}.w_k", uniform_init(rng, (dim, dim), dim))
-        self.w_v = store.add(f"{prefix}.w_v", uniform_init(rng, (dim, dim), dim))
-        self.w_o = store.add(f"{prefix}.w_o", uniform_init(rng, (dim, dim), dim))
-        self.b_o = store.add(f"{prefix}.b_o", np.zeros(dim))
 
     def _split(self, rows, layout):
         """(N, dim) rows as a zero-padded (B, heads, n, head_dim) grid."""
@@ -503,9 +514,13 @@ class MultiHeadAttention:
 class Linear:
     """Affine map of rows (N, d_in) -> (N, d_out)."""
 
-    def __init__(self, store, prefix, d_in, d_out, rng):
-        self.w = store.add(f"{prefix}.w", uniform_init(rng, (d_in, d_out), d_in))
-        self.b = store.add(f"{prefix}.b", np.zeros(d_out))
+    @staticmethod
+    def spec(prefix, d_in, d_out):
+        return [(f"{prefix}.w", (d_in, d_out), d_in), (f"{prefix}.b", (d_out,), 0)]
+
+    def __init__(self, store, prefix):
+        self.w = store[f"{prefix}.w"]
+        self.b = store[f"{prefix}.b"]
         self._store = store
         self._prefix = prefix
 

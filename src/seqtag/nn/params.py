@@ -1,6 +1,7 @@
-"""Named parameter storage with paired gradient accumulators."""
+"""Named parameter storage with paired gradient accumulators, drawn from a spec."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -15,12 +16,34 @@ def uniform_init(rng, shape, fan_in):
 
 class ParamStore:
     """Flat map of name -> float64 array, each with a same-shape gradient
-    accumulator. Layers register parameters here and keep references; the
-    optimizer updates them in place so those references stay valid."""
+    accumulator. Layers take their arrays from here and keep references;
+    the optimizer updates them in place so those references stay valid."""
 
     def __init__(self):
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
+
+    @staticmethod
+    def spec_shapes(spec):
+        """Name -> stored shape of each parameter of ``spec``, a list of
+        ``(name, shape, fan_in)`` rows: rows that share a name are stacked
+        on a new first axis."""
+        counts = Counter(name for name, _, _ in spec)
+        return {name: shape if counts[name] == 1 else (counts[name],) + shape
+                for name, shape, _ in spec}
+
+    @classmethod
+    def draw(cls, spec, rng):
+        """A store of ``spec``'s rows drawn in order from ``rng``: uniform_init
+        for a positive fan-in, zeros (no draw) for 0, stacked as spec_shapes says."""
+        drawn = {}
+        for name, shape, fan_in in spec:
+            value = uniform_init(rng, shape, fan_in) if fan_in else np.zeros(shape)
+            drawn.setdefault(name, []).append(value)
+        store = cls()
+        for name, values in drawn.items():
+            store.add(name, values[0] if len(values) == 1 else np.stack(values))
+        return store
 
     def add(self, name, value):
         if name in self._params:

@@ -257,47 +257,36 @@ class EarlyStopper:
         return self.bad_count >= self.patience
 
 
-def _param_shapes(config, n_labels, n_words, n_chars, n_pos, contextual_dim):
-    """Name -> shape of every parameter of a TaggerModel with this config
+def _model_spec(config, n_labels, n_words, n_chars, n_pos, contextual_dim):
+    """The spec (``ParamStore.draw``) of a TaggerModel with this config
     and these vocabulary sizes (each without its unknown slot; ``n_pos``
-    None without a POS vocabulary), worked out without allocating. The
-    model takes its feature width from here, and ``load_model`` checks a
-    file's inventory and size against it before building anything."""
+    None without a POS vocabulary): the layers' rows, then the CRF's zero
+    rows. A feature's vocabulary or width is a ConfigError unless the
+    config switches the feature on, and so is its absence if it does."""
     config.validate()
-    if config.use_contextual_slot and contextual_dim < 1:
-        raise ConfigError("use_contextual_slot requires a contextual vector file")
-    if config.use_pos and n_pos is None:
-        raise ConfigError("use_pos requires a corpus with a POS column")
-    h = config.hidden
-    shapes = {"word.emb": (n_words + 1, config.word_dim)}
-    input_dim = config.word_dim
+    if config.use_contextual_slot != (contextual_dim > 0):
+        raise ConfigError("use_contextual_slot requires a contextual vector file" if
+                          config.use_contextual_slot else "a contextual width needs the slot")
+    if config.use_pos != (n_pos is not None):
+        raise ConfigError("use_pos requires a corpus with a POS column" if config.use_pos
+                          else "a POS vocabulary requires use_pos")
+    spec = EmbeddingTable.spec("word.emb", n_words + 1, config.word_dim)
+    input_dim = config.word_dim + contextual_dim
     if config.use_char_cnn:
-        shapes["char.chars"] = (n_chars + 1, config.char_dim)
-        shapes["char.w"] = (config.char_kernel * config.char_dim, config.char_filters)
-        shapes["char.b"] = (config.char_filters,)
+        spec += CharCNN.spec("char", n_chars + 1, config.char_dim, config.char_kernel,
+                             config.char_filters)
         input_dim += config.char_filters
     if config.use_pos:
-        shapes["pos.emb"] = (n_pos + 1, config.pos_dim)
+        spec += EmbeddingTable.spec("pos.emb", n_pos + 1, config.pos_dim)
         input_dim += config.pos_dim
-    if config.use_contextual_slot:
-        input_dim += contextual_dim
-    for layer in range(config.lstm_layers):
-        # both directions of a layer stacked, as BiLstm stores them
-        shapes[f"lstm.l{layer}.w_x"] = (2, input_dim, 4 * h)
-        shapes[f"lstm.l{layer}.w_h"] = (2, h, 4 * h)
-        shapes[f"lstm.l{layer}.b"] = (2, 4 * h)
-        input_dim = 2 * h
+    spec += BiLstm.spec("lstm", input_dim, config.hidden, config.lstm_layers)
     if config.use_mha:
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            shapes[f"mha.{name}"] = (2 * h, 2 * h)
-        shapes["mha.b_o"] = (2 * h,)
-    shapes["head.w"] = (2 * h, n_labels)
-    shapes["head.b"] = (n_labels,)
+        spec += MultiHeadAttention.spec("mha", 2 * config.hidden)
+    spec += Linear.spec("head", 2 * config.hidden, n_labels)
     if config.use_crf:
-        shapes["crf.matrix"] = (n_labels, n_labels)
-        shapes["crf.start"] = (n_labels,)
-        shapes["crf.end"] = (n_labels,)
-    return shapes
+        spec += [("crf.matrix", (n_labels, n_labels), 0), ("crf.start", (n_labels,), 0),
+                 ("crf.end", (n_labels,), 0)]
+    return spec
 
 
 def _vocab(tokens):
@@ -312,55 +301,26 @@ class TaggerModel:
     model across threads safely; only training mutates parameters.
 
     The vocabularies are built from the token lists ``word_tokens``,
-    ``char_tokens`` and ``pos_tokens`` (None without POS features)."""
+    ``char_tokens`` and ``pos_tokens`` (None without POS features); the
+    layers take their arrays from ``store``, drawn or loaded."""
 
-    def __init__(self, config, tagset, word_tokens, char_tokens, pos_tokens,
-                 contextual_dim=0):
-        shapes = _param_shapes(
-            config, len(tagset), len(word_tokens), len(char_tokens),
-            None if pos_tokens is None else len(pos_tokens), contextual_dim,
-        )
+    def __init__(self, config, tagset, word_tokens, char_tokens, pos_tokens, contextual_dim,
+                 store):
         self.config = config
         self.tagset = tagset
         self.word_vocab = _vocab(word_tokens)
         self.char_vocab = _vocab(char_tokens)
         self.pos_vocab = None if pos_tokens is None else _vocab(pos_tokens)
         self.contextual_dim = contextual_dim
-        self.store = ParamStore()
-        rng = np.random.default_rng(config.seed)
-
-        self.word_emb = EmbeddingTable(
-            self.store, "word.emb", len(word_tokens) + 1, config.word_dim, rng
-        )
-        self.char_cnn = None
-        if config.use_char_cnn:
-            self.char_cnn = CharCNN(
-                self.store, "char", len(char_tokens) + 1, config.char_dim,
-                config.char_kernel, config.char_filters, rng,
-            )
-        self.pos_emb = None
-        if config.use_pos:
-            self.pos_emb = EmbeddingTable(
-                self.store, "pos.emb", len(pos_tokens) + 1, config.pos_dim, rng
-            )
-        self.bilstm = BiLstm(
-            self.store, "lstm", shapes["lstm.l0.w_x"][1], config.hidden,
-            config.lstm_layers, rng,
-        )
-        self.mha = None
-        if config.use_mha:
-            self.mha = MultiHeadAttention(
-                self.store, "mha", 2 * config.hidden, config.mha_heads, rng
-            )
-        self.head = Linear(self.store, "head", 2 * config.hidden, len(tagset), rng)
-        if config.use_crf:
-            t = len(tagset)
-            self.store.add("crf.matrix", np.zeros((t, t)))
-            self.store.add("crf.start", np.zeros(t))
-            self.store.add("crf.end", np.zeros(t))
-        self._bio_penalty = None
-        if config.use_crf and config.crf_constrain_bio:
-            self._bio_penalty = bio_constraint_penalty(tagset)
+        self.store = store
+        self.word_emb = EmbeddingTable(store, "word.emb")
+        self.char_cnn = CharCNN(store, "char") if config.use_char_cnn else None
+        self.pos_emb = EmbeddingTable(store, "pos.emb") if config.use_pos else None
+        self.bilstm = BiLstm(store, "lstm")
+        self.mha = MultiHeadAttention(store, "mha", config.mha_heads) if config.use_mha else None
+        self.head = Linear(store, "head")
+        self._bio_penalty = (bio_constraint_penalty(tagset)
+                             if config.use_crf and config.crf_constrain_bio else None)
 
     def transitions(self):
         """Effective CRF transitions: stored parameters plus the optional
@@ -406,7 +366,10 @@ def build_model(config, corpus, pretrained_vectors=None, contextual_vectors=None
     contextual_dim = 0
     if config.use_contextual_slot:
         contextual_dim = _table_dim(contextual_vectors, "contextual")
-    model = TaggerModel(config, corpus.tagset, surfaces, chars, pos_tags, contextual_dim)
+    spec = _model_spec(config, len(corpus.tagset), len(surfaces), len(chars),
+                       None if pos_tags is None else len(pos_tags), contextual_dim)
+    store = ParamStore.draw(spec, np.random.default_rng(config.seed))
+    model = TaggerModel(config, corpus.tagset, surfaces, chars, pos_tags, contextual_dim, store)
     if word_dim:
         table = model.store["word.emb"]
         for token, idx in model.word_vocab.items():
@@ -954,32 +917,28 @@ def load_model(path):
     tagset = TagSet(header["classes"])
     pos_tokens = header["pos_tokens"]
     try:
-        shapes = _param_shapes(
+        shapes = ParamStore.spec_shapes(_model_spec(
             config, len(tagset), len(header["word_tokens"]), len(header["char_tokens"]),
             None if pos_tokens is None else len(pos_tokens), header["contextual_dim"],
-        )
+        ))
     except ConfigError as exc:
         raise ModelError(f"{path}: {exc}") from None
-    names = sorted(shapes)
-    header_params = [(name, tuple(shape)) for name, shape in header["params"]]
-    if header_params != [(name, shapes[name]) for name in names]:
+    inventory = sorted(shapes.items())
+    if [(name, tuple(shape)) for name, shape in header["params"]] != inventory:
         raise ModelError(f"{path}: parameter inventory does not match its config")
     offset = body_start + header_len
-    size = offset + 8 * sum(math.prod(shapes[name]) for name in names)
+    size = offset + 8 * sum(math.prod(shape) for _, shape in inventory)
     if size > len(data):
         raise ModelError(f"{path}: truncated model file")
     if size < len(data):
         raise ModelError(f"{path}: trailing bytes after parameter blocks")
 
-    values = {}
-    for name in names:
-        shape = shapes[name]
-        end = offset + 8 * math.prod(shape)
-        values[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-        if not np.isfinite(values[name]).all():
+    store = ParamStore()
+    for name, shape in inventory:
+        block = np.frombuffer(data, "<f8", math.prod(shape), offset).reshape(shape).copy()
+        if not np.isfinite(block).all():
             raise ModelError(f"{path}: non-finite values in parameter block {name}")
-        offset = end
-    model = TaggerModel(config, tagset, header["word_tokens"], header["char_tokens"],
-                        pos_tokens, header["contextual_dim"])
-    model.store.load_values(values)
-    return model
+        store.add(name, block)
+        offset += 8 * block.size
+    return TaggerModel(config, tagset, header["word_tokens"], header["char_tokens"],
+                       pos_tokens, header["contextual_dim"], store)

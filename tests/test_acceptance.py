@@ -94,8 +94,8 @@ def _layer_gradient_cases(seed):
     cases = []
     rng = np.random.default_rng(seed)
 
-    store = ParamStore()
-    emb = EmbeddingTable(store, "emb", 5, 3, rng)
+    store = ParamStore.draw(EmbeddingTable.spec("emb", 5, 3), rng)
+    emb = EmbeddingTable(store, "emb")
     idx = [int(i) for i in rng.integers(0, 5, size=4)]
     r = rng.normal(size=(4, 3))
 
@@ -107,8 +107,8 @@ def _layer_gradient_cases(seed):
 
     cases.append(("embedding", emb_loss, store, 1e-4))
 
-    store = ParamStore()
-    cnn = CharCNN(store, "char", 6, 3, 2, 3, rng)
+    store = ParamStore.draw(CharCNN.spec("char", 6, 3, 2, 3), rng)
+    cnn = CharCNN(store, "char")
     cidx = [int(i) for i in rng.integers(0, 6, size=5)]
     rc = rng.normal(size=3)
 
@@ -120,8 +120,8 @@ def _layer_gradient_cases(seed):
 
     cases.append(("char-cnn", cnn_loss, store, 1e-4))
 
-    store = ParamStore()
-    rnn = BiLstm(store, "lstm", 3, 2, 1, rng)
+    store = ParamStore.draw(BiLstm.spec("lstm", 3, 2, 1), rng)
+    rnn = BiLstm(store, "lstm")
     x = rng.normal(size=(4, 3))
     rl = rng.normal(size=(4, 4))
 
@@ -133,8 +133,8 @@ def _layer_gradient_cases(seed):
 
     cases.append(("bilstm", rnn_loss, store, 1e-4))
 
-    store = ParamStore()
-    mha = MultiHeadAttention(store, "mha", 4, 2, rng)
+    store = ParamStore.draw(MultiHeadAttention.spec("mha", 4), rng)
+    mha = MultiHeadAttention(store, "mha", 2)
     xm = rng.normal(size=(3, 4))
     rm = rng.normal(size=(3, 4))
 
@@ -146,8 +146,8 @@ def _layer_gradient_cases(seed):
 
     cases.append(("mha", mha_loss, store, 1e-4))
 
-    store = ParamStore()
-    lin = Linear(store, "lin", 3, 4, rng)
+    store = ParamStore.draw(Linear.spec("lin", 3, 4), rng)
+    lin = Linear(store, "lin")
     xl = rng.normal(size=(5, 3))
     rlin = rng.normal(size=(5, 4))
 

@@ -115,25 +115,25 @@ def test_row_layout_scatter_and_gather(lengths):
 @pytest.mark.parametrize("lengths", CASES)
 def test_bilstm_batch_matches_sentences(layers, lengths):
     rng = np.random.default_rng(len(lengths) * 10 + layers)
-    store = ParamStore()
-    rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=layers, rng=rng)
+    store = ParamStore.draw(BiLstm.spec("r", input_dim=3, hidden=4, layers=layers), rng)
+    rnn = BiLstm(store, "r")
     check_sequence_layer(rnn, store, lengths, 3, 8, rng)
 
 
 @pytest.mark.parametrize("lengths", CASES)
 def test_masked_attention_batch_matches_sentences(lengths):
     rng = np.random.default_rng(len(lengths))
-    store = ParamStore()
-    mha = MultiHeadAttention(store, "a", dim=6, heads=3, rng=rng)
+    store = ParamStore.draw(MultiHeadAttention.spec("a", dim=6), rng)
+    mha = MultiHeadAttention(store, "a", heads=3)
     check_sequence_layer(mha, store, lengths, 6, 6, rng)
 
 
 @pytest.mark.parametrize("lengths", CASES)
 def test_linear_and_embedding_batch_match_sentences(lengths):
     rng = np.random.default_rng(sum(lengths))
-    store = ParamStore()
-    emb = EmbeddingTable(store, "e", 7, 3, rng)
-    lin = Linear(store, "l", 3, 5, rng)
+    store = ParamStore.draw(EmbeddingTable.spec("e", 7, 3) + Linear.spec("l", 3, 5), rng)
+    emb = EmbeddingTable(store, "e")
+    lin = Linear(store, "l")
     idx = rng.integers(0, 7, size=sum(lengths))
     d_y = rng.normal(size=(sum(lengths), 5))
     rows, emb_cache = emb.lookup(idx)
@@ -369,8 +369,9 @@ def _char_batch(rng, n_chars, word_lengths):
 
 
 def _char_cnn(seed, kernel=3, filters=5, char_dim=2, n_chars=9):
-    store = ParamStore()
-    cnn = CharCNN(store, "c", n_chars, char_dim, kernel, filters, np.random.default_rng(seed))
+    store = ParamStore.draw(CharCNN.spec("c", n_chars, char_dim, kernel, filters),
+                            np.random.default_rng(seed))
+    cnn = CharCNN(store, "c")
     cnn.b[...] = np.random.default_rng(seed + 1).normal(scale=0.3, size=filters)
     return store, cnn
 
@@ -409,8 +410,8 @@ def test_char_cnn_batch_backward_matches_words():
 def test_char_cnn_tie_sends_gradient_to_first_window():
     # word 1 scores windows [1, 3, 3]: a tie at positions 1 and 2, from
     # chars 1 and 3; its padding (char 4) scores 10 but must never win
-    store = ParamStore()
-    cnn = CharCNN(store, "c", 5, 1, 1, 1, np.random.default_rng(0))
+    store = ParamStore.draw(CharCNN.spec("c", 5, 1, 1, 1), np.random.default_rng(0))
+    cnn = CharCNN(store, "c")
     cnn.chars.table[:, 0] = [0.0, 3.0, 1.0, 3.0, 10.0]
     cnn.w[...] = 1.0
     cnn.b[...] = 0.0

@@ -550,6 +550,10 @@ def corrupt_model(data, corruption):
         return data[:8] + struct.pack("<Q", len(raw)) + raw + blocks
     elif corruption == "oversized config":
         header["config"].update(hidden=1000, lstm_layers=2)
+    elif corruption == "contextual_dim without the slot":
+        header["contextual_dim"] = 7
+    elif corruption == "pos_tokens without use_pos":
+        header["pos_tokens"] = ["NN", "VB"]
     elif corruption == "CRF scores scaled by 1e150":
         # finite, so the file loads; the tag scores overflow
         values = np.frombuffer(blocks, dtype="<f8").copy()
@@ -572,6 +576,8 @@ class TestCorruptModel:
         "header is a list",
         "NaN parameter block",
         "oversized config",
+        "contextual_dim without the slot",
+        "pos_tokens without use_pos",
         "CRF scores scaled by 1e150",
         "format version 1",
         "unsorted classes",

@@ -84,15 +84,16 @@ def test_no_unreferenced_definitions():
     assert ORACLE_ENTRY_POINTS <= {name for _, name in defined} - read
 
 
-def _grid_calls(tree):
-    """(class, function) around each ``.scatter(``/``.gather(`` call of a
-    module, None where there is none."""
+def _calls(tree, names):
+    """(class, function) around each call of a module to a function or
+    method named in ``names``, None where there is none."""
     calls = []
 
     def visit(node, cls, func):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in ("scatter", "gather")):
+            if isinstance(child, ast.Call) and (
+                    child.func.attr if isinstance(child.func, ast.Attribute)
+                    else getattr(child.func, "id", None)) in names:
                 calls.append((cls, func))
             if isinstance(child, ast.ClassDef):
                 visit(child, child.name, func)
@@ -111,6 +112,18 @@ def test_only_attention_builds_a_padded_grid():
     root = Path(__file__).resolve().parents[1]
     calls = [(path.relative_to(root), cls, func)
              for path in sorted((root / "src" / "seqtag").rglob("*.py"))
-             for cls, func in _grid_calls(ast.parse(path.read_text(encoding="utf-8")))]
+             for cls, func in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                     ("scatter", "gather"))]
     assert any(cls == "MultiHeadAttention" for _, cls, _ in calls)
     assert [call for call in calls if call[1] != "MultiHeadAttention"] == []
+
+
+def test_only_the_allocator_draws_parameters():
+    # every parameter is drawn by ParamStore.draw from a spec; a loaded
+    # model is filled from its file and draws nothing
+    root = Path(__file__).resolve().parents[1]
+    calls = [(str(path.relative_to(root)), cls, func)
+             for path in sorted((root / "src" / "seqtag").rglob("*.py"))
+             for cls, func in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                     ("uniform_init",))]
+    assert calls == [("src/seqtag/nn/params.py", "ParamStore", "draw")]

@@ -21,9 +21,9 @@ from seqtag.nn import (
     dropout_apply,
     gradient_check,
     softmax_rows,
-    uniform_init,
 )
 from seqtag.nn.layers import lstm_backward, lstm_forward
+from seqtag.nn.params import uniform_init
 
 from helpers import reference_lstm
 
@@ -96,25 +96,24 @@ class TestSoftmaxRows:
 
 class TestEmbeddingTable:
     def test_lookup_rows(self):
-        store = ParamStore()
-        rng = np.random.default_rng(2)
-        emb = EmbeddingTable(store, "e", 5, 3, rng)
+        store = ParamStore.draw(EmbeddingTable.spec("e", 5, 3), np.random.default_rng(2))
+        emb = EmbeddingTable(store, "e")
         out, _ = emb.lookup([3, 0, 3])
         assert np.array_equal(out[0], emb.table[3])
         assert np.array_equal(out[1], emb.table[0])
         assert np.array_equal(out[0], out[2])
 
     def test_out_of_range(self):
-        store = ParamStore()
-        emb = EmbeddingTable(store, "e", 5, 3, np.random.default_rng(0))
+        store = ParamStore.draw(EmbeddingTable.spec("e", 5, 3), np.random.default_rng(0))
+        emb = EmbeddingTable(store, "e")
         with pytest.raises(ValueError):
             emb.lookup([5])
         with pytest.raises(ValueError):
             emb.lookup([-1])
 
     def test_repeated_index_gradients_sum(self):
-        store = ParamStore()
-        emb = EmbeddingTable(store, "e", 4, 2, np.random.default_rng(0))
+        store = ParamStore.draw(EmbeddingTable.spec("e", 4, 2), np.random.default_rng(0))
+        emb = EmbeddingTable(store, "e")
         _, cache = emb.lookup([1, 1, 2])
         d_out = np.array([[1.0, 0.0], [0.5, 2.0], [3.0, 3.0]])
         emb.backward(d_out, cache)
@@ -124,9 +123,9 @@ class TestEmbeddingTable:
 
     def test_gradient_check(self):
         for seed in range(3):
-            store = ParamStore()
             rng = np.random.default_rng(seed)
-            emb = EmbeddingTable(store, "e", 6, 3, rng)
+            store = ParamStore.draw(EmbeddingTable.spec("e", 6, 3), rng)
+            emb = EmbeddingTable(store, "e")
             r = rng.normal(size=(4, 3))
             idx = [0, 5, 2, 5]
 
@@ -141,8 +140,8 @@ class TestEmbeddingTable:
 
 class TestLinear:
     def test_forward_values(self):
-        store = ParamStore()
-        lin = Linear(store, "lin", 2, 2, np.random.default_rng(0))
+        store = ParamStore.draw(Linear.spec("lin", 2, 2), np.random.default_rng(0))
+        lin = Linear(store, "lin")
         lin.w[...] = np.array([[1.0, 2.0], [3.0, 4.0]])
         lin.b[...] = np.array([10.0, 20.0])
         y, _ = lin.forward(np.array([[1.0, 1.0]]))
@@ -150,9 +149,9 @@ class TestLinear:
 
     def test_gradient_check(self):
         for seed in range(5):
-            store = ParamStore()
             rng = np.random.default_rng(seed)
-            lin = Linear(store, "lin", 3, 4, rng)
+            store = ParamStore.draw(Linear.spec("lin", 3, 4), rng)
+            lin = Linear(store, "lin")
             store.add("input", rng.normal(size=(5, 3)))
             r = rng.normal(size=(5, 4))
 
@@ -167,22 +166,21 @@ class TestLinear:
 
 class TestCharCNN:
     def test_output_shape_and_padding(self):
-        store = ParamStore()
-        cnn = CharCNN(store, "c", n_chars=10, char_dim=3, kernel=4, filters=5,
-                      rng=np.random.default_rng(0))
+        store = ParamStore.draw(CharCNN.spec("c", n_chars=10, char_dim=3, kernel=4, filters=5),
+                                np.random.default_rng(0))
+        cnn = CharCNN(store, "c")
         for word_len in (1, 3, 4, 9):  # shorter than kernel gets zero-padded
             out, _ = cnn.forward([list(range(word_len))], [word_len])
             assert out.shape == (1, 5)
 
     def test_rejects_bad_sizes(self):
-        store = ParamStore()
         with pytest.raises(ValueError):
-            CharCNN(store, "c", 10, 3, kernel=0, filters=5, rng=np.random.default_rng(0))
+            CharCNN.spec("c", 10, 3, kernel=0, filters=5)
 
     def test_maxpool_takes_maximum(self):
-        store = ParamStore()
-        cnn = CharCNN(store, "c", n_chars=4, char_dim=1, kernel=1, filters=1,
-                      rng=np.random.default_rng(0))
+        store = ParamStore.draw(CharCNN.spec("c", n_chars=4, char_dim=1, kernel=1, filters=1),
+                                np.random.default_rng(0))
+        cnn = CharCNN(store, "c")
         cnn.chars.table[...] = np.array([[0.0], [1.0], [5.0], [2.0]])
         cnn.w[...] = np.array([[1.0]])
         cnn.b[...] = np.array([0.0])
@@ -191,9 +189,10 @@ class TestCharCNN:
 
     def test_gradient_check(self):
         for seed in range(3):
-            store = ParamStore()
             rng = np.random.default_rng(seed)
-            cnn = CharCNN(store, "c", n_chars=8, char_dim=3, kernel=2, filters=4, rng=rng)
+            store = ParamStore.draw(CharCNN.spec("c", n_chars=8, char_dim=3, kernel=2, filters=4),
+                                    rng)
+            cnn = CharCNN(store, "c")
             r = rng.normal(size=(1, 4))
             idx = [[1, 7, 3, 3, 0]]
 
@@ -206,9 +205,9 @@ class TestCharCNN:
             assert gradient_check(loss_fn, store).passed(TOL)
 
     def test_gradient_check_short_word(self):
-        store = ParamStore()
         rng = np.random.default_rng(11)
-        cnn = CharCNN(store, "c", n_chars=8, char_dim=2, kernel=3, filters=3, rng=rng)
+        store = ParamStore.draw(CharCNN.spec("c", n_chars=8, char_dim=2, kernel=3, filters=3), rng)
+        cnn = CharCNN(store, "c")
         r = rng.normal(size=(1, 3))
 
         def loss_fn(grad=False):
@@ -222,24 +221,23 @@ class TestCharCNN:
 
 class TestBiLstm:
     def test_output_shape(self):
-        store = ParamStore()
-        rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2,
-                     rng=np.random.default_rng(0))
+        store = ParamStore.draw(BiLstm.spec("r", input_dim=3, hidden=4, layers=2),
+                                np.random.default_rng(0))
+        rnn = BiLstm(store, "r")
         out, _ = rnn.forward(np.random.default_rng(1).normal(size=(6, 3)), RowLayout([6]))
         assert out.shape == (6, 8)
-        assert rnn.output_dim == 8
 
     def test_rejects_zero_layers(self):
         with pytest.raises(ValueError):
-            BiLstm(ParamStore(), "r", 3, 4, layers=0, rng=np.random.default_rng(0))
+            BiLstm.spec("r", 3, 4, layers=0)
 
     def test_backward_direction_sees_reversed_input(self):
         # each half of the output is the textbook recurrence over the
         # sentence read in its direction: forward as is, backward reversed
         # within the sentence's own length
-        store = ParamStore()
-        rnn = BiLstm(store, "r", input_dim=2, hidden=3, layers=1,
-                     rng=np.random.default_rng(0))
+        store = ParamStore.draw(BiLstm.spec("r", input_dim=2, hidden=3, layers=1),
+                                np.random.default_rng(0))
+        rnn = BiLstm(store, "r")
         rng = np.random.default_rng(1)
         for name in store.names():
             store[name][...] = rng.normal(size=store[name].shape) * 0.5
@@ -260,8 +258,8 @@ class TestBiLstm:
     def test_stacked_weights_keep_the_per_direction_draw_order(self):
         # layer by layer, the forward direction draws w_x then w_h, then
         # the backward direction does the same; biases start at zero
-        store = ParamStore()
-        BiLstm(store, "r", input_dim=3, hidden=2, layers=2, rng=np.random.default_rng(4))
+        store = ParamStore.draw(BiLstm.spec("r", input_dim=3, hidden=2, layers=2),
+                                np.random.default_rng(4))
         rng = np.random.default_rng(4)
         for layer, d in enumerate((3, 4)):
             for k in range(2):
@@ -278,9 +276,9 @@ class TestBiLstm:
         # through 2 layers give each sentence's lone outputs, input
         # gradients and (summed) weight gradients
         for seed, lengths in enumerate(([3, 5, 1, 5, 2], [1, 4, 4, 2, 1, 3])):
-            store = ParamStore()
             rng = np.random.default_rng(seed)
-            rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2, rng=rng)
+            store = ParamStore.draw(BiLstm.spec("r", input_dim=3, hidden=4, layers=2), rng)
+            rnn = BiLstm(store, "r")
             x = rng.normal(size=(sum(lengths), 3))
             d_out = rng.normal(size=(sum(lengths), 8))
             y, cache = rnn.forward(x, RowLayout(lengths))
@@ -300,9 +298,9 @@ class TestBiLstm:
     def test_one_cache_serves_two_backward_passes(self):
         # backward only reads the forward cache: a second pass from it gives
         # the same input and parameter gradients, bit for bit
-        store = ParamStore()
         rng = np.random.default_rng(5)
-        rnn = BiLstm(store, "r", input_dim=3, hidden=4, layers=2, rng=rng)
+        store = ParamStore.draw(BiLstm.spec("r", input_dim=3, hidden=4, layers=2), rng)
+        rnn = BiLstm(store, "r")
         lengths = [3, 5, 1, 5, 2]
         x = rng.normal(size=(sum(lengths), 3))
         d_out = rng.normal(size=(sum(lengths), 8))
@@ -319,15 +317,16 @@ class TestBiLstm:
 
     @pytest.mark.parametrize("lengths", [[0, 3], [4, 3], [3], [3, 2, 1], [[3, 2]], []])
     def test_rejects_lengths_that_do_not_fit(self, lengths):
-        rnn = BiLstm(ParamStore(), "r", 2, 3, layers=1, rng=np.random.default_rng(0))
+        rnn = BiLstm(ParamStore.draw(BiLstm.spec("r", 2, 3, layers=1), np.random.default_rng(0)),
+                     "r")
         with pytest.raises(ValueError, match="lengths must be"):
             rnn.forward(np.zeros((5, 2)), RowLayout(lengths))
 
     def test_gradient_check_one_layer(self):
         for seed in range(3):
-            store = ParamStore()
             rng = np.random.default_rng(seed)
-            rnn = BiLstm(store, "r", input_dim=3, hidden=2, layers=1, rng=rng)
+            store = ParamStore.draw(BiLstm.spec("r", input_dim=3, hidden=2, layers=1), rng)
+            rnn = BiLstm(store, "r")
             store.add("input", rng.normal(size=(4, 3)))
             r = rng.normal(size=(4, 4))
 
@@ -340,9 +339,9 @@ class TestBiLstm:
             assert gradient_check(loss_fn, store).passed(TOL)
 
     def test_gradient_check_stacked(self):
-        store = ParamStore()
         rng = np.random.default_rng(7)
-        rnn = BiLstm(store, "r", input_dim=2, hidden=2, layers=2, rng=rng)
+        store = ParamStore.draw(BiLstm.spec("r", input_dim=2, hidden=2, layers=2), rng)
+        rnn = BiLstm(store, "r")
         store.add("input", rng.normal(size=(3, 2)))
         r = rng.normal(size=(3, 4))
 
@@ -467,30 +466,29 @@ class TestLstmKernel:
 
 class TestMultiHeadAttention:
     def test_output_shape(self):
-        store = ParamStore()
-        mha = MultiHeadAttention(store, "a", dim=6, heads=3,
-                                 rng=np.random.default_rng(0))
+        store = ParamStore.draw(MultiHeadAttention.spec("a", dim=6), np.random.default_rng(0))
+        mha = MultiHeadAttention(store, "a", heads=3)
         y, _ = mha.forward(np.random.default_rng(1).normal(size=(4, 6)), RowLayout([4]))
         assert y.shape == (4, 6)
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError):
-            MultiHeadAttention(ParamStore(), "a", dim=6, heads=4,
-                               rng=np.random.default_rng(0))
+            MultiHeadAttention(ParamStore.draw(MultiHeadAttention.spec("a", dim=6),
+                                               np.random.default_rng(0)), "a", heads=4)
 
     def test_attention_rows_are_distributions(self):
-        store = ParamStore()
         rng = np.random.default_rng(3)
-        mha = MultiHeadAttention(store, "a", dim=4, heads=2, rng=rng)
+        store = ParamStore.draw(MultiHeadAttention.spec("a", dim=4), rng)
+        mha = MultiHeadAttention(store, "a", heads=2)
         _, (*_, attn, _) = mha.forward(rng.normal(size=(5, 4)), RowLayout([5]))
         assert attn.shape == (1, 2, 5, 5)
         np.testing.assert_allclose(attn.sum(axis=3), np.ones((1, 2, 5)), atol=1e-12)
 
     def test_gradient_check(self):
         for seed in range(3):
-            store = ParamStore()
             rng = np.random.default_rng(seed)
-            mha = MultiHeadAttention(store, "a", dim=4, heads=2, rng=rng)
+            store = ParamStore.draw(MultiHeadAttention.spec("a", dim=4), rng)
+            mha = MultiHeadAttention(store, "a", heads=2)
             store.add("input", rng.normal(size=(3, 4)))
             r = rng.normal(size=(3, 4))
 
@@ -639,9 +637,9 @@ class TestAdamOptimizer:
 
 class TestGradientChecker:
     def test_detects_corrupted_gradient(self):
-        store = ParamStore()
         rng = np.random.default_rng(0)
-        lin = Linear(store, "lin", 3, 3, rng)
+        store = ParamStore.draw(Linear.spec("lin", 3, 3), rng)
+        lin = Linear(store, "lin")
         x = rng.normal(size=(4, 3))
         r = rng.normal(size=(4, 3))
 

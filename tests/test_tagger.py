@@ -2,9 +2,11 @@
 forward/backward consistency, prediction contracts, model files, and a
 small training run."""
 
+import hashlib
 import json
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,7 +33,9 @@ from seqtag.tagger import (
 )
 from seqtag import tagger as tagger_module
 from seqtag.tagger import MODEL_MAGIC, _Encoding, _forward, _log_softmax, _sentence_loss
-from seqtag.tagger import _param_shapes
+from seqtag.tagger import _model_spec
+from seqtag.nn import ParamStore
+from seqtag.nn import params as nn_params
 
 from helpers import enumerate_crf, random_corpus, tiny_fixture_corpus
 
@@ -811,8 +815,9 @@ class TestModelFiles:
         header = json.loads(data[16:16 + header_len])
         header["config"].update(hidden=1000, lstm_layers=2)
         if declared == "config inventory":
-            shapes = _param_shapes(TaggerConfig(**header["config"]), len(corpus.tagset),
-                                   len(model.word_vocab), len(model.char_vocab), None, 0)
+            shapes = ParamStore.spec_shapes(_model_spec(
+                TaggerConfig(**header["config"]), len(corpus.tagset), len(model.word_vocab),
+                len(model.char_vocab), None, 0))
             header["params"] = [[name, list(shapes[name])] for name in sorted(shapes)]
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
         hostile = tmp_path / "hostile.bin"
@@ -826,18 +831,39 @@ class TestModelFiles:
         with pytest.raises(ModelError, match=match):
             load_model(hostile)
 
-    @pytest.mark.parametrize("overrides", [
-        {},
-        dict(lstm_layers=3, hidden=5),
-        dict(use_char_cnn=True, char_dim=3, char_kernel=2, char_filters=4,
-             use_pos=True, pos_dim=2, use_mha=True, mha_heads=2, use_crf=False),
-        dict(use_contextual_slot=True, crf_constrain_bio=True),
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "cb21c9670c9a43cb4f7de6fdc61180447a2f233e620bc056e08b92358383d5a6"),
+        (dict(lstm_layers=3, hidden=5),
+         "5e0ec20250dfbab34d471f463910505ea25ed190185236051752958c1e585f8a"),
+        (dict(use_char_cnn=True, char_dim=3, char_kernel=2, char_filters=4,
+              use_pos=True, pos_dim=2, use_mha=True, mha_heads=2, use_crf=False),
+         "a7039d56b05229e3923bb7c60ca7ea3a1aa167da3b1e4107a3252537c9e9c6bd"),
+        (dict(use_contextual_slot=True, crf_constrain_bio=True),
+         "f95416b470828b00589eb8190cf78c6879d1f91b9561225021b33a7361295604"),
     ])
-    def test_param_shapes_match_the_built_model(self, overrides):
+    def test_initial_models_are_pinned(self, overrides, digest):
+        # every parameter's draw order, shape and init bound, bit for bit:
+        # no BLAS is involved in drawing a model
         corpus = tiny_fixture_corpus()
         ctx = {(s.id, i): np.zeros(3) for s in corpus.sentences for i in range(len(s))}
         model = build_model(small_config(**overrides), corpus, contextual_vectors=ctx)
-        shapes = _param_shapes(model.config, len(corpus.tagset), len(model.word_vocab),
-                               len(model.char_vocab), len(model.pos_vocab or {}) or None,
-                               model.contextual_dim)
-        assert shapes == {name: model.store[name].shape for name in model.store.names()}
+        assert hashlib.sha256(model_bytes(model)).hexdigest() == digest
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # a loaded model's store is filled from the file's blocks alone
+        corpus = tiny_fixture_corpus()
+        cfg = small_config(use_char_cnn=True, char_dim=3, char_filters=3, use_pos=True,
+                           pos_dim=2, use_mha=True, mha_heads=2)
+        model = build_model(cfg, corpus)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew a parameter")
+
+        # wherever a seqtag module has bound it
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("seqtag")
+                    and getattr(module, "uniform_init", None) is nn_params.uniform_init):
+                monkeypatch.setattr(module, "uniform_init", refuse)
+        assert model_bytes(load_model(path)) == model_bytes(model)
