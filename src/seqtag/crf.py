@@ -17,10 +17,13 @@ backward chain over the sentences read backwards (``RowLayout.rev``),
 both as one (C, alive[t], T) @ (C, T, T) matmul of shifted probabilities
 per step, in log space and exact to roundoff (entries that underflow are
 recomputed as a plain log-sum-exp); a chain stacked with another gives
-the same bits as alone. Viterbi is max-plus over the same rows, with
-each step's predecessors on its last, contiguous axis (``trans.T``) and
-the best scores and backpointers read through flat indices. All
-arithmetic is float64 and plain IEEE, so results are reproducible.
+the same bits as alone. Viterbi is max-plus over the same rows, in
+blocks of at most _VITERBI_BLOCK sentences: a step's scores are flat
+rows, the block's scores repeated once per tag plus ``trans.T`` tiled
+once per call, so each row's predecessors lie on its last, contiguous
+axis, and the best scores and backpointers are read through flat
+indices. All arithmetic is float64 and plain IEEE, so results are
+reproducible.
 """
 
 from dataclasses import dataclass
@@ -202,29 +205,46 @@ def log_partition(rows, trans, layout):
     return _chains(rows, trans, layout, 1)[0]
 
 
+# Viterbi steps over blocks of at most this many sentences, so its three
+# (block * T, T) float buffers (tiled transitions, step scores, repeated
+# scores; 0.67 MiB each at 37 tags) do not grow with the batch.
+_VITERBI_BLOCK = 64
+
+
 def viterbi_decode(emis, trans, start, end, alive):
     """Max-scoring tag path of each sentence of a packed batch of emission
     rows ``emis`` (N, T), one tag per packed row (N,), and its score (B,)
     in packed order; backpointer ties break toward the lower tag index.
     Step t updates the leading ``alive[t]`` scores: the trailing ones are
-    the finished sentences'. A step's scores are m[b, j, i] = delta[b, i]
-    + trans[i, j], so ``argmax`` (the first maximum) runs over contiguous
-    predecessor rows; the best scores and, in the backtrace, the
-    backpointers are read with flat indices (``base[b, j]`` is row (b, j)'s
-    offset in ``m``)."""
+    the finished sentences'. The steps run over blocks of at most
+    _VITERBI_BLOCK sentences. A block's step scores are the flat rows
+    m[b * T + j, i] = delta[b, i] + trans[i, j], one add of the repeated
+    scores to ``trans.T`` tiled once per call, so ``argmax`` (the first
+    maximum) runs over contiguous predecessor rows; the best scores and, in
+    the backtrace, the backpointers are read with flat indices."""
     first, n_tags = alive[0], len(start)
-    into = np.ascontiguousarray(trans.T)
-    rows = np.arange(first) * n_tags
-    base = (rows[:, None] + np.arange(n_tags)) * n_tags
+    steps = alive[1:]
+    # only the sentences longer than one row step
+    stepping = steps[0] if len(steps) else 0
+    block = max(1, min(stepping, _VITERBI_BLOCK))
+    tiled = np.tile(trans.T, (block, 1))
+    m = np.empty_like(tiled)
+    flat = np.arange(len(m)) * n_tags
     delta = start + emis[:first]
     backptr = np.empty(emis.shape, dtype=np.int64)
-    at = first
-    for k in alive[1:].tolist():
-        m = delta[:k, None, :] + into
-        bp = m.argmax(axis=2)
-        backptr[at:at + k] = bp
-        delta[:k] = m.ravel()[base[:k] + bp] + emis[at:at + k]
-        at += k
+    for lo in range(0, stepping, block):
+        hi, at = lo + block, first
+        # the steps some sentence of the block is alive at
+        for k in steps[steps > lo].tolist():
+            kb = min(k, hi) - lo
+            kt = kb * n_tags
+            np.add(np.repeat(delta[lo:lo + kb], n_tags, axis=0), tiled[:kt], out=m[:kt])
+            bp = m[:kt].argmax(axis=1, out=backptr[at + lo:at + lo + kb].reshape(kt))
+            np.add(m.ravel()[flat[:kt] + bp].reshape(kb, n_tags), emis[at + lo:at + lo + kb],
+                   out=delta[lo:lo + kb])
+            at += k
+    rows = np.arange(first) * n_tags
+    at = len(emis)
     delta += end
     cur = np.argmax(delta, axis=1)
     scores = delta.ravel()[rows + cur]

@@ -9,8 +9,8 @@ dropout, run the BiLSTM stack, optionally multi-head attention, then a
 linear head giving one row of tag scores per token. With the CRF head the
 rows are emission scores, which the CRF reads with the batch's RowLayout;
 otherwise they pass through a row softmax. Training runs each optimizer
-batch as one pass; evaluation and prediction run length-sorted batches of
-at most 1024 padded positions and keep no backward cache. Prediction
+batch as one pass; evaluation and prediction run batches of at most 1024
+tokens, longest sentence first, and keep no backward cache. Prediction
 returns one SentencePredictions per sentence: its label and score
 columns, from which TokenPrediction records are built only on demand.
 """
@@ -626,53 +626,58 @@ def predict(model, sentence, contextual=None):
     return _predictions(model, rows, batch.layout)[0]
 
 
-# Eval-mode passes take length-sorted sentences up to this many padded
-# positions (a longer sentence runs alone), so peak memory does not grow
-# with the corpus. A position costs 64 * h bytes of LSTM gates, the
-# (2, N, 4h) projection and the pass's largest array (16 MiB per chunk at
-# hidden 256), 8 * heads * n bytes of attention scores (n the chunk's
-# longest sentence) and about 5 * 8 * T bytes of CRF chains (T tags). The
-# curve behind the budget, on perfbench's predict_wide (two untraced 20 s
-# runs per budget at seed 47, one BLAS thread, 2-CPU Xeon) and the
-# tracemalloc peak of one predict_corpus call on its corpus (the 0.27 MiB
-# of predictions included). "held" rows kept each layer's gates alive
-# while the next layer's input was built, and stacked copies of the CRF
-# chain inputs:
-#   budget        tok_s         peak_rss_mb   one call's peak
-#   512 (held)    61.4k-63.7k   68.1-68.6     1.86 MiB
-#   512           61.3k-62.1k   67.2-67.8     1.59 MiB
-#   768           68.5k-68.8k   70.6-71.1     2.23 MiB
-#   1024 (held)   74.4k-74.5k   74.6-75.2     3.40 MiB
-#   1024          73.4k-74.3k   72.6-73.8     2.81 MiB
-#   1536          81.0k-81.5k   75.7-75.8     3.91 MiB
-# peak_rss_mb also grows ~0.1 MiB per extra repetition perfbench fits in
-# its window (it keeps each one's prediction text). 1024 is the largest
-# budget whose one-call peak stays under 3 MiB; 1536 read ~10% faster.
+# Eval-mode passes take sentences, longest first, up to this many rows
+# (real token positions; a longer sentence runs alone), so peak memory
+# does not grow with the corpus. The packed LSTM, the head and the CRF
+# allocate per row: 64 * h bytes of LSTM gates, the (2, N, 4h) projection
+# and the pass's largest array (16 MiB per chunk at hidden 256), and about
+# 5 * 8 * T bytes of CRF chains (T tags). The LSTM's first step holds
+# 8 * 22h bytes per sentence of the chunk; Viterbi's three (block * T, T)
+# float buffers (crf._VITERBI_BLOCK) do not grow with the chunk. Only
+# attention builds a padded (B, n) grid, 8 * heads * n bytes of scores a
+# position, so an attention model's chunks also keep B * n within the
+# budget. Longest first, the longest sentences fill the first chunk
+# rather than run alone at the end, which saves steps. The curve behind
+# the budget, on perfbench's predict_wide (two untraced 20 s runs per
+# budget at seed 47, one BLAS thread, 2-CPU Xeon), with the chunks and
+# steps of one predict_corpus call on its corpus and its tracemalloc peak
+# (the 0.27 MiB of predictions included):
+#   budget  chunks  steps  tok_s         peak_rss_mb  one call's peak
+#   512     10      511    68.3k-74.8k   62.9-68.8    1.72 MiB
+#   768     7       360    79.8k-85.4k   67.1-67.4    2.49 MiB
+#   1024    5       273    82.2k-84.4k   70.9-71.4    3.17 MiB
+#   1536    4       207    88.2k-91.1k   72.3-72.8    4.67 MiB
+# Ascending chunks of 1024 padded positions ran 6 chunks and 337 steps
+# for a 2.81 MiB peak. peak_rss_mb also grows ~0.1 MiB per extra
+# repetition perfbench fits in its window (it keeps each one's prediction
+# text). 1536 reads ~8% faster than 1024 for 1.5 MiB more a call.
 _CHUNK_POSITIONS = 1024
 
 
-def _chunks(lengths):
-    """Index arrays covering sentences of ``lengths``, each a run of
-    length-sorted sentences whose padded batch has at most
-    _CHUNK_POSITIONS positions."""
-    order = np.argsort(lengths, kind="stable")
-    starts, size = [], 0
-    for k, n in enumerate(np.asarray(lengths)[order].tolist()):
-        if not starts or (size + 1) * n > _CHUNK_POSITIONS:
+def _chunks(lengths, padded=False):
+    """Index arrays covering sentences of ``lengths``, longest first (ties
+    in input order), each chunk closed before its rows, or with ``padded``
+    its padded (B, n) grid, pass _CHUNK_POSITIONS; a longer sentence runs
+    alone."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    starts, used, longest = [], 0, 0
+    for k, n in enumerate(lengths[order].tolist()):
+        if not starts or used + (longest if padded else n) > _CHUNK_POSITIONS:
             starts.append(k)
-            size = 0
-        size += 1
+            used, longest = 0, n
+        used += longest if padded else n
     return np.split(order, starts[1:]) if starts else []
 
 
 def _eval_passes(model, encoding):
-    """Eval-mode forward passes over length-sorted chunks of an _Encoding;
+    """Eval-mode forward passes over the chunks (``_chunks``) of an _Encoding;
     yields (indices of the chunk's sentences, its _Batch, its head rows).
     Overflow is not warned about: saturated gates are the right limit, and
     an inf or NaN that reaches the scores fails ``_check_probabilities``.
     Callers drop a chunk's arrays before they ask for the next, so no two
     chunks' arrays are alive at once."""
-    for idx in _chunks(encoding.lengths):
+    for idx in _chunks(encoding.lengths, model.config.use_mha):
         batch = encoding.batch(idx)
         with np.errstate(over="ignore", invalid="ignore"):
             rows, _ = _forward(model, batch, "eval", None)
@@ -681,7 +686,7 @@ def _eval_passes(model, encoding):
 
 
 def predict_corpus(model, corpus, contextual=None):
-    """``predict`` for every sentence, run in length-sorted batches: one
+    """``predict`` for every sentence, run in longest-first batches: one
     SentencePredictions per sentence of ``corpus``, in its order.
     ``contextual`` is a ``{(sentence id, token index): vector}`` dict, as
     for ``predict``."""

@@ -319,16 +319,54 @@ def test_chunks_cover_each_sentence_once_within_the_budget(monkeypatch, budget):
     for _ in range(60):
         lengths = np.minimum(rng.lognormal(np.log(20), 1.0, size=rng.integers(0, 120)),
                              3000).astype(np.int64) + 1
-        chunks = tagger_module._chunks(lengths)
-        flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        # every sentence once, each chunk a run of ascending lengths
-        assert np.array_equal(np.sort(flat), np.arange(len(lengths)))
-        assert np.all(np.diff(lengths[flat]) >= 0)
-        for chunk in chunks:
-            if len(chunk) > 1:
-                assert len(chunk) * lengths[chunk].max() <= budget
-        for i in np.flatnonzero(lengths > budget):
-            assert any(len(chunk) == 1 and chunk[0] == i for chunk in chunks)
+        # the rows of a chunk, or with padded (attention) its (B, n) grid
+        for padded in (False, True):
+            chunks = tagger_module._chunks(lengths, padded)
+            flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+            # every sentence once, longest first
+            assert np.array_equal(np.sort(flat), np.arange(len(lengths)))
+            assert np.all(np.diff(lengths[flat]) <= 0)
+
+            def cost(chunk):
+                return len(chunk) * lengths[chunk].max() if padded else lengths[chunk].sum()
+
+            for chunk, after in zip(chunks, chunks[1:] + [None]):
+                if len(chunk) > 1:
+                    assert cost(chunk) <= budget
+                # a chunk closes only on a sentence that would pass the budget
+                if after is not None:
+                    assert cost(np.append(chunk, after[0])) > budget
+            for i in np.flatnonzero(lengths > budget):
+                assert any(len(chunk) == 1 and chunk[0] == i for chunk in chunks)
+
+
+def test_eval_passes_budget_rows_and_an_attention_models_grid(monkeypatch):
+    # the packed layers allocate per row, so a chunk's rows are budgeted;
+    # attention also scatters the chunk to its padded (B, n) grid, so an
+    # attention model's chunks budget that grid
+    corpus, _ = _mixed_corpus_model(True)
+    monkeypatch.setattr(tagger_module, "_CHUNK_POSITIONS", 64)
+    for use_mha in (False, True):
+        model = build_model(TaggerConfig(word_dim=6, hidden=4, lstm_layers=1, use_mha=use_mha,
+                                         mha_heads=2, seed=9), corpus)
+        grids, rows = [], []
+        for idx, batch, _ in tagger_module._eval_passes(model, _Encoding(model,
+                                                                         corpus.sentences)):
+            if len(idx) > 1:
+                grids.append(len(idx) * batch.layout.n)
+                rows.append(len(batch.layout.packed))
+        assert max(rows) <= 64
+        if use_mha:
+            assert max(grids) <= 64
+        else:
+            # rows, not the padded grid, close a chunk
+            assert max(grids) > 64
+        batched = predict_corpus(model, corpus)
+        for sent, preds in zip(corpus.sentences, batched):
+            single = predict(model, sent)
+            assert [p.label for p in preds] == [p.label for p in single]
+            np.testing.assert_allclose([p.score for p in preds], [p.score for p in single],
+                                       rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

@@ -148,11 +148,15 @@ class TestViterbi:
     def test_matches_the_take_along_axis_reference_bit_for_bit(self):
         # random packed batches: mixed lengths, and every fifth batch all
         # of length 1; scales up to 50; a quarter with -1e4 penalties and a
-        # quarter with integer scores, where ties are frequent
+        # quarter with integer scores, where ties are frequent. The last 60
+        # batches hold from just under one to just over three Viterbi blocks
+        # of sentences, whose sentences finish at different steps
         rng = np.random.default_rng(4)
-        for case in range(400):
+        block = crf._VITERBI_BLOCK
+        for case in range(460):
             n_tags = (2, 9, 37)[case % 3]
-            n_sent = int(rng.integers(1, 10))
+            n_sent = int(rng.integers(1, 10) if case < 400 else
+                         rng.integers(block - 1, 3 * block + 2))
             lengths = (np.ones(n_sent, dtype=int) if case % 5 == 0
                        else rng.integers(1, 15, size=n_sent))
             layout = RowLayout(lengths)

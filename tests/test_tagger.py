@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from seqtag.corpus import CorpusError, LabeledCorpus, Sentence, TagSet, validate_bio
-from seqtag.crf import Transitions, bio_constraint_penalty
+from seqtag.crf import _VITERBI_BLOCK, Transitions, bio_constraint_penalty
 from seqtag.tagger import (
     ConfigError,
     EarlyStopper,
@@ -476,6 +476,42 @@ class TestPredict:
         assert len(predictions) == len(corpus)
         rows = corpus.n_tokens
         assert peak - held <= (8 * (10 * h + d) + 64) * rows + 128 * 1024
+
+    @pytest.mark.parametrize("n_sentences, length", [(1024, 2), (682, 3)])
+    def test_short_sentence_chunks_stay_within_the_eval_budget(self, n_sentences, length):
+        # the widths above; each chunk holds b = 512 or 341 short sentences
+        # in its N rows. The call peaks in the larger of two stages, plus the
+        # 128 KiB of fixed buffers above:
+        # - the LSTM: the 8 * (10h + d) + 64 bytes a row above, and at the
+        #   first step, where all b sentences run, the gates' copy and the
+        #   sigmoid's denominators (2, b, 4h), tanh(g), the cell states and
+        #   their tanh (2, b, h): 8 * 22h bytes a sentence;
+        # - the CRF: 5 * 8 * T bytes a row of chains (Viterbi's head rows,
+        #   packed emissions and backpointers are fewer) and 64 of indices,
+        #   and Viterbi's tiled transitions, step scores and repeated scores,
+        #   (block * T, T) floats each, whatever b is.
+        # Step scores (b, T, T) would add 8 * T * T bytes a sentence: 6.9 and
+        # 8.4 MiB against bounds of 5.7 and 4.8.
+        rng = np.random.default_rng(3)
+        corpus = random_corpus(rng, n_sentences, classes=tuple(f"C{k}" for k in range(18)),
+                               min_len=length, max_len=length)
+        b = tagger_module._CHUNK_POSITIONS // length
+        assert [len(c) for c in tagger_module._chunks([length] * n_sentences)] == [b, b]
+        d = h = 32
+        model = build_model(TaggerConfig(word_dim=d, hidden=h, lstm_layers=1, use_crf=True,
+                                         crf_constrain_bio=True, seed=3), corpus)
+        predict_corpus(model, corpus)
+        tracemalloc.start()
+        try:
+            predictions = predict_corpus(model, corpus)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(predictions) == len(corpus)
+        rows, n_tags = b * length, len(model.tagset)
+        lstm = (8 * (10 * h + d) + 64) * rows + 8 * 22 * h * b
+        crf = (5 * 8 * n_tags + 64) * rows + 3 * 8 * _VITERBI_BLOCK * n_tags ** 2
+        assert peak - held <= max(lstm, crf) + 128 * 1024
 
     def test_crf_scores_are_path_marginals(self):
         corpus = tiny_fixture_corpus()
