@@ -6,7 +6,10 @@ POS tags, extra file columns), not as one record per token.
 
 File conventions: UTF-8, LF line endings, blank line between sentences,
 ``# <id>`` comment lines carry sentence ids, fields joined by single spaces
-on write. Token text and ids are Unicode-NFC-normalized at parse time.
+on write. One block reader parses corpora and, by the ensemble module's
+row layout and checks, prediction files, Unicode-NFC-normalizing token
+text and ids: it checks a block's columns in bulk and reads a block that
+fails again row by row, which names the first faulty row.
 """
 
 import functools
@@ -15,7 +18,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -41,6 +44,7 @@ __all__ = [
 
 # \Z, not $: $ also matches before a final newline, so "B-P\n" would pass
 BIO_TAG_RE = re.compile(r"^(O|[BI]-\S+)\Z")
+_GRAMMAR_FAULT = "tag {!r} does not match the BIO grammar O | B-<class> | I-<class>"
 
 
 class CorpusError(ValueError):
@@ -57,13 +61,18 @@ class ParseError(CorpusError):
         super().__init__(message)
 
 
-def _check_bio_grammar(tags):
-    """Raise CorpusError naming the first tag outside the BIO grammar;
-    each distinct tag is matched once."""
-    for tag in dict.fromkeys(tags):
-        if not BIO_TAG_RE.match(tag):
-            raise CorpusError(
-                f"tag {tag!r} does not match the BIO grammar O | B-<class> | I-<class>")
+def _bio_tags(message, tags, seen):
+    """``tags``, when each is a BIO label; else CorpusError names the first
+    that is not by ``message``, the tag in place of ``{!r}``. ``seen`` is
+    the caller's set of tags already matched; it gains the new valid ones,
+    as validity depends on the string alone."""
+    if not seen.issuperset(tags):
+        new = set(tags).difference(seen)
+        if not all(map(BIO_TAG_RE.match, new)):
+            bad = next(tag for tag in tags if tag in new and not BIO_TAG_RE.match(tag))
+            raise CorpusError(message.format(bad))
+        seen |= new
+    return tags
 
 
 # a C-level callable: it runs once per token of every corpus and prediction file
@@ -122,7 +131,7 @@ class Sentence:
             _joined("POS tag", self.pos)
         if self.extras is not None:
             _joined("extra field", [f for row in self.extras for f in row])
-        _check_bio_grammar(self.gold_tags)
+        _bio_tags(_GRAMMAR_FAULT, self.gold_tags, set())
 
     def __len__(self):
         return len(self.surfaces)
@@ -256,23 +265,93 @@ def _conll_blocks(text):
         sid, runs = None, []
 
 
-def _row_layout(columns, n_fields, n):
-    """(tag column index, extra column indices) of an ``n``-column row, or
-    a message saying why the row lacks a distinct column for each of the
+def _block_fields(fmt, lines, rows, n, layouts, seen):
+    """The fields of ``rows``, the split ``lines``, all ``n`` columns wide,
+    read as ``fmt`` says, the token column NFC-normalized last. Raises
+    CorpusError on the first fault found."""
+    layout_of, checks = fmt
+    layout = layouts.get(n) or layout_of(n, layouts)
+    if isinstance(layout, str):
+        raise CorpusError(layout.format(lines[0]))
+    layouts[n] = layout
+    columns = list(zip(*rows))
+    fields = [p if p is None else columns[p] if type(p) is int
+              else list(zip(*[columns[i] for i in p])) or [()] * len(rows) for p in layout]
+    for at, check in checks:
+        if fields[at] is not None:
+            fields[at] = check(fields[at], seen)
+    # a str.split() column is non-empty and free of whitespace, so the
+    # surfaces are checked again only when NFC rewrote one
+    fields[0] = tuple(map(_normalize, columns[0]))
+    if fields[0] != columns[0]:
+        _joined("token surface", fields[0])
+    return fields
+
+
+def _block_bulk(fmt, lines, rows, layouts, seen):
+    """``_block_fields`` of a whole block, or None when its rows differ in
+    column count or it fails, for ``_block_rows`` to read."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        return None
+    try:
+        return _block_fields(fmt, lines, rows, widths.pop(), layouts, seen)
+    except CorpusError:
+        return None
+
+
+def _block_rows(fmt, numbers, lines, rows, layouts, seen):
+    """The block read one row at a time, the reference reader: raises
+    ParseError at the first faulty row, or joins the rows' fields as
+    ``_block_bulk`` gives them."""
+    read = []
+    for lineno, line, cols in zip(numbers, lines, rows):
+        try:
+            read.append(_block_fields(fmt, [line], [cols], len(cols), layouts, seen))
+        except CorpusError as fault:
+            raise ParseError(str(fault), lineno) from None
+    return [None if field[0] is None else type(field[0])(chain.from_iterable(field))
+            for field in zip(*read)]
+
+
+def _read_blocks(text, what, fmt, seen):
+    """Yield (sentence id, fields) for each ``_conll_blocks`` block of
+    ``text``, an input of the kind ``what`` names, read in bulk or else row
+    by row; ``seen`` is the caller's set of tags seen valid. ``fmt`` is
+    (layout, checks): ``layout(n, layouts)`` picks the fields of an
+    ``n``-column row, token first (a column, a tuple of columns kept as one
+    tuple a row, or None), given the picks of the counts accepted so far,
+    or refuses the row by a message (``{!r}`` for the row). ``checks`` are
+    (field, check) pairs run in turn on each present field: ``check(column,
+    seen)`` returns the field's new column or raises CorpusError."""
+    if not text.strip():
+        raise ParseError(f"empty {what}")
+    layouts = {}
+    for sid, numbers, lines in _conll_blocks(text):
+        rows = list(map(str.split, lines))
+        yield sid, (_block_bulk(fmt, lines, rows, layouts, seen)
+                    or _block_rows(fmt, numbers, lines, rows, layouts, seen))
+    if not layouts:  # every block read adds its rows' column count
+        raise ParseError(f"{what} contains no sentences")
+
+
+def _row_layout(columns, n_fields, n, layouts):
+    """Picks (token, tag, pos, extras) of an ``n``-column row, or a message
+    saying why the row lacks a distinct column for each of the
     ``n_fields`` fields of ``columns``."""
     if n < n_fields:
-        return f"expected at least {n_fields} distinct columns, got {n}"
+        return f"expected at least {n_fields} distinct columns, got {n}: {{!r}}"
     tag_idx = n - 1 if columns.labeled else None
     pos = columns.pos_col
     if pos is not None:
         if pos == 0:
-            return "--pos-col 0 is the token column"
+            return "--pos-col 0 is the token column: {!r}"
         if pos == tag_idx:
-            return f"--pos-col {pos} is the tag column"
+            return f"--pos-col {pos} is the tag column: {{!r}}"
         if not 0 < pos < n:
-            return f"--pos-col {pos} is not a column of a {n}-column row"
+            return f"--pos-col {pos} is not a column of a {n}-column row: {{!r}}"
     needed = {0, tag_idx, pos} - {None}
-    return tag_idx, tuple(i for i in range(n) if i not in needed)
+    return 0, tag_idx, pos, tuple(i for i in range(n) if i not in needed)
 
 
 def parse_conll(text, columns=ColumnConfig()):
@@ -283,53 +362,14 @@ def parse_conll(text, columns=ColumnConfig()):
 
     Raises ParseError with a line number on malformed lines.
     """
-    if not text.strip():
-        raise ParseError("empty input")
-
-    sentences = []
-    classes = set()
-    pos_col = columns.pos_col
-    labeled = columns.labeled
-    n_fields = 1 + labeled + (pos_col is not None)
-    layouts = {}  # column count -> _row_layout
-    valid_tags = set()  # tags that matched BIO_TAG_RE; validity depends on the string alone
-    for sid, numbers, lines in _conll_blocks(text):
-        surfaces, tags, pos, extras = [], [], [], []
-        for lineno, line, cols in zip(numbers, lines, map(str.split, lines)):
-            n = len(cols)
-            if n not in layouts:
-                layouts[n] = _row_layout(columns, n_fields, n)
-            layout = layouts[n]
-            if isinstance(layout, str):
-                raise ParseError(f"{layout}: {line!r}", lineno)
-            tag_idx, extra_cols = layout
-            raw = cols[0]
-            surface = _normalize(raw)
-            if labeled:
-                tag = cols[tag_idx]
-                if tag not in valid_tags:
-                    if not BIO_TAG_RE.match(tag):
-                        raise ParseError(f"tag {tag!r} does not match the BIO grammar", lineno)
-                    valid_tags.add(tag)
-                    if tag != "O":
-                        classes.add(tag[2:])
-                tags.append(tag)
-            # a str.split() column is non-empty and holds no whitespace, so
-            # only a surface that NFC rewrote is checked again
-            if surface is not raw and surface.split() != [surface]:
-                raise ParseError(
-                    f"token surface {surface!r} is empty or contains whitespace", lineno
-                )
-            surfaces.append(surface)
-            if pos_col is not None:
-                pos.append(cols[pos_col])
-            extras.append(tuple([cols[i] for i in extra_cols]) if extra_cols else ())
-        sentences.append(Sentence(sid, surfaces, tags if labeled else ("O",) * len(surfaces),
-                                  pos if pos_col is not None else None, extras))
-
-    if not sentences:
-        raise ParseError("input contains no sentences")
-    return LabeledCorpus(sentences, TagSet(classes))
+    tags_seen = set()
+    n_fields = 1 + columns.labeled + (columns.pos_col is not None)
+    fmt = (functools.partial(_row_layout, columns, n_fields),
+           ((1, functools.partial(_bio_tags, "tag {!r} does not match the BIO grammar")),))
+    sentences = [Sentence(sid, surfaces, tags or ("O",) * len(surfaces), pos, extras)
+                 for sid, (surfaces, tags, pos, extras)
+                 in _read_blocks(text, "input", fmt, tags_seen)]
+    return LabeledCorpus(sentences, TagSet(tag[2:] for tag in tags_seen if tag != "O"))
 
 
 def write_conll(corpus):
@@ -373,7 +413,7 @@ def extract_chunks(tags):
     opens a chunk, as in conlleval, so the result equals
     ``extract_chunks(repair_bio(tags))``. Tags outside the BIO grammar
     raise CorpusError."""
-    _check_bio_grammar(tags)
+    _bio_tags(_GRAMMAR_FAULT, tags, set())
     chunks = []
     start = None
     cls = None

@@ -8,17 +8,20 @@ survives, O. Voting happens on raw labels; BIO repair runs once on the
 voted sequence, never on the inputs.
 
 Predictions travel as per-sentence columns (``SentencePredictions``): a
-prediction file is read into them, the vote runs on every token of the
-corpus at once as arrays, and the diagnostics keep each token's result
-as per-sentence columns (``SentenceVotes``), which write as voted text.
+prediction file is read into them by the corpus module's block reader,
+the one that reads corpora, given this module's row layout and checks;
+the vote runs on every token of the corpus at once as arrays, and the
+diagnostics keep each token's result as per-sentence columns
+(``SentenceVotes``), which write as voted text.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .corpus import BIO_TAG_RE, ParseError, _conll_blocks, _normalize, repair_bio
+from .corpus import CorpusError, _bio_tags, _read_blocks, repair_bio
 from .tagger import SentencePredictions
 
 __all__ = [
@@ -237,23 +240,46 @@ def ensemble_corpus(sets, reference, config=VoteConfig()):
     return all_labels, diagnostics
 
 
-def _refuse_rows(sid, labels, scores):
-    """Raise EnsembleError naming sentence ``sid`` and the first of its
-    rows whose label is outside the BIO grammar or whose score is outside
-    [0, 1], NaN included: the label first, then the score."""
-    for label, score in zip(labels, scores):
-        if not BIO_TAG_RE.match(label):
-            raise EnsembleError(f"sentence {sid!r}: invalid BIO label {label!r}")
-        if not 0.0 <= score <= 1.0:
-            raise EnsembleError(f"sentence {sid!r}: prediction score {score} outside [0, 1]")
+def _prediction_layout(n, layouts):
+    """Picks (token, gold, label, score) of an ``n``-column row: all rows of
+    a file have 4 columns (token gold predicted score) or all have 3."""
+    if n not in (3, 4):
+        return f"expected 3 or 4 columns (token [gold] predicted score), got {n}"
+    if layouts:  # the file's rows so far have the other count
+        return "mixed 3- and 4-column rows in one file"
+    return 0, 1 if n == 4 else None, n - 2, n - 1
 
 
-def _in_unit_interval(scores):
-    """True when every score lies in [0, 1]. A NaN can hide from ``min``
-    and ``max`` but not from the sum, and once both bounds hold no
-    infinity is left to make the sum NaN."""
+def _parsed_scores(texts, seen):
+    """``texts`` parsed by ``float``; CorpusError names the first it refuses."""
+    try:
+        return list(map(float, texts))
+    except ValueError:
+        for text in texts:
+            try:
+                float(text)
+            except ValueError:
+                raise CorpusError(f"malformed score {text!r}") from None
+
+
+def _unit_scores(scores, seen):
+    """``scores`` when every one lies in [0, 1]; CorpusError names the
+    first that does not, NaN included. A NaN can hide from ``min`` and
+    ``max`` but not from the sum, and once both bounds hold no infinity is
+    left to make the sum NaN."""
     total = sum(scores)
-    return 0.0 <= min(scores) and max(scores) <= 1.0 and total == total
+    if 0.0 <= min(scores) and max(scores) <= 1.0 and total == total:
+        return scores
+    bad = next(score for score in scores if not 0.0 <= score <= 1.0)
+    raise CorpusError(f"prediction score {bad} outside [0, 1]")
+
+
+_label_check = partial(_bio_tags, "invalid BIO label {!r}")
+# a row's checks in the order that names its fault; the writer refuses
+# the same labels and scores
+_PREDICTION_FORMAT = _prediction_layout, (
+    (1, partial(_bio_tags, "gold tag {!r} does not match the BIO grammar")),
+    (3, _parsed_scores), (2, _label_check), (3, _unit_scores))
 
 
 def write_prediction_file(corpus, predictions, include_gold=True):
@@ -268,87 +294,28 @@ def write_prediction_file(corpus, predictions, include_gold=True):
             f"{len(predictions)} prediction lists for {len(corpus.sentences)} sentences"
         )
     lines = []
-    valid_labels = set()  # labels that matched BIO_TAG_RE
+    labels_seen = set()
     for sent, preds in zip(corpus.sentences, predictions):
         labels, scores = preds.labels, preds.scores
         if len(labels) != len(sent):
             raise EnsembleError(
                 f"sentence {sent.id!r}: {len(labels)} predictions for {len(sent)} tokens"
             )
-        new = set(labels) - valid_labels
-        if not all(map(BIO_TAG_RE.match, new)) or not _in_unit_interval(scores):
-            _refuse_rows(sent.id, labels, scores)
-        valid_labels |= new
+        try:
+            _label_check(labels, labels_seen)
+            _unit_scores(scores, labels_seen)
+        except CorpusError:  # row by row: the first faulty row names the fault
+            for label, score in zip(labels, scores):
+                try:
+                    _label_check((label,), labels_seen)
+                    _unit_scores((score,), labels_seen)
+                except CorpusError as fault:
+                    raise EnsembleError(f"sentence {sent.id!r}: {fault}") from None
         lines.append(f"# {sent.id}")
         fields = (sent.surfaces, sent.gold_tags) if include_gold else (sent.surfaces,)
         lines.extend(map(" ".join, zip(*fields, labels, map("%.6f".__mod__, scores))))
         lines.append("")
     return "\n".join(lines)
-
-
-def _block_rows(numbers, lines, width, valid_tags):
-    """One block of a prediction file, its lines and their line numbers,
-    read row by row as (width, labels, scores, surfaces); ``width`` is the
-    file's column count so far (None before the first row). Raises
-    ParseError naming the first faulty row and its fault."""
-    labels, scores, surfaces = [], [], []
-    for lineno, cols in zip(numbers, map(str.split, lines)):
-        if len(cols) != width:
-            if len(cols) not in (3, 4):
-                raise ParseError(
-                    f"expected 3 or 4 columns (token [gold] predicted score), got {len(cols)}",
-                    lineno,
-                )
-            if width is not None:
-                raise ParseError("mixed 3- and 4-column rows in one file", lineno)
-            width = len(cols)
-        pred, score_text = cols[-2], cols[-1]
-        if width == 4 and cols[1] not in valid_tags:
-            if not BIO_TAG_RE.match(cols[1]):
-                raise ParseError(f"gold tag {cols[1]!r} does not match the BIO grammar",
-                                 lineno)
-            valid_tags.add(cols[1])
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"malformed score {score_text!r}", lineno) from None
-        # the label, then the score: the writer refuses the same faults
-        if pred not in valid_tags:
-            if not BIO_TAG_RE.match(pred):
-                raise ParseError(f"invalid BIO label {pred!r}", lineno)
-            valid_tags.add(pred)
-        if not (0.0 <= score <= 1.0):
-            raise ParseError(f"prediction score {score} outside [0, 1]", lineno)
-        labels.append(pred)
-        scores.append(score)
-        surfaces.append(_normalize(cols[0]))
-    return width, tuple(labels), scores, tuple(surfaces)
-
-
-def _block_bulk(lines, width, valid_tags):
-    """``_block_rows`` checked a column at a time: one column count, the
-    block's distinct tags against the BIO grammar, the scores through
-    ``float`` and then their bounds. Returns None on any fault, which
-    ``_block_rows`` then names."""
-    cols = list(map(str.split, lines))
-    widths = set(map(len, cols))
-    if len(widths) != 1 or not widths <= ({width} if width else {3, 4}):
-        return None
-    width = widths.pop()
-    columns = list(zip(*cols))
-    labels, score_texts = columns[-2:]
-    tags = set(labels).union(columns[1]) if width == 4 else set(labels)
-    new = tags - valid_tags
-    if not all(map(BIO_TAG_RE.match, new)):
-        return None
-    valid_tags |= new
-    try:
-        scores = list(map(float, score_texts))
-    except ValueError:
-        return None
-    if not _in_unit_interval(scores):
-        return None
-    return width, labels, scores, tuple(map(_normalize, columns[0]))
 
 
 def read_prediction_file(text):
@@ -357,24 +324,16 @@ def read_prediction_file(text):
 
     Rows carry 4 columns (token gold predicted score) or 3 (token predicted
     score); the two may not be mixed within one file. A gold column is
-    checked against the BIO grammar but not kept. Blocks, ids and surfaces
-    follow the corpus rules of ``parse_conll``, NFC included. Each block is
-    checked in bulk; a block that fails is read again row by row, which
-    names the first faulty row.
+    checked against the BIO grammar but not kept. The reader is
+    ``parse_conll``'s, so blocks, ids and surfaces follow the corpus rules,
+    NFC included: each block is checked a column at a time, and a block
+    that fails is read again row by row, which names the first faulty row.
     """
-    if not text.strip():
-        raise ParseError("empty prediction file")
     sentence_ids, all_surfaces, all_predictions = [], [], []
-    width = None  # 4 with a gold column, 3 without; set by the first row
-    valid_tags = set()  # labels that matched BIO_TAG_RE; validity depends on the string alone
-    for sid, numbers, lines in _conll_blocks(text):
-        width, labels, scores, surfaces = (_block_bulk(lines, width, valid_tags)
-                                           or _block_rows(numbers, lines, width, valid_tags))
+    blocks = _read_blocks(text, "prediction file", _PREDICTION_FORMAT, set())
+    for sid, (surfaces, _, labels, scores) in blocks:
         sentence_ids.append(sid)
         # a tuple, as Sentence.surfaces is: check_alignment compares the two
         all_surfaces.append(surfaces)
         all_predictions.append(SentencePredictions(labels, scores))
-
-    if not all_surfaces:
-        raise ParseError("prediction file contains no sentences")
     return PredictionSet(None, all_predictions, sentence_ids, all_surfaces)

@@ -8,7 +8,7 @@ over every class that appears in the gold or the predicted chunks.
 
 from dataclasses import dataclass
 
-from .corpus import BIO_TAG_RE, CorpusError, extract_chunks
+from .corpus import CorpusError, _bio_tags, extract_chunks
 
 __all__ = ["ClassMetrics", "EvalReport", "evaluate"]
 
@@ -84,18 +84,17 @@ def evaluate(gold, predicted):
     n_pred = {}
     correct_tokens = 0
     total_tokens = 0
-    valid_tags = set()  # predicted tags that matched BIO_TAG_RE
+    tags_seen = set()
     for sent, pred_tags in zip(gold.sentences, predicted):
         if len(pred_tags) != len(sent):
             raise CorpusError(
                 f"sentence {sent.id!r}: {len(pred_tags)} predicted tags for "
                 f"{len(sent)} tokens"
             )
-        for tag in pred_tags:
-            if tag not in valid_tags:
-                if not BIO_TAG_RE.match(tag):
-                    raise CorpusError(f"sentence {sent.id!r}: invalid BIO tag {tag!r}")
-                valid_tags.add(tag)
+        try:
+            _bio_tags("invalid BIO tag {!r}", pred_tags, tags_seen)
+        except CorpusError as fault:
+            raise CorpusError(f"sentence {sent.id!r}: {fault}") from None
         gold_tags = sent.gold_tags
         total_tokens += len(sent)
         correct_tokens += sum(g == p for g, p in zip(gold_tags, pred_tags))

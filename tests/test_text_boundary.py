@@ -18,7 +18,6 @@ import pytest
 
 from seqtag import cli
 from seqtag import corpus as corpus_module
-from seqtag import ensemble as ensemble_module
 from seqtag import tagger
 from seqtag.augment import (
     Lexicon,
@@ -214,9 +213,9 @@ SCORE_TEXTS = ["0.5", "1", "0", "0.000000", "1.000000", "1e-3", "+0.25", "-0", "
 TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-X.Y"]
 
 
-def random_prediction_text(r, width):
-    """A random valid prediction file of ``width`` columns: NFC-rewritten
-    surfaces and ids, ids before a block, inside it, empty or absent,
+def random_conll_text(r, row_fields):
+    """A random valid CoNLL-style text whose rows hold ``row_fields()``:
+    ids before a block, inside it, empty or absent, NFC-rewritten ids,
     dropped names, any whitespace between columns and around rows,
     whitespace-only separator lines, and LF or CRLF line ends."""
     spaces = [ch for ch in WHITESPACE if ch != "\n"]
@@ -230,8 +229,7 @@ def random_prediction_text(r, width):
             lines += ["# dropped", ""]
         rows = []
         for _ in range(r.randint(1, 6)):
-            fields = [r.choice(SURFACES)] + [r.choice(TAGS)] * (width == 4) + [
-                r.choice(TAGS), r.choice(SCORE_TEXTS + [f"{r.random():.6f}"])]
+            fields = row_fields()
             row = gap().join(fields)
             rows.append(row if r.random() < 0.8 else gap() + row + gap())
         name = r.choice([None, f"# id{k}", f"#e\u0301{k}", f"  # New York {k} ", "#"])
@@ -243,11 +241,44 @@ def random_prediction_text(r, width):
     return newline.join(lines[:-1] if r.random() < 0.5 else lines)
 
 
+def random_prediction_text(r, width):
+    """A random valid prediction file of ``width`` columns, with
+    NFC-rewritten surfaces (``random_conll_text``)."""
+    return random_conll_text(r, lambda: [r.choice(SURFACES)] + [r.choice(TAGS)] * (width == 4)
+                             + [r.choice(TAGS), r.choice(SCORE_TEXTS + [f"{r.random():.6f}"])])
+
+
+POS_TAGS = ["NN", "NNP", "VBD", "O"]
+EXTRAS = ["e1", "x", "O", "B-PER", "1.5", "ঢাকা", "cafe\u0301"]
+# the column configurations a corpus is parsed under, each with the fewest
+# columns a row needs under it
+LEAST_COLUMNS = {ColumnConfig(): 2, ColumnConfig(pos_col=1): 3, ColumnConfig(labeled=False): 1,
+                 ColumnConfig(labeled=False, pos_col=2): 3}
+CORPUS_COLUMNS = list(LEAST_COLUMNS)
+COLUMN_IDS = ["labeled", "pos1", "unlabeled", "unlabeled-pos2"]
+
+
+def random_corpus_text(r, columns):
+    """A random valid corpus under ``columns``: NFC-rewritten surfaces, pos
+    tags in ``columns.pos_col``, and zero to two extra columns a row, so
+    that the rows of a block may differ in width (``random_conll_text``)."""
+    def row_fields():
+        fields = [r.choice(EXTRAS) for _ in range(LEAST_COLUMNS[columns] + r.choice([0, 0, 1, 2]))]
+        fields[0] = r.choice(SURFACES)
+        if columns.pos_col is not None:
+            fields[columns.pos_col] = r.choice(POS_TAGS)
+        if columns.labeled:
+            fields[-1] = r.choice(TAGS)
+        return fields
+
+    return random_conll_text(r, row_fields)
+
+
 def read_row_by_row(text, monkeypatch):
     """``read_prediction_file`` with every block read by the per-row
     reference path."""
     with monkeypatch.context() as patch:
-        patch.setattr(ensemble_module, "_block_bulk", lambda *args: None)
+        patch.setattr(corpus_module, "_block_bulk", lambda *args: None)
         return read_prediction_file(text)
 
 
@@ -260,12 +291,27 @@ def outcome(read, text):
             [p.scores for p in data.predictions])
 
 
+def parse_row_by_row(text, columns, monkeypatch):
+    """``parse_conll`` with every block read by the per-row reference
+    path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_block_bulk", lambda *args: None)
+        return parse_conll(text, columns)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_number
+
+
 class TestBulkReader:
     @pytest.mark.parametrize("width", [3, 4])
     def test_valid_files_read_as_row_by_row(self, width, monkeypatch):
         rows_read = []
-        real_rows = ensemble_module._block_rows
-        monkeypatch.setattr(ensemble_module, "_block_rows",
+        real_rows = corpus_module._block_rows
+        monkeypatch.setattr(corpus_module, "_block_rows",
                             lambda *args: rows_read.append(args) or real_rows(*args))
         r = random.Random(width)
         for _ in range(300):
@@ -311,6 +357,72 @@ class TestBulkReader:
             assert bulk == outcome(lambda t: read_row_by_row(t, monkeypatch), text)
             faults += isinstance(bulk[0], str)
         assert faults > 200
+
+    @pytest.mark.parametrize("columns", CORPUS_COLUMNS, ids=COLUMN_IDS)
+    def test_valid_corpora_parse_as_row_by_row(self, columns, monkeypatch):
+        rows_read = []
+        real_rows = corpus_module._block_rows
+        monkeypatch.setattr(corpus_module, "_block_rows",
+                            lambda *args: rows_read.append(args) or real_rows(*args))
+        r = random.Random(20 + CORPUS_COLUMNS.index(columns))
+        mixed = 0
+        for _ in range(300):
+            text = random_corpus_text(r, columns)
+            blocks = reference_conll_blocks(text)
+            corpus = parse_conll(text, columns)
+            # only a block whose rows differ in width is read row by row
+            assert len(rows_read) == sum(len({len(line.split()) for line in lines}) > 1
+                                         for _, _, lines in blocks)
+            mixed += len(rows_read)
+            assert [(s.id, s.surfaces) for s in corpus.sentences] == [
+                (sid, tuple(unicodedata.normalize("NFC", line.split()[0]) for line in lines))
+                for sid, _, lines in blocks]
+            if columns.labeled:
+                assert [s.gold_tags for s in corpus.sentences] == [
+                    tuple(line.split()[-1] for line in lines) for _, _, lines in blocks]
+            rows_read.clear()
+            assert parse_row_by_row(text, columns, monkeypatch) == corpus
+            assert len(rows_read) == len(blocks)
+            rows_read.clear()
+        assert mixed > 100
+
+    @pytest.mark.parametrize("columns", [c for c in CORPUS_COLUMNS if c.labeled or c.pos_col],
+                             ids=["labeled", "pos1", "unlabeled-pos2"])
+    def test_faulty_corpora_fail_as_row_by_row(self, columns, monkeypatch):
+        # NFC never rewrites a surface into one with whitespace; "MARK" is
+        # made to, so that a row can fail the surface check
+        monkeypatch.setattr(corpus_module, "_normalize", lambda s: "M K" if s == "MARK"
+                            else unicodedata.normalize("NFC", s))
+        least = LEAST_COLUMNS[columns]
+        r = random.Random(30 + CORPUS_COLUMNS.index(columns))
+        for _ in range(300):
+            lines = random_corpus_text(r, columns).split("\n")
+            rows = [i for i, line in enumerate(lines)
+                    if line.strip() and not line.strip().startswith("#")]
+            at = r.choice(rows)
+            fields = lines[at].split()
+            fault = r.choice(["drop", "block", "surface"] + ["tag"] * columns.labeled)
+            if fault == "tag":
+                fields[-1] = r.choice(["X", "B-", "I-", "i-PER", "o"])
+            elif fault == "drop":
+                fields = fields[:r.randint(1, least - 1)]
+            elif fault == "surface":
+                fields[0] = "MARK"
+            lines[at] = " ".join(fields)
+            if fault == "block":  # every row of the block too narrow, all alike
+                block = {at}
+                for step in (-1, 1):
+                    i = at + step
+                    while 0 <= i < len(lines) and lines[i].strip():
+                        block.add(i)
+                        i += step
+                narrow = r.randint(1, least - 1)
+                for i in block & set(rows):
+                    lines[i] = " ".join(lines[i].split()[:narrow])
+            text = "\n".join(lines)
+            bulk = parsed(lambda t: parse_conll(t, columns), text)
+            assert isinstance(bulk[0], str)
+            assert bulk == parsed(lambda t: parse_row_by_row(t, columns, monkeypatch), text)
 
 
 # TokenPrediction's fields in a class of its own: the yardstick for what a
