@@ -9,7 +9,14 @@ sentence ids per source and taking the union of tagsets.
 
 from dataclasses import dataclass
 
-from .corpus import LabeledCorpus, ParseError, Sentence, _normalize
+from .corpus import (
+    LabeledCorpus,
+    ParseError,
+    _check_id,
+    _check_surfaces,
+    _checked_sentence,
+    _normalize,
+)
 
 __all__ = [
     "AugmentError",
@@ -87,22 +94,25 @@ def token_translate(corpus, backend, fallback="keep"):
     """Translate every token surface through ``backend``'s lexicon; tags,
     POS, ids, and sentence structure are untouched. Tokens the lexicon
     lacks follow ``fallback``: kept verbatim, or replaced by the unknown
-    marker."""
+    marker. Only the new surfaces are checked: a lexicon's mapping can
+    change after it was checked."""
     if fallback not in FALLBACK_MODES:
         raise AugmentError(f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}")
     mapping = backend.lexicon.mapping
     keep = fallback == "keep"
     sentences = []
     for sent in corpus.sentences:
-        surfaces = [mapping.get(s, s if keep else UNKNOWN_TOKEN) for s in sent.surfaces]
-        sentences.append(Sentence(sent.id, surfaces, sent.gold_tags, sent.pos, sent.extras))
+        surfaces = tuple([mapping.get(s, s if keep else UNKNOWN_TOKEN) for s in sent.surfaces])
+        _check_surfaces(surfaces)
+        sentences.append(
+            _checked_sentence(sent.id, surfaces, sent.gold_tags, sent.pos, sent.extras))
     return LabeledCorpus(sentences, corpus.tagset)
 
 
 def combine(corpora, output_name, names=None):
     """Concatenate corpora in order. Sentence ids become `source/id` with
-    per-source namespaces; the tagset is the union. ``output_name`` is
-    unused; it stays for existing callers."""
+    per-source namespaces, checked to read back; the tagset is the union.
+    ``output_name`` is unused; it stays for existing callers."""
     if not corpora:
         raise AugmentError("combine needs at least one corpus")
     if names is None:
@@ -121,8 +131,9 @@ def combine(corpora, output_name, names=None):
             if new_id in seen:
                 raise AugmentError(f"duplicate sentence id {new_id!r} after namespacing")
             seen.add(new_id)
+            _check_id(new_id)
             sentences.append(
-                Sentence(new_id, sent.surfaces, sent.gold_tags, sent.pos, sent.extras))
+                _checked_sentence(new_id, sent.surfaces, sent.gold_tags, sent.pos, sent.extras))
     return LabeledCorpus(sentences, tagset)
 
 

@@ -10,6 +10,14 @@ on write. One block reader parses corpora and, by the ensemble module's
 row layout and checks, prediction files, Unicode-NFC-normalizing token
 text and ids: it checks a block's columns in bulk and reads a block that
 fails again row by row, which names the first faulty row.
+
+Each ``Sentence`` invariant is checked once, where its column is made:
+``Sentence(...)`` checks every field of columns from outside the program;
+the block reader checks what it reads (its columns are str.split fields,
+the tags are checked against the BIO grammar, and a surface NFC rewrote is
+checked again), ``augment.token_translate`` checks only its new surfaces
+and ``augment.combine`` only its new ids. Those three build their
+sentences through ``_checked_sentence``, which checks nothing again.
 """
 
 import functools
@@ -91,7 +99,23 @@ def _joined(what, fields):
     return joined
 
 
-@dataclass(frozen=True)
+def _check_surfaces(surfaces):
+    """Raise CorpusError unless each surface is a single column of CoNLL
+    text (``_joined``) that does not start with ``#``."""
+    joined = _joined("token surface", surfaces)
+    if joined.startswith("#") or " #" in joined:
+        bad = next(s for s in surfaces if s.startswith("#"))
+        raise CorpusError(f"token surface {bad!r} starts with '#', as an id line does")
+
+
+def _check_id(sid):
+    """Raise CorpusError unless ``sid`` reads back from a ``# <id>`` line:
+    non-empty, stripped, NFC and on one line."""
+    if not sid or "\n" in sid or sid != _normalize(sid.strip()):
+        raise CorpusError(f"sentence id {sid!r} would not read back from '# <id>'")
+
+
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """One sentence as tuple columns of equal length: token surfaces, gold
     BIO tags, optionally one POS tag per token, and optionally each token's
@@ -99,7 +123,12 @@ class Sentence:
     in width; None when no token has any). Every field is a single
     non-empty column of CoNLL text, no surface starts with ``#`` and the id
     is non-empty, stripped, NFC and on one line, so a sentence reads back
-    from ``write_conll`` as it was."""
+    from ``write_conll`` as it was.
+
+    ``Sentence(...)`` (and so ``dataclasses.replace``) checks all of this
+    and turns the columns into tuples. The program's own readers and
+    rewrites check only the columns they make and build the sentence
+    through ``_checked_sentence``."""
 
     id: str
     surfaces: tuple[str, ...]
@@ -108,8 +137,7 @@ class Sentence:
     extras: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
-        if not self.id or "\n" in self.id or self.id != _normalize(self.id.strip()):
-            raise CorpusError(f"sentence id {self.id!r} would not read back from '# <id>'")
+        _check_id(self.id)
         n = len(self.surfaces)
         if not n:
             raise CorpusError(f"sentence {self.id!r} has no tokens")
@@ -123,10 +151,7 @@ class Sentence:
                 object.__setattr__(self, name, tuple(column))
         if self.extras is not None and not any(self.extras):
             object.__setattr__(self, "extras", None)
-        joined = _joined("token surface", self.surfaces)
-        if joined.startswith("#") or " #" in joined:
-            bad = next(s for s in self.surfaces if s.startswith("#"))
-            raise CorpusError(f"token surface {bad!r} starts with '#', as an id line does")
+        _check_surfaces(self.surfaces)
         if self.pos is not None:
             _joined("POS tag", self.pos)
         if self.extras is not None:
@@ -135,6 +160,21 @@ class Sentence:
 
     def __len__(self):
         return len(self.surfaces)
+
+
+_SENTENCE_SLOTS = tuple(getattr(Sentence, name).__set__ for name in Sentence.__slots__)
+
+
+def _checked_sentence(sid, surfaces, gold_tags, pos, extras):
+    """The Sentence of columns that already hold every invariant
+    ``Sentence`` checks, in the types it leaves them (tuples; ``extras``
+    None unless some row has any), built without checking them again.
+    Only the code that checked the columns may call it; ``Sentence(...)``
+    is the reference it must equal."""
+    sent = object.__new__(Sentence)
+    for put, column in zip(_SENTENCE_SLOTS, (sid, surfaces, gold_tags, pos, extras)):
+        put(sent, column)
+    return sent
 
 
 class TagSet:
@@ -276,15 +316,16 @@ def _block_fields(fmt, lines, rows, n, layouts, seen):
     layouts[n] = layout
     columns = list(zip(*rows))
     fields = [p if p is None else columns[p] if type(p) is int
-              else list(zip(*[columns[i] for i in p])) or [()] * len(rows) for p in layout]
+              else tuple(zip(*[columns[i] for i in p])) or ((),) * len(rows) for p in layout]
     for at, check in checks:
         if fields[at] is not None:
             fields[at] = check(fields[at], seen)
-    # a str.split() column is non-empty and free of whitespace, so the
-    # surfaces are checked again only when NFC rewrote one
+    # a str.split() column is non-empty and free of whitespace, and a token
+    # line does not start with '#', so the surfaces are checked again only
+    # when NFC rewrote one
     fields[0] = tuple(map(_normalize, columns[0]))
     if fields[0] != columns[0]:
-        _joined("token surface", fields[0])
+        _check_surfaces(fields[0])
     return fields
 
 
@@ -360,13 +401,16 @@ def parse_conll(text, columns=ColumnConfig()):
     Blank lines separate sentences; ``#``-prefixed lines carry the id of the
     sentence that follows; ids are generated as s0, s1, ... where absent.
 
-    Raises ParseError with a line number on malformed lines.
+    Raises ParseError with a line number on malformed lines. The reader
+    has checked every field (an id, a stripped NFC line, reads back as it
+    is), so the sentences are built by ``_checked_sentence``.
     """
     tags_seen = set()
     n_fields = 1 + columns.labeled + (columns.pos_col is not None)
     fmt = (functools.partial(_row_layout, columns, n_fields),
            ((1, functools.partial(_bio_tags, "tag {!r} does not match the BIO grammar")),))
-    sentences = [Sentence(sid, surfaces, tags or ("O",) * len(surfaces), pos, extras)
+    sentences = [_checked_sentence(sid, surfaces, tags or ("O",) * len(surfaces), pos,
+                                   extras if any(extras) else None)
                  for sid, (surfaces, tags, pos, extras)
                  in _read_blocks(text, "input", fmt, tags_seen)]
     return LabeledCorpus(sentences, TagSet(tag[2:] for tag in tags_seen if tag != "O"))
@@ -412,8 +456,14 @@ def extract_chunks(tags):
     orphan I-X (after O, at the start, or after a chunk of another class)
     opens a chunk, as in conlleval, so the result equals
     ``extract_chunks(repair_bio(tags))``. Tags outside the BIO grammar
-    raise CorpusError."""
-    _bio_tags(_GRAMMAR_FAULT, tags, set())
+    raise CorpusError; callers whose tags are checked already (a
+    Sentence's gold tags, or labels they checked themselves) scan them with
+    ``_scan_chunks``."""
+    return _scan_chunks(_bio_tags(_GRAMMAR_FAULT, tags, set()))
+
+
+def _scan_chunks(tags):
+    """``extract_chunks`` of ``tags`` known to be BIO labels."""
     chunks = []
     start = None
     cls = None
@@ -486,7 +536,7 @@ def corpus_stats(corpus):
     n_tokens = 0
     for sent in corpus.sentences:
         n_tokens += len(sent)
-        for chunk in extract_chunks(sent.gold_tags):
+        for chunk in _scan_chunks(sent.gold_tags):
             class_chunks[chunk.cls] += 1
             if chunk.end - chunk.start == 1:
                 single += 1

@@ -8,7 +8,7 @@ over every class that appears in the gold or the predicted chunks.
 
 from dataclasses import dataclass
 
-from .corpus import CorpusError, _bio_tags, extract_chunks
+from .corpus import CorpusError, _bio_tags, _scan_chunks
 
 __all__ = ["ClassMetrics", "EvalReport", "evaluate"]
 
@@ -98,8 +98,9 @@ def evaluate(gold, predicted):
         gold_tags = sent.gold_tags
         total_tokens += len(sent)
         correct_tokens += sum(g == p for g, p in zip(gold_tags, pred_tags))
-        gold_chunks = set(extract_chunks(gold_tags))
-        pred_chunks = set(extract_chunks(pred_tags))
+        # gold tags are a Sentence's and the predictions were checked above
+        gold_chunks = set(_scan_chunks(gold_tags))
+        pred_chunks = set(_scan_chunks(pred_tags))
         for c in gold_chunks:
             n_gold[c.cls] = n_gold.get(c.cls, 0) + 1
         for c in pred_chunks:

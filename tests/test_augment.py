@@ -17,7 +17,13 @@ from seqtag.augment import (
     run_plan,
     token_translate,
 )
-from seqtag.corpus import ParseError, extract_chunks, parse_conll, write_conll
+from seqtag.corpus import (
+    CorpusError,
+    ParseError,
+    extract_chunks,
+    parse_conll,
+    write_conll,
+)
 
 from helpers import random_corpus, tiny_fixture_corpus
 
@@ -110,6 +116,18 @@ class TestTokenTranslate:
                     before.gold_tags
                 )
 
+    @pytest.mark.parametrize("target, message", [
+        ("b c", "token surface 'b c' is empty or contains whitespace"),
+        ("#x", "token surface '#x' starts with '#', as an id line does"),
+    ])
+    def test_targets_changed_after_the_lexicon_check_are_refused(self, target, message):
+        # the lexicon checked its entries when it was made, not since
+        lexicon = Lexicon("demo", {"a": "y"})
+        lexicon.mapping["b"] = target
+        with pytest.raises(CorpusError) as info:
+            token_translate(parse_conll("a O\nb O\n"), OfflineLexiconBackend(lexicon))
+        assert str(info.value) == message
+
 
 class TestCombine:
     def test_equal_size_combination_doubles_counts(self):
@@ -133,6 +151,16 @@ class TestCombine:
         assert [s.id for s in both.sentences] == [
             "left/s0", "left/s1", "right/s0", "right/s1"
         ]
+
+    @pytest.mark.parametrize("name, message", [
+        ("a\nb", "sentence id 'a\\nb/s0' would not read back from '# <id>'"),
+        (" a", "sentence id ' a/s0' would not read back from '# <id>'"),
+        ("e\u0301", "sentence id 'e\u0301/s0' would not read back from '# <id>'"),
+    ])
+    def test_names_that_make_ids_that_would_not_read_back_are_refused(self, name, message):
+        with pytest.raises(CorpusError) as info:
+            combine([parse_conll("a O\n")], "out", names=[name])
+        assert str(info.value) == message
 
     def test_name_count_must_match(self):
         corpus = random_corpus(np.random.default_rng(13), 1)

@@ -127,3 +127,16 @@ def test_only_the_allocator_draws_parameters():
              for cls, func in _calls(ast.parse(path.read_text(encoding="utf-8")),
                                      ("uniform_init",))]
     assert calls == [("src/seqtag/nn/params.py", "ParamStore", "draw")]
+
+
+def test_only_the_checking_modules_build_unchecked_sentences():
+    # _checked_sentence skips Sentence's checks, so only the modules that
+    # check the columns they make (the block reader's and augmentation's)
+    # may call it
+    root = Path(__file__).resolve().parents[1]
+    paths = (sorted((root / "src" / "seqtag").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
+             + sorted((root / "perfbench").glob("*.py")))
+    callers = sorted({str(path.relative_to(root)) for path in paths
+                      if _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                ("_checked_sentence",))})
+    assert callers == ["src/seqtag/augment.py", "src/seqtag/corpus.py"]

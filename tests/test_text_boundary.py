@@ -6,6 +6,7 @@ two-field records), the shortcuts that skip work (translations that share
 columns, the whitespace rule) agree with the slow forms they replace, and
 ensemble diagnostics, unanimous votes included, equal the per-token tally."""
 
+import dataclasses
 import gc
 import json
 import random
@@ -199,6 +200,18 @@ class TestRowFaults:
             parse_conll("a O\nb O\n")
         assert str(info.value) == (
             "line 2: token surface 'x y' is empty or contains whitespace")
+
+    def test_surface_that_normalizes_to_a_comment_mark_is_rejected(self, monkeypatch):
+        # NFC maps no character to '#' either; both readers name the row
+        monkeypatch.setattr(corpus_module, "_normalize",
+                            lambda s: "#b" if s == "b" else s)
+        for read, text in ((parse_conll, "a O\nb O\n"),
+                           (read_prediction_file, "a O 0.5\nb O 0.5\n")):
+            with pytest.raises(ParseError) as info:
+                read(text)
+            assert str(info.value) == (
+                "line 2: token surface '#b' starts with '#', as an id line does")
+            assert info.value.line_number == 2
 
     def test_evaluate_names_the_first_invalid_tag(self):
         gold = parse_conll("# s1\na B-PER\nb O\n\n# s2\nc O\nd O\n")
@@ -461,6 +474,42 @@ class TestTrustedRecords:
         assert parsed.sentences == expected
         assert all(type(column) is tuple for s in parsed.sentences
                    for column in (s.surfaces, s.gold_tags, s.pos))
+
+    @pytest.mark.parametrize("columns", CORPUS_COLUMNS, ids=COLUMN_IDS)
+    def test_unchecked_sentences_equal_public_ones(self, columns):
+        # parse_conll, token_translate and combine build their sentences
+        # without Sentence's checks; each must equal Sentence(*fields), in
+        # the same field types
+        r = random.Random(50 + CORPUS_COLUMNS.index(columns))
+        lexicon = Lexicon("lex", {"a": "x", "dhaka": "ঢাকা", "cafe\u0301": "cafe", "O": "o"})
+        extras = set()
+        for _ in range(100):
+            base = parse_conll(random_corpus_text(r, columns), columns)
+            built = [base] + [token_translate(base, OfflineLexiconBackend(lexicon), fallback)
+                              for fallback in ("keep", "mark-unknown")]
+            built.append(combine(built, "out"))
+            for sent in (s for corpus in built for s in corpus.sentences):
+                fields = [getattr(sent, f.name) for f in dataclasses.fields(Sentence)]
+                public = Sentence(*fields)
+                assert sent == public
+                assert list(map(type, fields)) == [type(getattr(public, f.name))
+                                                   for f in dataclasses.fields(Sentence)]
+                assert all(type(row) is tuple for row in sent.extras or ())
+                extras.add(sent.extras is None)
+        # an unlabeled row with pos in column 2 always has column 1 as an extra
+        assert extras == ({False} if columns.pos_col == 2 else {True, False})
+
+    def test_sentences_hold_slots_and_replace_checks(self):
+        sent = parse_conll("# s\na B-PER\nb O\n").sentences[0]
+        assert not hasattr(sent, "__dict__")
+        assert dataclasses.replace(sent, surfaces=["x", "y"]).surfaces == ("x", "y")
+        for change, message in (
+                ({"surfaces": ("a", "#b")}, "token surface '#b' starts with '#', as an id line does"),
+                ({"gold_tags": ("B-PER", "I-")}, corpus_module._GRAMMAR_FAULT.format("I-")),
+                ({"id": " s"}, "sentence id ' s' would not read back from '# <id>'")):
+            with pytest.raises(CorpusError) as info:
+                dataclasses.replace(sent, **change)
+            assert str(info.value) == message
 
     def test_read_predictions_equal_public_ones(self):
         data = read_prediction_file("a O B-PER 0.250000\nb O I-PER 1.000000\n")
