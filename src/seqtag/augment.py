@@ -14,6 +14,7 @@ from .corpus import (
     ParseError,
     _check_id,
     _check_surfaces,
+    _checked_corpus,
     _checked_sentence,
     _normalize,
 )
@@ -106,7 +107,7 @@ def token_translate(corpus, backend, fallback="keep"):
         _check_surfaces(surfaces)
         sentences.append(
             _checked_sentence(sent.id, surfaces, sent.gold_tags, sent.pos, sent.extras))
-    return LabeledCorpus(sentences, corpus.tagset)
+    return _checked_corpus(sentences, corpus.tagset)
 
 
 def combine(corpora, output_name, names=None):
@@ -134,7 +135,7 @@ def combine(corpora, output_name, names=None):
             _check_id(new_id)
             sentences.append(
                 _checked_sentence(new_id, sent.surfaces, sent.gold_tags, sent.pos, sent.extras))
-    return LabeledCorpus(sentences, tagset)
+    return _checked_corpus(sentences, tagset)
 
 
 @dataclass

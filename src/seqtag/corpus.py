@@ -6,18 +6,24 @@ POS tags, extra file columns), not as one record per token.
 
 File conventions: UTF-8, LF line endings, blank line between sentences,
 ``# <id>`` comment lines carry sentence ids, fields joined by single spaces
-on write. One block reader parses corpora and, by the ensemble module's
-row layout and checks, prediction files, Unicode-NFC-normalizing token
-text and ids: it checks a block's columns in bulk and reads a block that
-fails again row by row, which names the first faulty row.
+on write. One reader parses corpora and, by the ensemble module's row
+layout and checks, prediction files, Unicode-NFC-normalizing token text
+and ids of any input that is not ASCII (NFC leaves ASCII as it is). It
+reads a whole input at once: one sweep finds the sentence blocks, one
+split gives every token row's fields, and each check runs once over a
+whole column, which the callers cut into sentences. An input whose rows
+differ in width, or that fails a check, is read again row by row, which
+names the first faulty row.
 
 Each ``Sentence`` invariant is checked once, where its column is made:
 ``Sentence(...)`` checks every field of columns from outside the program;
-the block reader checks what it reads (its columns are str.split fields,
-the tags are checked against the BIO grammar, and a surface NFC rewrote is
+the reader checks what it reads (its columns are str.split fields, the
+tags are checked against the BIO grammar, and a surface NFC rewrote is
 checked again), ``augment.token_translate`` checks only its new surfaces
 and ``augment.combine`` only its new ids. Those three build their
-sentences through ``_checked_sentence``, which checks nothing again.
+sentences through ``_checked_sentence``, which checks nothing again, and
+their corpus through ``_checked_corpus`` (``parse_conll`` once it has seen
+its ids are unique).
 """
 
 import functools
@@ -26,8 +32,8 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -245,6 +251,18 @@ class LabeledCorpus:
         return sum(len(s) for s in self.sentences)
 
 
+def _checked_corpus(sentences, tagset):
+    """The LabeledCorpus of ``sentences`` that already hold every invariant
+    ``LabeledCorpus`` checks (at least one sentence, unique ids, every tag
+    a label of ``tagset``), built without checking them again. Only the
+    code that checked them may call it; ``LabeledCorpus(...)`` is the
+    reference it must equal."""
+    corpus = object.__new__(LabeledCorpus)
+    corpus.sentences = sentences
+    corpus.tagset = tagset
+    return corpus
+
+
 class Chunk(NamedTuple):
     """Entity mention of class ``cls`` over the token span [start, end)."""
 
@@ -271,109 +289,139 @@ class ColumnConfig:
 # name a block, the only lines _conll_blocks visits one at a time
 _IS_MARK = frozenset(("", "#")).__contains__
 _FIRST_CHAR = itemgetter(slice(0, 1))
+# the field _read_bulk puts between rows; single characters below U+0100
+# are shared objects, so str.split makes none
+_ROW_END = "\x00"
 
 
-def _conll_blocks(text):
-    """Yield (sentence id, line numbers, lines) for each blank-line-separated
-    block of CoNLL-style text: its token lines, stripped, and their 1-based
-    line numbers.
+def _conll_blocks(text, nfc):
+    """The blank-line-separated blocks of CoNLL-style text in one sweep:
+    (sentence ids, each block's token line count, every block's token
+    lines, stripped, in order and joined by newlines, and an iterator of
+    their 1-based line numbers).
 
     A ``#`` line names the block it precedes or lies in (a blank line drops
-    a pending name); ids are NFC-normalized, and unnamed blocks are numbered
-    s0, s1, ... in order. Token lines are sliced out in runs between the
-    blank and ``#`` lines.
+    a pending name); ids are NFC-normalized when ``nfc``, and unnamed
+    blocks are numbered s0, s1, ... in order.
     """
     lines = list(map(str.strip, text.split("\n")))
     lines.append("")
-    sid, generated, start, runs = None, 0, 0, []
-    for at in compress(count(), map(_IS_MARK, map(_FIRST_CHAR, lines))):
-        if at > start:
-            runs.append((start, at))
+    marks = list(map(_IS_MARK, map(_FIRST_CHAR, lines)))
+    ids, lengths = [], []
+    sid, generated, start, size = None, 0, 0, 0
+    for at in compress(count(), marks):
+        size += at - start
         start = at + 1
         if lines[at]:
-            sid = _normalize(lines[at][1:].strip()) or None
+            name = lines[at][1:].strip()
+            sid = (_normalize(name) if nfc else name) or None
             continue
-        if runs:
+        if size:
             if sid is None:
                 sid, generated = f"s{generated}", generated + 1
-            if len(runs) == 1:
-                ((a, b),) = runs
-                yield sid, range(a + 1, b + 1), lines[a:b]
-            else:  # '#' lines inside the block
-                kept = [i for a, b in runs for i in range(a, b)]
-                yield sid, [i + 1 for i in kept], [lines[i] for i in kept]
-        sid, runs = None, []
+            ids.append(sid)
+            lengths.append(size)
+        sid, size = None, 0
+    rows = list(map(not_, marks))
+    return ids, lengths, "\n".join(compress(lines, rows)), compress(count(1), rows)
 
 
-def _block_fields(fmt, lines, rows, n, layouts, seen):
-    """The fields of ``rows``, the split ``lines``, all ``n`` columns wide,
-    read as ``fmt`` says, the token column NFC-normalized last. Raises
-    CorpusError on the first fault found."""
+def _fields(fmt, columns, line, layouts, seen, nfc):
+    """The fields of rows held as ``columns``, one tuple per file column,
+    read as ``fmt`` says, the token column NFC-normalized last when
+    ``nfc``. ``line`` is the first row, for a message refusing its width.
+    Raises CorpusError on the first fault found."""
     layout_of, checks = fmt
+    n = len(columns)
     layout = layouts.get(n) or layout_of(n, layouts)
     if isinstance(layout, str):
-        raise CorpusError(layout.format(lines[0]))
+        raise CorpusError(layout.format(line))
     layouts[n] = layout
-    columns = list(zip(*rows))
     fields = [p if p is None else columns[p] if type(p) is int
-              else tuple(zip(*[columns[i] for i in p])) or ((),) * len(rows) for p in layout]
+              else tuple(zip(*[columns[i] for i in p])) or ((),) * len(columns[0])
+              for p in layout]
     for at, check in checks:
         if fields[at] is not None:
             fields[at] = check(fields[at], seen)
     # a str.split() column is non-empty and free of whitespace, and a token
     # line does not start with '#', so the surfaces are checked again only
-    # when NFC rewrote one
-    fields[0] = tuple(map(_normalize, columns[0]))
-    if fields[0] != columns[0]:
-        _check_surfaces(fields[0])
+    # when NFC rewrote one; NFC leaves ASCII text as it is
+    if nfc:
+        surfaces = fields[0]
+        fields[0] = tuple(map(_normalize, surfaces))
+        if fields[0] != surfaces:
+            _check_surfaces(fields[0])
     return fields
 
 
-def _block_bulk(fmt, lines, rows, layouts, seen):
-    """``_block_fields`` of a whole block, or None when its rows differ in
-    column count or it fails, for ``_block_rows`` to read."""
-    widths = set(map(len, rows))
-    if len(widths) > 1:
+def _read_bulk(fmt, rows, n_rows, layouts, seen, nfc):
+    """``_fields`` of ``rows``, every token line of an input joined by
+    newlines, split once and checked a whole column at a time, or None when
+    the ``n_rows`` rows differ in width or a check fails, for
+    ``_read_rows`` to read.
+
+    Each newline becomes a ``_ROW_END`` field and the rows are split in one
+    call: they are all ``n`` fields wide exactly when every ``_ROW_END`` of
+    the split lies ``n`` fields after the last. Rows that hold ``_ROW_END``
+    themselves go to ``_read_rows``."""
+    if _ROW_END in rows:
         return None
+    flat = rows.replace("\n", f" {_ROW_END} ").split()
+    n = flat.index(_ROW_END) if n_rows > 1 else len(flat)
+    ends = flat[n::n + 1]
+    if len(flat) != (n + 1) * n_rows - 1 or ends.count(_ROW_END) != len(ends):
+        return None
+    columns = [tuple(flat[i::n + 1]) for i in range(n)]
+    del flat
     try:
-        return _block_fields(fmt, lines, rows, widths.pop(), layouts, seen)
+        return _fields(fmt, columns, rows.partition("\n")[0], layouts, seen, nfc)
     except CorpusError:
         return None
 
 
-def _block_rows(fmt, numbers, lines, rows, layouts, seen):
-    """The block read one row at a time, the reference reader: raises
-    ParseError at the first faulty row, or joins the rows' fields as
-    ``_block_bulk`` gives them."""
+def _read_rows(fmt, numbers, rows, layouts, seen, nfc):
+    """The token lines ``rows`` read one at a time, the reference reader:
+    raises ParseError at the first faulty row, or joins the rows' fields as
+    ``_read_bulk`` gives them."""
     read = []
-    for lineno, line, cols in zip(numbers, lines, rows):
+    for lineno, line in zip(numbers, rows.split("\n")):
         try:
-            read.append(_block_fields(fmt, [line], [cols], len(cols), layouts, seen))
+            read.append(_fields(fmt, list(zip(line.split())), line, layouts, seen, nfc))
         except CorpusError as fault:
             raise ParseError(str(fault), lineno) from None
     return [None if field[0] is None else type(field[0])(chain.from_iterable(field))
             for field in zip(*read)]
 
 
-def _read_blocks(text, what, fmt, seen):
-    """Yield (sentence id, fields) for each ``_conll_blocks`` block of
-    ``text``, an input of the kind ``what`` names, read in bulk or else row
-    by row; ``seen`` is the caller's set of tags seen valid. ``fmt`` is
+def _read_columns(text, what, fmt, seen):
+    """(sentence ids, sentence lengths, fields) of ``text``, an input of
+    the kind ``what`` names: its ``_conll_blocks`` blocks, and each field
+    as one column over every token of the input, read in bulk or else row
+    by row. ``seen`` is the caller's set of tags seen valid. ``fmt`` is
     (layout, checks): ``layout(n, layouts)`` picks the fields of an
     ``n``-column row, token first (a column, a tuple of columns kept as one
     tuple a row, or None), given the picks of the counts accepted so far,
     or refuses the row by a message (``{!r}`` for the row). ``checks`` are
     (field, check) pairs run in turn on each present field: ``check(column,
-    seen)`` returns the field's new column or raises CorpusError."""
+    seen)`` returns the field's new column or raises CorpusError. An ASCII
+    input, which NFC cannot change, is not normalized."""
     if not text.strip():
         raise ParseError(f"empty {what}")
-    layouts = {}
-    for sid, numbers, lines in _conll_blocks(text):
-        rows = list(map(str.split, lines))
-        yield sid, (_block_bulk(fmt, lines, rows, layouts, seen)
-                    or _block_rows(fmt, numbers, lines, rows, layouts, seen))
-    if not layouts:  # every block read adds its rows' column count
+    nfc = not text.isascii()
+    ids, lengths, rows, numbers = _conll_blocks(text, nfc)
+    if not ids:
         raise ParseError(f"{what} contains no sentences")
+    layouts = {}
+    fields = (_read_bulk(fmt, rows, sum(lengths), layouts, seen, nfc)
+              or _read_rows(fmt, numbers, rows, layouts, seen, nfc))
+    return ids, lengths, fields
+
+
+def _cuts(lengths):
+    """The slices that cut a column over consecutive sentences of these
+    lengths into one part per sentence."""
+    bounds = list(accumulate(lengths, initial=0))
+    return list(map(slice, bounds, bounds[1:]))
 
 
 def _row_layout(columns, n_fields, n, layouts):
@@ -403,17 +451,30 @@ def parse_conll(text, columns=ColumnConfig()):
 
     Raises ParseError with a line number on malformed lines. The reader
     has checked every field (an id, a stripped NFC line, reads back as it
-    is), so the sentences are built by ``_checked_sentence``.
+    is) and every tag makes the tagset, so the sentences are built by
+    ``_checked_sentence`` from slices of the reader's columns and the
+    corpus by ``_checked_corpus``, once the ids are seen to be unique.
     """
     tags_seen = set()
     n_fields = 1 + columns.labeled + (columns.pos_col is not None)
     fmt = (functools.partial(_row_layout, columns, n_fields),
            ((1, functools.partial(_bio_tags, "tag {!r} does not match the BIO grammar")),))
-    sentences = [_checked_sentence(sid, surfaces, tags or ("O",) * len(surfaces), pos,
-                                   extras if any(extras) else None)
-                 for sid, (surfaces, tags, pos, extras)
-                 in _read_blocks(text, "input", fmt, tags_seen)]
-    return LabeledCorpus(sentences, TagSet(tag[2:] for tag in tags_seen if tag != "O"))
+    ids, lengths, (surfaces, tags, pos, extras) = _read_columns(text, "input", fmt, tags_seen)
+    if len(set(ids)) != len(ids):
+        seen = set()
+        repeated = next(sid for sid in ids if sid in seen or seen.add(sid))
+        raise CorpusError(f"duplicate sentence id {repeated!r}")
+    cuts = _cuts(lengths)
+
+    def parts(column):
+        return map(column.__getitem__, cuts)
+
+    extras = ([part if any(part) else None for part in parts(extras)] if any(extras)
+              else repeat(None))
+    sentences = list(map(_checked_sentence, ids, parts(surfaces),
+                         parts(tags or ("O",) * len(surfaces)),
+                         repeat(None) if pos is None else parts(pos), extras))
+    return _checked_corpus(sentences, TagSet(tag[2:] for tag in tags_seen if tag != "O"))
 
 
 def write_conll(corpus):
@@ -441,12 +502,17 @@ def validate_bio(tags):
 
 
 def repair_bio(tags):
-    """``tags`` with the first tag of each ``extract_chunks`` chunk set to
-    B-X, so an orphan I-X becomes B-X. Valid input comes back unchanged;
-    output always validates clean."""
-    repaired = list(tags)
-    for cls, start, _ in extract_chunks(tags):
-        repaired[start] = f"B-{cls}"
+    """``tags`` with each orphan I-X (after O, at the start, or after a tag
+    of another class) set to B-X, so that every ``extract_chunks`` chunk
+    starts with a B-tag. Valid input comes back unchanged; output always
+    validates clean. Tags outside the BIO grammar raise CorpusError."""
+    repaired = list(_bio_tags(_GRAMMAR_FAULT, tags, set()))
+    prev = "O"
+    for i, tag in enumerate(tags):
+        # I-X continues a chunk only right after B-X or I-X
+        if tag[0] == "I" and prev[2:] != tag[2:]:
+            repaired[i] = "B" + tag[1:]
+        prev = tag
     return repaired
 
 

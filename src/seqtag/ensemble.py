@@ -7,21 +7,23 @@ it wins; otherwise the surviving label with the highest total score wins
 survives, O. Voting happens on raw labels; BIO repair runs once on the
 voted sequence, never on the inputs.
 
-Predictions travel as per-sentence columns (``SentencePredictions``): a
-prediction file is read into them by the corpus module's block reader,
-the one that reads corpora, given this module's row layout and checks;
-the vote runs on every token of the corpus at once as arrays, and the
+A model's predictions travel as corpus-wide columns (``PredictionSet``):
+a prediction file is read into them by the corpus module's reader, the
+one that reads corpora, given this module's row layout and checks; a set
+is held to its reference corpus column by column, the vote runs on every
+token of the corpus at once as arrays over those columns, and the
 diagnostics keep each token's result as per-sentence columns
 (``SentenceVotes``), which write as voted text.
 """
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .corpus import CorpusError, _bio_tags, _read_blocks, repair_bio
+from .corpus import CorpusError, _bio_tags, _cuts, _read_columns, repair_bio
 from .tagger import SentencePredictions
 
 __all__ = [
@@ -61,20 +63,55 @@ class VoteConfig:
             raise EnsembleError(f"majority_of must be one of {MAJORITY_DENOMINATORS}")
 
 
-@dataclass
 class PredictionSet:
-    """One model's predictions aligned to a reference corpus: per sentence,
-    its id, its token surfaces (a tuple, as ``Sentence.surfaces`` is) and
-    its SentencePredictions. ``read_prediction_file`` returns a set with no
+    """One model's predictions aligned to a reference corpus, as corpus-wide
+    columns: per sentence its id (``sentence_ids``), its surface count
+    (``lengths``) and its prediction count (``prediction_lengths``, the
+    same list when read from a file); per token, in sentence order, its
+    surface (``tokens``), label (``labels``) and score (``scores``).
+
+    ``PredictionSet(model_id, predictions, sentence_ids, surfaces)`` takes
+    per-sentence lists: SentencePredictions-like columns and surface
+    tuples. ``predictions`` and ``surfaces`` read them back, built from
+    the columns on demand. ``read_prediction_file`` returns a set with no
     ``model_id``; ``to_set`` names it."""
 
-    model_id: str | None
-    predictions: list
-    sentence_ids: list
-    surfaces: list
+    __slots__ = ("model_id", "sentence_ids", "lengths", "prediction_lengths", "tokens",
+                 "labels", "scores")
+
+    def __init__(self, model_id, predictions, sentence_ids, surfaces):
+        self.model_id = model_id
+        self.sentence_ids = list(sentence_ids)
+        self.lengths = list(map(len, surfaces))
+        self.prediction_lengths = list(map(len, predictions))
+        self.tokens = tuple(chain.from_iterable(surfaces))
+        self.labels = tuple(chain.from_iterable(p.labels for p in predictions))
+        self.scores = list(chain.from_iterable(p.scores for p in predictions))
+
+    @property
+    def predictions(self):
+        cuts = _cuts(self.prediction_lengths)
+        return list(map(SentencePredictions, map(self.labels.__getitem__, cuts),
+                        map(self.scores.__getitem__, cuts)))
+
+    @property
+    def surfaces(self):
+        return list(map(self.tokens.__getitem__, _cuts(self.lengths)))
 
     def to_set(self, model_id):
-        return replace(self, model_id=model_id)
+        named = copy(self)
+        named.model_id = model_id
+        return named
+
+
+def _read_set(sentence_ids, lengths, tokens, labels, scores):
+    """The unnamed PredictionSet of columns a prediction file was read
+    into, one prediction a surface."""
+    pset = object.__new__(PredictionSet)
+    pset.model_id = None
+    pset.sentence_ids, pset.tokens, pset.labels, pset.scores = sentence_ids, tokens, labels, scores
+    pset.lengths = pset.prediction_lengths = lengths
+    return pset
 
 
 # tokens per window of _tally: a window's (tokens, labels) arrays take
@@ -185,15 +222,28 @@ def check_alignment(pset, reference):
     prediction list, sentence id and surface tuple per sentence of
     ``reference``, in order: the same sentence ids and token surfaces, and
     one prediction per token."""
-    n = len(reference.sentences)
-    for what, column in (("sentences", pset.predictions), ("sentence ids", pset.sentence_ids),
-                         ("surface tuples", pset.surfaces)):
-        if len(column) != n:
-            raise EnsembleError(f"model {pset.model_id!r}: {len(column)} {what}, reference has {n}")
+    _check_alignment(pset, reference, _reference_columns(reference))
+
+
+def _reference_columns(reference):
+    """(sentence ids, lengths, surfaces of every token) of ``reference``:
+    the columns ``_check_alignment`` holds a set's columns to."""
+    sentences = reference.sentences
+    return ([sent.id for sent in sentences], list(map(len, sentences)),
+            tuple(chain.from_iterable(sent.surfaces for sent in sentences)))
+
+
+def _check_alignment(pset, reference, columns):
+    """``check_alignment`` given ``_reference_columns(reference)``."""
+    ids, lengths, tokens = columns
+    n = len(ids)
+    for what, k in (("sentences", len(pset.prediction_lengths)),
+                    ("sentence ids", len(pset.sentence_ids)), ("surface tuples", len(pset.lengths))):
+        if k != n:
+            raise EnsembleError(f"model {pset.model_id!r}: {k} {what}, reference has {n}")
     # whole columns first; only a set that fails is walked sentence by sentence
-    if (pset.sentence_ids == [sent.id for sent in reference.sentences]
-            and pset.surfaces == [sent.surfaces for sent in reference.sentences]
-            and list(map(len, pset.predictions)) == list(map(len, pset.surfaces))):
+    if (pset.sentence_ids == ids and pset.lengths == lengths
+            and pset.prediction_lengths == lengths and pset.tokens == tokens):
         return
     for sent, sid, surfaces, preds in zip(reference.sentences, pset.sentence_ids,
                                           pset.surfaces, pset.predictions):
@@ -214,17 +264,16 @@ def check_alignment(pset, reference):
 
 
 def ensemble_corpus(sets, reference, config=VoteConfig()):
-    """Vote every token across ``sets`` at once (``_tally``), repair each
-    voted sentence, and return (label lists, diagnostics)."""
+    """Vote every token across ``sets`` at once (``_tally``) on their label
+    and score columns, repair each voted sentence, and return (label
+    lists, diagnostics)."""
     if len(sets) < 2:
         raise EnsembleError(f"need at least 2 prediction sets, got {len(sets)}")
+    columns = _reference_columns(reference)
     for pset in sets:
-        check_alignment(pset, reference)
+        _check_alignment(pset, reference, columns)
 
-    columns = [(list(chain.from_iterable(p.labels for p in pset.predictions)),
-                list(chain.from_iterable(p.scores for p in pset.predictions)))
-               for pset in sets]
-    voted, surviving, outcome, support = _tally(columns, config)
+    voted, surviving, outcome, support = _tally([(p.labels, p.scores) for p in sets], config)
     surviving, support = surviving.tolist(), support.tolist()
     outcomes = np.array(OUTCOMES, dtype=object)[outcome].tolist()
     diagnostics = EnsembleDiagnostics(config, [p.model_id for p in sets])
@@ -319,21 +368,17 @@ def write_prediction_file(corpus, predictions, include_gold=True):
 
 
 def read_prediction_file(text):
-    """Parse prediction text into an unnamed PredictionSet: per sentence,
-    its id, its surfaces and its SentencePredictions.
+    """Parse prediction text into an unnamed PredictionSet of the file's
+    columns: sentence ids and lengths, and every token's surface, label and
+    score.
 
     Rows carry 4 columns (token gold predicted score) or 3 (token predicted
     score); the two may not be mixed within one file. A gold column is
     checked against the BIO grammar but not kept. The reader is
     ``parse_conll``'s, so blocks, ids and surfaces follow the corpus rules,
-    NFC included: each block is checked a column at a time, and a block
+    NFC included: the whole file is checked a column at a time, and a file
     that fails is read again row by row, which names the first faulty row.
     """
-    sentence_ids, all_surfaces, all_predictions = [], [], []
-    blocks = _read_blocks(text, "prediction file", _PREDICTION_FORMAT, set())
-    for sid, (surfaces, _, labels, scores) in blocks:
-        sentence_ids.append(sid)
-        # a tuple, as Sentence.surfaces is: check_alignment compares the two
-        all_surfaces.append(surfaces)
-        all_predictions.append(SentencePredictions(labels, scores))
-    return PredictionSet(None, all_predictions, sentence_ids, all_surfaces)
+    ids, lengths, (tokens, _, labels, scores) = _read_columns(
+        text, "prediction file", _PREDICTION_FORMAT, set())
+    return _read_set(ids, lengths, tokens, labels, scores)

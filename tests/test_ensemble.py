@@ -4,7 +4,6 @@ reference, vote invariants, alignment errors, and the prediction file
 format."""
 
 import unicodedata
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -321,11 +320,46 @@ class TestEnsembleCorpus:
 
         # three prediction lists but two ids (or two surface tuples)
         for column, what in (("sentence_ids", "sentence ids"), ("surfaces", "surface tuples")):
-            stubby = replace(sets[0], model_id="stubby",
-                             **{column: getattr(sets[0], column)[:-1]})
+            lists = {name: getattr(sets[0], name)
+                     for name in ("predictions", "sentence_ids", "surfaces")}
+            lists[column] = lists[column][:-1]
+            stubby = PredictionSet("stubby", **lists)
             with pytest.raises(EnsembleError,
                                match=f"^model 'stubby': 2 {what}, reference has 3$"):
                 ensemble_corpus([sets[0], stubby], corpus)
+
+    def test_every_alignment_message(self):
+        # check_alignment compares whole columns and walks the sentences
+        # only to name a fault; each message is pinned, through
+        # check_alignment and ensemble_corpus alike
+        corpus = parse_conll("# a\nx B-PER\ny O\n\n# b\nz O\n")
+        preds = [sentence_predictions([("B-PER", 0.9), ("O", 0.8)]),
+                 sentence_predictions([("O", 0.7)])]
+        ids, surfaces = ["a", "b"], [("x", "y"), ("z",)]
+        good = PredictionSet("g", preds, ids, surfaces)
+        check_alignment(good, corpus)
+        three = [preds[0], sentence_predictions([("O", 0.7), ("O", 0.6)])]
+        cases = [
+            (PredictionSet("m", preds[:1], ids, surfaces), "1 sentences, reference has 2"),
+            (PredictionSet("m", preds, ids[:1], surfaces), "1 sentence ids, reference has 2"),
+            (PredictionSet("m", preds, ids, surfaces[:1]), "1 surface tuples, reference has 2"),
+            (PredictionSet("m", preds, ["a", "c"], surfaces),
+             "sentence 'c' where reference has 'b'"),
+            (PredictionSet("m", preds, ids, [("x", "w"), ("z",)]),
+             "sentence 'a' tokens do not match the reference corpus"),
+            # every token in order, cut into other sentences
+            (read_prediction_file("# a\nx O 0.9\n\n# b\ny O 0.8\nz O 0.7\n"),
+             "sentence 'a' tokens do not match the reference corpus"),
+            (PredictionSet("m", three, ids, surfaces),
+             "sentence 'b' has 2 predictions for 1 tokens"),
+        ]
+        for pset, message in cases:
+            pset = pset.to_set("m")
+            for check in (lambda: check_alignment(pset, corpus),
+                          lambda: ensemble_corpus([good, pset], corpus)):
+                with pytest.raises(EnsembleError) as info:
+                    check()
+                assert str(info.value) == f"model 'm': {message}"
 
     def test_diagnostics_counts_and_render(self):
         rng = np.random.default_rng(8)

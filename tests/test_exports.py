@@ -55,6 +55,10 @@ ORACLE_ENTRY_POINTS = {
     # the Ensemble oracle votes label pools holding a lone I-PER, which
     # ensemble_corpus would BIO-repair to B-PER
     "majority_vote",
+    # the Augmentation oracle compares the chunks of tags before and after
+    # translation; the package scans only tags it has checked already
+    # (_scan_chunks), and repair_bio makes its own one-pass scan
+    "extract_chunks",
 }
 
 
@@ -130,13 +134,17 @@ def test_only_the_allocator_draws_parameters():
 
 
 def test_only_the_checking_modules_build_unchecked_sentences():
-    # _checked_sentence skips Sentence's checks, so only the modules that
-    # check the columns they make (the block reader's and augmentation's)
-    # may call it
+    # _checked_sentence skips Sentence's checks and _checked_corpus
+    # LabeledCorpus's, so only the modules that check what they build (the
+    # reader's and augmentation's) may call them, or name them at all
+    # (map(_checked_sentence, ...) calls it too)
     root = Path(__file__).resolve().parents[1]
     paths = (sorted((root / "src" / "seqtag").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
              + sorted((root / "perfbench").glob("*.py")))
-    callers = sorted({str(path.relative_to(root)) for path in paths
-                      if _calls(ast.parse(path.read_text(encoding="utf-8")),
-                                ("_checked_sentence",))})
-    assert callers == ["src/seqtag/augment.py", "src/seqtag/corpus.py"]
+    trees = {str(path.relative_to(root)): ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    for constructor in ("_checked_sentence", "_checked_corpus"):
+        readers = sorted({path for path, tree in trees.items() for node in ast.walk(tree)
+                          if constructor in (getattr(node, "id", None),
+                                             getattr(node, "attr", None))})
+        assert readers == ["src/seqtag/augment.py", "src/seqtag/corpus.py"], constructor

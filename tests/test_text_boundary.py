@@ -13,6 +13,7 @@ import random
 import tracemalloc
 import unicodedata
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -194,10 +195,11 @@ class TestRowFaults:
 
     def test_surface_that_normalizes_to_whitespace_is_rejected(self, monkeypatch):
         # NFC maps no non-space character to a space; the parser checks anyway
+        # (an ASCII input is not normalized, so the first surface is not ASCII)
         monkeypatch.setattr(corpus_module, "_normalize",
                             lambda s: "x y" if s == "b" else s)
         with pytest.raises(ParseError) as info:
-            parse_conll("a O\nb O\n")
+            parse_conll("\u00e9 O\nb O\n")
         assert str(info.value) == (
             "line 2: token surface 'x y' is empty or contains whitespace")
 
@@ -205,8 +207,8 @@ class TestRowFaults:
         # NFC maps no character to '#' either; both readers name the row
         monkeypatch.setattr(corpus_module, "_normalize",
                             lambda s: "#b" if s == "b" else s)
-        for read, text in ((parse_conll, "a O\nb O\n"),
-                           (read_prediction_file, "a O 0.5\nb O 0.5\n")):
+        for read, text in ((parse_conll, "\u00e9 O\nb O\n"),
+                           (read_prediction_file, "\u00e9 O 0.5\nb O 0.5\n")):
             with pytest.raises(ParseError) as info:
                 read(text)
             assert str(info.value) == (
@@ -271,12 +273,16 @@ CORPUS_COLUMNS = list(LEAST_COLUMNS)
 COLUMN_IDS = ["labeled", "pos1", "unlabeled", "unlabeled-pos2"]
 
 
-def random_corpus_text(r, columns):
+def random_corpus_text(r, columns, uniform=False):
     """A random valid corpus under ``columns``: NFC-rewritten surfaces, pos
     tags in ``columns.pos_col``, and zero to two extra columns a row, so
-    that the rows of a block may differ in width (``random_conll_text``)."""
+    that rows may differ in width, or the same count on every row when
+    ``uniform`` (``random_conll_text``)."""
+    width = LEAST_COLUMNS[columns] + r.choice([0, 0, 1, 2]) if uniform else None
+
     def row_fields():
-        fields = [r.choice(EXTRAS) for _ in range(LEAST_COLUMNS[columns] + r.choice([0, 0, 1, 2]))]
+        fields = [r.choice(EXTRAS) for _ in range(
+            width or LEAST_COLUMNS[columns] + r.choice([0, 0, 1, 2]))]
         fields[0] = r.choice(SURFACES)
         if columns.pos_col is not None:
             fields[columns.pos_col] = r.choice(POS_TAGS)
@@ -288,10 +294,10 @@ def random_corpus_text(r, columns):
 
 
 def read_row_by_row(text, monkeypatch):
-    """``read_prediction_file`` with every block read by the per-row
+    """``read_prediction_file`` with the whole input read by the per-row
     reference path."""
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_block_bulk", lambda *args: None)
+        patch.setattr(corpus_module, "_read_bulk", lambda *args: None)
         return read_prediction_file(text)
 
 
@@ -305,11 +311,28 @@ def outcome(read, text):
 
 
 def parse_row_by_row(text, columns, monkeypatch):
-    """``parse_conll`` with every block read by the per-row reference
+    """``parse_conll`` with the whole input read by the per-row reference
     path."""
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_block_bulk", lambda *args: None)
+        patch.setattr(corpus_module, "_read_bulk", lambda *args: None)
         return parse_conll(text, columns)
+
+
+def count_row_reads(monkeypatch):
+    """The list that gains one entry per call of the per-row reader."""
+    reads = []
+    real_rows = corpus_module._read_rows
+    monkeypatch.setattr(corpus_module, "_read_rows",
+                        lambda *args: reads.append(args) or real_rows(*args))
+    return reads
+
+
+def flat_blocks(blocks):
+    """``reference_conll_blocks`` as ``_conll_blocks`` gives them: (ids,
+    lengths, token lines, line numbers), one list each."""
+    return ([sid for sid, _, _ in blocks], [len(lines) for _, _, lines in blocks],
+            [line for _, _, lines in blocks for line in lines],
+            [number for _, numbers, _ in blocks for number in numbers])
 
 
 def parsed(parse, text):
@@ -322,25 +345,22 @@ def parsed(parse, text):
 class TestBulkReader:
     @pytest.mark.parametrize("width", [3, 4])
     def test_valid_files_read_as_row_by_row(self, width, monkeypatch):
-        rows_read = []
-        real_rows = corpus_module._block_rows
-        monkeypatch.setattr(corpus_module, "_block_rows",
-                            lambda *args: rows_read.append(args) or real_rows(*args))
+        rows_read = count_row_reads(monkeypatch)
         r = random.Random(width)
         for _ in range(300):
             text = random_prediction_text(r, width)
             blocks = reference_conll_blocks(text)
-            assert [(sid, list(numbers), lines)
-                    for sid, numbers, lines in corpus_module._conll_blocks(text)] == blocks
+            ids, lengths, rows, numbers = corpus_module._conll_blocks(text, not text.isascii())
+            assert (ids, lengths, rows.split("\n"), list(numbers)) == flat_blocks(blocks)
             expected = ([sid for sid, _, _ in blocks],
                         [tuple(unicodedata.normalize("NFC", line.split()[0]) for line in lines)
                          for _, _, lines in blocks],
                         [tuple(line.split()[-2] for line in lines) for _, _, lines in blocks],
                         [[float(line.split()[-1]) for line in lines] for _, _, lines in blocks])
             assert outcome(read_prediction_file, text) == expected
-            assert rows_read == []  # every block passed the bulk checks
+            assert rows_read == []  # the whole file passed the bulk checks
             assert outcome(lambda t: read_row_by_row(t, monkeypatch), text) == expected
-            assert len(rows_read) == len(blocks)
+            assert len(rows_read) == 1
             rows_read.clear()
 
     @pytest.mark.parametrize("width", [3, 4])
@@ -373,19 +393,16 @@ class TestBulkReader:
 
     @pytest.mark.parametrize("columns", CORPUS_COLUMNS, ids=COLUMN_IDS)
     def test_valid_corpora_parse_as_row_by_row(self, columns, monkeypatch):
-        rows_read = []
-        real_rows = corpus_module._block_rows
-        monkeypatch.setattr(corpus_module, "_block_rows",
-                            lambda *args: rows_read.append(args) or real_rows(*args))
+        rows_read = count_row_reads(monkeypatch)
         r = random.Random(20 + CORPUS_COLUMNS.index(columns))
         mixed = 0
-        for _ in range(300):
-            text = random_corpus_text(r, columns)
+        for k in range(300):
+            text = random_corpus_text(r, columns, uniform=k % 2 == 0)
             blocks = reference_conll_blocks(text)
             corpus = parse_conll(text, columns)
-            # only a block whose rows differ in width is read row by row
-            assert len(rows_read) == sum(len({len(line.split()) for line in lines}) > 1
-                                         for _, _, lines in blocks)
+            # an input with mixed widths is read row by row
+            widths = {len(line.split()) for _, _, lines in blocks for line in lines}
+            assert len(rows_read) == (len(widths) > 1)
             mixed += len(rows_read)
             assert [(s.id, s.surfaces) for s in corpus.sentences] == [
                 (sid, tuple(unicodedata.normalize("NFC", line.split()[0]) for line in lines))
@@ -395,21 +412,22 @@ class TestBulkReader:
                     tuple(line.split()[-1] for line in lines) for _, _, lines in blocks]
             rows_read.clear()
             assert parse_row_by_row(text, columns, monkeypatch) == corpus
-            assert len(rows_read) == len(blocks)
+            assert len(rows_read) == 1
             rows_read.clear()
-        assert mixed > 100
+        assert 100 < mixed < 200
 
     @pytest.mark.parametrize("columns", [c for c in CORPUS_COLUMNS if c.labeled or c.pos_col],
                              ids=["labeled", "pos1", "unlabeled-pos2"])
     def test_faulty_corpora_fail_as_row_by_row(self, columns, monkeypatch):
-        # NFC never rewrites a surface into one with whitespace; "MARK" is
-        # made to, so that a row can fail the surface check
-        monkeypatch.setattr(corpus_module, "_normalize", lambda s: "M K" if s == "MARK"
+        # NFC never rewrites a surface into one with whitespace; "MARK\u00e9"
+        # is made to, so that a row can fail the surface check (and is not
+        # ASCII, so that the input is normalized)
+        monkeypatch.setattr(corpus_module, "_normalize", lambda s: "M K" if s == "MARK\u00e9"
                             else unicodedata.normalize("NFC", s))
         least = LEAST_COLUMNS[columns]
         r = random.Random(30 + CORPUS_COLUMNS.index(columns))
-        for _ in range(300):
-            lines = random_corpus_text(r, columns).split("\n")
+        for k in range(300):
+            lines = random_corpus_text(r, columns, uniform=k % 2 == 0).split("\n")
             rows = [i for i, line in enumerate(lines)
                     if line.strip() and not line.strip().startswith("#")]
             at = r.choice(rows)
@@ -420,7 +438,7 @@ class TestBulkReader:
             elif fault == "drop":
                 fields = fields[:r.randint(1, least - 1)]
             elif fault == "surface":
-                fields[0] = "MARK"
+                fields[0] = "MARK\u00e9"
             lines[at] = " ".join(fields)
             if fault == "block":  # every row of the block too narrow, all alike
                 block = {at}
@@ -436,6 +454,47 @@ class TestBulkReader:
             bulk = parsed(lambda t: parse_conll(t, columns), text)
             assert isinstance(bulk[0], str)
             assert bulk == parsed(lambda t: parse_row_by_row(t, columns, monkeypatch), text)
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_columns_equal_the_flattened_views(self, width):
+        r = random.Random(40 + width)
+        for _ in range(100):
+            data = read_prediction_file(random_prediction_text(r, width))
+            assert data.lengths is data.prediction_lengths
+            assert data.lengths == [len(s) for s in data.surfaces] == [
+                len(p) for p in data.predictions]
+            assert data.tokens == tuple(chain.from_iterable(data.surfaces))
+            assert data.labels == tuple(chain.from_iterable(p.labels for p in data.predictions))
+            assert data.scores == list(chain.from_iterable(p.scores for p in data.predictions))
+            assert list(map(type, (data.tokens, data.labels, data.scores))) == [tuple, tuple, list]
+            # a set built from the views holds the same columns
+            public = PredictionSet(None, data.predictions, data.sentence_ids, data.surfaces)
+            assert [getattr(public, name) for name in PredictionSet.__slots__] == [
+                getattr(data, name) for name in PredictionSet.__slots__]
+
+    def test_only_a_non_ascii_input_is_normalized(self, monkeypatch):
+        nfd = unicodedata.normalize("NFD", "\u00e9")
+        text = f"# {nfd}1\nx{nfd} O\ny B-PER\n\n# plain\nA\u030angstrom O\nz O\n"
+        corpus = parse_conll(text)
+        assert [s.id for s in corpus.sentences] == ["\u00e91", "plain"]
+        assert [s.surfaces for s in corpus.sentences] == [("x\u00e9", "y"), ("\u00c5ngstrom", "z")]
+        for width in (3, 4):  # a prediction file, rows alike
+            data = read_prediction_file("\n".join(
+                line if not line or line.startswith("#")
+                else line.replace(" ", " O " if width == 4 else " ") + " 0.5"
+                for line in text.split("\n")))
+            assert data.sentence_ids == [s.id for s in corpus.sentences]
+            assert data.surfaces == [s.surfaces for s in corpus.sentences]
+        calls = []
+        monkeypatch.setattr(corpus_module, "_normalize", lambda s: calls.append(s) or s)
+        parse_conll("# a\nx O\ny B-PER\n\nz O\n")
+        parse_conll("# a\nx e1 O\ny B-PER\n")  # read row by row
+        read_prediction_file("# a\nx O O 0.5\ny O B-PER 1\n\nz O O 0\n")
+        with pytest.raises(ParseError):  # read row by row
+            read_prediction_file("# a\nx O O 0.5\ny B-PER 1\n")
+        assert calls == []
+        parse_conll("# a\nx O\n\n# b\n\u00e9 O\n")
+        assert calls == ["a", "b", "x", "\u00e9"]
 
 
 # TokenPrediction's fields in a class of its own: the yardstick for what a
@@ -521,9 +580,9 @@ class TestTrustedRecords:
         text = "# s\n" + "a O O 0.500000\n" * self.N
         read_prediction_file(text)
         parsed = retained_bytes(lambda: read_prediction_file(text))
-        public = retained_bytes(lambda: PredictionSet(
-            None, [[PredictionFields("O", float("0.500000")) for _ in range(self.N)]],
-            ["s"], [tuple(["a" for _ in range(self.N)])]))
+        public = retained_bytes(lambda: (
+            ["s"], [self.N], tuple(["a" for _ in range(self.N)]),
+            [PredictionFields("O", float("0.500000")) for _ in range(self.N)]))
         assert parsed - public < 8 * self.N
 
     def test_translation_shares_unchanged_tokens(self):
