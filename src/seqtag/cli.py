@@ -196,10 +196,9 @@ def cmd_ensemble(args):
             for path in args.predictions]
     config = VoteConfig(args.threshold, args.majority_of)
     _, diagnostics = ensemble_corpus(sets, reference, config)
-    # each sentence's SentenceVotes writes its voted labels with their support
-    _write((args.out, write_prediction_file(
-        reference, [votes for _, votes in diagnostics.per_sentence])),
-        (diag_path, diagnostics.render()))
+    # the vote writes as its labels with their support
+    _write((args.out, write_prediction_file(reference, diagnostics.votes.predictions)),
+           (diag_path, diagnostics.render()))
     print(
         f"ensembled {len(sets)} models over {len(reference)} sentences "
         f"({diagnostics.n_fallbacks} non-majority tokens) -> {args.out}"

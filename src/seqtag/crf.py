@@ -66,10 +66,6 @@ class Transitions:
     def n_tags(self):
         return self.matrix.shape[0]
 
-    @classmethod
-    def zeros(cls, n_tags):
-        return cls(np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags))
-
     def penalized(self, matrix_penalty, start_penalty):
         return Transitions(self.matrix + matrix_penalty, self.start + start_penalty, self.end)
 

@@ -11,15 +11,16 @@ A model's predictions travel as corpus-wide columns (``PredictionSet``):
 a prediction file is read into them by the corpus module's reader, the
 one that reads corpora, given this module's row layout and checks; a set
 is held to its reference corpus column by column, the vote runs on every
-token of the corpus at once as arrays over those columns, and the
-diagnostics keep each token's result as per-sentence columns
-(``SentenceVotes``), which write as voted text.
+token of the corpus at once as arrays over those columns, and the vote
+is one more set, the reference's columns with the repaired labels and
+their support, which the diagnostics hold beside per-token columns of
+surviving vote counts and outcomes and which writes as voted text.
 """
 
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "EnsembleError",
     "VoteConfig",
     "PredictionSet",
-    "SentenceVotes",
     "EnsembleDiagnostics",
     "majority_vote",
     "check_alignment",
@@ -73,8 +73,8 @@ class PredictionSet:
     ``PredictionSet(model_id, predictions, sentence_ids, surfaces)`` takes
     per-sentence lists: SentencePredictions-like columns and surface
     tuples. ``predictions`` and ``surfaces`` read them back, built from
-    the columns on demand. ``read_prediction_file`` returns a set with no
-    ``model_id``; ``to_set`` names it."""
+    the columns on demand. ``read_prediction_file`` and ``ensemble_corpus``
+    (its vote) return sets with no ``model_id``; ``to_set`` names one."""
 
     __slots__ = ("model_id", "sentence_ids", "lengths", "prediction_lengths", "tokens",
                  "labels", "scores")
@@ -105,8 +105,8 @@ class PredictionSet:
 
 
 def _read_set(sentence_ids, lengths, tokens, labels, scores):
-    """The unnamed PredictionSet of columns a prediction file was read
-    into, one prediction a surface."""
+    """The unnamed PredictionSet of these columns, one prediction a
+    surface: those a prediction file was read into, or a vote's."""
     pset = object.__new__(PredictionSet)
     pset.model_id = None
     pset.sentence_ids, pset.tokens, pset.labels, pset.scores = sentence_ids, tokens, labels, scores
@@ -179,28 +179,30 @@ def majority_vote(votes, config=VoteConfig()):
     return _tally([([v.label], [v.score]) for v in votes], config)[0][0]
 
 
-@dataclass(slots=True)
-class SentenceVotes(SentencePredictions):
-    """One sentence's vote as columns: the final (post-repair) ``labels``,
-    each one's support as ``scores`` (the mean surviving score behind the
-    winning label, 0.0 for an empty vote), and each token's surviving vote
-    count and outcome (majority | fallback | empty). As a
-    SentencePredictions it writes as the voted prediction text."""
-
-    surviving: list
-    outcomes: tuple
-
-
 @dataclass
 class EnsembleDiagnostics:
+    """An ``ensemble_corpus`` vote: its config, the model ids in vote
+    order, ``votes`` (a PredictionSet over the reference's columns of each
+    token's final, post-repair label with its support as its score: the
+    mean surviving score behind it, 0.0 for an empty vote), and per token
+    as arrays its ``surviving`` vote count and ``outcome`` (an index into
+    OUTCOMES)."""
+
     config: VoteConfig
     model_ids: list
-    per_sentence: list = field(default_factory=list)  # (sentence_id, SentenceVotes)
+    votes: PredictionSet
+    surviving: np.ndarray
+    outcome: np.ndarray
+
+    @property
+    def per_sentence(self):
+        """(sentence id, SentencePredictions) of each voted sentence, read
+        from ``votes``. Only perfbench reads it; ROADMAP 10B(m) deletes it."""
+        return list(zip(self.votes.sentence_ids, self.votes.predictions))
 
     @property
     def n_fallbacks(self):
-        return sum(len(v.outcomes) - v.outcomes.count("majority")
-                   for _, v in self.per_sentence)
+        return int(np.count_nonzero(self.outcome != OUTCOMES.index("majority")))
 
     def render(self):
         lines = [
@@ -210,10 +212,13 @@ class EnsembleDiagnostics:
             f"# models {','.join(self.model_ids)}",
             f"# non_majority_tokens {self.n_fallbacks}",
         ]
-        for sid, votes in self.per_sentence:
+        votes = self.votes
+        rows = map(" ".join, zip(map(str, chain.from_iterable(map(range, votes.lengths))),
+                                 votes.labels, map(str, self.surviving.tolist()),
+                                 map(OUTCOMES.__getitem__, self.outcome.tolist())))
+        for sid, n in zip(votes.sentence_ids, votes.lengths):
             lines.append(f"# sentence {sid}")
-            lines.extend(map(" ".join, zip(map(str, range(len(votes))), votes.labels,
-                                           map(str, votes.surviving), votes.outcomes)))
+            lines.extend(islice(rows, n))
         return "\n".join(lines) + "\n"
 
 
@@ -274,19 +279,11 @@ def ensemble_corpus(sets, reference, config=VoteConfig()):
         _check_alignment(pset, reference, columns)
 
     voted, surviving, outcome, support = _tally([(p.labels, p.scores) for p in sets], config)
-    surviving, support = surviving.tolist(), support.tolist()
-    outcomes = np.array(OUTCOMES, dtype=object)[outcome].tolist()
-    diagnostics = EnsembleDiagnostics(config, [p.model_id for p in sets])
-    all_labels = []
-    a = 0
-    for sent in reference.sentences:
-        b = a + len(sent)
-        repaired = repair_bio(voted[a:b])
-        all_labels.append(repaired)
-        diagnostics.per_sentence.append((sent.id, SentenceVotes(
-            tuple(repaired), support[a:b], surviving[a:b], tuple(outcomes[a:b]))))
-        a = b
-    return all_labels, diagnostics
+    ids, lengths, tokens = columns
+    labels = list(map(repair_bio, map(voted.__getitem__, _cuts(lengths))))
+    votes = _read_set(ids, lengths, tokens, tuple(chain.from_iterable(labels)), support.tolist())
+    return labels, EnsembleDiagnostics(config, [p.model_id for p in sets], votes, surviving,
+                                       outcome)
 
 
 def _prediction_layout(n, layouts):
@@ -333,8 +330,8 @@ _PREDICTION_FORMAT = _prediction_layout, (
 
 def write_prediction_file(corpus, predictions, include_gold=True):
     """Render per-sentence prediction columns (anything with ``labels`` and
-    ``scores``, such as SentencePredictions or SentenceVotes) as
-    CoNLL-style text: `# id` headers and `token [gold] predicted score`
+    ``scores``: SentencePredictions, or a PredictionSet's ``predictions``,
+    a vote's included) as CoNLL-style text: `# id` headers and `token [gold] predicted score`
     rows, blank line between sentences. Raises EnsembleError, naming the
     sentence, on a label outside the BIO grammar or a score outside
     [0, 1]."""

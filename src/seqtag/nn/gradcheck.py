@@ -34,12 +34,6 @@ class GradCheckReport:
     def passed(self, tolerance):
         return self.max_rel_err < tolerance
 
-    def render(self):
-        width = max((len(n) for n in self.per_param), default=4)
-        lines = [f"{name:<{width}}  {err:.3e}" for name, err in sorted(self.per_param.items())]
-        lines.append(f"{'max':<{width}}  {self.max_rel_err:.3e}")
-        return "\n".join(lines)
-
 
 def gradient_check(loss_fn, store):
     """Check every scalar in ``store`` by central differences.

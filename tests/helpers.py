@@ -10,6 +10,7 @@ import unicodedata
 import numpy as np
 
 from seqtag.corpus import LabeledCorpus, Sentence, TagSet
+from seqtag.crf import Transitions
 from seqtag.tagger import SentencePredictions
 
 
@@ -205,6 +206,11 @@ def reference_conll_blocks(text):
                 blocks.append((sid, numbers, lines))
             sid, numbers, lines = None, [], []
     return blocks
+
+
+def zero_transitions(n_tags):
+    """Transitions of ``n_tags`` tags whose every score is 0."""
+    return Transitions(np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags))
 
 
 def sentence_predictions(records):

@@ -21,6 +21,7 @@ from helpers import (
     reference_crf_alphas,
     reference_crf_betas,
     reference_viterbi_decode,
+    zero_transitions,
 )
 
 
@@ -44,13 +45,13 @@ def one(emis):
 class TestLogPartition:
     def test_uniform_two_by_two(self):
         emis = np.zeros((2, 2))
-        trans = Transitions.zeros(2)
+        trans = zero_transitions(2)
         assert log_partition(emis, trans, one(emis))[0] == pytest.approx(math.log(4.0),
                                                                          abs=1e-12)
 
     def test_single_position_closed_form(self):
         emis = np.array([[0.3, -1.2, 2.0]])
-        trans = Transitions.zeros(3)
+        trans = zero_transitions(3)
         expected = math.log(sum(math.exp(v) for v in emis[0]))
         assert log_partition(emis, trans, one(emis))[0] == pytest.approx(expected, abs=1e-12)
 
@@ -72,7 +73,7 @@ class TestLogPartition:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            log_partition(np.zeros((2, 3)), Transitions.zeros(2), RowLayout([2]))
+            log_partition(np.zeros((2, 3)), zero_transitions(2), RowLayout([2]))
         with pytest.raises(ValueError, match=r"^transition matrix must be square, got \(2, 3\)$"):
             Transitions(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
         for start, end in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros((2, 1)))):
@@ -81,7 +82,7 @@ class TestLogPartition:
 
     def test_stable_for_large_scores(self):
         emis = np.full((5, 3), 1e3)
-        trans = Transitions.zeros(3)
+        trans = zero_transitions(3)
         (value,) = log_partition(emis, trans, one(emis))
         assert np.isfinite(value)
         assert value == pytest.approx(5e3 + 5 * math.log(3), rel=1e-12)
@@ -91,7 +92,7 @@ class TestViterbi:
     def test_zero_transitions_is_positionwise_argmax(self):
         rng = np.random.default_rng(0)
         emis = rng.normal(size=(6, 4))
-        trans = Transitions.zeros(4)
+        trans = zero_transitions(4)
         path, _ = viterbi(emis, trans, one(emis))
         assert path.tolist() == list(np.argmax(emis, axis=1))
         assert path.dtype == np.int64
@@ -121,14 +122,14 @@ class TestViterbi:
 
     def test_ties_break_toward_lower_index(self):
         emis = np.zeros((3, 3))
-        trans = Transitions.zeros(3)
+        trans = zero_transitions(3)
         path, _ = viterbi(emis, trans, one(emis))
         assert path.tolist() == [0, 0, 0]
 
     def test_ties_break_toward_lower_index_in_a_packed_batch(self):
         layout = RowLayout([3, 7, 1, 5])
         emis = np.zeros((16, 4))
-        path, scores = viterbi(emis, Transitions.zeros(4), layout)
+        path, scores = viterbi(emis, zero_transitions(4), layout)
         assert path.tolist() == [0] * 16
         assert scores.tolist() == [0.0] * 4
 
@@ -182,7 +183,7 @@ class TestViterbi:
 class TestMarginals:
     def test_uniform_symmetry(self):
         emis = np.zeros((3, 2))
-        trans = Transitions.zeros(2)
+        trans = zero_transitions(2)
         np.testing.assert_allclose(crf_marginals(emis, trans, one(emis)), 0.5, atol=1e-12)
 
     def test_single_position_softmax(self):
@@ -264,7 +265,7 @@ class TestNllGrad:
         assert per_chain[1] > 0
 
     def test_row_count_disagreeing_with_the_layout(self):
-        emis, trans, layout = np.zeros((3, 2)), Transitions.zeros(2), RowLayout([2])
+        emis, trans, layout = np.zeros((3, 2)), zero_transitions(2), RowLayout([2])
         gold = np.zeros(3, dtype=np.int64)
         for call in (lambda: log_partition(emis, trans, layout),
                      lambda: viterbi(emis, trans, layout),
@@ -279,11 +280,11 @@ class TestNllGrad:
         gold = [0, 2, 1, 1]
         emis = np.full((n, n_tags), -100.0)
         emis[np.arange(n), gold] = 100.0
-        (loss,), *_ = crf_nll_grad(emis, Transitions.zeros(n_tags), gold, one(emis))
+        (loss,), *_ = crf_nll_grad(emis, zero_transitions(n_tags), gold, one(emis))
         assert 0.0 <= loss < 1e-6
 
     def test_uniform_loss_log4(self):
-        (loss,), *_ = crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0, 1], RowLayout([2]))
+        (loss,), *_ = crf_nll_grad(np.zeros((2, 2)), zero_transitions(2), [0, 1], RowLayout([2]))
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_gold_probability_in_unit_interval(self):
@@ -353,11 +354,11 @@ class TestNllGrad:
 
     def test_out_of_range_gold(self):
         with pytest.raises(ValueError, match="range"):
-            crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0, 5], RowLayout([2]))
+            crf_nll_grad(np.zeros((2, 2)), zero_transitions(2), [0, 5], RowLayout([2]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            crf_nll_grad(np.zeros((2, 2)), Transitions.zeros(2), [0], RowLayout([2]))
+            crf_nll_grad(np.zeros((2, 2)), zero_transitions(2), [0], RowLayout([2]))
 
 
 class TestBioConstraints:
@@ -378,7 +379,7 @@ class TestBioConstraints:
         matrix_pen, start_pen = bio_constraint_penalty(tagset)
         for _ in range(50):
             emis = rng.normal(scale=3.0, size=(5, len(tagset)))
-            trans = Transitions.zeros(len(tagset)).penalized(matrix_pen, start_pen)
+            trans = zero_transitions(len(tagset)).penalized(matrix_pen, start_pen)
             path, _ = viterbi(emis, trans, one(emis))
             labels = [tagset.labels[i] for i in path.tolist()]
             from seqtag.corpus import validate_bio
@@ -524,7 +525,7 @@ class TestKernelsAgainstLogSpaceOracle:
         emis = np.zeros((2, 3))
         emis[0, [b, i]] = -800.0
         emis[1, i] = 2000.0
-        trans = Transitions.zeros(3).penalized(*bio_constraint_penalty(tagset))
+        trans = zero_transitions(3).penalized(*bio_constraint_penalty(tagset))
         start = trans.start + emis[0]
         colmax = trans.matrix.max(axis=0)
         product = np.exp(start - start.max()) @ np.exp(trans.matrix - colmax)

@@ -12,7 +12,7 @@ import pytest
 from seqtag import ensemble as ensemble_module
 from seqtag.corpus import parse_conll, repair_bio, validate_bio
 from seqtag.ensemble import (
-    EnsembleDiagnostics,
+    OUTCOMES,
     EnsembleError,
     PredictionSet,
     VoteConfig,
@@ -42,7 +42,11 @@ class TestVoteConfig:
         cfg = VoteConfig()
         assert cfg.score_threshold == 0.5
         assert cfg.majority_of == "models"
-        assert EnsembleDiagnostics(cfg, ["a", "b"]).render().splitlines()[:4] == [
+        corpus = parse_conll("# s\nx O\n")
+        sets = [PredictionSet(m, [sentence_predictions([("O", 0.9)])], ["s"], [("x",)])
+                for m in "ab"]
+        _, diagnostics = ensemble_corpus(sets, corpus, cfg)
+        assert diagnostics.render().splitlines()[:4] == [
             "# threshold 0.5", "# fallback highest-total-score",
             "# majority_of models", "# models a,b",
         ]
@@ -90,16 +94,14 @@ class TestMajorityVote:
         v = votes(("B-PER", 0.9), ("B-PER", 0.8), ("O", 0.2), ("O", 0.2),
                   ("O", 0.2))
         assert majority_vote(v) == "B-PER"  # via fallback, not majority
-        _, diag = _single_token_ensemble(v)
-        assert diag.outcomes == ("fallback",)
+        assert _single_token_ensemble(v)[2] == "fallback"
 
     def test_survivor_denominator_switch(self):
         v = votes(("B-PER", 0.9), ("B-PER", 0.8), ("O", 0.2), ("O", 0.2),
                   ("O", 0.2))
         cfg = VoteConfig(majority_of="survivors")
         assert majority_vote(v, cfg) == "B-PER"
-        _, diag = _single_token_ensemble(v, cfg)
-        assert diag.outcomes == ("majority",)
+        assert _single_token_ensemble(v, cfg)[2] == "majority"
 
     def test_empty_vote_list_rejected(self):
         with pytest.raises(EnsembleError, match="empty"):
@@ -115,7 +117,7 @@ class TestMajorityVote:
 
 def _single_token_ensemble(token_votes, config=VoteConfig()):
     """Run ensemble_corpus over one single-token sentence and return its
-    label and its SentenceVotes."""
+    label, surviving vote count and outcome."""
     corpus = random_corpus(np.random.default_rng(0), 1, min_len=1, max_len=1)
     sent = corpus.sentences[0]
     sets = [
@@ -123,7 +125,7 @@ def _single_token_ensemble(token_votes, config=VoteConfig()):
         for i, v in enumerate(token_votes)
     ]
     labels, diags = ensemble_corpus(sets, corpus, config)
-    return labels[0][0], diags.per_sentence[0][1]
+    return labels[0][0], int(diags.surviving[0]), OUTCOMES[diags.outcome[0]]
 
 
 # the four configurations the voted text and .diag digests were compared under
@@ -179,15 +181,18 @@ class TestWholeCorpusVote:
 
             voted, diagnostics = ensemble_corpus(sets, corpus, config)
             at = 0
-            for sent, repaired, (sid, votes) in zip(corpus.sentences, voted,
-                                                    diagnostics.per_sentence):
-                ref = reference[at:at + len(sent)]
+            for sent, repaired in zip(corpus.sentences, voted):
+                assert repaired == repair_bio([r[0] for r in reference[at:at + len(sent)]])
                 at += len(sent)
-                assert sid == sent.id
-                assert repaired == repair_bio([r[0] for r in ref]) == list(votes.labels)
-                assert votes.surviving == [r[1] for r in ref]
-                assert votes.outcomes == tuple(r[2] for r in ref)
-                assert [float.hex(x) for x in votes.scores] == [float.hex(r[3]) for r in ref]
+            # the vote is one set over the reference's columns
+            votes = diagnostics.votes
+            assert votes.sentence_ids == [sent.id for sent in corpus.sentences]
+            assert votes.lengths == votes.prediction_lengths == list(map(len, corpus.sentences))
+            assert votes.tokens == tuple(chain.from_iterable(s.surfaces for s in corpus.sentences))
+            assert list(votes.labels) == list(chain.from_iterable(voted))
+            assert diagnostics.surviving.tolist() == [r[1] for r in reference]
+            assert [OUTCOMES[o] for o in diagnostics.outcome] == [r[2] for r in reference]
+            assert [float.hex(x) for x in votes.scores] == [float.hex(r[3]) for r in reference]
             for v, (_, _, result, _) in zip(token_votes, reference):
                 seen["empty"] += result == "empty"
                 seen["at threshold"] += any(x.score == config.score_threshold for x in v)
@@ -206,8 +211,7 @@ class TestWholeCorpusVote:
         # a lone I-PER majority stays I-PER
         v = votes(("I-PER", 0.9), ("I-PER", 0.8), ("O", 0.7))
         assert majority_vote(v) == "I-PER"
-        label, diag = _single_token_ensemble(v)
-        assert (label, diag.surviving, diag.outcomes) == ("B-PER", [3], ("majority",))
+        assert _single_token_ensemble(v) == ("B-PER", 3, "majority")
 
 
 class TestEnsembleCorpus:
@@ -244,10 +248,7 @@ class TestEnsembleCorpus:
 
         for got, sent_preds in zip(labels, base.predictions):
             assert got == repair_bio([p.label for p in sent_preds])
-        assert all(
-            outcome == "majority"
-            for _, ds in diags.per_sentence for outcome in ds.outcomes
-        )
+        assert {OUTCOMES[o] for o in diags.outcome} == {"majority"}
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2024)
@@ -366,10 +367,7 @@ class TestEnsembleCorpus:
         corpus = random_corpus(rng, 4)
         sets = self.build_sets(rng, corpus, 3)
         _, diags = ensemble_corpus(sets, corpus)
-        manual = sum(
-            1 for _, ds in diags.per_sentence for outcome in ds.outcomes
-            if outcome != "majority"
-        )
+        manual = sum(OUTCOMES[o] != "majority" for o in diags.outcome)
         assert diags.n_fallbacks == manual
         text = diags.render()
         assert text.startswith("# threshold 0.5\n")
@@ -377,6 +375,23 @@ class TestEnsembleCorpus:
         assert f"# non_majority_tokens {manual}" in text
         for sent in corpus.sentences:
             assert f"# sentence {sent.id}" in text
+
+    def test_vote_writes_as_its_set(self):
+        # the vote is a PredictionSet over the reference: written, it reads
+        # back as the same columns, scores to the writer's six decimals, and
+        # per_sentence gives each sentence's voted labels
+        rng = np.random.default_rng(12)
+        corpus = random_corpus(rng, 15)
+        voted, diags = ensemble_corpus(self.build_sets(rng, corpus, 4), corpus)
+        votes = diags.votes
+        assert votes.model_id is None
+        data = read_prediction_file(write_prediction_file(corpus, votes.predictions))
+        check_alignment(data.to_set("vote"), corpus)
+        assert (data.sentence_ids, data.lengths, data.tokens, data.labels) == (
+            votes.sentence_ids, votes.lengths, votes.tokens, votes.labels)
+        assert data.scores == pytest.approx(votes.scores, abs=1e-6)
+        assert [(sid, list(p.labels)) for sid, p in diags.per_sentence] == list(
+            zip(votes.sentence_ids, voted))
 
 
 class TestPredictionFiles:

@@ -61,11 +61,23 @@ ORACLE_ENTRY_POINTS = {
     "extract_chunks",
 }
 
+# Methods and properties no code in the package or perfbench reads by
+# name, with the reason each stays.
+UNREAD_METHODS = {
+    # the [PRIMARY] gradient suite's pass test: a report passes below a
+    # tolerance the caller picks
+    "GradCheckReport.passed",
+    # argparse calls it on a usage error; it raises so that the command
+    # exits 1, where argparse would exit 2
+    "_Parser.error",
+}
+
 
 def test_no_unreferenced_definitions():
-    # every module-level def and class of src/seqtag is read somewhere in
-    # the package or in perfbench/: a name in __all__ that only tests read
-    # is not used, unless it is an oracle's entry point
+    # every module-level def and class of src/seqtag, and every method and
+    # property of its classes, is read by name somewhere in the package or
+    # in perfbench/: a name in __all__ that only tests read is not used,
+    # unless it is an oracle's entry point or an allow-listed method
     root = Path(__file__).resolve().parents[1]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((root / "src" / "seqtag").rglob("*.py"))}
@@ -86,6 +98,13 @@ def test_no_unreferenced_definitions():
     assert unreferenced == []
     # the allow-list holds only defined names that nothing else reads
     assert ORACLE_ENTRY_POINTS <= {name for _, name in defined} - read
+    # a dunder is called by Python itself
+    unread = {f"{cls.name}.{node.name}" for tree in trees.values()
+              for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name not in read
+              and not (node.name.startswith("__") and node.name.endswith("__"))}
+    assert sorted(unread - UNREAD_METHODS) == []
+    assert UNREAD_METHODS <= unread
 
 
 def _calls(tree, names):

@@ -381,7 +381,7 @@ class TestWholeModelGradients:
         corpus = tiny_fixture_corpus()
         model = build_model(config, corpus)
         report = check_gradients(model, [corpus.sentences[use_crf_loss_sentence]])
-        assert report.passed(self.COMPOSITE_TOL), report.render()
+        assert report.passed(self.COMPOSITE_TOL), report.per_param
 
     def test_full_feature_stack_with_crf(self):
         self.check_model(small_config(

@@ -37,9 +37,9 @@ from seqtag.corpus import (
     repair_bio,
 )
 from seqtag.ensemble import (
+    OUTCOMES,
     EnsembleError,
     PredictionSet,
-    SentenceVotes,
     VoteConfig,
     ensemble_corpus,
     read_prediction_file,
@@ -147,30 +147,20 @@ class TestRowFaults:
         line = int(message.split(":")[0].split()[1]) if message.startswith("line ") else None
         assert info.value.line_number == line
 
-    @pytest.mark.parametrize("votes, rows, message", [
-        (False, [("O", 1.0), ("PER", 0.5)], "sentence 'b': invalid BIO label 'PER'"),
-        (False, [("O", 1.0), ("O", 1.5)], "sentence 'b': prediction score 1.5 outside [0, 1]"),
-        (False, [("O", 1.0), ("O", -0.1)], "sentence 'b': prediction score -0.1 outside [0, 1]"),
-        (False, [("O", 1.0), ("O", float("nan"))],
-         "sentence 'b': prediction score nan outside [0, 1]"),
+    @pytest.mark.parametrize("rows, message", [
+        ([("O", 1.0), ("PER", 0.5)], "sentence 'b': invalid BIO label 'PER'"),
+        ([("O", 1.0), ("B-", 0.9)], "sentence 'b': invalid BIO label 'B-'"),
+        ([("O", 1.0), ("O", 1.5)], "sentence 'b': prediction score 1.5 outside [0, 1]"),
+        ([("O", 1.0), ("O", -0.1)], "sentence 'b': prediction score -0.1 outside [0, 1]"),
+        ([("O", 1.0), ("O", float("nan"))], "sentence 'b': prediction score nan outside [0, 1]"),
         # the first faulty row names the fault, as the reader's rows do
-        (False, [("O", 2.5), ("PER", 0.5)], "sentence 'b': prediction score 2.5 outside [0, 1]"),
-        (False, [("Q", 0.5), ("O", -1.0)], "sentence 'b': invalid BIO label 'Q'"),
-        (True, [("O", 1.0), ("B-", 0.9)], "sentence 'b': invalid BIO label 'B-'"),
-        (True, [("O", 1.0), ("O", 2.0)], "sentence 'b': prediction score 2.0 outside [0, 1]"),
+        ([("O", 2.5), ("PER", 0.5)], "sentence 'b': prediction score 2.5 outside [0, 1]"),
+        ([("Q", 0.5), ("O", -1.0)], "sentence 'b': invalid BIO label 'Q'"),
     ])
     def test_prediction_writer_refuses_what_the_reader_would(
-            self, votes, rows, message, tmp_path, monkeypatch, capsys):
+            self, rows, message, tmp_path, monkeypatch, capsys):
         corpus = parse_conll("# a\nx O\n\n# b\ny O\nz O\n")
-
-        def column(rows):
-            preds = sentence_predictions(rows)
-            if votes:  # an ensemble's columns write the same way
-                return SentenceVotes(preds.labels, preds.scores, [5] * len(rows),
-                                     ("majority",) * len(rows))
-            return preds
-
-        predictions = [column([("O", 1.0)]), column(rows)]
+        predictions = [sentence_predictions([("O", 1.0)]), sentence_predictions(rows)]
         for include_gold in (True, False):
             with pytest.raises(EnsembleError) as info:
                 write_prediction_file(corpus, predictions, include_gold)
@@ -627,16 +617,17 @@ class TestUnanimousVotes:
             sets.append(PredictionSet(f"m{m}", preds, [s.id for s in reference.sentences],
                                       [s.surfaces for s in reference.sentences]))
         labels, diagnostics = ensemble_corpus(sets, reference, config)
-        unanimous = 0
-        for si, (sid, diags) in enumerate(diagnostics.per_sentence):
-            full = [reference_vote([s.predictions[si][ti] for s in sets], config)
-                    for ti in range(len(diags))]
-            unanimous += sum(
-                len({s.predictions[si][ti].label for s in sets}) == 1 for ti in range(len(diags)))
-            assert labels[si] == repair_bio([f[0] for f in full])
-            assert list(zip(diags.labels, diags.surviving, diags.outcomes, diags.scores)) == [
-                (lab, f[1], f[2], f[3]) for lab, f in zip(labels[si], full)]
-        assert unanimous > 20
+        token_votes = [list(v) for v in zip(*[chain.from_iterable(s.predictions) for s in sets])]
+        full = [reference_vote(v, config) for v in token_votes]
+        at = 0
+        for sent, repaired in zip(reference.sentences, labels):
+            assert repaired == repair_bio([f[0] for f in full[at:at + len(sent)]])
+            at += len(sent)
+        votes = diagnostics.votes
+        assert list(zip(votes.labels, diagnostics.surviving.tolist(),
+                        [OUTCOMES[o] for o in diagnostics.outcome], votes.scores)) == [
+            (lab, f[1], f[2], f[3]) for lab, f in zip(chain.from_iterable(labels), full)]
+        assert sum(len({x.label for x in v}) == 1 for v in token_votes) > 20
 
 
 class TestModelLabels:
